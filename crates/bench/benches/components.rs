@@ -12,9 +12,10 @@ use atrapos_core::{
 };
 use atrapos_engine::workload::testing::TinyWorkload;
 use atrapos_engine::{AtraposConfig, AtraposDesign, CentralizedDesign, SystemDesign, Workload};
-use atrapos_numa::{CoreId, CostModel, Machine, Topology};
+use atrapos_numa::{CoreId, CostModel, Machine, SimCtx, SocketId, Topology};
 use atrapos_storage::{
-    BTree, Key, LockId, LockManager, LockMode, Record, TableId, Txn, TxnId, Value,
+    BTree, Column, ColumnType, Key, LockId, LockManager, LockMode, Record, Schema, Table, TableId,
+    Txn, TxnId, Value,
 };
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
@@ -46,6 +47,13 @@ fn bench_btree(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
+    group.bench_function("range_20_of_100k", |b| {
+        b.iter(|| {
+            let from = rng.gen_range(0..99_980);
+            let (lo, hi) = (Key::int(from), Key::int(from + 20));
+            std::hint::black_box(tree.range_iter(Some(&lo), Some(&hi)).count())
+        })
+    });
     group.bench_function("split_off/100k", |b| {
         b.iter_batched(
             || tree.clone(),
@@ -56,6 +64,37 @@ fn bench_btree(c: &mut Criterion) {
     group.finish();
 }
 
+/// Twenty-row scans of a 40-partition table — the TPC-C StockLevel /
+/// OrderStatus shape, and the shape `benchmark/src/ops.rs` measures as
+/// `storage.table.range_read.ns_per_op`.
+fn bench_table(c: &mut Criterion) {
+    let topo = Topology::multisocket(4, 2);
+    let cost = CostModel::westmere();
+    let schema = Schema::new(
+        "ops",
+        vec![
+            Column::new("id", ColumnType::Int),
+            Column::new("v", ColumnType::Int),
+        ],
+        vec![0],
+    );
+    let boundaries: Vec<Key> = (1..40).map(|i| Key::int(i * 1_000)).collect();
+    let nodes: Vec<SocketId> = (0..40).map(|i| SocketId(i / 10)).collect();
+    let mut table = Table::range_partitioned(TableId(0), schema, boundaries, nodes);
+    table
+        .load_many((0..40_000).map(rec))
+        .expect("distinct keys");
+    let mut rng = SmallRng::seed_from_u64(2);
+    let mut ctx = SimCtx::new(&topo, &cost, CoreId(0), 0);
+    c.bench_function("table/range_read_20_of_40_partitions", |b| {
+        b.iter(|| {
+            let from = rng.gen_range(0..39_900);
+            let (lo, hi) = (Key::int(from), Key::int(from + 20));
+            std::hint::black_box(table.range_read(&mut ctx, Some(&lo), Some(&hi), 20).len())
+        })
+    });
+}
+
 fn bench_lock_manager(c: &mut Criterion) {
     let topo = Topology::multisocket(4, 2);
     let cost = CostModel::westmere();
@@ -63,7 +102,7 @@ fn bench_lock_manager(c: &mut Criterion) {
         let mut lm = LockManager::centralized(256, 4);
         let mut i = 0u64;
         b.iter(|| {
-            let mut ctx = atrapos_numa::SimCtx::new(&topo, &cost, CoreId(0), i);
+            let mut ctx = SimCtx::new(&topo, &cost, CoreId(0), i);
             let mut txn = Txn::begin(TxnId(i));
             lm.acquire(
                 &mut ctx,
@@ -175,6 +214,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_btree,
+        bench_table,
         bench_lock_manager,
         bench_cost_model_and_search,
         bench_designs

@@ -5,7 +5,7 @@
 use crate::action::{Action, ActionOp};
 use atrapos_numa::{Component, SimCtx, SocketId};
 use atrapos_storage::{
-    Database, LockId, LockManager, LockMode, LogManager, LogRecordKind, StorageResult, Txn, Value,
+    Database, LockId, LockManager, LockMode, LogManager, LogRecordKind, StorageResult, Txn,
 };
 
 /// Instruction overhead charged at transaction begin (descriptor setup,
@@ -54,12 +54,7 @@ pub fn storage_op(ctx: &mut SimCtx<'_>, db: &mut Database, action: &Action) -> S
             column,
             delta,
         } => {
-            let t = db.table_mut(*table)?;
-            let current = t
-                .peek(key)
-                .map(|r| r.get(*column).as_int())
-                .unwrap_or_default();
-            t.update(ctx, key, &[(*column, Value::Int(current + delta))])?;
+            db.table_mut(*table)?.increment(ctx, key, *column, *delta)?;
             Ok(LOG_BYTES_PER_ROW)
         }
         ActionOp::Insert { table, record } => {

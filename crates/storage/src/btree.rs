@@ -168,56 +168,30 @@ impl BTree {
 
     /// Smallest key in the tree.
     pub fn min_key(&self) -> Option<&Key> {
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Leaf(leaf) => return leaf.keys.first(),
-                Node::Internal(internal) => {
-                    // Lazy deletion can leave empty leaves; fall back to a
-                    // full scan if the leftmost path is empty.
-                    if let Node::Leaf(l) = &internal.children[0] {
-                        if l.keys.is_empty() {
-                            return self.iter().next().map(|(k, _)| k);
-                        }
-                    }
-                    node = &internal.children[0];
-                }
-            }
-        }
+        self.iter().next().map(|(k, _)| k)
     }
 
-    /// Largest key in the tree.
+    /// Largest key in the tree: a rightmost descent that steps back over
+    /// lazily emptied leaves.
     pub fn max_key(&self) -> Option<&Key> {
-        self.iter().last().map(|(k, _)| k)
+        self.root.max_key()
     }
 
     /// In-order iterator over `(key, record)` pairs.
     pub fn iter(&self) -> Iter<'_> {
-        Iter::new(&self.root)
+        Iter::new(&self.root, None)
     }
 
-    /// Collect all entries whose keys are in `[from, to)`.  `None` bounds are
-    /// unbounded.
-    pub fn range(&self, from: Option<&Key>, to: Option<&Key>) -> Vec<(&Key, &Record)> {
-        // A full iterator with early termination keeps the code simple; the
-        // workloads only scan short ranges relative to table sizes, and the
-        // simulator charges range costs independently of this
-        // implementation.
-        let mut out = Vec::new();
-        for (k, v) in self.iter() {
-            if let Some(f) = from {
-                if k < f {
-                    continue;
-                }
-            }
-            if let Some(t) = to {
-                if k >= t {
-                    break;
-                }
-            }
-            out.push((k, v));
-        }
-        out
+    /// Lazy in-order cursor over the entries whose keys are in `[from, to)`
+    /// (`None` bounds are unbounded): one descent to the leaf holding
+    /// `from`, then a leaf-to-leaf walk that stops at the first key
+    /// `>= to` — O(height + entries yielded), wherever the range starts.
+    pub fn range_iter<'a, 'k>(
+        &'a self,
+        from: Option<&Key>,
+        to: Option<&'k Key>,
+    ) -> impl Iterator<Item = (&'a Key, &'a Record)> + use<'a, 'k> {
+        Iter::new(&self.root, from).take_while(move |&(k, _)| to.is_none_or(|t| k < t))
     }
 
     /// Build a tree from key-sorted, duplicate-free pairs.
@@ -271,15 +245,8 @@ impl BTree {
     /// removed from `self` and returned as a new tree.  This is the physical
     /// *split* repartitioning action.
     pub fn split_off(&mut self, boundary: &Key) -> BTree {
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        for (k, v) in self.iter() {
-            if k < boundary {
-                left.push((k.clone(), v.clone()));
-            } else {
-                right.push((k.clone(), v.clone()));
-            }
-        }
+        let mut left = std::mem::take(self).into_pairs();
+        let right = left.split_off(left.partition_point(|(k, _)| k < boundary));
         *self = BTree::bulk_load(left);
         BTree::bulk_load(right)
     }
@@ -291,14 +258,20 @@ impl BTree {
     pub fn merge_from(&mut self, other: BTree) {
         // When the ranges are disjoint and adjacent, a rebuild keeps the
         // result compact; otherwise plain inserts would work too.
-        let mut all: Vec<(Key, Record)> =
-            self.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        let mut incoming: Vec<(Key, Record)> =
-            other.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        all.append(&mut incoming);
+        let mut all = std::mem::take(self).into_pairs();
+        all.reserve(other.len);
+        other.root.drain_into(&mut all);
         all.sort_by(|a, b| a.0.cmp(&b.0));
         all.dedup_by(|a, b| a.0 == b.0);
         *self = BTree::bulk_load(all);
+    }
+
+    /// Consume the tree into its `(key, record)` pairs in key order, moving
+    /// (not cloning) every entry out of the leaves.
+    fn into_pairs(self) -> Vec<(Key, Record)> {
+        let mut out = Vec::with_capacity(self.len);
+        self.root.drain_into(&mut out);
+        out
     }
 
     /// Verify the B+-tree structural invariants (key order within nodes,
@@ -421,6 +394,26 @@ impl Node {
         }
     }
 
+    /// Largest key below this node, skipping lazily emptied leaves.
+    fn max_key(&self) -> Option<&Key> {
+        match self {
+            Node::Leaf(leaf) => leaf.keys.last(),
+            Node::Internal(internal) => internal.children.iter().rev().find_map(Node::max_key),
+        }
+    }
+
+    /// Move every entry below this node into `out`, in key order.
+    fn drain_into(self, out: &mut Vec<(Key, Record)>) {
+        match self {
+            Node::Leaf(leaf) => out.extend(leaf.keys.into_iter().zip(leaf.values)),
+            Node::Internal(internal) => {
+                for child in internal.children {
+                    child.drain_into(out);
+                }
+            }
+        }
+    }
+
     /// Check node-local invariants recursively.
     fn check(&self, lower: Option<&Key>, upper: Option<&Key>) -> Result<(), String> {
         match self {
@@ -468,33 +461,54 @@ impl Node {
     }
 }
 
-/// In-order iterator over a [`BTree`].
+/// In-order cursor over a [`BTree`]: the one ordered-access primitive every
+/// scan (full iteration, range scan, min key) goes through.
 pub struct Iter<'a> {
     /// Stack of (internal node, next child index) plus the current leaf.
     stack: Vec<(&'a Internal, usize)>,
     leaf: Option<(&'a Leaf, usize)>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Nodes the current thread's cursors have descended into (pins the
+    /// scan complexity with a deterministic count instead of a wall clock).
+    pub(crate) static NODE_VISITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl<'a> Iter<'a> {
-    fn new(root: &'a Node) -> Self {
+    /// A cursor at the first entry with key `>= from` (the very first entry
+    /// when `from` is `None`).
+    fn new(root: &'a Node, from: Option<&Key>) -> Self {
         let mut it = Iter {
             stack: Vec::new(),
             leaf: None,
         };
-        it.descend(root);
+        it.seek(root, from);
         it
     }
 
-    fn descend(&mut self, mut node: &'a Node) {
+    /// Descend from `node` to the leaf that holds the first key `>= from`
+    /// (the leftmost leaf when `from` is `None`), remembering on the stack
+    /// which sibling comes next at every level.  The leaf may hold no such
+    /// key (a key gap, or a leaf emptied by lazy deletion): `next` moves on
+    /// to the following leaf.
+    // One descent per scan and one per leaf crossing.
+    // lint: hot-path
+    fn seek(&mut self, mut node: &'a Node, from: Option<&Key>) {
         loop {
+            #[cfg(test)]
+            NODE_VISITS.with(|n| n.set(n.get() + 1));
             match node {
                 Node::Leaf(leaf) => {
-                    self.leaf = Some((leaf, 0));
+                    let idx = from.map_or(0, |f| leaf.keys.partition_point(|k| k < f));
+                    self.leaf = Some((leaf, idx));
                     return;
                 }
                 Node::Internal(internal) => {
-                    self.stack.push((internal, 1));
-                    node = &internal.children[0];
+                    let idx = from.map_or(0, |f| internal.child_index(f));
+                    self.stack.push((internal, idx + 1));
+                    node = &internal.children[idx];
                 }
             }
         }
@@ -504,7 +518,7 @@ impl<'a> Iter<'a> {
         while let Some((internal, next)) = self.stack.pop() {
             if next < internal.children.len() {
                 self.stack.push((internal, next + 1));
-                self.descend(&internal.children[next]);
+                self.seek(&internal.children[next], None);
                 return true;
             }
         }
@@ -619,11 +633,30 @@ mod tests {
         for i in 0..100 {
             t.insert(Key::int(i), rec(i));
         }
-        let r = t.range(Some(&Key::int(10)), Some(&Key::int(20)));
-        let got: Vec<i64> = r.iter().map(|(k, _)| k.head_int()).collect();
+        let (lo, hi) = (Key::int(10), Key::int(20));
+        let got: Vec<i64> = t
+            .range_iter(Some(&lo), Some(&hi))
+            .map(|(k, _)| k.head_int())
+            .collect();
         assert_eq!(got, (10..20).collect::<Vec<_>>());
-        assert_eq!(t.range(None, Some(&Key::int(3))).len(), 3);
-        assert_eq!(t.range(Some(&Key::int(97)), None).len(), 3);
+        assert_eq!(t.range_iter(None, Some(&Key::int(3))).count(), 3);
+        assert_eq!(t.range_iter(Some(&Key::int(97)), None).count(), 3);
+        assert_eq!(t.range_iter(Some(&hi), Some(&lo)).count(), 0);
+    }
+
+    #[test]
+    fn min_and_max_key_step_over_emptied_leaves() {
+        let mut t = BTree::bulk_load((0..1000).map(|i| (Key::int(i), rec(i))).collect());
+        for i in (0..200).chain(700..1000) {
+            t.remove(&Key::int(i));
+        }
+        assert_eq!(t.min_key().unwrap().head_int(), 200);
+        assert_eq!(t.max_key().unwrap().head_int(), 699);
+        for i in 200..700 {
+            t.remove(&Key::int(i));
+        }
+        assert!(t.min_key().is_none());
+        assert!(t.max_key().is_none());
     }
 
     #[test]

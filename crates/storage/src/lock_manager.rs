@@ -177,6 +177,10 @@ impl LockManager {
     }
 
     fn bucket_index(&self, id: &LockId) -> usize {
+        // A partition-local table has one bucket: skip hashing to `x % 1`.
+        if self.buckets.len() == 1 {
+            return 0;
+        }
         (id.bucket_hash() as usize) % self.buckets.len()
     }
 

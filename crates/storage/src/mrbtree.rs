@@ -212,13 +212,23 @@ impl MrBTree {
         self.partitions.iter().flat_map(|p| p.tree.iter())
     }
 
-    /// Collect entries in `[from, to)` across partitions.
-    pub fn range(&self, from: Option<&Key>, to: Option<&Key>) -> Vec<(&Key, &Record)> {
-        let mut out = Vec::new();
-        for p in &self.partitions {
-            out.extend(p.tree.range(from, to));
-        }
-        out
+    /// Lazy cursor over the entries in `[from, to)`, in key order: starts
+    /// in the partition that owns `from` (the first when unbounded) and
+    /// moves on to the following partitions only while their range begins
+    /// below `to`, so a scan touches exactly the partitions it overlaps.
+    pub fn range_iter<'a, 'k>(
+        &'a self,
+        from: Option<&'k Key>,
+        to: Option<&'k Key>,
+    ) -> impl Iterator<Item = (&'a Key, &'a Record)> + use<'a, 'k> {
+        let start = from.map_or(0, |k| self.partition_for(k));
+        self.partitions[start..]
+            .iter()
+            .take_while(move |p| match (&p.lower, to) {
+                (Some(lower), Some(to)) => lower < to,
+                _ => true,
+            })
+            .flat_map(move |p| p.tree.range_iter(from, to))
     }
 
     /// Move the memory allocation of partition `idx` to `node` (models
@@ -428,6 +438,23 @@ mod tests {
         let keys: Vec<i64> = t.iter().map(|(k, _)| k.head_int()).collect();
         assert_eq!(keys.len(), 99);
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn range_iter_spans_partitions_in_key_order() {
+        let t = loaded(1000, 4);
+        let keys = |from: Option<i64>, to: Option<i64>| -> Vec<i64> {
+            let (from, to) = (from.map(Key::int), to.map(Key::int));
+            t.range_iter(from.as_ref(), to.as_ref())
+                .map(|(k, _)| k.head_int())
+                .collect()
+        };
+        assert_eq!(keys(Some(240), Some(510)), (240..510).collect::<Vec<_>>());
+        assert_eq!(keys(None, Some(3)), vec![0, 1, 2]);
+        assert_eq!(keys(Some(997), None), vec![997, 998, 999]);
+        assert_eq!(keys(Some(500), Some(500)), Vec::<i64>::new());
+        assert_eq!(keys(Some(600), Some(100)), Vec::<i64>::new());
+        assert_eq!(keys(None, None).len(), 1000);
     }
 
     #[test]

@@ -6,18 +6,25 @@
 //!   random operation sequences that include range scans and structural
 //!   splits/merges — if the tree and the ordered map ever disagree on any
 //!   observable, the sequence shrinks to a minimal reproducer.
+//! * The range cursor (`BTree::range_iter`, and `Table::range_read` over
+//!   random partition boundaries) is checked against `BTreeMap::range` for
+//!   every bound shape: open or closed on either side, in a key gap, below
+//!   the minimum, above the maximum, inverted, and starting inside leaves
+//!   that lazy deletion emptied.
 //! * The lock manager is driven against a naive lock-table oracle that
 //!   tracks, per lock, exactly which transactions hold it in which mode,
 //!   and per transaction the set of grants — verifying holder sets, the
 //!   upgrade fast path, release-all semantics, and the grant-compatibility
 //!   invariant after every step.
 
-use atrapos_numa::{CoreId, CostModel, SimCtx, Topology};
+use atrapos_numa::{CoreId, CostModel, SimCtx, SocketId, Topology};
 use atrapos_storage::{
-    BTree, Key, LockId, LockManager, LockMode, Record, TableId, Txn, TxnId, Value,
+    BTree, Column, ColumnType, Key, LockId, LockManager, LockMode, Record, Schema, Table, TableId,
+    Txn, TxnId, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 // `LockId` has no `Ord` impl, so the oracle's holder table must stay a
 // hash map; the oracle only does keyed access and sorts before comparing,
 // so iteration order never reaches an assertion.
@@ -79,8 +86,7 @@ proptest! {
                 }
                 TreeOp::Range(lo, hi) => {
                     let a: Vec<(i64, i64)> = tree
-                        .range(Some(&Key::int(lo)), Some(&Key::int(hi)))
-                        .into_iter()
+                        .range_iter(Some(&Key::int(lo)), Some(&Key::int(hi)))
                         .map(|(k, r)| (k.head_int(), r.get(1).as_int()))
                         .collect();
                     let b: Vec<(i64, i64)> =
@@ -104,6 +110,155 @@ proptest! {
             .collect();
         let b: Vec<(i64, i64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
         prop_assert_eq!(a, b);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Range cursor vs. `BTreeMap::range`
+// ----------------------------------------------------------------------
+
+/// `model.range(from..to)` with `None` = unbounded; empty (instead of
+/// `BTreeMap::range`'s panic) when the bounds are inverted.
+fn model_range(model: &BTreeMap<i64, i64>, from: Option<i64>, to: Option<i64>) -> Vec<(i64, i64)> {
+    if matches!((from, to), (Some(f), Some(t)) if f >= t) {
+        return Vec::new();
+    }
+    let lo = from.map_or(Bound::Unbounded, Bound::Included);
+    let hi = to.map_or(Bound::Unbounded, Bound::Excluded);
+    model.range((lo, hi)).map(|(&k, &v)| (k, v)).collect()
+}
+
+fn tree_range(tree: &BTree, from: Option<i64>, to: Option<i64>) -> Vec<(i64, i64)> {
+    let (from, to) = (from.map(Key::int), to.map(Key::int));
+    tree.range_iter(from.as_ref(), to.as_ref())
+        .map(|(k, r)| (k.head_int(), r.get(1).as_int()))
+        .collect()
+}
+
+/// A scan bound: unbounded, anywhere from below the minimum to above the
+/// maximum key, or inside the low run that the properties delete.
+fn bound_strategy() -> impl Strategy<Value = Option<i64>> {
+    prop_oneof![
+        1 => Just(None),
+        3 => (-50i64..2_100).prop_map(Some),
+        2 => (0i64..400).prop_map(Some),
+    ]
+}
+
+/// TPC-C Delivery's shape, fixed: a dense table loses a contiguous low run
+/// (six whole bulk-loaded leaves and part of a seventh), and scans start
+/// before, inside, at the end of, and after the emptied leaves.
+#[test]
+fn range_iter_starts_inside_leaves_emptied_by_remove() {
+    let mut tree = BTree::bulk_load(
+        (0..1_000)
+            .map(|k| (Key::int(k), record_for(k, k)))
+            .collect(),
+    );
+    let mut model: BTreeMap<i64, i64> = (0..1_000).map(|k| (k, k)).collect();
+    for k in 0..300 {
+        assert!(tree.remove(&Key::int(k)).is_some());
+        model.remove(&k);
+    }
+    for from in [
+        None,
+        Some(-5),
+        Some(0),
+        Some(47),
+        Some(48),
+        Some(150),
+        Some(299),
+        Some(300),
+        Some(301),
+    ] {
+        for to in [None, Some(0), Some(200), Some(300), Some(305), Some(2_000)] {
+            assert_eq!(
+                tree_range(&tree, from, to),
+                model_range(&model, from, to),
+                "{from:?}..{to:?}"
+            );
+        }
+    }
+    assert_eq!(tree.min_key().map(Key::head_int), Some(300));
+}
+
+fn two_int_schema() -> Schema {
+    Schema::new(
+        "t",
+        vec![
+            Column::new("id", ColumnType::Int),
+            Column::new("v", ColumnType::Int),
+        ],
+        vec![0],
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `range_iter(from, to)` equals `BTreeMap::range` for every bound
+    /// shape, on a tree whose low key run (whole leaves of it) was removed.
+    #[test]
+    fn range_iter_matches_ordered_map_range(
+        sparse in prop::collection::btree_set(0i64..2_000, 0..200),
+        dense in 0i64..400,
+        cut in 0i64..400,
+        from in bound_strategy(),
+        to in bound_strategy(),
+    ) {
+        let mut tree = BTree::new();
+        let mut model: BTreeMap<i64, i64> = BTreeMap::new();
+        for k in (0..dense).chain(sparse) {
+            tree.insert(Key::int(k), record_for(k, k * 3));
+            model.insert(k, k * 3);
+        }
+        for k in 0..cut {
+            prop_assert_eq!(tree.remove(&Key::int(k)).is_some(), model.remove(&k).is_some());
+        }
+        prop_assert_eq!(tree_range(&tree, from, to), model_range(&model, from, to));
+        prop_assert_eq!(tree.min_key().map(Key::head_int), model.keys().next().copied());
+        prop_assert_eq!(tree.max_key().map(Key::head_int), model.keys().next_back().copied());
+    }
+
+    /// `Table::range_read(from, to, limit)` equals
+    /// `model.range(from..to).take(limit)` over random partition boundaries
+    /// — a key hole leaves whole partitions empty, wide ranges span many —
+    /// and `limit == 0` returns nothing.
+    #[test]
+    fn table_range_read_matches_ordered_map_over_random_partitions(
+        boundaries in prop::collection::btree_set(1i64..1_000, 0..12),
+        keys in prop::collection::btree_set(0i64..1_000, 0..300),
+        hole in 0i64..1_000,
+        from in prop::option::of(-20i64..1_020),
+        to in prop::option::of(-20i64..1_020),
+        limit in 0usize..120,
+    ) {
+        let nodes = vec![SocketId(0); boundaries.len() + 1];
+        let mut table = Table::range_partitioned(
+            TableId(0),
+            two_int_schema(),
+            boundaries.iter().map(|&b| Key::int(b)).collect(),
+            nodes,
+        );
+        let mut model: BTreeMap<i64, i64> = BTreeMap::new();
+        for k in keys.into_iter().filter(|k| !(hole..hole + 250).contains(k)) {
+            table.load(record_for(k, k + 1)).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            model.insert(k, k + 1);
+        }
+        let topo = Topology::multisocket(2, 2);
+        let cost = CostModel::westmere();
+        let mut ctx = SimCtx::new(&topo, &cost, CoreId(0), 0);
+        let (from_key, to_key) = (from.map(Key::int), to.map(Key::int));
+        for limit in [limit, 0, usize::MAX] {
+            let got: Vec<(i64, i64)> = table
+                .range_read(&mut ctx, from_key.as_ref(), to_key.as_ref(), limit)
+                .into_iter()
+                .map(|r| (r.get(0).as_int(), r.get(1).as_int()))
+                .collect();
+            let mut want = model_range(&model, from, to);
+            want.truncate(limit);
+            prop_assert_eq!(got, want);
+        }
     }
 }
 

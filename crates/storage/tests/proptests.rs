@@ -110,7 +110,7 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// `range(from, to)` returns exactly the keys in `[from, to)`.
+    /// `range_iter(from, to)` yields exactly the keys in `[from, to)`.
     #[test]
     fn btree_range_query_matches_model(
         keys in prop::collection::btree_set(0i64..2_000, 1..200),
@@ -123,8 +123,7 @@ proptest! {
         }
         let to = from + width;
         let got: Vec<i64> = tree
-            .range(Some(&Key::int(from)), Some(&Key::int(to)))
-            .iter()
+            .range_iter(Some(&Key::int(from)), Some(&Key::int(to)))
             .map(|(k, _)| k.head_int())
             .collect();
         let expected: Vec<i64> = keys.iter().copied().filter(|&k| k >= from && k < to).collect();
