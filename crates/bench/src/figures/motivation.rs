@@ -163,7 +163,7 @@ pub fn fig04_breakdown(scale: &Scale) -> FigureResult {
                 atrapos_numa::cycles_to_micros(stats.breakdown.get(c), ghz) / stats.committed as f64
             }
         };
-        let mgmt = per_txn(Component::XctManagement) + per_txn(Component::Latching);
+        let mgmt = per_txn(Component::XctManagement);
         let exec = per_txn(Component::XctExecution);
         let comm = per_txn(Component::Communication);
         let lock = per_txn(Component::Locking);

@@ -21,8 +21,7 @@
 
 use crate::action::{TransactionSpec, TxnOutcome};
 use crate::designs::common::{
-    acquire_action_locks, log_action, storage_op, sync_point, BEGIN_INSTRUCTIONS,
-    COMMIT_INSTRUCTIONS,
+    acquire_action_locks, sync_point, TxnProtocol, BEGIN_INSTRUCTIONS, COMMIT_INSTRUCTIONS,
 };
 use crate::designs::{DesignStats, IntervalOutcome, SystemDesign};
 use crate::workers::WorkerPool;
@@ -32,10 +31,7 @@ use atrapos_core::{
     PartitioningScheme, SubPartitionId,
 };
 use atrapos_numa::{micros_to_cycles, Component, CoreId, Cycles, Machine, SocketId, Topology};
-use atrapos_storage::{
-    Database, LockManager, LogManager, LogRecordKind, StateRwLock, Table, TableId, Txn, TxnId,
-    TxnList,
-};
+use atrapos_storage::{Database, LockManager, Table, TableId, Txn, TxnId};
 
 /// Configuration of the partitioned shared-everything engine.
 ///
@@ -123,9 +119,7 @@ pub struct AtraposDesign {
     /// per-action linear scheme scan and hash-map lookups of the routing
     /// path.
     table_slots: Vec<usize>,
-    log: LogManager,
-    txn_list: TxnList,
-    state_lock: StateRwLock,
+    protocol: TxnProtocol,
     workers: WorkerPool,
     partitions_per_core: Vec<usize>,
     next_txn: u64,
@@ -153,7 +147,7 @@ impl AtraposDesign {
     }
 
     /// Like [`AtraposDesign::new`] with an explicit display name (used by
-    /// the PLP wrapper and the Figure 6 placement variants).
+    /// the PLP baseline and the Figure 6 placement variants).
     pub fn with_name(
         name: &str,
         machine: &Machine,
@@ -168,18 +162,10 @@ impl AtraposDesign {
         let (table_slots, partition_locks) = Self::build_routing(topo, &scheme);
         let partitions_per_core = scheme.partitions_per_core(topo);
         let n_sockets = topo.num_sockets();
-        let (log, txn_list, state_lock) = if config.numa_aware_internals {
-            (
-                LogManager::per_socket(n_sockets),
-                TxnList::per_socket(n_sockets),
-                StateRwLock::per_socket("volume", n_sockets),
-            )
+        let protocol = if config.numa_aware_internals {
+            TxnProtocol::per_socket(n_sockets)
         } else {
-            (
-                LogManager::centralized(n_sockets),
-                TxnList::centralized(n_sockets),
-                StateRwLock::centralized("volume", n_sockets),
-            )
+            TxnProtocol::centralized(n_sockets)
         };
         let controller = AdaptiveController::new(scheme.clone(), config.controller.clone());
         let monitor = Monitor::new(config.monitoring);
@@ -192,9 +178,7 @@ impl AtraposDesign {
             monitor,
             partition_locks,
             table_slots,
-            log,
-            txn_list,
-            state_lock,
+            protocol,
             workers: WorkerPool::new(topo),
             partitions_per_core,
             next_txn: 1,
@@ -345,7 +329,6 @@ impl SystemDesign for AtraposDesign {
     ) -> TxnOutcome {
         let txn_id = TxnId(self.next_txn);
         self.next_txn += 1;
-        let txn = Txn::begin(txn_id);
         let mut failed = false;
         let mut phase_start = start;
         let mut prev_sync_bytes = 0u64;
@@ -379,8 +362,7 @@ impl SystemDesign for AtraposDesign {
                 // work and registers the transaction.
                 if first_action_of_txn && ai == 0 {
                     actx.work(Component::XctManagement, BEGIN_INSTRUCTIONS);
-                    self.state_lock.read_acquire(&mut actx);
-                    self.txn_list.add(&mut actx, txn_id);
+                    self.protocol.begin(&mut actx, txn_id, true);
                     first_action_of_txn = false;
                 }
                 // The first action of a later phase receives the data from
@@ -396,15 +378,12 @@ impl SystemDesign for AtraposDesign {
                 self.action_txn.reset(txn_id);
                 let lm = &mut self.partition_locks[slot][pidx];
                 acquire_action_locks(&mut actx, lm, &mut self.action_txn, action);
+                // The action's cost — what the oversubscription penalty
+                // scales — starts after the locks are held.
                 let work_begin = actx.now();
-                match storage_op(&mut actx, &mut self.db, action) {
-                    Ok(bytes) => {
-                        if action.op.is_write() {
-                            log_action(&mut actx, &mut self.log, &txn, action, bytes);
-                        }
-                    }
-                    Err(_) => failed = true,
-                }
+                failed = !self
+                    .protocol
+                    .run_action(&mut actx, &mut self.db, txn_id, action);
                 let lm = &mut self.partition_locks[slot][pidx];
                 lm.release_all(&mut actx, &mut self.action_txn);
                 let action_cost = actx.now() - work_begin;
@@ -464,14 +443,10 @@ impl SystemDesign for AtraposDesign {
         cctx.work(Component::XctManagement, COMMIT_INSTRUCTIONS);
         if failed {
             self.aborted += 1;
-            self.log.insert(&mut cctx, txn_id, LogRecordKind::Abort, 32);
-        } else if spec.is_update() {
-            self.log
-                .insert(&mut cctx, txn_id, LogRecordKind::Commit, 48);
-            self.log.commit_flush(&mut cctx);
         }
-        self.txn_list.remove(&mut cctx, txn_id);
-        self.state_lock.read_release(&mut cctx);
+        self.protocol
+            .log_outcome(&mut cctx, txn_id, failed, spec.is_update());
+        self.protocol.end(&mut cctx, txn_id, true);
         self.flush_pending_syncs(&mut cctx);
         self.monitor.record_transaction();
         let end = cctx.now();
@@ -618,7 +593,7 @@ mod tests {
             assert!(out.committed);
             now = out.end;
         }
-        assert_eq!(d.log.total_records(), 40 * 3);
+        assert_eq!(d.protocol.log.total_records(), 40 * 3);
         let total: i64 = d
             .database()
             .table(TableId(0))
@@ -660,6 +635,18 @@ mod tests {
             atrapos > plp * 1.2,
             "ATraPos {atrapos:.6} should beat PLP {plp:.6} by >20%"
         );
+    }
+
+    #[test]
+    fn mixed_stream_leaves_no_active_transaction_and_no_lock_holder() {
+        use crate::designs::common::protocol_check::{assert_quiescent, run_mixed_stream, ROWS};
+        // PLP (centralized structures) and ATraPos (per-socket ones).
+        for config in [AtraposConfig::plp_baseline(), AtraposConfig::default()] {
+            let mut m = machine();
+            let mut d = AtraposDesign::new(&m, &TinyUpdateWorkload { rows: ROWS }, config);
+            run_mixed_stream(&mut d, &mut m);
+            assert_quiescent([&d.protocol], d.partition_locks.iter().flatten());
+        }
     }
 
     #[test]

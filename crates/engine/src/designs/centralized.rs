@@ -8,14 +8,12 @@
 
 use crate::action::{TransactionSpec, TxnOutcome};
 use crate::designs::common::{
-    acquire_action_locks, log_action, storage_op, BEGIN_INSTRUCTIONS, COMMIT_INSTRUCTIONS,
+    acquire_action_locks, TxnProtocol, BEGIN_INSTRUCTIONS, COMMIT_INSTRUCTIONS,
 };
 use crate::designs::{DesignStats, SystemDesign};
-use crate::workload::{ensure_tables, populate_all, Workload};
+use crate::workload::{populate_all, Workload};
 use atrapos_numa::{Component, CoreId, Cycles, Machine, SocketId};
-use atrapos_storage::{
-    Database, LockManager, LogManager, LogRecordKind, StateRwLock, Table, Txn, TxnId, TxnList,
-};
+use atrapos_storage::{Database, LockManager, Table, Txn, TxnId};
 
 /// Number of buckets in the centralized lock-manager hash table.
 const LOCK_MANAGER_BUCKETS: usize = 256;
@@ -24,9 +22,7 @@ const LOCK_MANAGER_BUCKETS: usize = 256;
 pub struct CentralizedDesign {
     db: Database,
     lock_manager: LockManager,
-    log: LogManager,
-    txn_list: TxnList,
-    state_lock: StateRwLock,
+    protocol: TxnProtocol,
     next_txn: u64,
     aborted: u64,
 }
@@ -46,14 +42,11 @@ impl CentralizedDesign {
                 SocketId((i % n_sockets) as u16),
             ));
         }
-        ensure_tables(workload, &mut db);
         populate_all(workload, &mut db);
         Self {
             db,
             lock_manager: LockManager::centralized(LOCK_MANAGER_BUCKETS, n_sockets),
-            log: LogManager::centralized(n_sockets),
-            txn_list: TxnList::centralized(n_sockets),
-            state_lock: StateRwLock::centralized("volume", n_sockets),
+            protocol: TxnProtocol::centralized(n_sockets),
             next_txn: 1,
             aborted: 0,
         }
@@ -86,48 +79,30 @@ impl SystemDesign for CentralizedDesign {
         let mut txn = Txn::begin(TxnId(self.next_txn));
         self.next_txn += 1;
 
-        // Begin: state read lock, register in the (centralized) list of
-        // active transactions.
+        // Everything — begin, every action, commit — runs on the client's
+        // own thread against the one set of centralized structures.
         ctx.work(Component::XctManagement, BEGIN_INSTRUCTIONS);
-        self.state_lock.read_acquire(&mut ctx);
-        self.txn_list.add(&mut ctx, txn.id);
+        self.protocol.begin(&mut ctx, txn.id, true);
 
+        // All actions of a phase run on the same thread: the
+        // synchronization points are free in this design.
         let mut failed = false;
-        'phases: for phase in &spec.phases {
-            for action in &phase.actions {
-                acquire_action_locks(&mut ctx, &mut self.lock_manager, &mut txn, action);
-                match storage_op(&mut ctx, &mut self.db, action) {
-                    Ok(bytes) => {
-                        if action.op.is_write() {
-                            log_action(&mut ctx, &mut self.log, &txn, action, bytes);
-                        }
-                    }
-                    Err(_) => {
-                        failed = true;
-                        break 'phases;
-                    }
-                }
+        for action in spec.phases.iter().flat_map(|p| &p.actions) {
+            acquire_action_locks(&mut ctx, &mut self.lock_manager, &mut txn, action);
+            failed = !self
+                .protocol
+                .run_action(&mut ctx, &mut self.db, txn.id, action);
+            if failed {
+                self.aborted += 1;
+                break;
             }
-            // All actions of a phase run on the same thread: the
-            // synchronization point is free in this design.
         }
 
-        // Commit or abort.
         ctx.work(Component::XctManagement, COMMIT_INSTRUCTIONS);
-        if failed {
-            txn.abort();
-            self.aborted += 1;
-            self.log.insert(&mut ctx, txn.id, LogRecordKind::Abort, 32);
-        } else {
-            txn.commit();
-            if spec.is_update() {
-                self.log.insert(&mut ctx, txn.id, LogRecordKind::Commit, 48);
-                self.log.commit_flush(&mut ctx);
-            }
-        }
+        self.protocol
+            .log_outcome(&mut ctx, txn.id, failed, spec.is_update());
         self.lock_manager.release_all(&mut ctx, &mut txn);
-        self.txn_list.remove(&mut ctx, txn.id);
-        self.state_lock.read_release(&mut ctx);
+        self.protocol.end(&mut ctx, txn.id, true);
 
         let end = ctx.now();
         machine.commit(client, &ctx.finish());
@@ -173,7 +148,7 @@ mod tests {
         assert_eq!(design.aborted(), 0);
         assert!(machine.total_instructions() > 0);
         // Read-only workload never touches the log.
-        assert_eq!(design.log.total_records(), 0);
+        assert_eq!(design.protocol.log.total_records(), 0);
     }
 
     #[test]
@@ -193,7 +168,7 @@ mod tests {
             now = out.end;
         }
         // Two update records plus one commit record per transaction.
-        assert_eq!(design.log.total_records(), 30 * 3);
+        assert_eq!(design.protocol.log.total_records(), 30 * 3);
         // The sum of all increments equals the number of update actions.
         let total: i64 = design
             .database()
@@ -204,6 +179,18 @@ mod tests {
             .map(|(_, r)| r.get(1).as_int())
             .sum();
         assert_eq!(total, 30);
+    }
+
+    #[test]
+    fn mixed_stream_leaves_no_active_transaction_and_no_lock_holder() {
+        use crate::designs::common::protocol_check::{assert_quiescent, run_mixed_stream, ROWS};
+        let mut machine = Machine::new(
+            atrapos_numa::Topology::multisocket(2, 2),
+            atrapos_numa::CostModel::westmere(),
+        );
+        let mut design = CentralizedDesign::new(&machine, &TinyUpdateWorkload { rows: ROWS });
+        run_mixed_stream(&mut design, &mut machine);
+        assert_quiescent([&design.protocol], [&design.lock_manager]);
     }
 
     #[test]

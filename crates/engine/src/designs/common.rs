@@ -1,11 +1,13 @@
-//! Helpers shared by all system designs: executing a storage operation,
-//! acquiring the logical locks an action needs, and writing its log
-//! records.
+//! What every system design shares: the begin → action → outcome → end
+//! protocol over the critical-path structures ([`TxnProtocol`]), executing
+//! a storage operation, acquiring the logical locks an action needs, and
+//! charging synchronization points.
 
 use crate::action::{Action, ActionOp};
 use atrapos_numa::{Component, SimCtx, SocketId};
 use atrapos_storage::{
-    Database, LockId, LockManager, LockMode, LogManager, LogRecordKind, StorageResult, Txn,
+    Database, LockId, LockManager, LockMode, LogManager, LogRecordKind, StateRwLock, StorageResult,
+    Txn, TxnId, TxnList,
 };
 
 /// Instruction overhead charged at transaction begin (descriptor setup,
@@ -15,6 +17,97 @@ pub const BEGIN_INSTRUCTIONS: u64 = 700;
 pub const COMMIT_INSTRUCTIONS: u64 = 500;
 /// Approximate log payload per modified row (before/after image header).
 pub const LOG_BYTES_PER_ROW: u64 = 120;
+
+/// The structures every transaction touches on its critical path (paper
+/// §IV) — the log, the list of active transactions and the state
+/// read/write lock — with the protocol all designs run over them.  The
+/// designs differ in *where* each step's virtual time advances (which
+/// core's `SimCtx` they pass in) and in what they do between the steps
+/// (routing, locking, synchronization points, two-phase commit), not in
+/// the steps themselves.
+pub struct TxnProtocol {
+    pub(crate) log: LogManager,
+    txn_list: TxnList,
+    state_lock: StateRwLock,
+}
+
+impl TxnProtocol {
+    /// One log buffer, one list and one lock word, all homed on socket 0
+    /// (stock Shore-MT; PLP keeps them too).
+    pub fn centralized(n_sockets: usize) -> Self {
+        Self {
+            log: LogManager::centralized(n_sockets),
+            txn_list: TxnList::centralized(n_sockets),
+            state_lock: StateRwLock::centralized("volume", n_sockets),
+        }
+    }
+
+    /// One of each per socket (ATraPos's NUMA-aware structures, and what
+    /// every shared-nothing instance allocates).
+    pub fn per_socket(n_sockets: usize) -> Self {
+        Self {
+            log: LogManager::per_socket(n_sockets),
+            txn_list: TxnList::per_socket(n_sockets),
+            state_lock: StateRwLock::per_socket("volume", n_sockets),
+        }
+    }
+
+    /// Begin `txn`: take the state lock in read mode (`state_lock == false`
+    /// skips it, for deployments that run without locking) and register in
+    /// the list of active transactions.
+    pub fn begin(&mut self, ctx: &mut SimCtx<'_>, txn: TxnId, state_lock: bool) {
+        if state_lock {
+            self.state_lock.read_acquire(ctx);
+        }
+        self.txn_list.add(ctx, txn);
+    }
+
+    /// Run the storage part of `action` against `db` and, for a write, log
+    /// it.  Returns whether the action succeeded; a failure aborts the
+    /// transaction.  Lock acquisition is the caller's: which lock table,
+    /// and whether its cost counts as part of the action, differ by design.
+    pub fn run_action(
+        &mut self,
+        ctx: &mut SimCtx<'_>,
+        db: &mut Database,
+        txn: TxnId,
+        action: &Action,
+    ) -> bool {
+        let Ok(bytes) = storage_op(ctx, db, action) else {
+            return false;
+        };
+        if action.op.is_write() {
+            let kind = match &action.op {
+                ActionOp::Insert { .. } => LogRecordKind::Insert,
+                ActionOp::Delete { .. } => LogRecordKind::Delete,
+                _ => LogRecordKind::Update,
+            };
+            self.log
+                .insert(ctx, txn, kind, bytes.max(LOG_BYTES_PER_ROW));
+        }
+        true
+    }
+
+    /// Write the local outcome record: an abort record if `failed`, else —
+    /// for update transactions only — a commit record, forced to the log.
+    pub fn log_outcome(&mut self, ctx: &mut SimCtx<'_>, txn: TxnId, failed: bool, is_update: bool) {
+        if failed {
+            self.log.insert(ctx, txn, LogRecordKind::Abort, 32);
+        } else if is_update {
+            self.log.insert(ctx, txn, LogRecordKind::Commit, 48);
+            self.log.commit_flush(ctx);
+        }
+    }
+
+    /// End `txn`: deregister it and release the state lock (pass the same
+    /// `state_lock` as to [`TxnProtocol::begin`]).
+    pub fn end(&mut self, ctx: &mut SimCtx<'_>, txn: TxnId, state_lock: bool) {
+        self.txn_list.remove(ctx, txn);
+        if state_lock {
+            self.state_lock.read_release(ctx);
+        }
+    }
+}
 
 /// Execute the storage part of an action against `db`, charging costs to
 /// `ctx`.  Returns the approximate number of payload bytes the action
@@ -107,32 +200,16 @@ pub fn acquire_action_locks(
     }
 }
 
-/// Write the log record for a write action.
-pub fn log_action(
-    ctx: &mut SimCtx<'_>,
-    log: &mut LogManager,
-    txn: &Txn,
-    action: &Action,
-    payload_bytes: u64,
-) {
-    let kind = match &action.op {
-        ActionOp::Insert { .. } => LogRecordKind::Insert,
-        ActionOp::Delete { .. } => LogRecordKind::Delete,
-        _ => LogRecordKind::Update,
-    };
-    log.insert(ctx, txn.id, kind, payload_bytes.max(LOG_BYTES_PER_ROW));
-}
-
 /// Charge the cost of a synchronization point joining actions that ran on
 /// `sockets`, exchanged from the perspective of a thread on `ctx`'s socket.
 /// Co-located actions are free; every distinct remote socket costs one
 /// message of `bytes` bytes (paper §V-B: the cost grows with the number of
 /// distinct sockets and their distance).
+// Called at every phase boundary of every multi-phase transaction.
+// lint: hot-path
 pub fn sync_point(ctx: &mut SimCtx<'_>, sockets: &[SocketId], bytes: u64) {
-    let mut seen: Vec<SocketId> = Vec::with_capacity(sockets.len());
-    for &s in sockets {
-        if s != ctx.socket() && !seen.contains(&s) {
-            seen.push(s);
+    for (i, &s) in sockets.iter().enumerate() {
+        if s != ctx.socket() && !sockets[..i].contains(&s) {
             ctx.send_message(Component::Communication, s, bytes);
         }
     }
@@ -225,5 +302,95 @@ mod tests {
         sync_point(&mut ctx2, &[SocketId(1), SocketId(1)], 128);
         let one = ctx2.elapsed();
         assert!(one > 0);
+    }
+}
+
+/// Test support for the protocol [`TxnProtocol`] centralises: a transaction
+/// stream that mixes commits, forced aborts and cross-partition work, and
+/// the check that a design is quiescent after it.  Each design's own test
+/// module passes in its private structures, so no accessor is needed.
+#[cfg(test)]
+pub(super) mod protocol_check {
+    use super::*;
+    use crate::action::{Phase, TransactionSpec};
+    use crate::designs::SystemDesign;
+    use atrapos_numa::Machine;
+    use atrapos_storage::{Key, TableId};
+
+    /// Rows per table of the `TinyUpdateWorkload` the stream runs against.
+    pub const ROWS: i64 = 200;
+
+    /// 120 transactions over two tables, rotating through: a two-phase
+    /// update whose rows usually live on different partitions / instances
+    /// (distributed on shared-nothing), a read-only pair, an abort *after*
+    /// a logged, locked write (a read of a missing key on another
+    /// partition), and an abort on the very first action.
+    pub fn mixed_stream() -> Vec<TransactionSpec> {
+        let incr = |t: u32, k: i64| {
+            Action::new(ActionOp::Increment {
+                table: TableId(t),
+                key: Key::int(k),
+                column: 1,
+                delta: 1,
+            })
+        };
+        let read = |t: u32, k: i64| {
+            Action::new(ActionOp::Read {
+                table: TableId(t),
+                key: Key::int(k),
+            })
+        };
+        let missing = ROWS + 5;
+        (0..120i64)
+            .map(|i| {
+                let (a, b) = ((i * 7) % ROWS, (i * 13 + ROWS / 2) % ROWS);
+                let phases = match i % 4 {
+                    0 => vec![vec![incr(0, a)], vec![incr(1, b)]],
+                    1 => vec![vec![read(0, a), read(1, b)]],
+                    2 => vec![vec![incr(0, a)], vec![read(1, missing)]],
+                    _ => vec![vec![read(0, missing)]],
+                };
+                TransactionSpec::new("mixed", phases.into_iter().map(Phase::new).collect())
+            })
+            .collect()
+    }
+
+    /// Run the stream through `design` from rotating clients and check
+    /// that exactly the two abort kinds aborted.
+    pub fn run_mixed_stream(design: &mut dyn SystemDesign, machine: &mut Machine) {
+        let clients = machine.topology.active_cores();
+        let mut now = 0;
+        for (i, spec) in mixed_stream().iter().enumerate() {
+            let out = design.execute(machine, spec, clients[i % clients.len()], now);
+            assert_eq!(out.committed, i % 4 < 2, "{}: txn {i}", design.name());
+            now = out.end;
+        }
+        assert_eq!(design.stats().aborted, 60, "{}", design.name());
+    }
+
+    /// After the stream no transaction is registered as active and no
+    /// lock the stream could have taken has a holder.
+    pub fn assert_quiescent<'a>(
+        protocols: impl IntoIterator<Item = &'a TxnProtocol>,
+        lock_tables: impl IntoIterator<Item = &'a LockManager>,
+    ) {
+        for p in protocols {
+            assert_eq!(p.txn_list.active_count(), 0, "active transactions leaked");
+        }
+        let stream = mixed_stream();
+        for lm in lock_tables {
+            lm.check_grant_invariants().unwrap();
+            for action in stream
+                .iter()
+                .flat_map(|s| &s.phases)
+                .flat_map(|p| &p.actions)
+            {
+                let table = action.op.table();
+                let key = Key::int(action.op.routing_key_head());
+                for id in [LockId::Table(table), LockId::Record(table, key)] {
+                    assert!(lm.holders_of(&id).is_empty(), "{id:?} still held");
+                }
+            }
+        }
     }
 }

@@ -3,7 +3,6 @@
 pub mod atrapos;
 pub mod centralized;
 pub mod common;
-pub mod plp;
 pub mod shared_nothing;
 pub mod spec;
 

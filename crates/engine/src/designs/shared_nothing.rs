@@ -12,15 +12,14 @@
 
 use crate::action::{TransactionSpec, TxnOutcome};
 use crate::designs::common::{
-    acquire_action_locks, log_action, storage_op, BEGIN_INSTRUCTIONS, COMMIT_INSTRUCTIONS,
+    acquire_action_locks, TxnProtocol, BEGIN_INSTRUCTIONS, COMMIT_INSTRUCTIONS,
 };
 use crate::designs::{DesignStats, SystemDesign};
 use crate::workload::Workload;
 use atrapos_core::{KeyDomain, ShardingPlan};
 use atrapos_numa::{Component, CoreId, Cycles, Machine, SocketId, Tally, Topology};
 use atrapos_storage::{
-    Database, LockManager, LogManager, LogRecordKind, MemoryPolicy, StateRwLock, Table, TableId,
-    TwoPhaseCommit, Txn, TxnId, TxnList,
+    Database, LockManager, MemoryPolicy, Table, TableId, TwoPhaseCommit, Txn, TxnId,
 };
 use std::collections::BTreeMap;
 
@@ -38,9 +37,7 @@ struct Instance {
     socket: SocketId,
     db: Database,
     lock_manager: LockManager,
-    log: LogManager,
-    txn_list: TxnList,
-    state_lock: StateRwLock,
+    protocol: TxnProtocol,
 }
 
 /// A shared-nothing deployment.
@@ -57,53 +54,19 @@ pub struct SharedNothingDesign {
     aborted: u64,
     /// Number of distributed (multi-site) transactions executed.
     pub distributed_txns: u64,
+    /// Reusable descriptor of the transaction's branch on its home
+    /// instance, so single-site transactions allocate nothing.
+    home_txn: Txn,
 }
 
 impl SharedNothingDesign {
     /// Build a shared-nothing deployment and populate each instance with its
-    /// slice of the workload's data.
+    /// slice of the workload's data.  `policy` places the instances' memory
+    /// (the paper's §III-D experiment); `plan`, when given, routes every
+    /// key through an advisor-produced [`ShardingPlan`] instead of the
+    /// default range sharding (the §VII coarse-grained extension) and must
+    /// have one instance per deployment instance.
     pub fn new(
-        machine: &Machine,
-        workload: &dyn Workload,
-        granularity: SharedNothingGranularity,
-    ) -> Self {
-        Self::with_memory_policy(machine, workload, granularity, MemoryPolicy::Local)
-    }
-
-    /// Like [`SharedNothingDesign::new`] but with an explicit memory
-    /// placement policy (the paper's §III-D experiment).
-    pub fn with_memory_policy(
-        machine: &Machine,
-        workload: &dyn Workload,
-        granularity: SharedNothingGranularity,
-        policy: MemoryPolicy,
-    ) -> Self {
-        Self::with_routing_spec(machine, workload, granularity, policy, None)
-    }
-
-    /// Like [`SharedNothingDesign::with_memory_policy`] but routing every key
-    /// through an advisor-produced [`ShardingPlan`] instead of the default
-    /// range sharding (the paper's §VII coarse-grained shared-nothing
-    /// extension).  The plan must have one instance per deployment instance.
-    pub fn with_sharding_plan(
-        machine: &Machine,
-        workload: &dyn Workload,
-        granularity: SharedNothingGranularity,
-        plan: ShardingPlan,
-    ) -> Self {
-        Self::with_routing_spec(
-            machine,
-            workload,
-            granularity,
-            MemoryPolicy::Local,
-            Some(plan),
-        )
-    }
-
-    /// The fully general constructor [`crate::designs::spec::DesignSpec`]
-    /// builds through: explicit memory policy plus an optional advisor
-    /// sharding plan.
-    pub fn with_routing_spec(
         machine: &Machine,
         workload: &dyn Workload,
         granularity: SharedNothingGranularity,
@@ -150,9 +113,7 @@ impl SharedNothingDesign {
                 socket,
                 db,
                 lock_manager: LockManager::partition_local(socket),
-                log: LogManager::per_socket(n_sockets),
-                txn_list: TxnList::per_socket(n_sockets),
-                state_lock: StateRwLock::per_socket("volume", n_sockets),
+                protocol: TxnProtocol::per_socket(n_sockets),
             });
         }
         Self {
@@ -165,6 +126,7 @@ impl SharedNothingDesign {
             next_txn: 1,
             aborted: 0,
             distributed_txns: 0,
+            home_txn: Txn::begin(TxnId(0)),
         }
     }
 
@@ -290,13 +252,14 @@ impl SystemDesign for SharedNothingDesign {
         let txn_id = TxnId(self.next_txn);
         self.next_txn += 1;
         // One transaction branch per participating instance (the coordinator
-        // keeps a descriptor in each so locks can be released there).  A
+        // keeps a descriptor in each so locks can be released there): the
+        // reused home descriptor, plus a map of the remote participants.  A
         // BTreeMap so that participant iteration order — and therefore the
         // simulated two-phase-commit message sequence — is deterministic
         // across process runs (a HashMap here made distributed-transaction
         // timings depend on the process's hash seed).
-        let mut branches: BTreeMap<usize, Txn> = BTreeMap::new();
-        branches.insert(home, Txn::begin(txn_id));
+        self.home_txn.reset(txn_id);
+        let mut remote_branches: BTreeMap<usize, Txn> = BTreeMap::new();
 
         let mut ctx = machine.ctx(client, start);
         // lint: allow(hot-path-alloc) — 2PC slow path only; empty Vec::new does not touch the heap until a remote participant appears
@@ -312,132 +275,99 @@ impl SystemDesign for SharedNothingDesign {
                 self.two_pc.message_bytes,
             );
         }
-        {
-            let inst = &mut self.instances[home];
-            if self.locking {
-                inst.state_lock.read_acquire(&mut ctx);
-            }
-            inst.txn_list.add(&mut ctx, txn_id);
-        }
+        self.instances[home]
+            .protocol
+            .begin(&mut ctx, txn_id, self.locking);
 
         let mut failed = false;
-        'phases: for phase in &spec.phases {
-            for action in &phase.actions {
-                let target = self.route_action(action.op.table(), action.op.routing_key_head());
-                if target == home {
-                    let inst = &mut self.instances[home];
-                    let txn = branches.get_mut(&home).expect("home branch exists");
-                    if self.locking {
-                        acquire_action_locks(&mut ctx, &mut inst.lock_manager, txn, action);
-                    }
-                    match storage_op(&mut ctx, &mut inst.db, action) {
-                        Ok(bytes) => {
-                            if action.op.is_write() {
-                                log_action(&mut ctx, &mut inst.log, txn, action, bytes);
-                            }
-                        }
-                        Err(_) => {
-                            failed = true;
-                            break 'phases;
-                        }
-                    }
-                } else {
-                    // Ship the request to the participant over a
-                    // shared-memory channel and execute it there.
-                    let participant_socket = self.instances[target].socket;
-                    ctx.send_message(
-                        Component::Communication,
-                        participant_socket,
-                        self.two_pc.message_bytes,
-                    );
-                    let inst = &mut self.instances[target];
-                    let txn = branches.entry(target).or_insert_with(|| Txn::begin(txn_id));
-                    txn.distributed = true;
-                    let mut rctx = machine.ctx(inst.home_core, ctx.now());
-                    rctx.work(Component::XctManagement, BEGIN_INSTRUCTIONS / 2);
-                    if self.locking {
-                        acquire_action_locks(&mut rctx, &mut inst.lock_manager, txn, action);
-                    }
-                    let result = storage_op(&mut rctx, &mut inst.db, action);
-                    match result {
-                        Ok(bytes) => {
-                            if action.op.is_write() {
-                                log_action(&mut rctx, &mut inst.log, txn, action, bytes);
-                            }
-                        }
-                        Err(_) => failed = true,
-                    }
-                    let remote_done = rctx.now();
-                    remote_tallies.push((inst.home_core, rctx.finish()));
-                    // The coordinator waits for the participant's reply.
-                    ctx.wait_until(
-                        Component::Communication,
-                        remote_done,
-                        atrapos_numa::WaitMode::Stall,
-                    );
-                    ctx.send_message(
-                        Component::Communication,
-                        participant_socket,
-                        self.two_pc.message_bytes,
-                    );
-                    if failed {
-                        break 'phases;
-                    }
+        for action in spec.phases.iter().flat_map(|p| &p.actions) {
+            let target = self.route_action(action.op.table(), action.op.routing_key_head());
+            let inst = &mut self.instances[target];
+            if target == home {
+                // Home actions run on the coordinator's own thread.
+                if self.locking {
+                    let txn = &mut self.home_txn;
+                    acquire_action_locks(&mut ctx, &mut inst.lock_manager, txn, action);
                 }
+                failed = !inst
+                    .protocol
+                    .run_action(&mut ctx, &mut inst.db, txn_id, action);
+            } else {
+                // Ship the request to the participant over a
+                // shared-memory channel and execute it there, on the
+                // participant's own core and clock.
+                let participant_socket = inst.socket;
+                ctx.send_message(
+                    Component::Communication,
+                    participant_socket,
+                    self.two_pc.message_bytes,
+                );
+                let txn = remote_branches
+                    .entry(target)
+                    .or_insert_with(|| Txn::begin(txn_id));
+                txn.distributed = true;
+                let mut rctx = machine.ctx(inst.home_core, ctx.now());
+                rctx.work(Component::XctManagement, BEGIN_INSTRUCTIONS / 2);
+                if self.locking {
+                    acquire_action_locks(&mut rctx, &mut inst.lock_manager, txn, action);
+                }
+                failed = !inst
+                    .protocol
+                    .run_action(&mut rctx, &mut inst.db, txn_id, action);
+                let remote_done = rctx.now();
+                remote_tallies.push((inst.home_core, rctx.finish()));
+                // The coordinator waits for the participant's reply.
+                ctx.wait_until(
+                    Component::Communication,
+                    remote_done,
+                    atrapos_numa::WaitMode::Stall,
+                );
+                ctx.send_message(
+                    Component::Communication,
+                    participant_socket,
+                    self.two_pc.message_bytes,
+                );
+            }
+            if failed {
+                break;
             }
         }
 
         // Commit: local transactions use the local log; multi-site
         // transactions run two-phase commit.
         ctx.work(Component::XctManagement, COMMIT_INSTRUCTIONS);
-        // lint: allow(hot-path-alloc) — collects to an empty Vec for single-site txns, so the fast path never touches the heap
-        let participants: Vec<usize> = branches.keys().copied().filter(|&i| i != home).collect();
-        let committed = !failed;
-        if participants.is_empty() {
-            let inst = &mut self.instances[home];
-            if spec.is_update() && committed {
-                inst.log.insert(&mut ctx, txn_id, LogRecordKind::Commit, 48);
-                inst.log.commit_flush(&mut ctx);
-            } else if failed {
-                inst.log.insert(&mut ctx, txn_id, LogRecordKind::Abort, 32);
-            }
+        if remote_branches.is_empty() {
+            self.instances[home]
+                .protocol
+                .log_outcome(&mut ctx, txn_id, failed, spec.is_update());
         } else {
             self.distributed_txns += 1;
-            let participant_sockets: Vec<SocketId> = participants
-                .iter()
+            let participant_sockets: Vec<SocketId> = remote_branches
+                .keys()
                 .map(|&i| self.instances[i].socket)
                 // lint: allow(hot-path-alloc) — 2PC slow path only, reached by genuinely distributed transactions
                 .collect();
             let abort_vote = if failed { Some(0) } else { None };
-            let home_inst = &mut self.instances[home];
             self.two_pc.coordinate(
                 &mut ctx,
                 txn_id,
                 &participant_sockets,
-                &mut home_inst.log,
+                &mut self.instances[home].protocol.log,
                 abort_vote,
             );
             // Release participant-side locks (the decision message releases
             // them on each participant).
             if self.locking {
-                for &p in &participants {
-                    let inst = &mut self.instances[p];
-                    let txn = branches.get_mut(&p).expect("branch exists");
-                    inst.lock_manager.release_all(&mut ctx, txn);
+                for (&p, txn) in &mut remote_branches {
+                    self.instances[p].lock_manager.release_all(&mut ctx, txn);
                 }
             }
         }
-        {
-            let inst = &mut self.instances[home];
-            let txn = branches.get_mut(&home).expect("home branch exists");
-            if self.locking {
-                inst.lock_manager.release_all(&mut ctx, txn);
-            }
-            inst.txn_list.remove(&mut ctx, txn_id);
-            if self.locking {
-                inst.state_lock.read_release(&mut ctx);
-            }
+        let inst = &mut self.instances[home];
+        if self.locking {
+            inst.lock_manager.release_all(&mut ctx, &mut self.home_txn);
         }
+        inst.protocol.end(&mut ctx, txn_id, self.locking);
         if failed {
             self.aborted += 1;
         }
@@ -448,7 +378,7 @@ impl SystemDesign for SharedNothingDesign {
             machine.commit(core, &tally);
         }
         TxnOutcome {
-            committed,
+            committed: !failed,
             start,
             end,
         }
@@ -469,11 +399,16 @@ mod tests {
         Machine::new(Topology::multisocket(sockets, cores), CostModel::westmere())
     }
 
+    /// The default deployment: local memory, range sharding.
+    fn deploy(m: &Machine, w: &dyn Workload, g: SharedNothingGranularity) -> SharedNothingDesign {
+        SharedNothingDesign::new(m, w, g, MemoryPolicy::Local, None)
+    }
+
     #[test]
     fn data_is_sliced_across_instances() {
         let m = machine(2, 2);
         let w = TinyWorkload { rows: 400 };
-        let d = SharedNothingDesign::new(&m, &w, SharedNothingGranularity::PerCore);
+        let d = deploy(&m, &w, SharedNothingGranularity::PerCore);
         assert_eq!(d.num_instances(), 4);
         let total: usize = (0..4).map(|i| d.instance_db(i).total_records()).sum();
         assert_eq!(total, 400);
@@ -497,7 +432,7 @@ mod tests {
     fn coarse_granularity_builds_one_instance_per_socket() {
         let m = machine(4, 2);
         let w = TinyWorkload { rows: 100 };
-        let d = SharedNothingDesign::new(&m, &w, SharedNothingGranularity::PerSocket);
+        let d = deploy(&m, &w, SharedNothingGranularity::PerSocket);
         assert_eq!(d.num_instances(), 4);
     }
 
@@ -505,8 +440,7 @@ mod tests {
     fn local_transactions_commit_without_distribution() {
         let mut m = machine(2, 2);
         let mut w = TinyWorkload { rows: 400 };
-        let mut d =
-            SharedNothingDesign::new(&m, &w, SharedNothingGranularity::PerCore).with_locking(false);
+        let mut d = deploy(&m, &w, SharedNothingGranularity::PerCore).with_locking(false);
         let mut rng = SmallRng::seed_from_u64(5);
         let mut now = 0;
         for _ in 0..40 {
@@ -525,7 +459,7 @@ mod tests {
     fn multi_site_updates_run_two_phase_commit_and_cost_more() {
         let mut m = machine(2, 2);
         let w = TinyUpdateWorkload { rows: 400 };
-        let mut d = SharedNothingDesign::new(&m, &w, SharedNothingGranularity::PerCore);
+        let mut d = deploy(&m, &w, SharedNothingGranularity::PerCore);
         // A local transaction: both keys owned by instance 0 (keys 0..100).
         let local = TransactionSpec::new(
             "local",
@@ -597,6 +531,28 @@ mod tests {
     }
 
     #[test]
+    fn mixed_stream_leaves_no_active_transaction_and_no_lock_holder() {
+        use crate::designs::common::protocol_check::{assert_quiescent, run_mixed_stream, ROWS};
+        // The extreme (locking off, as the spec builds it) and coarse
+        // deployments; both run part of the stream as distributed
+        // transactions, aborted ones included.
+        for (granularity, locking) in [
+            (SharedNothingGranularity::PerCore, false),
+            (SharedNothingGranularity::PerSocket, true),
+        ] {
+            let mut m = machine(2, 2);
+            let w = TinyUpdateWorkload { rows: ROWS };
+            let mut d = deploy(&m, &w, granularity).with_locking(locking);
+            run_mixed_stream(&mut d, &mut m);
+            assert!(d.distributed_txns > 0);
+            assert_quiescent(
+                d.instances.iter().map(|i| &i.protocol),
+                d.instances.iter().map(|i| &i.lock_manager),
+            );
+        }
+    }
+
+    #[test]
     fn sharding_plan_overrides_the_default_range_routing() {
         use atrapos_core::ShardingPlan;
         let m = machine(2, 2);
@@ -608,11 +564,12 @@ mod tests {
         plan.assign(TableId(0), 1, 1);
         plan.assign(TableId(0), 2, 0);
         plan.assign(TableId(0), 3, 0);
-        let d = SharedNothingDesign::with_sharding_plan(
+        let d = SharedNothingDesign::new(
             &m,
             &w,
             SharedNothingGranularity::PerSocket,
-            plan,
+            MemoryPolicy::Local,
+            Some(plan),
         );
         assert_eq!(d.num_instances(), 2);
         // Every row is loaded exactly once, on the instance the plan names.
@@ -641,13 +598,9 @@ mod tests {
         for policy in [MemoryPolicy::Local, MemoryPolicy::Remote] {
             let mut m = machine(8, 1);
             let mut wl = TinyWorkload { rows: 800 };
-            let mut d = SharedNothingDesign::with_memory_policy(
-                &m,
-                &w,
-                SharedNothingGranularity::PerSocket,
-                policy,
-            )
-            .with_locking(false);
+            let mut d =
+                SharedNothingDesign::new(&m, &w, SharedNothingGranularity::PerSocket, policy, None)
+                    .with_locking(false);
             let mut rng = SmallRng::seed_from_u64(9);
             let mut now = 0;
             let mut committed = 0u64;

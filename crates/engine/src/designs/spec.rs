@@ -9,7 +9,6 @@
 
 use crate::designs::atrapos::{AtraposConfig, AtraposDesign};
 use crate::designs::centralized::CentralizedDesign;
-use crate::designs::plp::PlpDesign;
 use crate::designs::shared_nothing::{SharedNothingDesign, SharedNothingGranularity};
 use crate::designs::SystemDesign;
 use crate::workload::Workload;
@@ -142,7 +141,7 @@ impl DesignSpec {
                 memory_policy,
                 plan,
             } => Box::new(
-                SharedNothingDesign::with_routing_spec(
+                SharedNothingDesign::new(
                     machine,
                     workload,
                     *granularity,
@@ -151,7 +150,14 @@ impl DesignSpec {
                 )
                 .with_locking(*locking),
             ),
-            DesignSpec::Plp => Box::new(PlpDesign::new(machine, workload)),
+            // PLP is the partitioned engine with the ATraPos features off:
+            // naive partitioning, centralized internal structures.
+            DesignSpec::Plp => Box::new(AtraposDesign::with_name(
+                "plp",
+                machine,
+                workload,
+                AtraposConfig::plp_baseline(),
+            )),
             DesignSpec::Atrapos { name, config } => Box::new(AtraposDesign::with_name(
                 name.as_deref().unwrap_or("atrapos"),
                 machine,

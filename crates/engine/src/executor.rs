@@ -1,26 +1,28 @@
 //! The deterministic virtual-time executor.
 //!
-//! The executor runs a closed-loop benchmark by default: one client per
-//! active core submits transactions back-to-back against a
-//! [`SystemDesign`], all in virtual time.  It tracks throughput, latency,
-//! hardware-counter-derived metrics (IPC, interconnect traffic),
+//! One client per active core submits transactions against a
+//! [`SystemDesign`], all in virtual time.  The executor tracks throughput,
+//! latency, hardware-counter-derived metrics (IPC, interconnect traffic),
 //! per-component time breakdowns, and a per-second throughput time series
 //! (for the adaptive experiments of the paper's Figures 10–13).  At
 //! monitoring-interval boundaries it hands control to the design, which
 //! may repartition and pause execution.
 //!
-//! ## Open-loop serving
+//! ## One loop, two arrival sources
 //!
-//! Installing an [`ArrivalProcess`] (see
-//! [`VirtualExecutor::set_arrival_process`]) switches the executor to
-//! *open loop*: transactions arrive on their own deterministic schedule
-//! and wait in a bounded admission queue for a free client, so offered
-//! load and service capacity decouple — the executor then also reports
-//! offered load, admission rejections, queue depths, and full latency
-//! distributions (queueing delay included).  Closed-loop runs never touch
-//! the open-loop machinery: `run_for` branches once at the top, and the
-//! closed-loop path is the exact code it always was, so fixed seeds keep
-//! producing bit-identical results.
+//! [`VirtualExecutor::run_for`] is the single event loop: pick the client
+//! that frees up first, ask the arrival source what it serves and when,
+//! generate, execute, account.  By default the loop is *closed*: the next
+//! arrival is the instant the chosen client frees up, so every client
+//! resubmits back-to-back and latency is service time.  Installing an
+//! [`ArrivalProcess`] (see [`VirtualExecutor::set_arrival_process`]) makes
+//! it *open*: transactions arrive on their own deterministic schedule and
+//! wait in a bounded admission queue for a free client, so offered load
+//! and service capacity decouple — the executor then also reports offered
+//! load, admission rejections, queue depths, and latency that includes the
+//! queueing delay.  The closed source draws nothing and queues nothing, so
+//! fixed seeds produce the same results whether or not the open-loop
+//! machinery exists.
 
 use crate::action::{TransactionSpec, TxnOutcome};
 use crate::arrival::ArrivalProcess;
@@ -167,14 +169,24 @@ struct OpenLoopState {
     next_arrival: Option<Cycles>,
     /// Admitted arrivals (their timestamps) waiting for a client.
     queue: VecDeque<Cycles>,
-    // Per-segment accounting, reset by `run_open_loop`.
+    // Per-segment accounting, reset by `begin_segment`.
     offered: u64,
     admitted: u64,
     rejected: u64,
+    depth_start: u64,
     depth_max: u64,
 }
 
 impl OpenLoopState {
+    /// Restart the per-segment accounting; queued work carries over.
+    fn begin_segment(&mut self) {
+        self.depth_start = self.queue.len() as u64;
+        self.depth_max = self.depth_start;
+        self.offered = 0;
+        self.admitted = 0;
+        self.rejected = 0;
+    }
+
     /// The next arrival's timestamp, sampling it if necessary.
     fn peek_next(&mut self, ghz: f64) -> Cycles {
         if self.next_arrival.is_none() {
@@ -226,7 +238,7 @@ struct HwSnapshot {
     local_bytes: u64,
 }
 
-/// Per-segment tallies shared by the closed- and open-loop paths.
+/// Per-segment tallies.
 struct SegCounters {
     committed: u64,
     aborted: u64,
@@ -237,18 +249,8 @@ struct SegCounters {
     buckets: Vec<u64>,
 }
 
-/// Open-loop accounting of one segment, for `finish_stats`.
-struct OpenLoopSeg {
-    offered: u64,
-    admitted: u64,
-    rejected: u64,
-    depth_start: u64,
-    depth_end: u64,
-    depth_max: u64,
-}
-
 /// The virtual-time executor (closed loop by default; see the module docs
-/// for the open-loop mode).
+/// for the open-loop arrival source).
 pub struct VirtualExecutor {
     machine: Machine,
     design: Box<dyn SystemDesign>,
@@ -379,6 +381,7 @@ impl VirtualExecutor {
                     offered: 0,
                     admitted: 0,
                     rejected: 0,
+                    depth_start: 0,
                     depth_max: 0,
                 });
             }
@@ -441,13 +444,122 @@ impl VirtualExecutor {
     /// Run for `virtual_secs` of virtual time and return the segment's
     /// statistics.  Can be called repeatedly; state (virtual clock, client
     /// queues, design, workload, admission queue) carries over.  The loop
-    /// is closed unless an arrival process is installed.
+    /// is closed unless an arrival process is installed; in open loop,
+    /// latency spans arrival to completion, queue wait included.
     pub fn run_for(&mut self, virtual_secs: f64) -> RunStats {
-        if self.open_loop.is_some() {
-            self.run_open_loop(virtual_secs)
-        } else {
-            self.run_closed_loop(virtual_secs)
+        let ghz = self.machine.topology.frequency_ghz();
+        let frame = self.seg_frame(virtual_secs);
+        let SegFrame {
+            seg_start,
+            end_at,
+            bucket_len,
+            n_buckets,
+            ..
+        } = frame;
+        let snap = self.hw_snapshot();
+        let mut counters = SegCounters {
+            committed: 0,
+            aborted: 0,
+            latency_sum: 0,
+            repartitions: 0,
+            committed_by_socket: vec![0u64; self.machine.topology.num_sockets()],
+            latency_histogram: LatencyHistogram::new(),
+            buckets: vec![0u64; n_buckets],
+        };
+        if let Some(ol) = &mut self.open_loop {
+            ol.begin_segment();
         }
+
+        // Keep picking the next client ready to serve until no client is
+        // active or the segment ends.  The loop body is the per-transaction
+        // path: it allocates nothing (spec buffers are reused), and the
+        // marker makes the lint keep it that way.
+        // lint: hot-path
+        while let Some((ci, t)) = self
+            .clients
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.active)
+            .map(|(i, c)| (i, c.next_free))
+            .min_by_key(|&(_, t)| t)
+        {
+            let t_ready = t.max(seg_start);
+            if t_ready >= end_at {
+                break;
+            }
+            // What the client serves and when it starts.
+            let (arrival, submit_at) = match &mut self.open_loop {
+                // Closed loop: the client's next transaction arrives the
+                // moment it is free.
+                None => (t_ready, t_ready),
+                Some(ol) => {
+                    // Everything that arrived while this client was busy
+                    // gets offered (admitted or rejected) before service
+                    // resumes.
+                    ol.drain_arrivals(t_ready.saturating_add(1), ghz);
+                    match ol.queue.pop_front() {
+                        // Queued work: the client starts it the moment it
+                        // is free.
+                        Some(arrival) => (arrival, t_ready),
+                        None => {
+                            // The system is idle; jump to the next arrival.
+                            let next = ol.peek_next(ghz);
+                            if next >= end_at {
+                                break;
+                            }
+                            ol.drain_arrivals(next.saturating_add(1), ghz);
+                            match ol.queue.pop_front() {
+                                Some(arrival) => (arrival, next.max(t_ready)),
+                                // Unreachable with bound ≥ 1 and an empty queue.
+                                None => continue,
+                            }
+                        }
+                    }
+                }
+            };
+            // Monitoring-interval boundaries that elapsed before the start.
+            self.cross_interval_boundaries(submit_at, ghz, &mut counters.repartitions);
+
+            let client_core = self.clients[ci].core;
+            self.workload
+                .next_transaction_into(&mut self.rng, client_core, &mut self.spec_buf);
+            let out: TxnOutcome =
+                self.design
+                    .execute(&mut self.machine, &self.spec_buf, client_core, submit_at);
+            self.clients[ci].next_free = out.end;
+            self.clock = self.clock.max(out.end.min(end_at));
+            let latency = out.end.saturating_sub(arrival);
+            counters.latency_sum += u128::from(latency);
+            if out.committed {
+                counters.committed += 1;
+                counters.committed_by_socket
+                    [self.machine.topology.socket_of(client_core).index()] += 1;
+                counters.latency_histogram.record(latency);
+                self.total_committed += 1;
+                self.interval_committed += 1;
+                if out.end < end_at {
+                    let b = ((out.end - seg_start) / bucket_len) as usize;
+                    counters.buckets[b.min(n_buckets - 1)] += 1;
+                }
+            } else {
+                counters.aborted += 1;
+            }
+        }
+
+        // Arrivals up to the segment end are offered even if no client got
+        // to them — they queue (or are rejected) and carry into the next
+        // segment, so per-segment accounting is exact.
+        if let Some(ol) = &mut self.open_loop {
+            ol.drain_arrivals(end_at, ghz);
+        }
+        // Idle clients coast to the end of the segment.
+        for c in &mut self.clients {
+            if c.active {
+                c.next_free = c.next_free.max(end_at);
+            }
+        }
+        self.clock = end_at;
+        self.finish_stats(virtual_secs, &frame, &snap, counters)
     }
 
     /// Segment geometry for a `run_for` of `virtual_secs`.
@@ -501,15 +613,14 @@ impl VirtualExecutor {
         }
     }
 
-    /// Assemble a segment's `RunStats` from its counters and hardware
-    /// deltas.  Shared verbatim by the closed- and open-loop paths.
+    /// Assemble a segment's `RunStats` from its counters, hardware deltas
+    /// and (in open loop) the arrival source's per-segment accounting.
     fn finish_stats(
         &self,
         virtual_secs: f64,
         frame: &SegFrame,
         snap: &HwSnapshot,
         counters: SegCounters,
-        open: Option<OpenLoopSeg>,
     ) -> RunStats {
         let ghz = self.machine.topology.frequency_ghz();
         let SegCounters {
@@ -545,6 +656,7 @@ impl VirtualExecutor {
         let d_local_bytes = self.machine.interconnect.local_memory_bytes - snap.local_bytes;
         let d_mem_bytes = d_qpi_bytes + d_local_bytes;
         let quantile_us = |q: f64| frac_cycles_to_micros(latency_histogram.quantile(q) as f64, ghz);
+        let open = self.open_loop.as_ref();
         RunStats {
             committed,
             aborted,
@@ -580,211 +692,14 @@ impl VirtualExecutor {
             repartitions,
             committed_by_socket,
             open_loop: open.is_some(),
-            offered: open.as_ref().map_or(0, |o| o.offered),
-            admitted: open.as_ref().map_or(0, |o| o.admitted),
-            rejected: open.as_ref().map_or(0, |o| o.rejected),
-            offered_tps: open
-                .as_ref()
-                .map_or(0.0, |o| o.offered as f64 / virtual_secs),
-            queue_depth_start: open.as_ref().map_or(0, |o| o.depth_start),
-            queue_depth_end: open.as_ref().map_or(0, |o| o.depth_end),
-            queue_depth_max: open.as_ref().map_or(0, |o| o.depth_max),
+            offered: open.map_or(0, |o| o.offered),
+            admitted: open.map_or(0, |o| o.admitted),
+            rejected: open.map_or(0, |o| o.rejected),
+            offered_tps: open.map_or(0.0, |o| o.offered as f64 / virtual_secs),
+            queue_depth_start: open.map_or(0, |o| o.depth_start),
+            queue_depth_end: open.map_or(0, |o| o.queue.len() as u64),
+            queue_depth_max: open.map_or(0, |o| o.depth_max),
         }
-    }
-
-    /// The closed loop: every client resubmits the moment it is free.
-    fn run_closed_loop(&mut self, virtual_secs: f64) -> RunStats {
-        let ghz = self.machine.topology.frequency_ghz();
-        let frame = self.seg_frame(virtual_secs);
-        let SegFrame {
-            seg_start,
-            end_at,
-            bucket_len,
-            n_buckets,
-            ..
-        } = frame;
-        let snap = self.hw_snapshot();
-        let mut counters = SegCounters {
-            committed: 0,
-            aborted: 0,
-            latency_sum: 0,
-            repartitions: 0,
-            committed_by_socket: vec![0u64; self.machine.topology.num_sockets()],
-            latency_histogram: LatencyHistogram::new(),
-            buckets: vec![0u64; n_buckets],
-        };
-
-        // Keep picking the next client ready to submit until no client is
-        // active or the segment ends.  The loop body is the per-transaction
-        // path made allocation-free in PR 2 (spec buffers are reused);
-        // the marker makes the lint keep it that way.
-        // lint: hot-path
-        while let Some((ci, t)) = self
-            .clients
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.active)
-            .map(|(i, c)| (i, c.next_free))
-            .min_by_key(|&(_, t)| t)
-        {
-            let t = t.max(seg_start);
-            if t >= end_at {
-                break;
-            }
-            // Monitoring-interval boundaries that elapsed before `t`.
-            self.cross_interval_boundaries(t, ghz, &mut counters.repartitions);
-
-            let client_core = self.clients[ci].core;
-            self.workload
-                .next_transaction_into(&mut self.rng, client_core, &mut self.spec_buf);
-            let out: TxnOutcome =
-                self.design
-                    .execute(&mut self.machine, &self.spec_buf, client_core, t);
-            self.clients[ci].next_free = out.end;
-            self.clock = self.clock.max(out.end.min(end_at));
-            counters.latency_sum += u128::from(out.latency());
-            if out.committed {
-                counters.committed += 1;
-                counters.committed_by_socket
-                    [self.machine.topology.socket_of(client_core).index()] += 1;
-                counters.latency_histogram.record(out.latency());
-                self.total_committed += 1;
-                self.interval_committed += 1;
-                if out.end < end_at {
-                    let b = ((out.end - seg_start) / bucket_len) as usize;
-                    counters.buckets[b.min(n_buckets - 1)] += 1;
-                }
-            } else {
-                counters.aborted += 1;
-            }
-        }
-
-        // Idle clients coast to the end of the segment.
-        for c in &mut self.clients {
-            if c.active {
-                c.next_free = c.next_free.max(end_at);
-            }
-        }
-        self.clock = end_at;
-        self.finish_stats(virtual_secs, &frame, &snap, counters, None)
-    }
-
-    /// The open loop: arrivals come from the installed process, wait in
-    /// the bounded admission queue, and are served by whichever client
-    /// frees up first.  Latency spans arrival to commit, queue wait
-    /// included.
-    fn run_open_loop(&mut self, virtual_secs: f64) -> RunStats {
-        let ghz = self.machine.topology.frequency_ghz();
-        let frame = self.seg_frame(virtual_secs);
-        let SegFrame {
-            seg_start,
-            end_at,
-            bucket_len,
-            n_buckets,
-            ..
-        } = frame;
-        let snap = self.hw_snapshot();
-        let mut counters = SegCounters {
-            committed: 0,
-            aborted: 0,
-            latency_sum: 0,
-            repartitions: 0,
-            committed_by_socket: vec![0u64; self.machine.topology.num_sockets()],
-            latency_histogram: LatencyHistogram::new(),
-            buckets: vec![0u64; n_buckets],
-        };
-        let mut ol = self.open_loop.take().expect("open-loop state installed");
-        let depth_start = ol.queue.len() as u64;
-        ol.offered = 0;
-        ol.admitted = 0;
-        ol.rejected = 0;
-        ol.depth_max = depth_start;
-
-        // Allocation-free per-transaction serving loop, like the closed
-        // loop above.
-        // lint: hot-path
-        while let Some((ci, t)) = self
-            .clients
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.active)
-            .map(|(i, c)| (i, c.next_free))
-            .min_by_key(|&(_, t)| t)
-        {
-            let t_ready = t.max(seg_start);
-            if t_ready >= end_at {
-                break;
-            }
-            // Everything that arrived while this client was busy gets
-            // offered (admitted or rejected) before service resumes.
-            ol.drain_arrivals(t_ready.saturating_add(1), ghz);
-            let (arrival, submit_at) = match ol.queue.pop_front() {
-                // Queued work: the client starts it the moment it is free.
-                Some(arrival) => (arrival, t_ready),
-                None => {
-                    // The system is idle; jump to the next arrival.
-                    let next = ol.peek_next(ghz);
-                    if next >= end_at {
-                        break;
-                    }
-                    ol.drain_arrivals(next.saturating_add(1), ghz);
-                    match ol.queue.pop_front() {
-                        Some(arrival) => (arrival, next.max(t_ready)),
-                        // Unreachable with bound ≥ 1 and an empty queue.
-                        None => continue,
-                    }
-                }
-            };
-            self.cross_interval_boundaries(submit_at, ghz, &mut counters.repartitions);
-
-            let client_core = self.clients[ci].core;
-            self.workload
-                .next_transaction_into(&mut self.rng, client_core, &mut self.spec_buf);
-            let out: TxnOutcome =
-                self.design
-                    .execute(&mut self.machine, &self.spec_buf, client_core, submit_at);
-            self.clients[ci].next_free = out.end;
-            self.clock = self.clock.max(out.end.min(end_at));
-            // Open-loop latency spans arrival to completion.
-            let latency = out.end.saturating_sub(arrival);
-            counters.latency_sum += u128::from(latency);
-            if out.committed {
-                counters.committed += 1;
-                counters.committed_by_socket
-                    [self.machine.topology.socket_of(client_core).index()] += 1;
-                counters.latency_histogram.record(latency);
-                self.total_committed += 1;
-                self.interval_committed += 1;
-                if out.end < end_at {
-                    let b = ((out.end - seg_start) / bucket_len) as usize;
-                    counters.buckets[b.min(n_buckets - 1)] += 1;
-                }
-            } else {
-                counters.aborted += 1;
-            }
-        }
-
-        // Arrivals up to the segment end are offered even if no client got
-        // to them — they queue (or are rejected) and carry into the next
-        // segment, so per-segment accounting is exact.
-        ol.drain_arrivals(end_at, ghz);
-
-        for c in &mut self.clients {
-            if c.active {
-                c.next_free = c.next_free.max(end_at);
-            }
-        }
-        self.clock = end_at;
-        let open = OpenLoopSeg {
-            offered: ol.offered,
-            admitted: ol.admitted,
-            rejected: ol.rejected,
-            depth_start,
-            depth_end: ol.queue.len() as u64,
-            depth_max: ol.depth_max,
-        };
-        self.open_loop = Some(ol);
-        self.finish_stats(virtual_secs, &frame, &snap, counters, Some(open))
     }
 }
 

@@ -9,7 +9,7 @@
 //! | Centralized shared-everything | stock Shore-MT | [`designs::centralized`] |
 //! | Extreme shared-nothing (one instance per core) | H-Store-style | [`designs::shared_nothing`] |
 //! | Coarse shared-nothing (one instance per socket) | | [`designs::shared_nothing`] |
-//! | PLP (physiological partitioning) | state of the art | [`designs::plp`] |
+//! | PLP (physiological partitioning) | state of the art | [`designs::atrapos`], features off |
 //! | ATraPos | this paper | [`designs::atrapos`] |
 //!
 //! Every design executes the *same* [`TransactionSpec`]s produced by a
@@ -66,7 +66,6 @@ pub use action::{Action, ActionOp, Phase, SpecRefill, TransactionSpec, TxnOutcom
 pub use arrival::ArrivalProcess;
 pub use designs::atrapos::{AtraposConfig, AtraposDesign};
 pub use designs::centralized::CentralizedDesign;
-pub use designs::plp::PlpDesign;
 pub use designs::shared_nothing::{SharedNothingDesign, SharedNothingGranularity};
 pub use designs::spec::DesignSpec;
 pub use designs::{DesignStats, IntervalOutcome, SystemDesign};

@@ -400,6 +400,25 @@ impl VirtualExecutor {
     /// zero-length segments.
     pub fn run_scenario(&mut self, scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
         scenario.validate()?;
+        // `validate` knows no machine; socket indices are checked against
+        // this one before anything runs.
+        let n_sockets = self.machine().topology.num_sockets();
+        for (i, e) in scenario.events.iter().enumerate() {
+            if let ScenarioEvent::FailSocket { socket } | ScenarioEvent::RestoreSocket { socket } =
+                &e.event
+            {
+                if usize::from(*socket) >= n_sockets {
+                    return Err(ScenarioError::BadTimeline {
+                        scenario: scenario.name.clone(),
+                        reason: format!(
+                            "event {i} at {}s names socket {socket}, but the machine has \
+                             {n_sockets} sockets",
+                            e.at_secs
+                        ),
+                    });
+                }
+            }
+        }
         let mut segments = Vec::new();
         let mut label = scenario.initial_label.clone();
         let mut now = 0.0f64;
@@ -537,6 +556,34 @@ mod tests {
         assert!(outcome
             .segments_labelled("failed")
             .all(|s| s.stats.committed > 0));
+    }
+
+    #[test]
+    fn out_of_range_sockets_are_rejected_before_anything_runs() {
+        // Valid as data (a scenario knows no machine), out of range on the
+        // 2-socket test machine: a typed error, not an index panic.
+        for event in [
+            ScenarioEvent::FailSocket { socket: 99 },
+            ScenarioEvent::RestoreSocket { socket: 2 },
+        ] {
+            let scenario = Scenario::new("hw-oor", 0.03)
+                .at(0.01, "a", ScenarioEvent::Measure)
+                .at(0.02, "b", event);
+            scenario.validate().unwrap();
+            let mut ex = executor();
+            match ex.run_scenario(&scenario).unwrap_err() {
+                ScenarioError::BadTimeline { scenario, reason } => {
+                    assert_eq!(scenario, "hw-oor");
+                    assert!(
+                        reason.contains("event 1 at 0.02s"),
+                        "index and offset: {reason}"
+                    );
+                    assert!(reason.contains("2 sockets"), "{reason}");
+                }
+                other => panic!("expected BadTimeline, got {other:?}"),
+            }
+            assert_eq!(ex.total_committed(), 0, "nothing may run first");
+        }
     }
 
     #[test]

@@ -9,19 +9,16 @@
 //! the per-core worker becomes the bottleneck and throughput halves.
 
 use atrapos_numa::{CoreId, Cycles, Topology};
-use serde::{Deserialize, Serialize};
 
 /// The set of partition workers, one per (active) core that hosts at least
 /// one partition.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkerPool {
     /// `busy_until[core]`: virtual time until which the worker bound to that
     /// core is occupied.
     busy_until: Vec<Cycles>,
     /// Cumulative busy cycles per core (utilization accounting).
     busy_cycles: Vec<Cycles>,
-    /// Actions executed per core.
-    actions: Vec<u64>,
 }
 
 impl WorkerPool {
@@ -31,7 +28,6 @@ impl WorkerPool {
         Self {
             busy_until: vec![0; n],
             busy_cycles: vec![0; n],
-            actions: vec![0; n],
         }
     }
 
@@ -48,7 +44,6 @@ impl WorkerPool {
         let slot = &mut self.busy_until[core.index()];
         *slot = (*slot).max(end);
         self.busy_cycles[core.index()] += end - start;
-        self.actions[core.index()] += 1;
     }
 
     /// Push every worker's availability forward to at least `t` (used when
@@ -62,28 +57,6 @@ impl WorkerPool {
     /// Cumulative busy cycles of the worker on `core`.
     pub fn busy_cycles(&self, core: CoreId) -> Cycles {
         self.busy_cycles[core.index()]
-    }
-
-    /// Actions executed by the worker on `core`.
-    pub fn actions(&self, core: CoreId) -> u64 {
-        self.actions[core.index()]
-    }
-
-    /// Utilization of each core over an elapsed window.
-    pub fn utilization(&self, elapsed: Cycles) -> Vec<f64> {
-        if elapsed == 0 {
-            return vec![0.0; self.busy_cycles.len()];
-        }
-        self.busy_cycles
-            .iter()
-            .map(|&b| b as f64 / elapsed as f64)
-            .collect()
-    }
-
-    /// Reset utilization counters (busy-until times are preserved).
-    pub fn reset_counters(&mut self) {
-        self.busy_cycles.iter_mut().for_each(|b| *b = 0);
-        self.actions.iter_mut().for_each(|a| *a = 0);
     }
 }
 
@@ -102,7 +75,6 @@ mod tests {
         // A different core is unaffected.
         assert_eq!(pool.available_at(CoreId(1), 200), 200);
         assert_eq!(pool.busy_cycles(CoreId(0)), 500);
-        assert_eq!(pool.actions(CoreId(0)), 1);
     }
 
     #[test]
@@ -113,18 +85,5 @@ mod tests {
         pool.pause_all_until(5_000);
         assert_eq!(pool.available_at(CoreId(0), 0), 5_000);
         assert_eq!(pool.available_at(CoreId(1), 0), 5_000);
-    }
-
-    #[test]
-    fn utilization_is_busy_over_elapsed() {
-        let topo = Topology::multisocket(1, 2);
-        let mut pool = WorkerPool::new(&topo);
-        pool.occupy(CoreId(0), 0, 500);
-        pool.occupy(CoreId(1), 0, 250);
-        let u = pool.utilization(1000);
-        assert!((u[0] - 0.5).abs() < 1e-12);
-        assert!((u[1] - 0.25).abs() < 1e-12);
-        pool.reset_counters();
-        assert_eq!(pool.busy_cycles(CoreId(0)), 0);
     }
 }

@@ -9,11 +9,11 @@
 use atrapos_engine::workload::testing::{TinyUpdateWorkload, TinyWorkload};
 use atrapos_engine::{
     Action, ActionOp, AtraposConfig, AtraposDesign, CentralizedDesign, ExecutorConfig, Phase,
-    PlpDesign, SharedNothingDesign, SharedNothingGranularity, SystemDesign, TransactionSpec,
-    VirtualExecutor, WorkerPool, Workload,
+    SharedNothingDesign, SharedNothingGranularity, SystemDesign, TransactionSpec, VirtualExecutor,
+    WorkerPool, Workload,
 };
 use atrapos_numa::{CoreId, CostModel, Cycles, Machine, Topology};
-use atrapos_storage::{Key, TableId};
+use atrapos_storage::{Key, MemoryPolicy, TableId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -177,22 +177,29 @@ proptest! {
         prop_assert_eq!(column_sum(atrapos.database(), TableId(1)), expected_per_table);
 
         let mut m = machine(sockets, cores);
-        let mut plp = PlpDesign::new(&m, &workload);
+        let mut plp =
+            AtraposDesign::with_name("plp", &m, &workload, AtraposConfig::plp_baseline());
         let mut now = 0;
         for (i, spec) in batch.iter().enumerate() {
             let out = plp.execute(&mut m, spec, cores_list[i % cores_list.len()], now);
             prop_assert!(out.committed);
             now = out.end;
         }
-        prop_assert_eq!(column_sum(plp.inner().database(), TableId(0)), expected_per_table);
-        prop_assert_eq!(column_sum(plp.inner().database(), TableId(1)), expected_per_table);
+        prop_assert_eq!(column_sum(plp.database(), TableId(0)), expected_per_table);
+        prop_assert_eq!(column_sum(plp.database(), TableId(1)), expected_per_table);
 
         // Shared-nothing (per socket): updates land on the owning instance;
         // the sums across instances must match, and multi-instance
         // deployments must have run the cross-instance work as distributed
         // transactions when the two keys live on different instances.
         let mut m = machine(sockets, cores);
-        let mut sn = SharedNothingDesign::new(&m, &workload, SharedNothingGranularity::PerSocket);
+        let mut sn = SharedNothingDesign::new(
+            &m,
+            &workload,
+            SharedNothingGranularity::PerSocket,
+            MemoryPolicy::Local,
+            None,
+        );
         let mut now = 0;
         for (i, spec) in batch.iter().enumerate() {
             let out = sn.execute(&mut m, spec, cores_list[i % cores_list.len()], now);

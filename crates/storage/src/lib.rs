@@ -16,7 +16,6 @@
 //!   [`database`]);
 //! * a hierarchical lock manager with centralized and partition-local lock
 //!   tables ([`lock`], [`lock_manager`]);
-//! * page/structure latches ([`latch`]);
 //! * an ARIES-style log manager with a centralized buffer and a per-socket
 //!   partitioned variant ([`log`]);
 //! * transaction descriptors and the list of active transactions —
@@ -37,7 +36,6 @@
 pub mod btree;
 pub mod database;
 pub mod error;
-pub mod latch;
 pub mod lock;
 pub mod lock_manager;
 pub mod log;
@@ -54,7 +52,6 @@ pub mod txn_list;
 pub use btree::BTree;
 pub use database::Database;
 pub use error::{StorageError, StorageResult};
-pub use latch::LatchSet;
 pub use lock::{LockId, LockMode};
 pub use lock_manager::{LockManager, LockManagerKind};
 pub use log::{LogManager, LogManagerKind, LogRecordKind};

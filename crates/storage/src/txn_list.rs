@@ -83,21 +83,26 @@ impl TxnList {
         part.active.push(txn);
     }
 
-    /// Remove a transaction at commit/abort.  Must be called from the same
-    /// socket that added it (ATraPos guarantees this through thread
-    /// binding).
+    /// Remove a transaction at commit/abort.  Charges the CAS on the list
+    /// head of the caller's partition: ATraPos binds threads so that a
+    /// transaction normally ends on the socket it began on.  When it does
+    /// not (its last action ran on another socket's worker), the entry is
+    /// still found and removed from the list that holds it, so no list
+    /// grows without bound; the charge stays the socket-local one.
     pub fn remove(&mut self, ctx: &mut SimCtx<'_>, txn: TxnId) {
         let p = self.partition_for(ctx.socket());
-        let part = &mut self.partitions[p];
         ctx.access_line(
             Component::XctManagement,
-            &mut part.head,
+            &mut self.partitions[p].head,
             AccessKind::Rmw,
             WaitMode::Stall,
         );
         ctx.work(Component::XctManagement, LIST_OP_INSTRUCTIONS);
-        if let Some(pos) = part.active.iter().position(|t| *t == txn) {
-            part.active.swap_remove(pos);
+        for part in &mut self.partitions {
+            if let Some(pos) = part.active.iter().position(|t| *t == txn) {
+                part.active.swap_remove(pos);
+                return;
+            }
         }
     }
 
@@ -188,6 +193,20 @@ mod tests {
         }
         assert_eq!(list.remote_head_accesses(), 0);
         assert_eq!(list.active_count(), 8);
+    }
+
+    #[test]
+    fn removal_from_another_socket_finds_the_entry_and_stays_local() {
+        let (t, c) = machine();
+        let mut list = TxnList::per_socket(4);
+        let mut begin = SimCtx::new(&t, &c, CoreId(0), 0);
+        list.add(&mut begin, TxnId(7));
+        // The transaction ends on socket 2: its entry lives in socket 0's
+        // list and must not be left there.
+        let mut end = SimCtx::new(&t, &c, CoreId(4), begin.now());
+        list.remove(&mut end, TxnId(7));
+        assert_eq!(list.active_count(), 0);
+        assert_eq!(list.remote_head_accesses(), 0);
     }
 
     #[test]

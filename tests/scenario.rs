@@ -364,15 +364,17 @@ fn adaptive_tatp_recovers_after_phase_change() {
     );
 }
 
+/// The replay file shipped with the repository.
+const SHIPPED_REPLAY: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../examples/scenarios/adaptive_tatp.json"
+);
+
 /// The shipped replay file parses and its timeline is valid — scenarios
 /// really are data on disk.
 #[test]
 fn shipped_replay_scenario_parses() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../examples/scenarios/adaptive_tatp.json"
-    );
-    let text = std::fs::read_to_string(path).expect("sample replay file exists");
+    let text = std::fs::read_to_string(SHIPPED_REPLAY).expect("sample replay file exists");
     let value = serde::json::parse(&text).expect("sample is valid JSON");
     let scenario: Scenario =
         serde::de::Deserialize::from_value(value.get("scenario").expect("has scenario"))
@@ -383,6 +385,38 @@ fn shipped_replay_scenario_parses() {
         serde::de::Deserialize::from_value(value.get("design").expect("has design"))
             .expect("design parses");
     assert_eq!(design.label(), "ATraPos");
+}
+
+/// `atrapos replay` on a hand-edited copy of the shipped file whose
+/// timeline fails a socket the 4-socket machine does not have: a typed
+/// error naming the event, not an index panic in the topology.
+#[test]
+fn replay_rejects_an_out_of_range_socket_with_a_typed_error() {
+    let text = std::fs::read_to_string(SHIPPED_REPLAY).expect("sample replay file exists");
+    let edited = text
+        .replace("\"tatp_subscribers\": 20000", "\"tatp_subscribers\": 2000")
+        .replace(
+            "\"event\": \"SetMix\"",
+            "\"event\": {\"FailSocket\": {\"socket\": 99}}",
+        );
+    assert_ne!(edited, text, "edit anchors present in the shipped file");
+    let dir = std::env::temp_dir().join(format!("atrapos_replay_oor_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("fail_socket_99.json");
+    std::fs::write(&file, edited).expect("write edited replay file");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_atrapos"))
+        .arg("replay")
+        .arg(&file)
+        .output()
+        .expect("atrapos binary runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("event 1 at 0.5s names socket 99") && stderr.contains("4 sockets"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
 // ---------------------------------------------------------------------
