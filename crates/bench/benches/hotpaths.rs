@@ -147,7 +147,7 @@ fn bench_executor(c: &mut Criterion) {
     // The closed-loop executor's inner loop end to end, on the same
     // YCSB-A/Zipfian(0.99) workload the wallclock bundle times: each
     // iteration advances the simulation by half a virtual millisecond.
-    let workload = Ycsb::new(YcsbConfig::workload_a(10_000).with_theta(0.99));
+    let workload = Ycsb::new(YcsbConfig::workload_a(10_000).with_theta(0.99)).unwrap();
     let mut exec = harness::executor(
         harness::machine(2, 2),
         &DesignSpec::Centralized,

@@ -56,13 +56,10 @@ COMMANDS:
                             Validate declarative WorkloadSpec files: parse,
                             run the typed structural checks, and print a
                             summary per spec; exit 1 if any is rejected.
-  workload run <spec.json> [--parity ycsb-a|simple-ab] [--secs S] [--threads N]
+  workload run <spec.json> [--secs S] [--threads N]
                             Compile a spec and run it across the four
                             YCSB-family designs, printing per-design
                             committed/aborted counts and throughput.
-                            --parity re-runs the same jobs with the named
-                            hand-rolled workload and fails unless every
-                            design's outcome is byte-identical.
   sweep [--workload micro|tatp|tpcc|ycsb|spec:<file.json>] [--sockets 1,8]
         [--arrival TPS] [--bound N]
                             Compare the five system designs on a workload.

@@ -123,7 +123,7 @@ pub fn abl02_oversubscription(scale: &Scale) -> FigureResult {
         for atrapos_layout in [false, true] {
             let machine =
                 Machine::new(Topology::multisocket(sockets, cores), CostModel::westmere());
-            let workload = SimpleAb::new(scale.micro_rows / 8);
+            let workload = SimpleAb::new(scale.micro_rows / 8).expect("the scale has rows");
             // A pure scheme comparison: adaptation off, only the initial
             // layout differs (the penalty itself is what is ablated).
             let initial_scheme = atrapos_layout.then(|| {

@@ -10,7 +10,7 @@ use atrapos_engine::{
 };
 use atrapos_numa::{CoreId, Topology};
 use atrapos_storage::TableId;
-use atrapos_workloads::{SimpleAb, Tpcc, TpccConfig, TpccTxn};
+use atrapos_workloads::{CompiledWorkload, SimpleAb, Tpcc, TpccConfig, TpccTxn};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -65,7 +65,7 @@ fn run_simple_ab(
     scale: &Scale,
     design: Box<dyn SystemDesign>,
     machine: atrapos_numa::Machine,
-    workload: SimpleAb,
+    workload: CompiledWorkload,
 ) -> f64 {
     let mut ex = VirtualExecutor::new(
         machine,
@@ -91,7 +91,7 @@ pub fn fig06_placement(scale: &Scale) -> FigureResult {
     let sockets = scale.max_sockets;
     let cores = scale.cores_per_socket;
     let rows = scale.micro_rows / 4;
-    let workload = SimpleAb::new(rows);
+    let workload = SimpleAb::new(rows).expect("the scale has rows");
     let domains = workload.table_domains();
 
     // 1 & 2: the baselines.

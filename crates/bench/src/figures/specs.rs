@@ -2,9 +2,9 @@
 //! never had, expressed purely as data.
 //!
 //! Every row is a shipped `examples/specs/*.json` file compiled by
-//! [`WorkloadSpec::compile`] onto the same sampler + buffer-reuse hot
-//! path as the hand-rolled modules, then run across the four YCSB-family
-//! designs on the 4×4 machine:
+//! [`WorkloadSpec::compile`] — the engine that also runs YCSB and
+//! SimpleAb — then run across the four YCSB-family designs on the 4×4
+//! machine:
 //!
 //! * **secondary-index** — Zipfian point lookups through an index table
 //!   into a base table, mixed with index-maintenance updates that touch
@@ -18,12 +18,12 @@
 //!
 //! The same helpers back the `atrapos workload check|run` subcommand.
 
-use super::ycsb::ycsb_designs;
-use crate::harness::{machine, run_meta, Scale};
+use super::ycsb::{ycsb_config, ycsb_designs, ycsb_meta};
+use crate::harness::{machine, Scale};
 use crate::report::{fmt, FigureResult};
 use atrapos_engine::scenario::Scenario;
 use atrapos_engine::sweep::{default_threads, run_sweep, SweepJob};
-use atrapos_engine::{DesignSpec, ExecutorConfig, RunMeta};
+use atrapos_engine::DesignSpec;
 use atrapos_workloads::spec::{CompiledWorkload, WorkloadSpec};
 use std::path::{Path, PathBuf};
 
@@ -36,11 +36,6 @@ pub const SPEC01_FILES: &[&str] = &[
     "scan_write.json",
     "multi_tenant.json",
 ];
-
-/// The provenance record of the spec runs (the 4×4 machine).
-pub(crate) fn spec_meta() -> RunMeta {
-    run_meta(4, 4)
-}
 
 /// The shipped spec directory: `examples/specs/` under the current
 /// directory when run from the workspace root, else resolved relative to
@@ -65,19 +60,8 @@ pub fn shipped_spec(file: &str) -> Result<WorkloadSpec, String> {
     load_spec(&shipped_specs_dir().join(file))
 }
 
-/// The executor configuration of every spec job — identical to the YCSB
-/// family: fixed seed, the monitoring interval and time-series bucket of
-/// the adaptive figures.
-fn spec_config(scale: &Scale) -> ExecutorConfig {
-    ExecutorConfig {
-        seed: 42,
-        default_interval_secs: scale.interval_min_secs,
-        time_series_bucket_secs: scale.interval_min_secs,
-    }
-}
-
 /// Package one compiled spec workload × design as a lab job on the 4×4
-/// machine.
+/// machine, configured like the YCSB jobs (which run the same engine).
 pub fn spec_job(
     name: impl Into<String>,
     scale: &Scale,
@@ -91,7 +75,7 @@ pub fn spec_job(
         design,
         workload: Box::new(workload),
         scenario: scenario.clone(),
-        config: spec_config(scale),
+        config: ycsb_config(scale),
     }
 }
 
@@ -152,7 +136,7 @@ pub fn spec01_declarative_workloads(scale: &Scale) -> FigureResult {
          co-locatable foreign key, multi-tenant with disjoint per-tenant tables) reward \
          the partitioned designs, and ATraPos stays at or above PLP on every row",
     );
-    fig.set_meta(spec_meta());
+    fig.set_meta(ycsb_meta());
     fig
 }
 
@@ -170,12 +154,15 @@ mod tests {
 
     #[test]
     fn parity_spec_files_match_their_constructors_byte_for_byte() {
-        // The shipped parity files are generated from the Rust
-        // constructors (`cargo run -p atrapos-workloads --example
-        // regen_parity_specs`); a drifted file would silently decouple
-        // the CLI parity check from the in-crate digest tests.
+        // `ycsb_a.json` and `simple_ab.json` are generated from the
+        // in-crate workloads (`cargo run -p atrapos-workloads --example
+        // regen_shipped_specs`); a drifted file would silently decouple
+        // what the CLI and CI smoke-run from what the digest tests pin.
+        let mut ycsb_a = atrapos_workloads::YcsbConfig::workload_a(25_000).spec();
+        ycsb_a.name = "ycsb-a-spec".to_string();
+        ycsb_a.templates.retain(|t| t.weight > 0.0);
         for (file, spec) in [
-            ("ycsb_a.json", atrapos_workloads::spec::ycsb_a(25_000)),
+            ("ycsb_a.json", ycsb_a),
             ("simple_ab.json", atrapos_workloads::spec::simple_ab(10_000)),
         ] {
             let path = shipped_specs_dir().join(file);
@@ -184,7 +171,7 @@ mod tests {
                 text,
                 spec.to_json() + "\n",
                 "{file} drifted from its constructor; regenerate with \
-                 `cargo run -p atrapos-workloads --example regen_parity_specs`"
+                 `cargo run -p atrapos-workloads --example regen_shipped_specs`"
             );
         }
     }

@@ -61,9 +61,10 @@ pub fn ycsb_designs(scale: &Scale) -> Vec<(&'static str, DesignSpec)> {
     ]
 }
 
-/// The executor configuration of every YCSB job: fixed seed, the
-/// monitoring interval and time-series bucket of the adaptive figures.
-fn ycsb_config(scale: &Scale) -> ExecutorConfig {
+/// The executor configuration of every YCSB and spec-file job: fixed
+/// seed, the monitoring interval and time-series bucket of the adaptive
+/// figures.
+pub(crate) fn ycsb_config(scale: &Scale) -> ExecutorConfig {
     ExecutorConfig {
         seed: 42,
         default_interval_secs: scale.interval_min_secs,
@@ -83,7 +84,7 @@ pub fn ycsb_job(
         name: name.into(),
         machine: machine(4, 4),
         design,
-        workload: Box::new(Ycsb::new(workload)),
+        workload: Box::new(Ycsb::new(workload).expect("the experiments' YCSB configs are valid")),
         scenario: scenario.clone(),
         config: ycsb_config(scale),
     }

@@ -36,8 +36,7 @@ pub fn shootout_designs() -> Vec<DesignSpec> {
 
 /// Build one instance of a named sweep workload, sized for `scale` and the
 /// given core count.  `spec:<file.json>` loads a declarative
-/// [`WorkloadSpec`](atrapos_workloads::WorkloadSpec) instead of a
-/// hand-rolled module.
+/// [`WorkloadSpec`](atrapos_workloads::WorkloadSpec) file instead.
 fn build_workload(
     name: &str,
     scale: &Scale,
@@ -62,9 +61,11 @@ fn build_workload(
         "tpcc" => Ok(Box::new(Tpcc::new(TpccConfig::scaled(
             scale.tpcc_warehouses,
         )))),
-        "ycsb" => Ok(Box::new(Ycsb::new(
+        "ycsb" => Ycsb::new(
             YcsbConfig::workload_a(scale.ycsb_records).with_distribution(KeyDistribution::Uniform),
-        ))),
+        )
+        .map(|w| Box::new(w) as Box<dyn Workload>)
+        .map_err(|e| format!("ycsb: {e}")),
         other => Err(format!(
             "unknown workload '{other}' (known: {}, or spec:<file.json>)",
             SWEEP_WORKLOADS.join(", ")

@@ -256,9 +256,10 @@ fn bundle_jobs(scale: &Scale) -> Vec<SweepJob> {
     sweep_jobs(
         "ycsb",
         &|| {
-            Box::new(Ycsb::new(
-                YcsbConfig::workload_a(ycsb_records).with_theta(0.99),
-            ))
+            Box::new(
+                Ycsb::new(YcsbConfig::workload_a(ycsb_records).with_theta(0.99))
+                    .expect("the scale's YCSB-A config is valid"),
+            )
         },
         scale.measure_secs,
         &mut jobs,

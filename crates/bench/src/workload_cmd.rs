@@ -6,28 +6,22 @@
 //!   rejected (the typed [`SpecError`](atrapos_workloads::SpecError)
 //!   prints as the reason).  CI runs
 //!   this over every shipped `examples/specs/*.json`.
-//! * `atrapos workload run <spec.json> [--parity ycsb-a|simple-ab]
-//!   [--secs S] [--threads N]` — compile the spec and run it across the
-//!   four YCSB-family designs on the 4×4 machine, printing per-design
-//!   committed/aborted counts and throughput.  With `--parity`, the same
-//!   jobs run again with the named hand-rolled workload (sized from the
-//!   spec's first table) and the command fails unless every design's
-//!   entire [`ScenarioOutcome`] is byte-identical — the end-to-end form
-//!   of the spec-stream digest parity tests.
+//! * `atrapos workload run <spec.json> [--secs S] [--threads N]` —
+//!   compile the spec and run it across the four YCSB-family designs on
+//!   the 4×4 machine, printing per-design committed/aborted counts and
+//!   throughput.
 
 use crate::cli::{self, FlagSpec};
 use crate::figures::{load_spec, spec_job, ycsb_designs};
 use crate::harness::Scale;
 use atrapos_engine::scenario::{Scenario, ScenarioOutcome};
 use atrapos_engine::sweep::{default_threads, run_sweep, SweepJob};
-use atrapos_engine::Workload;
-use atrapos_workloads::spec::WorkloadSpec;
-use atrapos_workloads::{SimpleAb, Ycsb, YcsbConfig};
+use atrapos_workloads::spec::{CompiledWorkload, WorkloadSpec};
 use std::path::Path;
 
 /// Usage string for the subcommand family.
 pub const USAGE: &str = "atrapos workload check <spec.json>... | \
-     atrapos workload run <spec.json> [--parity ycsb-a|simple-ab] [--secs S] [--threads N]";
+     atrapos workload run <spec.json> [--secs S] [--threads N]";
 
 /// Dispatch `atrapos workload <check|run> ...`.
 pub fn cmd(args: &[String]) -> Result<(), String> {
@@ -81,15 +75,11 @@ fn checked_spec(path: &Path) -> Result<WorkloadSpec, String> {
     Ok(spec)
 }
 
-/// `atrapos workload run <spec.json> [--parity W] [--secs S] [--threads N]`
+/// `atrapos workload run <spec.json> [--secs S] [--threads N]`
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let parsed = cli::parse(
         args,
-        &[
-            FlagSpec::value("--parity"),
-            FlagSpec::value("--secs"),
-            FlagSpec::value("--threads"),
-        ],
+        &[FlagSpec::value("--secs"), FlagSpec::value("--threads")],
         1,
         USAGE,
     )?;
@@ -114,14 +104,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             .ok_or("--threads needs a positive thread count")?,
         None => default_threads(),
     };
-    let spec = checked_spec(Path::new(path))?;
+    let workload = load_spec(Path::new(path))?
+        .compile()
+        .map_err(|e| format!("{path}: {e}"))?;
 
-    let outcomes = run_designs(&spec, &scale, secs, threads, |_| {
-        Ok(Box::new(spec.compile().expect("spec validated above")))
-    })?;
+    let outcomes = run_designs(&workload, &scale, secs, threads);
     println!(
         "workload '{}' ({path}) — {} designs × {secs} simulated s",
-        spec.name,
+        workload.spec().name,
         outcomes.len()
     );
     println!(
@@ -138,85 +128,39 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             stats.throughput_tps / 1e3
         );
     }
-
-    if let Some(which) = parsed.value("--parity") {
-        let reference = run_designs(&spec, &scale, secs, threads, |spec| {
-            hand_rolled(which, spec)
-        })?;
-        let mut mismatches = Vec::new();
-        for ((label, spec_out), (_, hand_out)) in outcomes.iter().zip(reference.iter()) {
-            if serde::json::to_string(spec_out) != serde::json::to_string(hand_out) {
-                mismatches.push(format!(
-                    "{label}: spec committed {} vs hand-rolled {}",
-                    spec_out.segments[0].stats.committed, hand_out.segments[0].stats.committed
-                ));
-            }
-        }
-        if mismatches.is_empty() {
-            println!(
-                "parity vs hand-rolled {which}: OK — identical outcomes on all {} designs",
-                outcomes.len()
-            );
-        } else {
-            return Err(format!(
-                "spec-vs-handrolled parity failed on {} design(s):\n  {}",
-                mismatches.len(),
-                mismatches.join("\n  ")
-            ));
-        }
-    }
     Ok(())
 }
 
-/// Run one workload instance per design and return `(label, outcome)` in
-/// design order.
+/// Run one instance of the workload per design and return `(label,
+/// outcome)` in design order.
 fn run_designs(
-    spec: &WorkloadSpec,
+    workload: &CompiledWorkload,
     scale: &Scale,
     secs: f64,
     threads: usize,
-    mut workload: impl FnMut(&WorkloadSpec) -> Result<Box<dyn Workload>, String>,
-) -> Result<Vec<(&'static str, ScenarioOutcome)>, String> {
+) -> Vec<(&'static str, ScenarioOutcome)> {
     let designs = ycsb_designs(scale);
     let scenario = Scenario::new("workload-run", secs);
-    let mut jobs: Vec<SweepJob> = Vec::new();
-    for (label, design) in &designs {
-        let mut job = spec_job(
-            format!("{}/{label}", spec.name),
-            scale,
-            spec.compile().expect("spec validated by the caller"),
-            design.clone(),
-            &scenario,
-        );
-        job.workload = workload(spec)?;
-        jobs.push(job);
-    }
-    let results = run_sweep(jobs, threads);
-    Ok(designs
+    let jobs: Vec<SweepJob> = designs
         .iter()
-        .zip(results)
+        .map(|(label, design)| {
+            spec_job(
+                format!("{}/{label}", workload.spec().name),
+                scale,
+                workload.clone(),
+                design.clone(),
+                &scenario,
+            )
+        })
+        .collect();
+    designs
+        .iter()
+        .zip(run_sweep(jobs, threads))
         .map(|((label, _), r)| {
             let outcome = r
                 .outcome
                 .unwrap_or_else(|e| panic!("workload job '{}' failed: {e}", r.name));
             (*label, outcome)
         })
-        .collect())
-}
-
-/// Build the hand-rolled reference workload for `--parity`, sized from
-/// the spec's first table so both sides generate over the same domain.
-fn hand_rolled(which: &str, spec: &WorkloadSpec) -> Result<Box<dyn Workload>, String> {
-    let keys = spec
-        .tables
-        .first()
-        .map(|t| t.keys)
-        .ok_or("parity reference needs at least one table")?;
-    match which {
-        "ycsb-a" => Ok(Box::new(Ycsb::new(YcsbConfig::workload_a(keys)))),
-        "simple-ab" => Ok(Box::new(SimpleAb::new(keys))),
-        other => Err(format!(
-            "unknown parity reference '{other}' (known: ycsb-a, simple-ab)"
-        )),
-    }
+        .collect()
 }

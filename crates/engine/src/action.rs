@@ -161,12 +161,6 @@ impl Phase {
             sync_bytes,
         }
     }
-
-    /// Override the synchronization payload.
-    pub fn with_sync_bytes(mut self, bytes: u64) -> Self {
-        self.sync_bytes = bytes;
-        self
-    }
 }
 
 /// A fully instantiated transaction: its class and its flow graph.

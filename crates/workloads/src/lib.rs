@@ -7,7 +7,7 @@
 //!   (Figures 3, 4), and the 100-row read used for the memory-placement
 //!   experiment (Table I).
 //! * [`simple_ab`] — the two-table transaction of §V-A used to compare
-//!   partitioning and placement strategies (Figure 6).
+//!   partitioning and placement strategies (Figure 6); a spec.
 //! * [`tatp`] — the TATP telecom benchmark: 4 tables, 7 transaction types,
 //!   the standard mix, plus the skew and mix-switching knobs used by the
 //!   adaptive experiments (Figures 8, 10–13, Table II).
@@ -16,11 +16,13 @@
 //!   (Figure 8).
 //! * [`ycsb`] — the YCSB workload family (core mixes A–F over one table),
 //!   an extension beyond the paper: Zipfian and continuously drifting
-//!   skew for the adaptive-controller experiments.
+//!   skew for the adaptive-controller experiments.  A typed config mapped
+//!   onto a spec.
 //! * [`spec`] — workloads as data: the declarative [`WorkloadSpec`]
 //!   language, validated at load with typed errors and compiled by
-//!   [`CompiledWorkload`] onto the same precomputed-sampler,
-//!   buffer-reuse hot path the hand-rolled generators use.
+//!   [`CompiledWorkload`] onto a precomputed-sampler, buffer-reuse hot
+//!   path.  The one engine behind YCSB, SimpleAb and every
+//!   `examples/specs/*.json` file.
 //! * [`generator`] — shared key-distribution helpers (uniform, hotspot,
 //!   Zipfian, and drifting-hotspot skew) and transaction-mix selection.
 
@@ -38,4 +40,4 @@ pub use simple_ab::SimpleAb;
 pub use spec::{CompiledWorkload, SpecError, WorkloadSpec};
 pub use tatp::{Tatp, TatpConfig, TatpTxn};
 pub use tpcc::{Tpcc, TpccConfig, TpccTxn};
-pub use ycsb::{Ycsb, YcsbConfig, YcsbOp};
+pub use ycsb::{Ycsb, YcsbConfig};

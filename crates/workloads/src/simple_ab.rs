@@ -7,172 +7,41 @@
 //! correlated — placing them on the same socket removes all
 //! synchronization cost, which is exactly what the ATraPos placement
 //! algorithm discovers.
+//!
+//! The workload is data: [`crate::spec::simple_ab`] describes it and the
+//! spec engine runs it.
 
-use crate::generator::{KeyDistribution, KeySampler};
-use atrapos_core::KeyDomain;
-use atrapos_engine::workload::{ensure_tables, ReconfigureError, WorkloadChange};
-use atrapos_engine::{Action, ActionOp, Phase, TableSpec, TransactionSpec, Workload};
-use atrapos_numa::CoreId;
-use atrapos_storage::{Column, ColumnType, Database, Key, Record, Schema, TableId, Value};
-use rand::rngs::SmallRng;
-use rand::Rng;
-
-/// Table id of A.
-pub const TABLE_A: TableId = TableId(0);
-/// Table id of B.
-pub const TABLE_B: TableId = TableId(1);
+use crate::spec::{simple_ab, CompiledWorkload, SpecError};
 
 /// The Figure 6 workload.
-#[derive(Debug, Clone)]
-pub struct SimpleAb {
-    /// Rows in table A (B holds `b_per_a` rows per A row).
-    pub rows_a: i64,
-    /// B rows per A row.
-    pub b_per_a: i64,
-    /// Distribution of the shared `pk_a` head key (uniform by default;
-    /// scenarios may introduce a hotspot — or Zipfian / drifting skew —
-    /// at runtime via [`SimpleAb::set_distribution`]).
-    distribution: KeyDistribution,
-    /// Derived from `distribution` over the A domain; rebuilt on
-    /// reconfiguration so per-transaction draws never allocate.
-    sampler: KeySampler,
-}
+pub struct SimpleAb;
 
 impl SimpleAb {
-    /// A workload with `rows_a` rows in A and 4 B rows per A row.
-    pub fn new(rows_a: i64) -> Self {
-        let distribution = KeyDistribution::Uniform;
-        Self {
-            rows_a,
-            b_per_a: 4,
-            distribution,
-            sampler: distribution.sampler(0, rows_a),
-        }
-    }
-
-    /// Switch the `pk_a` distribution at runtime.
-    pub fn set_distribution(&mut self, d: KeyDistribution) {
-        self.distribution = d;
-        self.sampler = d.sampler(0, self.rows_a);
-    }
-
-    /// The current `pk_a` distribution.
-    pub fn distribution(&self) -> KeyDistribution {
-        self.distribution
-    }
-}
-
-impl Workload for SimpleAb {
-    fn name(&self) -> &str {
-        "simple-ab"
-    }
-
-    fn tables(&self) -> Vec<TableSpec> {
-        vec![
-            TableSpec {
-                id: TABLE_A,
-                schema: Schema::new(
-                    "A",
-                    vec![
-                        Column::new("pk_a", ColumnType::Int),
-                        Column::new("payload", ColumnType::Int),
-                    ],
-                    vec![0],
-                ),
-                domain: KeyDomain::new(0, self.rows_a),
-                rows: self.rows_a as u64,
-            },
-            TableSpec {
-                id: TABLE_B,
-                schema: Schema::new(
-                    "B",
-                    vec![
-                        Column::new("pk_a", ColumnType::Int),
-                        Column::new("pk_b", ColumnType::Int),
-                        Column::new("payload", ColumnType::Int),
-                    ],
-                    vec![0, 1],
-                )
-                .with_foreign_key(vec![0], TABLE_A),
-                domain: KeyDomain::new(0, self.rows_a),
-                rows: (self.rows_a * self.b_per_a) as u64,
-            },
-        ]
-    }
-
-    fn populate(&self, db: &mut Database, filter: &dyn Fn(TableId, &Key) -> bool) {
-        ensure_tables(self, db);
-        {
-            let a = db.table_mut(TABLE_A).expect("table A exists");
-            for i in 0..self.rows_a {
-                let key = Key::int(i);
-                if filter(TABLE_A, &key) {
-                    a.load(Record::new(vec![Value::Int(i), Value::Int(i)]))
-                        .expect("unique keys");
-                }
-            }
-        }
-        let b = db.table_mut(TABLE_B).expect("table B exists");
-        for i in 0..self.rows_a {
-            for j in 0..self.b_per_a {
-                let key = Key::ints(&[i, j]);
-                if filter(TABLE_B, &key) {
-                    b.load(Record::new(vec![
-                        Value::Int(i),
-                        Value::Int(j),
-                        Value::Int(i * 100 + j),
-                    ]))
-                    .expect("unique keys");
-                }
-            }
-        }
-    }
-
-    fn next_transaction(&mut self, rng: &mut SmallRng, _client: CoreId) -> TransactionSpec {
-        let id_a = self.sampler.sample(rng);
-        let id_b = rng.gen_range(0..self.b_per_a);
-        TransactionSpec::new(
-            "simple-ab",
-            vec![Phase::new(vec![
-                Action::new(ActionOp::Read {
-                    table: TABLE_A,
-                    key: Key::int(id_a),
-                }),
-                Action::new(ActionOp::Read {
-                    table: TABLE_B,
-                    key: Key::ints(&[id_a, id_b]),
-                }),
-            ])
-            .with_sync_bytes(96)],
-        )
-    }
-
-    fn reconfigure(&mut self, change: &WorkloadChange) -> Result<(), ReconfigureError> {
-        match change {
-            WorkloadChange::Distribution { distribution } => {
-                self.set_distribution(*distribution);
-                Ok(())
-            }
-            WorkloadChange::ZipfianTheta { theta } => {
-                self.set_distribution(KeyDistribution::Zipfian { theta: *theta });
-                Ok(())
-            }
-            other => Err(ReconfigureError::Unsupported {
-                workload: self.name().to_string(),
-                change: other.clone(),
-            }),
-        }
+    /// A workload with `rows_a` rows in A and 4 B rows per A row
+    /// (`rows_a < 1` is [`SpecError::EmptyTable`]).
+    // The workload is the compiled spec itself; a `Self` around it would
+    // only delegate.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(rows_a: i64) -> Result<CompiledWorkload, SpecError> {
+        simple_ab(rows_a).compile()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atrapos_engine::Workload;
+    use atrapos_numa::CoreId;
+    use atrapos_storage::{Database, TableId};
+    use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    const TABLE_A: TableId = TableId(0);
+    const TABLE_B: TableId = TableId(1);
 
     #[test]
     fn population_respects_the_b_per_a_ratio() {
-        let w = SimpleAb::new(100);
+        let w = SimpleAb::new(100).unwrap();
         let mut db = Database::new();
         w.populate(&mut db, &|_, _| true);
         assert_eq!(db.table(TABLE_A).unwrap().len(), 100);
@@ -181,7 +50,7 @@ mod tests {
 
     #[test]
     fn transactions_touch_both_tables_with_the_same_head_key() {
-        let mut w = SimpleAb::new(100);
+        let mut w = SimpleAb::new(100).unwrap();
         let mut rng = SmallRng::seed_from_u64(4);
         for _ in 0..20 {
             let spec = w.next_transaction(&mut rng, CoreId(0));
@@ -197,7 +66,7 @@ mod tests {
 
     #[test]
     fn schema_declares_the_foreign_key_dependency() {
-        let w = SimpleAb::new(10);
+        let w = SimpleAb::new(10).unwrap();
         let tables = w.tables();
         assert!(tables[1].schema.references(TABLE_A));
     }

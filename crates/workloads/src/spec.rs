@@ -1,29 +1,26 @@
 //! Workloads as data: the declarative [`WorkloadSpec`] engine.
 //!
-//! Every workload the paper's designs are evaluated on (TATP, TPC-C,
-//! YCSB, SimpleAb) is a hand-written Rust module, so opening a new access
-//! pattern for the partitioning advisor to chase used to mean a
-//! crate-level change.  This module makes workloads *data*: a
-//! serializable [`WorkloadSpec`] describes tables (key domains, record
+//! A serializable [`WorkloadSpec`] describes tables (key domains, record
 //! shapes, optional parent links) and weighted transaction templates over
-//! the existing op vocabulary — read / update / insert / scan / RMW —
-//! with per-argument [`KeyDistribution`]s, and [`WorkloadSpec::compile`]
-//! turns it into a [`CompiledWorkload`] running on exactly the machinery
-//! the hand-rolled generators use:
+//! the op vocabulary — read / update / insert / scan / RMW — with
+//! per-argument [`KeyDistribution`]s, and [`WorkloadSpec::compile`] turns
+//! it into a [`CompiledWorkload`], so opening a new access pattern for
+//! the partitioning advisor to chase is a JSON file, not a crate-level
+//! change.  YCSB ([`crate::ycsb`]) and the paper's two-table SimpleAb
+//! transaction ([`simple_ab`]) *are* specs run by this engine; TATP,
+//! TPC-C and the microbenchmarks are still Rust modules.
 //!
-//! * every `Key` argument becomes a precomputed [`KeySampler`] built once
-//!   at compile time, so per-transaction draws never allocate;
-//! * transactions are built through the same
-//!   [`TransactionSpec::refill`] buffer-reuse path as YCSB;
-//! * the template mix is a [`Mix`] over template indices with the same
-//!   cumulative-weight selection the hand-rolled mixes use.
+//! * every key argument draws from a precomputed [`KeySampler`] built
+//!   once at compile time, so per-transaction draws never allocate;
+//! * transactions are built through the [`TransactionSpec::refill`]
+//!   buffer-reuse path;
+//! * the template mix is a [`Mix`] over template indices.
 //!
-//! Because the sampler, mix, and refill layers are shared — and arguments
-//! draw from the rng in declaration order — a spec that transcribes a
-//! hand-rolled workload is *bit-identical* to it: same seed, same
-//! transaction stream, same simulated history.  [`ycsb_a`] and
-//! [`simple_ab`] are shipped transcriptions proven equal to their Rust
-//! originals by digest and full-run parity tests.
+//! Arguments draw from the rng in declaration order, one draw each, so a
+//! spec fixes its transaction stream bit for bit: same seed, same
+//! stream, same simulated history.  `tests/workload_spec.rs` pins the
+//! streams of YCSB A–F and SimpleAb to digests recorded from the
+//! hand-written generators these specs replaced.
 //!
 //! Malformed specs are rejected at load with typed [`SpecError`]s
 //! (zero-weight mixes, dangling table references, out-of-range key
@@ -93,8 +90,8 @@ pub struct TableDef {
 }
 
 /// One drawn argument of a transaction template.  Arguments draw from
-/// the rng **in declaration order**, one draw each — this is how a spec
-/// expresses the exact draw sequence of a hand-rolled generator.
+/// the rng **in declaration order**, one draw each — this is what fixes a
+/// spec's transaction stream for a given seed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ArgDef {
     /// A head key of `table`, drawn from `distribution` over the table's
@@ -105,6 +102,18 @@ pub enum ArgDef {
         /// The table whose domain is sampled.
         table: String,
         /// How the key is drawn.
+        distribution: KeyDistribution,
+    },
+    /// A head key of `table` ranked backwards from its insert cursor: a
+    /// draw `r` from `distribution` names key `cursor - 1 - r` (clamped
+    /// at 0), so rank 0 is the newest key — YCSB workload D's "read
+    /// latest".
+    LatestKey {
+        /// Argument name (referenced by ops).
+        name: String,
+        /// The table whose newest keys are sampled.
+        table: String,
+        /// How the rank is drawn.
         distribution: KeyDistribution,
     },
     /// An integer drawn uniformly from `[lo, hi)`.
@@ -122,7 +131,9 @@ impl ArgDef {
     /// The argument's name.
     pub fn name(&self) -> &str {
         match self {
-            ArgDef::Key { name, .. } | ArgDef::Uniform { name, .. } => name,
+            ArgDef::Key { name, .. }
+            | ArgDef::LatestKey { name, .. }
+            | ArgDef::Uniform { name, .. } => name,
         }
     }
 }
@@ -139,8 +150,8 @@ pub enum OpDef {
         key: Vec<String>,
     },
     /// Overwrite one field of one record: column index `field` (a
-    /// `Uniform` argument bounded by the table's column count) is set to
-    /// the integer value of argument `value`.
+    /// `Uniform` argument ranging over the table's payload columns, never
+    /// a key column) is set to the integer value of argument `value`.
     Update {
         /// Target table.
         table: String,
@@ -313,7 +324,8 @@ pub enum SpecError {
         got: usize,
     },
     /// An update's `field` argument is not a `Uniform` bounded inside
-    /// the table's column range.
+    /// the table's payload columns (it is unbounded, or reaches a key
+    /// column or past the last column).
     FieldOutOfRange {
         /// The template.
         template: String,
@@ -408,7 +420,7 @@ impl fmt::Display for SpecError {
             } => write!(
                 f,
                 "template '{template}': field argument '{arg}' must be a Uniform \
-                 bounded inside table '{table}'s column range"
+                 bounded inside table '{table}'s payload columns"
             ),
             SpecError::BadScanLength { template, arg } => write!(
                 f,
@@ -536,6 +548,11 @@ impl WorkloadSpec {
                     table,
                     distribution,
                     ..
+                }
+                | ArgDef::LatestKey {
+                    table,
+                    distribution,
+                    ..
                 } => {
                     let t = self
                         .table_index(table)
@@ -607,8 +624,12 @@ impl WorkloadSpec {
                     } => {
                         check_key(key)?;
                         match resolve(field)? {
+                            // Column indices below the key arity are
+                            // the primary key: overwriting one leaves a
+                            // record filed under a key it no longer holds.
                             ArgDef::Uniform { lo, hi, .. }
-                                if *lo >= 0 && *hi <= self.columns(t) as i64 => {}
+                                if *lo >= self.key_arity(t) as i64
+                                    && *hi <= self.columns(t) as i64 => {}
                             _ => {
                                 return Err(SpecError::FieldOutOfRange {
                                     template: name(),
@@ -661,11 +682,46 @@ impl WorkloadSpec {
 /// A compiled argument: ready to draw without allocation.
 #[derive(Debug, Clone)]
 enum CompiledArg {
-    /// A precomputed sampler over the table's key domain.  The table
-    /// index is kept so distribution reconfigurations can rebuild it.
-    Key { table: usize, sampler: KeySampler },
+    /// A draw from `samplers[sampler]`.
+    Key { sampler: usize },
+    /// The same draw, counted backwards from the sampled table's insert
+    /// cursor.
+    LatestKey { sampler: usize },
     /// A uniform integer draw from `[lo, hi)`.
     Uniform { lo: i64, hi: i64 },
+}
+
+/// A precomputed sampler over one table's key domain, shared by every key
+/// argument that draws that table with that distribution: a stateful
+/// distribution (the drifting hot window) then advances once per draw of
+/// the *workload*, whichever template drew, and a Zipfian CDF is built
+/// once per table rather than once per template.
+#[derive(Debug, Clone)]
+struct SharedSampler {
+    table: usize,
+    distribution: KeyDistribution,
+    sampler: KeySampler,
+}
+
+/// The slot of the sampler for `distribution` over `table`'s `keys`,
+/// built on first use.
+fn sampler_slot(
+    samplers: &mut Vec<SharedSampler>,
+    table: usize,
+    keys: i64,
+    distribution: KeyDistribution,
+) -> usize {
+    let shared = samplers
+        .iter()
+        .position(|s| s.table == table && s.distribution == distribution);
+    shared.unwrap_or_else(|| {
+        samplers.push(SharedSampler {
+            table,
+            distribution,
+            sampler: distribution.sampler(0, keys),
+        });
+        samplers.len() - 1
+    })
 }
 
 /// How an op finds its key in the drawn-argument buffer.
@@ -727,6 +783,8 @@ pub struct CompiledWorkload {
     spec: WorkloadSpec,
     tables: Vec<CompiledTable>,
     templates: Vec<CompiledTemplate>,
+    /// The key samplers the templates' arguments index into.
+    samplers: Vec<SharedSampler>,
     /// Template selection by index; rebuilt on mix reconfigurations.
     mix: Mix<usize>,
     /// Per-table next insert key (starts at `keys`, grows monotonically).
@@ -749,10 +807,11 @@ impl CompiledWorkload {
                 parent: t.parent.as_deref().and_then(|p| spec.table_index(p)),
             })
             .collect();
+        let mut samplers = Vec::new();
         let templates: Vec<CompiledTemplate> = spec
             .templates
             .iter()
-            .map(|tpl| Self::compile_template(&spec, tpl))
+            .map(|tpl| Self::compile_template(&spec, tpl, &mut samplers))
             .collect();
         let mix = standard_mix(&spec);
         let insert_cursors = tables.iter().map(|t| t.keys).collect();
@@ -760,6 +819,7 @@ impl CompiledWorkload {
             spec,
             tables,
             templates,
+            samplers,
             mix,
             insert_cursors,
             arg_buf: Vec::new(),
@@ -767,7 +827,11 @@ impl CompiledWorkload {
     }
 
     /// Compile one (already validated) template.
-    fn compile_template(spec: &WorkloadSpec, tpl: &TemplateDef) -> CompiledTemplate {
+    fn compile_template(
+        spec: &WorkloadSpec,
+        tpl: &TemplateDef,
+        samplers: &mut Vec<SharedSampler>,
+    ) -> CompiledTemplate {
         // The transaction class is a `&'static str` throughout the
         // engine; each template name is leaked exactly once here, never
         // per transaction.
@@ -778,6 +842,10 @@ impl CompiledWorkload {
                 .position(|x| x.name() == a)
                 .expect("validated arg reference")
         };
+        let mut sampler = |table: &str, distribution: KeyDistribution| {
+            let table = spec.table_index(table).expect("validated table reference");
+            sampler_slot(samplers, table, spec.tables[table].keys, distribution)
+        };
         let args = tpl
             .args
             .iter()
@@ -786,13 +854,16 @@ impl CompiledWorkload {
                     table,
                     distribution,
                     ..
-                } => {
-                    let t = spec.table_index(table).expect("validated table reference");
-                    CompiledArg::Key {
-                        table: t,
-                        sampler: distribution.sampler(0, spec.tables[t].keys),
-                    }
-                }
+                } => CompiledArg::Key {
+                    sampler: sampler(table, *distribution),
+                },
+                ArgDef::LatestKey {
+                    table,
+                    distribution,
+                    ..
+                } => CompiledArg::LatestKey {
+                    sampler: sampler(table, *distribution),
+                },
                 ArgDef::Uniform { lo, hi, .. } => CompiledArg::Uniform { lo: *lo, hi: *hi },
             })
             .collect();
@@ -851,28 +922,44 @@ impl CompiledWorkload {
         self.templates.iter().map(|t| t.class).collect()
     }
 
-    /// Set every `Key` argument's distribution and rebuild its sampler —
-    /// the spec-workload equivalent of YCSB's `set_distribution`.
+    /// Set every key argument's distribution and rebuild the samplers
+    /// (one per sampled table from here on).
     pub fn set_distribution(&mut self, d: KeyDistribution) {
         for tpl in &mut self.spec.templates {
             for arg in &mut tpl.args {
-                if let ArgDef::Key { distribution, .. } = arg {
+                if let ArgDef::Key { distribution, .. } | ArgDef::LatestKey { distribution, .. } =
+                    arg
+                {
                     *distribution = d;
                 }
             }
         }
+        let previous = std::mem::take(&mut self.samplers);
         for tpl in &mut self.templates {
             for arg in &mut tpl.args {
-                if let CompiledArg::Key { table, sampler } = arg {
-                    *sampler = d.sampler(0, self.spec.tables[*table].keys);
+                if let CompiledArg::Key { sampler } | CompiledArg::LatestKey { sampler } = arg {
+                    let table = previous[*sampler].table;
+                    let keys = self.spec.tables[table].keys;
+                    *sampler = sampler_slot(&mut self.samplers, table, keys, d);
                 }
             }
         }
     }
+
+    /// Continue `previous`'s tail inserts: adopt its insert cursors.  For
+    /// a caller that swaps in a new spec over the same tables mid-run
+    /// (YCSB's `NamedMix`), so inserts stay dense across the swap.
+    pub(crate) fn carry_insert_cursors(&mut self, previous: &Self) {
+        assert_eq!(
+            self.spec.tables, previous.spec.tables,
+            "insert cursors only carry over between specs over the same tables"
+        );
+        self.insert_cursors.clone_from(&previous.insert_cursors);
+    }
 }
 
 /// The standard mix over template indices: positive-weight templates in
-/// declaration order (identical selection to the hand-rolled mixes).
+/// declaration order.
 fn standard_mix(spec: &WorkloadSpec) -> Mix<usize> {
     Mix::new(
         spec.templates
@@ -902,7 +989,7 @@ fn key_of(slot: KeySlot, args: &[i64]) -> Key {
 }
 
 /// The record stored under head key `k` of a plain table: the key column
-/// plus `payload_fields` integer fields (the YCSB record shape).
+/// plus `payload_fields` integer fields.
 fn plain_record(k: i64, payload_fields: usize) -> Record {
     let mut values = Vec::with_capacity(1 + payload_fields);
     values.push(Value::Int(k));
@@ -1002,10 +1089,9 @@ impl Workload for CompiledWorkload {
         _client: CoreId,
         out: &mut TransactionSpec,
     ) {
-        // A single-template spec consumes no mix draw, matching the
-        // hand-rolled single-transaction workloads (SimpleAb, micro);
-        // multi-template specs always pick — even through a
-        // `Mix::single` reconfiguration — matching YCSB.
+        // A single-template spec consumes no mix draw; multi-template
+        // specs always pick, even through a `Mix::single`
+        // reconfiguration.  Both are part of the pinned streams.
         let t = if self.templates.len() == 1 {
             0
         } else {
@@ -1014,18 +1100,24 @@ impl Workload for CompiledWorkload {
         let Self {
             tables,
             templates,
+            samplers,
             insert_cursors,
             arg_buf,
             ..
         } = self;
-        let tpl = &mut templates[t];
-        // Arguments draw in declaration order — the contract that lets a
-        // spec reproduce a hand-rolled generator's rng stream bit for
-        // bit.
+        let tpl = &templates[t];
+        // Arguments draw in declaration order — the contract that fixes
+        // a spec's rng stream bit for bit.
         arg_buf.clear();
-        for arg in &mut tpl.args {
+        for arg in &tpl.args {
             arg_buf.push(match arg {
-                CompiledArg::Key { sampler, .. } => sampler.sample(rng),
+                CompiledArg::Key { sampler } => samplers[*sampler].sampler.sample(rng),
+                // Rank 0 = the newest key (the last insert, or the last
+                // loaded record before any insert happened).
+                CompiledArg::LatestKey { sampler } => {
+                    let shared = &mut samplers[*sampler];
+                    (insert_cursors[shared.table] - 1 - shared.sampler.sample(rng)).max(0)
+                }
                 CompiledArg::Uniform { lo, hi } => rng.gen_range(*lo..*hi),
             });
         }
@@ -1115,81 +1207,14 @@ impl Workload for CompiledWorkload {
 }
 
 // ---------------------------------------------------------------------
-// Shipped transcriptions of the hand-rolled workloads
+// The paper's two-table workload
 // ---------------------------------------------------------------------
 
-/// YCSB core mix A (50% reads / 50% single-field updates, Zipfian
-/// θ = 0.99) over `records` keys, as a spec.  Bit-identical to
-/// `Ycsb::new(YcsbConfig::workload_a(records))` — the parity tests pin
-/// the digest of both transaction streams.
-pub fn ycsb_a(records: i64) -> WorkloadSpec {
-    let zipf = KeyDistribution::Zipfian { theta: 0.99 };
-    WorkloadSpec {
-        name: "ycsb-a-spec".to_string(),
-        tables: vec![TableDef {
-            name: "usertable".to_string(),
-            keys: records,
-            sub_rows: 1,
-            payload_fields: 4,
-            parent: None,
-        }],
-        templates: vec![
-            TemplateDef {
-                name: "Read".to_string(),
-                weight: 0.5,
-                args: vec![ArgDef::Key {
-                    name: "k".to_string(),
-                    table: "usertable".to_string(),
-                    distribution: zipf,
-                }],
-                phases: vec![PhaseDef {
-                    ops: vec![OpDef::Read {
-                        table: "usertable".to_string(),
-                        key: vec!["k".to_string()],
-                    }],
-                    sync_bytes: None,
-                }],
-            },
-            TemplateDef {
-                name: "Update".to_string(),
-                weight: 0.5,
-                args: vec![
-                    ArgDef::Key {
-                        name: "k".to_string(),
-                        table: "usertable".to_string(),
-                        distribution: zipf,
-                    },
-                    // `1 + gen_range(0..FIELDS)` ≡ `gen_range(1..5)`:
-                    // both consume one draw and add the same offset.
-                    ArgDef::Uniform {
-                        name: "field".to_string(),
-                        lo: 1,
-                        hi: 5,
-                    },
-                    ArgDef::Uniform {
-                        name: "value".to_string(),
-                        lo: 0,
-                        hi: 1 << 30,
-                    },
-                ],
-                phases: vec![PhaseDef {
-                    ops: vec![OpDef::Update {
-                        table: "usertable".to_string(),
-                        key: vec!["k".to_string()],
-                        field: "field".to_string(),
-                        value: "value".to_string(),
-                    }],
-                    sync_bytes: None,
-                }],
-            },
-        ],
-    }
-}
-
-/// The two-table SimpleAb transaction of paper §V-A as a spec:
-/// one uniform head key shared by a read of A and a read of B's
-/// composite `(pk_a, pk_b)`, with the hand-rolled 96-byte
-/// synchronization payload.  Bit-identical to `SimpleAb::new(rows_a)`.
+/// The two-table SimpleAb transaction of paper §V-A (Figure 6) over
+/// `rows_a` A rows: one uniform head key shared by a read of A and a read
+/// of B's composite `(pk_a, pk_b)` (four B rows per A row, declared as
+/// A's child so the placement advisor can co-locate them), with a
+/// 96-byte synchronization payload.  `SimpleAb::new` runs exactly this.
 pub fn simple_ab(rows_a: i64) -> WorkloadSpec {
     WorkloadSpec {
         name: "simple-ab-spec".to_string(),
@@ -1244,9 +1269,15 @@ pub fn simple_ab(rows_a: i64) -> WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simple_ab::SimpleAb;
-    use crate::ycsb::{Ycsb, YcsbConfig};
+    use crate::ycsb::YcsbConfig;
     use rand::SeedableRng;
+
+    /// YCSB core mix A over `records` keys: the multi-template spec most
+    /// of these tests poke at (`templates[0]` reads, `templates[1]`
+    /// updates).
+    fn ycsb_a(records: i64) -> WorkloadSpec {
+        YcsbConfig::workload_a(records).spec()
+    }
 
     /// FNV-1a digest of `n` transactions' debug representations — the
     /// PR-8 spec-stream technique: any drift in class, phases, sync
@@ -1264,42 +1295,37 @@ mod tests {
         hash
     }
 
+    // The hand-written `Ycsb` and `SimpleAb` generators these specs
+    // replaced were the oracle of the next four tests; the digests below
+    // were recorded from them at commit d2462b7 (`tests/workload_spec.rs`
+    // pins all six YCSB mixes the same way).
+
     #[test]
     fn ycsb_a_spec_digest_matches_hand_rolled() {
-        for seed in [42u64, 1337] {
+        for (seed, hand) in [
+            (42u64, 0xcc4b_27ea_5a21_d5b3u64),
+            (1337, 0x801f_d456_ac53_6e0d),
+        ] {
             let mut spec = ycsb_a(2_000).compile().unwrap();
-            let mut hand = Ycsb::new(YcsbConfig::workload_a(2_000));
             assert_eq!(
                 spec_stream_digest(&mut spec, seed, 300),
-                spec_stream_digest(&mut hand, seed, 300),
-                "seed {seed}: spec-compiled YCSB-A diverged from the hand-rolled module"
+                hand,
+                "seed {seed}"
             );
         }
     }
 
     #[test]
     fn simple_ab_spec_digest_matches_hand_rolled() {
-        for seed in [42u64, 1337] {
+        for (seed, hand) in [
+            (42u64, 0xb3d3_7724_836b_97d7u64),
+            (1337, 0x3c0d_0d3b_6177_dc77),
+        ] {
             let mut spec = simple_ab(1_000).compile().unwrap();
-            let mut hand = SimpleAb::new(1_000);
             assert_eq!(
                 spec_stream_digest(&mut spec, seed, 300),
-                spec_stream_digest(&mut hand, seed, 300),
-                "seed {seed}: spec-compiled SimpleAb diverged from the hand-rolled module"
-            );
-        }
-    }
-
-    #[test]
-    fn ycsb_a_spec_transactions_equal_hand_rolled_by_value() {
-        let mut spec = ycsb_a(2_000).compile().unwrap();
-        let mut hand = Ycsb::new(YcsbConfig::workload_a(2_000));
-        let mut rng_s = SmallRng::seed_from_u64(9);
-        let mut rng_h = SmallRng::seed_from_u64(9);
-        for _ in 0..300 {
-            assert_eq!(
-                spec.next_transaction(&mut rng_s, CoreId(0)),
-                hand.next_transaction(&mut rng_h, CoreId(0))
+                hand,
+                "seed {seed}"
             );
         }
     }
@@ -1334,14 +1360,16 @@ mod tests {
 
     #[test]
     fn tables_match_hand_rolled_shapes() {
+        // The hand-written SimpleAb declared A = `rows` rows and B = 4
+        // per A row over the same head-key domain, B referencing A.
         let spec = simple_ab(500).compile().unwrap();
-        let hand = SimpleAb::new(500);
-        for (s, h) in spec.tables().iter().zip(hand.tables().iter()) {
-            assert_eq!(s.id, h.id);
-            assert_eq!(s.domain, h.domain);
-            assert_eq!(s.rows, h.rows);
+        let tables = spec.tables();
+        for (i, (table, rows)) in tables.iter().zip([500, 2_000]).enumerate() {
+            assert_eq!(table.id, TableId(i as u32));
+            assert_eq!(table.domain, KeyDomain::new(0, 500));
+            assert_eq!(table.rows, rows);
         }
-        assert!(spec.tables()[1].schema.references(TableId(0)));
+        assert!(tables[1].schema.references(TableId(0)));
         let mut db_s = Database::new();
         spec.populate(&mut db_s, &|_, _| true);
         assert_eq!(db_s.table(TableId(0)).unwrap().len(), 500);
@@ -1386,28 +1414,54 @@ mod tests {
     #[test]
     fn reconfigure_matches_hand_rolled_after_the_same_change() {
         let mut spec = ycsb_a(2_000).compile().unwrap();
-        let mut hand = Ycsb::new(YcsbConfig::workload_a(2_000));
-        for change in [
-            WorkloadChange::SingleTransaction {
-                txn: "Update".to_string(),
-            },
-            WorkloadChange::ZipfianTheta { theta: 0.4 },
-            WorkloadChange::StandardMix,
-            WorkloadChange::Distribution {
-                distribution: KeyDistribution::Hotspot {
-                    data_fraction: 0.2,
-                    access_fraction: 0.8,
+        for (change, hand) in [
+            (
+                WorkloadChange::SingleTransaction {
+                    txn: "Update".to_string(),
                 },
-            },
+                0x8bde_7005_62b9_9be4u64,
+            ),
+            (
+                WorkloadChange::ZipfianTheta { theta: 0.4 },
+                0x4d7a_1d6a_1584_2959,
+            ),
+            (WorkloadChange::StandardMix, 0xdd7a_efea_59e2_6f07),
+            (
+                WorkloadChange::Distribution {
+                    distribution: KeyDistribution::Hotspot {
+                        data_fraction: 0.2,
+                        access_fraction: 0.8,
+                    },
+                },
+                0x91fc_bcaa_7526_2f65,
+            ),
         ] {
             spec.reconfigure(&change).unwrap();
-            hand.reconfigure(&change).unwrap();
             assert_eq!(
                 spec_stream_digest(&mut spec, 7, 120),
-                spec_stream_digest(&mut hand, 7, 120),
+                hand,
                 "diverged after {change:?}"
             );
         }
+    }
+
+    /// Key arguments with the same table and distribution share one
+    /// sampler, so the drifting window moves with the workload's draws,
+    /// not with each template's — as it did in the hand-written YCSB
+    /// (one sampler for all ops), whose digest under this drift this is.
+    #[test]
+    fn a_drifting_window_advances_once_per_draw_across_templates() {
+        let mut w = ycsb_a(2_000).compile().unwrap();
+        w.reconfigure(&WorkloadChange::Distribution {
+            distribution: KeyDistribution::Drift {
+                data_fraction: 0.1,
+                access_fraction: 0.9,
+                period_txns: 500,
+            },
+        })
+        .unwrap();
+        assert_eq!(w.samplers.len(), 1);
+        assert_eq!(spec_stream_digest(&mut w, 42, 300), 0xe3be_e995_0c45_404b);
     }
 
     #[test]
@@ -1420,7 +1474,7 @@ mod tests {
             .unwrap_err();
         match err {
             ReconfigureError::UnknownTransaction { known, .. } => {
-                assert_eq!(known, vec!["Read", "Update"]);
+                assert_eq!(known, vec!["Read", "Update", "Insert", "Scan", "RMW"]);
             }
             other => panic!("expected UnknownTransaction, got {other}"),
         }
@@ -1563,6 +1617,42 @@ mod tests {
             spec.validate(),
             Err(SpecError::FieldOutOfRange { .. })
         ));
+        // Field index reaching the primary key: column 0 of a single-key
+        // table…
+        let mut spec = ycsb_a(100);
+        spec.templates[1].args[1] = ArgDef::Uniform {
+            name: "field".to_string(),
+            lo: 0,
+            hi: 5,
+        };
+        assert!(matches!(
+            spec.validate(),
+            Err(SpecError::FieldOutOfRange { .. })
+        ));
+        // …and column 1 (`pk_sub`) of a composite-key one, whose only
+        // payload column is 2.
+        let mut spec = simple_ab(100);
+        spec.templates[0].args[1] = ArgDef::Uniform {
+            name: "b".to_string(),
+            lo: 1,
+            hi: 3,
+        };
+        spec.templates[0].phases[0].ops[1] = OpDef::Update {
+            table: "B".to_string(),
+            key: vec!["a".to_string(), "b".to_string()],
+            field: "b".to_string(),
+            value: "a".to_string(),
+        };
+        assert!(matches!(
+            spec.validate(),
+            Err(SpecError::FieldOutOfRange { .. })
+        ));
+        spec.templates[0].args[1] = ArgDef::Uniform {
+            name: "b".to_string(),
+            lo: 2,
+            hi: 3,
+        };
+        assert_eq!(spec.validate(), Ok(()));
         // Insert into a composite-key table.
         let mut spec = simple_ab(100);
         spec.templates[0].phases[0].ops[1] = OpDef::Insert {

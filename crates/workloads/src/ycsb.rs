@@ -12,8 +12,10 @@
 //!
 //! Everything is plain data: a [`YcsbConfig`] (serializable, named
 //! constructors [`YcsbConfig::named`] for the core mixes) fully describes
-//! the generator, and the workload accepts the typed
-//! `WorkloadChange::{NamedMix, ZipfianTheta, Distribution,
+//! the workload, and [`YcsbConfig::spec`] maps it onto five
+//! [`WorkloadSpec`] templates that the spec engine runs — there is no
+//! YCSB generator besides [`CompiledWorkload`].  [`Ycsb`] accepts the
+//! typed `WorkloadChange::{NamedMix, ZipfianTheta, Distribution,
 //! SingleTransaction, StandardMix}` reconfigurations, so scenario
 //! timelines can switch mixes and ramp θ mid-run.
 //!
@@ -30,77 +32,33 @@
 //!   adaptive controller is supposed to chase.  Workload D's
 //!   "read-latest" distribution reads backwards from the insert cursor.
 
-use crate::generator::{KeyDistribution, Mix};
-use atrapos_core::{KeyDomain, KeySampler};
-use atrapos_engine::workload::{ensure_tables, ReconfigureError, WorkloadChange};
-use atrapos_engine::{Action, ActionOp, TableSpec, TransactionSpec, Workload};
+use crate::generator::KeyDistribution;
+use crate::spec::{
+    ArgDef, CompiledWorkload, OpDef, PhaseDef, SpecError, TableDef, TemplateDef, WorkloadSpec,
+};
+use atrapos_engine::workload::{ReconfigureError, WorkloadChange};
+use atrapos_engine::{TableSpec, TransactionSpec, Workload};
 use atrapos_numa::CoreId;
-use atrapos_storage::{Column, ColumnType, Database, Key, Record, Schema, TableId, Value};
+use atrapos_storage::{Database, Key, TableId};
 use rand::rngs::SmallRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// Table id of USERTABLE (the single YCSB table).
-pub const USERTABLE: TableId = TableId(0);
 
 /// Payload fields per record (YCSB's default schema has ten 100-byte
 /// fields; the simulator charges per-row costs, so a compact fixed set
 /// keeps population fast without changing access patterns).
 pub const FIELDS: usize = 4;
 
-/// The five YCSB operation types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum YcsbOp {
-    /// Read one record by key.
-    Read,
-    /// Overwrite one field of one record.
-    Update,
-    /// Insert a new record at the tail of the keyspace.
-    Insert,
-    /// Read a short key range (up to `max_scan_len` records).
-    Scan,
-    /// Read one record, then update one of its fields.
-    ReadModifyWrite,
-}
-
-impl YcsbOp {
-    /// All five operation types.
-    pub const ALL: [YcsbOp; 5] = [
-        YcsbOp::Read,
-        YcsbOp::Update,
-        YcsbOp::Insert,
-        YcsbOp::Scan,
-        YcsbOp::ReadModifyWrite,
-    ];
-
-    /// Human-readable label (used as the transaction class and by
-    /// `WorkloadChange::SingleTransaction`).
-    pub fn label(self) -> &'static str {
-        match self {
-            YcsbOp::Read => "Read",
-            YcsbOp::Update => "Update",
-            YcsbOp::Insert => "Insert",
-            YcsbOp::Scan => "Scan",
-            YcsbOp::ReadModifyWrite => "RMW",
-        }
-    }
-
-    /// Parse a label back into the operation type.
-    pub fn from_label(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|t| t.label() == label)
-    }
-}
-
 /// The names of the six core mixes.
 pub const MIX_NAMES: [&str; 6] = ["A", "B", "C", "D", "E", "F"];
 
-/// A complete, serializable description of a YCSB generator: dataset
+/// A complete, serializable description of a YCSB workload: dataset
 /// size, per-operation weights, scan length, and request distribution.
 ///
 /// The six core mixes are available by name ([`YcsbConfig::named`]); a
 /// config is also directly constructible for custom mixes.  Weights need
 /// not sum to 1 — only their ratios matter — but at least one must be
-/// positive.
+/// positive ([`Ycsb::new`] rejects what [`WorkloadSpec::validate`]
+/// rejects).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct YcsbConfig {
     /// Initially loaded records (keys `0..record_count`).
@@ -221,283 +179,185 @@ impl YcsbConfig {
         self.with_distribution(KeyDistribution::Zipfian { theta })
     }
 
-    /// The operation mix described by the weights.  Panics if no weight
-    /// is positive (an all-zero mix describes no workload).
-    fn mix(&self) -> Mix<YcsbOp> {
-        let entries: Vec<(YcsbOp, f64)> = [
-            (YcsbOp::Read, self.read_weight),
-            (YcsbOp::Update, self.update_weight),
-            (YcsbOp::Insert, self.insert_weight),
-            (YcsbOp::Scan, self.scan_weight),
-            (YcsbOp::ReadModifyWrite, self.rmw_weight),
-        ]
-        .into_iter()
-        .filter(|(_, w)| *w > 0.0)
-        .collect();
-        Mix::new(entries)
+    /// The workload as a spec: one table, five templates in the fixed
+    /// order `Read`, `Update`, `Insert`, `Scan`, `RMW`.  A zero weight
+    /// keeps its template out of the mix but addressable by
+    /// `WorkloadChange::SingleTransaction`; with `latest`, every key is a
+    /// [`ArgDef::LatestKey`].
+    pub fn spec(&self) -> WorkloadSpec {
+        let [table, k, field, value, len] =
+            ["usertable", "k", "field", "value", "len"].map(String::from);
+        let distribution = self.distribution;
+        let key = if self.latest {
+            ArgDef::LatestKey {
+                name: k.clone(),
+                table: table.clone(),
+                distribution,
+            }
+        } else {
+            ArgDef::Key {
+                name: k.clone(),
+                table: table.clone(),
+                distribution,
+            }
+        };
+        let uniform = |name: &String, lo, hi| ArgDef::Uniform {
+            name: name.clone(),
+            lo,
+            hi,
+        };
+        let write_args = vec![
+            key.clone(),
+            uniform(&field, 1, 1 + FIELDS as i64),
+            uniform(&value, 0, 1 << 30),
+        ];
+        // Scan lengths are uniform in `1..=max_scan_len`.
+        let scan_len = uniform(&len, 1, self.max_scan_len.saturating_add(1));
+        let read = OpDef::Read {
+            table: table.clone(),
+            key: vec![k.clone()],
+        };
+        let update = OpDef::Update {
+            table: table.clone(),
+            key: vec![k.clone()],
+            field,
+            value,
+        };
+        let scan = OpDef::Scan {
+            table: table.clone(),
+            key: k,
+            len,
+        };
+        let insert = OpDef::Insert {
+            table: table.clone(),
+        };
+        // One op per phase: RMW's update depends on its read's result, so
+        // the two synchronize at the phase boundary.
+        let template = |name: &str, weight, args, ops: Vec<OpDef>| TemplateDef {
+            name: name.to_string(),
+            weight,
+            args,
+            phases: ops
+                .into_iter()
+                .map(|op| PhaseDef {
+                    ops: vec![op],
+                    sync_bytes: None,
+                })
+                .collect(),
+        };
+        let templates = vec![
+            template(
+                "Read",
+                self.read_weight,
+                vec![key.clone()],
+                vec![read.clone()],
+            ),
+            template(
+                "Update",
+                self.update_weight,
+                write_args.clone(),
+                vec![update.clone()],
+            ),
+            template("Insert", self.insert_weight, vec![], vec![insert]),
+            template("Scan", self.scan_weight, vec![key, scan_len], vec![scan]),
+            template("RMW", self.rmw_weight, write_args, vec![read, update]),
+        ];
+        WorkloadSpec {
+            name: "YCSB".to_string(),
+            tables: vec![TableDef {
+                name: table,
+                keys: self.record_count,
+                sub_rows: 1,
+                payload_fields: FIELDS,
+                parent: None,
+            }],
+            templates,
+        }
     }
 }
 
-/// The YCSB workload generator.
+/// The YCSB workload: [`YcsbConfig::spec`] run by the spec engine.
 ///
-/// `config` is the single source of truth: runtime reconfigurations
-/// write through to it (so [`Ycsb::config`] always describes the
-/// workload as it currently runs and could be serialized for replay),
-/// and the mix / sampler are derived state rebuilt on change.
+/// The handle exists for the one reconfiguration the spec language has no
+/// word for: `NamedMix` swaps in the named core mix's whole spec (weights,
+/// scan length, distribution, latest flag) over the same dataset, and the
+/// insert cursor carries over so tail inserts stay dense.  Everything else
+/// delegates.
 #[derive(Debug, Clone)]
-pub struct Ycsb {
-    config: YcsbConfig,
-    /// Derived from the config weights; a `SingleTransaction`
-    /// reconfiguration overrides it, `StandardMix` rebuilds it.
-    mix: Mix<YcsbOp>,
-    /// Derived from `config.distribution` over `[0, record_count)`;
-    /// rebuilt on reconfiguration so per-transaction draws never
-    /// allocate.
-    sampler: KeySampler,
-    /// Key of the next insert (starts at `record_count`, grows
-    /// monotonically; the generator is the only writer, so the sequence
-    /// is deterministic).
-    insert_cursor: i64,
-}
+pub struct Ycsb(CompiledWorkload);
 
 impl Ycsb {
-    /// Build the workload from a config.
-    pub fn new(config: YcsbConfig) -> Self {
-        assert!(config.record_count > 0, "YCSB needs at least one record");
-        assert!(config.max_scan_len >= 1, "scans need a positive length");
-        let mix = config.mix();
-        let sampler = config.distribution.sampler(0, config.record_count);
-        let insert_cursor = config.record_count;
-        Self {
-            config,
-            mix,
-            sampler,
-            insert_cursor,
-        }
+    /// Compile the workload a config describes; a config that describes
+    /// none (no records, no positive weight, an empty scan range, a
+    /// Zipfian domain past the CDF cap) is a typed error.
+    pub fn new(config: YcsbConfig) -> Result<Self, SpecError> {
+        config.spec().compile().map(Self)
     }
-
-    /// The named core mix ("A"–"F") at the given dataset size.
-    pub fn core(name: &str, record_count: i64) -> Option<Self> {
-        YcsbConfig::named(name, record_count).map(Self::new)
-    }
-
-    /// The workload's current configuration (reconfigurations write
-    /// through, so this always describes the generator as it runs).
-    pub fn config(&self) -> &YcsbConfig {
-        &self.config
-    }
-
-    /// The current request distribution.
-    pub fn distribution(&self) -> KeyDistribution {
-        self.config.distribution
-    }
-
-    /// Change the request distribution at runtime.
-    pub fn set_distribution(&mut self, d: KeyDistribution) {
-        self.config.distribution = d;
-        self.sampler = d.sampler(0, self.config.record_count);
-    }
-
-    /// Switch to another core mix (same dataset), adopting its weights,
-    /// scan length, distribution, and latest flag.
-    pub fn set_named_mix(&mut self, name: &str) -> bool {
-        match YcsbConfig::named(name, self.config.record_count) {
-            Some(config) => {
-                self.mix = config.mix();
-                self.sampler = config.distribution.sampler(0, config.record_count);
-                self.config = config;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Draw the key one read-like operation targets.
-    fn sample_key(&mut self, rng: &mut SmallRng) -> i64 {
-        let rank = self.sampler.sample(rng);
-        if self.config.latest {
-            // Rank 0 = the newest key (the last insert, or the last
-            // loaded record before any insert happened).
-            (self.insert_cursor - 1 - rank).max(0)
-        } else {
-            rank
-        }
-    }
-
-    /// Build one operation of type `op` into the reusable spec buffer.
-    /// Draws from `rng` in a fixed order per operation type, so
-    /// generation is bit-for-bit reproducible.
-    fn build_into(&mut self, op: YcsbOp, rng: &mut SmallRng, spec: &mut TransactionSpec) {
-        match op {
-            YcsbOp::Read => {
-                let k = self.sample_key(rng);
-                let mut w = spec.refill("Read");
-                w.phase().push(Action::new(ActionOp::Read {
-                    table: USERTABLE,
-                    key: Key::int(k),
-                }));
-                w.finish();
-            }
-            YcsbOp::Update => {
-                let k = self.sample_key(rng);
-                let field = 1 + rng.gen_range(0..FIELDS);
-                let value = rng.gen_range(0..1 << 30);
-                let mut w = spec.refill("Update");
-                w.phase().push(Action::new(ActionOp::Update {
-                    table: USERTABLE,
-                    key: Key::int(k),
-                    changes: vec![(field, Value::Int(value))],
-                }));
-                w.finish();
-            }
-            YcsbOp::Insert => {
-                let k = self.insert_cursor;
-                self.insert_cursor += 1;
-                let mut w = spec.refill("Insert");
-                w.phase().push(Action::new(ActionOp::Insert {
-                    table: USERTABLE,
-                    record: record_for(k),
-                }));
-                w.finish();
-            }
-            YcsbOp::Scan => {
-                let start = self.sample_key(rng);
-                let len = rng.gen_range(1..=self.config.max_scan_len);
-                let mut w = spec.refill("Scan");
-                w.phase().push(Action::new(ActionOp::ReadRange {
-                    table: USERTABLE,
-                    from: Key::int(start),
-                    to: Key::int(start + len),
-                    limit: len as usize,
-                }));
-                w.finish();
-            }
-            YcsbOp::ReadModifyWrite => {
-                let k = self.sample_key(rng);
-                let field = 1 + rng.gen_range(0..FIELDS);
-                let value = rng.gen_range(0..1 << 30);
-                // Two phases: the update depends on the read's result, so
-                // they synchronize at the phase boundary.
-                let mut w = spec.refill("RMW");
-                w.phase().push(Action::new(ActionOp::Read {
-                    table: USERTABLE,
-                    key: Key::int(k),
-                }));
-                w.phase().push(Action::new(ActionOp::Update {
-                    table: USERTABLE,
-                    key: Key::int(k),
-                    changes: vec![(field, Value::Int(value))],
-                }));
-                w.finish();
-            }
-        }
-    }
-}
-
-/// The record stored under key `k` (key column plus [`FIELDS`] integer
-/// payload fields).
-fn record_for(k: i64) -> Record {
-    let mut values = Vec::with_capacity(1 + FIELDS);
-    values.push(Value::Int(k));
-    for f in 0..FIELDS as i64 {
-        values.push(Value::Int(k * 10 + f));
-    }
-    Record::new(values)
 }
 
 impl Workload for Ycsb {
     fn name(&self) -> &str {
-        "YCSB"
+        self.0.name()
     }
 
     fn tables(&self) -> Vec<TableSpec> {
-        let mut columns = vec![Column::new("y_id", ColumnType::Int)];
-        for f in 0..FIELDS {
-            columns.push(Column::new(format!("field{f}"), ColumnType::Int));
-        }
-        vec![TableSpec {
-            id: USERTABLE,
-            schema: Schema::new("usertable", columns, vec![0]),
-            domain: KeyDomain::new(0, self.config.record_count),
-            rows: self.config.record_count as u64,
-        }]
+        self.0.tables()
     }
 
     fn populate(&self, db: &mut Database, filter: &dyn Fn(TableId, &Key) -> bool) {
-        ensure_tables(self, db);
-        let table = db.table_mut(USERTABLE).expect("usertable exists");
-        for k in 0..self.config.record_count {
-            let key = Key::int(k);
-            if filter(USERTABLE, &key) {
-                table.load(record_for(k)).expect("unique keys");
-            }
-        }
+        self.0.populate(db, filter)
     }
 
     fn next_transaction(&mut self, rng: &mut SmallRng, client: CoreId) -> TransactionSpec {
-        let mut spec = TransactionSpec::empty();
-        self.next_transaction_into(rng, client, &mut spec);
-        spec
+        self.0.next_transaction(rng, client)
     }
 
     fn next_transaction_into(
         &mut self,
         rng: &mut SmallRng,
-        _client: CoreId,
+        client: CoreId,
         spec: &mut TransactionSpec,
     ) {
-        let op = self.mix.pick(rng);
-        self.build_into(op, rng, spec);
+        self.0.next_transaction_into(rng, client, spec)
     }
 
     fn reconfigure(&mut self, change: &WorkloadChange) -> Result<(), ReconfigureError> {
-        match change {
-            WorkloadChange::SingleTransaction { txn } => match YcsbOp::from_label(txn) {
-                Some(op) => {
-                    self.mix = Mix::single(op);
-                    Ok(())
-                }
-                None => Err(ReconfigureError::UnknownTransaction {
-                    workload: self.name().to_string(),
-                    txn: txn.clone(),
-                    known: YcsbOp::ALL.iter().map(|t| t.label()).collect(),
-                }),
-            },
-            WorkloadChange::StandardMix => {
-                self.mix = self.config.mix();
-                Ok(())
-            }
-            WorkloadChange::Distribution { distribution } => {
-                self.set_distribution(*distribution);
-                Ok(())
-            }
-            WorkloadChange::ZipfianTheta { theta } => {
-                self.set_distribution(KeyDistribution::Zipfian { theta: *theta });
-                Ok(())
-            }
-            WorkloadChange::NamedMix { name } => {
-                if self.set_named_mix(name) {
-                    Ok(())
-                } else {
-                    Err(ReconfigureError::UnknownMix {
-                        workload: self.name().to_string(),
-                        name: name.clone(),
-                        known: MIX_NAMES.to_vec(),
-                    })
-                }
-            }
-            other => Err(ReconfigureError::Unsupported {
+        let WorkloadChange::NamedMix { name } = change else {
+            return self.0.reconfigure(change);
+        };
+        let records = self.0.spec().tables[0].keys;
+        let config =
+            YcsbConfig::named(name, records).ok_or_else(|| ReconfigureError::UnknownMix {
                 workload: self.name().to_string(),
-                change: other.clone(),
-            }),
-        }
+                name: name.clone(),
+                known: MIX_NAMES.to_vec(),
+            })?;
+        // The core mixes are Zipfian, so a dataset past the CDF cap
+        // (loaded under another distribution) cannot switch to one.
+        let mut next = config
+            .spec()
+            .compile()
+            .map_err(|_| ReconfigureError::Unsupported {
+                workload: self.name().to_string(),
+                change: change.clone(),
+            })?;
+        next.carry_insert_cursors(&self.0);
+        self.0 = next;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atrapos_engine::ActionOp;
     use rand::SeedableRng;
+
+    const USERTABLE: TableId = TableId(0);
+
+    fn core(name: &str, record_count: i64) -> Ycsb {
+        Ycsb::new(YcsbConfig::named(name, record_count).unwrap()).unwrap()
+    }
 
     fn ops_of(w: &mut Ycsb, n: usize, seed: u64) -> Vec<&'static str> {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -508,7 +368,7 @@ mod tests {
 
     #[test]
     fn population_loads_the_declared_rows() {
-        let w = Ycsb::new(YcsbConfig::workload_a(500));
+        let w = core("A", 500);
         let mut db = Database::new();
         w.populate(&mut db, &|_, _| true);
         assert_eq!(db.table(USERTABLE).unwrap().len(), 500);
@@ -521,22 +381,22 @@ mod tests {
     #[test]
     fn core_mixes_have_the_standard_shapes() {
         // A: half the operations update; C: none do.
-        let classes_a = ops_of(&mut Ycsb::core("A", 500).unwrap(), 400, 1);
+        let classes_a = ops_of(&mut core("A", 500), 400, 1);
         let updates = classes_a.iter().filter(|c| **c == "Update").count();
         assert!((120..280).contains(&updates), "A updates {updates}");
-        let classes_c = ops_of(&mut Ycsb::core("C", 500).unwrap(), 200, 2);
+        let classes_c = ops_of(&mut core("C", 500), 200, 2);
         assert!(classes_c.iter().all(|c| *c == "Read"));
         // E is scan-dominated, F mixes reads and RMWs.
-        let classes_e = ops_of(&mut Ycsb::core("E", 500).unwrap(), 200, 3);
+        let classes_e = ops_of(&mut core("E", 500), 200, 3);
         assert!(classes_e.iter().filter(|c| **c == "Scan").count() > 150);
-        let classes_f = ops_of(&mut Ycsb::core("F", 500).unwrap(), 200, 4);
+        let classes_f = ops_of(&mut core("F", 500), 200, 4);
         assert!(classes_f.contains(&"RMW") && classes_f.contains(&"Read"));
-        assert!(Ycsb::core("G", 500).is_none());
+        assert!(YcsbConfig::named("G", 500).is_none());
     }
 
     #[test]
     fn inserts_append_monotonically_at_the_tail() {
-        let mut w = Ycsb::new(YcsbConfig::workload_d(100));
+        let mut w = core("D", 100);
         w.reconfigure(&WorkloadChange::SingleTransaction {
             txn: "Insert".into(),
         })
@@ -553,7 +413,7 @@ mod tests {
 
     #[test]
     fn latest_reads_track_the_insert_cursor() {
-        let mut w = Ycsb::new(YcsbConfig::workload_d(1_000));
+        let mut w = core("D", 1_000);
         let mut rng = SmallRng::seed_from_u64(6);
         // Generate a batch; D is 95% reads with the newest keys hottest.
         let mut near_tail = 0;
@@ -577,7 +437,7 @@ mod tests {
 
     #[test]
     fn rmw_reads_then_updates_the_same_key_across_a_sync_point() {
-        let mut w = Ycsb::new(YcsbConfig::workload_f(500));
+        let mut w = core("F", 500);
         w.reconfigure(&WorkloadChange::SingleTransaction { txn: "RMW".into() })
             .unwrap();
         let mut rng = SmallRng::seed_from_u64(7);
@@ -592,7 +452,7 @@ mod tests {
 
     #[test]
     fn scans_stay_short_and_start_in_the_domain() {
-        let mut w = Ycsb::new(YcsbConfig::workload_e(500));
+        let mut w = core("E", 500);
         w.reconfigure(&WorkloadChange::SingleTransaction { txn: "Scan".into() })
             .unwrap();
         let mut rng = SmallRng::seed_from_u64(8);
@@ -613,18 +473,17 @@ mod tests {
 
     #[test]
     fn named_mix_and_theta_reconfigure() {
-        let mut w = Ycsb::new(YcsbConfig::workload_c(500));
+        let mut w = core("C", 500);
         w.reconfigure(&WorkloadChange::NamedMix { name: "A".into() })
             .unwrap();
-        assert_eq!(w.config().update_weight, 0.5);
+        assert_eq!(w.0.spec(), &YcsbConfig::workload_a(500).spec());
         w.reconfigure(&WorkloadChange::ZipfianTheta { theta: 0.0 })
             .unwrap();
-        assert_eq!(w.distribution(), KeyDistribution::Zipfian { theta: 0.0 });
-        // The config writes through: serializing it reproduces the
+        // The spec writes through: serializing it reproduces the
         // workload as it currently runs, not as it started.
         assert_eq!(
-            w.config().distribution,
-            KeyDistribution::Zipfian { theta: 0.0 }
+            w.0.spec(),
+            &YcsbConfig::workload_a(500).with_theta(0.0).spec()
         );
         let err = w
             .reconfigure(&WorkloadChange::NamedMix { name: "Z".into() })
@@ -634,8 +493,8 @@ mod tests {
 
     #[test]
     fn generation_into_buffer_matches_by_value_generation() {
-        let mut a = Ycsb::new(YcsbConfig::workload_a(500));
-        let mut b = Ycsb::new(YcsbConfig::workload_a(500));
+        let mut a = core("A", 500);
+        let mut b = core("A", 500);
         let mut rng_a = SmallRng::seed_from_u64(9);
         let mut rng_b = SmallRng::seed_from_u64(9);
         let mut buf = TransactionSpec::empty();
@@ -654,5 +513,61 @@ mod tests {
             let back: YcsbConfig = serde::json::from_str(&text).unwrap();
             assert_eq!(back, config);
         }
+    }
+
+    #[test]
+    fn named_mix_carries_the_insert_cursor_over() {
+        let insert = WorkloadChange::SingleTransaction {
+            txn: "Insert".into(),
+        };
+        let mut w = core("D", 100);
+        let mut rng = SmallRng::seed_from_u64(10);
+        w.reconfigure(&insert).unwrap();
+        for _ in 0..7 {
+            w.next_transaction(&mut rng, CoreId(0));
+        }
+        w.reconfigure(&WorkloadChange::NamedMix { name: "E".into() })
+            .unwrap();
+        w.reconfigure(&insert).unwrap();
+        let spec = w.next_transaction(&mut rng, CoreId(0));
+        assert_eq!(spec.phases[0].actions[0].op.routing_key_head(), 107);
+    }
+
+    #[test]
+    fn configs_that_describe_no_workload_are_typed_errors() {
+        let a = YcsbConfig::workload_a(500);
+        let no_records = YcsbConfig {
+            record_count: 0,
+            ..a.clone()
+        };
+        assert!(matches!(
+            Ycsb::new(no_records),
+            Err(SpecError::EmptyTable { .. })
+        ));
+        let no_scan_length = YcsbConfig {
+            max_scan_len: 0,
+            ..a.clone()
+        };
+        assert!(matches!(
+            Ycsb::new(no_scan_length),
+            Err(SpecError::EmptyRange { .. })
+        ));
+        let no_weight = YcsbConfig {
+            read_weight: 0.0,
+            update_weight: 0.0,
+            ..a.clone()
+        };
+        assert!(matches!(
+            Ycsb::new(no_weight),
+            Err(SpecError::ZeroWeightSum)
+        ));
+        let oversized_zipfian = YcsbConfig {
+            record_count: (1 << 23) + 1,
+            ..a
+        };
+        assert!(matches!(
+            Ycsb::new(oversized_zipfian),
+            Err(SpecError::ZipfianDomain { .. })
+        ));
     }
 }

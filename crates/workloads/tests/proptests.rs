@@ -1,33 +1,39 @@
 //! Property-based tests for the workload generators: key distributions,
-//! transaction mixes, the microbenchmarks of paper §III, and the TATP and
-//! TPC-C benchmark implementations of §VI.
+//! transaction mixes, the microbenchmarks of paper §III, the TATP and
+//! TPC-C benchmark implementations of §VI, and the spec-run SimpleAb and
+//! YCSB.
 //!
 //! The central property is *routing validity*: every transaction a workload
 //! emits only references tables the workload declares, with routing keys
-//! inside those tables' declared key domains.  That property is what allows
+//! inside those tables' declared key domains — or, for a workload that
+//! grows its table, exactly at the tail.  That property is what allows
 //! any partitioning scheme built from `table_domains()` to route every
-//! action to a live partition.
+//! action to a live partition (every layer routes beyond-domain keys to
+//! the last one).
 
-use atrapos_engine::Workload;
+use atrapos_engine::{ActionOp, Workload};
 use atrapos_numa::CoreId;
 use atrapos_storage::Database;
 use atrapos_workloads::{
     KeyDistribution, Mix, MultiSiteUpdate, ReadManyRows, ReadOneRow, SimpleAb, Tatp, TatpConfig,
-    TatpTxn, Tpcc, TpccConfig, TpccTxn,
+    TatpTxn, Tpcc, TpccConfig, TpccTxn, WorkloadSpec, Ycsb, YcsbConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Assert that every action of every transaction a workload generates routes
-/// to a declared table with a key head inside that table's domain.
+/// to a declared table with a key head inside that table's domain.  The
+/// one way out of the domain is growing it: an insert beyond the domain
+/// must land exactly at the table's tail (the domain's end plus the
+/// inserts so far), and later actions may reach what was inserted.
 fn assert_routing_validity(
     workload: &mut dyn Workload,
     seed: u64,
     clients: &[CoreId],
     transactions: usize,
 ) -> Result<(), TestCaseError> {
-    let domains = workload.table_domains();
+    let mut domains = workload.table_domains();
     let mut rng = SmallRng::seed_from_u64(seed);
     for i in 0..transactions {
         let client = clients[i % clients.len()];
@@ -38,14 +44,26 @@ fn assert_routing_validity(
             prop_assert!(!phase.actions.is_empty(), "empty phase");
             for action in &phase.actions {
                 let table = action.op.table();
-                let domain = domains
-                    .iter()
-                    .find(|(t, _)| *t == table)
-                    .map(|(_, d)| *d)
-                    .ok_or_else(|| {
-                        TestCaseError::fail(format!("action references undeclared table {table}"))
-                    })?;
+                let (_, domain) =
+                    domains
+                        .iter_mut()
+                        .find(|(t, _)| *t == table)
+                        .ok_or_else(|| {
+                            TestCaseError::fail(format!(
+                                "action references undeclared table {table}"
+                            ))
+                        })?;
                 let head = action.op.routing_key_head();
+                if matches!(action.op, ActionOp::Insert { .. }) && head >= domain.hi {
+                    prop_assert_eq!(
+                        head,
+                        domain.hi,
+                        "tail insert into table {} not at the tail",
+                        table
+                    );
+                    domain.hi += 1;
+                    continue;
+                }
                 prop_assert!(
                     head >= domain.lo && head < domain.hi,
                     "routing key {head} outside domain [{}, {}) of table {table}",
@@ -369,7 +387,7 @@ proptest! {
     /// correlated partitions remove all synchronization cost.
     #[test]
     fn simple_ab_actions_share_the_same_a_key(rows_a in 10i64..5_000, seed in any::<u64>()) {
-        let mut w = SimpleAb::new(rows_a);
+        let mut w = SimpleAb::new(rows_a).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..50 {
             let spec = w.next_transaction(&mut rng, CoreId(0));
@@ -387,5 +405,42 @@ proptest! {
         w.populate(&mut db, &|_, _| true);
         let declared: u64 = w.tables().iter().map(|t| t.rows).sum();
         prop_assert_eq!(db.total_records() as u64, declared);
+    }
+
+    // ------------------------------------------------------------------
+    // YCSB
+    // ------------------------------------------------------------------
+
+    /// Any YCSB config — core mix, dataset size, scan length, Zipfian or
+    /// uniform requests, read-latest or not — maps onto a valid spec that
+    /// survives JSON, loads the declared rows, and only generates keys in
+    /// `[0, insert cursor)` with inserts exactly at the cursor.
+    #[test]
+    fn ycsb_configs_compile_populate_and_route(
+        mix in prop::sample::select(vec!["A", "B", "C", "D", "E", "F"]),
+        record_count in 10i64..3_000,
+        max_scan_len in 1i64..200,
+        theta in prop::option::of(0.0f64..1.2),
+        latest in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let config = YcsbConfig {
+            max_scan_len,
+            latest,
+            distribution: theta.map_or(KeyDistribution::Uniform, |theta| {
+                KeyDistribution::Zipfian { theta }
+            }),
+            ..YcsbConfig::named(mix, record_count).expect("core mix")
+        };
+        let spec = config.spec();
+        prop_assert_eq!(spec.validate(), Ok(()));
+        prop_assert_eq!(&WorkloadSpec::from_json(&spec.to_json()).unwrap(), &spec);
+        let mut w = Ycsb::new(config).unwrap();
+        let mut db = Database::new();
+        w.populate(&mut db, &|_, _| true);
+        let declared: u64 = w.tables().iter().map(|t| t.rows).sum();
+        prop_assert_eq!(declared, record_count as u64);
+        prop_assert_eq!(db.total_records() as u64, declared);
+        assert_routing_validity(&mut w, seed, &[CoreId(0), CoreId(1)], 200)?;
     }
 }

@@ -47,9 +47,10 @@ fn main() {
         name: name.to_string(),
         machine: Machine::new(Topology::multisocket(4, 4), CostModel::westmere()),
         design: spec,
-        workload: Box::new(Ycsb::new(
-            YcsbConfig::workload_a(25_000).with_distribution(KeyDistribution::Uniform),
-        )),
+        workload: Box::new(
+            Ycsb::new(YcsbConfig::workload_a(25_000).with_distribution(KeyDistribution::Uniform))
+                .expect("YCSB-A over 25 000 records is a valid config"),
+        ),
         scenario: scenario.clone(),
         config: ExecutorConfig {
             seed: 42,

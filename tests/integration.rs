@@ -170,7 +170,7 @@ fn simple_ab_workload_runs_on_partitioned_designs() {
             2,
             2,
             &spec,
-            Box::new(SimpleAb::new(s.micro_rows / 4)),
+            Box::new(SimpleAb::new(s.micro_rows / 4).unwrap()),
             s.measure_secs,
         );
         assert!(stats.committed > 0);

@@ -200,7 +200,7 @@ fn run_case(case: &Case, spec: &DesignSpec) {
     let clients = m.topology.num_active_cores() as u64;
     let generated = Arc::new(AtomicU64::new(0));
     let workload = Counting {
-        inner: Ycsb::new(case.config.clone()),
+        inner: Ycsb::new(case.config.clone()).unwrap(),
         generated: Arc::clone(&generated),
     };
     let design = spec.build(&m, &workload.inner);
@@ -342,7 +342,7 @@ fn run_open_loop_case(case: &OpenLoopCase, spec: &DesignSpec) {
     let m = machine(2, 2);
     let generated = Arc::new(AtomicU64::new(0));
     let workload = Counting {
-        inner: Ycsb::new(case.config.clone()),
+        inner: Ycsb::new(case.config.clone()).unwrap(),
         generated: Arc::clone(&generated),
     };
     let design = spec.build(&m, &workload.inner);
@@ -395,7 +395,7 @@ use atrapos_workloads::spec::{ArgDef, OpDef, PhaseDef, TableDef, TemplateDef, Wo
 /// the family explores the compiler's whole op vocabulary — point reads,
 /// two-phase RMWs, updates, head-key scans, tail inserts, composite-key
 /// child tables with foreign keys — under the same conservation checks
-/// as the hand-rolled YCSB family.
+/// as the YCSB family.
 #[derive(Debug, Clone)]
 struct SpecCase {
     spec: WorkloadSpec,

@@ -423,10 +423,10 @@ fn replay_rejects_an_out_of_range_socket_with_a_typed_error() {
 // Declarative workload specs are data too
 // ---------------------------------------------------------------------
 
-/// Random valid `WorkloadSpec`s: the two shipped transcriptions with
-/// randomized sizes, weights, distributions, and sync payloads.
+/// Random valid `WorkloadSpec`s: YCSB-A and SimpleAb with randomized
+/// sizes, weights, distributions, and sync payloads.
 fn workload_spec_strategy() -> impl Strategy<Value = atrapos_workloads::WorkloadSpec> {
-    use atrapos_workloads::spec::{simple_ab, ycsb_a, ArgDef};
+    use atrapos_workloads::spec::{simple_ab, ArgDef};
     prop_oneof![
         (
             100i64..100_000,
@@ -435,7 +435,7 @@ fn workload_spec_strategy() -> impl Strategy<Value = atrapos_workloads::Workload
             distribution_strategy()
         )
             .prop_map(|(records, w_read, w_update, dist)| {
-                let mut spec = ycsb_a(records);
+                let mut spec = atrapos_workloads::YcsbConfig::workload_a(records).spec();
                 spec.templates[0].weight = w_read;
                 spec.templates[1].weight = w_update;
                 if let ArgDef::Key { distribution, .. } = &mut spec.templates[0].args[0] {

@@ -1,24 +1,29 @@
-//! Parity lockdown for the declarative workload engine.
+//! Stream lockdown for the one workload engine.
 //!
-//! The `WorkloadSpec` compiler's contract is that a spec transcribing a
-//! hand-rolled workload is *bit-identical* to it.  This suite pins that
-//! contract for the two shipped transcriptions (`examples/specs/
-//! ycsb_a.json` ↔ `Ycsb::workload_a`, `examples/specs/simple_ab.json` ↔
-//! `SimpleAb`) at both ends of the stack:
+//! YCSB and SimpleAb used to exist twice: as hand-written generators and
+//! as `WorkloadSpec`s proven bit-identical to them.  The generators are
+//! gone — `Ycsb` and `SimpleAb` are specs run by `CompiledWorkload` — and
+//! a deleted reference cannot stay the oracle, so what this suite compares
+//! against is what the generators *produced*, recorded at commit d2462b7
+//! (the last one that had them):
 //!
-//! * **spec-stream digests** — FNV-1a over the debug form of 300
-//!   generated transactions at two seeds (the PR-8 technique): any drift
-//!   in mix selection, rng draw order, keys, classes, phase structure, or
-//!   sync payloads changes the digest;
-//! * **full-run outcomes** — the same scenario executed on all four
-//!   YCSB-family designs with the spec-compiled and the hand-rolled
-//!   workload must serialize byte-identically (committed counts
-//!   included), so the equivalence survives population, routing,
-//!   monitoring, and adaptation.
+//! * **spec-stream digests** — FNV-1a over the debug form of generated
+//!   transactions (the PR-8 technique): any drift in mix selection, rng
+//!   draw order, keys, classes, phase structure, or sync payloads changes
+//!   the digest.  Pinned for all six YCSB core mixes and SimpleAb at two
+//!   seeds, for one reconfiguration sequence that crosses two `NamedMix`
+//!   swaps (the insert cursor must carry over), and for the two shipped
+//!   files `examples/specs/{ycsb_a,simple_ab}.json`;
+//! * **full-run outcomes** — the shipped files and the in-crate
+//!   constructors (`Ycsb::new(YcsbConfig::workload_a(n))` names five
+//!   templates, the file only the two weighted ones) must serialize
+//!   byte-identically on all four YCSB-family designs, committed counts
+//!   included.
 
 use atrapos_bench::figures::{spec_job, ycsb_designs};
 use atrapos_bench::Scale;
 use atrapos_engine::scenario::Scenario;
+use atrapos_engine::workload::WorkloadChange;
 use atrapos_engine::Workload;
 use atrapos_numa::CoreId;
 use atrapos_workloads::spec::WorkloadSpec;
@@ -35,31 +40,116 @@ fn shipped(file: &str) -> WorkloadSpec {
     WorkloadSpec::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// FNV-1a digest of `n` transactions' debug representations.
-fn spec_stream_digest(w: &mut dyn Workload, seed: u64, n: usize) -> u64 {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for i in 0..n {
-        let spec = w.next_transaction(&mut rng, CoreId((i % 4) as u32));
+fn ycsb(mix: &str, records: i64) -> Ycsb {
+    Ycsb::new(YcsbConfig::named(mix, records).unwrap()).unwrap()
+}
+
+/// Fold `n` more transactions' debug representations into the running
+/// FNV-1a `hash`; `i` numbers the transactions (it picks the client).
+fn fold_stream(w: &mut dyn Workload, rng: &mut SmallRng, n: usize, i: &mut usize, hash: &mut u64) {
+    for _ in 0..n {
+        let spec = w.next_transaction(rng, CoreId((*i % 4) as u32));
+        *i += 1;
         for byte in format!("{spec:?}").bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            *hash ^= byte as u64;
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a digest of `n` transactions' debug representations.
+fn spec_stream_digest(w: &mut dyn Workload, seed: u64, n: usize) -> u64 {
+    let mut hash = FNV_OFFSET;
+    fold_stream(w, &mut SmallRng::seed_from_u64(seed), n, &mut 0, &mut hash);
     hash
 }
 
+const SEEDS: [u64; 2] = [42, 1337];
+
+#[test]
+fn ycsb_core_mixes_and_simple_ab_match_the_hand_rolled_digests() {
+    // 300 transactions over 2 000 records / 1 000 A rows, seeds 42 and 1337.
+    for (mix, hand) in [
+        ("A", [0xcc4b_27ea_5a21_d5b3u64, 0x801f_d456_ac53_6e0d]),
+        ("B", [0x638e_8d95_dead_13df, 0xa582_a987_9251_a81c]),
+        ("C", [0xf0e5_dba0_74d0_7995, 0x8a97_a3c6_b803_d8ae]),
+        ("D", [0x56c5_eb1c_d7e9_5707, 0x4b9c_ec6a_3cdd_439a]),
+        ("E", [0xae4f_8cd7_fd7c_7218, 0x4a9f_a20a_54b3_3261]),
+        ("F", [0x5003_6dc7_b9a3_0721, 0xc1cf_bc3d_4b1c_511e]),
+    ] {
+        for (seed, hand) in SEEDS.into_iter().zip(hand) {
+            assert_eq!(
+                spec_stream_digest(&mut ycsb(mix, 2_000), seed, 300),
+                hand,
+                "YCSB-{mix}, seed {seed}"
+            );
+        }
+    }
+    for (seed, hand) in SEEDS
+        .into_iter()
+        .zip([0xb3d3_7724_836b_97d7, 0x3c0d_0d3b_6177_dc77])
+    {
+        let mut w = SimpleAb::new(1_000).unwrap();
+        assert_eq!(
+            spec_stream_digest(&mut w, seed, 300),
+            hand,
+            "SimpleAb, seed {seed}"
+        );
+    }
+}
+
+/// One rng, one running digest, through every kind of reconfiguration
+/// YCSB accepts — including two `NamedMix` swaps with inserts before,
+/// between and after them, so a cursor that did not carry over (or a
+/// swap that kept a stale mix or sampler) changes the digest.
+#[test]
+fn a_reconfiguration_sequence_matches_the_hand_rolled_digest() {
+    let mut w = ycsb("A", 2_000);
+    let mut rng = SmallRng::seed_from_u64(11);
+    let (mut i, mut hash) = (0, FNV_OFFSET);
+    fold_stream(&mut w, &mut rng, 100, &mut i, &mut hash);
+    for (change, n) in [
+        (WorkloadChange::NamedMix { name: "D".into() }, 200),
+        (WorkloadChange::ZipfianTheta { theta: 0.6 }, 200),
+        (
+            WorkloadChange::SingleTransaction {
+                txn: "Insert".into(),
+            },
+            20,
+        ),
+        (WorkloadChange::StandardMix, 200),
+        (WorkloadChange::NamedMix { name: "E".into() }, 200),
+    ] {
+        w.reconfigure(&change).unwrap();
+        fold_stream(&mut w, &mut rng, n, &mut i, &mut hash);
+    }
+    assert_eq!(i, 920);
+    assert_eq!(hash, 0x7465_54fa_c68c_3daa);
+}
+
+/// The shipped file at its own size, against the hand-rolled generator's
+/// digest at that size and against the in-crate constructor.
 #[test]
 fn shipped_ycsb_a_spec_digest_matches_hand_rolled() {
     let spec = shipped("ycsb_a.json");
     let records = spec.tables[0].keys;
-    for seed in [42u64, 1337] {
+    assert_eq!(records, 25_000, "the digests below are for this size");
+    for (seed, hand) in SEEDS
+        .into_iter()
+        .zip([0xd445_7806_be70_6cb9, 0x154c_a0a7_96bf_c7a0])
+    {
         let mut compiled = spec.compile().unwrap();
-        let mut hand = Ycsb::new(YcsbConfig::workload_a(records));
         assert_eq!(
             spec_stream_digest(&mut compiled, seed, 300),
-            spec_stream_digest(&mut hand, seed, 300),
+            hand,
             "seed {seed}: shipped ycsb_a.json diverged from the hand-rolled module"
+        );
+        assert_eq!(
+            spec_stream_digest(&mut ycsb("A", records), seed, 300),
+            hand,
+            "seed {seed}: Ycsb A diverged from the hand-rolled module"
         );
     }
 }
@@ -68,14 +158,19 @@ fn shipped_ycsb_a_spec_digest_matches_hand_rolled() {
 fn shipped_simple_ab_spec_digest_matches_hand_rolled() {
     let spec = shipped("simple_ab.json");
     let rows_a = spec.tables[0].keys;
-    for seed in [42u64, 1337] {
+    assert_eq!(rows_a, 10_000, "the digests below are for this size");
+    for (seed, hand) in SEEDS
+        .into_iter()
+        .zip([0x7b31_c464_e546_ce01, 0x7631_279c_81b3_4561])
+    {
         let mut compiled = spec.compile().unwrap();
-        let mut hand = SimpleAb::new(rows_a);
         assert_eq!(
             spec_stream_digest(&mut compiled, seed, 300),
-            spec_stream_digest(&mut hand, seed, 300),
+            hand,
             "seed {seed}: shipped simple_ab.json diverged from the hand-rolled module"
         );
+        let mut constructed = SimpleAb::new(rows_a).unwrap();
+        assert_eq!(spec_stream_digest(&mut constructed, seed, 300), hand);
     }
 }
 
@@ -89,41 +184,42 @@ fn tiny_scale() -> Scale {
     s
 }
 
-/// Run `spec` and a hand-rolled reference across all four designs and
-/// assert every design's entire serialized outcome — committed counts
-/// included — is byte-identical.
-fn assert_full_run_parity(spec: &WorkloadSpec, hand: impl Fn() -> Box<dyn Workload>, what: &str) {
+/// Run the shipped `spec` file and the in-crate constructor across all
+/// four designs and assert every design's entire serialized outcome —
+/// committed counts included — is byte-identical.
+fn assert_full_run_parity(
+    spec: &WorkloadSpec,
+    constructed: impl Fn() -> Box<dyn Workload>,
+    what: &str,
+) {
     let scale = tiny_scale();
     let scenario = Scenario::new("spec-parity", scale.measure_secs);
     for (label, design) in ycsb_designs(&scale) {
-        let spec_outcome = spec_job(
-            format!("spec/{label}"),
-            &scale,
-            spec.compile().unwrap(),
-            design.clone(),
-            &scenario,
-        )
-        .run()
-        .unwrap_or_else(|e| panic!("{what}/{label} (spec): {e}"));
-        let mut hand_job = spec_job(
-            format!("hand/{label}"),
-            &scale,
-            spec.compile().unwrap(),
-            design,
-            &scenario,
-        );
-        hand_job.workload = hand();
-        let hand_outcome = hand_job
+        let job = |name: &str| {
+            spec_job(
+                format!("{name}/{label}"),
+                &scale,
+                spec.compile().unwrap(),
+                design.clone(),
+                &scenario,
+            )
+        };
+        let file_outcome = job("file")
             .run()
-            .unwrap_or_else(|e| panic!("{what}/{label} (hand-rolled): {e}"));
+            .unwrap_or_else(|e| panic!("{what}/{label} (file): {e}"));
+        let mut constructed_job = job("constructed");
+        constructed_job.workload = constructed();
+        let constructed_outcome = constructed_job
+            .run()
+            .unwrap_or_else(|e| panic!("{what}/{label} (constructor): {e}"));
         assert!(
-            spec_outcome.total_committed() > 0,
+            file_outcome.total_committed() > 0,
             "{what}/{label}: the parity run committed nothing"
         );
         assert_eq!(
-            serde::json::to_string_pretty(&spec_outcome),
-            serde::json::to_string_pretty(&hand_outcome),
-            "{what}/{label}: spec-driven and hand-rolled outcomes differ"
+            serde::json::to_string_pretty(&file_outcome),
+            serde::json::to_string_pretty(&constructed_outcome),
+            "{what}/{label}: the shipped file and the constructor ran differently"
         );
     }
 }
@@ -132,35 +228,33 @@ fn assert_full_run_parity(spec: &WorkloadSpec, hand: impl Fn() -> Box<dyn Worklo
 fn ycsb_a_full_run_outcomes_match_on_all_four_designs() {
     let spec = shipped("ycsb_a.json");
     let records = spec.tables[0].keys;
-    assert_full_run_parity(
-        &spec,
-        || Box::new(Ycsb::new(YcsbConfig::workload_a(records))),
-        "ycsb-a",
-    );
+    assert_full_run_parity(&spec, || Box::new(ycsb("A", records)), "ycsb-a");
 }
 
 #[test]
 fn simple_ab_full_run_outcomes_match_on_all_four_designs() {
     let spec = shipped("simple_ab.json");
     let rows_a = spec.tables[0].keys;
-    assert_full_run_parity(&spec, || Box::new(SimpleAb::new(rows_a)), "simple-ab");
+    assert_full_run_parity(
+        &spec,
+        || Box::new(SimpleAb::new(rows_a).unwrap()),
+        "simple-ab",
+    );
 }
 
-/// Reconfiguration events keep working through the compiled engine: the
-/// same theta change applied mid-digest leaves both sides identical.
+/// Reconfiguration events reach the compiled engine through the bare
+/// file and through the `Ycsb` handle alike: after the same theta change
+/// both produce the stream the hand-rolled generator did.
 #[test]
 fn shipped_spec_reconfigures_in_lockstep_with_hand_rolled() {
-    use atrapos_engine::workload::WorkloadChange;
     let spec = shipped("ycsb_a.json");
     let records = spec.tables[0].keys;
     let mut compiled = spec.compile().unwrap();
-    let mut hand = Ycsb::new(YcsbConfig::workload_a(records));
+    let mut handle = ycsb("A", records);
     let change = WorkloadChange::ZipfianTheta { theta: 0.6 };
     compiled.reconfigure(&change).unwrap();
-    hand.reconfigure(&change).unwrap();
-    assert_eq!(
-        spec_stream_digest(&mut compiled, 11, 200),
-        spec_stream_digest(&mut hand, 11, 200),
-        "theta reconfiguration broke spec/hand-rolled lockstep"
-    );
+    handle.reconfigure(&change).unwrap();
+    let hand = 0x8943_9bd1_57c7_23de;
+    assert_eq!(spec_stream_digest(&mut compiled, 11, 200), hand);
+    assert_eq!(spec_stream_digest(&mut handle, 11, 200), hand);
 }
