@@ -73,17 +73,20 @@ impl TxnProtocol {
         txn: TxnId,
         action: &Action,
     ) -> bool {
-        let Ok(bytes) = storage_op(ctx, db, action) else {
+        if storage_op(ctx, db, action).is_err() {
             return false;
-        };
+        }
         if action.op.is_write() {
-            let kind = match &action.op {
-                ActionOp::Insert { .. } => LogRecordKind::Insert,
-                ActionOp::Delete { .. } => LogRecordKind::Delete,
-                _ => LogRecordKind::Update,
+            // An insert logs the whole row; every other write one row image.
+            let (kind, bytes) = match &action.op {
+                ActionOp::Insert { record, .. } => (
+                    LogRecordKind::Insert,
+                    record.size_bytes().max(LOG_BYTES_PER_ROW),
+                ),
+                ActionOp::Delete { .. } => (LogRecordKind::Delete, LOG_BYTES_PER_ROW),
+                _ => (LogRecordKind::Update, LOG_BYTES_PER_ROW),
             };
-            self.log
-                .insert(ctx, txn, kind, bytes.max(LOG_BYTES_PER_ROW));
+            self.log.insert(ctx, txn, kind, bytes);
         }
         true
     }
@@ -110,58 +113,41 @@ impl TxnProtocol {
 }
 
 /// Execute the storage part of an action against `db`, charging costs to
-/// `ctx`.  Returns the approximate number of payload bytes the action
-/// touched (used for synchronization-point sizing).
+/// `ctx`.  A read locates its rows and leaves them alone: nothing on the
+/// transaction path depends on what a record holds.
 // Called once per action by every design's execute loop.
 // lint: hot-path
-pub fn storage_op(ctx: &mut SimCtx<'_>, db: &mut Database, action: &Action) -> StorageResult<u64> {
+pub fn storage_op(ctx: &mut SimCtx<'_>, db: &mut Database, action: &Action) -> StorageResult<()> {
     ctx.work(Component::XctExecution, action.extra_instructions);
     match &action.op {
-        ActionOp::Read { table, key } => {
-            let t = db.table(*table)?;
-            let rec = t.read(ctx, key)?;
-            Ok(rec.size_bytes())
-        }
+        ActionOp::Read { table, key } => db.table(*table)?.read(ctx, key).map(drop),
         ActionOp::ReadRange {
             table,
             from,
             to,
             limit,
         } => {
-            let t = db.table(*table)?;
-            let rows = t.range_read(ctx, Some(from), Some(to), *limit);
-            Ok(rows.iter().map(|r| r.size_bytes()).sum())
+            db.table(*table)?
+                .range_read(ctx, Some(from), Some(to), *limit);
+            Ok(())
         }
         ActionOp::Update {
             table,
             key,
             changes,
-        } => {
-            let t = db.table_mut(*table)?;
-            t.update(ctx, key, changes)?;
-            Ok(LOG_BYTES_PER_ROW)
-        }
+        } => db.table_mut(*table)?.update(ctx, key, changes),
         ActionOp::Increment {
             table,
             key,
             column,
             delta,
-        } => {
-            db.table_mut(*table)?.increment(ctx, key, *column, *delta)?;
-            Ok(LOG_BYTES_PER_ROW)
-        }
+        } => db.table_mut(*table)?.increment(ctx, key, *column, *delta),
         ActionOp::Insert { table, record } => {
             let t = db.table_mut(*table)?;
-            let bytes = record.size_bytes();
             // lint: allow(hot-path-alloc) — the table must own the inserted record; the spec keeps its copy for replay
-            t.insert(ctx, record.clone())?;
-            Ok(bytes.max(LOG_BYTES_PER_ROW))
+            t.insert(ctx, record.clone()).map(drop)
         }
-        ActionOp::Delete { table, key } => {
-            let t = db.table_mut(*table)?;
-            t.delete(ctx, key)?;
-            Ok(LOG_BYTES_PER_ROW)
-        }
+        ActionOp::Delete { table, key } => db.table_mut(*table)?.delete(ctx, key).map(drop),
     }
 }
 
@@ -221,7 +207,7 @@ mod tests {
     use crate::workload::populate_all;
     use crate::workload::testing::TinyUpdateWorkload;
     use atrapos_numa::{CoreId, CostModel, Topology};
-    use atrapos_storage::{Key, TableId, TxnId};
+    use atrapos_storage::{Column, ColumnType, Key, Record, Schema, Table, TableId, TxnId, Value};
 
     fn env() -> (Topology, CostModel, Database) {
         let topo = Topology::multisocket(2, 2);
@@ -239,8 +225,7 @@ mod tests {
             table: TableId(0),
             key: Key::int(5),
         });
-        let bytes = storage_op(&mut ctx, &mut db, &read).unwrap();
-        assert!(bytes > 0);
+        storage_op(&mut ctx, &mut db, &read).unwrap();
         let incr = Action::new(ActionOp::Increment {
             table: TableId(0),
             key: Key::int(5),
@@ -259,6 +244,75 @@ mod tests {
             14
         );
         assert!(ctx.elapsed() > 0);
+    }
+
+    /// The simulated charge of an action — cycles and log traffic — is part
+    /// of the model, whatever the host-side probe does.  The constants were
+    /// recorded at the commit before reads stopped sizing the records they
+    /// locate, when `storage_op` still returned a byte count.
+    #[test]
+    fn run_action_simulated_cost_is_pinned() {
+        let topo = Topology::multisocket(2, 2);
+        let cost = CostModel::westmere();
+        let schema = Schema::new(
+            "wide",
+            vec![
+                Column::new("id", ColumnType::Int),
+                Column::new("v", ColumnType::Int),
+                Column::new("pad", ColumnType::Text),
+            ],
+            vec![0],
+        );
+        let row = |id: i64, pad: usize| {
+            Record::new(vec![
+                Value::Int(id),
+                Value::Int(0),
+                Value::from("x".repeat(pad)),
+            ])
+        };
+        let mut table = Table::new(TableId(0), schema, SocketId(1));
+        table.load_many((0..100).map(|i| row(i, 40))).unwrap();
+        let mut db = Database::new();
+        db.add_table(table);
+        let (table, key) = (TableId(0), Key::int(5));
+        let actions = [
+            ActionOp::Read {
+                table,
+                key: key.clone(),
+            },
+            ActionOp::Update {
+                table,
+                key,
+                changes: vec![(1, Value::Int(9))],
+            },
+            // 316 bytes: wider than the per-row log image.
+            ActionOp::Insert {
+                table,
+                record: row(1_000, 300),
+            },
+            ActionOp::ReadRange {
+                table,
+                from: Key::int(10),
+                to: Key::int(40),
+                limit: 20,
+            },
+        ];
+        let mut protocol = TxnProtocol::centralized(2);
+        let mut ctx = SimCtx::new(&topo, &cost, CoreId(0), 0);
+        let mut seen = Vec::new();
+        for op in actions {
+            assert!(protocol.run_action(&mut ctx, &mut db, TxnId(1), &Action::new(op)));
+            seen.push((
+                ctx.elapsed(),
+                protocol.log.total_records(),
+                protocol.log.total_bytes(),
+            ));
+        }
+        // (cycles so far, log records, log bytes) after each action.
+        assert_eq!(
+            seen,
+            [(870, 0, 0), (2086, 1, 120), (3385, 2, 436), (6095, 2, 436)]
+        );
     }
 
     #[test]

@@ -61,7 +61,8 @@ const TIMELINE_CAPACITY: usize = 48;
 /// A bounded set of disjoint busy intervals on the virtual-time axis.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Timeline {
-    /// Disjoint `[start, end)` intervals sorted by start.
+    /// Disjoint, non-empty `[start, end)` intervals sorted by start — and
+    /// therefore by end.
     intervals: VecDeque<(Cycles, Cycles)>,
 }
 
@@ -70,21 +71,28 @@ impl Timeline {
     /// without overlapping existing intervals.
     pub fn earliest_fit(&self, at: Cycles, duration: Cycles) -> Cycles {
         // Past the horizon nothing can interfere (intervals are disjoint
-        // and sorted): the common case returns without scanning.
+        // and sorted): the common case returns without searching.
         if self.intervals.back().is_none_or(|&(_, e)| at >= e) {
             return at;
         }
+        self.fit(at, duration).0
+    }
+
+    /// [`Timeline::earliest_fit`], plus the index of the first interval
+    /// that begins after the span: where `book` inserts it.
+    fn fit(&self, at: Cycles, duration: Cycles) -> (Cycles, usize) {
+        // Ends are increasing, so the intervals over by `at` are a prefix;
+        // from there on every interval ends after `start`.
+        let mut pos = self.intervals.partition_point(|&(_, e)| e <= at);
         let mut start = at;
-        for &(s, e) in &self.intervals {
-            if e <= start {
-                continue;
-            }
+        while let Some(&(s, e)) = self.intervals.get(pos) {
             if start + duration <= s {
                 break;
             }
             start = e;
+            pos += 1;
         }
-        start
+        (start, pos)
     }
 
     /// Book a busy span of `duration` cycles at the earliest opportunity at
@@ -96,6 +104,7 @@ impl Timeline {
     /// allocation.  This runs on every simulated cache-line access, which
     /// made the previous full rebuild-and-coalesce one of the hottest
     /// allocation sites of the simulator.
+    // lint: hot-path
     pub fn book(&mut self, at: Cycles, duration: Cycles) -> Cycles {
         let duration = duration.max(1);
         // Fast path: requests at or beyond the horizon (the overwhelmingly
@@ -117,13 +126,8 @@ impl Timeline {
             self.intervals.push_back((at, at + duration));
             return at;
         }
-        let start = self.earliest_fit(at, duration);
+        let (start, pos) = self.fit(at, duration);
         let end = start + duration;
-        let pos = self
-            .intervals
-            .iter()
-            .position(|&(s, _)| s > start)
-            .unwrap_or(self.intervals.len());
         let touches_prev = pos > 0 && self.intervals[pos - 1].1 == start;
         let touches_next = pos < self.intervals.len() && self.intervals[pos].0 == end;
         match (touches_prev, touches_next) {
@@ -324,6 +328,7 @@ impl SimResource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn timeline_books_back_to_back_spans() {
@@ -347,6 +352,74 @@ mod tests {
         assert_eq!(tl.book(200, 100), 200);
         // And one that does not fit in the gap goes after.
         assert_eq!(tl.book(9_950, 200), 10_100);
+    }
+
+    /// `Timeline::book` as it was before `fit`: one front-to-back scan for
+    /// the slot and a second for the insert position.  Kept as the
+    /// reference the binary search must reproduce.
+    fn book_linear(tl: &mut Timeline, at: Cycles, duration: Cycles) -> Cycles {
+        let duration = duration.max(1);
+        let mut start = at;
+        for &(s, e) in &tl.intervals {
+            if e <= start {
+                continue;
+            }
+            if start + duration <= s {
+                break;
+            }
+            start = e;
+        }
+        let end = start + duration;
+        let pos = tl
+            .intervals
+            .iter()
+            .position(|&(s, _)| s > start)
+            .unwrap_or(tl.intervals.len());
+        let touches_prev = pos > 0 && tl.intervals[pos - 1].1 == start;
+        let touches_next = pos < tl.intervals.len() && tl.intervals[pos].0 == end;
+        match (touches_prev, touches_next) {
+            (true, true) => {
+                tl.intervals[pos - 1].1 = tl.intervals[pos].1;
+                tl.intervals.remove(pos);
+            }
+            (true, false) => tl.intervals[pos - 1].1 = end,
+            (false, true) => tl.intervals[pos].0 = start,
+            (false, false) => {
+                tl.intervals.insert(pos, (start, end));
+                if tl.intervals.len() > TIMELINE_CAPACITY {
+                    tl.intervals.pop_front();
+                }
+            }
+        }
+        start
+    }
+
+    proptest! {
+        /// Same grant on every call and the same interval set after it as
+        /// the linear reference, on streams that book behind, inside and
+        /// past a full window of live intervals.
+        #[test]
+        fn book_matches_the_linear_reference(
+            stream in prop::collection::vec((0u64..80, 0u64..2_500, 0u64..40), 200..600),
+        ) {
+            let (mut tl, mut reference) = (Timeline::default(), Timeline::default());
+            let (mut base, mut widest) = (10_000u64, 0);
+            for (advance, jitter, duration) in stream {
+                base += advance;
+                let at = base.saturating_sub(jitter);
+                prop_assert_eq!(
+                    tl.earliest_fit(at, duration.max(1)),
+                    book_linear(&mut reference.clone(), at, duration)
+                );
+                prop_assert_eq!(
+                    tl.book(at, duration),
+                    book_linear(&mut reference, at, duration)
+                );
+                prop_assert_eq!(&tl.intervals, &reference.intervals);
+                widest = widest.max(tl.intervals.len());
+            }
+            prop_assert_eq!(widest, TIMELINE_CAPACITY, "the window never filled");
+        }
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! Design notes:
 //! * Classic B+-tree: records live only in leaves; internal nodes hold
 //!   separator keys.
+//! * Every node keeps its keys in a [`KeyColumn`]: the keys plus a packed
+//!   column of 8-byte order-preserving prefixes ([`Key::head_rank`]).  A
+//!   probe binary-searches the 512-byte column and finishes with full key
+//!   compares only where prefixes tie — Graefe & Larson's "poor man's
+//!   normalized keys" (*B-tree indexes and CPU caches*, ICDE 2001).
+//! * Node vectors are sized to the node, not doubled: they grow straight to
+//!   the most a node can hold, and a split trims the half it leaves behind.
 //! * Deletion is *lazy*: entries are removed from leaves without rebalancing
 //!   (a common choice in real systems, e.g. PostgreSQL only reclaims empty
 //!   pages asynchronously).  Lookups, scans, and inserts remain correct;
@@ -18,9 +25,15 @@
 
 use crate::record::{Key, Record};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Maximum number of keys in a node.
 const ORDER: usize = 64;
+
+/// Slots a node's key and value vectors grow to: `ORDER` keys plus the one
+/// whose insert triggers the split.
+const NODE_SLOTS: usize = ORDER + 1;
 
 /// A B+-tree from [`Key`] to [`Record`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -43,7 +56,7 @@ enum Node {
 
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct Leaf {
-    keys: Vec<Key>,
+    keys: KeyColumn,
     values: Vec<Record>,
 }
 
@@ -51,8 +64,194 @@ struct Leaf {
 struct Internal {
     /// Separator keys; `children[i]` holds keys `< keys[i]`,
     /// `children[i+1]` holds keys `>= keys[i]`.
-    keys: Vec<Key>,
+    keys: KeyColumn,
     children: Vec<Node>,
+}
+
+/// The sorted keys of one node, with a parallel packed column of their
+/// [`Key::head_rank`]s.
+///
+/// A node's 64 keys span 40 cache lines; their ranks span 8.  Searches
+/// therefore run on the ranks and go to the keys only for the run of slots
+/// whose rank equals the probe's.  Ranks are *weakly* monotone in the keys
+/// (`a <= b` implies `rank(a) <= rank(b)`): a smaller or larger rank
+/// decides the order, an equal rank decides nothing, so equality — and the
+/// order inside a run of ties — always comes from full key compares.  For
+/// keys of one or two in-range integers every rank is unique and a search
+/// costs at most one full compare; a node whose keys all tie (TPC-C order
+/// lines sharing `(w_id, d_id)`) searches the keys directly.
+///
+/// The column is derived state: it serializes as its keys and is rebuilt
+/// on deserialization.
+#[derive(Debug, Clone, Default)]
+pub struct KeyColumn {
+    keys: Vec<Key>,
+    /// `heads[i] == keys[i].head_rank()`.
+    heads: Vec<i64>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Full `Key` compares the current thread's node searches have made
+    /// (pins the point-probe cost with a deterministic count).
+    pub(crate) static FULL_COMPARES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The one place a node search compares whole keys.
+#[inline]
+fn full_cmp(a: &Key, b: &Key) -> Ordering {
+    #[cfg(test)]
+    FULL_COMPARES.with(|n| n.set(n.get() + 1));
+    a.cmp(b)
+}
+
+/// Make room for one more element of a node vector that holds at most
+/// `slots`: grow straight to `slots`, never by doubling.
+#[inline]
+fn reserve_slot<T>(v: &mut Vec<T>, slots: usize) {
+    if v.len() == v.capacity() {
+        v.reserve_exact(slots.saturating_sub(v.len()).max(1));
+    }
+}
+
+/// Split a node vector at `mid`, trimming the left half to its length: an
+/// ascending load (every populate, every TPC-C order insert) never touches
+/// the left half again, so spare slots there would stay empty for good.
+fn split_exact<T>(v: &mut Vec<T>, mid: usize) -> Vec<T> {
+    let right = v.split_off(mid);
+    v.shrink_to_fit();
+    right
+}
+
+impl KeyColumn {
+    /// A column over `keys`, which must be sorted and duplicate-free.
+    fn from_keys(keys: Vec<Key>) -> Self {
+        let heads = keys.iter().map(Key::head_rank).collect();
+        Self { keys, heads }
+    }
+
+    /// The keys, in order.
+    #[inline]
+    pub fn keys(&self) -> &[Key] {
+        &self.keys
+    }
+
+    /// Number of keys.
+    #[inline]
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The slots whose rank equals the probe's.  Every key before the run
+    /// is smaller than `probe` and every key after it is greater, so a
+    /// search only has to compare keys inside it.
+    #[inline]
+    fn rank_run(&self, probe: &Key) -> Range<usize> {
+        let heads = self.heads.as_slice();
+        // All ranks tie (or the node is empty): the column narrows nothing.
+        if heads.first() == heads.last() {
+            return 0..heads.len();
+        }
+        let rank = probe.head_rank();
+        let lo = heads.partition_point(|&h| h < rank);
+        let mut hi = lo;
+        if heads.get(hi) == Some(&rank) {
+            hi += 1;
+            // Ranks are nearly always unique; only a tie pays a second
+            // search for the end of the run.
+            if heads.get(hi) == Some(&rank) {
+                hi += 1 + heads[hi + 1..].partition_point(|&h| h == rank);
+            }
+        }
+        lo..hi
+    }
+
+    /// `<[Key]>::binary_search`: the slot holding `probe`, or the slot it
+    /// would be inserted at.
+    // Once per node on every descent.
+    // lint: hot-path
+    #[inline]
+    pub fn search(&self, probe: &Key) -> Result<usize, usize> {
+        let run = self.rank_run(probe);
+        let lo = run.start;
+        self.keys[run]
+            .binary_search_by(|k| full_cmp(k, probe))
+            .map(|i| lo + i)
+            .map_err(|i| lo + i)
+    }
+
+    /// The first slot whose key is `>= probe` (which may be shorter than
+    /// the stored keys: a range bound).
+    // Once per node on every cursor descent.
+    // lint: hot-path
+    #[inline]
+    pub fn lower_bound(&self, probe: &Key) -> usize {
+        let run = self.rank_run(probe);
+        run.start + self.keys[run].partition_point(|k| full_cmp(k, probe) == Ordering::Less)
+    }
+
+    /// Insert `key` at slot `i` (as returned by a failed [`Self::search`]).
+    pub fn insert(&mut self, i: usize, key: Key) {
+        reserve_slot(&mut self.keys, NODE_SLOTS);
+        reserve_slot(&mut self.heads, NODE_SLOTS);
+        self.heads.insert(i, key.head_rank());
+        self.keys.insert(i, key);
+    }
+
+    /// Remove and return the key at slot `i`.
+    pub fn remove(&mut self, i: usize) -> Key {
+        self.heads.remove(i);
+        self.keys.remove(i)
+    }
+
+    /// Remove and return the last key.
+    fn pop(&mut self) -> Option<Key> {
+        self.heads.pop();
+        self.keys.pop()
+    }
+
+    /// Move the keys from slot `mid` on into a new column.
+    pub fn split_off(&mut self, mid: usize) -> KeyColumn {
+        KeyColumn {
+            keys: split_exact(&mut self.keys, mid),
+            heads: split_exact(&mut self.heads, mid),
+        }
+    }
+
+    /// Consume the column into its keys.
+    fn into_keys(self) -> Vec<Key> {
+        self.keys
+    }
+
+    /// Verify that the keys are strictly increasing and the rank column
+    /// matches them.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if let Some(w) = self.keys.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!("node keys out of order: {} >= {}", w[0], w[1]));
+        }
+        if self.heads.len() != self.keys.len()
+            || self
+                .keys
+                .iter()
+                .zip(&self.heads)
+                .any(|(k, &h)| k.head_rank() != h)
+        {
+            return Err("rank column does not match the node's keys".into());
+        }
+        Ok(())
+    }
+}
+
+impl serde::ser::Serialize for KeyColumn {
+    fn to_value(&self) -> serde::Value {
+        serde::ser::Serialize::to_value(&self.keys)
+    }
+}
+
+impl serde::de::Deserialize for KeyColumn {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        <Vec<Key> as serde::de::Deserialize>::from_value(v).map(KeyColumn::from_keys)
+    }
 }
 
 impl Default for BTree {
@@ -101,12 +300,14 @@ impl BTree {
     }
 
     /// Look up a key.
+    // One per simulated read action.
+    // lint: hot-path
     pub fn get(&self, key: &Key) -> Option<&Record> {
         let mut node = &self.root;
         loop {
             match node {
                 Node::Leaf(leaf) => {
-                    return leaf.keys.binary_search(key).ok().map(|i| &leaf.values[i]);
+                    return leaf.keys.search(key).ok().map(|i| &leaf.values[i]);
                 }
                 Node::Internal(internal) => {
                     node = &internal.children[internal.child_index(key)];
@@ -116,12 +317,14 @@ impl BTree {
     }
 
     /// Mutable lookup.
+    // One per simulated update / increment action.
+    // lint: hot-path
     pub fn get_mut(&mut self, key: &Key) -> Option<&mut Record> {
         let mut node = &mut self.root;
         loop {
             match node {
                 Node::Leaf(leaf) => {
-                    return match leaf.keys.binary_search(key) {
+                    return match leaf.keys.search(key) {
                         Ok(i) => Some(&mut leaf.values[i]),
                         Err(_) => None,
                     };
@@ -142,19 +345,32 @@ impl BTree {
     /// Insert a key/record pair.  Returns the previous record if the key was
     /// already present (the pair is replaced).
     pub fn insert(&mut self, key: Key, record: Record) -> Option<Record> {
-        let (replaced, split) = self.root.insert(key, record);
+        self.insert_with(key, record, true)
+    }
+
+    /// Insert a key/record pair unless the key is already present: a
+    /// present key leaves the tree untouched and hands `record` back.
+    pub fn insert_new(&mut self, key: Key, record: Record) -> Result<(), Record> {
+        self.insert_with(key, record, false).map_or(Ok(()), Err)
+    }
+
+    /// Insert; on a present key either replace its record or leave it.
+    /// Returns the record that is not in the tree afterwards: the displaced
+    /// one when replacing, `record` itself otherwise, `None` for a new key.
+    fn insert_with(&mut self, key: Key, record: Record, replace: bool) -> Option<Record> {
+        let (left_out, split) = self.root.insert(key, record, replace);
         if let Some((sep, right)) = split {
             let old_root = std::mem::replace(&mut self.root, Node::Leaf(Leaf::default()));
             self.root = Node::Internal(Internal {
-                keys: vec![sep],
+                keys: KeyColumn::from_keys(vec![sep]),
                 children: vec![old_root, right],
             });
             self.height += 1;
         }
-        if replaced.is_none() {
+        if left_out.is_none() {
             self.len += 1;
         }
-        replaced
+        left_out
     }
 
     /// Remove a key.  Returns the removed record, if any.
@@ -212,6 +428,7 @@ impl BTree {
             let chunk: Vec<(Key, Record)> = it.by_ref().take(per_leaf).collect();
             let first = chunk[0].0.clone();
             let (keys, values) = chunk.into_iter().unzip();
+            let keys = KeyColumn::from_keys(keys);
             leaves.push((first, Node::Leaf(Leaf { keys, values })));
         }
         // Build internal levels bottom-up.
@@ -233,6 +450,7 @@ impl BTree {
                     }
                     children.push(n);
                 }
+                let keys = KeyColumn::from_keys(keys);
                 next.push((first, Node::Internal(Internal { keys, children })));
             }
             level = next;
@@ -246,7 +464,10 @@ impl BTree {
     /// *split* repartitioning action.
     pub fn split_off(&mut self, boundary: &Key) -> BTree {
         let mut left = std::mem::take(self).into_pairs();
-        let right = left.split_off(left.partition_point(|(k, _)| k < boundary));
+        // Every pair is moved twice below, so a linear scan costs nothing
+        // next to it — and node searches stay `KeyColumn`'s alone.
+        let at = left.iter().take_while(|(k, _)| k < boundary).count();
+        let right = left.split_off(at);
         *self = BTree::bulk_load(left);
         BTree::bulk_load(right)
     }
@@ -261,8 +482,17 @@ impl BTree {
         let mut all = std::mem::take(self).into_pairs();
         all.reserve(other.len);
         other.root.drain_into(&mut all);
+        // The stable sort keeps `self`'s pair ahead of `other`'s on an equal
+        // key and `dedup_by` drops the later of the two, so swap first: the
+        // survivor carries `other`'s record.
         all.sort_by(|a, b| a.0.cmp(&b.0));
-        all.dedup_by(|a, b| a.0 == b.0);
+        all.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
         *self = BTree::bulk_load(all);
     }
 
@@ -275,7 +505,8 @@ impl BTree {
     }
 
     /// Verify the B+-tree structural invariants (key order within nodes,
-    /// separator correctness, length).  Used by tests.
+    /// rank columns matching their keys, separator correctness, length).
+    /// Used by tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut count = 0usize;
         let mut last: Option<&Key> = None;
@@ -309,7 +540,7 @@ impl Internal {
     /// Index of the child that may contain `key`.
     #[inline]
     fn child_index(&self, key: &Key) -> usize {
-        match self.keys.binary_search(key) {
+        match self.keys.search(key) {
             Ok(i) => i + 1,
             Err(i) => i,
         }
@@ -317,62 +548,55 @@ impl Internal {
 }
 
 impl Node {
-    /// Insert, returning (replaced value, optional split: (separator, right sibling)).
-    fn insert(&mut self, key: Key, record: Record) -> (Option<Record>, Option<(Key, Node)>) {
+    /// Insert, returning (the record left out of the tree, as
+    /// [`BTree::insert_with`] defines it; optional split: (separator, right
+    /// sibling)).
+    fn insert(
+        &mut self,
+        key: Key,
+        record: Record,
+        replace: bool,
+    ) -> (Option<Record>, Option<(Key, Node)>) {
         match self {
-            Node::Leaf(leaf) => match leaf.keys.binary_search(&key) {
-                Ok(i) => {
-                    let old = std::mem::replace(&mut leaf.values[i], record);
-                    (Some(old), None)
-                }
+            Node::Leaf(leaf) => match leaf.keys.search(&key) {
+                Ok(i) if replace => (Some(std::mem::replace(&mut leaf.values[i], record)), None),
+                Ok(_) => (Some(record), None),
                 Err(i) => {
                     leaf.keys.insert(i, key);
+                    reserve_slot(&mut leaf.values, NODE_SLOTS);
                     leaf.values.insert(i, record);
-                    if leaf.keys.len() > ORDER {
-                        let mid = leaf.keys.len() / 2;
-                        let right_keys = leaf.keys.split_off(mid);
-                        let right_vals = leaf.values.split_off(mid);
-                        let sep = right_keys[0].clone();
-                        (
-                            None,
-                            Some((
-                                sep,
-                                Node::Leaf(Leaf {
-                                    keys: right_keys,
-                                    values: right_vals,
-                                }),
-                            )),
-                        )
-                    } else {
-                        (None, None)
+                    if leaf.keys.len() <= ORDER {
+                        return (None, None);
                     }
+                    let mid = leaf.keys.len() / 2;
+                    let right = Leaf {
+                        keys: leaf.keys.split_off(mid),
+                        values: split_exact(&mut leaf.values, mid),
+                    };
+                    let sep = right.keys.keys()[0].clone();
+                    (None, Some((sep, Node::Leaf(right))))
                 }
             },
             Node::Internal(internal) => {
                 let idx = internal.child_index(&key);
-                let (replaced, split) = internal.children[idx].insert(key, record);
-                if let Some((sep, right)) = split {
-                    internal.keys.insert(idx, sep);
-                    internal.children.insert(idx + 1, right);
-                    if internal.keys.len() > ORDER {
-                        let mid = internal.keys.len() / 2;
-                        let sep = internal.keys[mid].clone();
-                        let right_keys = internal.keys.split_off(mid + 1);
-                        internal.keys.pop(); // drop the separator itself
-                        let right_children = internal.children.split_off(mid + 1);
-                        return (
-                            replaced,
-                            Some((
-                                sep,
-                                Node::Internal(Internal {
-                                    keys: right_keys,
-                                    children: right_children,
-                                }),
-                            )),
-                        );
-                    }
+                let (left_out, split) = internal.children[idx].insert(key, record, replace);
+                let Some((sep, right)) = split else {
+                    return (left_out, None);
+                };
+                internal.keys.insert(idx, sep);
+                reserve_slot(&mut internal.children, NODE_SLOTS + 1);
+                internal.children.insert(idx + 1, right);
+                if internal.keys.len() <= ORDER {
+                    return (left_out, None);
                 }
-                (replaced, None)
+                // The middle separator moves up; it stays in neither half.
+                let mid = internal.keys.len() / 2;
+                let right = Internal {
+                    keys: internal.keys.split_off(mid + 1),
+                    children: split_exact(&mut internal.children, mid + 1),
+                };
+                let sep = internal.keys.pop().expect("a full node has a middle key");
+                (left_out, Some((sep, Node::Internal(right))))
             }
         }
     }
@@ -380,7 +604,7 @@ impl Node {
     /// Lazy removal: delete from the leaf without rebalancing.
     fn remove(&mut self, key: &Key) -> Option<Record> {
         match self {
-            Node::Leaf(leaf) => match leaf.keys.binary_search(key) {
+            Node::Leaf(leaf) => match leaf.keys.search(key) {
                 Ok(i) => {
                     leaf.keys.remove(i);
                     Some(leaf.values.remove(i))
@@ -397,7 +621,7 @@ impl Node {
     /// Largest key below this node, skipping lazily emptied leaves.
     fn max_key(&self) -> Option<&Key> {
         match self {
-            Node::Leaf(leaf) => leaf.keys.last(),
+            Node::Leaf(leaf) => leaf.keys.keys().last(),
             Node::Internal(internal) => internal.children.iter().rev().find_map(Node::max_key),
         }
     }
@@ -405,7 +629,7 @@ impl Node {
     /// Move every entry below this node into `out`, in key order.
     fn drain_into(self, out: &mut Vec<(Key, Record)>) {
         match self {
-            Node::Leaf(leaf) => out.extend(leaf.keys.into_iter().zip(leaf.values)),
+            Node::Leaf(leaf) => out.extend(leaf.keys.into_keys().into_iter().zip(leaf.values)),
             Node::Internal(internal) => {
                 for child in internal.children {
                     child.drain_into(out);
@@ -421,7 +645,8 @@ impl Node {
                 if leaf.keys.len() != leaf.values.len() {
                     return Err("leaf keys/values length mismatch".into());
                 }
-                for k in &leaf.keys {
+                leaf.keys.check_invariants()?;
+                for k in leaf.keys.keys() {
                     if let Some(lo) = lower {
                         if k < lo {
                             return Err(format!("leaf key {k} below lower bound {lo}"));
@@ -439,19 +664,14 @@ impl Node {
                 if internal.children.len() != internal.keys.len() + 1 {
                     return Err("internal children/keys arity mismatch".into());
                 }
-                if internal.keys.windows(2).any(|w| w[0] >= w[1]) {
-                    return Err("internal separator keys out of order".into());
-                }
+                internal.keys.check_invariants()?;
+                let seps = internal.keys.keys();
                 for (i, child) in internal.children.iter().enumerate() {
-                    let lo = if i == 0 {
-                        lower
-                    } else {
-                        Some(&internal.keys[i - 1])
-                    };
-                    let hi = if i == internal.keys.len() {
+                    let lo = if i == 0 { lower } else { Some(&seps[i - 1]) };
+                    let hi = if i == seps.len() {
                         upper
                     } else {
-                        Some(&internal.keys[i])
+                        Some(&seps[i])
                     };
                     child.check(lo, hi)?;
                 }
@@ -501,7 +721,7 @@ impl<'a> Iter<'a> {
             NODE_VISITS.with(|n| n.set(n.get() + 1));
             match node {
                 Node::Leaf(leaf) => {
-                    let idx = from.map_or(0, |f| leaf.keys.partition_point(|k| k < f));
+                    let idx = from.map_or(0, |f| leaf.keys.lower_bound(f));
                     self.leaf = Some((leaf, idx));
                     return;
                 }
@@ -535,7 +755,7 @@ impl<'a> Iterator for Iter<'a> {
             match self.leaf {
                 Some((leaf, idx)) if idx < leaf.keys.len() => {
                     self.leaf = Some((leaf, idx + 1));
-                    return Some((&leaf.keys[idx], &leaf.values[idx]));
+                    return Some((&leaf.keys.keys()[idx], &leaf.values[idx]));
                 }
                 Some(_) => {
                     if !self.advance_to_next_leaf() {
@@ -693,6 +913,83 @@ mod tests {
         a.check_invariants().unwrap();
         assert!(a.contains(&Key::int(0)));
         assert!(a.contains(&Key::int(899)));
+    }
+
+    /// `merge_from` keeps its documented side of an overlap: `other`'s.
+    #[test]
+    fn merge_from_keeps_the_other_trees_record_on_equal_keys() {
+        let mut a = BTree::bulk_load((0..100).map(|i| (Key::int(i), rec(i))).collect());
+        let b = BTree::bulk_load((50..150).map(|i| (Key::int(i), rec(i + 1_000))).collect());
+        a.merge_from(b);
+        assert_eq!(a.len(), 150);
+        a.check_invariants().unwrap();
+        for i in 0..150 {
+            let want = if i < 50 { i } else { i + 1_000 };
+            assert_eq!(a.get(&Key::int(i)).unwrap().get(0).as_int(), want);
+        }
+    }
+
+    #[test]
+    fn insert_new_leaves_a_present_key_alone() {
+        let mut t = BTree::new();
+        assert!(t.insert_new(Key::int(1), rec(1)).is_ok());
+        let rejected = t.insert_new(Key::int(1), rec(99)).unwrap_err();
+        assert_eq!(rejected.get(0).as_int(), 99);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.get(&Key::int(1)).unwrap().get(0).as_int(), 1);
+    }
+
+    /// The capacity rule, pinned: node vectors grow to `ORDER + 1` slots and
+    /// a split trims the half it leaves behind, so an ascending load — whose
+    /// left halves are never touched again — carries next to no spare slots
+    /// (doubling vectors left about 2.06 slots per key).
+    #[test]
+    fn ascending_load_leaves_no_spare_leaf_capacity() {
+        fn leaves<'a>(node: &'a Node, out: &mut Vec<&'a Leaf>) {
+            match node {
+                Node::Leaf(leaf) => out.push(leaf),
+                Node::Internal(internal) => {
+                    internal.children.iter().for_each(|c| leaves(c, out));
+                }
+            }
+        }
+        let mut t = BTree::new();
+        for i in 0..10_000 {
+            t.insert(Key::int(i), rec(i));
+        }
+        let mut all = Vec::new();
+        leaves(&t.root, &mut all);
+        let mut total = 0;
+        for leaf in all {
+            let caps = [
+                leaf.keys.keys.capacity(),
+                leaf.keys.heads.capacity(),
+                leaf.values.capacity(),
+            ];
+            assert!(caps.iter().all(|&c| c <= ORDER + 1), "{caps:?}");
+            total += caps[0].max(caps[2]);
+        }
+        assert!(
+            total * 10 <= t.len() * 11,
+            "{total} slots for {} keys",
+            t.len()
+        );
+    }
+
+    /// The rank column is derived state: a tree serializes its keys only
+    /// and comes back with the column rebuilt.
+    #[test]
+    fn serde_roundtrip_rebuilds_the_rank_columns() {
+        let mut t = BTree::new();
+        for i in 0..300 {
+            t.insert(Key::ints(&[i / 7, i % 7]), rec(i));
+        }
+        let text = serde::json::to_string(&t);
+        assert!(!text.contains("heads"));
+        let back: BTree = serde::json::from_str(&text).unwrap();
+        back.check_invariants().unwrap();
+        assert_eq!(back.height(), t.height());
+        assert!(back.iter().eq(t.iter()));
     }
 
     #[test]

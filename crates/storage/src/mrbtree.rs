@@ -121,6 +121,7 @@ impl MrBTree {
     /// O(partitions) scan this used to be — `partition_for` runs twice per
     /// simulated storage operation, which made it one of the hottest spots
     /// of the whole simulator on many-core machines.
+    // lint: hot-path
     #[inline]
     pub fn partition_for(&self, key: &Key) -> usize {
         // First index in 1.. whose lower bound exceeds `key`; the owner is
@@ -184,14 +185,16 @@ impl MrBTree {
     /// Insert a key/record pair, returning the replaced record if any.
     pub fn insert(&mut self, key: Key, record: Record) -> Option<Record> {
         let idx = self.partition_for(&key);
-        self.insert_in(idx, key, record)
+        self.partitions[idx].tree.insert(key, record)
     }
 
-    /// Insert within a known partition (must be `partition_for(&key)`).
+    /// Insert a new key within a known partition (must be
+    /// `partition_for(&key)`).  A key that is already present leaves the
+    /// tree untouched and hands `record` back.
     #[inline]
-    pub fn insert_in(&mut self, idx: usize, key: Key, record: Record) -> Option<Record> {
+    pub fn insert_new_in(&mut self, idx: usize, key: Key, record: Record) -> Result<(), Record> {
         debug_assert_eq!(idx, self.partition_for(&key));
-        self.partitions[idx].tree.insert(key, record)
+        self.partitions[idx].tree.insert_new(key, record)
     }
 
     /// Remove within a known partition (must be `partition_for(key)`).

@@ -91,13 +91,20 @@ impl Table {
             });
         }
         let key = record.key(&self.schema);
-        if self.index.insert(key.clone(), record).is_some() {
-            return Err(StorageError::DuplicateKey {
+        let partition = self.index.partition_for(&key);
+        self.insert_new(partition, key, record).map(drop)
+    }
+
+    /// Add `record` under `key` to `partition`.  A key that is already
+    /// there is an error and keeps the record it has.
+    fn insert_new(&mut self, partition: usize, key: Key, record: Record) -> StorageResult<Key> {
+        match self.index.insert_new_in(partition, key.clone(), record) {
+            Ok(()) => Ok(key),
+            Err(_rejected) => Err(StorageError::DuplicateKey {
                 table: self.id,
                 key,
-            });
+            }),
         }
-        Ok(())
     }
 
     /// Bulk-populate from an iterator of records (initial load).
@@ -124,9 +131,11 @@ impl Table {
         );
     }
 
-    /// Read a record by primary key.  Returns a borrow — the hot path only
-    /// inspects the record (sizes, column values); callers that need an
-    /// owned copy clone at the call site.
+    /// Read a record by primary key.  Returns a borrow — the hot path does
+    /// not even look inside the record; callers that need an owned copy
+    /// clone at the call site.
+    // One per simulated read action.
+    // lint: hot-path
     pub fn read(&self, ctx: &mut SimCtx<'_>, key: &Key) -> StorageResult<&Record> {
         let partition = self.index.partition_for(key);
         self.charge_probe(ctx, partition);
@@ -135,12 +144,15 @@ impl Table {
             .get_in(partition, key)
             .ok_or_else(|| StorageError::KeyNotFound {
                 table: self.id,
+                // lint: allow(hot-path-alloc) — error path only, and Key stores up to four ints inline
                 key: key.clone(),
             })
     }
 
     /// Locate an existing record for an in-place write of `columns`
     /// columns: one index probe, charged as probe + tuple work.
+    // One per simulated update / increment action.
+    // lint: hot-path
     fn probe_for_update(
         &mut self,
         ctx: &mut SimCtx<'_>,
@@ -157,6 +169,7 @@ impl Table {
             .get_mut_in(partition, key)
             .ok_or_else(|| StorageError::KeyNotFound {
                 table: self.id,
+                // lint: allow(hot-path-alloc) — error path only, and Key stores up to four ints inline
                 key: key.clone(),
             })
     }
@@ -207,17 +220,7 @@ impl Table {
             Component::XctExecution,
             TUPLE_WORK_INSTRUCTIONS + STRUCTURE_CHANGE_INSTRUCTIONS,
         );
-        if self
-            .index
-            .insert_in(partition, key.clone(), record)
-            .is_some()
-        {
-            return Err(StorageError::DuplicateKey {
-                table: self.id,
-                key,
-            });
-        }
-        Ok(key)
+        self.insert_new(partition, key, record)
     }
 
     /// Delete a record by primary key.
@@ -339,6 +342,9 @@ mod tests {
             table.load(rec(1, 20)),
             Err(StorageError::DuplicateKey { .. })
         ));
+        // The rejected load left the row it collided with alone.
+        assert_eq!(table.peek(&Key::int(1)).unwrap().get(1).as_int(), 10);
+        assert_eq!(table.len(), 1);
     }
 
     #[test]
@@ -374,7 +380,13 @@ mod tests {
         let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
         let key = table.insert(&mut ctx, rec(1, 100)).unwrap();
         assert_eq!(key, Key::int(1));
-        assert!(table.insert(&mut ctx, rec(1, 100)).is_err());
+        // A rejected insert leaves the table untouched.
+        assert!(matches!(
+            table.insert(&mut ctx, rec(1, 999)),
+            Err(StorageError::DuplicateKey { .. })
+        ));
+        assert_eq!(table.peek(&Key::int(1)).unwrap().get(1).as_int(), 100);
+        assert_eq!(table.len(), 1);
         let removed = table.delete(&mut ctx, &Key::int(1)).unwrap();
         assert_eq!(removed.get(1).as_int(), 100);
         assert!(table.delete(&mut ctx, &Key::int(1)).is_err());
@@ -488,6 +500,45 @@ mod tests {
             assert!(
                 visits <= height + 3,
                 "scan from {from} visited {visits} nodes (height {height})"
+            );
+        }
+    }
+
+    /// Point-probe cost, pinned by a count: on single-int keys every rank
+    /// in a node's packed column is unique, so a probe compares whole keys
+    /// at most once per level — where a binary search over the keys
+    /// themselves makes about six.
+    #[test]
+    fn point_probes_compare_whole_keys_at_most_once_per_level() {
+        use crate::btree::FULL_COMPARES;
+        const ROWS: i64 = 200_000;
+        let (t, c) = env();
+        let schema = Schema::new(
+            "narrow",
+            vec![
+                Column::new("id", ColumnType::Int),
+                Column::new("v", ColumnType::Int),
+            ],
+            vec![0],
+        );
+        let mut table = Table::new(TableId(0), schema, SocketId(0));
+        table
+            .load_many((0..ROWS).map(|i| Record::new(vec![Value::Int(2 * i), Value::Int(i)])))
+            .unwrap();
+        let height = table.index().partition(0).tree.height();
+        assert!(
+            height >= 3,
+            "the table must be deep enough to mean something"
+        );
+        let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
+        // Present (even) and absent (odd) keys across the whole key space.
+        for key in (0..2 * ROWS).step_by(997) {
+            FULL_COMPARES.with(|n| n.set(0));
+            assert_eq!(table.read(&mut ctx, &Key::int(key)).is_ok(), key % 2 == 0);
+            let compares = FULL_COMPARES.with(|n| n.get());
+            assert!(
+                compares <= height,
+                "probe for {key} made {compares} full compares (height {height})"
             );
         }
     }

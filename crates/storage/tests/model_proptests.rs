@@ -11,6 +11,10 @@
 //!   every bound shape: open or closed on either side, in a key gap, below
 //!   the minimum, above the maximum, inverted, and starting inside leaves
 //!   that lazy deletion emptied.
+//! * The packed rank column of the B+-tree nodes (`Key::head_rank`,
+//!   `KeyColumn`) is checked against what it replaced: the rank is weakly
+//!   monotone over every key shape, and the column's searches equal
+//!   `binary_search` / `partition_point` over the plain key slice.
 //! * The lock manager is driven against a naive lock-table oracle that
 //!   tracks, per lock, exactly which transactions hold it in which mode,
 //!   and per transaction the set of grants — verifying holder sets, the
@@ -18,6 +22,7 @@
 //!   invariant after every step.
 
 use atrapos_numa::{CoreId, CostModel, SimCtx, SocketId, Topology};
+use atrapos_storage::btree::KeyColumn;
 use atrapos_storage::{
     BTree, Column, ColumnType, Key, LockId, LockManager, LockMode, Record, Schema, Table, TableId,
     Txn, TxnId, Value,
@@ -259,6 +264,149 @@ proptest! {
             want.truncate(limit);
             prop_assert_eq!(got, want);
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The packed rank column vs. the plain key slice
+// ----------------------------------------------------------------------
+
+/// One key component from the values the rank treats specially: small
+/// integers (shared prefixes, negative, zero), the edges of the `i32`
+/// first-component field and of the `[0, 2³²)` second-component field,
+/// arbitrary integers, and text.
+fn component_strategy() -> impl Strategy<Value = Value> {
+    const I32_MIN: i64 = i32::MIN as i64;
+    const I32_MAX: i64 = i32::MAX as i64;
+    const LOW_END: i64 = 1 << 32;
+    let edges = vec![
+        i64::MIN,
+        I32_MIN - 1,
+        I32_MIN,
+        I32_MAX,
+        I32_MAX + 1,
+        LOW_END - 1,
+        LOW_END,
+        LOW_END + 1,
+        i64::MAX,
+    ];
+    prop_oneof![
+        6 => (-2i64..3).prop_map(Value::Int),
+        2 => prop::sample::select(edges).prop_map(Value::Int),
+        1 => any::<i64>().prop_map(Value::Int),
+        2 => prop::sample::select(vec!["", "a", "b"]).prop_map(Value::from),
+    ]
+}
+
+/// Keys of every shape the rank has to order: one to five components of
+/// [`component_strategy`] (so `(1, 2)` meets `(1, 2, 0)`, text heads meet
+/// text second components), and TPC-C-like composites, many of which share
+/// their `(w_id, d_id)` prefix — the nodes whose ranks all tie.
+fn key_strategy() -> impl Strategy<Value = Key> {
+    prop_oneof![
+        3 => prop::collection::vec(component_strategy(), 1..=5).prop_map(Key::from),
+        2 => (1i64..3, 1i64..3, 0i64..40, 0i64..4, 2usize..=4)
+            .prop_map(|(w, d, o, ol, arity)| Key::ints(&[w, d, o, ol][..arity])),
+    ]
+}
+
+proptest! {
+    /// `a <= b` implies `rank(a) <= rank(b)` — the one property the node
+    /// search relies on.
+    #[test]
+    fn head_rank_is_weakly_monotone(a in key_strategy(), b in key_strategy()) {
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        prop_assert!(
+            lo.head_rank() <= hi.head_rank(),
+            "{lo} <= {hi}, but rank {} > {}", lo.head_rank(), hi.head_rank()
+        );
+    }
+
+    /// The column search is the plain search: `search` equals
+    /// `binary_search` and `lower_bound` equals `partition_point` over the
+    /// keys, for probes of any shape — shorter than the stored keys (range
+    /// bounds), longer, absent, tied on the rank — on columns built by
+    /// `insert`, thinned by `remove` and cut by `split_off`.
+    #[test]
+    fn key_column_searches_like_the_plain_key_slice(
+        keys in prop::collection::vec(key_strategy(), 0..120),
+        removals in prop::collection::vec(any::<u64>(), 0..30),
+        cut in any::<u64>(),
+        probes in prop::collection::vec(key_strategy(), 1..40),
+    ) {
+        let mut column = KeyColumn::default();
+        let mut model: Vec<Key> = Vec::new();
+        for key in keys {
+            let slot = column.search(&key);
+            prop_assert_eq!(slot, model.binary_search(&key));
+            if let Err(i) = slot {
+                column.insert(i, key.clone());
+                model.insert(i, key);
+            }
+        }
+        for r in removals {
+            if !model.is_empty() {
+                let i = r as usize % model.len();
+                prop_assert_eq!(column.remove(i), model.remove(i));
+            }
+        }
+        let mid = cut as usize % (model.len() + 1);
+        let (right, right_model) = (column.split_off(mid), model.split_off(mid));
+        for (column, model) in [(&column, &model), (&right, &right_model)] {
+            column.check_invariants().map_err(TestCaseError::fail)?;
+            prop_assert_eq!(column.keys(), model.as_slice());
+            for probe in probes.iter().chain(model) {
+                prop_assert_eq!(column.search(probe), model.binary_search(probe), "{probe}");
+                prop_assert_eq!(
+                    column.lower_bound(probe),
+                    model.partition_point(|k| k < probe),
+                    "{probe}"
+                );
+            }
+        }
+    }
+
+    /// Trees over keys of every shape keep their invariants — the rank
+    /// columns equal to their keys' ranks among them — through any sequence
+    /// of inserts, removes, splits and merges, and agree with an ordered
+    /// map on lookups and scans.
+    #[test]
+    fn btree_over_any_key_shape_matches_ordered_map(
+        ops in prop::collection::vec((0u8..8, key_strategy(), any::<i64>()), 1..500),
+    ) {
+        let mut tree = BTree::new();
+        let mut model: BTreeMap<Key, i64> = BTreeMap::new();
+        for (op, key, v) in ops {
+            match op {
+                0..=3 => {
+                    let a = tree.insert(key.clone(), record_for(0, v)).is_some();
+                    prop_assert_eq!(a, model.insert(key, v).is_some());
+                }
+                4 => prop_assert_eq!(tree.remove(&key).is_some(), model.remove(&key).is_some()),
+                5 => {
+                    let a = tree.get(&key).map(|r| r.get(1).as_int());
+                    prop_assert_eq!(a, model.get(&key).copied());
+                }
+                6 => {
+                    let a: Vec<&Key> = tree.range_iter(Some(&key), None).map(|(k, _)| k).collect();
+                    let b: Vec<&Key> = model.range(&key..).map(|(k, _)| k).collect();
+                    prop_assert_eq!(a, b);
+                }
+                _ => {
+                    let right = tree.split_off(&key);
+                    tree.check_invariants().map_err(TestCaseError::fail)?;
+                    right.check_invariants().map_err(TestCaseError::fail)?;
+                    prop_assert!(tree.iter().all(|(k, _)| k < &key));
+                    prop_assert!(right.iter().all(|(k, _)| k >= &key));
+                    tree.merge_from(right);
+                }
+            }
+            prop_assert_eq!(tree.len(), model.len());
+        }
+        tree.check_invariants().map_err(TestCaseError::fail)?;
+        let a: Vec<(&Key, i64)> = tree.iter().map(|(k, r)| (k, r.get(1).as_int())).collect();
+        let b: Vec<(&Key, i64)> = model.iter().map(|(k, &v)| (k, v)).collect();
+        prop_assert_eq!(a, b);
     }
 }
 

@@ -107,3 +107,42 @@ fn executor_hot_path_regions_are_live() {
         "sabotaged executor loop must flag hot-path-alloc: {findings:?}"
     );
 }
+
+/// The point-probe path and `Timeline::book` are marked too: an allocation
+/// planted behind the first statement of each marked function is flagged.
+#[test]
+fn point_probe_hot_path_regions_are_live() {
+    let regions = [
+        // (file, a statement inside the marked function — its first occurrence)
+        (
+            "crates/storage/src/table.rs",
+            "ctx.work(Component::XctExecution, TUPLE_WORK_INSTRUCTIONS);",
+        ),
+        (
+            "crates/storage/src/btree.rs",
+            "return leaf.keys.search(key).ok().map(|i| &leaf.values[i]);",
+        ),
+        (
+            "crates/storage/src/btree.rs",
+            "let mut node = &mut self.root;",
+        ),
+        ("crates/storage/src/btree.rs", "let lo = run.start;"),
+        ("crates/storage/src/mrbtree.rs", "let mut lo = 1usize;"),
+        (
+            "crates/numa/src/contention.rs",
+            "let duration = duration.max(1);",
+        ),
+    ];
+    for (file, anchor) in regions {
+        let src = std::fs::read_to_string(workspace_root().join(file)).expect("source readable");
+        assert!(scan_source(file, &src).is_empty(), "{file} scans clean");
+        let sabotaged = src.replacen(anchor, &format!("{anchor} let _ = Vec::<u8>::new();"), 1);
+        assert_ne!(src, sabotaged, "{file}: anchor `{anchor}` present");
+        assert!(
+            scan_source(file, &sabotaged)
+                .iter()
+                .any(|f| f.rule == "hot-path-alloc"),
+            "{file}: an allocation after `{anchor}` must flag hot-path-alloc"
+        );
+    }
+}
