@@ -23,7 +23,9 @@ use atrapos_bench::cli::{self, FlagSpec};
 use atrapos_bench::figures::{
     run_by_id, ABLATION_IDS, ALL_IDS, OVERLOAD_IDS, REPORT_IDS, SPEC_IDS, YCSB_IDS,
 };
-use atrapos_bench::report::{figures_path, load_figures, report_dir, save_figures};
+use atrapos_bench::report::{
+    figures_path, load_figures, report_dir, save_figures, write_scenario_json,
+};
 use atrapos_bench::{replay, shootout, wallclock, workload_cmd, Scale};
 use std::path::Path;
 
@@ -42,16 +44,10 @@ COMMANDS:
                             --only <id> regenerates a single experiment
                             without the rest of the bundle (repeatable).
   wallclock [--label L] [--threads N] [--smoke]
-                            Time the fixed simulator bundle and append the
-                            entry to reports/BENCH_wallclock.json.
-  wallclock --check [--tolerance PCT]
-                            Perf-regression gate: compare the last recorded
-                            entry against the most recent earlier entry with
-                            the same host fingerprint, thread count, and
-                            smoke flag; exit 1 if any component's wall_ms or
-                            the total regressed beyond PCT% (default 10).
-                            Passes with a notice when no comparable baseline
-                            exists (e.g. a fresh host).
+                            Time the fixed figure bundle on the parallel lab
+                            and append the entry to
+                            reports/BENCH_wallclock.json.  A timer, not a
+                            judge: speed claims go through benchmark/.
   workload check <spec.json>...
                             Validate declarative WorkloadSpec files: parse,
                             run the typed structural checks, and print a
@@ -184,9 +180,16 @@ fn cmd_figures(args: &[String]) -> Result<(), String> {
 
     let mut store = load_figures()?;
     for id in &ids {
-        let fig = run_by_id(id, &scale)
+        let (fig, outcomes) = run_by_id(id, &scale)
             .unwrap_or_else(|| unreachable!("id '{id}' was validated against the known lists"));
         fig.print();
+        if !outcomes.is_empty() {
+            let meta = fig
+                .meta
+                .clone()
+                .expect("timeline experiments record their provenance");
+            write_scenario_json(id, meta, outcomes);
+        }
         store.upsert(fig);
     }
     let path = save_figures(&store)?;
@@ -399,10 +402,17 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         .iter()
         .map(|s| s.to_string())
         .collect();
-    let findings = atrapos_lint::lint_workspace(&root, &only)?;
-    for f in &findings {
+    let report = atrapos_lint::lint_workspace(&root, &only)?;
+    let findings = &report.findings;
+    for f in findings {
         println!("{f}");
     }
+    eprintln!("non-test lines (outside #[cfg(test)] items, files under src/):");
+    for (package, lines) in &report.non_test_lines {
+        eprintln!("  {package:<20} {lines:>6}");
+    }
+    let total: usize = report.non_test_lines.iter().map(|(_, n)| n).sum();
+    eprintln!("  {:<20} {total:>6}", "total");
     if findings.is_empty() {
         eprintln!("lint clean ({})", root.display());
         Ok(())

@@ -460,14 +460,6 @@ pub fn run_ablation(id: &str, scale: &Scale) -> Option<FigureResult> {
     }
 }
 
-/// Run every ablation.
-pub fn run_all_ablations(scale: &Scale) -> Vec<FigureResult> {
-    ABLATION_IDS
-        .iter()
-        .filter_map(|id| run_ablation(id, scale))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

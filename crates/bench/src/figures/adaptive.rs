@@ -13,7 +13,7 @@
 //! `scenario_replay` example) or swept over other designs.
 
 use crate::harness::{machine, run_meta, Scale};
-use crate::report::{fmt, write_scenario_json, FigureResult};
+use crate::report::{fmt, FigureResult};
 use atrapos_core::{AdaptiveInterval, ControllerConfig, KeyDistribution};
 use atrapos_engine::scenario::{Scenario, ScenarioEvent, ScenarioOutcome};
 use atrapos_engine::sweep::{default_threads, run_sweep, SweepJob};
@@ -262,7 +262,7 @@ pub fn fig10_scenario(scale: &Scale) -> Scenario {
 
 /// Figure 10: adapting to workload changes (UpdSubData → GetNewDest →
 /// TATP-Mix).
-pub fn fig10_adapt_workload(scale: &Scale) -> FigureResult {
+pub fn fig10_adapt_workload(scale: &Scale) -> (FigureResult, Vec<ScenarioOutcome>) {
     let mut fig = FigureResult::new(
         "fig10",
         "Adapting to workload changes (KTPS over time)",
@@ -279,9 +279,8 @@ pub fn fig10_adapt_workload(scale: &Scale) -> FigureResult {
         scale.time_compression()
     ));
     fig.note("expected shape: ATraPos recovers within a few monitoring intervals after each switch and exceeds the static configuration");
-    write_scenario_json("fig10", figure_meta(), &[&s, &a]);
     fig.set_meta(figure_meta());
-    fig
+    (fig, vec![s, a])
 }
 
 /// The Figure 11 timeline: uniform, then a sudden hotspot (50% of the
@@ -304,7 +303,7 @@ pub fn fig11_scenario(scale: &Scale) -> Scenario {
 }
 
 /// Figure 11: adapting to sudden skew (50% of requests to 20% of the data).
-pub fn fig11_adapt_skew(scale: &Scale) -> FigureResult {
+pub fn fig11_adapt_skew(scale: &Scale) -> (FigureResult, Vec<ScenarioOutcome>) {
     let mut fig = FigureResult::new(
         "fig11",
         "Adapting to sudden workload skew (KTPS over time)",
@@ -316,9 +315,8 @@ pub fn fig11_adapt_skew(scale: &Scale) -> FigureResult {
         fig.push_row(row);
     }
     fig.note("expected shape: both drop when the skew appears; ATraPos repartitions and recovers most of the loss, the static system does not");
-    write_scenario_json("fig11", figure_meta(), &[&s, &a]);
     fig.set_meta(figure_meta());
-    fig
+    (fig, vec![s, a])
 }
 
 /// The Figure 12 timeline: one of four sockets fails after the first
@@ -332,7 +330,7 @@ pub fn fig12_scenario(scale: &Scale) -> Scenario {
 }
 
 /// Figure 12: adapting to a hardware change (one socket fails).
-pub fn fig12_adapt_hardware(scale: &Scale) -> FigureResult {
+pub fn fig12_adapt_hardware(scale: &Scale) -> (FigureResult, Vec<ScenarioOutcome>) {
     let mut fig = FigureResult::new(
         "fig12",
         "Adapting to a processor failure (KTPS over time)",
@@ -344,9 +342,8 @@ pub fn fig12_adapt_hardware(scale: &Scale) -> FigureResult {
         fig.push_row(row);
     }
     fig.note("one of four sockets fails after the first phase; the static system overloads one remaining socket, ATraPos repartitions across the surviving cores");
-    write_scenario_json("fig12", figure_meta(), &[&s, &a]);
     fig.set_meta(figure_meta());
-    fig
+    (fig, vec![s, a])
 }
 
 /// The Figure 13 timeline: A = GetNewDest and B = TATP-Mix alternating
@@ -372,7 +369,7 @@ pub fn fig13_scenario(scale: &Scale) -> Scenario {
 
 /// Figure 13: adapting to frequent workload changes (A = GetNewDest,
 /// B = TATP-Mix, alternating).
-pub fn fig13_adapt_frequency(scale: &Scale) -> FigureResult {
+pub fn fig13_adapt_frequency(scale: &Scale) -> (FigureResult, Vec<ScenarioOutcome>) {
     let mut fig = FigureResult::new(
         "fig13",
         "Adapting to frequent workload changes (KTPS over time, ATraPos)",
@@ -402,9 +399,8 @@ pub fn fig13_adapt_frequency(scale: &Scale) -> FigureResult {
         }
     }
     fig.note("A = GetNewDest, B = TATP-Mix; the monitoring interval relaxes while the workload is stable and resets after each adaptation");
-    write_scenario_json("fig13", figure_meta(), &[&outcome]);
     fig.set_meta(figure_meta());
-    fig
+    (fig, vec![outcome])
 }
 
 #[cfg(test)]

@@ -11,10 +11,11 @@ pub mod ycsb;
 
 use crate::harness::Scale;
 use crate::report::FigureResult;
+use atrapos_engine::ScenarioOutcome;
 
 pub use ablation::{
     abl01_uniform_interconnect, abl02_oversubscription, abl03_sub_partition_granularity,
-    abl04_sharding_advisor, run_ablation, run_all_ablations, ABLATION_IDS,
+    abl04_sharding_advisor, run_ablation, ABLATION_IDS,
 };
 pub use adaptive::{
     fig09_repartitioning, fig10_adapt_workload, fig10_scenario, fig11_adapt_skew, fig11_scenario,
@@ -68,39 +69,35 @@ pub const REPORT_IDS: &[&str] = &[
     "spec01",
 ];
 
-/// Run one experiment by id.
-pub fn run_by_id(id: &str, scale: &Scale) -> Option<FigureResult> {
-    match id {
-        "fig01" => Some(fig01_ipc(scale)),
-        "fig02" => Some(fig02_scaleup(scale)),
-        "fig03" => Some(fig03_multisite(scale)),
-        "fig04" => Some(fig04_breakdown(scale)),
-        "tab01" => Some(tab01_memory_policy(scale)),
-        "fig05" => Some(fig05_atrapos_scaleup(scale)),
-        "fig06" => Some(fig06_placement(scale)),
-        "fig07" => Some(fig07_neworder_flowgraph()),
-        "fig08" => Some(fig08_standard_benchmarks(scale)),
-        "tab02" => Some(tab02_monitoring_overhead(scale)),
-        "fig09" => Some(fig09_repartitioning(scale)),
-        "fig10" => Some(fig10_adapt_workload(scale)),
-        "fig11" => Some(fig11_adapt_skew(scale)),
-        "fig12" => Some(fig12_adapt_hardware(scale)),
-        "fig13" => Some(fig13_adapt_frequency(scale)),
+/// Run one experiment by id.  Timeline experiments also return the
+/// scenario outcomes their rows were read from (empty for the others);
+/// nothing here touches the file system — `atrapos figures` owns the
+/// writes.
+pub fn run_by_id(id: &str, scale: &Scale) -> Option<(FigureResult, Vec<ScenarioOutcome>)> {
+    let plain = |fig| (fig, Vec::new());
+    Some(match id {
+        "fig01" => plain(fig01_ipc(scale)),
+        "fig02" => plain(fig02_scaleup(scale)),
+        "fig03" => plain(fig03_multisite(scale)),
+        "fig04" => plain(fig04_breakdown(scale)),
+        "tab01" => plain(tab01_memory_policy(scale)),
+        "fig05" => plain(fig05_atrapos_scaleup(scale)),
+        "fig06" => plain(fig06_placement(scale)),
+        "fig07" => plain(fig07_neworder_flowgraph()),
+        "fig08" => plain(fig08_standard_benchmarks(scale)),
+        "tab02" => plain(tab02_monitoring_overhead(scale)),
+        "fig09" => plain(fig09_repartitioning(scale)),
+        "fig10" => fig10_adapt_workload(scale),
+        "fig11" => fig11_adapt_skew(scale),
+        "fig12" => fig12_adapt_hardware(scale),
+        "fig13" => fig13_adapt_frequency(scale),
         // Extensions beyond the paper's figure set.
-        "ycsb01" => Some(ycsb01_skew_sweep(scale)),
-        "ycsb02" => Some(ycsb02_drifting_hotspot(scale)),
-        "overload01" => Some(overload01_load_sweep(scale)),
-        "overload02" => Some(overload02_burst_recovery(scale)),
-        "spec01" => Some(spec01_declarative_workloads(scale)),
+        "ycsb01" => plain(ycsb01_skew_sweep(scale)),
+        "ycsb02" => ycsb02_drifting_hotspot(scale),
+        "overload01" => overload01_load_sweep(scale),
+        "overload02" => overload02_burst_recovery(scale),
+        "spec01" => plain(spec01_declarative_workloads(scale)),
         // Ablations (not figures of the paper; see `ablation`).
-        other => run_ablation(other, scale),
-    }
-}
-
-/// Run every experiment in paper order.
-pub fn run_all(scale: &Scale) -> Vec<FigureResult> {
-    ALL_IDS
-        .iter()
-        .filter_map(|id| run_by_id(id, scale))
-        .collect()
+        other => plain(run_ablation(other, scale)?),
+    })
 }

@@ -23,7 +23,7 @@
 //! differ by an order of magnitude.
 
 use crate::harness::Scale;
-use crate::report::{fmt, write_scenario_json, FigureResult};
+use crate::report::{fmt, FigureResult};
 use atrapos_engine::scenario::{Scenario, ScenarioEvent, ScenarioOutcome};
 use atrapos_engine::sweep::{default_threads, run_sweep, SweepJob};
 use atrapos_engine::RunMeta;
@@ -91,7 +91,7 @@ fn serving_scenario(name: impl Into<String>, duration_secs: f64, rate_tps: f64) 
 
 /// overload01: goodput, p99 latency, and rejection rate vs offered load
 /// (0.5×–3× of each design's own saturation) on all four designs.
-pub fn overload01_load_sweep(scale: &Scale) -> FigureResult {
+pub fn overload01_load_sweep(scale: &Scale) -> (FigureResult, Vec<ScenarioOutcome>) {
     let saturation = saturation_tps(scale);
     let mut header = vec!["offered (x sat)".to_string()];
     for (label, _) in &saturation {
@@ -161,13 +161,8 @@ pub fn overload01_load_sweep(scale: &Scale) -> FigureResult {
          degradation) while the queue sheds the excess and p99 saturates at the \
          queue-bound latency instead of growing without bound",
     );
-    write_scenario_json(
-        "overload01",
-        overload_meta(),
-        &outcomes.iter().collect::<Vec<_>>(),
-    );
     fig.set_meta(overload_meta());
-    fig
+    (fig, outcomes)
 }
 
 /// The overload02 burst timeline for one design: 0.7× saturation, a 2.5×
@@ -224,7 +219,7 @@ pub fn overload02_jobs(scale: &Scale) -> Vec<SweepJob> {
 
 /// overload02: the burst-recovery timeline (goodput in KTPS over time)
 /// across all four designs.
-pub fn overload02_burst_recovery(scale: &Scale) -> FigureResult {
+pub fn overload02_burst_recovery(scale: &Scale) -> (FigureResult, Vec<ScenarioOutcome>) {
     let designs = ycsb_designs(scale);
     let mut header = vec!["time (s)"];
     header.extend(designs.iter().map(|(label, _)| *label));
@@ -254,13 +249,8 @@ pub fn overload02_burst_recovery(scale: &Scale) -> FigureResult {
          rejects the excess; once the rate drops back, the backlog drains and goodput \
          returns to the baseline level within the recovery window",
     );
-    write_scenario_json(
-        "overload02",
-        overload_meta(),
-        &outcomes.iter().collect::<Vec<_>>(),
-    );
     fig.set_meta(overload_meta());
-    fig
+    (fig, outcomes)
 }
 
 #[cfg(test)]
@@ -289,7 +279,8 @@ mod tests {
 
     #[test]
     fn overload01_produces_one_row_per_multiplier_and_conserves() {
-        let fig = overload01_load_sweep(&tiny_scale());
+        let (fig, outcomes) = overload01_load_sweep(&tiny_scale());
+        assert_eq!(outcomes.len(), OVERLOAD_MULTIPLIERS.len() * 4);
         assert_eq!(fig.rows.len(), OVERLOAD_MULTIPLIERS.len());
         // 1 multiplier column + 3 metric groups × 4 designs.
         assert_eq!(fig.header.len(), 13);

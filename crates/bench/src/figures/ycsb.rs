@@ -19,7 +19,7 @@
 //! out on the parallel experiment lab.
 
 use crate::harness::{machine, run_meta, Scale};
-use crate::report::{fmt, write_scenario_json, FigureResult};
+use crate::report::{fmt, FigureResult};
 use atrapos_core::{AdaptiveInterval, ControllerConfig, KeyDistribution};
 use atrapos_engine::scenario::{Scenario, ScenarioEvent, ScenarioOutcome};
 use atrapos_engine::sweep::{default_threads, run_sweep, SweepJob};
@@ -218,7 +218,7 @@ pub(crate) fn series_rows(series: &[Vec<TimePoint>]) -> Vec<Vec<String>> {
 
 /// ycsb02: the drifting-hotspot adaptivity run (KTPS over time) across
 /// all four designs.
-pub fn ycsb02_drifting_hotspot(scale: &Scale) -> FigureResult {
+pub fn ycsb02_drifting_hotspot(scale: &Scale) -> (FigureResult, Vec<ScenarioOutcome>) {
     let designs = ycsb_designs(scale);
     let mut header = vec!["time (s)"];
     header.extend(designs.iter().map(|(label, _)| *label));
@@ -249,9 +249,8 @@ pub fn ycsb02_drifting_hotspot(scale: &Scale) -> FigureResult {
          repartitions toward the moving window (paying a visible pause at each \
          repartitioning) and settles above the static designs",
     );
-    write_scenario_json("ycsb02", ycsb_meta(), &outcomes.iter().collect::<Vec<_>>());
     fig.set_meta(ycsb_meta());
-    fig
+    (fig, outcomes)
 }
 
 #[cfg(test)]

@@ -17,7 +17,8 @@
 //! * [`replay`] — complete experiments (machine + design + timeline) as
 //!   JSON files.
 //! * [`shootout`] — ad-hoc design sweeps over a workload.
-//! * [`wallclock`] — the simulator's own wall-clock benchmark bundle.
+//! * [`wallclock`] — times the figure bundle on the parallel lab (a timer,
+//!   not a judge: speed claims go through the `benchmark/` package).
 //! * [`workload_cmd`] — the `atrapos workload check|run` subcommand over
 //!   declarative `WorkloadSpec` JSON files.
 //!

@@ -59,26 +59,18 @@ pub struct SegmentsFile {
 }
 
 /// Write the per-segment statistics of one experiment's scenario runs as
-/// JSON next to the text report (`reports/BENCH_<id>_segments.json`), so
-/// the performance trajectory has machine-readable input.  Best-effort: a
-/// read-only working directory only loses the JSON copy, never the run.
+/// JSON next to the figure store (`reports/BENCH_<id>_segments.json`).
+/// Best-effort: a read-only working directory only loses the JSON copy,
+/// never the run.
 pub fn write_scenario_json(
     id: &str,
     meta: RunMeta,
-    outcomes: &[&ScenarioOutcome],
+    outcomes: Vec<ScenarioOutcome>,
 ) -> Option<PathBuf> {
     let dir = report_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return None;
-    }
+    std::fs::create_dir_all(&dir).ok()?;
     let path = dir.join(format!("BENCH_{id}_segments.json"));
-    let file = SegmentsFile {
-        meta,
-        outcomes: outcomes.iter().map(|o| (*o).clone()).collect(),
-    };
-    let body = serde::json::to_string_pretty(&file);
-    match std::fs::write(&path, body) {
-        Ok(()) => Some(path),
-        Err(_) => None,
-    }
+    let body = serde::json::to_string_pretty(&SegmentsFile { meta, outcomes });
+    std::fs::write(&path, body).ok()?;
+    Some(path)
 }

@@ -1,51 +1,35 @@
-//! Wall-clock benchmark of the simulator itself (`atrapos wallclock`)
-//! and the perf-regression gate over its trajectory
-//! (`atrapos wallclock --check`).
+//! Wall-clock timing of the figure bundle on the parallel lab
+//! (`atrapos wallclock`).
 //!
 //! Times a fixed scenario bundle — the adaptive TATP figure timelines
 //! (Figures 10–13), TATP and TPC-C design sweeps, and a YCSB-A Zipfian
 //! sweep on the paper's 4-socket machine across all four system designs —
-//! and records the result in `reports/BENCH_wallclock.json`.  Successive
-//! runs with different labels append to the same file, so the repo
-//! accumulates a wall-clock trajectory (e.g. a `pre-refactor` and a
-//! `post-refactor` entry per optimization PR).
+//! and appends the result to `reports/BENCH_wallclock.json`, one labelled
+//! entry per run.
+//!
+//! This is a timer, not a judge.  One run per entry wanders ±30 % on a
+//! shared host, so whether a change made the simulator faster or slower
+//! is decided by the `benchmark/` package alone (`suite` result files
+//! under `reports/trajectory/`, judged by `compare`).  What this command
+//! does that the benchmark deliberately does not is run on the engine's
+//! *parallel* experiment lab: the ~20 components are independent
+//! deterministic simulations handed to `run_sweep` as one job list
+//! (`--threads N`, default: all available cores).
 //!
 //! Every entry embeds a [`WallclockMeta`]: the *host* fingerprint
-//! ([`HostFingerprint`]) of the machine that produced the wall-clock
-//! numbers, the [`RunMeta`] of the simulated sweep machine, and a source
-//! label (the git revision where obtainable).  Wall-clock milliseconds
-//! only mean something relative to entries from the same host at the same
-//! thread count, and the gate enforces exactly that:
+//! ([`HostFingerprint`]) of the machine that produced the numbers, the
+//! [`RunMeta`] of the simulated sweep machine, and a source label (the git
+//! revision where obtainable) — wall-clock milliseconds only mean
+//! something next to entries from the same host at the same thread count.
+//! Entries recorded before fingerprints existed carry `meta: null` and
+//! keep loading.
 //!
-//! **Baseline-selection rule.** `--check` takes the *last* entry of the
-//! file as the run under test and searches the *earlier* entries, newest
-//! first, for one with the same host fingerprint, the same `threads`, and
-//! the same `smoke` flag.  Entries recorded before fingerprints existed
-//! (`meta: null`) are never comparable.  If no entry qualifies the check
-//! passes with a notice (a fresh host has no baseline to regress
-//! against); otherwise any component whose `wall_ms` — or the bundle
-//! total — exceeds the baseline by more than the tolerance (default
-//! [`DEFAULT_TOLERANCE_PCT`]%, `--tolerance` flag) fails the check with a
-//! per-component table.
-//!
-//! `speedup_vs_first` uses the same comparability rule: it is the ratio
-//! of the oldest to the newest entry among full (non-smoke) runs
-//! comparable to the newest full run, and `null` when fewer than two such
-//! entries exist — it never again compares a serial run on one host
-//! against a threaded run on another.
-//!
-//! The ~20 components of the bundle are independent deterministic
-//! simulations, so they run as one job list on the engine's parallel
-//! experiment lab (`--threads N`, default: all available cores).  The
-//! bundle is fixed (no `ATRAPOS_PAPER` dependence) so that entries
-//! written at different times stay comparable, and the gate compares
-//! components *by name*, so extending the bundle (as the YCSB components
-//! did) leaves existing components gated while new ones simply have no
-//! baseline yet.  `total_committed` is the total number of simulated
-//! transactions the bundle commits; it must be identical across runs of
-//! the same source revision, across behaviour-preserving optimizations,
-//! *and across thread counts* (same seed ⇒ same simulated work), so it
-//! doubles as a cheap cross-run determinism check.
+//! The bundle is fixed (no `ATRAPOS_PAPER` dependence) and its component
+//! names are stable, so the file stays a series comparable by name.
+//! `total_committed` is the total number of simulated transactions the
+//! bundle commits; it is identical across runs of the same source
+//! revision, across behaviour-preserving optimizations, *and across thread
+//! counts* (same seed ⇒ same simulated work).
 
 use crate::cli::{self, FlagSpec};
 use crate::figures::{fig10_scenario, fig11_scenario, fig12_scenario, fig13_scenario, figure_job};
@@ -57,11 +41,6 @@ use atrapos_workloads::{Tatp, TatpConfig, TatpTxn, Tpcc, TpccConfig, Ycsb, YcsbC
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-/// Default regression tolerance of the gate, in percent: a component (or
-/// the total) may be up to this much slower than its baseline before
-/// `--check` fails.
-pub const DEFAULT_TOLERANCE_PCT: f64 = 10.0;
 
 /// One timed component of the bundle.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -81,8 +60,7 @@ pub struct ComponentTiming {
 /// from which source revision.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WallclockMeta {
-    /// Fingerprint of the host that produced the wall-clock numbers — the
-    /// gate's comparability key.
+    /// Fingerprint of the host that produced the wall-clock numbers.
     pub host: HostFingerprint,
     /// The simulated sweep machine, seed, and lab thread count.
     pub lab: RunMeta,
@@ -104,8 +82,7 @@ pub struct WallclockRun {
     /// parallel lab existed, which were serial).
     pub threads: Option<usize>,
     /// Host fingerprint + lab meta + source label (`null` in entries
-    /// recorded before the gate existed; such entries are never used as
-    /// baselines).
+    /// recorded before fingerprints existed).
     pub meta: Option<WallclockMeta>,
     /// Per-component timings.
     pub components: Vec<ComponentTiming>,
@@ -124,17 +101,10 @@ pub struct WallclockReport {
     pub schema: String,
     /// Accumulated runs, oldest first.
     pub runs: Vec<WallclockRun>,
-    /// `oldest.total_ms / newest.total_ms` over the full (non-smoke) runs
-    /// comparable to the newest full run under the gate's baseline rule
-    /// (same host fingerprint and thread count) — > 1.0 means the latest
-    /// run is faster.  `null` when fewer than two comparable entries
-    /// exist.
-    pub speedup_vs_first: Option<f64>,
 }
 
 /// Schema tag written to new and updated report files.  v2 added the
-/// optional per-entry `meta` and restricted `speedup_vs_first` to
-/// gate-comparable entries; v1 files load unchanged (`meta` defaults to
+/// optional per-entry `meta`; v1 files load unchanged (`meta` defaults to
 /// `null`).
 pub const SCHEMA: &str = "atrapos-wallclock-v2";
 
@@ -183,8 +153,8 @@ fn sweep_jobs(
 }
 
 /// Every component of the bundle as one lab job list, in the fixed
-/// historical order (the gate compares components by name, so appending
-/// new components keeps old ones gated).
+/// historical order (entries are compared by component name, so new
+/// components are appended, never renamed).
 fn bundle_jobs(scale: &Scale) -> Vec<SweepJob> {
     let mut jobs = Vec::new();
     // The four adaptive-figure timelines, under both variants where the
@@ -308,51 +278,20 @@ fn source_label() -> String {
     }
 }
 
-const RUN_USAGE: &str =
-    "atrapos wallclock [--label L] [--threads N] [--smoke] | --check [--tolerance PCT]";
+const RUN_USAGE: &str = "atrapos wallclock [--label L] [--threads N] [--smoke]";
 
-/// Entry point of `atrapos wallclock`: run the bundle and append an entry,
-/// or, with `--check`, gate the last entry against its baseline.
+/// Entry point of `atrapos wallclock`: run the bundle and append an entry.
 pub fn run(args: &[String]) -> Result<(), String> {
     let parsed = cli::parse(
         args,
         &[
             FlagSpec::switch("--smoke"),
-            FlagSpec::switch("--check"),
             FlagSpec::value("--label"),
             FlagSpec::value("--threads"),
-            FlagSpec::value("--tolerance"),
         ],
         0,
         RUN_USAGE,
     )?;
-    if parsed.has("--check") {
-        for incompatible in ["--smoke", "--label", "--threads"] {
-            if parsed.has(incompatible) {
-                return Err(format!(
-                    "'{incompatible}' does not apply to --check (the gate examines \
-                     the last recorded entry)\n\nUSAGE: {RUN_USAGE}"
-                ));
-            }
-        }
-        let tolerance = match parsed.value("--tolerance") {
-            Some(t) => t
-                .parse::<f64>()
-                .ok()
-                .filter(|t| t.is_finite() && *t >= 0.0)
-                .ok_or(format!(
-                    "--tolerance needs a non-negative percentage (e.g. --tolerance 15)\
-                     \n\nUSAGE: {RUN_USAGE}"
-                ))?,
-            None => DEFAULT_TOLERANCE_PCT,
-        };
-        return check(tolerance);
-    }
-    if parsed.has("--tolerance") {
-        return Err(format!(
-            "'--tolerance' only applies to --check\n\nUSAGE: {RUN_USAGE}"
-        ));
-    }
     let smoke = parsed.has("--smoke");
     let label = parsed
         .value("--label")
@@ -413,24 +352,20 @@ fn run_bundle_and_record(smoke: bool, label: String, threads: usize) -> Result<(
     let mut report = load_report(&path)?;
     report.runs.push(run);
     report.schema = SCHEMA.to_string();
-    report.speedup_vs_first = speedup_vs_first(&report.runs);
-    if let Some(s) = report.speedup_vs_first {
-        eprintln!("  speedup vs first comparable full run: {s:.2}x");
-    }
     let written = write_report(&dir, &report)?;
     eprintln!("wrote {}", written.display());
     Ok(())
 }
 
 /// The report path inside `dir`.
-pub fn wallclock_path(dir: &Path) -> PathBuf {
+fn wallclock_path(dir: &Path) -> PathBuf {
     dir.join("BENCH_wallclock.json")
 }
 
 /// Load the report at `path`, or an empty one if the file does not exist.
-/// An unreadable file is an error: never silently wipe an accumulated
-/// trajectory — the baseline entries in it are irreplaceable.
-pub fn load_report(path: &Path) -> Result<WallclockReport, String> {
+/// An unreadable file is an error: never silently wipe the accumulated
+/// entries.
+fn load_report(path: &Path) -> Result<WallclockReport, String> {
     match std::fs::read_to_string(path) {
         Ok(text) => serde::json::from_str::<WallclockReport>(&text).map_err(|e| {
             format!(
@@ -441,7 +376,6 @@ pub fn load_report(path: &Path) -> Result<WallclockReport, String> {
         Err(_) => Ok(WallclockReport {
             schema: SCHEMA.to_string(),
             runs: Vec::new(),
-            speedup_vs_first: None,
         }),
     }
 }
@@ -449,7 +383,7 @@ pub fn load_report(path: &Path) -> Result<WallclockReport, String> {
 /// Write `report` into `dir`, creating the directory as needed.  Both the
 /// directory creation and the write propagate failures: a smoke run whose
 /// report cannot be written must fail, not "pass" having written nothing.
-pub fn write_report(dir: &Path, report: &WallclockReport) -> Result<PathBuf, String> {
+fn write_report(dir: &Path, report: &WallclockReport) -> Result<PathBuf, String> {
     std::fs::create_dir_all(dir)
         .map_err(|e| format!("cannot create report directory {}: {e}", dir.display()))?;
     let path = wallclock_path(dir);
@@ -458,259 +392,199 @@ pub fn write_report(dir: &Path, report: &WallclockReport) -> Result<PathBuf, Str
     Ok(path)
 }
 
-/// Whether `candidate` may serve as a wall-clock baseline for `current`:
-/// same host fingerprint, same lab thread count, same smoke flag.
-/// Entries without a fingerprint are never comparable.
-pub fn comparable(candidate: &WallclockRun, current: &WallclockRun) -> bool {
-    match (&candidate.meta, &current.meta) {
-        (Some(c), Some(r)) => {
-            c.host == r.host
-                && candidate.threads == current.threads
-                && candidate.smoke == current.smoke
-        }
-        _ => false,
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::run_meta;
 
-/// The gate's baseline-selection rule: the most recent entry of `pool`
-/// comparable to `current` (see [`comparable`]).
-pub fn select_baseline<'a>(
-    pool: &'a [WallclockRun],
-    current: &WallclockRun,
-) -> Option<&'a WallclockRun> {
-    pool.iter().rev().find(|r| comparable(r, current))
-}
-
-/// `speedup_vs_first` under the comparability rule: oldest vs newest
-/// among the full (non-smoke) runs comparable to the newest full run.
-pub fn speedup_vs_first(runs: &[WallclockRun]) -> Option<f64> {
-    let newest_full = runs.iter().rev().find(|r| !r.smoke)?;
-    let comparable_full: Vec<&WallclockRun> = runs
-        .iter()
-        .filter(|r| !r.smoke && (std::ptr::eq(*r, newest_full) || comparable(r, newest_full)))
-        .collect();
-    match (comparable_full.first(), comparable_full.last()) {
-        (Some(first), Some(last)) if comparable_full.len() >= 2 && last.total_ms > 0.0 => {
-            Some(first.total_ms / last.total_ms)
-        }
-        _ => None,
-    }
-}
-
-/// One gated comparison row.
-#[derive(Debug, Clone)]
-pub struct GateRow {
-    /// Component name (or `"TOTAL"`).
-    pub name: String,
-    /// Baseline milliseconds.
-    pub baseline_ms: f64,
-    /// Current milliseconds.
-    pub current_ms: f64,
-    /// Whether the row exceeds the tolerance.
-    pub regressed: bool,
-}
-
-impl GateRow {
-    /// Percentage change vs the baseline (positive = slower).
-    pub fn delta_pct(&self) -> f64 {
-        if self.baseline_ms > 0.0 {
-            (self.current_ms / self.baseline_ms - 1.0) * 100.0
-        } else {
-            0.0
+    fn meta() -> WallclockMeta {
+        WallclockMeta {
+            host: HostFingerprint {
+                os: "linux".to_string(),
+                arch: "x86_64".to_string(),
+                cpu_model: "cpu-a".to_string(),
+                cpus: 8,
+            },
+            lab: run_meta(4, 10),
+            source: "test".to_string(),
         }
     }
-}
 
-/// Outcome of gating one run against the trajectory.
-#[derive(Debug, Clone)]
-pub enum GateOutcome {
-    /// No earlier entry qualifies as a baseline; the gate passes with this
-    /// human-readable explanation.
-    NoBaseline {
-        /// Why nothing qualified (fresh host, thread-count mismatch, …).
-        reason: String,
-    },
-    /// Compared against a baseline.
-    Compared {
-        /// Label of the selected baseline entry.
-        baseline_label: String,
-        /// Per-component rows plus the `TOTAL` row, in bundle order.
-        rows: Vec<GateRow>,
-        /// Components present on only one side (new or vanished bundle
-        /// components; listed, never failed on).
-        unmatched: Vec<String>,
-    },
-}
-
-impl GateOutcome {
-    /// Whether any gated row regressed.
-    pub fn failed(&self) -> bool {
-        match self {
-            GateOutcome::NoBaseline { .. } => false,
-            GateOutcome::Compared { rows, .. } => rows.iter().any(|r| r.regressed),
+    /// A one-entry report whose single component took `wall_ms`.
+    fn report(threads: usize, wall_ms: f64) -> WallclockReport {
+        WallclockReport {
+            schema: SCHEMA.to_string(),
+            runs: vec![WallclockRun {
+                label: "entry".to_string(),
+                unix_secs: 1_000_000,
+                smoke: false,
+                threads: Some(threads),
+                meta: Some(meta()),
+                components: vec![ComponentTiming {
+                    name: "fig10/atrapos".to_string(),
+                    wall_ms,
+                    committed: 42,
+                }],
+                total_ms: wall_ms,
+                total_committed: 42,
+            }],
         }
     }
-}
 
-/// Explain why no baseline qualified for `current`, pointing at the
-/// nearest miss so CI logs show *which* rule excluded it.
-fn no_baseline_reason(pool: &[WallclockRun], current: &WallclockRun) -> String {
-    let Some(meta) = &current.meta else {
-        return "the entry under test has no host fingerprint (recorded before the gate existed)"
-            .to_string();
-    };
-    let same_host: Vec<&WallclockRun> = pool
-        .iter()
-        .filter(|r| r.meta.as_ref().is_some_and(|m| m.host == meta.host))
-        .collect();
-    if same_host.is_empty() {
-        return format!(
-            "no earlier entry was recorded on this host ({})",
-            meta.host.summary()
+    /// The committed `reports/BENCH_wallclock.json`.
+    fn committed_report() -> WallclockReport {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")) // crates/bench
+            .join("../../reports/BENCH_wallclock.json");
+        load_report(&path).unwrap()
+    }
+
+    #[test]
+    fn report_round_trips_through_serde_with_meta() {
+        let report = report(2, 123.5);
+        let text = serde::json::to_string_pretty(&report);
+        for key in [
+            "\"meta\"",
+            "\"host\"",
+            "\"cpu_model\"",
+            "\"source\"",
+            "\"threads\"",
+        ] {
+            assert!(text.contains(key), "serialized report lacks {key}");
+        }
+        let back: WallclockReport = serde::json::from_str(&text).unwrap();
+        assert_eq!(back.schema, SCHEMA);
+        assert_eq!(back.runs.len(), 1);
+        let r = &back.runs[0];
+        assert_eq!(r.meta, report.runs[0].meta);
+        assert_eq!(r.threads, Some(2));
+        assert_eq!(r.components[0].name, "fig10/atrapos");
+        assert!((r.components[0].wall_ms - 123.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn entries_without_meta_still_load() {
+        // The oldest committed entries carry no `meta` key and no
+        // `threads`; they must deserialize with `None` in both.
+        let text = r#"{
+            "schema": "atrapos-wallclock-v1",
+            "runs": [{
+                "label": "pre-refactor",
+                "unix_secs": 1754000000,
+                "smoke": false,
+                "components": [{"name": "fig10/static", "wall_ms": 6500.0, "committed": 2536187}],
+                "total_ms": 6500.0,
+                "total_committed": 2536187
+            }]
+        }"#;
+        let report: WallclockReport = serde::json::from_str(text).unwrap();
+        let r = &report.runs[0];
+        assert_eq!(r.meta, None);
+        assert_eq!(r.threads, None);
+        assert_eq!(r.label, "pre-refactor");
+    }
+
+    #[test]
+    fn write_report_propagates_filesystem_errors() {
+        // A regular file where the report *directory* should be: both the
+        // directory creation and the write beneath it must surface as Err,
+        // not an eprintln-and-pass.
+        let clash = std::env::temp_dir().join("atrapos_wallclock_test_dir_clash");
+        std::fs::write(&clash, b"not a directory").unwrap();
+        let err = write_report(&clash, &report(1, 1.0)).expect_err("writing into a file must fail");
+        assert!(
+            err.contains("atrapos_wallclock_test_dir_clash"),
+            "got: {err}"
         );
+        std::fs::remove_file(&clash).unwrap();
     }
-    // Same host but rejected — say why, for the most recent candidate.
-    let near = same_host.last().expect("non-empty");
-    let mut why = Vec::new();
-    if near.threads != current.threads {
-        why.push(format!(
-            "it ran on {} lab thread(s), this run on {} — thread-count mismatch",
-            near.threads.map_or("unknown".into(), |t| t.to_string()),
-            current.threads.map_or("unknown".into(), |t| t.to_string()),
-        ));
-    }
-    if near.smoke != current.smoke {
-        why.push(format!(
-            "it is a {} run, this is a {} run",
-            if near.smoke { "smoke" } else { "full" },
-            if current.smoke { "smoke" } else { "full" }
-        ));
-    }
-    format!(
-        "{} same-host entr{} found, but the nearest ('{}') is not comparable: {}",
-        same_host.len(),
-        if same_host.len() == 1 { "y" } else { "ies" },
-        near.label,
-        why.join("; ")
-    )
-}
 
-/// Gate the last entry of `runs` against the entries before it.  Pure —
-/// all I/O stays in the CLI-facing `check` — so synthetic trajectories
-/// can unit-test every verdict.
-pub fn gate_last_run(runs: &[WallclockRun], tolerance_pct: f64) -> Result<GateOutcome, String> {
-    let (current, pool) = runs
-        .split_last()
-        .ok_or("the wallclock report holds no runs — run `atrapos wallclock` first")?;
-    let Some(baseline) = select_baseline(pool, current) else {
-        return Ok(GateOutcome::NoBaseline {
-            reason: no_baseline_reason(pool, current),
-        });
-    };
-    let allowed = 1.0 + tolerance_pct / 100.0;
-    let mut rows = Vec::new();
-    let mut unmatched = Vec::new();
-    for c in &current.components {
-        match baseline.components.iter().find(|b| b.name == c.name) {
-            Some(b) => rows.push(GateRow {
-                name: c.name.clone(),
-                baseline_ms: b.wall_ms,
-                current_ms: c.wall_ms,
-                regressed: c.wall_ms > b.wall_ms * allowed,
-            }),
-            None => unmatched.push(format!("{} (no baseline)", c.name)),
-        }
+    #[test]
+    fn write_report_writes_loadable_json() {
+        let dir = std::env::temp_dir().join("atrapos_wallclock_test_roundtrip");
+        let _ = std::fs::remove_dir_all(&dir);
+        let report = report(1, 1.0);
+        let path = write_report(&dir, &report).unwrap();
+        assert_eq!(path, wallclock_path(&dir));
+        let back = load_report(&path).unwrap();
+        assert_eq!(back.runs.len(), 1);
+        assert_eq!(back.runs[0].meta, report.runs[0].meta);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    for b in &baseline.components {
-        if !current.components.iter().any(|c| c.name == b.name) {
-            unmatched.push(format!("{} (gone from bundle)", b.name));
-        }
-    }
-    rows.push(GateRow {
-        name: "TOTAL".to_string(),
-        baseline_ms: baseline.total_ms,
-        current_ms: current.total_ms,
-        regressed: current.total_ms > baseline.total_ms * allowed,
-    });
-    Ok(GateOutcome::Compared {
-        baseline_label: baseline.label.clone(),
-        rows,
-        unmatched,
-    })
-}
 
-/// `atrapos wallclock --check`: load the report, gate its last entry, and
-/// print the verdict.  Returns `Err` — nonzero exit — on regression.
-fn check(tolerance_pct: f64) -> Result<(), String> {
-    let path = wallclock_path(&report_dir());
-    if !std::fs::metadata(&path).is_ok_and(|m| m.is_file()) {
-        return Err(format!(
-            "{} not found — run `atrapos wallclock` first",
-            path.display()
-        ));
+    #[test]
+    fn load_report_rejects_corrupt_files() {
+        let dir = std::env::temp_dir().join("atrapos_wallclock_test_corrupt");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = wallclock_path(&dir);
+        std::fs::write(&path, b"{ not json").unwrap();
+        let err = load_report(&path).expect_err("corrupt file must error");
+        assert!(err.contains("unreadable"), "got: {err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+        // An absent file, by contrast, is an empty report.
+        assert!(load_report(&path).unwrap().runs.is_empty());
     }
-    let report = load_report(&path)?;
-    let outcome = gate_last_run(&report.runs, tolerance_pct)?;
-    let current = report.runs.last().expect("gate_last_run checked");
-    eprintln!(
-        "checking entry '{}' ({}) against {} with tolerance {tolerance_pct}%",
-        current.label,
-        current
-            .meta
-            .as_ref()
-            .map_or("no fingerprint".to_string(), |m| m.host.summary()),
-        path.display()
-    );
-    match &outcome {
-        GateOutcome::NoBaseline { reason } => {
-            eprintln!("PASS (no comparable baseline): {reason}");
-            eprintln!(
-                "this run's entry becomes the baseline for the next same-host, \
-                 same-thread-count run"
+
+    /// The strict argument parser: every malformed invocation must be
+    /// rejected with a usage message, not silently ignored.
+    #[test]
+    fn malformed_wallclock_flags_are_rejected() {
+        let reject = |args: &[&str], needle: &str| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let err = run(&args).expect_err("must reject");
+            assert!(
+                err.contains(needle),
+                "args {args:?}: expected '{needle}' in: {err}"
             );
-            Ok(())
+            assert!(err.contains("USAGE"), "args {args:?}: no usage in: {err}");
+        };
+        reject(&["--smok"], "unknown flag '--smok'");
+        reject(&["--thread", "4"], "unknown flag '--thread'");
+        reject(&["--label"], "flag '--label' needs a value");
+        reject(&["--label", "--smoke"], "flag '--label' needs a value");
+        // The gate's two flags went with the gate.
+        for gone in ["check", "tolerance"] {
+            let flag = format!("--{gone}");
+            reject(&[&flag, "5"], &format!("unknown flag '{flag}'"));
         }
-        GateOutcome::Compared {
-            baseline_label,
-            rows,
-            unmatched,
-        } => {
-            eprintln!(
-                "baseline: '{}' (most recent same-host, same-threads, same-smoke entry)",
-                baseline_label
-            );
-            eprintln!(
-                "  {:<28} {:>12} {:>12} {:>8}",
-                "component", "baseline ms", "current ms", "delta"
-            );
-            for row in rows {
-                eprintln!(
-                    "  {:<28} {:>12.1} {:>12.1} {:>+7.1}%{}",
-                    row.name,
-                    row.baseline_ms,
-                    row.current_ms,
-                    row.delta_pct(),
-                    if row.regressed { "  REGRESSED" } else { "" }
-                );
-            }
-            for name in unmatched {
-                eprintln!("  {name:<28} {:>12} {:>12}", "-", "-");
-            }
-            if outcome.failed() {
-                let worst = rows
-                    .iter()
-                    .filter(|r| r.regressed)
-                    .map(|r| format!("{} {:+.1}%", r.name, r.delta_pct()))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                Err(format!(
-                    "wall-clock regression beyond {tolerance_pct}% vs baseline \
-                     '{baseline_label}': {worst}"
-                ))
-            } else {
-                eprintln!("PASS: no component beyond {tolerance_pct}% of baseline");
-                Ok(())
-            }
-        }
+        reject(&["--threads", "0"], "--threads needs a positive integer");
+        reject(&["--smoke", "--smoke"], "given more than once");
+        reject(&["extra"], "unexpected argument 'extra'");
+    }
+
+    #[test]
+    fn the_committed_trajectory_still_loads() {
+        // Its top-level ratio field, which new files no longer carry, is
+        // skipped like any unknown key.
+        let report = committed_report();
+        assert!(
+            report.runs.len() >= 7,
+            "committed trajectory lost entries ({})",
+            report.runs.len()
+        );
+        assert_eq!(
+            report.runs[0].meta, None,
+            "the oldest entries stay meta-less"
+        );
+        assert!(report.runs.last().unwrap().meta.is_some());
+    }
+
+    #[test]
+    fn bundle_names_are_unique_and_match_the_newest_committed_full_entry() {
+        let names: Vec<String> = bundle_jobs(&bundle_scale(true))
+            .into_iter()
+            .map(|j| j.name)
+            .collect();
+        let mut unique = names.clone();
+        unique.sort();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "duplicate component name");
+        let committed = committed_report();
+        let newest_full = committed.runs.iter().rev().find(|r| !r.smoke).unwrap();
+        let recorded: Vec<&str> = newest_full
+            .components
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect();
+        assert_eq!(names, recorded, "the bundle no longer matches the series");
     }
 }

@@ -70,10 +70,10 @@ impl RunMeta {
 /// opposed to [`RunMeta`], which describes the *simulated* machine.
 ///
 /// Simulated results are host-independent, but wall-clock numbers are
-/// only comparable between runs on the same hardware: the perf-regression
-/// gate (`atrapos wallclock --check`) uses equality of this fingerprint
-/// to decide whether two `BENCH_wallclock.json` entries may be compared
-/// at all.  Detection is best-effort and deterministic for a given host:
+/// only comparable between runs on the same hardware, so everything that
+/// records host time (the `benchmark/` suite's result files, the
+/// `BENCH_wallclock.json` entries) stores this fingerprint beside its
+/// numbers.  Detection is best-effort and deterministic for a given host:
 /// OS, architecture, CPU model string (from `/proc/cpuinfo` where
 /// available), and the core count the process can use.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

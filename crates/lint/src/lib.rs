@@ -19,19 +19,30 @@ pub mod rules;
 pub mod scan;
 
 pub use rules::{rule_by_name, Rule, RULES, SIM_CRATES};
-pub use scan::{scan_source, Finding};
+pub use scan::{non_test_lines, scan_source, Finding};
 
 use std::path::{Path, PathBuf};
 
 /// Directories never descended into during the workspace walk.
 const SKIP_DIRS: &[&str] = &["target", ".git", "node_modules"];
 
+/// What one walk over the workspace found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LintReport {
+    /// Rule violations, sorted by file, line and rule.
+    pub findings: Vec<Finding>,
+    /// Lines outside `#[cfg(test)]` items per package (`crates/numa`,
+    /// `shims/serde`, `benchmark`, …), counted over the files under each
+    /// package's `src/` and sorted by package path.
+    pub non_test_lines: Vec<(String, usize)>,
+}
+
 /// Lint every `.rs` file under `root` (the workspace root).  `only`
 /// restricts reporting to the named rules (empty slice = all rules).
 ///
 /// Files are visited in sorted path order so output is deterministic —
 /// the lint holds itself to the standard it enforces.
-pub fn lint_workspace(root: &Path, only: &[String]) -> Result<Vec<Finding>, String> {
+pub fn lint_workspace(root: &Path, only: &[String]) -> Result<LintReport, String> {
     for o in only {
         if rule_by_name(o).is_none() {
             return Err(format!(
@@ -44,17 +55,29 @@ pub fn lint_workspace(root: &Path, only: &[String]) -> Result<Vec<Finding>, Stri
     files.sort();
 
     let mut findings = Vec::new();
+    let mut per_package: Vec<(String, usize)> = Vec::new();
     for path in &files {
         let rel = rel_path(root, path);
         let src = std::fs::read_to_string(path)
             .map_err(|e| format!("failed to read {}: {e}", path.display()))?;
         findings.extend(scan_source(&rel, &src));
+        if let Some((package, _)) = rel.split_once("/src/") {
+            let lines = non_test_lines(&src);
+            match per_package.last_mut() {
+                // Sorted walk: a package's files are adjacent.
+                Some((last, total)) if last == package => *total += lines,
+                _ => per_package.push((package.to_string(), lines)),
+            }
+        }
     }
     if !only.is_empty() {
         findings.retain(|f| only.iter().any(|o| o == f.rule));
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Ok(findings)
+    Ok(LintReport {
+        findings,
+        non_test_lines: per_package,
+    })
 }
 
 /// `path` relative to `root`, `/`-separated regardless of platform.

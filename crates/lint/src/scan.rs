@@ -254,6 +254,23 @@ fn cfg_test_ranges(code: &str) -> Vec<(usize, usize)> {
     ranges
 }
 
+/// Lines of `src` that no `#[cfg(test)]` item touches — the file's
+/// shipped code, comments and blank lines included.
+pub fn non_test_lines(src: &str) -> usize {
+    let lexed = lex(src);
+    let test_lines: Vec<(usize, usize)> = cfg_test_ranges(&lexed.code)
+        .into_iter()
+        .map(|(lo, hi)| (lexed.line_of(lo), lexed.line_of(hi - 1)))
+        .collect();
+    (1..=src.lines().count())
+        .filter(|line| {
+            !test_lines
+                .iter()
+                .any(|&(first, last)| (first..=last).contains(line))
+        })
+        .count()
+}
+
 /// The next non-whitespace byte at or after `i`.
 fn next_nonspace(code: &str, i: usize) -> Option<(usize, u8)> {
     code.as_bytes()[i..]
@@ -450,6 +467,28 @@ mod tests {
         assert_eq!(ranges.len(), 1);
         assert!(code[ranges[0].0..ranges[0].1].contains("mod tests"));
         assert!(!code[ranges[0].0..ranges[0].1].contains("fn b"));
+    }
+
+    #[test]
+    fn non_test_lines_skip_every_cfg_test_item() {
+        // A test-only static in the middle and a test module at the end:
+        // the old "lines above the first #[cfg(test)]" rule would stop at
+        // line 1.
+        let src = "fn a() {}\n\
+                   #[cfg(test)]\n\
+                   static PROBE: u8 = 0;\n\
+                   // \"#[cfg(test)]\" in a comment or string is not an item\n\
+                   fn b() {\n\
+                   }\n\
+                   \n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   \x20   fn x() {}\n\
+                   }\n";
+        assert_eq!(src.lines().count(), 11);
+        assert_eq!(non_test_lines(src), 5);
+        assert_eq!(non_test_lines(""), 0);
+        assert_eq!(non_test_lines("fn only() {}"), 1);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Values, records, and keys.
 
 use crate::schema::{ColumnType, Schema};
-use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
@@ -329,28 +328,6 @@ impl Key {
             })
             .sum()
     }
-
-    /// Serialize into an order-preserving byte string (useful for debugging
-    /// and for hashing keys across instance boundaries).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 * self.len());
-        for i in 0..self.len() {
-            match self.comp(i) {
-                CompRef::Int(i) => {
-                    buf.put_u8(0x01);
-                    // Flip the sign bit so that the byte order matches the
-                    // numeric order.
-                    buf.put_u64((i as u64) ^ (1 << 63));
-                }
-                CompRef::Text(s) => {
-                    buf.put_u8(0x02);
-                    buf.put_slice(s.as_bytes());
-                    buf.put_u8(0x00);
-                }
-            }
-        }
-        buf.freeze()
-    }
 }
 
 impl PartialEq for Key {
@@ -576,16 +553,6 @@ mod tests {
             Key::from(vec![Value::Int(7), text("a")]).head_rank(),
             (7 << 32) | 0xFFFF_FFFF
         );
-    }
-
-    #[test]
-    fn key_encoding_preserves_integer_order() {
-        let keys = [-100i64, -1, 0, 1, 5, 1_000_000];
-        for w in keys.windows(2) {
-            let a = Key::int(w[0]).encode();
-            let b = Key::int(w[1]).encode();
-            assert!(a < b, "{:?} should sort before {:?}", w[0], w[1]);
-        }
     }
 
     #[test]

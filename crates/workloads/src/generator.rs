@@ -19,39 +19,9 @@ pub use atrapos_core::{KeyDistribution, KeySampler};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mix<T: Clone> {
     entries: Vec<(T, f64)>,
-    /// `cumulative[i]` = sum of the first `i + 1` weights.  Derived from
-    /// `entries`; rebuilt (never trusted from a file) on deserialization.
+    /// `cumulative[i]` = sum of the first `i + 1` weights.
     cumulative: Vec<f64>,
     total: f64,
-}
-
-impl<T: Clone + serde::ser::Serialize> serde::ser::Serialize for Mix<T> {
-    fn to_value(&self) -> serde::Value {
-        // Only the entries go on the wire (the historical format); the
-        // cumulative table and total are derived state.
-        serde::Value::Object(vec![(
-            "entries".to_string(),
-            serde::ser::Serialize::to_value(&self.entries),
-        )])
-    }
-}
-
-impl<T: Clone + serde::de::Deserialize> serde::de::Deserialize for Mix<T> {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .get("entries")
-            .ok_or_else(|| serde::Error::new("Mix: missing field 'entries'"))?;
-        let entries: Vec<(T, f64)> = serde::de::Deserialize::from_value(entries)?;
-        if entries.is_empty() {
-            return Err(serde::Error::new("Mix: needs at least one entry"));
-        }
-        if entries.iter().map(|(_, w)| w).sum::<f64>() <= 0.0 {
-            return Err(serde::Error::new(
-                "Mix: weights must sum to a positive value",
-            ));
-        }
-        Ok(Mix::new(entries))
-    }
 }
 
 impl<T: Clone> Mix<T> {

@@ -16,7 +16,9 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn committed_workspace_is_lint_clean() {
-    let findings = lint_workspace(&workspace_root(), &[]).expect("walk succeeds");
+    let findings = lint_workspace(&workspace_root(), &[])
+        .expect("walk succeeds")
+        .findings;
     assert!(
         findings.is_empty(),
         "committed workspace has lint findings:\n{}",
@@ -62,8 +64,17 @@ fn injected_violations_are_caught_at_exact_lines() {
     std::fs::write(src_dir.join("scratch.rs"), bad).expect("write scratch");
     std::fs::write(bench_dir.join("scratch.rs"), bad).expect("write bench scratch");
 
-    let findings = lint_workspace(&dir, &[]).expect("walk succeeds");
+    let report = lint_workspace(&dir, &[]).expect("walk succeeds");
     std::fs::remove_dir_all(&dir).ok();
+    // Both scratch files are eight non-test lines, summed per package.
+    assert_eq!(
+        report.non_test_lines,
+        vec![
+            ("crates/bench".to_string(), 8),
+            ("crates/engine".to_string(), 8)
+        ]
+    );
+    let findings = report.findings;
 
     let lines: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
     // Line 3 carries both the short-generic type and the ::new call.
