@@ -3,9 +3,8 @@
 //! files, and renders the reproduction report.
 //!
 //! ```text
-//! atrapos figures              # run the reproduction report set, update BENCH_figures.json
+//! atrapos figures              # run the whole catalogue, update BENCH_figures.json
 //! atrapos figures fig10 abl04  # run specific experiments
-//! atrapos figures --all        # every experiment (fig01–fig13, tab01–tab02, ablations)
 //! atrapos wallclock --label L  # time the fixed simulator bundle
 //! atrapos sweep --workload tatp --sockets 1,8
 //! atrapos replay experiment.json
@@ -20,9 +19,7 @@
 //! `ATRAPOS_THREADS` pins the experiment lab's thread pool.
 
 use atrapos_bench::cli::{self, FlagSpec};
-use atrapos_bench::figures::{
-    run_by_id, ABLATION_IDS, ALL_IDS, OVERLOAD_IDS, REPORT_IDS, SPEC_IDS, YCSB_IDS,
-};
+use atrapos_bench::figures::{run_by_id, RUNNERS};
 use atrapos_bench::report::{
     figures_path, load_figures, report_dir, save_figures, write_scenario_json,
 };
@@ -35,14 +32,11 @@ atrapos — the ATraPos reproduction toolbox
 USAGE: atrapos <command> [options]
 
 COMMANDS:
-  figures [ids..] [--all] [--only id]
-                            Run experiments, print their tables, and record
+  figures [ids..]           Run experiments, print their tables, and record
                             the results in reports/BENCH_figures.json.
-                            Default ids: the reproduction report set
-                            (fig08, tab02, fig10-fig13, abl01-abl04,
-                            ycsb01-ycsb02, overload01-overload02).
-                            --only <id> regenerates a single experiment
-                            without the rest of the bundle (repeatable).
+                            Without ids: the whole catalogue (fig01-fig13,
+                            tab01-tab02, abl01-abl04, ycsb01-ycsb02,
+                            overload01-overload02, spec01).
   wallclock [--label L] [--threads N] [--smoke]
                             Time the fixed figure bundle on the parallel lab
                             and append the entry to
@@ -52,16 +46,14 @@ COMMANDS:
                             Validate declarative WorkloadSpec files: parse,
                             run the typed structural checks, and print a
                             summary per spec; exit 1 if any is rejected.
-  workload run <spec.json> [--secs S] [--threads N]
-                            Compile a spec and run it across the four
-                            YCSB-family designs, printing per-design
-                            committed/aborted counts and throughput.
   sweep [--workload micro|tatp|tpcc|ycsb|spec:<file.json>] [--sockets 1,8]
         [--arrival TPS] [--bound N]
-                            Compare the five system designs on a workload.
-                            --arrival switches to open-loop serving at the
-                            given Poisson rate (goodput/p99/rejection
-                            table); --bound sets the admission-queue depth
+                            Compare the five system designs on a workload
+                            (spec:<file.json> compiles a declarative
+                            WorkloadSpec file).  --arrival switches to
+                            open-loop serving at the given Poisson rate
+                            (goodput/p99/rejection table); --bound sets
+                            the admission-queue depth
                             (default 128).
   replay [file.json] [--emit-sample]
                             Run a complete experiment description from JSON
@@ -118,70 +110,32 @@ fn main() {
     }
 }
 
-/// `atrapos figures [ids..] [--all] [--only id]`
+/// `atrapos figures [ids..]`
 fn cmd_figures(args: &[String]) -> Result<(), String> {
     let scale = Scale::from_env();
-    let parsed = cli::parse(
-        args,
-        &[FlagSpec::switch("--all"), FlagSpec::repeated("--only")],
-        usize::MAX,
-        "atrapos figures [ids..] [--all] [--only id]",
-    )?;
-    let all = parsed.has("--all");
-    // `--only <id>` pulls one experiment out of the bundle; it may repeat
-    // and combines with positional ids.
-    let mut ids: Vec<String> = parsed
-        .positionals()
-        .iter()
-        .cloned()
-        .chain(parsed.values("--only").iter().map(|s| s.to_string()))
-        .collect();
-    if all && !ids.is_empty() {
-        return Err("--all combines with no explicit experiment ids".to_string());
-    }
-    ids = if !ids.is_empty() {
-        ids
-    } else if all {
-        ALL_IDS
-            .iter()
-            .chain(ABLATION_IDS.iter())
-            .chain(YCSB_IDS.iter())
-            .chain(OVERLOAD_IDS.iter())
-            .chain(SPEC_IDS.iter())
-            .map(|s| s.to_string())
-            .collect()
-    } else {
-        REPORT_IDS.iter().map(|s| s.to_string()).collect()
-    };
-
+    let parsed = cli::parse(args, &[], usize::MAX, "atrapos figures [ids..]")?;
+    let catalogue = || RUNNERS.iter().map(|(id, _)| *id);
     // Validate every id up front: experiments are expensive, and a typo at
     // the end of the list must not discard completed runs.
-    let known = |id: &str| {
-        ALL_IDS.contains(&id)
-            || ABLATION_IDS.contains(&id)
-            || YCSB_IDS.contains(&id)
-            || OVERLOAD_IDS.contains(&id)
-            || SPEC_IDS.contains(&id)
-    };
-    if let Some(bad) = ids.iter().find(|id| !known(id)) {
+    if let Some(bad) = parsed
+        .positionals()
+        .iter()
+        .find(|id| !catalogue().any(|known| known == id.as_str()))
+    {
         return Err(format!(
             "unknown experiment id '{bad}'; known ids: {}",
-            ALL_IDS
-                .iter()
-                .chain(ABLATION_IDS.iter())
-                .chain(YCSB_IDS.iter())
-                .chain(OVERLOAD_IDS.iter())
-                .chain(SPEC_IDS.iter())
-                .copied()
-                .collect::<Vec<_>>()
-                .join(", ")
+            catalogue().collect::<Vec<_>>().join(", ")
         ));
     }
+    let ids: Vec<&str> = match parsed.positionals() {
+        [] => catalogue().collect(),
+        chosen => chosen.iter().map(String::as_str).collect(),
+    };
 
     let mut store = load_figures()?;
     for id in &ids {
         let (fig, outcomes) = run_by_id(id, &scale)
-            .unwrap_or_else(|| unreachable!("id '{id}' was validated against the known lists"));
+            .unwrap_or_else(|| unreachable!("id '{id}' was validated against the runner table"));
         fig.print();
         if !outcomes.is_empty() {
             let meta = fig
@@ -214,7 +168,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             FlagSpec::value("--bound"),
         ],
         0,
-        "atrapos sweep [--workload micro|tatp|tpcc|ycsb] [--sockets 1,8] \
+        "atrapos sweep [--workload micro|tatp|tpcc|ycsb|spec:<file.json>] [--sockets 1,8] \
          [--arrival TPS] [--bound N]",
     )?;
     let workload = parsed.value("--workload").unwrap_or("micro");
@@ -441,4 +395,27 @@ fn workspace_root() -> Result<std::path::PathBuf, String> {
         "no workspace root found above {} (pass the root explicitly: `atrapos lint <root>`)",
         start.display()
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Positional ids are the only selection: the old `--all` / `--only`
+    /// spellings and ids outside the catalogue fail before anything runs.
+    #[test]
+    fn figures_rejects_removed_flags_and_unknown_ids() {
+        for gone in ["all", "only"] {
+            let flag = format!("--{gone}");
+            let err = cmd_figures(&argv(&[&flag, "fig10"])).unwrap_err();
+            assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+        }
+        let err = cmd_figures(&argv(&["fig10", "fig99"])).unwrap_err();
+        assert!(err.contains("unknown experiment id 'fig99'"), "{err}");
+        assert!(err.contains("fig01") && err.contains("spec01"), "{err}");
+    }
 }

@@ -15,39 +15,25 @@
 //!   with shifted cross-table correlation, the advisor's plan turns almost
 //!   every distributed transaction into a single-instance transaction.
 
-use crate::harness::{measure_jobs, measurement_config, run_meta, Scale};
+use crate::harness::{
+    adaptive_atrapos, grid, labelled, machine, measurement_job, run, run_meta, stats, timeline_job,
+    Scale,
+};
 use crate::report::{fmt, FigureResult};
 use atrapos_core::{
-    advise_sharding, evaluate_sharding, AdaptiveInterval, ControllerConfig, KeyDistribution,
-    KeyDomain, ShardingConfig, ShardingPlan, SubPartitionId, WorkloadStats,
+    advise_sharding, evaluate_sharding, KeyDistribution, KeyDomain, ShardingConfig, ShardingPlan,
+    SubPartitionId, WorkloadStats,
 };
 use atrapos_engine::scenario::{Scenario, ScenarioEvent};
-use atrapos_engine::sweep::{default_threads, run_sweep, SweepJob};
 use atrapos_engine::workload::ensure_tables;
 use atrapos_engine::{
-    Action, ActionOp, AtraposConfig, DesignSpec, ExecutorConfig, Phase, TableSpec, TransactionSpec,
-    Workload,
+    Action, ActionOp, AtraposConfig, DesignSpec, Phase, TableSpec, TransactionSpec, Workload,
 };
 use atrapos_numa::{CoreId, CostModel, Machine, Topology};
 use atrapos_storage::{Column, ColumnType, Database, Key, Record, Schema, TableId, Value};
 use atrapos_workloads::{SimpleAb, Tatp, TatpConfig, TatpTxn};
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-/// Identifiers of the ablation experiments.
-pub const ABLATION_IDS: &[&str] = &["abl01", "abl02", "abl03", "abl04"];
-
-/// A controller configuration whose adaptation interval matches the
-/// experiment scale.  The `ControllerConfig` default is the paper's 1–8 s
-/// interval; at the reduced scale a run lasts well under a second, so an
-/// unscaled controller never fires and the "adaptive" variant silently
-/// degenerates to the static one (plus monitoring overhead).
-fn scaled_controller(scale: &Scale) -> ControllerConfig {
-    ControllerConfig {
-        interval: AdaptiveInterval::new(scale.interval_min_secs, scale.interval_max_secs, 0.10),
-        ..ControllerConfig::default()
-    }
-}
 
 /// abl01: ATraPos vs PLP under the calibrated Westmere cost model and under
 /// a hypothetical uniform interconnect.  The speedup of ATraPos over PLP
@@ -62,36 +48,30 @@ pub fn abl01_uniform_interconnect(scale: &Scale) -> FigureResult {
     );
     let sockets = scale.max_sockets;
     let cores = scale.cores_per_socket.min(4);
-    let labels = ["westmere", "uniform"];
-    let mut jobs = Vec::new();
-    for (label, cost) in labels
-        .iter()
-        .zip([CostModel::westmere(), CostModel::uniform()])
-    {
-        for spec in [DesignSpec::Plp, DesignSpec::atrapos()] {
-            let machine = Machine::new(Topology::multisocket(sockets, cores), cost.clone());
+    let cost_models = [
+        ("westmere", CostModel::westmere()),
+        ("uniform", CostModel::uniform()),
+    ];
+    grid(
+        &mut fig,
+        &cost_models,
+        &[DesignSpec::Plp, DesignSpec::atrapos()],
+        |(label, cost), design| {
             let mut workload = Tatp::new(TatpConfig::scaled(scale.tatp_subscribers / 4));
             workload.set_single(TatpTxn::GetSubscriberData);
-            jobs.push(SweepJob::measurement(
-                format!("abl01/{label}/{}", spec.label()),
-                machine,
-                spec,
+            measurement_job(
+                format!("abl01/{label}/{}", design.label()),
+                Machine::new(Topology::multisocket(sockets, cores), cost.clone()),
+                design.clone(),
                 Box::new(workload),
                 scale.measure_secs,
-                measurement_config(scale.measure_secs),
-            ));
-        }
-    }
-    let results = measure_jobs(jobs);
-    for (label, pair) in labels.iter().zip(results.chunks_exact(2)) {
-        let (plp, atrapos) = (pair[0].throughput_tps, pair[1].throughput_tps);
-        fig.push_row(vec![
-            label.to_string(),
-            fmt(plp / 1e3),
-            fmt(atrapos / 1e3),
-            fmt(atrapos / plp),
-        ]);
-    }
+            )
+        },
+        |(label, _), measured| {
+            let (plp, atrapos) = (measured[0].throughput_tps, measured[1].throughput_tps);
+            labelled(label, [plp / 1e3, atrapos / 1e3, atrapos / plp])
+        },
+    );
     fig.note(
         "expected shape: a clear ATraPos speedup on the Westmere model, ~1x on the uniform model",
     );
@@ -118,11 +98,12 @@ pub fn abl02_oversubscription(scale: &Scale) -> FigureResult {
     let sockets = scale.max_sockets.min(4);
     let cores = scale.cores_per_socket.min(4);
     let penalties = [0.0f64, 0.2, 0.35, 0.5];
-    let mut jobs = Vec::new();
-    for penalty in penalties {
-        for atrapos_layout in [false, true] {
-            let machine =
-                Machine::new(Topology::multisocket(sockets, cores), CostModel::westmere());
+    grid(
+        &mut fig,
+        &penalties,
+        &[("naive", false), ("atrapos", true)],
+        |&penalty, &(layout, atrapos_layout)| {
+            let machine = machine(sockets, cores);
             let workload = SimpleAb::new(scale.micro_rows / 8).expect("the scale has rows");
             // A pure scheme comparison: adaptation off, only the initial
             // layout differs (the penalty itself is what is ablated).
@@ -136,38 +117,22 @@ pub fn abl02_oversubscription(scale: &Scale) -> FigureResult {
             });
             let config = AtraposConfig {
                 oversubscription_penalty: penalty,
-                monitoring: false,
-                adaptive: false,
                 initial_scheme,
-                ..AtraposConfig::default()
+                ..AtraposConfig::static_atrapos()
             };
-            jobs.push(SweepJob::measurement(
-                format!(
-                    "abl02/penalty-{penalty}/{}",
-                    if atrapos_layout { "atrapos" } else { "naive" }
-                ),
+            measurement_job(
+                format!("abl02/penalty-{penalty}/{layout}"),
                 machine,
                 DesignSpec::atrapos_with(config),
                 Box::new(workload),
                 scale.measure_secs,
-                ExecutorConfig {
-                    seed: 42,
-                    default_interval_secs: scale.interval_min_secs,
-                    time_series_bucket_secs: scale.measure_secs,
-                },
-            ));
-        }
-    }
-    let results = measure_jobs(jobs);
-    for (penalty, pair) in penalties.iter().zip(results.chunks_exact(2)) {
-        let (naive, atrapos) = (pair[0].throughput_tps, pair[1].throughput_tps);
-        fig.push_row(vec![
-            fmt(*penalty),
-            fmt(naive / 1e3),
-            fmt(atrapos / 1e3),
-            fmt(atrapos / naive),
-        ]);
-    }
+            )
+        },
+        |&penalty, measured| {
+            let (naive, atrapos) = (measured[0].throughput_tps, measured[1].throughput_tps);
+            labelled(fmt(penalty), [naive / 1e3, atrapos / 1e3, atrapos / naive])
+        },
+    );
     fig.note(
         "expected shape: the ATraPos layout's advantage grows with the oversubscription penalty",
     );
@@ -191,25 +156,19 @@ pub fn abl03_sub_partition_granularity(scale: &Scale) -> FigureResult {
             "repartitions",
         ],
     );
-    // One lab job per granularity; the skew arrives as a timeline event
-    // after the first phase, and the three post-skew phases are measurement
-    // boundaries (the same run_for/reconfigure sequence the hand-rolled
-    // loop performed).
+    // One lab job per granularity on the adaptive figures' machine; the
+    // skew arrives as a timeline event after the first phase, and the three
+    // post-skew phases are measurement boundaries.
     let p = scale.phase_secs;
     let sub_pers = [2usize, 10, 40];
     let jobs = sub_pers
         .iter()
         .map(|&sub_per| {
-            let machine = Machine::new(
-                Topology::multisocket(scale.max_sockets.min(4), scale.cores_per_socket.min(4)),
-                CostModel::westmere(),
-            );
             let mut workload = Tatp::new(TatpConfig::scaled(scale.tatp_subscribers / 4));
             workload.set_single(TatpTxn::GetSubscriberData);
             let config = AtraposConfig {
                 sub_per_partition: sub_per,
-                controller: scaled_controller(scale),
-                ..AtraposConfig::default()
+                ..adaptive_atrapos(scale)
             };
             // The Figure 11 hotspot: 50% of the requests on 20% of the data.
             let scenario = Scenario::new(format!("abl03-sub-{sub_per}"), 4.0 * p)
@@ -226,23 +185,16 @@ pub fn abl03_sub_partition_granularity(scale: &Scale) -> FigureResult {
                 )
                 .at(2.0 * p, "skewed", ScenarioEvent::Measure)
                 .at(3.0 * p, "skewed", ScenarioEvent::Measure);
-            SweepJob {
-                name: format!("abl03/sub-{sub_per}"),
-                machine,
-                design: DesignSpec::atrapos_with(config),
-                workload: Box::new(workload),
-                scenario,
-                config: ExecutorConfig {
-                    seed: 42,
-                    default_interval_secs: scale.interval_min_secs,
-                    time_series_bucket_secs: scale.interval_min_secs,
-                },
-            }
+            timeline_job(
+                format!("abl03/sub-{sub_per}"),
+                scale,
+                DesignSpec::atrapos_with(config),
+                Box::new(workload),
+                &scenario,
+            )
         })
         .collect();
-    let results = run_sweep(jobs, default_threads());
-    for (sub_per, result) in sub_pers.iter().zip(results) {
-        let outcome = result.outcome.expect("TATP supports distribution changes");
+    for (sub_per, outcome) in sub_pers.iter().zip(run(jobs)) {
         let before = outcome.segments[0].stats.throughput_tps;
         let post_skew = &outcome.segments[1..];
         let after = post_skew.last().map_or(0.0, |s| s.stats.throughput_tps);
@@ -255,10 +207,7 @@ pub fn abl03_sub_partition_granularity(scale: &Scale) -> FigureResult {
         ]);
     }
     fig.note("expected shape: the coarsest granule adapts worst; 10 sub-partitions (the paper's choice) captures most of the benefit");
-    fig.set_meta(run_meta(
-        scale.max_sockets.min(4),
-        scale.cores_per_socket.min(4),
-    ));
+    fig.set_meta(run_meta(4, 4));
     fig
 }
 
@@ -416,27 +365,18 @@ pub fn abl04_sharding_advisor(scale: &Scale) -> FigureResult {
     let jobs = cases
         .iter()
         .map(|(label, plan)| {
-            let machine =
-                Machine::new(Topology::multisocket(sockets, cores), CostModel::westmere());
-            SweepJob::measurement(
+            measurement_job(
                 format!("abl04/{label}"),
-                machine,
+                machine(sockets, cores),
                 DesignSpec::shared_nothing_with_plan(plan.clone()),
                 Box::new(ShiftedAb { rows }),
                 scale.measure_secs,
-                ExecutorConfig {
-                    seed: 42,
-                    default_interval_secs: scale.measure_secs,
-                    time_series_bucket_secs: scale.measure_secs,
-                },
             )
         })
         .collect();
-    let results = run_sweep(jobs, default_threads());
-    for (((label, _), estimated), result) in cases.iter().zip(estimates).zip(results) {
-        let outcome = result.outcome.expect("sharding measurement runs");
+    for (((label, _), estimated), outcome) in cases.iter().zip(estimates).zip(run(jobs)) {
         let distributed = outcome.design_stats.distributed_txns.unwrap_or(0);
-        let tps = outcome.segments[0].stats.throughput_tps;
+        let tps = stats(&outcome).throughput_tps;
         fig.push_row(vec![
             label.to_string(),
             fmt(estimated),
@@ -449,36 +389,9 @@ pub fn abl04_sharding_advisor(scale: &Scale) -> FigureResult {
     fig
 }
 
-/// Run one ablation by id.
-pub fn run_ablation(id: &str, scale: &Scale) -> Option<FigureResult> {
-    match id {
-        "abl01" => Some(abl01_uniform_interconnect(scale)),
-        "abl02" => Some(abl02_oversubscription(scale)),
-        "abl03" => Some(abl03_sub_partition_granularity(scale)),
-        "abl04" => Some(abl04_sharding_advisor(scale)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_scale() -> Scale {
-        Scale {
-            micro_rows: 8_000,
-            memory_rows: 8_000,
-            tatp_subscribers: 4_000,
-            tpcc_warehouses: 2,
-            ycsb_records: 4_000,
-            measure_secs: 0.002,
-            phase_secs: 0.004,
-            interval_min_secs: 0.002,
-            interval_max_secs: 0.008,
-            max_sockets: 2,
-            cores_per_socket: 2,
-        }
-    }
 
     #[test]
     fn shifted_trace_has_cross_sub_partition_pairs() {
@@ -489,7 +402,7 @@ mod tests {
 
     #[test]
     fn advisor_ablation_reports_both_plans() {
-        let fig = abl04_sharding_advisor(&tiny_scale());
+        let fig = abl04_sharding_advisor(&Scale::tiny());
         assert_eq!(fig.rows.len(), 2);
         // The advisor row should not estimate more distributed co-accesses
         // than the range row.
@@ -500,7 +413,7 @@ mod tests {
 
     #[test]
     fn uniform_interconnect_ablation_runs() {
-        let fig = abl01_uniform_interconnect(&tiny_scale());
+        let fig = abl01_uniform_interconnect(&Scale::tiny());
         assert_eq!(fig.rows.len(), 2);
     }
 }

@@ -1,17 +1,53 @@
 //! The motivation experiments of paper §III: how the existing designs behave
 //! on multisocket hardware (Figures 1–5, Table I).
 
-use crate::harness::{measure, measure_with_memory_policy, run_meta, Scale};
-use crate::report::{fmt, FigureResult};
-use atrapos_engine::DesignSpec;
-use atrapos_numa::Component;
-use atrapos_numa::SocketId;
+use crate::harness::{grid, labelled, machine, measurement_job, run_meta, stats, Scale};
+use crate::report::FigureResult;
+use atrapos_engine::sweep::SweepJob;
+use atrapos_engine::{DesignSpec, RunStats, SharedNothingGranularity};
+use atrapos_numa::{Component, SocketId};
 use atrapos_storage::MemoryPolicy;
 use atrapos_workloads::{MultiSiteUpdate, ReadManyRows, ReadOneRow};
 
-/// Socket counts used by the scale-up figures.
-fn socket_counts(max: usize) -> Vec<usize> {
-    (1..=max).collect()
+/// The scale-up figures (1, 2, 5): `metric` of every design on the
+/// perfectly partitionable microbenchmark, one row per socket count.
+fn scaleup_figure(
+    mut fig: FigureResult,
+    scale: &Scale,
+    socket_counts: &[usize],
+    designs: &[DesignSpec],
+    metric: fn(&RunStats) -> f64,
+) -> FigureResult {
+    grid(
+        &mut fig,
+        socket_counts,
+        designs,
+        |&sockets, design| {
+            measurement_job(
+                format!("{sockets}-socket/{}", design.label()),
+                machine(sockets, scale.cores_per_socket),
+                design.clone(),
+                Box::new(ReadOneRow::partitionable(
+                    scale.micro_rows,
+                    sockets * scale.cores_per_socket,
+                    1,
+                )),
+                scale.measure_secs,
+            )
+        },
+        |sockets, measured| labelled(sockets, measured.iter().map(|s| metric(s))),
+    );
+    fig.set_meta(run_meta(scale.max_sockets, scale.cores_per_socket));
+    fig
+}
+
+/// The three designs of Figures 1 and 2.
+fn existing_designs() -> [DesignSpec; 3] {
+    [
+        DesignSpec::extreme_shared_nothing(false),
+        DesignSpec::Centralized,
+        DesignSpec::Plp,
+    ]
 }
 
 /// Figure 1: instructions retired per cycle of the extreme shared-nothing,
@@ -23,32 +59,9 @@ pub fn fig01_ipc(scale: &Scale) -> FigureResult {
         "Instructions retired per cycle (perfectly partitionable workload)",
         vec!["sockets", "extreme-SN", "centralized", "PLP"],
     );
-    for sockets in [1usize, 2, 4, 8] {
-        let sockets = sockets.min(scale.max_sockets);
-        let mut row = vec![sockets.to_string()];
-        for kind in [
-            DesignSpec::extreme_shared_nothing(false),
-            DesignSpec::Centralized,
-            DesignSpec::Plp,
-        ] {
-            let stats = measure(
-                sockets,
-                scale.cores_per_socket,
-                &kind,
-                Box::new(ReadOneRow::partitionable(
-                    scale.micro_rows,
-                    sockets * scale.cores_per_socket,
-                    1,
-                )),
-                scale.measure_secs,
-            );
-            row.push(fmt(stats.ipc));
-        }
-        fig.push_row(row);
-    }
     fig.note("expected shape: shared-nothing flat; centralized rises with spinning; PLP drops with cross-socket CAS stalls");
-    fig.set_meta(run_meta(scale.max_sockets, scale.cores_per_socket));
-    fig
+    let socket_counts = [1usize, 2, 4, 8].map(|s| s.min(scale.max_sockets));
+    scaleup_figure(fig, scale, &socket_counts, &existing_designs(), |s| s.ipc)
 }
 
 /// Figure 2: throughput (millions of transactions per second) of the same
@@ -59,31 +72,62 @@ pub fn fig02_scaleup(scale: &Scale) -> FigureResult {
         "Throughput of shared-nothing, centralized, and PLP (MTPS)",
         vec!["sockets", "extreme-SN", "centralized", "PLP"],
     );
-    for sockets in socket_counts(scale.max_sockets) {
-        let mut row = vec![sockets.to_string()];
-        for kind in [
-            DesignSpec::extreme_shared_nothing(false),
-            DesignSpec::Centralized,
-            DesignSpec::Plp,
-        ] {
-            let stats = measure(
-                sockets,
-                scale.cores_per_socket,
-                &kind,
-                Box::new(ReadOneRow::partitionable(
-                    scale.micro_rows,
-                    sockets * scale.cores_per_socket,
-                    1,
-                )),
-                scale.measure_secs,
-            );
-            row.push(fmt(stats.throughput_tps / 1e6));
-        }
-        fig.push_row(row);
-    }
     fig.note("expected shape: extreme shared-nothing scales linearly; centralized and PLP stop scaling past 1-2 sockets");
-    fig.set_meta(run_meta(scale.max_sockets, scale.cores_per_socket));
-    fig
+    let socket_counts: Vec<usize> = (1..=scale.max_sockets).collect();
+    scaleup_figure(fig, scale, &socket_counts, &existing_designs(), |s| {
+        s.throughput_tps / 1e6
+    })
+}
+
+/// Figure 5: throughput of the perfectly partitionable workload for the
+/// extreme/coarse shared-nothing designs, ATraPos, and PLP.
+pub fn fig05_atrapos_scaleup(scale: &Scale) -> FigureResult {
+    let mut fig = FigureResult::new(
+        "fig05",
+        "Throughput of a perfectly partitionable workload (MTPS)",
+        vec!["sockets", "extreme-SN", "coarse-SN", "ATraPos", "PLP"],
+    );
+    fig.note(
+        "expected shape: ATraPos scales like both shared-nothing configurations; PLP does not",
+    );
+    let socket_counts: Vec<usize> = (1..=scale.max_sockets).collect();
+    let designs = [
+        DesignSpec::extreme_shared_nothing(false),
+        DesignSpec::coarse_shared_nothing(),
+        DesignSpec::atrapos(),
+        DesignSpec::Plp,
+    ];
+    scaleup_figure(fig, scale, &socket_counts, &designs, |s| {
+        s.throughput_tps / 1e6
+    })
+}
+
+/// The percentages of multi-site transactions Figures 3 and 4 sweep.
+const MULTI_SITE_PCTS: [u32; 6] = [0, 20, 40, 60, 80, 100];
+
+/// One multi-site-update job on the largest machine: one site per core for
+/// the extreme shared-nothing design, one per socket otherwise.
+fn multisite_job(scale: &Scale, pct: u32, design: &DesignSpec) -> SweepJob {
+    let (sockets, cores) = (scale.max_sockets, scale.cores_per_socket);
+    let (sites, cores_per_site) = match design {
+        DesignSpec::SharedNothing {
+            granularity: SharedNothingGranularity::PerCore,
+            ..
+        } => (sockets * cores, 1),
+        _ => (sockets, cores),
+    };
+    measurement_job(
+        format!("{pct}%-multi-site/{}", design.label()),
+        machine(sockets, cores),
+        design.clone(),
+        Box::new(MultiSiteUpdate::new(
+            scale.micro_rows,
+            sites,
+            cores_per_site,
+            pct,
+        )),
+        scale.measure_secs,
+    )
 }
 
 /// Figure 3: throughput (KTPS) as the percentage of multi-site update
@@ -95,36 +139,20 @@ pub fn fig03_multisite(scale: &Scale) -> FigureResult {
         "Throughput vs. % multi-site transactions (KTPS)",
         vec!["% multi-site", "extreme-SN", "coarse-SN", "centralized"],
     );
-    let sockets = scale.max_sockets;
-    let cores = scale.cores_per_socket;
-    for pct in [0u32, 20, 40, 60, 80, 100] {
-        let mut row = vec![pct.to_string()];
-        for kind in [
-            DesignSpec::extreme_shared_nothing(true),
-            DesignSpec::coarse_shared_nothing(),
-            DesignSpec::Centralized,
-        ] {
-            let (sites, cores_per_site) = match &kind {
-                DesignSpec::SharedNothing {
-                    granularity: atrapos_engine::SharedNothingGranularity::PerCore,
-                    ..
-                } => (sockets * cores, 1),
-                _ => (sockets, cores),
-            };
-            let workload = MultiSiteUpdate::new(scale.micro_rows, sites, cores_per_site, pct);
-            let stats = measure(
-                sockets,
-                cores,
-                &kind,
-                Box::new(workload),
-                scale.measure_secs,
-            );
-            row.push(fmt(stats.throughput_tps / 1e3));
-        }
-        fig.push_row(row);
-    }
+    let designs = [
+        DesignSpec::extreme_shared_nothing(true),
+        DesignSpec::coarse_shared_nothing(),
+        DesignSpec::Centralized,
+    ];
+    grid(
+        &mut fig,
+        &MULTI_SITE_PCTS,
+        &designs,
+        |&pct, design| multisite_job(scale, pct, design),
+        |pct, measured| labelled(pct, measured.iter().map(|s| s.throughput_tps / 1e3)),
+    );
     fig.note("expected shape: shared-nothing throughput collapses as multi-site % grows; centralized is flat but low");
-    fig.set_meta(run_meta(sockets, cores));
+    fig.set_meta(run_meta(scale.max_sockets, scale.cores_per_socket));
     fig
 }
 
@@ -144,42 +172,44 @@ pub fn fig04_breakdown(scale: &Scale) -> FigureResult {
             "total",
         ],
     );
-    let sockets = scale.max_sockets;
-    let cores = scale.cores_per_socket;
+    let components = [
+        Component::XctManagement,
+        Component::XctExecution,
+        Component::Communication,
+        Component::Locking,
+        Component::Logging,
+    ];
     let ghz = 2.4;
-    for pct in [0u32, 20, 40, 60, 80, 100] {
-        let workload = MultiSiteUpdate::new(scale.micro_rows, sockets, cores, pct);
-        let stats = measure(
-            sockets,
-            cores,
-            &DesignSpec::coarse_shared_nothing(),
-            Box::new(workload),
-            scale.measure_secs,
-        );
-        let per_txn = |c: Component| {
-            if stats.committed == 0 {
-                0.0
-            } else {
-                atrapos_numa::cycles_to_micros(stats.breakdown.get(c), ghz) / stats.committed as f64
-            }
-        };
-        let mgmt = per_txn(Component::XctManagement);
-        let exec = per_txn(Component::XctExecution);
-        let comm = per_txn(Component::Communication);
-        let lock = per_txn(Component::Locking);
-        let log = per_txn(Component::Logging);
-        fig.push_row(vec![
-            pct.to_string(),
-            fmt(mgmt),
-            fmt(exec),
-            fmt(comm),
-            fmt(lock),
-            fmt(log),
-            fmt(mgmt + exec + comm + lock + log),
-        ]);
+    grid(
+        &mut fig,
+        &MULTI_SITE_PCTS,
+        &[DesignSpec::coarse_shared_nothing()],
+        |&pct, design| multisite_job(scale, pct, design),
+        |pct, measured| {
+            let s = measured[0];
+            let per_txn: Vec<f64> = components
+                .iter()
+                .map(|&c| match s.committed {
+                    0 => 0.0,
+                    n => atrapos_numa::cycles_to_micros(s.breakdown.get(c), ghz) / n as f64,
+                })
+                .collect();
+            let total = per_txn.iter().sum();
+            labelled(pct, per_txn.into_iter().chain([total]))
+        },
+    );
+    let last = MULTI_SITE_PCTS.len() - 1;
+    if let (Some(locking), Some(total)) = (fig.num(last, 4), fig.num(last, 6)) {
+        fig.note(format!(
+            "expected shape: total time per transaction grows steeply with multi-site %; \
+             here the growth is lock waiting ({:.0}% of the total at 100%, locks are held \
+             across the commit round trips) and communication — logging and transaction \
+             management grow too but stay a small part (the paper attributes more of it \
+             to logging)",
+            100.0 * locking / total
+        ));
     }
-    fig.note("expected shape: total time per transaction grows steeply with multi-site %, driven by logging, communication, and transaction management");
-    fig.set_meta(run_meta(sockets, cores));
+    fig.set_meta(run_meta(scale.max_sockets, scale.cores_per_socket));
     fig
 }
 
@@ -188,39 +218,41 @@ pub fn fig04_breakdown(scale: &Scale) -> FigureResult {
 pub fn tab01_memory_policy(scale: &Scale) -> FigureResult {
     let sockets = scale.max_sockets;
     let mut header = vec!["policy".to_string()];
-    for s in 0..sockets {
-        header.push(format!("socket{s}"));
-    }
+    header.extend((0..sockets).map(|s| format!("socket{s}")));
     header.push("total".to_string());
     let mut fig = FigureResult::new(
         "tab01",
         "Throughput (TPS) per instance under memory-allocation policies",
-        header.iter().map(|s| s.as_str()).collect(),
+        header.iter().map(String::as_str).collect(),
     );
-    let mut totals = Vec::new();
-    for policy in [
+    let policies = [
         MemoryPolicy::Local,
         MemoryPolicy::Central(SocketId((sockets - 1) as u16)),
         MemoryPolicy::Remote,
-    ] {
-        let stats = measure_with_memory_policy(
-            sockets,
-            scale.cores_per_socket,
-            policy,
-            Box::new(ReadManyRows::with_rows(scale.memory_rows, 100)),
-            scale.measure_secs,
-        );
-        let mut row = vec![policy.label().to_string()];
-        for s in 0..sockets {
-            row.push(fmt(stats.committed_by_socket.get(s).copied().unwrap_or(0)
-                as f64
-                / scale.measure_secs));
-        }
-        row.push(fmt(stats.throughput_tps));
-        totals.push(stats.throughput_tps);
-        fig.push_row(row);
-    }
-    if totals.len() == 3 && totals[0] > 0.0 {
+    ];
+    let outcomes = grid(
+        &mut fig,
+        &policies,
+        &[()],
+        |&policy, _| {
+            measurement_job(
+                policy.label(),
+                machine(sockets, scale.cores_per_socket),
+                DesignSpec::shared_nothing_with_memory_policy(policy),
+                Box::new(ReadManyRows::with_rows(scale.memory_rows, 100)),
+                scale.measure_secs,
+            )
+        },
+        |policy, measured| {
+            let s = measured[0];
+            let per_socket = (0..sockets).map(|i| {
+                s.committed_by_socket.get(i).copied().unwrap_or(0) as f64 / scale.measure_secs
+            });
+            labelled(policy.label(), per_socket.chain([s.throughput_tps]))
+        },
+    );
+    let totals: Vec<f64> = outcomes.iter().map(|o| stats(o).throughput_tps).collect();
+    if totals[0] > 0.0 {
         fig.note(format!(
             "central penalty {:.1}%, remote penalty {:.1}% (paper: 2.5-6.2% and 3.3-7%)",
             (1.0 - totals[1] / totals[0]) * 100.0,
@@ -228,43 +260,5 @@ pub fn tab01_memory_policy(scale: &Scale) -> FigureResult {
         ));
     }
     fig.set_meta(run_meta(sockets, scale.cores_per_socket));
-    fig
-}
-
-/// Figure 5: throughput of the perfectly partitionable workload for the
-/// extreme/coarse shared-nothing designs, ATraPos, and PLP.
-pub fn fig05_atrapos_scaleup(scale: &Scale) -> FigureResult {
-    let mut fig = FigureResult::new(
-        "fig05",
-        "Throughput of a perfectly partitionable workload (MTPS)",
-        vec!["sockets", "extreme-SN", "coarse-SN", "ATraPos", "PLP"],
-    );
-    for sockets in socket_counts(scale.max_sockets) {
-        let mut row = vec![sockets.to_string()];
-        for kind in [
-            DesignSpec::extreme_shared_nothing(false),
-            DesignSpec::coarse_shared_nothing(),
-            DesignSpec::atrapos(),
-            DesignSpec::Plp,
-        ] {
-            let stats = measure(
-                sockets,
-                scale.cores_per_socket,
-                &kind,
-                Box::new(ReadOneRow::partitionable(
-                    scale.micro_rows,
-                    sockets * scale.cores_per_socket,
-                    1,
-                )),
-                scale.measure_secs,
-            );
-            row.push(fmt(stats.throughput_tps / 1e6));
-        }
-        fig.push_row(row);
-    }
-    fig.note(
-        "expected shape: ATraPos scales like both shared-nothing configurations; PLP does not",
-    );
-    fig.set_meta(run_meta(scale.max_sockets, scale.cores_per_socket));
     fig
 }

@@ -22,16 +22,12 @@
 //! the centralized baseline and for ATraPos even though their capacities
 //! differ by an order of magnitude.
 
-use crate::harness::Scale;
-use crate::report::{fmt, FigureResult};
+use super::ycsb::{ycsb02_workload, ycsb_designs, ycsb_job, DESIGN_LABELS};
+use crate::harness::{fold_rows, labelled, run, run_meta, stats, time_series_figure, Scale};
+use crate::report::FigureResult;
 use atrapos_engine::scenario::{Scenario, ScenarioEvent, ScenarioOutcome};
-use atrapos_engine::sweep::{default_threads, run_sweep, SweepJob};
-use atrapos_engine::RunMeta;
-
-use super::ycsb::{series_rows, ycsb02_workload, ycsb_designs, ycsb_job, ycsb_meta};
-
-/// The experiment identifiers this module provides.
-pub const OVERLOAD_IDS: &[&str] = &["overload01", "overload02"];
+use atrapos_engine::sweep::SweepJob;
+use atrapos_engine::DesignSpec;
 
 /// Offered-load multiples of each design's saturation throughput swept by
 /// overload01.
@@ -42,37 +38,28 @@ pub const OVERLOAD_MULTIPLIERS: [f64; 5] = [0.5, 1.0, 1.5, 2.0, 3.0];
 /// (and p99 stays a queue-bound multiple of service time, not unbounded).
 pub const ADMISSION_BOUND: u64 = 128;
 
-/// The provenance record of the overload runs (the YCSB 4×4 machine).
-fn overload_meta() -> RunMeta {
-    ycsb_meta()
-}
-
 /// Closed-loop saturation throughput of every design, in table order —
 /// the per-design "1×" the open-loop rates are multiples of.  Measured
 /// with the exact YCSB-A uniform workload the open-loop jobs serve.
-fn saturation_tps(scale: &Scale) -> Vec<(&'static str, f64)> {
-    let jobs: Vec<SweepJob> = ycsb_designs(scale)
+fn saturation_tps(scale: &Scale) -> Vec<f64> {
+    let scenario = Scenario::new("overload-calibration", scale.measure_secs);
+    let jobs = ycsb_designs(scale)
         .into_iter()
-        .map(|(label, spec)| {
-            ycsb_job(
+        .map(|(label, design)| {
+            serving_job(
                 format!("overload-calibrate/{label}"),
                 scale,
-                ycsb02_workload(scale),
-                spec,
-                &Scenario::new("overload-calibration", scale.measure_secs),
+                design,
+                &scenario,
             )
         })
         .collect();
-    run_sweep(jobs, default_threads())
-        .into_iter()
-        .zip(ycsb_designs(scale))
-        .map(|(r, (label, _))| {
-            let outcome = r
-                .outcome
-                .unwrap_or_else(|e| panic!("calibration job '{}' failed: {e}", r.name));
-            (label, outcome.segments[0].stats.throughput_tps)
-        })
-        .collect()
+    run(jobs).iter().map(|o| stats(o).throughput_tps).collect()
+}
+
+/// One lab job serving the uniform YCSB-A workload of both experiments.
+fn serving_job(name: String, scale: &Scale, design: DesignSpec, scenario: &Scenario) -> SweepJob {
+    ycsb_job(name, scale, ycsb02_workload(scale), design, scenario)
 }
 
 /// An open-loop serving scenario: bound and rate installed at t = 0, one
@@ -89,65 +76,48 @@ fn serving_scenario(name: impl Into<String>, duration_secs: f64, rate_tps: f64) 
         .at_unlabelled(0.0, ScenarioEvent::SetArrivalRate { rate_tps })
 }
 
+/// The overload01 lab jobs, row-major: every offered-load multiple × every
+/// design, rates calibrated to each design's saturation.
+pub fn overload01_jobs(scale: &Scale) -> Vec<SweepJob> {
+    let designs: Vec<_> = ycsb_designs(scale)
+        .into_iter()
+        .zip(saturation_tps(scale))
+        .collect();
+    let mut jobs = Vec::new();
+    for mult in OVERLOAD_MULTIPLIERS {
+        for ((label, design), sat) in &designs {
+            jobs.push(serving_job(
+                format!("overload01/x{mult}/{label}"),
+                scale,
+                design.clone(),
+                &serving_scenario("overload01-load-sweep", scale.measure_secs, mult * sat),
+            ));
+        }
+    }
+    jobs
+}
+
 /// overload01: goodput, p99 latency, and rejection rate vs offered load
 /// (0.5×–3× of each design's own saturation) on all four designs.
-pub fn overload01_load_sweep(scale: &Scale) -> (FigureResult, Vec<ScenarioOutcome>) {
-    let saturation = saturation_tps(scale);
+pub fn overload01_load_sweep(scale: &Scale, outcomes: &[ScenarioOutcome]) -> FigureResult {
     let mut header = vec!["offered (x sat)".to_string()];
-    for (label, _) in &saturation {
-        header.push(format!("{label} goodput (KTPS)"));
-    }
-    for (label, _) in &saturation {
-        header.push(format!("{label} p99 (us)"));
-    }
-    for (label, _) in &saturation {
-        header.push(format!("{label} rejected (%)"));
+    for column in ["goodput (KTPS)", "p99 (us)", "rejected (%)"] {
+        header.extend(DESIGN_LABELS.map(|label| format!("{label} {column}")));
     }
     let mut fig = FigureResult::new(
         "overload01",
         "Open-loop overload: goodput, p99, and rejection vs offered load",
         header.iter().map(String::as_str).collect::<Vec<_>>(),
     );
-    let designs = ycsb_designs(scale);
-    let mut jobs = Vec::new();
-    for mult in OVERLOAD_MULTIPLIERS {
-        for ((label, spec), (_, sat)) in designs.iter().zip(&saturation) {
-            jobs.push(ycsb_job(
-                format!("overload01/x{mult}/{label}"),
-                scale,
-                ycsb02_workload(scale),
-                spec.clone(),
-                &serving_scenario("overload01-load-sweep", scale.measure_secs, mult * sat),
-            ));
-        }
-    }
-    let outcomes: Vec<ScenarioOutcome> = run_sweep(jobs, default_threads())
-        .into_iter()
-        .map(|r| {
-            r.outcome
-                .unwrap_or_else(|e| panic!("overload01 job '{}' failed: {e}", r.name))
-        })
-        .collect();
-    for (i, mult) in OVERLOAD_MULTIPLIERS.iter().enumerate() {
-        let chunk = &outcomes[i * designs.len()..(i + 1) * designs.len()];
-        let mut row = vec![format!("{mult}")];
-        for o in chunk {
-            row.push(fmt(o.segments[0].stats.throughput_tps / 1e3));
-        }
-        for o in chunk {
-            row.push(fmt(o.segments[0].stats.p99_latency_us));
-        }
-        for o in chunk {
-            let s = &o.segments[0].stats;
-            let pct = if s.offered == 0 {
-                0.0
-            } else {
-                100.0 * s.rejected as f64 / s.offered as f64
-            };
-            row.push(fmt(pct));
-        }
-        fig.push_row(row);
-    }
+    fold_rows(&mut fig, &OVERLOAD_MULTIPLIERS, outcomes, |mult, served| {
+        let goodput = served.iter().map(|s| s.throughput_tps / 1e3);
+        let p99 = served.iter().map(|s| s.p99_latency_us);
+        let rejected = served.iter().map(|s| match s.offered {
+            0 => 0.0,
+            offered => 100.0 * s.rejected as f64 / offered as f64,
+        });
+        labelled(mult, goodput.chain(p99).chain(rejected))
+    });
     fig.note(format!(
         "YCSB-A uniform over {} records on the 4x4 machine; Poisson arrivals through a \
          {ADMISSION_BOUND}-slot admission queue; offered rate is the multiple of each \
@@ -161,8 +131,8 @@ pub fn overload01_load_sweep(scale: &Scale) -> (FigureResult, Vec<ScenarioOutcom
          degradation) while the queue sheds the excess and p99 saturates at the \
          queue-bound latency instead of growing without bound",
     );
-    fig.set_meta(overload_meta());
-    (fig, outcomes)
+    fig.set_meta(run_meta(4, 4));
+    fig
 }
 
 /// The overload02 burst timeline for one design: 0.7× saturation, a 2.5×
@@ -202,15 +172,14 @@ pub fn overload02_scenario(scale: &Scale, saturation_tps: f64) -> Scenario {
 /// The overload02 lab jobs, one per design in table order, with rates
 /// calibrated to each design's saturation.
 pub fn overload02_jobs(scale: &Scale) -> Vec<SweepJob> {
-    saturation_tps(scale)
+    ycsb_designs(scale)
         .into_iter()
-        .zip(ycsb_designs(scale))
-        .map(|((label, sat), (_, spec))| {
-            ycsb_job(
+        .zip(saturation_tps(scale))
+        .map(|((label, design), sat)| {
+            serving_job(
                 format!("overload02/{label}"),
                 scale,
-                ycsb02_workload(scale),
-                spec,
+                design,
                 &overload02_scenario(scale, sat),
             )
         })
@@ -219,26 +188,13 @@ pub fn overload02_jobs(scale: &Scale) -> Vec<SweepJob> {
 
 /// overload02: the burst-recovery timeline (goodput in KTPS over time)
 /// across all four designs.
-pub fn overload02_burst_recovery(scale: &Scale) -> (FigureResult, Vec<ScenarioOutcome>) {
-    let designs = ycsb_designs(scale);
-    let mut header = vec!["time (s)"];
-    header.extend(designs.iter().map(|(label, _)| *label));
-    let mut fig = FigureResult::new(
+pub fn overload02_burst_recovery(scale: &Scale, outcomes: &[ScenarioOutcome]) -> FigureResult {
+    let mut fig = time_series_figure(
         "overload02",
         "Burst recovery under open-loop load (goodput, KTPS over time)",
-        header,
+        &DESIGN_LABELS,
+        outcomes,
     );
-    let outcomes: Vec<ScenarioOutcome> = run_sweep(overload02_jobs(scale), default_threads())
-        .into_iter()
-        .map(|r| {
-            r.outcome
-                .unwrap_or_else(|e| panic!("overload02 job '{}' failed: {e}", r.name))
-        })
-        .collect();
-    let series: Vec<Vec<_>> = outcomes.iter().map(|o| o.time_series()).collect();
-    for row in series_rows(&series) {
-        fig.push_row(row);
-    }
     fig.note(format!(
         "open-loop Poisson arrivals at 0.7x each design's saturation, a 2.5x burst for \
          {:.2} virtual s, then 0.7x again; {ADMISSION_BOUND}-slot admission queue",
@@ -249,8 +205,8 @@ pub fn overload02_burst_recovery(scale: &Scale) -> (FigureResult, Vec<ScenarioOu
          rejects the excess; once the rate drops back, the backlog drains and goodput \
          returns to the baseline level within the recovery window",
     );
-    fig.set_meta(overload_meta());
-    (fig, outcomes)
+    fig.set_meta(run_meta(4, 4));
+    fig
 }
 
 #[cfg(test)]
@@ -279,8 +235,10 @@ mod tests {
 
     #[test]
     fn overload01_produces_one_row_per_multiplier_and_conserves() {
-        let (fig, outcomes) = overload01_load_sweep(&tiny_scale());
+        let scale = tiny_scale();
+        let outcomes = run(overload01_jobs(&scale));
         assert_eq!(outcomes.len(), OVERLOAD_MULTIPLIERS.len() * 4);
+        let fig = overload01_load_sweep(&scale, &outcomes);
         assert_eq!(fig.rows.len(), OVERLOAD_MULTIPLIERS.len());
         // 1 multiplier column + 3 metric groups × 4 designs.
         assert_eq!(fig.header.len(), 13);
@@ -306,19 +264,18 @@ mod tests {
     #[test]
     fn overload02_runs_three_labelled_segments_on_every_design() {
         let scale = tiny_scale();
-        for r in run_sweep(overload02_jobs(&scale), 2) {
-            let outcome = r.outcome.expect("overload02 job runs");
+        for outcome in run(overload02_jobs(&scale)) {
+            let name = &outcome.design;
             let labels: Vec<&str> = outcome.segments.iter().map(|s| s.label.as_str()).collect();
             assert_eq!(labels, vec!["baseline", "burst", "recovery"]);
             for seg in &outcome.segments {
                 let s = &seg.stats;
-                assert!(s.open_loop, "{}/{} is not open loop", r.name, seg.label);
+                assert!(s.open_loop, "{name}/{} is not open loop", seg.label);
                 assert_eq!(s.offered, s.admitted + s.rejected);
                 assert_eq!(
                     s.admitted + s.queue_depth_start,
                     s.committed + s.aborted + s.queue_depth_end,
-                    "{}/{}: queue accounting must balance",
-                    r.name,
+                    "{name}/{}: queue accounting must balance",
                     seg.label
                 );
                 assert_eq!(s.latency_histogram.count(), s.committed);

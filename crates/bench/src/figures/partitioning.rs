@@ -1,16 +1,13 @@
 //! The partitioning/placement strategy comparison (Figure 6) and the
 //! NewOrder flow graph (Figure 7).
 
-use crate::harness::{machine, run_meta, Scale};
-use crate::report::{fmt, FigureResult};
+use crate::harness::{grid, labelled, machine, measurement_job, run_meta, Scale};
+use crate::report::FigureResult;
 use atrapos_core::{KeyDomain, PartitionSpec, PartitioningScheme, TablePartitioning};
-use atrapos_engine::{
-    ActionOp, AtraposConfig, AtraposDesign, DesignSpec, ExecutorConfig, SystemDesign,
-    VirtualExecutor, Workload,
-};
+use atrapos_engine::{ActionOp, AtraposConfig, DesignSpec, Workload};
 use atrapos_numa::{CoreId, Topology};
 use atrapos_storage::TableId;
-use atrapos_workloads::{CompiledWorkload, SimpleAb, Tpcc, TpccConfig, TpccTxn};
+use atrapos_workloads::{SimpleAb, Tpcc, TpccConfig, TpccTxn};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -61,25 +58,6 @@ pub(crate) fn half_scheme(
     PartitioningScheme::new(tables)
 }
 
-fn run_simple_ab(
-    scale: &Scale,
-    design: Box<dyn SystemDesign>,
-    machine: atrapos_numa::Machine,
-    workload: CompiledWorkload,
-) -> f64 {
-    let mut ex = VirtualExecutor::new(
-        machine,
-        design,
-        Box::new(workload),
-        ExecutorConfig {
-            seed: 42,
-            default_interval_secs: scale.measure_secs,
-            time_series_bucket_secs: scale.measure_secs,
-        },
-    );
-    ex.run_for(scale.measure_secs).throughput_tps
-}
-
 /// Figure 6: throughput of the simple two-table transaction under the five
 /// partitioning and placement strategies.
 pub fn fig06_placement(scale: &Scale) -> FigureResult {
@@ -90,74 +68,59 @@ pub fn fig06_placement(scale: &Scale) -> FigureResult {
     );
     let sockets = scale.max_sockets;
     let cores = scale.cores_per_socket;
-    let rows = scale.micro_rows / 4;
-    let workload = SimpleAb::new(rows).expect("the scale has rows");
-    let domains = workload.table_domains();
-
-    // 1 & 2: the baselines.
-    for spec in [DesignSpec::Centralized, DesignSpec::Plp] {
-        let m = machine(sockets, cores);
-        let design = spec.build(&m, &workload);
-        let tput = run_simple_ab(scale, design, m, workload.clone());
-        fig.push_row(vec![spec.label().to_string(), fmt(tput / 1e3)]);
-    }
-
-    // 3: the naive hardware-aware scheme (one partition of each table per
-    // core → two partitions per core: oversaturated).
-    {
-        let m = machine(sockets, cores);
-        let config = AtraposConfig {
-            adaptive: false,
-            monitoring: false,
-            ..AtraposConfig::default()
-        };
-        let design = Box::new(AtraposDesign::with_name("hw-aware", &m, &workload, config));
-        let tput = run_simple_ab(scale, design, m, workload.clone());
-        fig.push_row(vec!["HW-aware (naive)".to_string(), fmt(tput / 1e3)]);
-    }
-
-    // 4: one partition per core, placed obliviously to the topology.
-    {
-        let m = machine(sockets, cores);
-        let scheme = half_scheme(&m.topology, &domains, false, 10);
-        let config = AtraposConfig {
-            adaptive: false,
-            monitoring: false,
-            initial_scheme: Some(scheme),
-            ..AtraposConfig::default()
-        };
-        let design = Box::new(AtraposDesign::with_name(
-            "workload-aware",
-            &m,
-            &workload,
-            config,
-        ));
-        let tput = run_simple_ab(scale, design, m, workload.clone());
-        fig.push_row(vec!["Workload-aware".to_string(), fmt(tput / 1e3)]);
-    }
-
-    // 5: the full ATraPos placement (correlated partitions co-located).
-    {
-        let m = machine(sockets, cores);
-        let scheme = half_scheme(&m.topology, &domains, true, 10);
-        let config = AtraposConfig {
-            adaptive: false,
-            monitoring: false,
-            initial_scheme: Some(scheme),
-            ..AtraposConfig::default()
-        };
-        let design = Box::new(AtraposDesign::with_name("atrapos", &m, &workload, config));
-        let tput = run_simple_ab(scale, design, m, workload);
-        fig.push_row(vec!["ATraPos".to_string(), fmt(tput / 1e3)]);
-    }
-
+    let workload = SimpleAb::new(scale.micro_rows / 4).expect("the scale has rows");
+    let topology = machine(sockets, cores).topology;
+    // One partition per core in total, placed by `half_scheme`.
+    let placed = |name: &str, colocate: bool| {
+        DesignSpec::atrapos_named(
+            name,
+            AtraposConfig {
+                initial_scheme: Some(half_scheme(
+                    &topology,
+                    &workload.table_domains(),
+                    colocate,
+                    10,
+                )),
+                ..AtraposConfig::static_atrapos()
+            },
+        )
+    };
+    let strategies = [
+        ("Centralized", DesignSpec::Centralized),
+        ("PLP", DesignSpec::Plp),
+        // One partition of each table per core → two partitions per core:
+        // oversaturated.
+        (
+            "HW-aware (naive)",
+            DesignSpec::atrapos_named("hw-aware", AtraposConfig::static_atrapos()),
+        ),
+        // One partition per core, placed obliviously to the topology.
+        ("Workload-aware", placed("workload-aware", false)),
+        // The full ATraPos placement: correlated partitions co-located.
+        ("ATraPos", placed("atrapos", true)),
+    ];
+    grid(
+        &mut fig,
+        &strategies,
+        &[()],
+        |(label, design), _| {
+            measurement_job(
+                *label,
+                machine(sockets, cores),
+                design.clone(),
+                Box::new(workload.clone()),
+                scale.measure_secs,
+            )
+        },
+        |(label, _), measured| labelled(label, [measured[0].throughput_tps / 1e3]),
+    );
     fig.note("expected shape: HW-aware ≈ 1.7-2x over the baselines; removing oversaturation ≈ 2.3x more; co-locating dependent partitions adds ≈ 10%");
     fig.set_meta(run_meta(sockets, cores));
     fig
 }
 
 /// Figure 7: the transaction flow graph of the TPC-C NewOrder transaction.
-pub fn fig07_neworder_flowgraph() -> FigureResult {
+pub fn fig07_neworder_flowgraph(_scale: &Scale) -> FigureResult {
     let mut fig = FigureResult::new(
         "fig07",
         "Transaction flow graph of the TPC-C NewOrder transaction",

@@ -16,19 +16,15 @@
 //!   skewed tenant mix (55/25/15/5), each tenant hammering its own 20%
 //!   hot set.
 //!
-//! The same helpers back the `atrapos workload check|run` subcommand.
+//! The same loaders back `atrapos workload check` and
+//! `atrapos sweep --workload spec:<file>`.
 
-use super::ycsb::{ycsb_config, ycsb_designs, ycsb_meta};
-use crate::harness::{machine, Scale};
-use crate::report::{fmt, FigureResult};
+use super::ycsb::{ycsb_designs, DESIGN_LABELS};
+use crate::harness::{grid, labelled, run_meta, timeline_job, Scale};
+use crate::report::FigureResult;
 use atrapos_engine::scenario::Scenario;
-use atrapos_engine::sweep::{default_threads, run_sweep, SweepJob};
-use atrapos_engine::DesignSpec;
-use atrapos_workloads::spec::{CompiledWorkload, WorkloadSpec};
+use atrapos_workloads::spec::WorkloadSpec;
 use std::path::{Path, PathBuf};
-
-/// The experiment identifiers this module provides.
-pub const SPEC_IDS: &[&str] = &["spec01"];
 
 /// The shipped spec-only workload files behind `spec01`, in row order.
 pub const SPEC01_FILES: &[&str] = &[
@@ -60,73 +56,39 @@ pub fn shipped_spec(file: &str) -> Result<WorkloadSpec, String> {
     load_spec(&shipped_specs_dir().join(file))
 }
 
-/// Package one compiled spec workload × design as a lab job on the 4×4
-/// machine, configured like the YCSB jobs (which run the same engine).
-pub fn spec_job(
-    name: impl Into<String>,
-    scale: &Scale,
-    workload: CompiledWorkload,
-    design: DesignSpec,
-    scenario: &Scenario,
-) -> SweepJob {
-    SweepJob {
-        name: name.into(),
-        machine: machine(4, 4),
-        design,
-        workload: Box::new(workload),
-        scenario: scenario.clone(),
-        config: ycsb_config(scale),
-    }
-}
-
-/// The spec01 lab jobs: every shipped spec-only workload × every design,
-/// in table order.
-pub fn spec01_jobs(scale: &Scale) -> Vec<SweepJob> {
-    let designs = ycsb_designs(scale);
-    let scenario = Scenario::new("spec01-declarative", scale.measure_secs);
-    let mut jobs = Vec::new();
-    for file in SPEC01_FILES {
-        let spec = shipped_spec(file).unwrap_or_else(|e| panic!("shipped spec {file}: {e}"));
-        for (label, design) in &designs {
-            let workload = spec
-                .compile()
-                .unwrap_or_else(|e| panic!("shipped spec {file} does not compile: {e}"));
-            jobs.push(spec_job(
-                format!("{}/{label}", spec.name),
-                scale,
-                workload,
-                design.clone(),
-                &scenario,
-            ));
-        }
-    }
-    jobs
-}
-
 /// spec01: throughput of the three spec-only workloads across the four
 /// designs.
 pub fn spec01_declarative_workloads(scale: &Scale) -> FigureResult {
-    let designs = ycsb_designs(scale);
     let mut header = vec!["workload"];
-    header.extend(designs.iter().map(|(label, _)| *label));
+    header.extend(DESIGN_LABELS);
     let mut fig = FigureResult::new(
         "spec01",
         "Declarative spec-only workloads across the designs (KTPS)",
         header,
     );
-    let results = run_sweep(spec01_jobs(scale), default_threads());
-    for (file, chunk) in SPEC01_FILES.iter().zip(results.chunks(designs.len())) {
-        let name = chunk[0].name.split('/').next().unwrap_or(file).to_string();
-        let mut row = vec![name];
-        for r in chunk {
-            let outcome = r
-                .outcome
-                .as_ref()
-                .unwrap_or_else(|e| panic!("spec01 job '{}' failed: {e}", r.name));
-            row.push(fmt(outcome.segments[0].stats.throughput_tps / 1e3));
-        }
-        fig.push_row(row);
-    }
+    let specs: Vec<WorkloadSpec> = SPEC01_FILES
+        .iter()
+        .map(|file| shipped_spec(file).unwrap_or_else(|e| panic!("shipped spec {file}: {e}")))
+        .collect();
+    let scenario = Scenario::new("spec01-declarative", scale.measure_secs);
+    grid(
+        &mut fig,
+        &specs,
+        &ycsb_designs(scale),
+        |spec, (label, design)| {
+            let workload = spec
+                .compile()
+                .unwrap_or_else(|e| panic!("shipped spec {} does not compile: {e}", spec.name));
+            timeline_job(
+                format!("{}/{label}", spec.name),
+                scale,
+                design.clone(),
+                Box::new(workload),
+                &scenario,
+            )
+        },
+        |spec, measured| labelled(&spec.name, measured.iter().map(|s| s.throughput_tps / 1e3)),
+    );
     fig.note(
         "workloads defined entirely in examples/specs/*.json and compiled onto the \
          hand-rolled generators' sampler + buffer-reuse hot path; no Rust per workload",
@@ -136,7 +98,7 @@ pub fn spec01_declarative_workloads(scale: &Scale) -> FigureResult {
          co-locatable foreign key, multi-tenant with disjoint per-tenant tables) reward \
          the partitioned designs, and ATraPos stays at or above PLP on every row",
     );
-    fig.set_meta(ycsb_meta());
+    fig.set_meta(run_meta(4, 4));
     fig
 }
 

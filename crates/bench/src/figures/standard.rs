@@ -5,8 +5,8 @@
 //! (design × workload) measurements — so they fan out over the parallel
 //! experiment lab and the rows are assembled from the in-order results.
 
-use crate::harness::{measure_jobs, measurement_job, run_meta, Scale};
-use crate::report::{fmt, FigureResult};
+use crate::harness::{grid, labelled, machine, measurement_job, run_meta, Scale};
+use crate::report::FigureResult;
 use atrapos_engine::{AtraposConfig, DesignSpec, Workload};
 use atrapos_workloads::{Tatp, TatpConfig, TatpTxn, Tpcc, TpccConfig, TpccTxn};
 
@@ -62,53 +62,28 @@ pub fn fig08_standard_benchmarks(scale: &Scale) -> FigureResult {
         ("TPCC-Mix", Box::new(|| tpcc_workload(scale, None))),
     ];
     // Two jobs per case (PLP, ATraPos), swept in parallel.
-    let mut jobs = Vec::new();
-    for (label, make) in &cases {
-        for spec in [DesignSpec::Plp, DesignSpec::atrapos()] {
-            jobs.push(measurement_job(
-                format!("{label}/{}", spec.label()),
-                sockets,
-                cores,
-                spec,
+    grid(
+        &mut fig,
+        &cases,
+        &[DesignSpec::Plp, DesignSpec::atrapos()],
+        |(label, make), design| {
+            measurement_job(
+                format!("{label}/{}", design.label()),
+                machine(sockets, cores),
+                design.clone(),
                 make(),
                 scale.measure_secs,
-            ));
-        }
-    }
-    let results = measure_jobs(jobs);
-    for ((label, _), pair) in cases.iter().zip(results.chunks_exact(2)) {
-        let (plp, atrapos) = (&pair[0], &pair[1]);
-        let ratio = if plp.throughput_tps > 0.0 {
-            atrapos.throughput_tps / plp.throughput_tps
-        } else {
-            0.0
-        };
-        fig.push_row(vec![
-            label.to_string(),
-            fmt(plp.throughput_tps / 1e3),
-            fmt(atrapos.throughput_tps / 1e3),
-            fmt(ratio),
-        ]);
-    }
+            )
+        },
+        |(label, _), measured| {
+            let (plp, atrapos) = (measured[0].throughput_tps, measured[1].throughput_tps);
+            let ratio = if plp > 0.0 { atrapos / plp } else { 0.0 };
+            labelled(label, [plp / 1e3, atrapos / 1e3, ratio])
+        },
+    );
     fig.note("paper reports 6.7x (GetSubData), 3.2x (GetNewDest), 5.4x (UpdSubData), 4.4x (TATP-Mix), 2.7x (StockLevel), 1.4x (OrderStatus), 1.5x (TPCC-Mix)");
     fig.set_meta(run_meta(sockets, cores));
     fig
-}
-
-fn monitoring_on() -> AtraposConfig {
-    AtraposConfig {
-        monitoring: true,
-        adaptive: false,
-        ..AtraposConfig::default()
-    }
-}
-
-fn monitoring_off() -> AtraposConfig {
-    AtraposConfig {
-        monitoring: false,
-        adaptive: false,
-        ..AtraposConfig::default()
-    }
 }
 
 /// Table II: throughput of ATraPos with and without monitoring and the
@@ -127,34 +102,39 @@ pub fn tab02_monitoring_overhead(scale: &Scale) -> FigureResult {
         ("UpdSubData", Some(TatpTxn::UpdateSubscriberData)),
         ("TATP-Mix", None),
     ];
-    let mut jobs = Vec::new();
-    for (label, txn) in &cases {
-        for (tag, config) in [("off", monitoring_off()), ("on", monitoring_on())] {
-            jobs.push(measurement_job(
+    let monitoring = [
+        ("off", AtraposConfig::static_atrapos()),
+        (
+            "on",
+            AtraposConfig {
+                adaptive: false,
+                ..AtraposConfig::default()
+            },
+        ),
+    ];
+    grid(
+        &mut fig,
+        &cases,
+        &monitoring,
+        |(label, txn), (tag, config)| {
+            measurement_job(
                 format!("{label}/monitoring-{tag}"),
-                sockets,
-                cores,
-                DesignSpec::atrapos_with(config),
+                machine(sockets, cores),
+                DesignSpec::atrapos_with(config.clone()),
                 tatp_workload(scale, *txn),
                 scale.measure_secs,
-            ));
-        }
-    }
-    let results = measure_jobs(jobs);
-    for ((label, _), pair) in cases.iter().zip(results.chunks_exact(2)) {
-        let (off, on) = (&pair[0], &pair[1]);
-        let overhead = if off.throughput_tps > 0.0 {
-            (1.0 - on.throughput_tps / off.throughput_tps) * 100.0
-        } else {
-            0.0
-        };
-        fig.push_row(vec![
-            label.to_string(),
-            fmt(off.throughput_tps),
-            fmt(on.throughput_tps),
-            fmt(overhead),
-        ]);
-    }
+            )
+        },
+        |(label, _), measured| {
+            let (off, on) = (measured[0].throughput_tps, measured[1].throughput_tps);
+            let overhead = if off > 0.0 {
+                (1.0 - on / off) * 100.0
+            } else {
+                0.0
+            };
+            labelled(label, [off, on, overhead])
+        },
+    );
     fig.note("paper reports at most 3.32% (GetSubData) and ~1% elsewhere");
     fig.set_meta(run_meta(sockets, cores));
     fig

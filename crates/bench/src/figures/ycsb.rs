@@ -18,81 +18,43 @@
 //! serializable timelines, designs are [`DesignSpec`]s, and the runs fan
 //! out on the parallel experiment lab.
 
-use crate::harness::{machine, run_meta, Scale};
-use crate::report::{fmt, FigureResult};
-use atrapos_core::{AdaptiveInterval, ControllerConfig, KeyDistribution};
+use crate::harness::{
+    adaptive_atrapos, grid, labelled, run_meta, time_series_figure, timeline_job, Scale,
+};
+use crate::report::FigureResult;
+use atrapos_core::KeyDistribution;
 use atrapos_engine::scenario::{Scenario, ScenarioEvent, ScenarioOutcome};
-use atrapos_engine::sweep::{default_threads, run_sweep, SweepJob};
-use atrapos_engine::{AtraposConfig, DesignSpec, ExecutorConfig, RunMeta, TimePoint};
+use atrapos_engine::sweep::SweepJob;
+use atrapos_engine::DesignSpec;
 use atrapos_workloads::{Ycsb, YcsbConfig};
 
-/// The experiment identifiers this module provides.
-pub const YCSB_IDS: &[&str] = &["ycsb01", "ycsb02"];
+/// Table labels of the four designs the YCSB, overload and spec
+/// experiments compare, in column order.
+pub const DESIGN_LABELS: [&str; 4] = ["Centralized", "Shared-nothing", "PLP", "ATraPos"];
 
-/// The provenance record of the YCSB runs (the 4×4 machine).
-pub(crate) fn ycsb_meta() -> RunMeta {
-    run_meta(4, 4)
-}
-
-/// The four designs both experiments compare, with their table labels.
-/// The ATraPos entry runs the full adaptive configuration with the
-/// monitoring interval scaled like the Figure 10–13 variant.
+/// Those four designs with their labels.  The ATraPos entry runs the full
+/// adaptive configuration with the monitoring interval scaled like the
+/// Figure 10–13 variant.
 pub fn ycsb_designs(scale: &Scale) -> Vec<(&'static str, DesignSpec)> {
-    vec![
-        ("Centralized", DesignSpec::Centralized),
-        ("Shared-nothing", DesignSpec::coarse_shared_nothing()),
-        ("PLP", DesignSpec::Plp),
-        (
-            "ATraPos",
-            DesignSpec::atrapos_with(AtraposConfig {
-                monitoring: true,
-                adaptive: true,
-                controller: ControllerConfig {
-                    interval: AdaptiveInterval::new(
-                        scale.interval_min_secs,
-                        scale.interval_max_secs,
-                        0.10,
-                    ),
-                    ..ControllerConfig::default()
-                },
-                ..AtraposConfig::default()
-            }),
-        ),
-    ]
-}
-
-/// The executor configuration of every YCSB and spec-file job: fixed
-/// seed, the monitoring interval and time-series bucket of the adaptive
-/// figures.
-pub(crate) fn ycsb_config(scale: &Scale) -> ExecutorConfig {
-    ExecutorConfig {
-        seed: 42,
-        default_interval_secs: scale.interval_min_secs,
-        time_series_bucket_secs: scale.interval_min_secs,
-    }
+    let designs = [
+        DesignSpec::Centralized,
+        DesignSpec::coarse_shared_nothing(),
+        DesignSpec::Plp,
+        DesignSpec::atrapos_with(adaptive_atrapos(scale)),
+    ];
+    DESIGN_LABELS.into_iter().zip(designs).collect()
 }
 
 /// Package one YCSB scenario × design as a lab job on the 4×4 machine.
-pub fn ycsb_job(
-    name: impl Into<String>,
+pub(crate) fn ycsb_job(
+    name: String,
     scale: &Scale,
     workload: YcsbConfig,
     design: DesignSpec,
     scenario: &Scenario,
 ) -> SweepJob {
-    SweepJob {
-        name: name.into(),
-        machine: machine(4, 4),
-        design,
-        workload: Box::new(Ycsb::new(workload).expect("the experiments' YCSB configs are valid")),
-        scenario: scenario.clone(),
-        config: ycsb_config(scale),
-    }
-}
-
-/// The eventless measurement scenario of the skew sweep.
-fn measurement_scenario(name: &str, scale: &Scale) -> Scenario {
-    Scenario::new(name, scale.measure_secs)
+    let workload = Ycsb::new(workload).expect("the experiments' YCSB configs are valid");
+    timeline_job(name, scale, design, Box::new(workload), scenario)
 }
 
 /// The θ values of the skew sweep.
@@ -101,40 +63,29 @@ pub const YCSB_THETAS: [f64; 3] = [0.0, 0.6, 0.99];
 /// ycsb01: YCSB-A throughput under Zipfian skew θ ∈ {0, 0.6, 0.99} on all
 /// four designs.
 pub fn ycsb01_skew_sweep(scale: &Scale) -> FigureResult {
-    let designs = ycsb_designs(scale);
     let mut header = vec!["theta"];
-    header.extend(designs.iter().map(|(label, _)| *label));
+    header.extend(DESIGN_LABELS);
     let mut fig = FigureResult::new(
         "ycsb01",
         "YCSB-A throughput under Zipfian skew (KTPS vs. theta)",
         header,
     );
-    let mut jobs = Vec::new();
-    for theta in YCSB_THETAS {
-        for (label, spec) in &designs {
-            jobs.push(ycsb_job(
+    let scenario = Scenario::new("ycsb01-skew-sweep", scale.measure_secs);
+    grid(
+        &mut fig,
+        &YCSB_THETAS,
+        &ycsb_designs(scale),
+        |&theta, (label, design)| {
+            ycsb_job(
                 format!("ycsb-a/theta{theta}/{label}"),
                 scale,
                 YcsbConfig::workload_a(scale.ycsb_records).with_theta(theta),
-                spec.clone(),
-                &measurement_scenario("ycsb01-skew-sweep", scale),
-            ));
-        }
-    }
-    let results = run_sweep(jobs, default_threads());
-    let mut rows = results.chunks(designs.len());
-    for theta in YCSB_THETAS {
-        let chunk = rows.next().expect("one result chunk per theta");
-        let mut row = vec![format!("{theta}")];
-        for r in chunk {
-            let outcome = r
-                .outcome
-                .as_ref()
-                .unwrap_or_else(|e| panic!("ycsb01 job '{}' failed: {e}", r.name));
-            row.push(fmt(outcome.segments[0].stats.throughput_tps / 1e3));
-        }
-        fig.push_row(row);
-    }
+                design.clone(),
+                &scenario,
+            )
+        },
+        |theta, measured| labelled(theta, measured.iter().map(|s| s.throughput_tps / 1e3)),
+    );
     fig.note(format!(
         "YCSB core mix A (50% reads / 50% updates) over {} records on the 4x4 machine; \
          theta 0 is uniform, 0.99 is the YCSB standard",
@@ -145,7 +96,7 @@ pub fn ycsb01_skew_sweep(scale: &Scale) -> FigureResult {
          few hot partitions saturate and fall to (or below) the skew-insensitive \
          centralized baseline — while ATraPos stays at or above PLP at every theta",
     );
-    fig.set_meta(ycsb_meta());
+    fig.set_meta(run_meta(4, 4));
     fig
 }
 
@@ -204,40 +155,15 @@ pub fn ycsb02_jobs(scale: &Scale) -> Vec<SweepJob> {
         .collect()
 }
 
-/// Merge the per-design time series into rows of (time, KTPS…).
-pub(crate) fn series_rows(series: &[Vec<TimePoint>]) -> Vec<Vec<String>> {
-    let len = series.iter().map(Vec::len).min().unwrap_or(0);
-    (0..len)
-        .map(|i| {
-            let mut row = vec![format!("{:.2}", series[0][i].secs)];
-            row.extend(series.iter().map(|s| fmt(s[i].tps / 1e3)));
-            row
-        })
-        .collect()
-}
-
 /// ycsb02: the drifting-hotspot adaptivity run (KTPS over time) across
 /// all four designs.
-pub fn ycsb02_drifting_hotspot(scale: &Scale) -> (FigureResult, Vec<ScenarioOutcome>) {
-    let designs = ycsb_designs(scale);
-    let mut header = vec!["time (s)"];
-    header.extend(designs.iter().map(|(label, _)| *label));
-    let mut fig = FigureResult::new(
+pub fn ycsb02_drifting_hotspot(scale: &Scale, outcomes: &[ScenarioOutcome]) -> FigureResult {
+    let mut fig = time_series_figure(
         "ycsb02",
         "Adapting to a drifting hotspot (YCSB-A, KTPS over time)",
-        header,
+        &DESIGN_LABELS,
+        outcomes,
     );
-    let outcomes: Vec<ScenarioOutcome> = run_sweep(ycsb02_jobs(scale), default_threads())
-        .into_iter()
-        .map(|r| {
-            r.outcome
-                .unwrap_or_else(|e| panic!("ycsb02 job '{}' failed: {e}", r.name))
-        })
-        .collect();
-    let series: Vec<Vec<TimePoint>> = outcomes.iter().map(|o| o.time_series()).collect();
-    for row in series_rows(&series) {
-        fig.push_row(row);
-    }
     fig.note(format!(
         "after {:.2} virtual s a hot window (10% of the keys, 90% of the accesses) starts \
          rotating around the keyspace; ATraPos runs with monitoring + adaptation on",
@@ -249,13 +175,14 @@ pub fn ycsb02_drifting_hotspot(scale: &Scale) -> (FigureResult, Vec<ScenarioOutc
          repartitions toward the moving window (paying a visible pause at each \
          repartitioning) and settles above the static designs",
     );
-    fig.set_meta(ycsb_meta());
-    (fig, outcomes)
+    fig.set_meta(run_meta(4, 4));
+    fig
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run;
 
     fn tiny_scale() -> Scale {
         let mut s = Scale::quick();
@@ -278,11 +205,10 @@ mod tests {
     #[test]
     fn ycsb02_runs_three_labelled_segments_on_every_design() {
         let scale = tiny_scale();
-        for r in run_sweep(ycsb02_jobs(&scale), 2) {
-            let outcome = r.outcome.expect("ycsb02 job runs");
+        for outcome in run(ycsb02_jobs(&scale)) {
             let labels: Vec<&str> = outcome.segments.iter().map(|s| s.label.as_str()).collect();
             assert_eq!(labels, vec!["uniform", "drifting", "drifting"]);
-            assert!(outcome.total_committed() > 0, "{} stalled", r.name);
+            assert!(outcome.total_committed() > 0, "{} stalled", outcome.design);
         }
     }
 

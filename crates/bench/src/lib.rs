@@ -6,12 +6,15 @@
 //!
 //! * [`cli`] — strict flag parsing shared by every subcommand (unknown
 //!   flags are errors, not silently ignored defaults).
-//! * [`figures`] — one function per experiment (`fig01` … `fig13`, `tab01`,
-//!   `tab02`, the ablations), each returning a serializable
+//! * [`figures`] — one function per experiment and the id → runner table
+//!   ([`figures::RUNNERS`]) matching the report's catalogue of 24
+//!   (`fig01` … `fig13`, `tab01`, `tab02`, the ablations, the YCSB,
+//!   overload and spec extensions); each returns a serializable
 //!   [`report::FigureResult`] with the same rows or series the paper
 //!   reports.
-//! * [`harness`] — shared helpers for building machines, designs, and
-//!   executors, plus the bridge to the engine's parallel experiment lab.
+//! * [`harness`] — the one path every experiment takes: job builders, the
+//!   lab runner ([`harness::run`]) and the two folds from outcomes to
+//!   table rows.
 //! * [`report`] — where the JSON artifacts live (`reports/BENCH_*.json`);
 //!   the result model itself comes from `atrapos-report`.
 //! * [`replay`] — complete experiments (machine + design + timeline) as
@@ -19,7 +22,7 @@
 //! * [`shootout`] — ad-hoc design sweeps over a workload.
 //! * [`wallclock`] — times the figure bundle on the parallel lab (a timer,
 //!   not a judge: speed claims go through the `benchmark/` package).
-//! * [`workload_cmd`] — the `atrapos workload check|run` subcommand over
+//! * [`workload_cmd`] — the `atrapos workload check` subcommand over
 //!   declarative `WorkloadSpec` JSON files.
 //!
 //! Run `cargo run --release -p atrapos-bench --bin atrapos -- help` for the

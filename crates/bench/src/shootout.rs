@@ -12,11 +12,10 @@
 //! the table switches to the serving metrics: goodput, p99 latency, and
 //! rejection rate.
 
-use crate::harness::{machine, measure_jobs, measurement_config, measurement_job, run_meta, Scale};
-use crate::report::{fmt, FigureResult};
+use crate::harness::{fold_rows, labelled, machine, measurement_job, run, run_meta, Scale};
+use crate::report::FigureResult;
 use atrapos_core::KeyDistribution;
 use atrapos_engine::scenario::{Scenario, ScenarioEvent};
-use atrapos_engine::sweep::SweepJob;
 use atrapos_engine::{DesignSpec, Workload};
 use atrapos_workloads::{ReadOneRow, Tatp, TatpConfig, Tpcc, TpccConfig, Ycsb, YcsbConfig};
 
@@ -85,90 +84,75 @@ pub fn design_sweep(
     open_loop: Option<(f64, u64)>,
 ) -> Result<Vec<FigureResult>, String> {
     let designs = shootout_designs();
-    let mut jobs = Vec::new();
-    for &sockets in socket_counts {
-        for spec in &designs {
-            let workload = build_workload(workload_name, scale, sockets * scale.cores_per_socket)?;
-            let name = format!("{sockets}-socket/{}", spec.label());
-            jobs.push(match open_loop {
-                Some((rate_tps, bound)) => SweepJob {
-                    name,
-                    machine: machine(sockets, scale.cores_per_socket),
-                    design: spec.clone(),
-                    workload,
-                    scenario: Scenario::new("design-sweep-serving", scale.measure_secs)
-                        .starting_as("serve")
-                        .at_unlabelled(0.0, ScenarioEvent::SetAdmissionBound { bound })
-                        .at_unlabelled(0.0, ScenarioEvent::SetArrivalRate { rate_tps }),
-                    config: measurement_config(scale.measure_secs),
-                },
-                None => measurement_job(
-                    name,
-                    sockets,
-                    scale.cores_per_socket,
-                    spec.clone(),
-                    workload,
-                    scale.measure_secs,
-                ),
-            });
-        }
-    }
-    let results = measure_jobs(jobs);
-    Ok(socket_counts
+    let cores = scale.cores_per_socket;
+    socket_counts
         .iter()
-        .zip(results.chunks(designs.len()))
-        .map(|(&sockets, chunk)| {
-            let title = format!(
-                "{workload_name} on {sockets} socket(s) × {} cores",
-                scale.cores_per_socket
-            );
-            let mut fig = match open_loop {
-                Some((rate_tps, bound)) => {
-                    let mut fig = FigureResult::new(
-                        format!("sweep-{workload_name}-{sockets}s"),
-                        title,
-                        vec!["design", "goodput (KTPS)", "p99 (µs)", "rejected %"],
-                    );
-                    fig.note(format!(
-                        "open loop: Poisson arrivals at {rate_tps} TPS through a \
-                         {bound}-slot admission queue; p99 includes queueing delay"
-                    ));
-                    for (spec, stats) in designs.iter().zip(chunk) {
-                        let rejected_pct = if stats.offered == 0 {
-                            0.0
-                        } else {
-                            100.0 * stats.rejected as f64 / stats.offered as f64
-                        };
-                        fig.push_row(vec![
-                            spec.label().to_string(),
-                            fmt(stats.throughput_tps / 1e3),
-                            fmt(stats.p99_latency_us),
-                            fmt(rejected_pct),
-                        ]);
-                    }
-                    fig
-                }
-                None => {
-                    let mut fig = FigureResult::new(
-                        format!("sweep-{workload_name}-{sockets}s"),
-                        title,
-                        vec!["design", "KTPS", "IPC", "avg latency (µs)"],
-                    );
-                    for (spec, stats) in designs.iter().zip(chunk) {
-                        fig.push_row(vec![
-                            spec.label().to_string(),
-                            fmt(stats.throughput_tps / 1e3),
-                            fmt(stats.ipc),
-                            fmt(stats.avg_latency_us),
-                        ]);
-                    }
-                    fig
-                }
+        .map(|&sockets| {
+            let header = match open_loop {
+                Some(_) => vec!["design", "goodput (KTPS)", "p99 (µs)", "rejected %"],
+                None => vec!["design", "KTPS", "IPC", "avg latency (µs)", "aborted"],
             };
-            fig.set_meta(run_meta(sockets, scale.cores_per_socket));
-            fig
+            let mut fig = FigureResult::new(
+                format!("sweep-{workload_name}-{sockets}s"),
+                format!("{workload_name} on {sockets} socket(s) × {cores} cores"),
+                header,
+            );
+            // Build every workload first: a bad name or spec file is the
+            // caller's error, not a panic inside the fold.
+            let workloads = designs
+                .iter()
+                .map(|_| build_workload(workload_name, scale, sockets * cores))
+                .collect::<Result<Vec<_>, _>>()?;
+            let jobs = designs
+                .iter()
+                .zip(workloads)
+                .map(|(design, workload)| {
+                    let name = format!("{sockets}-socket/{}", design.label());
+                    let mut job = measurement_job(
+                        name,
+                        machine(sockets, cores),
+                        design.clone(),
+                        workload,
+                        scale.measure_secs,
+                    );
+                    if let Some((rate_tps, bound)) = open_loop {
+                        job.scenario = Scenario::new("design-sweep-serving", scale.measure_secs)
+                            .starting_as("serve")
+                            .at_unlabelled(0.0, ScenarioEvent::SetAdmissionBound { bound })
+                            .at_unlabelled(0.0, ScenarioEvent::SetArrivalRate { rate_tps });
+                    }
+                    job
+                })
+                .collect();
+            fold_rows(&mut fig, &designs, &run(jobs), |design, measured| {
+                let s = measured[0];
+                match open_loop {
+                    Some(_) => {
+                        let rejected_pct = match s.offered {
+                            0 => 0.0,
+                            offered => 100.0 * s.rejected as f64 / offered as f64,
+                        };
+                        let served = [s.throughput_tps / 1e3, s.p99_latency_us, rejected_pct];
+                        labelled(design.label(), served)
+                    }
+                    None => {
+                        let ran = [s.throughput_tps / 1e3, s.ipc, s.avg_latency_us];
+                        let mut row = labelled(design.label(), ran);
+                        row.push(s.aborted.to_string());
+                        row
+                    }
+                }
+            });
+            if let Some((rate_tps, bound)) = open_loop {
+                fig.note(format!(
+                    "open loop: Poisson arrivals at {rate_tps} TPS through a \
+                     {bound}-slot admission queue; p99 includes queueing delay"
+                ));
+            }
+            fig.set_meta(run_meta(sockets, cores));
+            Ok(fig)
         })
-        .collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -187,6 +171,31 @@ mod tests {
             assert_eq!(fig.rows.len(), shootout_designs().len());
             assert!(fig.meta.is_some());
         }
+    }
+
+    #[test]
+    fn spec_file_sweep_reports_throughput_and_aborts_per_design() {
+        // What `atrapos workload run <spec>` used to print: committed work
+        // (as KTPS) and the abort count, per design.
+        let mut scale = Scale::quick();
+        scale.measure_secs = 0.002;
+        scale.cores_per_socket = 2;
+        let path = crate::figures::shipped_specs_dir().join("simple_ab.json");
+        let workload = format!("spec:{}", path.display());
+        let figs = design_sweep(&workload, &scale, &[1], None).unwrap();
+        let fig = &figs[0];
+        assert_eq!(fig.header.last().map(String::as_str), Some("aborted"));
+        assert_eq!(fig.rows.len(), shootout_designs().len());
+        for r in 0..fig.rows.len() {
+            assert!(
+                fig.num(r, 1).unwrap() > 0.0,
+                "{:?} ran nothing",
+                fig.rows[r]
+            );
+            assert!(fig.rows[r][4].parse::<u64>().is_ok());
+        }
+        let err = design_sweep("spec:/no/such/file.json", &scale, &[1], None).unwrap_err();
+        assert!(err.contains("/no/such/file.json"), "{err}");
     }
 
     #[test]

@@ -32,12 +32,12 @@
 //! counts* (same seed ⇒ same simulated work).
 
 use crate::cli::{self, FlagSpec};
-use crate::figures::{fig10_scenario, fig11_scenario, fig12_scenario, fig13_scenario, figure_job};
-use crate::harness::{machine, measurement_config, Scale};
+use crate::figures::timeline_jobs;
+use crate::harness::{machine, measurement_job, Scale};
 use crate::report::report_dir;
 use atrapos_engine::sweep::{default_threads, run_sweep, SweepJob};
 use atrapos_engine::{DesignSpec, HostFingerprint, RunMeta, Workload};
-use atrapos_workloads::{Tatp, TatpConfig, TatpTxn, Tpcc, TpccConfig, Ycsb, YcsbConfig};
+use atrapos_workloads::{Tatp, TatpConfig, Tpcc, TpccConfig, Ycsb, YcsbConfig};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -141,13 +141,12 @@ fn sweep_jobs(
     out: &mut Vec<SweepJob>,
 ) {
     for spec in sweep_designs() {
-        out.push(SweepJob::measurement(
+        out.push(measurement_job(
             format!("{workload_name}/{}", spec.label()),
             machine(4, 10),
             spec,
             make_workload(),
             secs,
-            measurement_config(secs),
         ));
     }
 }
@@ -156,55 +155,12 @@ fn sweep_jobs(
 /// historical order (entries are compared by component name, so new
 /// components are appended, never renamed).
 fn bundle_jobs(scale: &Scale) -> Vec<SweepJob> {
-    let mut jobs = Vec::new();
     // The four adaptive-figure timelines, under both variants where the
-    // figure compares them.
-    for (name, adaptive, initial, scenario) in [
-        (
-            "fig10/static",
-            false,
-            TatpTxn::UpdateSubscriberData,
-            fig10_scenario(scale),
-        ),
-        (
-            "fig10/atrapos",
-            true,
-            TatpTxn::UpdateSubscriberData,
-            fig10_scenario(scale),
-        ),
-        (
-            "fig11/static",
-            false,
-            TatpTxn::GetSubscriberData,
-            fig11_scenario(scale),
-        ),
-        (
-            "fig11/atrapos",
-            true,
-            TatpTxn::GetSubscriberData,
-            fig11_scenario(scale),
-        ),
-        (
-            "fig12/static",
-            false,
-            TatpTxn::GetSubscriberData,
-            fig12_scenario(scale),
-        ),
-        (
-            "fig12/atrapos",
-            true,
-            TatpTxn::GetSubscriberData,
-            fig12_scenario(scale),
-        ),
-        (
-            "fig13/atrapos",
-            true,
-            TatpTxn::GetNewDestination,
-            fig13_scenario(scale),
-        ),
-    ] {
-        jobs.push(figure_job(name, scale, adaptive, initial, &scenario));
-    }
+    // figure compares them: the figures' own jobs (`fig10/static`, …).
+    let mut jobs: Vec<SweepJob> = ["fig10", "fig11", "fig12", "fig13"]
+        .into_iter()
+        .flat_map(|id| timeline_jobs(id, scale).expect("a timeline experiment"))
+        .collect();
     // Design sweeps on the 4-socket, 10-cores-per-socket machine.
     let tatp_subs = scale.tatp_subscribers;
     sweep_jobs(

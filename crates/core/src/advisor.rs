@@ -154,11 +154,6 @@ impl ShardingPlan {
         }
     }
 
-    /// The machine hosting the instance that owns `key_head` of `table`.
-    pub fn machine_of_key(&self, table: TableId, key_head: i64) -> usize {
-        self.instance_machine[self.instance_of_key(table, key_head)]
-    }
-
     /// Reassign sub-partition `sub` of `table` to `instance`.
     pub fn assign(&mut self, table: TableId, sub: usize, instance: usize) {
         assert!(instance < self.n_instances);
@@ -167,17 +162,6 @@ impl ShardingPlan {
                 owners[sub] = instance;
             }
         }
-    }
-
-    /// Number of sub-partitions assigned to each instance.
-    pub fn sub_partitions_per_instance(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.n_instances];
-        for (_, owners) in self.tables.values() {
-            for &o in owners {
-                counts[o] += 1;
-            }
-        }
-        counts
     }
 
     /// Structural invariants: every owner index is a valid instance and
@@ -424,15 +408,25 @@ mod tests {
         stats
     }
 
+    /// Number of sub-partitions assigned to each instance.
+    fn sub_partitions_per_instance(plan: &ShardingPlan) -> Vec<usize> {
+        let mut counts = vec![0usize; plan.n_instances];
+        for (_, owners) in plan.tables.values() {
+            for &o in owners {
+                counts[o] += 1;
+            }
+        }
+        counts
+    }
+
     #[test]
     fn range_plan_divides_sub_partitions_evenly() {
         let plan = ShardingPlan::range(&two_tables(), 40, 4, 2);
         plan.check_invariants().unwrap();
-        assert_eq!(plan.sub_partitions_per_instance(), vec![20; 4]);
+        assert_eq!(sub_partitions_per_instance(&plan), vec![20; 4]);
         assert_eq!(plan.instance_of_key(TableId(0), 0), 0);
         assert_eq!(plan.instance_of_key(TableId(0), 999), 3);
         // Instances 0 and 2 share machine 0; 1 and 3 share machine 1.
-        assert_eq!(plan.machine_of_key(TableId(0), 0), 0);
         assert_eq!(plan.instance_machine, vec![0, 1, 0, 1]);
     }
 
@@ -537,6 +531,6 @@ mod tests {
         let plan = advise_sharding(&two_tables(), 8, 1, 1, &stats, &ShardingConfig::default());
         let cost = evaluate_sharding(&plan, &stats);
         assert_eq!(cost.total_distributed(), 0.0);
-        assert_eq!(plan.sub_partitions_per_instance(), vec![16]);
+        assert_eq!(sub_partitions_per_instance(&plan), vec![16]);
     }
 }

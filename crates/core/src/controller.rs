@@ -92,11 +92,6 @@ impl AdaptiveController {
         }
     }
 
-    /// The scheme currently in force.
-    pub fn current_scheme(&self) -> &PartitioningScheme {
-        &self.current
-    }
-
     /// Length of the next monitoring interval, in (virtual) seconds.
     pub fn interval_secs(&self) -> f64 {
         self.config.interval.current_secs()
@@ -117,13 +112,6 @@ impl AdaptiveController {
         if decision == IntervalDecision::Stable && !hardware_changed {
             return AdaptationOutcome::NoChange;
         }
-        self.evaluate_and_maybe_adapt(stats, topo, hardware_changed)
-    }
-
-    /// Evaluate the model immediately (used when the engine detects a
-    /// hardware change out-of-band).
-    pub fn force_evaluate(&mut self, stats: &WorkloadStats, topo: &Topology) -> AdaptationOutcome {
-        let hardware_changed = self.current.check_invariants(topo).is_err();
         self.evaluate_and_maybe_adapt(stats, topo, hardware_changed)
     }
 

@@ -48,11 +48,6 @@ impl Monitor {
         self.enabled
     }
 
-    /// Enable or disable monitoring at runtime.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Record an executed action: `cycles` of work on `sub`.  Charges the
     /// monitoring overhead to `ctx` when enabled.
     pub fn record_action(&mut self, ctx: &mut SimCtx<'_>, sub: SubPartitionId, cycles: f64) {
@@ -195,7 +190,7 @@ mod tests {
 
     #[test]
     fn disabled_monitor_has_no_cost_and_records_nothing() {
-        let topo = Topology::single_socket(2);
+        let topo = Topology::multisocket(1, 2);
         let cost = CostModel::westmere();
         let mut ctx = SimCtx::new(&topo, &cost, CoreId(0), 0);
         let mut m = Monitor::new(false);
@@ -207,7 +202,7 @@ mod tests {
 
     #[test]
     fn enabled_monitor_charges_overhead_and_records() {
-        let topo = Topology::single_socket(2);
+        let topo = Topology::multisocket(1, 2);
         let cost = CostModel::westmere();
         let mut ctx = SimCtx::new(&topo, &cost, CoreId(0), 0);
         let mut m = Monitor::new(true);

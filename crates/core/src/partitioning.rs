@@ -7,7 +7,7 @@
 //! assigned to exactly one worker thread, which is bound to one processor
 //! core.  A *scheme* is the complete assignment for every table.
 
-use atrapos_numa::{CoreId, SocketId, Topology};
+use atrapos_numa::{CoreId, Topology};
 use atrapos_storage::{Key, TableId};
 use serde::{Deserialize, Serialize};
 
@@ -271,11 +271,6 @@ impl PartitioningScheme {
         self.table(table).core_of_key(key_head)
     }
 
-    /// The socket responsible for `key_head` of `table`.
-    pub fn socket_of_key(&self, table: TableId, key_head: i64, topo: &Topology) -> SocketId {
-        topo.socket_of(self.core_of_key(table, key_head))
-    }
-
     /// Number of partitions placed on each core.
     pub fn partitions_per_core(&self, topo: &Topology) -> Vec<usize> {
         let mut counts = vec![0usize; topo.num_cores()];
@@ -309,6 +304,7 @@ impl PartitioningScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atrapos_numa::SocketId;
 
     fn domain() -> KeyDomain {
         KeyDomain::new(0, 1000)

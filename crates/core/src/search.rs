@@ -436,7 +436,7 @@ mod tests {
 
     #[test]
     fn placement_is_identity_on_single_socket() {
-        let topo = Topology::single_socket(8);
+        let topo = Topology::multisocket(1, 8);
         let current = naive_two_tables(&topo);
         let stats = WorkloadStats::new();
         let placed = choose_placement(&current, &stats, &topo, &SearchConfig::default());

@@ -437,14 +437,19 @@ proptest! {
         let tables = [(TableId(0), KeyDomain::new(0, width)), (TableId(1), KeyDomain::new(0, width))];
         let plan = ShardingPlan::range(&tables, n_sub, n_instances, n_machines);
         plan.check_invariants().map_err(TestCaseError::fail)?;
-        let counts = plan.sub_partitions_per_instance();
+        let mut counts = vec![0usize; n_instances];
+        for table in plan.tables() {
+            for sub in 0..plan.num_sub_partitions(table) {
+                counts[plan.instance_of_sub(table, sub)] += 1;
+            }
+        }
         prop_assert_eq!(counts.iter().sum::<usize>(), 2 * n_sub);
         let max = counts.iter().copied().max().unwrap_or(0);
         let min = counts.iter().copied().min().unwrap_or(0);
         prop_assert!(max - min <= 2, "unbalanced range sharding: {counts:?}");
         let instance = plan.instance_of_key(TableId(0), key.min(width - 1));
         prop_assert!(instance < n_instances);
-        prop_assert!(plan.machine_of_key(TableId(0), key.min(width - 1)) < n_machines);
+        prop_assert!(plan.instance_machine[instance] < n_machines);
     }
 
     /// Whatever the trace, the advisor returns a valid plan whose combined

@@ -229,20 +229,6 @@ impl TransactionSpec {
             .iter()
             .any(|p| p.actions.iter().any(|a| a.op.is_write()))
     }
-
-    /// Tables touched, in first-touch order (no duplicates).
-    pub fn tables_touched(&self) -> Vec<TableId> {
-        let mut out = Vec::new();
-        for p in &self.phases {
-            for a in &p.actions {
-                let t = a.op.table();
-                if !out.contains(&t) {
-                    out.push(t);
-                }
-            }
-        }
-        out
-    }
 }
 
 /// In-place refiller for a reusable [`TransactionSpec`] buffer (created by
@@ -336,10 +322,6 @@ mod tests {
         assert_eq!(spec.num_actions(), 3);
         assert_eq!(spec.num_sync_points(), 2);
         assert!(!spec.is_update());
-        assert_eq!(
-            spec.tables_touched(),
-            vec![TableId(0), TableId(1), TableId(2)]
-        );
     }
 
     #[test]

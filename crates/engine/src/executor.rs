@@ -30,8 +30,8 @@ use crate::designs::{DesignStats, SystemDesign};
 use crate::workload::{ReconfigureError, Workload, WorkloadChange};
 use atrapos_core::LatencyHistogram;
 use atrapos_numa::{
-    cycles_to_micros, frac_cycles_to_micros, secs_to_cycles, Breakdown, CoreId, Cycles,
-    Interconnect, Machine, SocketId,
+    frac_cycles_to_micros, secs_to_cycles, Breakdown, CoreId, Cycles, Interconnect, Machine,
+    SocketId,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -133,17 +133,6 @@ pub struct RunStats {
     pub queue_depth_end: u64,
     /// Maximum admission-queue depth observed during the segment.
     pub queue_depth_max: u64,
-}
-
-impl RunStats {
-    /// Mean time per transaction in microseconds, derived from the
-    /// per-component breakdown (used for the paper's Figure 4).
-    pub fn time_per_txn_us(&self, ghz: f64) -> f64 {
-        if self.committed == 0 {
-            return 0.0;
-        }
-        cycles_to_micros(self.breakdown.total(), ghz) / self.committed as f64
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -323,11 +312,6 @@ impl VirtualExecutor {
     /// The design under test.
     pub fn design(&self) -> &dyn SystemDesign {
         self.design.as_ref()
-    }
-
-    /// Mutable access to the workload.
-    pub fn workload_mut(&mut self) -> &mut dyn Workload {
-        self.workload.as_mut()
     }
 
     /// Apply a typed reconfiguration to the workload (the adaptive

@@ -393,7 +393,14 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let spec = w.next_transaction(&mut rng, CoreId(0));
         assert!(spec.is_update());
-        assert_eq!(spec.tables_touched().len(), 2);
+        let mut tables: Vec<TableId> = spec
+            .phases
+            .iter()
+            .flat_map(|p| p.actions.iter().map(|a| a.op.table()))
+            .collect();
+        tables.sort();
+        tables.dedup();
+        assert_eq!(tables.len(), 2);
         let mut db = Database::new();
         populate_all(&w, &mut db);
         assert_eq!(db.total_records(), 20);

@@ -227,14 +227,6 @@ impl ContendedLine {
         self.timeline.clear();
     }
 
-    /// Forget accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.rmw_count = 0;
-        self.read_count = 0;
-        self.total_wait = 0;
-        self.remote_accesses = 0;
-    }
-
     /// Record the outcome of an access decided by the simulation context.
     pub(crate) fn commit_access(
         &mut self,

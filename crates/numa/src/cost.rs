@@ -102,17 +102,6 @@ impl CostModel {
         self.mem_local + Cycles::from(hops) * self.mem_remote_per_hop
     }
 
-    /// Cost of an atomic read-modify-write on a line owned `hops` sockets
-    /// away (the line has to be transferred in exclusive mode first).
-    #[inline]
-    pub fn atomic_rmw(&self, hops: u32) -> Cycles {
-        if hops == 0 {
-            self.atomic_local + self.llc_local
-        } else {
-            self.atomic_local + self.cache_transfer(hops)
-        }
-    }
-
     /// Cost of exchanging a `bytes`-sized message between threads whose
     /// sockets are `hops` apart (0 = same socket).
     #[inline]
@@ -188,12 +177,5 @@ mod tests {
         assert_eq!(c.work_cycles(1000), 500);
         c.base_ipc = 0.5;
         assert_eq!(c.work_cycles(1000), 2000);
-    }
-
-    #[test]
-    fn atomic_rmw_local_is_cheap_remote_is_not() {
-        let c = CostModel::westmere();
-        assert!(c.atomic_rmw(0) < 100);
-        assert!(c.atomic_rmw(1) > 250);
     }
 }

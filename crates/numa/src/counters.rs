@@ -264,13 +264,6 @@ pub struct Tally {
     pub waits: u64,
 }
 
-impl Tally {
-    /// Total cycles consumed (busy + stall + spin).
-    pub fn total_cycles(&self) -> Cycles {
-        self.busy_cycles + self.stall_cycles + self.spin_cycles
-    }
-}
-
 /// Cumulative counters for one core.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CoreCounters {

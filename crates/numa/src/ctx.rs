@@ -267,23 +267,6 @@ impl<'a> SimCtx<'a> {
         self.now - before
     }
 
-    /// Acquire a resource and hold it for a fixed number of cycles of work
-    /// attributed to `component`.  Convenience wrapper for modelled critical
-    /// sections whose body is not simulated in detail.
-    pub fn acquire_resource_for(
-        &mut self,
-        component: Component,
-        res: &mut SimResource,
-        hold_instructions: u64,
-        wait: WaitMode,
-    ) -> Cycles {
-        let before = self.now;
-        self.acquire_resource(component, res, wait);
-        self.work(component, hold_instructions);
-        self.release_resource(res);
-        self.now - before
-    }
-
     /// Release a previously acquired resource at the current virtual time.
     pub fn release_resource(&mut self, res: &mut SimResource) {
         res.hold_until(self.now);

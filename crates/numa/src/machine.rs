@@ -38,11 +38,6 @@ impl Machine {
         }
     }
 
-    /// The paper's 8-socket × 10-core platform with Westmere costs.
-    pub fn westmere_ex() -> Self {
-        Self::new(Topology::westmere_ex_8x10(), CostModel::westmere())
-    }
-
     /// Start an accounting context for `core` at virtual time `start`.
     pub fn ctx(&self, core: CoreId, start: Cycles) -> SimCtx<'_> {
         SimCtx::new(&self.topology, &self.cost, core, start)
@@ -60,11 +55,6 @@ impl Machine {
     /// Cumulative counters of one core.
     pub fn core_counters(&self, core: CoreId) -> &CoreCounters {
         &self.cores[core.index()]
-    }
-
-    /// Cumulative counters of all cores.
-    pub fn all_core_counters(&self) -> &[CoreCounters] {
-        &self.cores
     }
 
     /// Machine-wide instructions retired.
@@ -135,7 +125,7 @@ mod tests {
 
     #[test]
     fn reset_clears_counters_but_keeps_hardware() {
-        let mut m = Machine::westmere_ex();
+        let mut m = Machine::new(Topology::westmere_ex_8x10(), CostModel::westmere());
         let mut ctx = m.ctx(CoreId(5), 0);
         ctx.work(Component::Locking, 10);
         let t = ctx.finish();

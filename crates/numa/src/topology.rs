@@ -122,11 +122,6 @@ impl Topology {
         Self::multisocket(8, 10)
     }
 
-    /// A single-socket machine with `cores` cores.
-    pub fn single_socket(cores: usize) -> Self {
-        Self::multisocket(1, cores)
-    }
-
     /// A 2D mesh of `nx * ny` islands with `cores_per_island` cores each.
     /// Distance between islands is their Manhattan distance, modelling
     /// Tilera-style on-chip islands.
@@ -205,13 +200,6 @@ impl Topology {
         self.frequency_ghz
     }
 
-    /// Override the clock frequency (GHz).
-    pub fn with_frequency_ghz(mut self, ghz: f64) -> Self {
-        assert!(ghz > 0.0);
-        self.frequency_ghz = ghz;
-        self
-    }
-
     /// Total number of sockets (including failed ones).
     pub fn num_sockets(&self) -> usize {
         self.sockets.len()
@@ -242,12 +230,6 @@ impl Topology {
     #[inline]
     pub fn distance(&self, a: SocketId, b: SocketId) -> u32 {
         self.distance[a.index()][b.index()]
-    }
-
-    /// Hop distance between the sockets of two cores.
-    #[inline]
-    pub fn core_distance(&self, a: CoreId, b: CoreId) -> u32 {
-        self.distance(self.socket_of(a), self.socket_of(b))
     }
 
     /// Whether a socket is currently active.
@@ -395,7 +377,7 @@ mod tests {
 
     #[test]
     fn single_socket_has_zero_distances() {
-        let t = Topology::single_socket(10);
+        let t = Topology::multisocket(1, 10);
         assert_eq!(t.num_sockets(), 1);
         assert_eq!(t.num_cores(), 10);
         assert_eq!(t.distance(SocketId(0), SocketId(0)), 0);

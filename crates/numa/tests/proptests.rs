@@ -148,7 +148,6 @@ proptest! {
         let (lo_bytes, hi_bytes) = (bytes_a.min(bytes_b), bytes_a.max(bytes_b));
         prop_assert!(c.cache_transfer(lo_hops) <= c.cache_transfer(hi_hops));
         prop_assert!(c.memory_access(lo_hops) <= c.memory_access(hi_hops));
-        prop_assert!(c.atomic_rmw(lo_hops) <= c.atomic_rmw(hi_hops));
         prop_assert!(c.message(lo_hops, lo_bytes) <= c.message(hi_hops, hi_bytes));
         // Work cycles follow the base IPC exactly.
         prop_assert_eq!(c.work_cycles(instructions), (instructions as f64 / c.base_ipc).ceil() as Cycles);

@@ -4,6 +4,8 @@
 //! reproduction: experiment results as serializable data, hand-rolled SVG
 //! charts, and pass/warn verdicts against the paper's reference trends.
 //!
+//! * [`catalogue`] — the ordered table of every experiment: id, chart
+//!   columns and the check that judges its recorded rows.
 //! * [`model`] — [`FigureResult`] (one regenerated table/figure, with run
 //!   provenance) and [`FiguresFile`], the accumulated store behind
 //!   `reports/BENCH_figures.json`.
@@ -24,11 +26,13 @@
 
 #![warn(missing_docs)]
 
+pub mod catalogue;
 pub mod model;
 pub mod reproduction;
 pub mod svg;
 pub mod verdict;
 
-pub use model::{fmt, FigureResult, FiguresFile, CANONICAL_ORDER, FIGURES_SCHEMA};
+pub use catalogue::{Experiment, CATALOGUE};
+pub use model::{fmt, FigureResult, FiguresFile, FIGURES_SCHEMA};
 pub use reproduction::{chart, generate, Reproduction};
 pub use verdict::{assess, Assessment, CheckKind, Verdict};

@@ -7,6 +7,7 @@
 //! stores it, and the report generator consumes it without re-running
 //! anything.
 
+use crate::catalogue::{self, CATALOGUE};
 use atrapos_engine::RunMeta;
 use serde::{Deserialize, Serialize};
 
@@ -106,41 +107,12 @@ impl FigureResult {
     }
 }
 
-/// The canonical experiment order of `BENCH_figures.json` and
-/// `REPRODUCTION.md`: paper order, then the ablations, then the YCSB
-/// extension pair, then the open-loop overload pair.
-pub const CANONICAL_ORDER: &[&str] = &[
-    "fig01",
-    "fig02",
-    "fig03",
-    "fig04",
-    "tab01",
-    "fig05",
-    "fig06",
-    "fig07",
-    "fig08",
-    "tab02",
-    "fig09",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "abl01",
-    "abl02",
-    "abl03",
-    "abl04",
-    "ycsb01",
-    "ycsb02",
-    "overload01",
-    "overload02",
-];
-
-/// Sort key of an experiment id in [`CANONICAL_ORDER`]; unknown ids sort
-/// after every known one, alphabetically among themselves.
-fn canonical_rank(id: &str) -> (usize, String) {
-    match CANONICAL_ORDER.iter().position(|k| *k == id) {
-        Some(i) => (i, String::new()),
-        None => (CANONICAL_ORDER.len(), id.to_string()),
+/// Sort key of an experiment id: its catalogue position; unknown ids sort
+/// after every catalogued one, alphabetically among themselves.
+fn catalogue_rank(id: &str) -> (usize, &str) {
+    match catalogue::position(id) {
+        Some(i) => (i, ""),
+        None => (CATALOGUE.len(), id),
     }
 }
 
@@ -150,13 +122,13 @@ pub const FIGURES_SCHEMA: &str = "atrapos-figures-v1";
 /// The accumulated figure-result store (`reports/BENCH_figures.json`).
 ///
 /// `atrapos figures` upserts the results of whatever experiments it ran;
-/// entries keep the canonical paper order, so partial regeneration never
+/// entries keep the catalogue order, so partial regeneration never
 /// reshuffles the file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FiguresFile {
     /// Schema tag ([`FIGURES_SCHEMA`]).
     pub schema: String,
-    /// One entry per experiment, in canonical order.
+    /// One entry per experiment, in catalogue order.
     pub figures: Vec<FigureResult>,
 }
 
@@ -186,12 +158,13 @@ impl FiguresFile {
         serde::json::to_string_pretty(self)
     }
 
-    /// Insert or replace the entry with `result`'s id, keeping canonical
+    /// Insert or replace the entry with `result`'s id, keeping catalogue
     /// order.
     pub fn upsert(&mut self, result: FigureResult) {
         self.figures.retain(|f| f.id != result.id);
         self.figures.push(result);
-        self.figures.sort_by_key(|f| canonical_rank(&f.id));
+        self.figures
+            .sort_by(|a, b| catalogue_rank(&a.id).cmp(&catalogue_rank(&b.id)));
     }
 
     /// The entry with the given id, if present.
@@ -256,15 +229,19 @@ mod tests {
     #[test]
     fn upsert_replaces_in_canonical_order() {
         let mut file = FiguresFile::new();
-        file.upsert(FigureResult::new("abl01", "a", vec!["x"]));
-        file.upsert(FigureResult::new("fig08", "f", vec!["x"]));
-        file.upsert(FigureResult::new("tab02", "t", vec!["x"]));
+        // `spec01` is catalogued (last), so ad-hoc ids sort after it.
+        for id in ["sweep-micro-1s", "spec01", "abl01", "fig08", "tab02"] {
+            file.upsert(FigureResult::new(id, "t", vec!["x"]));
+        }
         let ids: Vec<&str> = file.figures.iter().map(|f| f.id.as_str()).collect();
-        assert_eq!(ids, vec!["fig08", "tab02", "abl01"]);
+        assert_eq!(
+            ids,
+            vec!["fig08", "tab02", "abl01", "spec01", "sweep-micro-1s"]
+        );
         let mut replacement = FigureResult::new("fig08", "updated", vec!["x"]);
         replacement.push_row(vec!["1".into()]);
         file.upsert(replacement);
-        assert_eq!(file.figures.len(), 3);
+        assert_eq!(file.figures.len(), 5);
         assert_eq!(file.get("fig08").unwrap().title, "updated");
     }
 

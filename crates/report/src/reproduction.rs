@@ -8,6 +8,7 @@
 //! byte-identical markdown and SVG — so CI can regenerate the committed
 //! report and fail on drift.
 
+use crate::catalogue;
 use crate::model::{FigureResult, FiguresFile};
 use crate::svg::{self, Series};
 use crate::verdict::{assess, CheckKind, Verdict};
@@ -21,38 +22,6 @@ pub struct Reproduction {
     pub markdown: String,
     /// `(file name, SVG document)` pairs, one per charted experiment.
     pub svgs: Vec<(String, String)>,
-}
-
-/// How one experiment id is charted.
-struct ChartSpec {
-    /// Columns plotted as series (bar charts) — `None` means every numeric
-    /// column.
-    value_cols: Option<&'static [usize]>,
-    /// Y-axis label.
-    y_label: &'static str,
-}
-
-/// Per-id chart overrides; the default plots every numeric column.
-fn chart_spec(id: &str) -> ChartSpec {
-    let (value_cols, y_label): (Option<&'static [usize]>, &'static str) = match id {
-        "fig08" => (Some(&[3]), "ATraPos / PLP throughput"),
-        "tab02" => (Some(&[1, 2]), "TPS"),
-        "fig10" | "fig11" | "fig12" | "fig13" | "ycsb01" | "ycsb02" | "overload02" | "spec01" => {
-            (None, "KTPS")
-        }
-        // The load sweep's chart plots the goodput group; the p99 and
-        // rejection columns live in the table.
-        "overload01" => (Some(&[1, 2, 3, 4]), "goodput (KTPS)"),
-        "abl01" => (Some(&[3]), "ATraPos / PLP speedup"),
-        "abl02" => (Some(&[1, 2]), "KTPS"),
-        "abl03" => (Some(&[1, 2]), "KTPS"),
-        "abl04" => (Some(&[3]), "KTPS"),
-        _ => (None, "value"),
-    };
-    ChartSpec {
-        value_cols,
-        y_label,
-    }
 }
 
 /// The columns of `fig` whose every cell parses as a number.
@@ -69,8 +38,10 @@ pub fn chart(fig: &FigureResult) -> Option<String> {
     if fig.rows.is_empty() {
         return None;
     }
-    let spec = chart_spec(&fig.id);
-    let cols: Vec<usize> = match spec.value_cols {
+    // Ad-hoc results outside the catalogue plot every numeric column.
+    let (chart_cols, y_label) =
+        catalogue::entry(&fig.id).map_or((None, "value"), |e| (e.chart_cols, e.y_label));
+    let cols: Vec<usize> = match chart_cols {
         Some(cols) => cols.to_vec(),
         None => numeric_columns(fig),
     };
@@ -95,7 +66,7 @@ pub fn chart(fig: &FigureResult) -> Option<String> {
         Some(svg::line_chart(
             &fig.title,
             &fig.header[0],
-            spec.y_label,
+            y_label,
             &series,
         ))
     } else {
@@ -106,7 +77,7 @@ pub fn chart(fig: &FigureResult) -> Option<String> {
             .collect();
         Some(svg::bar_chart(
             &fig.title,
-            spec.y_label,
+            y_label,
             &categories,
             &labels,
             &values,

@@ -13,6 +13,7 @@
 //! serialized [`FigureResult`] rows, so a verdict can be recomputed from
 //! `BENCH_figures.json` without re-running any simulation.
 
+use crate::catalogue;
 use crate::model::FigureResult;
 
 /// Did the run reproduce the paper's trend?
@@ -108,380 +109,531 @@ fn leading_mean(values: &[f64]) -> f64 {
     mean(&values[..(n / 3).max(1)])
 }
 
-/// Assess `fig` against its paper reference trend or open-loop SLO, if
-/// one is defined for its id.  Experiments without a check (the motivation
-/// figures, which are qualitative) return `None`.
+/// Assess `fig` with the check its catalogue entry names.  The
+/// qualitative experiments (fig07, fig09) and ad-hoc results outside the
+/// catalogue return `None`.
 pub fn assess(fig: &FigureResult) -> Option<Assessment> {
-    match fig.id.as_str() {
-        "fig08" => {
-            let ratios = fig.column(3);
-            let lo = ratios.iter().copied().fold(f64::INFINITY, f64::min);
-            let hi = ratios.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            // The TATP rows carry the headline speedups; the TPC-C margin
-            // shrinks towards parity at the reduced scale.
-            let tatp_ok = fig
-                .rows
-                .iter()
-                .enumerate()
-                .filter(|(_, row)| row.first().is_some_and(|l| l.starts_with("TATP")))
-                .all(|(r, _)| fig.num(r, 3).is_some_and(|v| v >= 1.2));
-            let tatp_count = fig
-                .rows
-                .iter()
-                .filter(|row| row.first().is_some_and(|l| l.starts_with("TATP")))
-                .count();
-            Some(Assessment {
-                kind: CheckKind::ReferenceTrend,
-                verdict: Verdict::from_bool(
-                    tatp_count > 0
-                        && tatp_ok
-                        && !ratios.is_empty()
-                        && lo >= 0.95
-                        && mean(&ratios) > 1.0,
-                ),
-                expected: "ATraPos clearly beats PLP on every TATP workload (paper: \
-                           3.2x–6.7x) and at least matches it on TPC-C (paper: \
-                           1.4x–2.7x; the TPC-C margin shrinks at the reduced scale)"
-                    .into(),
-                observed: format!(
-                    "ATraPos/PLP ratio spans {lo:.2}x–{hi:.2}x over {} workloads",
-                    ratios.len()
-                ),
-            })
-        }
-        "tab02" => {
-            let overheads = fig.column(3);
-            let hi = overheads.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            Some(Assessment {
-                kind: CheckKind::ReferenceTrend,
-                verdict: Verdict::from_bool(!overheads.is_empty() && hi <= 5.0),
-                expected: "monitoring costs at most a few percent of throughput \
-                           (paper: ≤ 3.32%)"
-                    .into(),
-                observed: format!("worst-case overhead {hi:.2}%"),
-            })
-        }
-        "fig10" => {
-            // The switches change the transaction type, not the balance, so
-            // the static partitioning is not penalized at this scale: the
-            // reproducible trend is that ATraPos follows every switch while
-            // paying no more than monitoring overhead.
-            let statics = fig.column(1);
-            let adaptives = fig.column(2);
-            let s = settled_mean(&statics);
-            let a = settled_mean(&adaptives);
-            Some(Assessment {
-                kind: CheckKind::ReferenceTrend,
-                verdict: Verdict::from_bool(!adaptives.is_empty() && s > 0.0 && a >= 0.95 * s),
-                expected: "throughput follows each workload switch and ATraPos stays \
-                           within monitoring overhead (< 5%) of the static \
-                           configuration (paper: ATraPos overtakes a mistuned static \
-                           partitioning; the simulated static baseline is never \
-                           mistuned, so parity is the reproducible trend)"
-                    .into(),
-                observed: format!(
-                    "settled throughput: ATraPos {a:.1} KTPS vs static {s:.1} KTPS ({:.3}x)",
-                    if s > 0.0 { a / s } else { 0.0 }
-                ),
-            })
-        }
-        "fig11" | "fig12" => {
-            let statics = fig.column(1);
-            let adaptives = fig.column(2);
-            let s = settled_mean(&statics);
-            let a = settled_mean(&adaptives);
-            let context = if fig.id == "fig11" {
-                "after the skew appears"
-            } else {
-                "after the socket failure"
-            };
-            Some(Assessment {
-                kind: CheckKind::ReferenceTrend,
-                verdict: Verdict::from_bool(!adaptives.is_empty() && a >= s),
-                expected: format!(
-                    "ATraPos repartitions and overtakes the static configuration {context}"
-                ),
-                observed: format!(
-                    "settled throughput: ATraPos {a:.1} KTPS vs static {s:.1} KTPS ({:.2}x)",
-                    if s > 0.0 { a / s } else { 0.0 }
-                ),
-            })
-        }
-        "fig13" => {
-            // Per-phase means of the ATraPos series (column 2 labels the
-            // phase); under frequent alternation no phase may collapse.
-            let mut phases: Vec<(String, Vec<f64>)> = Vec::new();
-            for (r, row) in fig.rows.iter().enumerate() {
-                let Some(v) = fig.num(r, 1) else { continue };
-                let label = row.get(2).cloned().unwrap_or_default();
-                match phases.last_mut() {
-                    Some((l, vs)) if *l == label => vs.push(v),
-                    _ => phases.push((label, vec![v])),
-                }
-            }
-            let means: Vec<f64> = phases.iter().map(|(_, vs)| mean(vs)).collect();
-            let lo = means.iter().copied().fold(f64::INFINITY, f64::min);
-            let hi = means.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            Some(Assessment {
-                kind: CheckKind::ReferenceTrend,
-                verdict: Verdict::from_bool(means.len() >= 2 && lo > 0.35 * hi),
-                expected: "throughput keeps recovering under frequent A/B alternation; \
-                           no phase collapses"
-                    .into(),
-                observed: format!(
-                    "per-phase mean throughput spans {lo:.1}–{hi:.1} KTPS over {} phases",
-                    means.len()
-                ),
-            })
-        }
-        "abl01" => {
-            let westmere = fig.num(0, 3).unwrap_or(0.0);
-            let uniform = fig.num(1, 3).unwrap_or(0.0);
-            Some(Assessment {
-                kind: CheckKind::ReferenceTrend,
-                verdict: Verdict::from_bool(
-                    westmere >= 1.15 && westmere > uniform && (uniform - 1.0).abs() <= 0.25,
-                ),
-                expected: "the ATraPos advantage over PLP comes from NUMA-awareness: \
-                           a clear speedup under the Westmere interconnect, ~1x under \
-                           uniform costs"
-                    .into(),
-                observed: format!("speedup {westmere:.2}x (westmere) vs {uniform:.2}x (uniform)"),
-            })
-        }
-        "abl02" => {
-            let ratios = fig.column(3);
-            let (first, last) = (
-                ratios.first().copied().unwrap_or(0.0),
-                ratios.last().copied().unwrap_or(0.0),
-            );
-            Some(Assessment {
-                kind: CheckKind::ReferenceTrend,
-                verdict: Verdict::from_bool(ratios.len() >= 2 && last > first && last >= 1.0),
-                expected: "the ATraPos layout's advantage over the naive \
-                           one-partition-per-table-per-core scheme grows with the \
-                           oversubscription penalty"
-                    .into(),
-                observed: format!(
-                    "ATraPos/naive ratio grows from {first:.2}x (no penalty) to {last:.2}x \
-                     (full penalty)"
-                ),
-            })
-        }
-        "abl03" => {
-            // Rows are keyed by sub-partition count in column 0.
-            let after = |subs: f64| {
-                (0..fig.rows.len())
-                    .find(|&r| fig.num(r, 0) == Some(subs))
-                    .and_then(|r| fig.num(r, 2))
-            };
-            let coarse = after(2.0).unwrap_or(0.0);
-            let paper_choice = after(10.0).unwrap_or(0.0);
-            Some(Assessment {
-                kind: CheckKind::ReferenceTrend,
-                verdict: Verdict::from_bool(paper_choice >= coarse && paper_choice > 0.0),
-                expected: "10 sub-partitions per partition (the paper's choice) adapts to \
-                           the hotspot at least as well as the coarsest granule"
-                    .into(),
-                observed: format!(
-                    "post-adaptation throughput {paper_choice:.1} KTPS at 10 sub-partitions \
-                     vs {coarse:.1} KTPS at 2"
-                ),
-            })
-        }
-        "abl04" => {
-            let range_dist = fig.num(0, 2).unwrap_or(f64::NAN);
-            let advised_dist = fig.num(1, 2).unwrap_or(f64::NAN);
-            let range_tps = fig.num(0, 3).unwrap_or(0.0);
-            let advised_tps = fig.num(1, 3).unwrap_or(0.0);
-            Some(Assessment {
-                kind: CheckKind::ReferenceTrend,
-                verdict: Verdict::from_bool(advised_dist < range_dist && advised_tps > range_tps),
-                expected: "the §VII advisor's plan removes nearly all distributed \
-                           transactions of the shifted workload and raises throughput"
-                    .into(),
-                observed: format!(
-                    "distributed txns {advised_dist:.0} (advisor) vs {range_dist:.0} (range); \
-                     throughput {advised_tps:.1} vs {range_tps:.1} KTPS"
-                ),
-            })
-        }
-        "ycsb01" => {
-            // Columns: theta | Centralized | Shared-nothing | PLP | ATraPos.
-            let plp = fig.column(3);
-            let atrapos = fig.column(4);
-            let n = plp.len().min(atrapos.len());
-            // "Matches" allows sub-percent jitter at the contention-bound
-            // high-skew points; the uniform point must be a clear win.
-            let matched = (0..n).filter(|&r| atrapos[r] >= 0.97 * plp[r]).count();
-            let worst_ratio = (0..n)
-                .map(|r| {
-                    if plp[r] > 0.0 {
-                        atrapos[r] / plp[r]
-                    } else {
-                        0.0
-                    }
-                })
-                .fold(f64::INFINITY, f64::min);
-            let uniform_win = n > 0 && atrapos[0] >= 1.1 * plp[0];
-            Some(Assessment {
-                kind: CheckKind::ReferenceTrend,
-                verdict: Verdict::from_bool(n >= 2 && matched == n && uniform_win),
-                expected: "the partitioned shared-everything advantage carries over to \
-                           YCSB-A: ATraPos clearly beats PLP at uniform load and at \
-                           least matches it (within 3%) at every Zipfian skew level, \
-                           even as skew drives both toward their hot partitions' \
-                           capacity"
-                    .into(),
-                observed: format!(
-                    "ATraPos matches or beats PLP at {matched} of {n} theta values \
-                     (worst ATraPos/PLP ratio {worst_ratio:.2}x)"
-                ),
-            })
-        }
-        "ycsb02" => {
-            // Columns: time | Centralized | Shared-nothing | PLP | ATraPos.
-            // The interesting state is deep into the drift — the settled
-            // tail, where every static layout has been wrong for a while.
-            let best_static = (1..=3)
-                .map(|c| settled_mean(&fig.column(c)))
-                .fold(f64::NEG_INFINITY, f64::max);
-            let atrapos = settled_mean(&fig.column(4));
-            Some(Assessment {
-                kind: CheckKind::ReferenceTrend,
-                verdict: Verdict::from_bool(atrapos > 0.0 && atrapos >= best_static),
-                expected: "under a continuously drifting hotspot the adaptive ATraPos \
-                           configuration keeps repartitioning toward the moving hot \
-                           window and settles above every static design, repartition \
-                           pauses included"
-                    .into(),
-                observed: format!(
-                    "settled throughput: ATraPos {atrapos:.1} KTPS vs best static \
-                     {best_static:.1} KTPS ({:.2}x)",
-                    if best_static > 0.0 {
-                        atrapos / best_static
-                    } else {
-                        0.0
-                    }
-                ),
-            })
-        }
-        "overload01" => {
-            // Columns: multiplier | goodput ×4 | p99 ×4 | rejected% ×4,
-            // one row per offered-load multiple of saturation.
-            let row_at = |mult: f64| (0..fig.rows.len()).find(|&r| fig.num(r, 0) == Some(mult));
-            let (half, one, three) = (row_at(0.5), row_at(1.0), row_at(3.0));
-            // Below saturation the queue must shed (almost) nothing.
-            let max_rejected_below_sat = half
-                .map(|r| {
-                    (9..=12)
-                        .filter_map(|c| fig.num(r, c))
-                        .fold(0.0f64, f64::max)
-                })
-                .unwrap_or(f64::INFINITY);
-            // Past saturation goodput must hold near capacity — the worst
-            // per-design 3×/1× goodput ratio bounds the degradation.
-            let worst_degradation = match (one, three) {
-                (Some(r1), Some(r3)) => (1..=4)
-                    .map(|c| {
-                        let at_sat = fig.num(r1, c).unwrap_or(0.0);
-                        let overloaded = fig.num(r3, c).unwrap_or(0.0);
-                        if at_sat > 0.0 {
-                            overloaded / at_sat
-                        } else {
-                            0.0
-                        }
-                    })
-                    .fold(f64::INFINITY, f64::min),
-                _ => 0.0,
-            };
-            Some(Assessment {
-                kind: CheckKind::Slo,
-                verdict: Verdict::from_bool(
-                    max_rejected_below_sat <= 1.0 && worst_degradation >= 0.7,
-                ),
-                expected: "at 0.5x saturation the admission queue rejects at most 1% on \
-                           every design, and past saturation goodput degrades \
-                           gracefully: at 3x offered load every design keeps at least \
-                           70% of its 1x goodput"
-                    .into(),
-                observed: format!(
-                    "worst rejection at 0.5x load {max_rejected_below_sat:.2}%; worst \
-                     3x/1x goodput ratio {worst_degradation:.2}x"
-                ),
-            })
-        }
-        "overload02" => {
-            // Columns: time | Centralized | Shared-nothing | PLP | ATraPos.
-            // The timeline is baseline / burst / recovery in equal-ish
-            // thirds; the SLO is that every design's goodput returns to
-            // its own baseline once the burst's backlog drains.
-            let worst_recovery = (1..=4)
-                .map(|c| {
-                    let series = fig.column(c);
-                    let baseline = leading_mean(&series);
-                    let recovered = settled_mean(&series);
-                    if baseline > 0.0 {
-                        recovered / baseline
-                    } else {
-                        0.0
-                    }
-                })
-                .fold(f64::INFINITY, f64::min);
-            Some(Assessment {
-                kind: CheckKind::Slo,
-                verdict: Verdict::from_bool(!fig.rows.is_empty() && worst_recovery >= 0.85),
-                expected: "after the 2.5x burst subsides, every design drains its \
-                           backlog and recovers to at least 85% of its pre-burst \
-                           goodput within the recovery window"
-                    .into(),
-                observed: format!(
-                    "worst recovered/baseline goodput ratio across the four designs \
-                     {worst_recovery:.2}x"
-                ),
-            })
-        }
-        "spec01" => {
-            // Columns: workload | Centralized | Shared-nothing | PLP |
-            // ATraPos, one row per shipped spec-only workload.  These
-            // workloads exist only as data, so the check is the figure's
-            // promised shape: the compiled engine keeps the adaptive
-            // design's edge — ATraPos at or above PLP (within 3% jitter)
-            // on every row.
-            let n = fig.rows.len();
-            let matched = (0..n)
-                .filter(|&r| {
-                    let plp = fig.num(r, 3).unwrap_or(f64::INFINITY);
-                    let atrapos = fig.num(r, 4).unwrap_or(0.0);
-                    atrapos > 0.0 && atrapos >= 0.97 * plp
-                })
-                .count();
-            let worst_ratio = (0..n)
-                .map(|r| {
-                    let plp = fig.num(r, 3).unwrap_or(0.0);
-                    let atrapos = fig.num(r, 4).unwrap_or(0.0);
-                    if plp > 0.0 {
-                        atrapos / plp
-                    } else {
-                        0.0
-                    }
-                })
-                .fold(f64::INFINITY, f64::min);
-            Some(Assessment {
-                kind: CheckKind::ReferenceTrend,
-                verdict: Verdict::from_bool(n >= 3 && matched == n),
-                expected: "the declarative engine preserves the design ranking on \
-                           workloads that exist only as spec files: ATraPos matches \
-                           or beats PLP (within 3%) on every spec-only row"
-                    .into(),
-                observed: format!(
-                    "ATraPos matches or beats PLP on {matched} of {n} spec workloads \
-                     (worst ATraPos/PLP ratio {worst_ratio:.2}x)"
-                ),
-            })
-        }
-        _ => None,
+    catalogue::entry(&fig.id)?.assess.map(|check| check(fig))
+}
+
+/// A reference-trend assessment from its three parts.
+fn trend(ok: bool, expected: &str, observed: String) -> Assessment {
+    Assessment {
+        kind: CheckKind::ReferenceTrend,
+        verdict: Verdict::from_bool(ok),
+        expected: expected.into(),
+        observed,
     }
+}
+
+/// Last value of column `col` over its first (0 when the column is empty
+/// or starts at 0): how much a series grew from the first row to the last.
+fn growth(fig: &FigureResult, col: usize) -> f64 {
+    match fig.column(col).as_slice() {
+        [first, .., last] if *first > 0.0 => last / first,
+        _ => 0.0,
+    }
+}
+
+/// Whether every value of column `col` lies within `tolerance` (a
+/// fraction) of the column's first value.
+fn flat(fig: &FigureResult, col: usize, tolerance: f64) -> bool {
+    let values = fig.column(col);
+    !values.is_empty()
+        && values
+            .iter()
+            .all(|v| (v / values[0] - 1.0).abs() <= tolerance)
+}
+
+/// fig01: IPC is a misleading metric — it rises while the centralized
+/// design spins and collapses while PLP stalls on remote cache lines.
+pub(crate) fn fig01(fig: &FigureResult) -> Assessment {
+    // Columns: sockets | extreme-SN | centralized | PLP.
+    let (centralized, plp) = (growth(fig, 2), growth(fig, 3));
+    trend(
+        flat(fig, 1, 0.05) && centralized >= 1.5 && plp <= 0.5,
+        "shared-nothing IPC stays flat (within 5%) as sockets are added, the \
+         centralized design's IPC rises to at least 1.5x its 1-socket value \
+         (spinning retires instructions) and PLP's falls to at most half",
+        format!(
+            "from the smallest to the largest machine: centralized IPC {centralized:.2}x, \
+             PLP IPC {plp:.2}x, extreme shared-nothing {:.3}x",
+            growth(fig, 1)
+        ),
+    )
+}
+
+/// fig02: only shared-nothing scales with the socket count.
+pub(crate) fn fig02(fig: &FigureResult) -> Assessment {
+    // Columns: sockets | extreme-SN | centralized | PLP.
+    let (sn, centralized, plp) = (growth(fig, 1), growth(fig, 2), growth(fig, 3));
+    trend(
+        sn >= 6.0 && centralized <= 1.5 && plp <= 1.5,
+        "extreme shared-nothing scales at least 6x from 1 to 8 sockets while \
+         the centralized design and PLP stop scaling (at most 1.5x)",
+        format!(
+            "throughput from 1 socket to the largest machine: extreme shared-nothing \
+             {sn:.2}x, centralized {centralized:.2}x, PLP {plp:.2}x"
+        ),
+    )
+}
+
+/// fig03: multi-site transactions collapse shared-nothing throughput.
+pub(crate) fn fig03(fig: &FigureResult) -> Assessment {
+    // Columns: % multi-site | extreme-SN | coarse-SN | centralized.
+    let (extreme, coarse) = (growth(fig, 1), growth(fig, 2));
+    trend(
+        extreme > 0.0 && extreme <= 0.1 && coarse > 0.0 && coarse <= 0.1 && flat(fig, 3, 0.05),
+        "at 100% multi-site transactions both shared-nothing configurations \
+         keep at most 10% of their 0% throughput, while the centralized \
+         design is insensitive (flat within 5%)",
+        format!(
+            "throughput at 100% over 0% multi-site: extreme shared-nothing {extreme:.3}x, \
+             coarse shared-nothing {coarse:.3}x, centralized {:.3}x",
+            growth(fig, 3)
+        ),
+    )
+}
+
+/// fig04: distributed transactions are paid for in communication.
+pub(crate) fn fig04(fig: &FigureResult) -> Assessment {
+    // Columns: % multi-site | xct management | xct execution |
+    // communication | locking | logging | total.
+    let shares: Vec<f64> = (0..fig.rows.len())
+        .filter_map(|r| Some(fig.num(r, 3)? / fig.num(r, 6)?))
+        .collect();
+    let rising = shares.len() >= 2 && shares.windows(2).all(|w| w[1] > w[0]);
+    let total = growth(fig, 6);
+    trend(
+        rising && total >= 10.0,
+        "the time per transaction grows at least 10x from 0% to 100% \
+         multi-site transactions and the communication share of it rises \
+         monotonically",
+        format!(
+            "total time per transaction grows {total:.1}x; communication share rises \
+             from {:.1}% to {:.1}%",
+            100.0 * shares.first().copied().unwrap_or(0.0),
+            100.0 * shares.last().copied().unwrap_or(0.0)
+        ),
+    )
+}
+
+/// tab01: remote memory costs a few percent, not a factor.
+pub(crate) fn tab01(fig: &FigureResult) -> Assessment {
+    // Rows: Local, Central, Remote; the last column is the total.
+    let totals = fig.column(fig.header.len().saturating_sub(1));
+    let penalty = |r: usize| match (totals.first(), totals.get(r)) {
+        (Some(&local), Some(&other)) if local > 0.0 => 100.0 * (1.0 - other / local),
+        _ => f64::NAN,
+    };
+    let (central, remote) = (penalty(1), penalty(2));
+    let modest = |p: f64| (1.0..=10.0).contains(&p);
+    trend(
+        totals.len() == 3 && modest(central) && modest(remote),
+        "local allocation is best; allocating every instance's memory on one \
+         socket or on a remote socket costs a few percent of throughput \
+         (paper: 2.5-6.2% and 3.3-7%; accepted: 1-10% each)",
+        format!("central penalty {central:.1}%, remote penalty {remote:.1}%"),
+    )
+}
+
+/// fig05: ATraPos scales like shared-nothing where PLP does not.
+pub(crate) fn fig05(fig: &FigureResult) -> Assessment {
+    // Columns: sockets | extreme-SN | coarse-SN | ATraPos | PLP.
+    let atrapos = growth(fig, 3);
+    let last = fig.rows.len().saturating_sub(1);
+    let over_plp = match (fig.num(last, 3), fig.num(last, 4)) {
+        (Some(a), Some(p)) if p > 0.0 => a / p,
+        _ => 0.0,
+    };
+    trend(
+        atrapos >= 6.0 && over_plp >= 5.0,
+        "on the perfectly partitionable workload ATraPos scales at least 6x \
+         from 1 to 8 sockets, like the shared-nothing configurations, and \
+         ends at least 5x above PLP",
+        format!(
+            "ATraPos scales {atrapos:.2}x from 1 socket to the largest machine, where it \
+             reaches {over_plp:.2}x PLP"
+        ),
+    )
+}
+
+/// fig06: each partitioning and placement refinement adds throughput.
+pub(crate) fn fig06(fig: &FigureResult) -> Assessment {
+    // Rows: Centralized, PLP, HW-aware, Workload-aware, ATraPos.
+    let tput = fig.column(1);
+    trend(
+        tput.len() == 5 && tput.windows(2).all(|w| w[1] > w[0]),
+        "throughput strictly increases along Centralized < PLP < HW-aware < \
+         Workload-aware < ATraPos",
+        format!(
+            "throughput (KTPS): {}",
+            tput.iter()
+                .map(|v| format!("{v:.0}"))
+                .collect::<Vec<_>>()
+                .join(" < ")
+        ),
+    )
+}
+
+/// fig08: ATraPos over PLP on the standard benchmarks.
+pub(crate) fn fig08(fig: &FigureResult) -> Assessment {
+    let ratios = fig.column(3);
+    let lo = ratios.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = ratios.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    // The TATP rows carry the headline speedups; the TPC-C margin
+    // shrinks towards parity at the reduced scale.
+    let tatp_ok = fig
+        .rows
+        .iter()
+        .enumerate()
+        .filter(|(_, row)| row.first().is_some_and(|l| l.starts_with("TATP")))
+        .all(|(r, _)| fig.num(r, 3).is_some_and(|v| v >= 1.2));
+    let tatp_count = fig
+        .rows
+        .iter()
+        .filter(|row| row.first().is_some_and(|l| l.starts_with("TATP")))
+        .count();
+    trend(
+        tatp_count > 0 && tatp_ok && !ratios.is_empty() && lo >= 0.95 && mean(&ratios) > 1.0,
+        "ATraPos clearly beats PLP on every TATP workload (paper: \
+         3.2x–6.7x) and at least matches it on TPC-C (paper: \
+         1.4x–2.7x; the TPC-C margin shrinks at the reduced scale)",
+        format!(
+            "ATraPos/PLP ratio spans {lo:.2}x–{hi:.2}x over {} workloads",
+            ratios.len()
+        ),
+    )
+}
+
+/// tab02: the monitoring overhead stays within a few percent.
+pub(crate) fn tab02(fig: &FigureResult) -> Assessment {
+    let overheads = fig.column(3);
+    let hi = overheads.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    trend(
+        !overheads.is_empty() && hi <= 5.0,
+        "monitoring costs at most a few percent of throughput \
+         (paper: ≤ 3.32%)",
+        format!("worst-case overhead {hi:.2}%"),
+    )
+}
+
+/// fig10: ATraPos follows every workload switch at monitoring-overhead cost.
+pub(crate) fn fig10(fig: &FigureResult) -> Assessment {
+    // The switches change the transaction type, not the balance, so
+    // the static partitioning is not penalized at this scale: the
+    // reproducible trend is that ATraPos follows every switch while
+    // paying no more than monitoring overhead.
+    let statics = fig.column(1);
+    let adaptives = fig.column(2);
+    let s = settled_mean(&statics);
+    let a = settled_mean(&adaptives);
+    trend(
+        !adaptives.is_empty() && s > 0.0 && a >= 0.95 * s,
+        "throughput follows each workload switch and ATraPos stays \
+         within monitoring overhead (< 5%) of the static \
+         configuration (paper: ATraPos overtakes a mistuned static \
+         partitioning; the simulated static baseline is never \
+         mistuned, so parity is the reproducible trend)",
+        format!(
+            "settled throughput: ATraPos {a:.1} KTPS vs static {s:.1} KTPS ({:.3}x)",
+            if s > 0.0 { a / s } else { 0.0 }
+        ),
+    )
+}
+
+/// fig11/fig12: after the skew (or the socket failure) ATraPos overtakes the static configuration.
+pub(crate) fn fig11_12(fig: &FigureResult) -> Assessment {
+    let statics = fig.column(1);
+    let adaptives = fig.column(2);
+    let s = settled_mean(&statics);
+    let a = settled_mean(&adaptives);
+    let context = if fig.id == "fig11" {
+        "after the skew appears"
+    } else {
+        "after the socket failure"
+    };
+    trend(
+        !adaptives.is_empty() && a >= s,
+        &format!("ATraPos repartitions and overtakes the static configuration {context}"),
+        format!(
+            "settled throughput: ATraPos {a:.1} KTPS vs static {s:.1} KTPS ({:.2}x)",
+            if s > 0.0 { a / s } else { 0.0 }
+        ),
+    )
+}
+
+/// fig13: no phase collapses under frequent A/B alternation.
+pub(crate) fn fig13(fig: &FigureResult) -> Assessment {
+    // Per-phase means of the ATraPos series (column 2 labels the
+    // phase); under frequent alternation no phase may collapse.
+    let mut phases: Vec<(String, Vec<f64>)> = Vec::new();
+    for (r, row) in fig.rows.iter().enumerate() {
+        let Some(v) = fig.num(r, 1) else { continue };
+        let label = row.get(2).cloned().unwrap_or_default();
+        match phases.last_mut() {
+            Some((l, vs)) if *l == label => vs.push(v),
+            _ => phases.push((label, vec![v])),
+        }
+    }
+    let means: Vec<f64> = phases.iter().map(|(_, vs)| mean(vs)).collect();
+    let lo = means.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = means.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    trend(
+        means.len() >= 2 && lo > 0.35 * hi,
+        "throughput keeps recovering under frequent A/B alternation; \
+         no phase collapses",
+        format!(
+            "per-phase mean throughput spans {lo:.1}–{hi:.1} KTPS over {} phases",
+            means.len()
+        ),
+    )
+}
+
+/// abl01: the ATraPos advantage vanishes under a uniform interconnect.
+pub(crate) fn abl01(fig: &FigureResult) -> Assessment {
+    let westmere = fig.num(0, 3).unwrap_or(0.0);
+    let uniform = fig.num(1, 3).unwrap_or(0.0);
+    trend(
+        westmere >= 1.15 && westmere > uniform && (uniform - 1.0).abs() <= 0.25,
+        "the ATraPos advantage over PLP comes from NUMA-awareness: \
+         a clear speedup under the Westmere interconnect, ~1x under \
+         uniform costs",
+        format!("speedup {westmere:.2}x (westmere) vs {uniform:.2}x (uniform)"),
+    )
+}
+
+/// abl02: the ATraPos layout's lead grows with the oversubscription penalty.
+pub(crate) fn abl02(fig: &FigureResult) -> Assessment {
+    let ratios = fig.column(3);
+    let (first, last) = (
+        ratios.first().copied().unwrap_or(0.0),
+        ratios.last().copied().unwrap_or(0.0),
+    );
+    trend(
+        ratios.len() >= 2 && last > first && last >= 1.0,
+        "the ATraPos layout's advantage over the naive \
+         one-partition-per-table-per-core scheme grows with the \
+         oversubscription penalty",
+        format!(
+            "ATraPos/naive ratio grows from {first:.2}x (no penalty) to {last:.2}x \
+             (full penalty)"
+        ),
+    )
+}
+
+/// abl03: the paper's 10 sub-partitions adapt at least as well as 2.
+pub(crate) fn abl03(fig: &FigureResult) -> Assessment {
+    // Rows are keyed by sub-partition count in column 0.
+    let after = |subs: f64| {
+        (0..fig.rows.len())
+            .find(|&r| fig.num(r, 0) == Some(subs))
+            .and_then(|r| fig.num(r, 2))
+    };
+    let coarse = after(2.0).unwrap_or(0.0);
+    let paper_choice = after(10.0).unwrap_or(0.0);
+    trend(
+        paper_choice >= coarse && paper_choice > 0.0,
+        "10 sub-partitions per partition (the paper's choice) adapts to \
+         the hotspot at least as well as the coarsest granule",
+        format!(
+            "post-adaptation throughput {paper_choice:.1} KTPS at 10 sub-partitions \
+             vs {coarse:.1} KTPS at 2"
+        ),
+    )
+}
+
+/// abl04: the sharding advisor removes distributed transactions.
+pub(crate) fn abl04(fig: &FigureResult) -> Assessment {
+    let range_dist = fig.num(0, 2).unwrap_or(f64::NAN);
+    let advised_dist = fig.num(1, 2).unwrap_or(f64::NAN);
+    let range_tps = fig.num(0, 3).unwrap_or(0.0);
+    let advised_tps = fig.num(1, 3).unwrap_or(0.0);
+    trend(
+        advised_dist < range_dist && advised_tps > range_tps,
+        "the §VII advisor's plan removes nearly all distributed \
+         transactions of the shifted workload and raises throughput",
+        format!(
+            "distributed txns {advised_dist:.0} (advisor) vs {range_dist:.0} (range); \
+             throughput {advised_tps:.1} vs {range_tps:.1} KTPS"
+        ),
+    )
+}
+
+/// ycsb01: ATraPos at or above PLP at every skew level.
+pub(crate) fn ycsb01(fig: &FigureResult) -> Assessment {
+    // Columns: theta | Centralized | Shared-nothing | PLP | ATraPos.
+    let plp = fig.column(3);
+    let atrapos = fig.column(4);
+    let n = plp.len().min(atrapos.len());
+    // "Matches" allows sub-percent jitter at the contention-bound
+    // high-skew points; the uniform point must be a clear win.
+    let matched = (0..n).filter(|&r| atrapos[r] >= 0.97 * plp[r]).count();
+    let worst_ratio = (0..n)
+        .map(|r| {
+            if plp[r] > 0.0 {
+                atrapos[r] / plp[r]
+            } else {
+                0.0
+            }
+        })
+        .fold(f64::INFINITY, f64::min);
+    let uniform_win = n > 0 && atrapos[0] >= 1.1 * plp[0];
+    trend(
+        n >= 2 && matched == n && uniform_win,
+        "the partitioned shared-everything advantage carries over to \
+         YCSB-A: ATraPos clearly beats PLP at uniform load and at \
+         least matches it (within 3%) at every Zipfian skew level, \
+         even as skew drives both toward their hot partitions' \
+         capacity",
+        format!(
+            "ATraPos matches or beats PLP at {matched} of {n} theta values \
+             (worst ATraPos/PLP ratio {worst_ratio:.2}x)"
+        ),
+    )
+}
+
+/// ycsb02: adaptive ATraPos settles above every static design under drift.
+pub(crate) fn ycsb02(fig: &FigureResult) -> Assessment {
+    // Columns: time | Centralized | Shared-nothing | PLP | ATraPos.
+    // The interesting state is deep into the drift — the settled
+    // tail, where every static layout has been wrong for a while.
+    let best_static = (1..=3)
+        .map(|c| settled_mean(&fig.column(c)))
+        .fold(f64::NEG_INFINITY, f64::max);
+    let atrapos = settled_mean(&fig.column(4));
+    trend(
+        atrapos > 0.0 && atrapos >= best_static,
+        "under a continuously drifting hotspot the adaptive ATraPos \
+         configuration keeps repartitioning toward the moving hot \
+         window and settles above every static design, repartition \
+         pauses included",
+        format!(
+            "settled throughput: ATraPos {atrapos:.1} KTPS vs best static \
+             {best_static:.1} KTPS ({:.2}x)",
+            if best_static > 0.0 {
+                atrapos / best_static
+            } else {
+                0.0
+            }
+        ),
+    )
+}
+
+/// overload01 SLO: no rejection below saturation, graceful degradation past it.
+pub(crate) fn overload01(fig: &FigureResult) -> Assessment {
+    // Columns: multiplier | goodput ×4 | p99 ×4 | rejected% ×4,
+    // one row per offered-load multiple of saturation.
+    let row_at = |mult: f64| (0..fig.rows.len()).find(|&r| fig.num(r, 0) == Some(mult));
+    let (half, one, three) = (row_at(0.5), row_at(1.0), row_at(3.0));
+    // Below saturation the queue must shed (almost) nothing.
+    let max_rejected_below_sat = half
+        .map(|r| {
+            (9..=12)
+                .filter_map(|c| fig.num(r, c))
+                .fold(0.0f64, f64::max)
+        })
+        .unwrap_or(f64::INFINITY);
+    // Past saturation goodput must hold near capacity — the worst
+    // per-design 3×/1× goodput ratio bounds the degradation.
+    let worst_degradation = match (one, three) {
+        (Some(r1), Some(r3)) => (1..=4)
+            .map(|c| {
+                let at_sat = fig.num(r1, c).unwrap_or(0.0);
+                let overloaded = fig.num(r3, c).unwrap_or(0.0);
+                if at_sat > 0.0 {
+                    overloaded / at_sat
+                } else {
+                    0.0
+                }
+            })
+            .fold(f64::INFINITY, f64::min),
+        _ => 0.0,
+    };
+    Assessment {
+        kind: CheckKind::Slo,
+        verdict: Verdict::from_bool(max_rejected_below_sat <= 1.0 && worst_degradation >= 0.7),
+        expected: "at 0.5x saturation the admission queue rejects at most 1% on \
+         every design, and past saturation goodput degrades \
+         gracefully: at 3x offered load every design keeps at least \
+         70% of its 1x goodput"
+            .into(),
+        observed: format!(
+            "worst rejection at 0.5x load {max_rejected_below_sat:.2}%; worst \
+             3x/1x goodput ratio {worst_degradation:.2}x"
+        ),
+    }
+}
+
+/// overload02 SLO: every design recovers its baseline after the burst.
+pub(crate) fn overload02(fig: &FigureResult) -> Assessment {
+    // Columns: time | Centralized | Shared-nothing | PLP | ATraPos.
+    // The timeline is baseline / burst / recovery in equal-ish
+    // thirds; the SLO is that every design's goodput returns to
+    // its own baseline once the burst's backlog drains.
+    let worst_recovery = (1..=4)
+        .map(|c| {
+            let series = fig.column(c);
+            let baseline = leading_mean(&series);
+            let recovered = settled_mean(&series);
+            if baseline > 0.0 {
+                recovered / baseline
+            } else {
+                0.0
+            }
+        })
+        .fold(f64::INFINITY, f64::min);
+    Assessment {
+        kind: CheckKind::Slo,
+        verdict: Verdict::from_bool(!fig.rows.is_empty() && worst_recovery >= 0.85),
+        expected: "after the 2.5x burst subsides, every design drains its \
+         backlog and recovers to at least 85% of its pre-burst \
+         goodput within the recovery window"
+            .into(),
+        observed: format!(
+            "worst recovered/baseline goodput ratio across the four designs \
+             {worst_recovery:.2}x"
+        ),
+    }
+}
+
+/// spec01: ATraPos at or above PLP on every spec-only workload.
+pub(crate) fn spec01(fig: &FigureResult) -> Assessment {
+    // Columns: workload | Centralized | Shared-nothing | PLP |
+    // ATraPos, one row per shipped spec-only workload.  These
+    // workloads exist only as data, so the check is the figure's
+    // promised shape: the compiled engine keeps the adaptive
+    // design's edge — ATraPos at or above PLP (within 3% jitter)
+    // on every row.
+    let n = fig.rows.len();
+    let matched = (0..n)
+        .filter(|&r| {
+            let plp = fig.num(r, 3).unwrap_or(f64::INFINITY);
+            let atrapos = fig.num(r, 4).unwrap_or(0.0);
+            atrapos > 0.0 && atrapos >= 0.97 * plp
+        })
+        .count();
+    let worst_ratio = (0..n)
+        .map(|r| {
+            let plp = fig.num(r, 3).unwrap_or(0.0);
+            let atrapos = fig.num(r, 4).unwrap_or(0.0);
+            if plp > 0.0 {
+                atrapos / plp
+            } else {
+                0.0
+            }
+        })
+        .fold(f64::INFINITY, f64::min);
+    trend(
+        n >= 3 && matched == n,
+        "the declarative engine preserves the design ranking on \
+         workloads that exist only as spec files: ATraPos matches \
+         or beats PLP (within 3%) on every spec-only row",
+        format!(
+            "ATraPos matches or beats PLP on {matched} of {n} spec workloads \
+             (worst ATraPos/PLP ratio {worst_ratio:.2}x)"
+        ),
+    )
 }
 
 #[cfg(test)]
@@ -744,6 +896,69 @@ mod tests {
 
     #[test]
     fn unknown_ids_have_no_reference_check() {
-        assert!(assess(&fig("fig01", vec!["a"], vec![])).is_none());
+        assert!(assess(&fig("fig07", vec!["a"], vec![])).is_none());
+        assert!(assess(&fig("sweep-micro-1s", vec!["a"], vec![])).is_none());
+    }
+
+    /// `rows` must pass the check of `id`; replacing cell (r, c) with
+    /// `value` must turn it into a warn.
+    fn passes_until(id: &str, rows: &[&[&str]], (r, c): (usize, usize), value: &str) {
+        let header = vec!["h"; rows[0].len()];
+        let build = |rows: Vec<Vec<&str>>| fig(id, header.clone(), rows);
+        let good: Vec<Vec<&str>> = rows.iter().map(|row| row.to_vec()).collect();
+        let a = assess(&build(good.clone())).unwrap();
+        assert_eq!(a.verdict, Verdict::Pass, "{id}: {}", a.observed);
+        assert_eq!(a.kind, CheckKind::ReferenceTrend);
+        let mut bad = good;
+        bad[r][c] = value;
+        let a = assess(&build(bad)).unwrap();
+        assert_eq!(a.verdict, Verdict::Warn, "{id} with ({r},{c})={value}");
+    }
+
+    #[test]
+    fn motivation_checks_pass_on_the_paper_shape_and_warn_off_it() {
+        // fig01: a PLP whose IPC does not collapse is a warn.
+        let ipc: &[&[&str]] = &[&["1", "0.83", "1.0", "0.74"], &["8", "0.82", "2.0", "0.09"]];
+        passes_until("fig01", ipc, (1, 3), "0.6");
+        passes_until("fig01", ipc, (1, 1), "0.7");
+        // fig02: a centralized design that scales is a warn.
+        let scaleup: &[&[&str]] = &[&["1", "10", "6", "8"], &["8", "80", "5.8", "8"]];
+        passes_until("fig02", scaleup, (1, 2), "12");
+        passes_until("fig02", scaleup, (1, 1), "40");
+        // fig03: shared-nothing surviving multi-site load is a warn.
+        let multisite: &[&[&str]] = &[&["0", "10000", "1100", "118"], &["100", "44", "42", "118"]];
+        passes_until("fig03", multisite, (1, 2), "500");
+        passes_until("fig03", multisite, (1, 3), "90");
+        // fig04: a communication share that falls back is a warn.
+        let breakdown: &[&[&str]] = &[
+            &["0", "1", "4", "0", "65", "2", "72"],
+            &["50", "2", "4", "300", "900", "4", "1210"],
+            &["100", "3", "4", "1600", "1960", "7", "3574"],
+        ];
+        passes_until("fig04", breakdown, (2, 3), "100");
+        passes_until("fig04", breakdown, (2, 6), "700");
+        // tab01: a remote policy that beats local, or costs 30%, is a warn.
+        let policies: &[&[&str]] = &[
+            &["Local", "50", "100"],
+            &["Central", "47", "94"],
+            &["Remote", "47", "95"],
+        ];
+        passes_until("tab01", policies, (2, 2), "101");
+        passes_until("tab01", policies, (1, 2), "70");
+        // fig05: an ATraPos that stops scaling is a warn.
+        let partitionable: &[&[&str]] = &[
+            &["1", "10", "3", "7.7", "7.8"],
+            &["8", "86", "26", "63", "8"],
+        ];
+        passes_until("fig05", partitionable, (1, 3), "30");
+        // fig06: any inversion of the ladder is a warn.
+        let ladder: &[&[&str]] = &[
+            &["Centralized", "5"],
+            &["PLP", "9"],
+            &["HW-aware", "22"],
+            &["Workload-aware", "25"],
+            &["ATraPos", "31"],
+        ];
+        passes_until("fig06", ladder, (3, 1), "21");
     }
 }

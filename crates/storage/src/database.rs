@@ -43,11 +43,6 @@ impl Database {
             .ok_or(StorageError::UnknownTable(id))
     }
 
-    /// Find a table by name.
-    pub fn table_by_name(&self, name: &str) -> Option<&Table> {
-        self.tables.iter().flatten().find(|t| t.name() == name)
-    }
-
     /// All registered tables.
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
         self.tables.iter().flatten()
@@ -96,8 +91,6 @@ mod tests {
             db.table(TableId(1)),
             Err(StorageError::UnknownTable(_))
         ));
-        assert!(db.table_by_name("beta").is_some());
-        assert!(db.table_by_name("gamma").is_none());
     }
 
     #[test]

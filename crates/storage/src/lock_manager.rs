@@ -269,16 +269,6 @@ impl LockManager {
         ctx.now() - before
     }
 
-    /// Number of logical conflicts observed on `id` so far.
-    pub fn conflicts_on(&self, id: &LockId) -> u64 {
-        let b = self.bucket_index(id);
-        self.buckets[b]
-            .entries
-            .get(id)
-            .map(|e| e.conflicts)
-            .unwrap_or(0)
-    }
-
     /// Current holders of `id` (for tests and invariant checks).
     pub fn holders_of(&self, id: &LockId) -> Vec<(TxnId, LockMode)> {
         let b = self.bucket_index(id);

@@ -8,20 +8,17 @@
 //! total order can be reconstructed at recovery, which the simulation does
 //! not need to model).
 //!
-//! Records are accounted by size and LSN; a small ring of recent records is
-//! retained for inspection by tests.
+//! Records are accounted by size and LSN; their contents are not
+//! materialized.
 
 use crate::txn::TxnId;
 use atrapos_numa::{AccessKind, Component, ContendedLine, Cycles, SimCtx, SocketId, WaitMode};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Instruction cost per 16 bytes of log payload copied into the buffer.
 const COPY_INSTRUCTIONS_PER_16B: u64 = 4;
 /// Fixed instruction cost of formatting a log record header.
 const HEADER_INSTRUCTIONS: u64 = 60;
-/// Retained ring of recent records (for tests/debugging).
-const RING_CAPACITY: usize = 256;
 
 /// Kinds of log records generated by the workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,21 +39,6 @@ pub enum LogRecordKind {
     DistributedCommit,
 }
 
-/// A log record descriptor (payload bytes are accounted, not materialized).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LogRecord {
-    /// Log sequence number within the owning buffer.
-    pub lsn: u64,
-    /// Buffer (socket) the record was written to.
-    pub buffer: usize,
-    /// Owning transaction.
-    pub txn: TxnId,
-    /// Record kind.
-    pub kind: LogRecordKind,
-    /// Payload size in bytes.
-    pub bytes: u64,
-}
-
 /// Which flavour of log manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LogManagerKind {
@@ -72,7 +54,6 @@ struct LogBuffer {
     next_lsn: u64,
     bytes: u64,
     records: u64,
-    recent: VecDeque<LogRecord>,
 }
 
 impl LogBuffer {
@@ -82,7 +63,6 @@ impl LogBuffer {
             next_lsn: 1,
             bytes: 0,
             records: 0,
-            recent: VecDeque::with_capacity(RING_CAPACITY),
         }
     }
 }
@@ -127,12 +107,13 @@ impl LogManager {
     }
 
     /// Append a record of `bytes` payload bytes on behalf of `txn`.
-    /// Returns the record's LSN.
+    /// Returns the record's LSN.  The owner and kind name the record at
+    /// the call site; only its size is modelled.
     pub fn insert(
         &mut self,
         ctx: &mut SimCtx<'_>,
-        txn: TxnId,
-        kind: LogRecordKind,
+        _txn: TxnId,
+        _kind: LogRecordKind,
         bytes: u64,
     ) -> u64 {
         let b = self.socket_to_buffer[ctx.socket().index()];
@@ -153,16 +134,6 @@ impl LogManager {
         buffer.next_lsn += 1;
         buffer.bytes += bytes;
         buffer.records += 1;
-        if buffer.recent.len() == RING_CAPACITY {
-            buffer.recent.pop_front();
-        }
-        buffer.recent.push_back(LogRecord {
-            lsn,
-            buffer: b,
-            txn,
-            kind,
-            bytes,
-        });
         lsn
     }
 
@@ -179,21 +150,6 @@ impl LogManager {
     /// Total payload bytes written across buffers.
     pub fn total_bytes(&self) -> u64 {
         self.buffers.iter().map(|b| b.bytes).sum()
-    }
-
-    /// Head reservations that crossed a socket boundary (contention metric).
-    pub fn remote_reservations(&self) -> u64 {
-        self.buffers.iter().map(|b| b.head.remote_accesses).sum()
-    }
-
-    /// Most recent records of buffer `idx` (oldest first).
-    pub fn recent_records(&self, idx: usize) -> impl Iterator<Item = &LogRecord> {
-        self.buffers[idx].recent.iter()
-    }
-
-    /// Number of buffers (1 for centralized, one per socket otherwise).
-    pub fn num_buffers(&self) -> usize {
-        self.buffers.len()
     }
 }
 
@@ -218,33 +174,31 @@ mod tests {
         assert_eq!(log.total_bytes(), 116);
     }
 
-    #[test]
-    fn centralized_log_reservations_bounce_across_sockets() {
+    /// Eight inserts from cores on alternating sockets; returns how many
+    /// of them pulled the buffer head across a socket boundary.
+    fn remote_reservations(log: &mut LogManager) -> usize {
         let (t, c) = env();
-        let mut log = LogManager::centralized(4);
         let mut now = 0;
+        let mut remote = 0;
         for i in 0..8u64 {
             let core = CoreId(((i % 4) * 2) as u32);
             let mut ctx = SimCtx::new(&t, &c, core, now);
             log.insert(&mut ctx, TxnId(i), LogRecordKind::Update, 120);
             now = ctx.now();
+            remote += ctx.tally().traffic.len();
         }
-        assert!(log.remote_reservations() >= 6);
+        remote
+    }
+
+    #[test]
+    fn centralized_log_reservations_bounce_across_sockets() {
+        assert!(remote_reservations(&mut LogManager::centralized(4)) >= 6);
     }
 
     #[test]
     fn per_socket_log_reservations_stay_local() {
-        let (t, c) = env();
         let mut log = LogManager::per_socket(4);
-        assert_eq!(log.num_buffers(), 4);
-        let mut now = 0;
-        for i in 0..8u64 {
-            let core = CoreId(((i % 4) * 2) as u32);
-            let mut ctx = SimCtx::new(&t, &c, core, now);
-            log.insert(&mut ctx, TxnId(i), LogRecordKind::Update, 120);
-            now = ctx.now();
-        }
-        assert_eq!(log.remote_reservations(), 0);
+        assert_eq!(remote_reservations(&mut log), 0);
         assert_eq!(log.total_records(), 8);
     }
 
@@ -268,19 +222,5 @@ mod tests {
         let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
         log.commit_flush(&mut ctx);
         assert_eq!(ctx.elapsed(), log.flush_latency);
-    }
-
-    #[test]
-    fn recent_ring_is_bounded() {
-        let (t, c) = env();
-        let mut log = LogManager::centralized(1);
-        let mut now = 0;
-        for i in 0..600u64 {
-            let mut ctx = SimCtx::new(&t, &c, CoreId(0), now);
-            log.insert(&mut ctx, TxnId(i), LogRecordKind::Update, 64);
-            now = ctx.now();
-        }
-        assert_eq!(log.recent_records(0).count(), 256);
-        assert_eq!(log.total_records(), 600);
     }
 }

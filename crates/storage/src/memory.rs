@@ -88,7 +88,7 @@ mod tests {
 
     #[test]
     fn remote_policy_on_single_socket_degenerates_to_local() {
-        let topo = Topology::single_socket(4);
+        let topo = Topology::multisocket(1, 4);
         assert_eq!(
             MemoryPolicy::Remote.node_for(SocketId(0), &topo),
             SocketId(0)

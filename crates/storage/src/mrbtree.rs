@@ -102,11 +102,6 @@ impl MrBTree {
         &self.partitions[idx]
     }
 
-    /// Mutable access to a partition by index.
-    pub fn partition_mut(&mut self, idx: usize) -> &mut PartitionTree {
-        &mut self.partitions[idx]
-    }
-
     /// All partitions in key order.
     pub fn partitions(&self) -> &[PartitionTree] {
         &self.partitions

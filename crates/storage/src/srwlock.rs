@@ -9,7 +9,9 @@
 //! cache-line transfer.
 //!
 //! The NUMA-aware variant keeps one lock per socket: readers touch only
-//! their socket-local lock word, writers acquire every per-socket lock.
+//! their socket-local lock word.  Only the read path — the one in every
+//! transaction's critical path — is modelled; no simulated background task
+//! takes the locks in write mode.
 
 use atrapos_numa::{AccessKind, Component, ContendedLine, Cycles, SimCtx, SocketId, WaitMode};
 use serde::{Deserialize, Serialize};
@@ -25,8 +27,6 @@ pub struct StateRwLock {
     words: Vec<ContendedLine>,
     /// Maps a socket to the word it should use.
     socket_to_word: Vec<usize>,
-    /// Number of write (background) acquisitions.
-    pub write_acquisitions: u64,
 }
 
 impl StateRwLock {
@@ -36,7 +36,6 @@ impl StateRwLock {
             name: name.into(),
             words: vec![ContendedLine::new(SocketId(0))],
             socket_to_word: vec![0; n_sockets],
-            write_acquisitions: 0,
         }
     }
 
@@ -48,13 +47,7 @@ impl StateRwLock {
                 .map(|s| ContendedLine::new(SocketId(s as u16)))
                 .collect(),
             socket_to_word: (0..n_sockets).collect(),
-            write_acquisitions: 0,
         }
-    }
-
-    /// Whether this is the NUMA-partitioned variant.
-    pub fn is_partitioned(&self) -> bool {
-        self.words.len() > 1
     }
 
     /// Acquire in read mode from the calling context's socket (critical
@@ -83,31 +76,9 @@ impl StateRwLock {
         )
     }
 
-    /// Acquire in write mode (background task): in the centralized variant
-    /// this is a single exclusive access, in the partitioned variant every
-    /// per-socket word must be taken.  Returns the cycles consumed.
-    pub fn write_acquire(&mut self, ctx: &mut SimCtx<'_>) -> Cycles {
-        self.write_acquisitions += 1;
-        let mut total = 0;
-        for word in &mut self.words {
-            total += ctx.access_line(
-                Component::XctManagement,
-                word,
-                AccessKind::Rmw,
-                WaitMode::Stall,
-            );
-        }
-        total
-    }
-
     /// Exclusive accesses that crossed a socket boundary.
     pub fn remote_accesses(&self) -> u64 {
         self.words.iter().map(|w| w.remote_accesses).sum()
-    }
-
-    /// Total exclusive accesses.
-    pub fn total_rmws(&self) -> u64 {
-        self.words.iter().map(|w| w.rmw_count).sum()
     }
 }
 
@@ -146,18 +117,5 @@ mod tests {
         }
         assert!(lock.remote_accesses() > 0);
         assert!(remote_cost > 16 * cost.llc_local);
-    }
-
-    #[test]
-    fn write_acquire_touches_every_partition() {
-        let topo = Topology::multisocket(4, 2);
-        let cost = CostModel::westmere();
-        let mut lock = StateRwLock::per_socket("checkpoint", 4);
-        let mut ctx = SimCtx::new(&topo, &cost, CoreId(0), 0);
-        lock.write_acquire(&mut ctx);
-        assert_eq!(lock.write_acquisitions, 1);
-        assert_eq!(lock.total_rmws(), 4);
-        // Three of the four words live on remote sockets.
-        assert_eq!(lock.remote_accesses(), 3);
     }
 }

@@ -5,9 +5,9 @@
 //! machine the head's cache line bounces between sockets and every
 //! short-lived transaction pays hundreds of cycles for it (paper §IV, "List
 //! of transactions").  ATraPos replaces it with one list per socket: adding
-//! and removing are then socket-local, and background operations that need
-//! the global view (checkpointing, page cleaning) simply walk all per-socket
-//! lists.
+//! and removing are then socket-local; a background operation that needs
+//! the global view (checkpointing, page cleaning) would walk all per-socket
+//! lists, which the simulation does not model.
 
 use crate::txn::TxnId;
 use atrapos_numa::{AccessKind, Component, ContendedLine, SimCtx, SocketId, WaitMode};
@@ -59,11 +59,6 @@ impl TxnList {
         }
     }
 
-    /// Whether this is the NUMA-partitioned variant.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitions.len() > 1
-    }
-
     fn partition_for(&self, socket: SocketId) -> usize {
         self.socket_to_partition[socket.index()]
     }
@@ -111,33 +106,6 @@ impl TxnList {
     pub fn active_count(&self) -> usize {
         self.partitions.iter().map(|p| p.active.len()).sum()
     }
-
-    /// Snapshot of all active transactions, as a checkpointing thread would
-    /// collect it.  Charges one read of every partition head to `ctx`.
-    pub fn snapshot(&mut self, ctx: &mut SimCtx<'_>) -> Vec<TxnId> {
-        let mut out = Vec::with_capacity(self.active_count());
-        for part in &mut self.partitions {
-            ctx.access_line(
-                Component::XctManagement,
-                &mut part.head,
-                AccessKind::Read,
-                WaitMode::Stall,
-            );
-            ctx.work(Component::XctManagement, part.active.len() as u64 * 8);
-            out.extend(part.active.iter().copied());
-        }
-        out
-    }
-
-    /// Total number of exclusive accesses to list heads (contention metric).
-    pub fn total_head_rmws(&self) -> u64 {
-        self.partitions.iter().map(|p| p.head.rmw_count).sum()
-    }
-
-    /// Exclusive head accesses that crossed a socket boundary.
-    pub fn remote_head_accesses(&self) -> u64 {
-        self.partitions.iter().map(|p| p.head.remote_accesses).sum()
-    }
 }
 
 #[cfg(test)]
@@ -159,39 +127,36 @@ mod tests {
         assert_eq!(list.active_count(), 2);
         list.remove(&mut ctx, TxnId(1));
         assert_eq!(list.active_count(), 1);
-        let snap = list.snapshot(&mut ctx);
-        assert_eq!(snap, vec![TxnId(2)]);
+        list.remove(&mut ctx, TxnId(2));
+        assert_eq!(list.active_count(), 0);
+    }
+
+    /// Eight adds by cores on different sockets taking turns; returns how
+    /// many of them pulled a list head across a socket boundary.
+    fn remote_head_accesses(list: &mut TxnList) -> usize {
+        let (t, c) = machine();
+        let mut now = 0;
+        let mut remote = 0;
+        for i in 0..8u64 {
+            let core = CoreId(((i % 4) * 2) as u32);
+            let mut ctx = SimCtx::new(&t, &c, core, now);
+            list.add(&mut ctx, TxnId(i));
+            now = ctx.now();
+            remote += ctx.tally().traffic.len();
+        }
+        remote
     }
 
     #[test]
     fn centralized_list_bounces_across_sockets() {
-        let (t, c) = machine();
-        let mut list = TxnList::centralized(4);
-        // Cores on different sockets take turns: every access is remote
-        // relative to the previous owner.
-        let mut now = 0;
-        for i in 0..8u64 {
-            let core = CoreId(((i % 4) * 2) as u32);
-            let mut ctx = SimCtx::new(&t, &c, core, now);
-            list.add(&mut ctx, TxnId(i));
-            now = ctx.now();
-        }
-        assert!(list.remote_head_accesses() >= 6);
+        // Every access is remote relative to the previous owner.
+        assert!(remote_head_accesses(&mut TxnList::centralized(4)) >= 6);
     }
 
     #[test]
     fn per_socket_lists_keep_accesses_local() {
-        let (t, c) = machine();
         let mut list = TxnList::per_socket(4);
-        assert!(list.is_partitioned());
-        let mut now = 0;
-        for i in 0..8u64 {
-            let core = CoreId(((i % 4) * 2) as u32);
-            let mut ctx = SimCtx::new(&t, &c, core, now);
-            list.add(&mut ctx, TxnId(i));
-            now = ctx.now();
-        }
-        assert_eq!(list.remote_head_accesses(), 0);
+        assert_eq!(remote_head_accesses(&mut list), 0);
         assert_eq!(list.active_count(), 8);
     }
 
@@ -206,7 +171,7 @@ mod tests {
         let mut end = SimCtx::new(&t, &c, CoreId(4), begin.now());
         list.remove(&mut end, TxnId(7));
         assert_eq!(list.active_count(), 0);
-        assert_eq!(list.remote_head_accesses(), 0);
+        assert!(begin.tally().traffic.is_empty() && end.tally().traffic.is_empty());
     }
 
     #[test]

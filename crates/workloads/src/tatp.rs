@@ -537,7 +537,12 @@ mod tests {
             let spec = w.next_transaction(&mut rng, CoreId(0));
             assert_eq!(spec.class, "UpdSubData");
             assert!(spec.is_update());
-            assert_eq!(spec.tables_touched().len(), 2);
+            let tables: std::collections::BTreeSet<TableId> = spec
+                .phases
+                .iter()
+                .flat_map(|p| p.actions.iter().map(|a| a.op.table()))
+                .collect();
+            assert_eq!(tables.len(), 2);
         }
         w.set_standard_mix();
     }

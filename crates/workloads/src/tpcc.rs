@@ -889,7 +889,11 @@ mod tests {
         w.set_single(TpccTxn::Payment);
         let mut rng = SmallRng::seed_from_u64(3);
         let spec = w.next_transaction(&mut rng, CoreId(0));
-        let tables = spec.tables_touched();
+        let tables: Vec<TableId> = spec
+            .phases
+            .iter()
+            .flat_map(|p| p.actions.iter().map(|a| a.op.table()))
+            .collect();
         assert!(tables.contains(&WAREHOUSE));
         assert!(tables.contains(&DISTRICT));
         assert!(tables.contains(&CUSTOMER));

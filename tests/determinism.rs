@@ -38,7 +38,7 @@ fn shrink(replay: &mut ReplayFile, factor: f64) {
 /// rerun starts from the exact same state.
 #[test]
 fn ycsb_drift_experiment_is_byte_identical_across_runs() {
-    use atrapos_bench::figures::ycsb02_jobs;
+    use atrapos_bench::figures::timeline_jobs;
     use atrapos_bench::Scale;
 
     let scale = {
@@ -50,7 +50,8 @@ fn ycsb_drift_experiment_is_byte_identical_across_runs() {
         s
     };
     let run_adaptive = || {
-        let job = ycsb02_jobs(&scale)
+        let job = timeline_jobs("ycsb02", &scale)
+            .expect("a timeline experiment")
             .into_iter()
             .find(|j| j.name.ends_with("ATraPos"))
             .expect("the adaptive variant is in the job list");
@@ -72,7 +73,7 @@ fn ycsb_drift_experiment_is_byte_identical_across_runs() {
 /// the exact same arrival sequence.
 #[test]
 fn open_loop_experiment_is_byte_identical_across_runs() {
-    use atrapos_bench::figures::overload02_jobs;
+    use atrapos_bench::figures::timeline_jobs;
     use atrapos_bench::Scale;
 
     let scale = {
@@ -85,7 +86,8 @@ fn open_loop_experiment_is_byte_identical_across_runs() {
         s
     };
     let run_open_loop = || {
-        let job = overload02_jobs(&scale)
+        let job = timeline_jobs("overload02", &scale)
+            .expect("a timeline experiment")
             .into_iter()
             .find(|j| j.name.ends_with("ATraPos"))
             .expect("the adaptive variant is in the job list");
@@ -134,7 +136,8 @@ fn replay_experiment_is_byte_identical_across_runs() {
 /// — compiling the spec twice yields fully independent generator state.
 #[test]
 fn spec_driven_experiment_is_byte_identical_across_runs() {
-    use atrapos_bench::figures::{shipped_spec, spec_job, ycsb_designs};
+    use atrapos_bench::figures::{shipped_spec, ycsb_designs};
+    use atrapos_bench::harness::timeline_job;
     use atrapos_bench::Scale;
     use atrapos_engine::scenario::Scenario;
 
@@ -152,11 +155,11 @@ fn spec_driven_experiment_is_byte_identical_across_runs() {
             .into_iter()
             .find(|(label, _)| *label == "ATraPos")
             .expect("the adaptive design is in the list");
-        spec_job(
+        timeline_job(
             format!("{}/{label}", spec.name),
             &scale,
-            spec.compile().expect("shipped spec compiles"),
             design,
+            Box::new(spec.compile().expect("shipped spec compiles")),
             &Scenario::new("spec-determinism", scale.measure_secs),
         )
         .run()

@@ -17,13 +17,9 @@
 //! then commit the updated files together with the change that explains
 //! them.
 
-use atrapos_bench::figures::{
-    fig10_scenario, fig11_scenario, fig12_scenario, fig13_scenario, figure_executor, ycsb02_jobs,
-};
+use atrapos_bench::figures::timeline_jobs;
 use atrapos_bench::Scale;
 use atrapos_engine::scenario::ScenarioOutcome;
-use atrapos_engine::Scenario;
-use atrapos_workloads::TatpTxn;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
@@ -83,13 +79,16 @@ fn goldens_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens")
 }
 
-fn check_golden(name: &str, adaptive: bool, initial: TatpTxn, scenario: &Scenario) {
-    let scale = golden_scale();
-    let outcome = figure_executor(&scale, adaptive, initial)
-        .run_scenario(scenario)
-        .expect("figure scenario runs");
-    let variant = if adaptive { "atrapos" } else { "static" };
-    check_outcome_golden(name, variant, &outcome);
+/// Run the figure's own lab job `<id>/<variant>` at the golden scale and
+/// compare it with `tests/goldens/<id>_<variant>.json`.
+fn check_golden(id: &str, variant: &str) {
+    let job = timeline_jobs(id, &golden_scale())
+        .expect("a timeline experiment")
+        .into_iter()
+        .find(|j| j.name == format!("{id}/{variant}"))
+        .expect("the figure runs this variant");
+    let outcome = job.run().expect("figure scenario runs");
+    check_outcome_golden(&format!("{id}_{variant}"), variant, &outcome);
 }
 
 fn check_outcome_golden(name: &str, variant: &str, outcome: &ScenarioOutcome) {
@@ -127,86 +126,44 @@ fn check_outcome_golden(name: &str, variant: &str, outcome: &ScenarioOutcome) {
 
 #[test]
 fn fig10_static_matches_golden() {
-    let scale = golden_scale();
-    check_golden(
-        "fig10_static",
-        false,
-        TatpTxn::UpdateSubscriberData,
-        &fig10_scenario(&scale),
-    );
+    check_golden("fig10", "static");
 }
 
 #[test]
 fn fig10_adaptive_matches_golden() {
-    let scale = golden_scale();
-    check_golden(
-        "fig10_atrapos",
-        true,
-        TatpTxn::UpdateSubscriberData,
-        &fig10_scenario(&scale),
-    );
+    check_golden("fig10", "atrapos");
 }
 
 #[test]
 fn fig11_static_matches_golden() {
-    let scale = golden_scale();
-    check_golden(
-        "fig11_static",
-        false,
-        TatpTxn::GetSubscriberData,
-        &fig11_scenario(&scale),
-    );
+    check_golden("fig11", "static");
 }
 
 #[test]
 fn fig11_adaptive_matches_golden() {
-    let scale = golden_scale();
-    check_golden(
-        "fig11_atrapos",
-        true,
-        TatpTxn::GetSubscriberData,
-        &fig11_scenario(&scale),
-    );
+    check_golden("fig11", "atrapos");
 }
 
 #[test]
 fn fig12_static_matches_golden() {
-    let scale = golden_scale();
-    check_golden(
-        "fig12_static",
-        false,
-        TatpTxn::GetSubscriberData,
-        &fig12_scenario(&scale),
-    );
+    check_golden("fig12", "static");
 }
 
 #[test]
 fn fig12_adaptive_matches_golden() {
-    let scale = golden_scale();
-    check_golden(
-        "fig12_atrapos",
-        true,
-        TatpTxn::GetSubscriberData,
-        &fig12_scenario(&scale),
-    );
+    check_golden("fig12", "atrapos");
 }
 
 #[test]
 fn fig13_adaptive_matches_golden() {
-    let scale = golden_scale();
-    check_golden(
-        "fig13_atrapos",
-        true,
-        TatpTxn::GetNewDestination,
-        &fig13_scenario(&scale),
-    );
+    check_golden("fig13", "atrapos");
 }
 
 #[test]
 fn ycsb02_matches_goldens_on_all_four_designs() {
     // The drifting-hotspot timeline, pinned per design: the golden file
     // name is derived from the job name (`ycsb02/<design label>`).
-    for job in ycsb02_jobs(&golden_scale()) {
+    for job in timeline_jobs("ycsb02", &golden_scale()).expect("a timeline experiment") {
         let name = job.name.to_lowercase().replace(['/', '-', ' '], "_");
         let variant = job.name.clone();
         let outcome = job.run().expect("ycsb02 golden scenario runs");

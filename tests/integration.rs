@@ -2,9 +2,8 @@
 //! workload end-to-end on the simulated multisocket machine, and the
 //! headline qualitative results of the paper hold at test scale.
 
-use atrapos_bench::harness::{measure, Scale};
-use atrapos_engine::DesignSpec;
-use atrapos_engine::Workload;
+use atrapos_bench::harness::{machine, measurement_job, run, Scale};
+use atrapos_engine::{DesignSpec, RunStats, Workload};
 use atrapos_workloads::{
     MultiSiteUpdate, ReadOneRow, SimpleAb, Tatp, TatpConfig, TatpTxn, Tpcc, TpccConfig,
 };
@@ -26,6 +25,25 @@ fn test_scale() -> Scale {
     }
 }
 
+/// One measurement through the harness's runner: `workload` on `spec`
+/// for `secs` virtual seconds on a `sockets` × `cores_per_socket` machine.
+fn run_one(
+    sockets: usize,
+    cores_per_socket: usize,
+    spec: &DesignSpec,
+    workload: Box<dyn Workload>,
+    secs: f64,
+) -> RunStats {
+    let job = measurement_job(
+        spec.label(),
+        machine(sockets, cores_per_socket),
+        spec.clone(),
+        workload,
+        secs,
+    );
+    run(vec![job]).remove(0).segments.remove(0).stats
+}
+
 fn all_designs() -> Vec<DesignSpec> {
     vec![
         DesignSpec::Centralized,
@@ -40,7 +58,7 @@ fn all_designs() -> Vec<DesignSpec> {
 fn every_design_runs_the_read_microbenchmark() {
     let s = test_scale();
     for spec in all_designs() {
-        let stats = measure(
+        let stats = run_one(
             2,
             2,
             &spec,
@@ -57,7 +75,7 @@ fn every_design_runs_the_read_microbenchmark() {
 fn every_design_runs_the_multi_site_update_benchmark() {
     let s = test_scale();
     for spec in all_designs() {
-        let stats = measure(
+        let stats = run_one(
             2,
             2,
             &spec,
@@ -73,14 +91,14 @@ fn every_design_runs_tatp_and_tpcc() {
     let s = test_scale();
     for spec in all_designs() {
         let tatp = Tatp::new(TatpConfig::scaled(s.tatp_subscribers));
-        let stats = measure(2, 2, &spec, Box::new(tatp), s.measure_secs);
+        let stats = run_one(2, 2, &spec, Box::new(tatp), s.measure_secs);
         assert!(
             stats.committed > 0,
             "{} committed no TATP transactions",
             spec.label()
         );
         let tpcc = Tpcc::new(TpccConfig::scaled(s.tpcc_warehouses));
-        let stats = measure(2, 2, &spec, Box::new(tpcc), s.measure_secs);
+        let stats = run_one(2, 2, &spec, Box::new(tpcc), s.measure_secs);
         assert!(
             stats.committed > 0,
             "{} committed no TPC-C transactions",
@@ -96,7 +114,7 @@ fn shared_nothing_scales_on_partitionable_work_centralized_does_not() {
     // client draws keys from its own site, so shared-nothing instances never
     // communicate (one site per core in the extreme configuration).
     let run = |spec: &DesignSpec, sockets: usize| {
-        measure(
+        run_one(
             sockets,
             2,
             spec,
@@ -131,8 +149,8 @@ fn atrapos_beats_plp_on_tatp_at_multisocket_scale() {
     // The PLP penalty comes from centralized structures whose cache line
     // serializes cross-socket CAS traffic; the effect needs enough cores
     // hammering the line to show (the paper uses 80 cores, we use 16 here).
-    let plp = measure(8, 2, &DesignSpec::Plp, tatp(), s.measure_secs);
-    let atr = measure(8, 2, &DesignSpec::atrapos(), tatp(), s.measure_secs);
+    let plp = run_one(8, 2, &DesignSpec::Plp, tatp(), s.measure_secs);
+    let atr = run_one(8, 2, &DesignSpec::atrapos(), tatp(), s.measure_secs);
     assert!(
         atr.throughput_tps > plp.throughput_tps * 1.3,
         "ATraPos {} vs PLP {}",
@@ -145,7 +163,7 @@ fn atrapos_beats_plp_on_tatp_at_multisocket_scale() {
 fn multi_site_transactions_hurt_shared_nothing_throughput() {
     let s = test_scale();
     let run = |pct| {
-        measure(
+        run_one(
             2,
             2,
             &DesignSpec::coarse_shared_nothing(),
@@ -166,7 +184,7 @@ fn multi_site_transactions_hurt_shared_nothing_throughput() {
 fn simple_ab_workload_runs_on_partitioned_designs() {
     let s = test_scale();
     for spec in [DesignSpec::Plp, DesignSpec::atrapos()] {
-        let stats = measure(
+        let stats = run_one(
             2,
             2,
             &spec,

@@ -8,14 +8,12 @@
 //! `ScenarioOutcome` of every component (committed counts, segment stats,
 //! time series, design stats).
 
-use atrapos_bench::figures::{
-    fig10_scenario, fig11_scenario, figure_job, shipped_spec, spec_job, ycsb02_jobs,
-};
-use atrapos_bench::harness::{measurement_job, Scale};
+use atrapos_bench::figures::{shipped_spec, timeline_jobs};
+use atrapos_bench::harness::{machine, measurement_job, timeline_job, Scale};
 use atrapos_engine::scenario::{Scenario, ScenarioOutcome};
 use atrapos_engine::sweep::{run_sweep, SweepJob};
 use atrapos_engine::DesignSpec;
-use atrapos_workloads::{Tatp, TatpConfig, TatpTxn};
+use atrapos_workloads::{Tatp, TatpConfig};
 
 fn tiny_scale() -> Scale {
     let mut s = Scale::quick();
@@ -28,41 +26,15 @@ fn tiny_scale() -> Scale {
     s
 }
 
-/// A reduced wallclock bundle: four figure variants, a four-design TATP
-/// sweep, the four-design ycsb02 drifting-hotspot timeline, and a
-/// four-design spec-driven declarative workload (18 jobs).
+/// A reduced wallclock bundle: four figure variants, the four-design
+/// ycsb02 drifting-hotspot timeline, a four-design TATP sweep, and a
+/// four-design spec-driven declarative workload (16 jobs).
 fn bundle() -> Vec<SweepJob> {
     let scale = tiny_scale();
-    let mut jobs = vec![
-        figure_job(
-            "fig10/static",
-            &scale,
-            false,
-            TatpTxn::UpdateSubscriberData,
-            &fig10_scenario(&scale),
-        ),
-        figure_job(
-            "fig10/atrapos",
-            &scale,
-            true,
-            TatpTxn::UpdateSubscriberData,
-            &fig10_scenario(&scale),
-        ),
-        figure_job(
-            "fig11/static",
-            &scale,
-            false,
-            TatpTxn::GetSubscriberData,
-            &fig11_scenario(&scale),
-        ),
-        figure_job(
-            "fig11/atrapos",
-            &scale,
-            true,
-            TatpTxn::GetSubscriberData,
-            &fig11_scenario(&scale),
-        ),
-    ];
+    let mut jobs: Vec<SweepJob> = ["fig10", "fig11", "ycsb02"]
+        .into_iter()
+        .flat_map(|id| timeline_jobs(id, &scale).expect("a timeline experiment"))
+        .collect();
     for spec in [
         DesignSpec::Centralized,
         DesignSpec::coarse_shared_nothing(),
@@ -71,14 +43,12 @@ fn bundle() -> Vec<SweepJob> {
     ] {
         jobs.push(measurement_job(
             format!("tatp/{}", spec.label()),
-            2,
-            2,
+            machine(2, 2),
             spec,
             Box::new(Tatp::new(TatpConfig::scaled(scale.tatp_subscribers))),
             scale.measure_secs,
         ));
     }
-    jobs.extend(ycsb02_jobs(&scale));
     // Spec-driven jobs: a declarative workload compiled from a shipped
     // spec file, including tail inserts and range scans, must hold the
     // same thread-count contract as the hand-rolled modules.
@@ -90,11 +60,11 @@ fn bundle() -> Vec<SweepJob> {
         DesignSpec::Plp,
         DesignSpec::atrapos(),
     ] {
-        jobs.push(spec_job(
+        jobs.push(timeline_job(
             format!("spec/{}", design.label()),
             &scale,
-            spec.compile().expect("shipped spec compiles"),
             design,
+            Box::new(spec.compile().expect("shipped spec compiles")),
             &scenario,
         ));
     }

@@ -20,7 +20,8 @@
 //!   byte-identically on all four YCSB-family designs, committed counts
 //!   included.
 
-use atrapos_bench::figures::{spec_job, ycsb_designs};
+use atrapos_bench::figures::ycsb_designs;
+use atrapos_bench::harness::timeline_job;
 use atrapos_bench::Scale;
 use atrapos_engine::scenario::Scenario;
 use atrapos_engine::workload::WorkloadChange;
@@ -195,21 +196,19 @@ fn assert_full_run_parity(
     let scale = tiny_scale();
     let scenario = Scenario::new("spec-parity", scale.measure_secs);
     for (label, design) in ycsb_designs(&scale) {
-        let job = |name: &str| {
-            spec_job(
+        let job = |name: &str, workload: Box<dyn Workload>| {
+            timeline_job(
                 format!("{name}/{label}"),
                 &scale,
-                spec.compile().unwrap(),
                 design.clone(),
+                workload,
                 &scenario,
             )
         };
-        let file_outcome = job("file")
+        let file_outcome = job("file", Box::new(spec.compile().unwrap()))
             .run()
             .unwrap_or_else(|e| panic!("{what}/{label} (file): {e}"));
-        let mut constructed_job = job("constructed");
-        constructed_job.workload = constructed();
-        let constructed_outcome = constructed_job
+        let constructed_outcome = job("constructed", constructed())
             .run()
             .unwrap_or_else(|e| panic!("{what}/{label} (constructor): {e}"));
         assert!(
