@@ -21,7 +21,7 @@
 use atrapos_bench::cli::{self, FlagSpec};
 use atrapos_bench::figures::{run_by_id, RUNNERS};
 use atrapos_bench::report::{
-    figures_path, load_figures, report_dir, save_figures, write_scenario_json,
+    figures_path, load_figures, report_dir, save_figures, workspace_root, write_scenario_json,
 };
 use atrapos_bench::{replay, shootout, wallclock, workload_cmd, Scale};
 use std::path::Path;
@@ -67,10 +67,10 @@ COMMANDS:
                             wall-clock reads, unseeded RNG in sim-visible
                             crates) and hot-path allocation regressions.
                             Findings print as `file:line: rule — message`
-                            and exit nonzero. Default root: the enclosing
-                            cargo workspace. --only <rule> restricts to one
-                            rule (repeatable); --list-rules prints the rule
-                            table.
+                            and exit nonzero. Default root: the workspace
+                            this binary was built from. --only <rule>
+                            restricts to one rule (repeatable);
+                            --list-rules prints the rule table.
   help                      Show this message.
 
 ENVIRONMENT:
@@ -257,10 +257,15 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let svg_dir = report_dir().join("figures");
     // Markdown image links are relative to REPRODUCTION.md at the repo
     // root.
-    let svg_prefix = svg_dir.to_string_lossy().replace('\\', "/");
+    let root = workspace_root();
+    let svg_prefix = svg_dir
+        .strip_prefix(root)
+        .unwrap_or(&svg_dir)
+        .to_string_lossy()
+        .replace('\\', "/");
     let rendered = atrapos_report::generate(&figures, &svg_prefix);
 
-    let md_path = Path::new("REPRODUCTION.md");
+    let md_path = &root.join("REPRODUCTION.md");
     // SVGs on disk that no current experiment produces (removed or renamed
     // entries) are stale evidence: `--check` flags them, a write removes
     // them.
@@ -349,7 +354,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     }
     let root = match parsed.positionals().first() {
         Some(p) => Path::new(p).to_path_buf(),
-        None => workspace_root()?,
+        None => workspace_root().to_path_buf(),
     };
     let only: Vec<String> = parsed
         .values("--only")
@@ -377,24 +382,6 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
             findings.len()
         ))
     }
-}
-
-/// The enclosing cargo workspace root: the nearest ancestor of the
-/// current directory whose `Cargo.toml` declares `[workspace]`.
-fn workspace_root() -> Result<std::path::PathBuf, String> {
-    let start = std::env::current_dir().map_err(|e| format!("cannot read current dir: {e}"))?;
-    for dir in start.ancestors() {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Ok(dir.to_path_buf());
-            }
-        }
-    }
-    Err(format!(
-        "no workspace root found above {} (pass the root explicitly: `atrapos lint <root>`)",
-        start.display()
-    ))
 }
 
 #[cfg(test)]

@@ -9,14 +9,25 @@
 use atrapos_engine::{RunMeta, ScenarioOutcome};
 pub use atrapos_report::{fmt, FigureResult, FiguresFile};
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// The workspace this binary was built from: two levels above the crate's
+/// manifest, so report paths do not depend on the current directory.
+pub fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
+}
 
 /// Directory the JSON reports go to (`ATRAPOS_REPORT_DIR` overrides;
-/// default `reports/`).
+/// default `reports/` at the workspace root).
 pub fn report_dir() -> PathBuf {
-    std::env::var("ATRAPOS_REPORT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("reports"))
+    report_dir_or(std::env::var_os("ATRAPOS_REPORT_DIR"))
+}
+
+fn report_dir_or(overridden: Option<std::ffi::OsString>) -> PathBuf {
+    overridden.map_or_else(|| workspace_root().join("reports"), PathBuf::from)
 }
 
 /// Path of the accumulated figure-result store,
@@ -73,4 +84,20 @@ pub fn write_scenario_json(
     let body = serde::json::to_string_pretty(&SegmentsFile { meta, outcomes });
     std::fs::write(&path, body).ok()?;
     Some(path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_default_report_dir_is_the_workspace_one_whatever_the_current_directory() {
+        // Nothing here reads the current directory: the default is absolute.
+        let dir = report_dir_or(None);
+        assert!(dir.is_absolute(), "{}", dir.display());
+        assert_eq!(dir, workspace_root().join("reports"));
+        let manifest = std::fs::read_to_string(workspace_root().join("Cargo.toml")).unwrap();
+        assert!(manifest.contains("[workspace]"));
+        assert_eq!(report_dir_or(Some("out".into())), PathBuf::from("out"));
+    }
 }

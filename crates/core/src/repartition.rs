@@ -105,13 +105,13 @@ pub fn plan_repartitioning(old: &PartitioningScheme, new: &PartitioningScheme) -
         for b in old_bounds.difference(&new_bounds) {
             plan.actions.push(RepartitionAction::Merge {
                 table: new_t.table,
-                boundary: b.clone(),
+                boundary: *b,
             });
         }
         for b in new_bounds.difference(&old_bounds) {
             plan.actions.push(RepartitionAction::Split {
                 table: new_t.table,
-                boundary: b.clone(),
+                boundary: *b,
             });
         }
         // Placement changes: partitions whose boundary survived but whose
@@ -186,7 +186,7 @@ pub fn apply_plan(
                 let t = db.table_mut(*table)?;
                 let index = t.index_mut();
                 let idx = index.partition_for(boundary);
-                stats.records_moved += index.split_partition(idx, boundary.clone(), node)?;
+                stats.records_moved += index.split_partition(idx, *boundary, node)?;
                 stats.splits += 1;
             }
         }

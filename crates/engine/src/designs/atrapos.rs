@@ -165,7 +165,7 @@ impl AtraposDesign {
         let protocol = if config.numa_aware_internals {
             TxnProtocol::per_socket(n_sockets)
         } else {
-            TxnProtocol::centralized(n_sockets)
+            TxnProtocol::centralized()
         };
         let controller = AdaptiveController::new(scheme.clone(), config.controller.clone());
         let monitor = Monitor::new(config.monitoring);

@@ -46,7 +46,7 @@ impl CentralizedDesign {
         Self {
             db,
             lock_manager: LockManager::centralized(LOCK_MANAGER_BUCKETS, n_sockets),
-            protocol: TxnProtocol::centralized(n_sockets),
+            protocol: TxnProtocol::centralized(),
             next_txn: 1,
             aborted: 0,
         }

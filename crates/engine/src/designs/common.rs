@@ -34,11 +34,11 @@ pub struct TxnProtocol {
 impl TxnProtocol {
     /// One log buffer, one list and one lock word, all homed on socket 0
     /// (stock Shore-MT; PLP keeps them too).
-    pub fn centralized(n_sockets: usize) -> Self {
+    pub fn centralized() -> Self {
         Self {
-            log: LogManager::centralized(n_sockets),
-            txn_list: TxnList::centralized(n_sockets),
-            state_lock: StateRwLock::centralized("volume", n_sockets),
+            log: LogManager::centralized(),
+            txn_list: TxnList::centralized(),
+            state_lock: StateRwLock::centralized(),
         }
     }
 
@@ -48,7 +48,7 @@ impl TxnProtocol {
         Self {
             log: LogManager::per_socket(n_sockets),
             txn_list: TxnList::per_socket(n_sockets),
-            state_lock: StateRwLock::per_socket("volume", n_sockets),
+            state_lock: StateRwLock::per_socket(n_sockets),
         }
     }
 
@@ -173,7 +173,7 @@ pub fn acquire_action_locks(
         | ActionOp::Update { key, .. }
         | ActionOp::Increment { key, .. }
         // lint: allow(hot-path-alloc) — Key stores up to four ints inline; this clone copies no heap
-        | ActionOp::Delete { key, .. } => Some(key.clone()),
+        | ActionOp::Delete { key, .. } => Some(*key),
         ActionOp::Insert { record, .. } => {
             // Lock the to-be-inserted key (next-key locking is out of scope).
             Some(atrapos_storage::Key::int(action.op.routing_key_head()))
@@ -276,10 +276,7 @@ mod tests {
         db.add_table(table);
         let (table, key) = (TableId(0), Key::int(5));
         let actions = [
-            ActionOp::Read {
-                table,
-                key: key.clone(),
-            },
+            ActionOp::Read { table, key },
             ActionOp::Update {
                 table,
                 key,
@@ -297,7 +294,7 @@ mod tests {
                 limit: 20,
             },
         ];
-        let mut protocol = TxnProtocol::centralized(2);
+        let mut protocol = TxnProtocol::centralized();
         let mut ctx = SimCtx::new(&topo, &cost, CoreId(0), 0);
         let mut seen = Vec::new();
         for op in actions {

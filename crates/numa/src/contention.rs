@@ -1,20 +1,16 @@
-//! Virtual-time models of contended cache lines and mutual-exclusion
-//! resources.
+//! Virtual-time model of contended cache lines.
 //!
-//! These two primitives are what make the simulation reproduce the paper's
+//! This primitive is what makes the simulation reproduce the paper's
 //! central observation: *any* centralized data structure accessed in the
 //! critical path eventually becomes the bottleneck on a multisocket machine,
 //! because every access turns into a cache-line transfer over the
 //! interconnect and the transfers of different cores serialize.
 //!
-//! * [`ContendedLine`] models a single cache line that is read or atomically
-//!   updated (CAS) by many cores — e.g. the head of Shore-MT's lock-free
-//!   list of active transactions.  Atomic updates serialize in virtual time
-//!   and each one pays a transfer cost that depends on which socket last
-//!   owned the line.
-//! * [`SimResource`] models a lock/latch-protected resource that is held for
-//!   a longer, caller-controlled span (background operations, worker
-//!   queues): a requester waits until the previous holder releases.
+//! [`ContendedLine`] models a single cache line that is read or atomically
+//! updated (CAS) by many cores — e.g. the head of Shore-MT's lock-free
+//! list of active transactions.  Atomic updates serialize in virtual time
+//! and each one pays a transfer cost that depends on which socket last
+//! owned the line.
 //!
 //! Because the execution engine simulates one transaction at a time, accesses
 //! to a line do not necessarily arrive in increasing virtual-time order: a
@@ -159,11 +155,6 @@ impl Timeline {
     pub fn busy_cycles(&self) -> Cycles {
         self.intervals.iter().map(|&(s, e)| e - s).sum()
     }
-
-    /// Clear all bookings.
-    pub fn clear(&mut self) {
-        self.intervals.clear();
-    }
 }
 
 /// A single contended cache line.
@@ -221,12 +212,6 @@ impl ContendedLine {
         self.timeline.book(at, duration)
     }
 
-    /// Reset dynamic state (ownership and availability), keeping statistics.
-    pub fn reset(&mut self) {
-        self.owner = None;
-        self.timeline.clear();
-    }
-
     /// Record the outcome of an access decided by the simulation context.
     pub(crate) fn commit_access(
         &mut self,
@@ -251,69 +236,6 @@ impl ContendedLine {
         if crossed_socket {
             self.remote_accesses += 1;
         }
-    }
-}
-
-/// A mutual-exclusion resource held for caller-controlled spans (background
-/// operations, long critical sections) living in virtual time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SimResource {
-    /// The cache line holding the lock word.
-    pub line: ContendedLine,
-    /// Virtual time until which the resource is held.
-    busy_until: Cycles,
-    /// Number of acquisitions.
-    pub acquisitions: u64,
-    /// Acquisitions that had to wait.
-    pub contended: u64,
-    /// Total cycles spent waiting for the resource (excluding the line
-    /// transfer itself).
-    pub total_wait: Cycles,
-}
-
-impl SimResource {
-    /// A new, free resource homed on `home`.
-    pub fn new(home: SocketId) -> Self {
-        Self {
-            line: ContendedLine::new(home),
-            busy_until: 0,
-            acquisitions: 0,
-            contended: 0,
-            total_wait: 0,
-        }
-    }
-
-    /// Virtual time until which the resource is held.
-    pub fn busy_until(&self) -> Cycles {
-        self.busy_until
-    }
-
-    /// Whether the resource is free at `now`.
-    pub fn is_free_at(&self, now: Cycles) -> bool {
-        self.busy_until <= now
-    }
-
-    /// Reset dynamic state, keeping statistics.
-    pub fn reset(&mut self) {
-        self.busy_until = 0;
-        self.line.reset();
-    }
-
-    /// Extend (or set) the hold on this resource until virtual time `t`.
-    /// Used by [`crate::SimCtx::release_resource`] once the protected work
-    /// has been accounted.
-    pub fn hold_until(&mut self, t: Cycles) {
-        self.busy_until = self.busy_until.max(t);
-    }
-
-    pub(crate) fn commit_acquire(&mut self, grant: Cycles, release: Cycles, waited: Cycles) {
-        self.acquisitions += 1;
-        if waited > 0 {
-            self.contended += 1;
-            self.total_wait += waited;
-        }
-        debug_assert!(release >= grant);
-        self.busy_until = self.busy_until.max(release);
     }
 }
 
@@ -450,28 +372,5 @@ mod tests {
         assert_eq!(l.owner(), Some(SocketId(1)));
         assert_eq!(l.read_count, 1);
         assert_eq!(l.total_wait, 10);
-    }
-
-    #[test]
-    fn resource_tracks_contention() {
-        let mut r = SimResource::new(SocketId(0));
-        r.commit_acquire(100, 200, 0);
-        assert_eq!(r.busy_until(), 200);
-        assert!(r.is_free_at(200));
-        assert!(!r.is_free_at(150));
-        r.commit_acquire(250, 400, 50);
-        assert_eq!(r.acquisitions, 2);
-        assert_eq!(r.contended, 1);
-        assert_eq!(r.total_wait, 50);
-    }
-
-    #[test]
-    fn reset_clears_dynamic_state_but_not_stats() {
-        let mut r = SimResource::new(SocketId(0));
-        r.commit_acquire(100, 200, 20);
-        r.reset();
-        assert_eq!(r.busy_until(), 0);
-        assert_eq!(r.acquisitions, 1);
-        assert_eq!(r.total_wait, 20);
     }
 }

@@ -11,7 +11,7 @@
 //! machine-wide counters.
 
 use crate::clock::Cycles;
-use crate::contention::{AccessKind, ContendedLine, SimResource, WaitMode};
+use crate::contention::{AccessKind, ContendedLine, WaitMode};
 use crate::cost::CostModel;
 use crate::counters::{Component, Tally};
 use crate::topology::{CoreId, SocketId, Topology};
@@ -205,12 +205,8 @@ impl<'a> SimCtx<'a> {
     /// Execute a *short* critical section protected by a spinlock/latch whose
     /// lock word is `line`: wait for any in-flight holder, transfer the line
     /// exclusively, execute `instructions` of protected work, and keep the
-    /// line occupied until the work completes.
-    ///
-    /// Unlike [`SimCtx::acquire_resource`], the line is only occupied for the
-    /// actual duration of the critical section, which is the right model for
-    /// latches and lock-table buckets that are held for a few hundred cycles
-    /// at a time.
+    /// line occupied until the work completes — the model for latches and
+    /// lock-table buckets that are held for a few hundred cycles at a time.
     ///
     /// Returns the total cycles consumed (wait + transfer + work).
     pub fn critical_section(
@@ -237,39 +233,6 @@ impl<'a> SimCtx<'a> {
         self.record_line_traffic(line, crossed, from);
         line.commit_access(AccessKind::Rmw, self.socket, waited, crossed);
         self.now - before
-    }
-
-    /// Acquire a mutual-exclusion resource: transfer its lock word, wait for
-    /// the current holder (if any), and mark the resource acquired at the
-    /// current time.  The caller performs the protected work and then calls
-    /// [`SimCtx::release_resource`].
-    ///
-    /// Returns the cycles spent acquiring (transfer + wait).
-    pub fn acquire_resource(
-        &mut self,
-        component: Component,
-        res: &mut SimResource,
-        wait: WaitMode,
-    ) -> Cycles {
-        let before = self.now;
-        // Transfer the lock word (an RMW on its cache line).  The line's own
-        // occupancy is dominated by the resource hold time, so the
-        // resource-level wait below is what serializes holders.
-        let (transfer, crossed, from) = self.line_transfer_cost(&res.line, AccessKind::Rmw);
-        self.stall(component, transfer);
-        self.record_line_traffic(&res.line, crossed, from);
-        // Wait for the current holder.
-        let waited = self.wait_until(component, res.busy_until(), wait);
-        let grant = self.now;
-        res.commit_acquire(grant, grant, waited);
-        res.line
-            .commit_access(AccessKind::Rmw, self.socket, 0, crossed);
-        self.now - before
-    }
-
-    /// Release a previously acquired resource at the current virtual time.
-    pub fn release_resource(&mut self, res: &mut SimResource) {
-        res.hold_until(self.now);
     }
 
     /// Read `bytes` bytes from the memory node of socket `node`.  The first
@@ -435,23 +398,6 @@ mod tests {
         let mut ctx2 = SimCtx::new(&t, &c, CoreId(0), 0);
         ctx2.stall(Component::Locking, 1000);
         assert_eq!(ctx2.tally().instructions, 0);
-    }
-
-    #[test]
-    fn resource_acquisitions_serialize_holders() {
-        let (t, c) = setup();
-        let mut res = SimResource::new(SocketId(0));
-        let mut a = SimCtx::new(&t, &c, CoreId(0), 0);
-        a.acquire_resource(Component::Locking, &mut res, WaitMode::Spin);
-        a.work(Component::Locking, 2_000);
-        a.release_resource(&mut res);
-        let release_a = a.now();
-        // B starts before A releases and must wait.
-        let mut b = SimCtx::new(&t, &c, CoreId(4), 10);
-        b.acquire_resource(Component::Locking, &mut res, WaitMode::Spin);
-        assert!(b.now() >= release_a);
-        assert_eq!(res.contended, 1);
-        assert_eq!(res.acquisitions, 2);
     }
 
     #[test]

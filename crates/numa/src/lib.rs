@@ -18,12 +18,12 @@
 //! * [`CostModel`] — calibrated cycle costs for local/remote cache-line
 //!   transfers, memory accesses, atomic read-modify-write operations, and
 //!   message exchanges.
-//! * [`ContendedLine`] / [`SimResource`] — virtual-time models of a contended
-//!   cache line (e.g. the head of a lock-free list that every transaction
-//!   CASes) and of a mutual-exclusion resource (latch, mutex, log-buffer
-//!   head).  Both serialize accesses in virtual time and charge
-//!   distance-dependent transfer costs, which is what produces the
-//!   multisocket scalability collapse of centralized designs.
+//! * [`ContendedLine`] — the virtual-time model of a contended cache line
+//!   (the head of a lock-free list that every transaction CASes, a
+//!   lock-table bucket latch, a log-buffer head).  It serializes exclusive
+//!   accesses in virtual time and charges distance-dependent transfer
+//!   costs, which is what produces the multisocket scalability collapse of
+//!   centralized designs.
 //! * [`SimCtx`] — the accounting context threaded through every storage and
 //!   engine operation.  It accumulates instructions, cycles (split by
 //!   [`Component`]), and interconnect traffic for the current step.
@@ -49,7 +49,7 @@ pub use clock::{
     cycles_to_micros, cycles_to_secs, frac_cycles_to_micros, micros_to_cycles, secs_to_cycles,
     Cycles,
 };
-pub use contention::{AccessKind, ContendedLine, SimResource, WaitMode};
+pub use contention::{AccessKind, ContendedLine, WaitMode};
 pub use cost::CostModel;
 pub use counters::{
     Breakdown, Component, CoreCounters, Tally, TrafficList, Transfer, COMPONENT_COUNT,

@@ -5,7 +5,7 @@
 
 use atrapos_numa::{
     round_robin_by_socket, socket_fill, AccessKind, Component, ContendedLine, CoreId, CostModel,
-    Cycles, Interconnect, Machine, SimCtx, SimResource, SocketId, Topology, WaitMode,
+    Cycles, Interconnect, Machine, SimCtx, SocketId, Topology, WaitMode,
 };
 use proptest::prelude::*;
 
@@ -189,35 +189,6 @@ proptest! {
         // exclusive spans never overlap), so the total wait it reports is
         // consistent with serialization.
         prop_assert!(line.total_wait <= spans.iter().map(|&(s, e)| e - s).sum::<u64>());
-    }
-
-    /// A mutual-exclusion resource admits only one holder at a time: a
-    /// requester arriving while the resource is held is pushed to at least
-    /// the current holder's release time.
-    #[test]
-    fn sim_resource_holders_never_overlap(
-        requests in prop::collection::vec((0u32..8, 0u64..5_000, 100u64..3_000), 1..40),
-    ) {
-        let topo = Topology::multisocket(4, 2);
-        let cost = CostModel::westmere();
-        let mut res = SimResource::new(SocketId(0));
-        let mut last_release: Cycles = 0;
-        let mut sorted = requests;
-        sorted.sort_by_key(|&(_, start, _)| start);
-        for (core, start, hold) in sorted {
-            let mut ctx = SimCtx::new(&topo, &cost, CoreId(core), start);
-            ctx.acquire_resource(Component::Locking, &mut res, WaitMode::Spin);
-            let acquired_at = ctx.now();
-            prop_assert!(
-                acquired_at >= last_release.min(res.busy_until()),
-                "acquisition at {acquired_at} before the previous release {last_release}"
-            );
-            ctx.work(Component::Locking, hold);
-            ctx.release_resource(&mut res);
-            last_release = ctx.now();
-            prop_assert_eq!(res.busy_until(), last_release);
-        }
-        prop_assert_eq!(res.acquisitions, res.contended + (res.acquisitions - res.contended));
     }
 
     // ------------------------------------------------------------------

@@ -426,7 +426,7 @@ impl BTree {
         let mut it = pairs.into_iter().peekable();
         while it.peek().is_some() {
             let chunk: Vec<(Key, Record)> = it.by_ref().take(per_leaf).collect();
-            let first = chunk[0].0.clone();
+            let first = chunk[0].0;
             let (keys, values) = chunk.into_iter().unzip();
             let keys = KeyColumn::from_keys(keys);
             leaves.push((first, Node::Leaf(Leaf { keys, values })));
@@ -441,7 +441,7 @@ impl BTree {
             let mut it = level.into_iter().peekable();
             while it.peek().is_some() {
                 let chunk: Vec<(Key, Node)> = it.by_ref().take(per_node + 1).collect();
-                let first = chunk[0].0.clone();
+                let first = chunk[0].0;
                 let mut keys = Vec::with_capacity(chunk.len().saturating_sub(1));
                 let mut children = Vec::with_capacity(chunk.len());
                 for (i, (k, n)) in chunk.into_iter().enumerate() {
@@ -485,7 +485,7 @@ impl BTree {
         // The stable sort keeps `self`'s pair ahead of `other`'s on an equal
         // key and `dedup_by` drops the later of the two, so swap first: the
         // survivor carries `other`'s record.
-        all.sort_by(|a, b| a.0.cmp(&b.0));
+        all.sort_by_key(|a| a.0);
         all.dedup_by(|later, kept| {
             let same = later.0 == kept.0;
             if same {
@@ -573,7 +573,7 @@ impl Node {
                         keys: leaf.keys.split_off(mid),
                         values: split_exact(&mut leaf.values, mid),
                     };
-                    let sep = right.keys.keys()[0].clone();
+                    let sep = right.keys.keys()[0];
                     (None, Some((sep, Node::Leaf(right))))
                 }
             },

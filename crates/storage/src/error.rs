@@ -69,13 +69,12 @@ impl std::error::Error for StorageError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Value;
 
     #[test]
     fn errors_render_human_readable_messages() {
         let e = StorageError::KeyNotFound {
             table: TableId(3),
-            key: Key::from(vec![Value::Int(42)]),
+            key: Key::int(42),
         };
         let msg = e.to_string();
         assert!(msg.contains("not found"));

@@ -9,19 +9,18 @@
 //! baseline whose contention collapses on multisockets) and a
 //! *NUMA-partitioned* variant (the hardware-aware redesign of paper §IV):
 //!
-//! * relational schema, records, and keys ([`schema`], [`record`]);
+//! * relational schema, records, and keys — a key is one to four integers,
+//!   plain `Copy` data ([`schema`], [`record`]);
 //! * a B+-tree and the multi-rooted B+-tree used by physiological
 //!   partitioning ([`btree`], [`mrbtree`]);
 //! * heap tables with per-partition physical placement ([`table`],
 //!   [`database`]);
 //! * a hierarchical lock manager with centralized and partition-local lock
 //!   tables ([`lock`], [`lock_manager`]);
-//! * an ARIES-style log manager with a centralized buffer and a per-socket
-//!   partitioned variant ([`log`]);
-//! * transaction descriptors and the list of active transactions —
-//!   centralized lock-free list vs per-socket lists ([`txn`], [`txn_list`]);
-//! * the shared state read/write locks of §IV, centralized vs partitioned
-//!   ([`srwlock`]);
+//! * the critical-path internals §IV makes NUMA-aware — the ARIES-style
+//!   log ([`log`]), the list of active transactions ([`txn`],
+//!   [`txn_list`]) and the state read/write lock ([`srwlock`]) — each one
+//!   instance or one per socket, a rule [`PerSocket`] holds once;
 //! * a two-phase-commit implementation for the shared-nothing
 //!   configurations ([`two_phase_commit`]);
 //! * memory-placement policies for the remote-memory experiment
@@ -41,6 +40,7 @@ pub mod lock_manager;
 pub mod log;
 pub mod memory;
 pub mod mrbtree;
+pub mod per_socket;
 pub mod record;
 pub mod schema;
 pub mod srwlock;
@@ -53,10 +53,11 @@ pub use btree::BTree;
 pub use database::Database;
 pub use error::{StorageError, StorageResult};
 pub use lock::{LockId, LockMode};
-pub use lock_manager::{LockManager, LockManagerKind};
-pub use log::{LogManager, LogManagerKind, LogRecordKind};
+pub use lock_manager::LockManager;
+pub use log::{LogManager, LogRecordKind};
 pub use memory::MemoryPolicy;
 pub use mrbtree::MrBTree;
+pub use per_socket::PerSocket;
 pub use record::{Key, Record, Value};
 pub use schema::{Column, ColumnType, Schema, TableId};
 pub use srwlock::StateRwLock;

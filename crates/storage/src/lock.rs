@@ -38,7 +38,7 @@ impl LockMode {
 }
 
 /// What a lock protects.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum LockId {
     /// A whole table (intention locks).
     Table(TableId),
@@ -99,5 +99,16 @@ mod tests {
         assert_ne!(a.bucket_hash(), c.bucket_hash());
         assert_eq!(a.table(), TableId(1));
         assert_eq!(LockId::Table(TableId(3)).table(), TableId(3));
+    }
+
+    /// `bucket_hash` decides which centralized bucket a lock contends on,
+    /// so it is part of every recorded simulated number.  The constant was
+    /// recorded before keys became plain `Copy` data.
+    #[test]
+    fn lock_ids_are_copy_and_their_bucket_hash_is_pinned() {
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<LockId>();
+        let id = LockId::Record(TableId(3), Key::int(5));
+        assert_eq!(id.bucket_hash(), 0x2f5f_ea07_e321_79be);
     }
 }

@@ -94,16 +94,6 @@ const LOCK_TABLE_WORK: u64 = 120;
 /// Instruction cost of releasing one lock.
 const LOCK_RELEASE_WORK: u64 = 60;
 
-/// Which flavour of lock manager this is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LockManagerKind {
-    /// One global lock table shared by every thread (stock Shore-MT).
-    Centralized,
-    /// A partition-local lock table, owned by a single worker thread
-    /// (PLP / ATraPos).
-    PartitionLocal,
-}
-
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct LockEntry {
     holders: Vec<(TxnId, LockMode)>,
@@ -124,7 +114,6 @@ struct Bucket {
 /// A lock manager instance.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LockManager {
-    kind: LockManagerKind,
     buckets: Vec<Bucket>,
     /// Waiting policy: the centralized manager spins (cache-friendly
     /// back-off loop on a locally cached latch word), partition-local
@@ -149,7 +138,6 @@ impl LockManager {
             })
             .collect();
         Self {
-            kind: LockManagerKind::Centralized,
             buckets,
             wait_mode: WaitMode::Spin,
             acquisitions: 0,
@@ -160,7 +148,6 @@ impl LockManager {
     /// A partition-local lock table homed on `home`.
     pub fn partition_local(home: SocketId) -> Self {
         Self {
-            kind: LockManagerKind::PartitionLocal,
             buckets: vec![Bucket {
                 latch: ContendedLine::new(home),
                 entries: FxMap::default(),
@@ -169,11 +156,6 @@ impl LockManager {
             acquisitions: 0,
             logical_waits: 0,
         }
-    }
-
-    /// Which flavour this manager is.
-    pub fn kind(&self) -> LockManagerKind {
-        self.kind
     }
 
     fn bucket_index(&self, id: &LockId) -> usize {
@@ -210,7 +192,7 @@ impl LockManager {
             self.wait_mode,
             LOCK_TABLE_WORK,
         );
-        let entry = bucket.entries.entry(id.clone()).or_default();
+        let entry = bucket.entries.entry(id).or_default();
         // Logical conflict: wait until the conflicting occupancy drains.
         // The latch is not held while waiting (a real lock manager enqueues
         // the request and blocks).
@@ -318,9 +300,9 @@ mod tests {
         let mut t1 = Txn::begin(TxnId(1));
         let mut t2 = Txn::begin(TxnId(2));
         let mut ctx1 = SimCtx::new(&t, &c, CoreId(0), 0);
-        lm.acquire(&mut ctx1, &mut t1, id.clone(), LockMode::S);
+        lm.acquire(&mut ctx1, &mut t1, id, LockMode::S);
         let mut ctx2 = SimCtx::new(&t, &c, CoreId(2), 0);
-        lm.acquire(&mut ctx2, &mut t2, id.clone(), LockMode::S);
+        lm.acquire(&mut ctx2, &mut t2, id, LockMode::S);
         assert_eq!(lm.logical_waits, 0);
         assert_eq!(lm.holders_of(&id).len(), 2);
         lm.check_grant_invariants().unwrap();
@@ -334,14 +316,14 @@ mod tests {
         // T1 takes X, works for a while, and releases.
         let mut t1 = Txn::begin(TxnId(1));
         let mut ctx1 = SimCtx::new(&t, &c, CoreId(0), 0);
-        lm.acquire(&mut ctx1, &mut t1, id.clone(), LockMode::X);
+        lm.acquire(&mut ctx1, &mut t1, id, LockMode::X);
         ctx1.work(Component::XctExecution, 50_000);
         lm.release_all(&mut ctx1, &mut t1);
         let release_time = ctx1.now();
         // T2 starts earlier but must wait (in virtual time) for the release.
         let mut t2 = Txn::begin(TxnId(2));
         let mut ctx2 = SimCtx::new(&t, &c, CoreId(2), 100);
-        lm.acquire(&mut ctx2, &mut t2, id.clone(), LockMode::X);
+        lm.acquire(&mut ctx2, &mut t2, id, LockMode::X);
         assert!(ctx2.now() >= release_time);
         assert_eq!(lm.logical_waits, 1);
     }
@@ -353,9 +335,9 @@ mod tests {
         let id = LockId::Record(TableId(0), Key::int(3));
         let mut txn = Txn::begin(TxnId(1));
         let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
-        lm.acquire(&mut ctx, &mut txn, id.clone(), LockMode::X);
+        lm.acquire(&mut ctx, &mut txn, id, LockMode::X);
         let acq = lm.acquisitions;
-        lm.acquire(&mut ctx, &mut txn, id.clone(), LockMode::S);
+        lm.acquire(&mut ctx, &mut txn, id, LockMode::S);
         assert_eq!(lm.acquisitions, acq, "S under held X must not re-acquire");
     }
 
@@ -389,14 +371,14 @@ mod tests {
         // in the centralized case.
         let mut warm = Txn::begin(TxnId(1));
         let mut ctx = SimCtx::new(&t, &c, CoreId(6), 0);
-        central.acquire(&mut ctx, &mut warm, id.clone(), LockMode::IS);
+        central.acquire(&mut ctx, &mut warm, id, LockMode::IS);
         let mut warm2 = Txn::begin(TxnId(2));
         let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
-        local.acquire(&mut ctx, &mut warm2, id.clone(), LockMode::IS);
+        local.acquire(&mut ctx, &mut warm2, id, LockMode::IS);
 
         let mut txn = Txn::begin(TxnId(3));
         let mut ctx_c = SimCtx::new(&t, &c, CoreId(0), 1_000_000);
-        central.acquire(&mut ctx_c, &mut txn, id.clone(), LockMode::IS);
+        central.acquire(&mut ctx_c, &mut txn, id, LockMode::IS);
         let central_cost = ctx_c.elapsed();
 
         let mut txn2 = Txn::begin(TxnId(4));

@@ -11,6 +11,7 @@
 //! Records are accounted by size and LSN; their contents are not
 //! materialized.
 
+use crate::per_socket::PerSocket;
 use crate::txn::TxnId;
 use atrapos_numa::{AccessKind, Component, ContendedLine, Cycles, SimCtx, SocketId, WaitMode};
 use serde::{Deserialize, Serialize};
@@ -19,6 +20,9 @@ use serde::{Deserialize, Serialize};
 const COPY_INSTRUCTIONS_PER_16B: u64 = 4;
 /// Fixed instruction cost of formatting a log record header.
 const HEADER_INSTRUCTIONS: u64 = 60;
+/// Commit-time flush latency in cycles (memory-mapped log device, so this
+/// is small; it mainly models the group-commit wait).
+const FLUSH_LATENCY: Cycles = 2_500;
 
 /// Kinds of log records generated by the workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,15 +41,6 @@ pub enum LogRecordKind {
     Prepare,
     /// Two-phase-commit decision record (coordinator).
     DistributedCommit,
-}
-
-/// Which flavour of log manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LogManagerKind {
-    /// One shared log buffer (stock Shore-MT / Aether).
-    Centralized,
-    /// One log buffer per socket (NUMA-aware).
-    PerSocket,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -70,40 +65,23 @@ impl LogBuffer {
 /// The log manager.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LogManager {
-    kind: LogManagerKind,
-    buffers: Vec<LogBuffer>,
-    socket_to_buffer: Vec<usize>,
-    /// Commit-time flush latency in cycles (memory-mapped log device, so
-    /// this is small; it mainly models the group-commit wait).
-    pub flush_latency: Cycles,
+    buffers: PerSocket<LogBuffer>,
 }
 
 impl LogManager {
-    /// A centralized log whose buffer head is homed on socket 0.
-    pub fn centralized(n_sockets: usize) -> Self {
+    /// A centralized log whose buffer head is homed on socket 0 (stock
+    /// Shore-MT / Aether).
+    pub fn centralized() -> Self {
         Self {
-            kind: LogManagerKind::Centralized,
-            buffers: vec![LogBuffer::new(SocketId(0))],
-            socket_to_buffer: vec![0; n_sockets.max(1)],
-            flush_latency: 2_500,
+            buffers: PerSocket::centralized(LogBuffer::new),
         }
     }
 
-    /// One log buffer per socket.
+    /// One log buffer per socket (NUMA-aware).
     pub fn per_socket(n_sockets: usize) -> Self {
         Self {
-            kind: LogManagerKind::PerSocket,
-            buffers: (0..n_sockets.max(1))
-                .map(|s| LogBuffer::new(SocketId(s as u16)))
-                .collect(),
-            socket_to_buffer: (0..n_sockets.max(1)).collect(),
-            flush_latency: 2_500,
+            buffers: PerSocket::partitioned(n_sockets, LogBuffer::new),
         }
-    }
-
-    /// Which flavour this manager is.
-    pub fn kind(&self) -> LogManagerKind {
-        self.kind
     }
 
     /// Append a record of `bytes` payload bytes on behalf of `txn`.
@@ -116,8 +94,7 @@ impl LogManager {
         _kind: LogRecordKind,
         bytes: u64,
     ) -> u64 {
-        let b = self.socket_to_buffer[ctx.socket().index()];
-        let buffer = &mut self.buffers[b];
+        let buffer = self.buffers.local(ctx.socket());
         // Reserve space: an atomic on the buffer head.
         ctx.access_line(
             Component::Logging,
@@ -139,7 +116,7 @@ impl LogManager {
 
     /// Wait for the commit record to become durable (group-commit flush).
     pub fn commit_flush(&mut self, ctx: &mut SimCtx<'_>) {
-        ctx.stall(Component::Logging, self.flush_latency);
+        ctx.stall(Component::Logging, FLUSH_LATENCY);
     }
 
     /// Total records written across buffers.
@@ -165,7 +142,7 @@ mod tests {
     #[test]
     fn lsns_are_monotonic_per_buffer() {
         let (t, c) = env();
-        let mut log = LogManager::centralized(4);
+        let mut log = LogManager::centralized();
         let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
         let a = log.insert(&mut ctx, TxnId(1), LogRecordKind::Update, 100);
         let b = log.insert(&mut ctx, TxnId(1), LogRecordKind::Commit, 16);
@@ -192,7 +169,7 @@ mod tests {
 
     #[test]
     fn centralized_log_reservations_bounce_across_sockets() {
-        assert!(remote_reservations(&mut LogManager::centralized(4)) >= 6);
+        assert!(remote_reservations(&mut LogManager::centralized()) >= 6);
     }
 
     #[test]
@@ -205,7 +182,7 @@ mod tests {
     #[test]
     fn bigger_payloads_cost_more() {
         let (t, c) = env();
-        let mut log = LogManager::centralized(1);
+        let mut log = LogManager::centralized();
         let mut ctx_small = SimCtx::new(&t, &c, CoreId(0), 0);
         log.insert(&mut ctx_small, TxnId(1), LogRecordKind::Update, 16);
         let small = ctx_small.elapsed();
@@ -218,9 +195,9 @@ mod tests {
     #[test]
     fn commit_flush_costs_the_flush_latency() {
         let (t, c) = env();
-        let mut log = LogManager::centralized(1);
+        let mut log = LogManager::centralized();
         let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
         log.commit_flush(&mut ctx);
-        assert_eq!(ctx.elapsed(), log.flush_latency);
+        assert_eq!(ctx.elapsed(), FLUSH_LATENCY);
     }
 }

@@ -4,9 +4,7 @@
 //! A multi-rooted B-tree partitions a table's key space into contiguous
 //! ranges, each with its *own* B+-tree root (paper §III-A).  Because a
 //! logical partition is only ever accessed by the worker thread it is
-//! assigned to, accesses to a subtree need no latching; the per-partition
-//! [`SimResource`] latch kept here is only exercised by the centralized
-//! baselines, which share roots between threads.
+//! assigned to, accesses to a subtree need no latching.
 //!
 //! Repartitioning (paper §V-D) manipulates this structure directly:
 //! * **split** divides an existing partition in two at a key boundary;
@@ -16,7 +14,7 @@
 use crate::btree::BTree;
 use crate::error::{StorageError, StorageResult};
 use crate::record::{Key, Record};
-use atrapos_numa::{SimResource, SocketId};
+use atrapos_numa::SocketId;
 use serde::{Deserialize, Serialize};
 
 /// One physical partition: a key range with its own B+-tree root.
@@ -29,9 +27,6 @@ pub struct PartitionTree {
     pub tree: BTree,
     /// NUMA node on which this partition's data is allocated.
     pub memory_node: SocketId,
-    /// Root latch (only used by designs that share partitions between
-    /// threads).
-    pub latch: SimResource,
 }
 
 impl PartitionTree {
@@ -40,7 +35,6 @@ impl PartitionTree {
             lower,
             tree: BTree::new(),
             memory_node,
-            latch: SimResource::new(memory_node),
         }
     }
 }
@@ -233,7 +227,6 @@ impl MrBTree {
     /// `numactl`-style placement and ATraPos partition placement).
     pub fn set_memory_node(&mut self, idx: usize, node: SocketId) {
         self.partitions[idx].memory_node = node;
-        self.partitions[idx].latch = SimResource::new(node);
     }
 
     /// Split partition `idx` at `boundary`.  The upper half becomes a new

@@ -5,6 +5,7 @@
 //! the schema (paper §V-A): foreign-key dependencies between tables tell
 //! the partitioner which actions of a transaction are correlated.
 
+use crate::record::MAX_KEY_COMPONENTS;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -33,8 +34,6 @@ pub enum ColumnType {
     Int,
     /// Variable-length string.
     Text,
-    /// 64-bit float (never used as a key column).
-    Double,
 }
 
 /// A column definition.
@@ -84,17 +83,27 @@ pub struct Schema {
 
 impl Schema {
     /// Build a schema; the record size is estimated from the column types.
+    /// A primary key is one to [`MAX_KEY_COMPONENTS`] `Int` columns — all a
+    /// [`crate::Key`] can hold.
     pub fn new(name: impl Into<String>, columns: Vec<Column>, primary_key: Vec<usize>) -> Self {
         assert!(!columns.is_empty(), "a table needs at least one column");
         assert!(!primary_key.is_empty(), "a table needs a primary key");
+        assert!(
+            primary_key.len() <= MAX_KEY_COMPONENTS,
+            "a primary key has at most {MAX_KEY_COMPONENTS} columns"
+        );
         for &pk in &primary_key {
             assert!(pk < columns.len(), "primary key column out of range");
+            assert!(
+                columns[pk].ty == ColumnType::Int,
+                "primary key column `{}` must be Int",
+                columns[pk].name
+            );
         }
         let record_bytes = columns
             .iter()
             .map(|c| match c.ty {
                 ColumnType::Int => 8,
-                ColumnType::Double => 8,
                 ColumnType::Text => 24,
             })
             .sum();
@@ -141,7 +150,7 @@ mod tests {
                 Column::new("s_id", ColumnType::Int),
                 Column::new("sub_nbr", ColumnType::Text),
                 Column::new("bit_1", ColumnType::Int),
-                Column::new("msc_location", ColumnType::Double),
+                Column::new("msc_location", ColumnType::Int),
             ],
             vec![0],
         )
@@ -171,5 +180,18 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn schema_validates_pk_columns() {
         let _ = Schema::new("t", vec![Column::new("a", ColumnType::Int)], vec![3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be Int")]
+    fn schema_rejects_a_text_key_column() {
+        let _ = Schema::new("t", vec![Column::new("a", ColumnType::Text)], vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4")]
+    fn schema_rejects_a_five_column_key() {
+        let columns = (0..5).map(|i| Column::new(format!("c{i}"), ColumnType::Int));
+        let _ = Schema::new("t", columns.collect(), vec![0, 1, 2, 3, 4]);
     }
 }

@@ -13,7 +13,8 @@
 //! transaction's critical path — is modelled; no simulated background task
 //! takes the locks in write mode.
 
-use atrapos_numa::{AccessKind, Component, ContendedLine, Cycles, SimCtx, SocketId, WaitMode};
+use crate::per_socket::PerSocket;
+use atrapos_numa::{AccessKind, Component, ContendedLine, Cycles, SimCtx, WaitMode};
 use serde::{Deserialize, Serialize};
 
 /// Instruction cost of the read-lock fast path (check + increment).
@@ -22,41 +23,30 @@ const READ_LOCK_INSTRUCTIONS: u64 = 20;
 /// A state read/write lock, possibly partitioned by socket.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StateRwLock {
-    /// Human-readable name (e.g. "volume lock", "checkpoint mutex").
-    pub name: String,
-    words: Vec<ContendedLine>,
-    /// Maps a socket to the word it should use.
-    socket_to_word: Vec<usize>,
+    words: PerSocket<ContendedLine>,
 }
 
 impl StateRwLock {
     /// A single centralized lock word homed on socket 0.
-    pub fn centralized(name: impl Into<String>, n_sockets: usize) -> Self {
+    pub fn centralized() -> Self {
         Self {
-            name: name.into(),
-            words: vec![ContendedLine::new(SocketId(0))],
-            socket_to_word: vec![0; n_sockets],
+            words: PerSocket::centralized(ContendedLine::new),
         }
     }
 
     /// One lock word per socket (NUMA-aware).
-    pub fn per_socket(name: impl Into<String>, n_sockets: usize) -> Self {
+    pub fn per_socket(n_sockets: usize) -> Self {
         Self {
-            name: name.into(),
-            words: (0..n_sockets)
-                .map(|s| ContendedLine::new(SocketId(s as u16)))
-                .collect(),
-            socket_to_word: (0..n_sockets).collect(),
+            words: PerSocket::partitioned(n_sockets, ContendedLine::new),
         }
     }
 
     /// Acquire in read mode from the calling context's socket (critical
     /// path).  Returns the cycles consumed.
     pub fn read_acquire(&mut self, ctx: &mut SimCtx<'_>) -> Cycles {
-        let w = self.socket_to_word[ctx.socket().index()];
         let spent = ctx.access_line(
             Component::XctManagement,
-            &mut self.words[w],
+            self.words.local(ctx.socket()),
             AccessKind::Rmw,
             WaitMode::Stall,
         );
@@ -66,11 +56,9 @@ impl StateRwLock {
 
     /// Release a read acquisition (decrement of the local word).
     pub fn read_release(&mut self, ctx: &mut SimCtx<'_>) -> Cycles {
-        let w = self.socket_to_word[ctx.socket().index()];
-
         ctx.access_line(
             Component::XctManagement,
-            &mut self.words[w],
+            self.words.local(ctx.socket()),
             AccessKind::Rmw,
             WaitMode::Stall,
         )
@@ -91,7 +79,7 @@ mod tests {
     fn partitioned_read_acquisitions_stay_local() {
         let topo = Topology::multisocket(8, 2);
         let cost = CostModel::westmere();
-        let mut lock = StateRwLock::per_socket("volume", 8);
+        let mut lock = StateRwLock::per_socket(8);
         let mut now = 0;
         for i in 0..16u32 {
             let mut ctx = SimCtx::new(&topo, &cost, CoreId(i % 16), now);
@@ -106,7 +94,7 @@ mod tests {
     fn centralized_read_acquisitions_bounce() {
         let topo = Topology::multisocket(8, 2);
         let cost = CostModel::westmere();
-        let mut lock = StateRwLock::centralized("volume", 8);
+        let mut lock = StateRwLock::centralized();
         let mut now = 0;
         let mut remote_cost = 0;
         for i in 0..16u32 {

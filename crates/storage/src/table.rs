@@ -98,7 +98,7 @@ impl Table {
     /// Add `record` under `key` to `partition`.  A key that is already
     /// there is an error and keeps the record it has.
     fn insert_new(&mut self, partition: usize, key: Key, record: Record) -> StorageResult<Key> {
-        match self.index.insert_new_in(partition, key.clone(), record) {
+        match self.index.insert_new_in(partition, key, record) {
             Ok(()) => Ok(key),
             Err(_rejected) => Err(StorageError::DuplicateKey {
                 table: self.id,
@@ -142,10 +142,10 @@ impl Table {
         ctx.work(Component::XctExecution, TUPLE_WORK_INSTRUCTIONS);
         self.index
             .get_in(partition, key)
-            .ok_or_else(|| StorageError::KeyNotFound {
+            .ok_or(StorageError::KeyNotFound {
                 table: self.id,
                 // lint: allow(hot-path-alloc) — error path only, and Key stores up to four ints inline
-                key: key.clone(),
+                key: *key,
             })
     }
 
@@ -167,10 +167,10 @@ impl Table {
         );
         self.index
             .get_mut_in(partition, key)
-            .ok_or_else(|| StorageError::KeyNotFound {
+            .ok_or(StorageError::KeyNotFound {
                 table: self.id,
                 // lint: allow(hot-path-alloc) — error path only, and Key stores up to four ints inline
-                key: key.clone(),
+                key: *key,
             })
     }
 
@@ -233,9 +233,9 @@ impl Table {
         );
         self.index
             .remove_in(partition, key)
-            .ok_or_else(|| StorageError::KeyNotFound {
+            .ok_or(StorageError::KeyNotFound {
                 table: self.id,
-                key: key.clone(),
+                key: *key,
             })
     }
 

@@ -112,7 +112,7 @@ mod tests {
     fn lock_bookkeeping_and_upgrade_check() {
         let mut t = Txn::begin(TxnId(1));
         let rec = LockId::Record(TableId(0), crate::record::Key::int(7));
-        t.add_lock(rec.clone(), LockMode::X);
+        t.add_lock(rec, LockMode::X);
         assert!(t.holds(&rec, LockMode::X));
         // Holding X is enough for an S request on the same lock.
         assert!(t.holds(&rec, LockMode::S));

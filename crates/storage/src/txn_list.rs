@@ -9,6 +9,7 @@
 //! the global view (checkpointing, page cleaning) would walk all per-socket
 //! lists, which the simulation does not model.
 
+use crate::per_socket::PerSocket;
 use crate::txn::TxnId;
 use atrapos_numa::{AccessKind, Component, ContendedLine, SimCtx, SocketId, WaitMode};
 use serde::{Deserialize, Serialize};
@@ -21,10 +22,7 @@ const LIST_OP_INSTRUCTIONS: u64 = 40;
 /// per socket.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TxnList {
-    partitions: Vec<TxnListPartition>,
-    /// Maps a socket to the partition index it should use (all zeros for the
-    /// centralized variant).
-    socket_to_partition: Vec<usize>,
+    partitions: PerSocket<TxnListPartition>,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -33,41 +31,35 @@ struct TxnListPartition {
     active: Vec<TxnId>,
 }
 
+impl TxnListPartition {
+    fn new(home: SocketId) -> Self {
+        Self {
+            head: ContendedLine::new(home),
+            active: Vec::new(),
+        }
+    }
+}
+
 impl TxnList {
     /// A single centralized list whose head line is homed on socket 0, as in
     /// stock Shore-MT.
-    pub fn centralized(n_sockets: usize) -> Self {
+    pub fn centralized() -> Self {
         Self {
-            partitions: vec![TxnListPartition {
-                head: ContendedLine::new(SocketId(0)),
-                active: Vec::new(),
-            }],
-            socket_to_partition: vec![0; n_sockets],
+            partitions: PerSocket::centralized(TxnListPartition::new),
         }
     }
 
     /// One list per socket (the ATraPos NUMA-aware variant).
     pub fn per_socket(n_sockets: usize) -> Self {
         Self {
-            partitions: (0..n_sockets)
-                .map(|s| TxnListPartition {
-                    head: ContendedLine::new(SocketId(s as u16)),
-                    active: Vec::new(),
-                })
-                .collect(),
-            socket_to_partition: (0..n_sockets).collect(),
+            partitions: PerSocket::partitioned(n_sockets, TxnListPartition::new),
         }
-    }
-
-    fn partition_for(&self, socket: SocketId) -> usize {
-        self.socket_to_partition[socket.index()]
     }
 
     /// Register a transaction as active.  Charges the CAS on the list head
     /// of the caller's partition.
     pub fn add(&mut self, ctx: &mut SimCtx<'_>, txn: TxnId) {
-        let p = self.partition_for(ctx.socket());
-        let part = &mut self.partitions[p];
+        let part = self.partitions.local(ctx.socket());
         ctx.access_line(
             Component::XctManagement,
             &mut part.head,
@@ -85,15 +77,14 @@ impl TxnList {
     /// still found and removed from the list that holds it, so no list
     /// grows without bound; the charge stays the socket-local one.
     pub fn remove(&mut self, ctx: &mut SimCtx<'_>, txn: TxnId) {
-        let p = self.partition_for(ctx.socket());
         ctx.access_line(
             Component::XctManagement,
-            &mut self.partitions[p].head,
+            &mut self.partitions.local(ctx.socket()).head,
             AccessKind::Rmw,
             WaitMode::Stall,
         );
         ctx.work(Component::XctManagement, LIST_OP_INSTRUCTIONS);
-        for part in &mut self.partitions {
+        for part in self.partitions.iter_mut() {
             if let Some(pos) = part.active.iter().position(|t| *t == txn) {
                 part.active.swap_remove(pos);
                 return;
@@ -120,7 +111,7 @@ mod tests {
     #[test]
     fn add_and_remove_maintain_active_set() {
         let (t, c) = machine();
-        let mut list = TxnList::centralized(4);
+        let mut list = TxnList::centralized();
         let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
         list.add(&mut ctx, TxnId(1));
         list.add(&mut ctx, TxnId(2));
@@ -150,7 +141,7 @@ mod tests {
     #[test]
     fn centralized_list_bounces_across_sockets() {
         // Every access is remote relative to the previous owner.
-        assert!(remote_head_accesses(&mut TxnList::centralized(4)) >= 6);
+        assert!(remote_head_accesses(&mut TxnList::centralized()) >= 6);
     }
 
     #[test]
@@ -177,7 +168,7 @@ mod tests {
     #[test]
     fn per_socket_add_is_cheaper_than_contended_centralized_add() {
         let (t, c) = machine();
-        let mut central = TxnList::centralized(4);
+        let mut central = TxnList::centralized();
         let mut local = TxnList::per_socket(4);
         // Prime the centralized head from socket 3 (so socket 0 pays a
         // remote transfer) and socket 0's local list from socket 0 itself

@@ -351,7 +351,7 @@ proptest! {
         let mut log = if per_socket {
             LogManager::per_socket(4)
         } else {
-            LogManager::centralized(4)
+            LogManager::centralized()
         };
         let mut now = 0;
         let mut expected_bytes = 0u64;
@@ -387,7 +387,7 @@ proptest! {
         let mut list = if per_socket {
             TxnList::per_socket(4)
         } else {
-            TxnList::centralized(4)
+            TxnList::centralized()
         };
         // Track which transactions are active, and from which core they were
         // added (removal must come from the same socket, as ATraPos
@@ -425,7 +425,7 @@ proptest! {
     fn per_socket_state_lock_read_path_is_local(readers in prop::collection::vec(0u32..16, 1..80)) {
         let topo = Topology::multisocket(8, 2);
         let cost = CostModel::westmere();
-        let mut lock = StateRwLock::per_socket("volume", 8);
+        let mut lock = StateRwLock::per_socket(8);
         let mut now = 0;
         for core in readers {
             let mut ctx = SimCtx::new(&topo, &cost, CoreId(core), now);

@@ -671,7 +671,7 @@ impl WorkloadSpec {
     /// Validate and compile the spec onto the precomputed-sampler +
     /// buffer-reuse hot path.
     pub fn compile(&self) -> Result<CompiledWorkload, SpecError> {
-        CompiledWorkload::compile(self.clone())
+        CompiledWorkload::compile(self.clone(), None)
     }
 }
 
@@ -794,8 +794,12 @@ pub struct CompiledWorkload {
 }
 
 impl CompiledWorkload {
-    /// Validate `spec` and compile it.
-    pub fn compile(spec: WorkloadSpec) -> Result<Self, SpecError> {
+    /// Validate `spec` and compile it — given `previous`, to take over
+    /// from it mid-run (YCSB's `NamedMix` swaps in a new spec over the same
+    /// tables): tail inserts continue from `previous`'s insert cursors, and
+    /// a template that `previous` already named keeps that class name
+    /// instead of leaking it again.
+    pub(crate) fn compile(spec: WorkloadSpec, previous: Option<&Self>) -> Result<Self, SpecError> {
         spec.validate()?;
         let tables: Vec<CompiledTable> = spec
             .tables
@@ -811,10 +815,17 @@ impl CompiledWorkload {
         let templates: Vec<CompiledTemplate> = spec
             .templates
             .iter()
-            .map(|tpl| Self::compile_template(&spec, tpl, &mut samplers))
+            .map(|tpl| Self::compile_template(&spec, tpl, &mut samplers, previous))
             .collect();
         let mix = standard_mix(&spec);
-        let insert_cursors = tables.iter().map(|t| t.keys).collect();
+        let mut insert_cursors: Vec<i64> = tables.iter().map(|t| t.keys).collect();
+        if let Some(previous) = previous {
+            assert_eq!(
+                spec.tables, previous.spec.tables,
+                "insert cursors only carry over between specs over the same tables"
+            );
+            insert_cursors.clone_from(&previous.insert_cursors);
+        }
         Ok(Self {
             spec,
             tables,
@@ -831,11 +842,16 @@ impl CompiledWorkload {
         spec: &WorkloadSpec,
         tpl: &TemplateDef,
         samplers: &mut Vec<SharedSampler>,
+        previous: Option<&Self>,
     ) -> CompiledTemplate {
         // The transaction class is a `&'static str` throughout the
-        // engine; each template name is leaked exactly once here, never
-        // per transaction.
-        let class: &'static str = Box::leak(tpl.name.clone().into_boxed_str());
+        // engine: a template name is leaked here once — never per
+        // transaction, and not again when a successor spec reuses it.
+        let named = previous.and_then(|p| p.templates.iter().find(|t| t.class == tpl.name));
+        let class: &'static str = match named {
+            Some(template) => template.class,
+            None => Box::leak(tpl.name.clone().into_boxed_str()),
+        };
         let arg_index = |a: &str| {
             tpl.args
                 .iter()
@@ -944,17 +960,6 @@ impl CompiledWorkload {
                 }
             }
         }
-    }
-
-    /// Continue `previous`'s tail inserts: adopt its insert cursors.  For
-    /// a caller that swaps in a new spec over the same tables mid-run
-    /// (YCSB's `NamedMix`), so inserts stay dense across the swap.
-    pub(crate) fn carry_insert_cursors(&mut self, previous: &Self) {
-        assert_eq!(
-            self.spec.tables, previous.spec.tables,
-            "insert cursors only carry over between specs over the same tables"
-        );
-        self.insert_cursors.clone_from(&previous.insert_cursors);
     }
 }
 

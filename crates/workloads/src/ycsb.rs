@@ -334,15 +334,12 @@ impl Workload for Ycsb {
             })?;
         // The core mixes are Zipfian, so a dataset past the CDF cap
         // (loaded under another distribution) cannot switch to one.
-        let mut next = config
-            .spec()
-            .compile()
-            .map_err(|_| ReconfigureError::Unsupported {
+        self.0 = CompiledWorkload::compile(config.spec(), Some(&self.0)).map_err(|_| {
+            ReconfigureError::Unsupported {
                 workload: self.name().to_string(),
                 change: change.clone(),
-            })?;
-        next.carry_insert_cursors(&self.0);
-        self.0 = next;
+            }
+        })?;
         Ok(())
     }
 }
@@ -489,6 +486,19 @@ mod tests {
             .reconfigure(&WorkloadChange::NamedMix { name: "Z".into() })
             .unwrap_err();
         assert!(matches!(err, ReconfigureError::UnknownMix { .. }));
+    }
+
+    #[test]
+    fn named_mix_swaps_reuse_the_leaked_class_names() {
+        let mut w = core("A", 500);
+        let first: Vec<*const u8> = w.0.classes().iter().map(|c| c.as_ptr()).collect();
+        assert_eq!(first.len(), 5);
+        for mix in ["B", "A"] {
+            w.reconfigure(&WorkloadChange::NamedMix { name: mix.into() })
+                .unwrap();
+        }
+        let again: Vec<*const u8> = w.0.classes().iter().map(|c| c.as_ptr()).collect();
+        assert_eq!(again, first, "a swap leaked a class name a second time");
     }
 
     #[test]
