@@ -397,27 +397,43 @@ impl VirtualExecutor {
     /// Offsets are relative to the executor's current virtual time, so a
     /// scenario can run on a fresh executor or continue an existing run.
     /// Events sharing an offset apply in list order without producing
-    /// zero-length segments.
+    /// zero-length segments.  A timeline that names a socket this machine
+    /// lacks, or at any point leaves it no active socket, is a
+    /// [`ScenarioError::BadTimeline`] before anything runs.
     pub fn run_scenario(&mut self, scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
         scenario.validate()?;
-        // `validate` knows no machine; socket indices are checked against
-        // this one before anything runs.
-        let n_sockets = self.machine().topology.num_sockets();
+        // `validate` knows no machine.  Before anything runs, the socket
+        // events are replayed against this one's active set: every index
+        // must exist, and no prefix may leave the designs without an active
+        // socket to run on.
+        let mut active: Vec<bool> = self
+            .machine()
+            .topology
+            .sockets()
+            .iter()
+            .map(|s| s.active)
+            .collect();
+        let n_sockets = active.len();
         for (i, e) in scenario.events.iter().enumerate() {
-            if let ScenarioEvent::FailSocket { socket } | ScenarioEvent::RestoreSocket { socket } =
-                &e.event
-            {
-                if usize::from(*socket) >= n_sockets {
-                    return Err(ScenarioError::BadTimeline {
-                        scenario: scenario.name.clone(),
-                        reason: format!(
-                            "event {i} at {}s names socket {socket}, but the machine has \
-                             {n_sockets} sockets",
-                            e.at_secs
-                        ),
-                    });
+            let (socket, up) = match e.event {
+                ScenarioEvent::FailSocket { socket } => (socket, false),
+                ScenarioEvent::RestoreSocket { socket } => (socket, true),
+                _ => continue,
+            };
+            let why = match active.get_mut(usize::from(socket)) {
+                None => format!("names socket {socket}, but the machine has {n_sockets} sockets"),
+                Some(slot) => {
+                    *slot = up;
+                    if active.contains(&true) {
+                        continue;
+                    }
+                    format!("fails socket {socket}, the last active one")
                 }
-            }
+            };
+            return Err(ScenarioError::BadTimeline {
+                scenario: scenario.name.clone(),
+                reason: format!("event {i} at {}s {why}", e.at_secs),
+            });
         }
         let mut segments = Vec::new();
         let mut label = scenario.initial_label.clone();
@@ -482,20 +498,19 @@ impl VirtualExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::designs::atrapos::{AtraposConfig, AtraposDesign};
-    use crate::designs::SystemDesign;
+    use crate::designs::spec::DesignSpec;
     use crate::executor::ExecutorConfig;
     use crate::workload::testing::TinyWorkload;
     use atrapos_numa::{CostModel, Machine, Topology};
 
     fn executor() -> VirtualExecutor {
+        executor_with(&DesignSpec::atrapos())
+    }
+
+    fn executor_with(spec: &DesignSpec) -> VirtualExecutor {
         let machine = Machine::new(Topology::multisocket(2, 2), CostModel::westmere());
         let workload = TinyWorkload { rows: 2_000 };
-        let design: Box<dyn SystemDesign> = Box::new(AtraposDesign::new(
-            &machine,
-            &workload,
-            AtraposConfig::default(),
-        ));
+        let design = spec.build(&machine, &workload);
         VirtualExecutor::new(
             machine,
             design,
@@ -583,6 +598,84 @@ mod tests {
                 other => panic!("expected BadTimeline, got {other:?}"),
             }
             assert_eq!(ex.total_committed(), 0, "nothing may run first");
+        }
+    }
+
+    fn four_designs() -> [DesignSpec; 4] {
+        [
+            DesignSpec::Centralized,
+            DesignSpec::coarse_shared_nothing(),
+            DesignSpec::Plp,
+            DesignSpec::atrapos(),
+        ]
+    }
+
+    fn socket_timeline(name: &str, events: &[ScenarioEvent]) -> Scenario {
+        events
+            .iter()
+            .enumerate()
+            .fold(Scenario::new(name, 0.03), |s, (i, e)| {
+                s.at(0.005 * (i + 1) as f64, "x", e.clone())
+            })
+    }
+
+    /// A timeline that fails every socket leaves no core to run on: a
+    /// typed error before anything runs, on every design.
+    #[test]
+    fn failing_every_socket_is_rejected_before_anything_runs() {
+        use ScenarioEvent::{FailSocket, RestoreSocket};
+        let timelines = [
+            vec![FailSocket { socket: 0 }, FailSocket { socket: 1 }],
+            vec![
+                FailSocket { socket: 1 },
+                RestoreSocket { socket: 1 },
+                FailSocket { socket: 0 },
+                FailSocket { socket: 1 },
+            ],
+        ];
+        for spec in four_designs() {
+            for events in &timelines {
+                let scenario = socket_timeline("hw-all", events);
+                scenario.validate().unwrap();
+                let mut ex = executor_with(&spec);
+                match ex.run_scenario(&scenario).unwrap_err() {
+                    ScenarioError::BadTimeline { reason, .. } => {
+                        let last = events.len() - 1;
+                        assert!(reason.starts_with(&format!("event {last} ")), "{reason}");
+                        assert!(reason.contains("last active"), "{reason}");
+                    }
+                    other => panic!("{}: expected BadTimeline, got {other:?}", spec.label()),
+                }
+                assert_eq!(ex.total_committed(), 0, "nothing may run first");
+            }
+        }
+    }
+
+    /// Failing a failed socket again, or failing one that was restored,
+    /// still leaves a socket to run on.
+    #[test]
+    fn timelines_that_keep_a_socket_alive_still_run() {
+        use ScenarioEvent::{FailSocket, RestoreSocket};
+        let timelines = [
+            vec![FailSocket { socket: 1 }, FailSocket { socket: 1 }],
+            vec![
+                FailSocket { socket: 1 },
+                RestoreSocket { socket: 1 },
+                FailSocket { socket: 1 },
+            ],
+            vec![
+                FailSocket { socket: 0 },
+                RestoreSocket { socket: 0 },
+                FailSocket { socket: 1 },
+            ],
+        ];
+        for spec in four_designs() {
+            for events in &timelines {
+                let outcome = executor_with(&spec)
+                    .run_scenario(&socket_timeline("hw-alive", events))
+                    .unwrap();
+                assert!(outcome.total_committed() > 0, "{}", spec.label());
+            }
         }
     }
 

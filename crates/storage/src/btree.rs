@@ -13,8 +13,15 @@
 //!   probe binary-searches the 512-byte column and finishes with full key
 //!   compares only where prefixes tie — Graefe & Larson's "poor man's
 //!   normalized keys" (*B-tree indexes and CPU caches*, ICDE 2001).
+//! * An insert above a node's last key takes the last slot (leaf) or the
+//!   last child (internal node) without a search — the answer the search
+//!   would give — so an ascending load goes straight down the right spine,
+//!   as PostgreSQL's nbtree "fastpath" for rightmost-leaf inserts does.  An
+//!   equal key still searches, so duplicates are found as before.
 //! * Node vectors are sized to the node, not doubled: they grow straight to
-//!   the most a node can hold, and a split trims the half it leaves behind.
+//!   the most a node can hold.  A split copies the half it leaves behind
+//!   into an exact-size vector and the growing right half keeps the full
+//!   buffer, so an ascending load reallocates neither.
 //! * Deletion is *lazy*: entries are removed from leaves without rebalancing
 //!   (a common choice in real systems, e.g. PostgreSQL only reclaims empty
 //!   pages asynchronously).  Lookups, scans, and inserts remain correct;
@@ -114,13 +121,14 @@ fn reserve_slot<T>(v: &mut Vec<T>, slots: usize) {
     }
 }
 
-/// Split a node vector at `mid`, trimming the left half to its length: an
-/// ascending load (every populate, every TPC-C order insert) never touches
-/// the left half again, so spare slots there would stay empty for good.
+/// Split a node vector at `mid`: the left half moves into an exact-size
+/// vector and the right half keeps the full buffer.  An ascending load
+/// (every populate, every TPC-C order insert) never touches the left half
+/// again, so spare slots there would stay empty for good, and keeps filling
+/// the right half, which therefore never reallocates.
 fn split_exact<T>(v: &mut Vec<T>, mid: usize) -> Vec<T> {
-    let right = v.split_off(mid);
-    v.shrink_to_fit();
-    right
+    let left = v.drain(..mid).collect();
+    std::mem::replace(v, left)
 }
 
 impl KeyColumn {
@@ -204,10 +212,14 @@ impl KeyColumn {
         self.keys.remove(i)
     }
 
-    /// Remove and return the last key.
-    fn pop(&mut self) -> Option<Key> {
-        self.heads.pop();
-        self.keys.pop()
+    /// [`Self::search`] for an insert: a probe above the last key — every
+    /// insert of an ascending load — goes to the end without a search.
+    #[inline]
+    fn insert_slot(&self, probe: &Key) -> Result<usize, usize> {
+        match self.keys.last() {
+            Some(last) if probe > last => Err(self.len()),
+            _ => self.search(probe),
+        }
     }
 
     /// Move the keys from slot `mid` on into a new column.
@@ -558,7 +570,7 @@ impl Node {
         replace: bool,
     ) -> (Option<Record>, Option<(Key, Node)>) {
         match self {
-            Node::Leaf(leaf) => match leaf.keys.search(&key) {
+            Node::Leaf(leaf) => match leaf.keys.insert_slot(&key) {
                 Ok(i) if replace => (Some(std::mem::replace(&mut leaf.values[i], record)), None),
                 Ok(_) => (Some(record), None),
                 Err(i) => {
@@ -578,7 +590,11 @@ impl Node {
                 }
             },
             Node::Internal(internal) => {
-                let idx = internal.child_index(&key);
+                // `child_index`, with the right-spine shortcut.
+                let idx = internal
+                    .keys
+                    .insert_slot(&key)
+                    .map_or_else(|i| i, |i| i + 1);
                 let (left_out, split) = internal.children[idx].insert(key, record, replace);
                 let Some((sep, right)) = split else {
                     return (left_out, None);
@@ -591,11 +607,12 @@ impl Node {
                 }
                 // The middle separator moves up; it stays in neither half.
                 let mid = internal.keys.len() / 2;
+                let mut keys = internal.keys.split_off(mid);
+                let sep = keys.remove(0);
                 let right = Internal {
-                    keys: internal.keys.split_off(mid + 1),
+                    keys,
                     children: split_exact(&mut internal.children, mid + 1),
                 };
-                let sep = internal.keys.pop().expect("a full node has a middle key");
                 (left_out, Some((sep, Node::Internal(right))))
             }
         }
@@ -939,40 +956,169 @@ mod tests {
         assert_eq!(t.get(&Key::int(1)).unwrap().get(0).as_int(), 1);
     }
 
-    /// The capacity rule, pinned: node vectors grow to `ORDER + 1` slots and
-    /// a split trims the half it leaves behind, so an ascending load — whose
-    /// left halves are never touched again — carries next to no spare slots
-    /// (doubling vectors left about 2.06 slots per key).
+    /// The nodes of each level, left to right, root level first.
+    fn levels(t: &BTree) -> Vec<Vec<&Node>> {
+        let mut out = vec![vec![&t.root]];
+        while let Some(Node::Internal(_)) = out.last().unwrap().first() {
+            let next = out
+                .last()
+                .unwrap()
+                .iter()
+                .flat_map(|node| match node {
+                    Node::Internal(internal) => internal.children.iter(),
+                    Node::Leaf(_) => unreachable!("leaves share one level"),
+                })
+                .collect();
+            out.push(next);
+        }
+        out
+    }
+
+    fn leaf(node: &Node) -> &Leaf {
+        match node {
+            Node::Leaf(leaf) => leaf,
+            Node::Internal(_) => panic!("not a leaf"),
+        }
+    }
+
+    /// The shape an ascending load builds: every split leaves a half-full
+    /// node behind (32 keys, or 33 children) and the right spine holds the
+    /// rest.  Heights change where that rule says, and nowhere else.
     #[test]
-    fn ascending_load_leaves_no_spare_leaf_capacity() {
-        fn leaves<'a>(node: &'a Node, out: &mut Vec<&'a Leaf>) {
-            match node {
-                Node::Leaf(leaf) => out.push(leaf),
-                Node::Internal(internal) => {
-                    internal.children.iter().for_each(|c| leaves(c, out));
-                }
+    fn ascending_inserts_leave_half_full_nodes_left_of_the_right_spine() {
+        let cases = [
+            (1, 1),
+            (64, 1),
+            (65, 2),
+            (2_080, 2),
+            (2_081, 2),
+            (2_112, 2),
+            (2_113, 3),
+            (100_000, 4),
+        ];
+        for (n, height) in cases {
+            let mut t = BTree::new();
+            for i in 0..n {
+                t.insert(Key::int(i), rec(i));
+            }
+            assert_eq!(t.height(), height, "n = {n}");
+            let levels = levels(&t);
+            let (leaves, internals) = levels.split_last().unwrap();
+            let (last, rest) = leaves.split_last().unwrap();
+            assert!(
+                rest.iter().all(|l| leaf(l).keys.len() == ORDER / 2),
+                "n = {n}"
+            );
+            let last_len = leaf(last).keys.len();
+            if n <= ORDER as i64 {
+                assert_eq!(last_len, n as usize);
+            } else {
+                assert!(
+                    (ORDER / 2 + 1..=ORDER).contains(&last_len),
+                    "n = {n}: {last_len}"
+                );
+            }
+            for level in internals {
+                let (_, rest) = level.split_last().unwrap();
+                assert!(
+                    rest.iter().all(|node| match node {
+                        Node::Internal(internal) => internal.children.len() == ORDER / 2 + 1,
+                        Node::Leaf(_) => false,
+                    }),
+                    "n = {n}"
+                );
             }
         }
+    }
+
+    /// The capacity rule, pinned: the half a split leaves behind is trimmed
+    /// to its length — an ascending load never touches it again — and only
+    /// the right spine's leaf, which the load keeps filling, has spare
+    /// slots, at most `NODE_SLOTS` (doubling vectors left about 2.06 slots
+    /// per key).
+    #[test]
+    fn ascending_load_leaves_no_spare_leaf_capacity() {
         let mut t = BTree::new();
         for i in 0..10_000 {
             t.insert(Key::int(i), rec(i));
         }
-        let mut all = Vec::new();
-        leaves(&t.root, &mut all);
-        let mut total = 0;
-        for leaf in all {
-            let caps = [
-                leaf.keys.keys.capacity(),
-                leaf.keys.heads.capacity(),
-                leaf.values.capacity(),
-            ];
-            assert!(caps.iter().all(|&c| c <= ORDER + 1), "{caps:?}");
-            total += caps[0].max(caps[2]);
+        let levels = levels(&t);
+        let (last, rest) = levels.last().unwrap().split_last().unwrap();
+        let caps = |l: &Leaf| {
+            [
+                l.keys.keys.capacity(),
+                l.keys.heads.capacity(),
+                l.values.capacity(),
+            ]
+        };
+        for node in rest {
+            let l = leaf(node);
+            assert_eq!(caps(l), [l.keys.len(); 3]);
         }
-        assert!(
-            total * 10 <= t.len() * 11,
-            "{total} slots for {} keys",
-            t.len()
+        let spine = caps(leaf(last));
+        assert!(spine.iter().all(|&c| c <= NODE_SLOTS), "{spine:?}");
+    }
+
+    /// 64-bit FNV-1a of a tree's JSON: node boundaries, separators, records,
+    /// `len` and `height` — everything but vector capacity.
+    fn shape_digest(t: &BTree) -> u64 {
+        serde::json::to_string(t)
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// Insert-built shapes, pinned by digests of the same trees built with
+    /// a search on every insert: the right-spine shortcut must give every
+    /// insert the slot the search gives.
+    #[test]
+    fn insert_built_shapes_are_pinned() {
+        let mut ascending = BTree::new();
+        for i in 0..10_000 {
+            ascending.insert(Key::int(i), rec(i));
+        }
+
+        // Ascending runs, each followed by a rejected and a replacing
+        // insert of the current maximum and three pseudo-random keys
+        // (mostly below the run, some above it).
+        let mut mixed = BTree::new();
+        let (mut next, mut x) = (0i64, 0x9e37_79b9_7f4a_7c15u64);
+        for round in 0..400 {
+            for _ in 0..(round % 7 + 1) * 5 {
+                next += 1 + round % 3;
+                mixed.insert(Key::int(next), rec(next));
+            }
+            let max = *mixed.max_key().unwrap();
+            assert!(mixed.insert_new(max, rec(-1)).is_err());
+            assert!(mixed.insert(max, rec(max.head_int() * 2)).is_some());
+            for _ in 0..3 {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let k = (x >> 33) as i64 % (next + 50);
+                mixed.insert(Key::int(k), rec(k));
+            }
+        }
+        mixed.check_invariants().unwrap();
+
+        // TPC-C's order pattern: ten districts, each appending its next
+        // order id in turn.
+        let mut orders = BTree::new();
+        for o in 0..1_000 {
+            for d in 0..10 {
+                orders.insert(Key::ints(&[d, o]), rec(o));
+            }
+        }
+        orders.check_invariants().unwrap();
+
+        assert_eq!(
+            [&ascending, &mixed, &orders].map(shape_digest),
+            [
+                0xf64d_5dee_bb01_4d22,
+                0x6b0e_d8e4_2d09_d5e7,
+                0x41d0_5682_1b2d_5603
+            ]
         );
     }
 

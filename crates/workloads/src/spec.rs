@@ -247,6 +247,12 @@ pub enum SpecError {
         /// The offending table.
         table: String,
     },
+    /// The spec's row count (`keys × sub_rows`, summed over the tables)
+    /// overflows an `i64`; reported at the table where it does.
+    TooManyRows {
+        /// The offending table.
+        table: String,
+    },
     /// A `parent` link or op references a table the spec never declares.
     UnknownTable {
         /// Where the dangling reference sits (template or table name).
@@ -365,6 +371,10 @@ impl fmt::Display for SpecError {
                     "table '{table}' is empty (keys and sub_rows must be >= 1)"
                 )
             }
+            SpecError::TooManyRows { table } => write!(
+                f,
+                "table '{table}' takes the spec's row count (keys x sub_rows) past i64"
+            ),
             SpecError::UnknownTable { context, table } => {
                 write!(f, "'{context}' references unknown table '{table}'")
             }
@@ -482,6 +492,7 @@ impl WorkloadSpec {
         if self.templates.is_empty() {
             return Err(SpecError::NoTemplates);
         }
+        let mut rows = 0i64;
         for (i, t) in self.tables.iter().enumerate() {
             if self.tables[..i].iter().any(|o| o.name == t.name) {
                 return Err(SpecError::DuplicateTable {
@@ -493,6 +504,13 @@ impl WorkloadSpec {
                     table: t.name.clone(),
                 });
             }
+            rows = t
+                .keys
+                .checked_mul(t.sub_rows)
+                .and_then(|r| rows.checked_add(r))
+                .ok_or_else(|| SpecError::TooManyRows {
+                    table: t.name.clone(),
+                })?;
             if let Some(parent) = &t.parent {
                 let p = self
                     .table_index(parent)
@@ -1538,6 +1556,21 @@ mod tests {
                 table: "usertable".to_string()
             })
         );
+    }
+
+    /// `keys × sub_rows` past `i64` — in one table or summed over all — is
+    /// a typed error, not an overflow panic when the rows are counted.
+    #[test]
+    fn row_counts_past_i64_are_rejected() {
+        let too_many = Err(SpecError::TooManyRows {
+            table: "B".to_string(),
+        });
+        let mut spec = simple_ab(100);
+        spec.tables[1].sub_rows = i64::MAX;
+        assert_eq!(spec.validate(), too_many);
+        let mut spec = simple_ab(100);
+        spec.tables[0].keys = i64::MAX - 100;
+        assert_eq!(spec.validate(), too_many);
     }
 
     #[test]

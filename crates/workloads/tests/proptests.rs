@@ -13,7 +13,8 @@
 
 use atrapos_engine::{ActionOp, Workload};
 use atrapos_numa::CoreId;
-use atrapos_storage::Database;
+use atrapos_storage::{ColumnType, Database};
+use atrapos_workloads::spec::{ArgDef, OpDef, PhaseDef, TableDef, TemplateDef};
 use atrapos_workloads::{
     KeyDistribution, Mix, MultiSiteUpdate, ReadManyRows, ReadOneRow, SimpleAb, Tatp, TatpConfig,
     TatpTxn, Tpcc, TpccConfig, TpccTxn, WorkloadSpec, Ycsb, YcsbConfig,
@@ -442,5 +443,236 @@ proptest! {
         prop_assert_eq!(declared, record_count as u64);
         prop_assert_eq!(db.total_records() as u64, declared);
         assert_routing_validity(&mut w, seed, &[CoreId(0), CoreId(1)], 200)?;
+    }
+}
+
+// ----------------------------------------------------------------------
+// Specs from files: `Schema::new`'s key asserts stay out of reach
+// ----------------------------------------------------------------------
+
+/// Compile `spec` (a rejection is a typed `SpecError`; a panic fails the
+/// test).  Whatever compiles must declare only primary keys of one or two
+/// `Int` columns, so `Schema::new`'s asserts — a text key column, more
+/// columns than a `Key` holds — cannot fire.  Returns whether it compiled.
+fn compiles_to_small_int_keys(spec: &WorkloadSpec) -> bool {
+    let Ok(w) = spec.compile() else {
+        return false;
+    };
+    for t in w.tables() {
+        let pk = &t.schema.primary_key;
+        assert!(
+            (1..=2).contains(&pk.len()),
+            "table {}: {}-column key",
+            t.schema.name,
+            pk.len()
+        );
+        assert!(
+            pk.iter()
+                .all(|&c| t.schema.columns[c].ty == ColumnType::Int),
+            "table {}: non-Int key column",
+            t.schema.name
+        );
+    }
+    true
+}
+
+#[test]
+fn shipped_spec_files_compile_to_one_or_two_column_int_keys() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for dir in ["examples/specs", "benchmark/inputs"] {
+        for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+            let path = entry.unwrap().path();
+            // The benchmark's reference figures, not a spec.
+            if path.ends_with("figures.json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let spec = WorkloadSpec::from_json(&text)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert!(compiles_to_small_int_keys(&spec), "{}", path.display());
+        }
+    }
+}
+
+const TABLE_NAMES: [&str; 3] = ["a", "b", "c"];
+const ARG_NAMES: [&str; 4] = ["k", "s", "f", "v"];
+
+fn one_of(names: &[&'static str]) -> impl Strategy<Value = String> {
+    prop::sample::select(names.to_vec()).prop_map(String::from)
+}
+
+fn distribution() -> impl Strategy<Value = KeyDistribution> {
+    prop::option::of(0.0f64..1.2).prop_map(|theta| {
+        theta.map_or(KeyDistribution::Uniform, |theta| KeyDistribution::Zipfian {
+            theta,
+        })
+    })
+}
+
+/// Any table: from empty to a row count past `i64::MAX`.
+fn table_def() -> impl Strategy<Value = TableDef> {
+    (
+        one_of(&TABLE_NAMES),
+        prop_oneof![4 => -1i64..400, 1 => Just(i64::MAX)],
+        prop_oneof![4 => -1i64..4, 1 => Just(i64::MAX)],
+        0usize..6,
+        prop::option::of(one_of(&TABLE_NAMES)),
+    )
+        .prop_map(|(name, keys, sub_rows, payload_fields, parent)| TableDef {
+            name,
+            keys,
+            sub_rows,
+            payload_fields,
+            parent,
+        })
+}
+
+fn arg_def() -> impl Strategy<Value = ArgDef> {
+    prop_oneof![
+        (one_of(&ARG_NAMES), one_of(&TABLE_NAMES), distribution()).prop_map(
+            |(name, table, distribution)| ArgDef::Key {
+                name,
+                table,
+                distribution
+            }
+        ),
+        (one_of(&ARG_NAMES), one_of(&TABLE_NAMES), distribution()).prop_map(
+            |(name, table, distribution)| ArgDef::LatestKey {
+                name,
+                table,
+                distribution
+            }
+        ),
+        (one_of(&ARG_NAMES), -1i64..6, -1i64..6).prop_map(|(name, lo, hi)| ArgDef::Uniform {
+            name,
+            lo,
+            hi
+        }),
+    ]
+}
+
+fn key_ref() -> impl Strategy<Value = Vec<String>> {
+    prop::collection::vec(one_of(&ARG_NAMES), 0..4)
+}
+
+fn op_def() -> impl Strategy<Value = OpDef> {
+    prop_oneof![
+        (one_of(&TABLE_NAMES), key_ref()).prop_map(|(table, key)| OpDef::Read { table, key }),
+        (
+            one_of(&TABLE_NAMES),
+            key_ref(),
+            one_of(&ARG_NAMES),
+            one_of(&ARG_NAMES)
+        )
+            .prop_map(|(table, key, field, value)| OpDef::Update {
+                table,
+                key,
+                field,
+                value
+            }),
+        (one_of(&TABLE_NAMES), one_of(&ARG_NAMES), one_of(&ARG_NAMES))
+            .prop_map(|(table, key, len)| OpDef::Scan { table, key, len }),
+        one_of(&TABLE_NAMES).prop_map(|table| OpDef::Insert { table }),
+    ]
+}
+
+fn template_def() -> impl Strategy<Value = TemplateDef> {
+    let phase = (
+        prop::collection::vec(op_def(), 0..3),
+        prop::option::of(1u64..256),
+    )
+        .prop_map(|(ops, sync_bytes)| PhaseDef { ops, sync_bytes });
+    (
+        one_of(&["T", "U"]),
+        -0.5f64..2.0,
+        prop::collection::vec(arg_def(), 0..5),
+        prop::collection::vec(phase, 0..3),
+    )
+        .prop_map(|(name, weight, args, phases)| TemplateDef {
+            name,
+            weight,
+            args,
+            phases,
+        })
+}
+
+/// Any spec the vocabulary can hold: names come from small pools, so
+/// references resolve, dangle and collide.  Nearly all are rejected.
+fn any_spec() -> impl Strategy<Value = WorkloadSpec> {
+    (
+        prop::collection::vec(table_def(), 0..4),
+        prop::collection::vec(template_def(), 0..3),
+    )
+        .prop_map(|(tables, templates)| WorkloadSpec {
+            name: "generated".into(),
+            tables,
+            templates,
+        })
+}
+
+/// Specs valid by construction: one to four tables with one- or
+/// two-column keys, some the children of the table before, all read by one
+/// template.
+fn valid_spec() -> impl Strategy<Value = WorkloadSpec> {
+    prop::collection::vec((1i64..400, 1i64..4, 0usize..5, any::<bool>()), 1..5).prop_map(|shapes| {
+        let (mut tables, mut args, mut ops) = (Vec::<TableDef>::new(), Vec::new(), Vec::new());
+        for (i, (keys, sub_rows, payload_fields, child)) in shapes.into_iter().enumerate() {
+            let parent = tables
+                .last()
+                .filter(|_| child)
+                .map(|p| (p.name.clone(), p.keys));
+            let name = format!("t{i}");
+            tables.push(TableDef {
+                name: name.clone(),
+                keys: parent.as_ref().map_or(keys, |p| keys.min(p.1)),
+                sub_rows,
+                payload_fields,
+                parent: parent.map(|p| p.0),
+            });
+            let mut key = vec![format!("k{i}")];
+            args.push(ArgDef::Key {
+                name: key[0].clone(),
+                table: name.clone(),
+                distribution: KeyDistribution::Uniform,
+            });
+            if sub_rows > 1 {
+                key.push(format!("s{i}"));
+                args.push(ArgDef::Uniform {
+                    name: key[1].clone(),
+                    lo: 0,
+                    hi: sub_rows,
+                });
+            }
+            ops.push(OpDef::Read { table: name, key });
+        }
+        WorkloadSpec {
+            name: "valid".into(),
+            tables,
+            templates: vec![TemplateDef {
+                name: "Read".into(),
+                weight: 1.0,
+                args,
+                phases: vec![PhaseDef {
+                    ops,
+                    sync_bytes: None,
+                }],
+            }],
+        }
+    })
+}
+
+proptest! {
+    #[test]
+    fn valid_specs_compile_to_one_or_two_column_int_keys(spec in valid_spec()) {
+        prop_assert!(compiles_to_small_int_keys(&spec), "{:?}", spec.validate());
+    }
+}
+
+proptest! {
+    // Checking a spec takes microseconds, and the rejection paths are many.
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
+    #[test]
+    fn any_spec_compiles_or_is_rejected_with_a_typed_error(spec in any_spec()) {
+        compiles_to_small_int_keys(&spec);
     }
 }
