@@ -89,6 +89,8 @@ impl ActionOp {
 
     /// The primary key this action is routed by (the range scan routes by
     /// its lower bound; the insert by the record's first column).
+    // Once per action, by every design's router and lock acquisition.
+    // lint: hot-path
     pub fn routing_key_head(&self) -> i64 {
         match self {
             ActionOp::Read { key, .. }
@@ -96,10 +98,7 @@ impl ActionOp {
             | ActionOp::Increment { key, .. }
             | ActionOp::Delete { key, .. } => key.head_int(),
             ActionOp::ReadRange { from, .. } => from.head_int(),
-            ActionOp::Insert { record, .. } => match record.get(0) {
-                Value::Int(v) => *v,
-                _ => 0,
-            },
+            ActionOp::Insert { record, .. } => record.int(0).unwrap_or(0),
         }
     }
 

@@ -859,7 +859,7 @@ mod tests {
     fn get_mut_updates_in_place() {
         let mut t = BTree::new();
         t.insert(Key::int(5), rec(5));
-        t.get_mut(&Key::int(5)).unwrap().set(1, Value::Int(777));
+        t.get_mut(&Key::int(5)).unwrap().set(1, &Value::Int(777));
         assert_eq!(t.get(&Key::int(5)).unwrap().get(1).as_int(), 777);
         assert!(t.get_mut(&Key::int(6)).is_none());
     }

@@ -1,4 +1,10 @@
 //! Values, records, and keys.
+//!
+//! A [`Record`] packs one row into a single exact-size heap block: one
+//! 8-byte little-endian cell per column, then the UTF-8 bytes of its text
+//! columns.  An integer cell is the value; a text cell is the
+//! `offset << 32 | len` of its bytes in that tail.  A [`Key`] is up to
+//! four inline integers with no heap part at all.
 
 use crate::schema::{ColumnType, Schema};
 use serde::{Deserialize, Serialize};
@@ -255,36 +261,177 @@ impl fmt::Display for Key {
     }
 }
 
+/// Most columns a record — and so a table — can have: the width of the
+/// text-column mask in a record's shape word.  [`Schema::new`] refuses a
+/// wider table.
+pub const MAX_COLUMNS: usize = 32;
+
+/// Bytes per column cell.
+const CELL: usize = 8;
+
 /// A tuple: one value per column of the table schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// # Row layout
+///
+/// A row is one exact-size heap block, `bytes`: first `8 × arity`
+/// little-endian cells, one per column, then the UTF-8 bytes of the text
+/// columns in column order.  An `Int` cell is the value itself; a `Text`
+/// cell is `offset << 32 | len` of its bytes within that tail.  `shape`
+/// holds the arity in its high 32 bits and a mask of the text columns in
+/// its low 32.  So an all-integer row owns exactly `8 × arity` heap bytes,
+/// there is no per-column heap block, and the record is 24 bytes inline.
+///
+/// The layout is canonical — a row's values decide every byte — so
+/// equality is byte equality.  The JSON and `Debug` forms are those of the
+/// `Vec<Value>` this layout replaced (`{"values":[…]}`,
+/// `Record { values: [...] }`): tree JSON and generated-stream digests pin
+/// them.
+#[derive(Clone, PartialEq)]
 pub struct Record {
-    values: Vec<Value>,
+    bytes: Box<[u8]>,
+    shape: u64,
+}
+
+/// Panic unless `arity` columns fit a record.
+fn check_arity(arity: usize) {
+    assert!(
+        arity <= MAX_COLUMNS,
+        "a record has at most {MAX_COLUMNS} columns, got {arity}"
+    );
 }
 
 impl Record {
-    /// Build a record from values.
+    /// Pack `values` into a fresh block.  The argument's buffer is dropped,
+    /// never shrunk and reused: its 32-byte slots would stay behind as
+    /// heap holes.
     pub fn new(values: Vec<Value>) -> Self {
-        Self { values }
+        Self::pack(&values)
+    }
+
+    /// An all-integer row, built straight into its block.
+    pub fn ints(values: &[i64]) -> Self {
+        check_arity(values.len());
+        let mut bytes = Vec::with_capacity(CELL * values.len());
+        for v in values {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        Self {
+            bytes: bytes.into_boxed_slice(),
+            shape: (values.len() as u64) << 32,
+        }
+    }
+
+    fn pack(values: &[Value]) -> Self {
+        check_arity(values.len());
+        let text_bytes: usize = values
+            .iter()
+            .map(|v| match v {
+                Value::Int(_) => 0,
+                Value::Text(s) => s.len(),
+            })
+            .sum();
+        assert!(
+            u32::try_from(text_bytes).is_ok(),
+            "a record holds under 4 GiB of text"
+        );
+        let mut bytes = Vec::with_capacity(CELL * values.len() + text_bytes);
+        let (mut mask, mut offset) = (0u64, 0u64);
+        for (i, v) in values.iter().enumerate() {
+            let cell = match v {
+                Value::Int(x) => *x as u64,
+                Value::Text(s) => {
+                    mask |= 1 << i;
+                    let cell = offset << 32 | s.len() as u64;
+                    offset += s.len() as u64;
+                    cell
+                }
+            };
+            bytes.extend_from_slice(&cell.to_le_bytes());
+        }
+        for v in values {
+            if let Value::Text(s) = v {
+                bytes.extend_from_slice(s.as_bytes());
+            }
+        }
+        Self {
+            bytes: bytes.into_boxed_slice(),
+            shape: (values.len() as u64) << 32 | mask,
+        }
     }
 
     /// Number of columns.
+    #[inline]
     pub fn arity(&self) -> usize {
-        self.values.len()
+        (self.shape >> 32) as usize
     }
 
-    /// Column values.
-    pub fn values(&self) -> &[Value] {
-        &self.values
+    /// Whether column `i` (in range) is a text column.
+    #[inline]
+    fn is_text(&self, i: usize) -> bool {
+        self.shape >> i & 1 == 1
+    }
+
+    /// The raw cell of column `i`.
+    #[inline]
+    fn cell(&self, i: usize) -> u64 {
+        assert!(
+            i < self.arity(),
+            "column {i} of a {}-column record",
+            self.arity()
+        );
+        let at = CELL * i;
+        u64::from_le_bytes(self.bytes[at..at + CELL].try_into().expect("8-byte cell"))
+    }
+
+    /// The text a text column's `cell` points at.
+    fn text(&self, cell: u64) -> &str {
+        let start = CELL * self.arity() + (cell >> 32) as usize;
+        let len = cell as u32 as usize;
+        std::str::from_utf8(&self.bytes[start..start + len]).expect("packed from a str")
     }
 
     /// Value of column `i`.
-    pub fn get(&self, i: usize) -> &Value {
-        &self.values[i]
+    pub fn get(&self, i: usize) -> Value {
+        let cell = self.cell(i);
+        if self.is_text(i) {
+            Value::Text(self.text(cell).to_owned())
+        } else {
+            Value::Int(cell as i64)
+        }
     }
 
-    /// Overwrite column `i`.
-    pub fn set(&mut self, i: usize, v: Value) {
-        self.values[i] = v;
+    /// Integer in column `i`, or `None` on a text column.  Never allocates.
+    // lint: hot-path
+    #[inline]
+    pub fn int(&self, i: usize) -> Option<i64> {
+        let cell = self.cell(i);
+        (!self.is_text(i)).then_some(cell as i64)
+    }
+
+    /// The columns, in order.
+    fn unpacked(&self) -> impl Iterator<Item = Value> + '_ {
+        (0..self.arity()).map(|i| self.get(i))
+    }
+
+    /// Overwrite column `i`.  An integer over an integer is written in
+    /// place; anything touching a text column rebuilds the block.
+    pub fn set(&mut self, i: usize, v: &Value) {
+        match v {
+            Value::Int(x) if self.int(i).is_some() => self.set_int(i, *x),
+            _ => {
+                let mut values: Vec<Value> = self.unpacked().collect();
+                values[i] = v.clone();
+                *self = Self::pack(&values);
+            }
+        }
+    }
+
+    /// Overwrite integer column `i` in place.
+    // lint: hot-path
+    pub(crate) fn set_int(&mut self, i: usize, v: i64) {
+        assert!(self.int(i).is_some(), "column {i} is not an Int column");
+        let at = CELL * i;
+        self.bytes[at..at + CELL].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Extract the primary key of this record according to `schema`.
@@ -292,7 +439,7 @@ impl Record {
         let pk = &schema.primary_key;
         let mut vals = [0i64; MAX_KEY_COMPONENTS];
         for (slot, &col) in vals[..pk.len()].iter_mut().zip(pk) {
-            *slot = self.values[col].as_int();
+            *slot = self.int(col).expect("primary-key columns are Int");
         }
         Key {
             len: pk.len() as u8,
@@ -302,23 +449,76 @@ impl Record {
 
     /// Whether the record matches the schema's column count and types.
     pub fn conforms_to(&self, schema: &Schema) -> bool {
-        self.values.len() == schema.columns.len()
-            && self
-                .values
+        self.arity() == schema.columns.len()
+            && schema
+                .columns
                 .iter()
-                .zip(&schema.columns)
-                .all(|(v, c)| v.column_type() == c.ty)
+                .enumerate()
+                .all(|(i, c)| self.is_text(i) == (c.ty == ColumnType::Text))
     }
 
-    /// Approximate in-memory size in bytes.
+    /// Approximate in-memory size in bytes: 8 per integer plus the text
+    /// bytes.
     pub fn size_bytes(&self) -> u64 {
-        self.values.iter().map(Value::size_bytes).sum()
+        let texts = (self.shape as u32).count_ones() as usize;
+        let text_bytes = self.bytes.len() - CELL * self.arity();
+        (CELL * (self.arity() - texts) + text_bytes) as u64
+    }
+
+    /// Heap bytes the row owns — all of them in its one block.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        self.bytes.len()
     }
 }
 
 impl From<Vec<Value>> for Record {
     fn from(values: Vec<Value>) -> Self {
         Record::new(values)
+    }
+}
+
+impl fmt::Debug for Record {
+    /// The derived form of `struct Record { values: Vec<Value> }`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Values<'a>(&'a Record);
+        impl fmt::Debug for Values<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.unpacked()).finish()
+            }
+        }
+        f.debug_struct("Record")
+            .field("values", &Values(self))
+            .finish()
+    }
+}
+
+impl serde::ser::Serialize for Record {
+    /// The derived form of `struct Record { values: Vec<Value> }`.
+    fn to_value(&self) -> serde::Value {
+        let values = self
+            .unpacked()
+            .map(|v| serde::ser::Serialize::to_value(&v))
+            .collect();
+        serde::Value::Object(vec![("values".to_string(), serde::Value::Array(values))])
+    }
+}
+
+impl serde::de::Deserialize for Record {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::Error::expected("object for Record", v))?;
+        let values = serde::get_field(obj, "values")
+            .ok_or_else(|| serde::Error::new("missing field 'values' in Record"))?;
+        let values = <Vec<Value> as serde::de::Deserialize>::from_value(values)?;
+        if values.len() > MAX_COLUMNS {
+            return Err(serde::Error::new(format!(
+                "a record has at most {MAX_COLUMNS} columns, got {}",
+                values.len()
+            )));
+        }
+        Ok(Record::new(values))
     }
 }
 
@@ -419,5 +619,102 @@ mod tests {
         assert_eq!(Value::from("abcd").size_bytes(), 4);
         let r = Record::new(vec![Value::Int(1), Value::from("abcd")]);
         assert_eq!(r.size_bytes(), 12);
+    }
+
+    /// The JSON and `Debug` forms of five rows, recorded when a record was
+    /// a derived `struct Record { values: Vec<Value> }`.  Tree JSON digests
+    /// and generated-stream digests hang on them.
+    #[test]
+    fn record_forms_are_pinned() {
+        let rows = [
+            (
+                Record::ints(&[7, 70, -3]),
+                r#"{"values":[{"Int":7},{"Int":70},{"Int":-3}]}"#,
+                "Record { values: [Int(7), Int(70), Int(-3)] }",
+            ),
+            (
+                Record::new(vec![
+                    Value::Int(42),
+                    Value::Text(format!("{:015}", 42)),
+                    Value::Int(0),
+                    Value::Int(42),
+                    Value::Int(42),
+                ]),
+                r#"{"values":[{"Int":42},{"Text":"000000000000042"},{"Int":0},{"Int":42},{"Int":42}]}"#,
+                r#"Record { values: [Int(42), Text("000000000000042"), Int(0), Int(42), Int(42)] }"#,
+            ),
+            (
+                Record::new(vec![Value::Int(1), Value::from(""), Value::Int(2)]),
+                r#"{"values":[{"Int":1},{"Text":""},{"Int":2}]}"#,
+                r#"Record { values: [Int(1), Text(""), Int(2)] }"#,
+            ),
+            (
+                Record::new(vec![Value::Int(5), Value::from("naïve \u{1F980} ü\"q\\")]),
+                r#"{"values":[{"Int":5},{"Text":"naïve 🦀 ü\"q\\"}]}"#,
+                r#"Record { values: [Int(5), Text("naïve 🦀 ü\"q\\")] }"#,
+            ),
+            (
+                Record::ints(&[i64::MIN, i64::MAX, 0]),
+                r#"{"values":[{"Int":-9223372036854775808},{"Int":9223372036854775807},{"Int":0}]}"#,
+                "Record { values: [Int(-9223372036854775808), Int(9223372036854775807), Int(0)] }",
+            ),
+        ];
+        for (record, json, debug) in rows {
+            assert_eq!(serde::json::to_string(&record), json);
+            assert_eq!(format!("{record:?}"), debug);
+            let back: Record = serde::json::from_str(json).unwrap();
+            assert_eq!(back, record);
+        }
+        let empty_text = Record::new(vec![Value::Int(1), Value::from(""), Value::Int(2)]);
+        assert_eq!(
+            format!("{empty_text:#?}"),
+            "Record {\n    values: [\n        Int(\n            1,\n        ),\n        \
+             Text(\n            \"\",\n        ),\n        Int(\n            2,\n        ),\n    ],\n}"
+        );
+    }
+
+    #[test]
+    fn record_json_rejects_what_a_record_cannot_be() {
+        let wide = format!(
+            r#"{{"values":[{}]}}"#,
+            vec![r#"{"Int":1}"#; MAX_COLUMNS + 1].join(",")
+        );
+        for bad in ["[]", "{}", r#"{"values":[{"Float":1}]}"#, &wide] {
+            assert!(serde::json::from_str::<Record>(bad).is_err(), "{bad}");
+        }
+    }
+
+    /// Memory, pinned by a count: a row owns one heap block of exactly
+    /// `8 × arity` bytes plus its text, however it was built.
+    #[test]
+    fn a_row_owns_one_exact_block() {
+        assert!(std::mem::size_of::<Record>() <= 24);
+        assert_eq!(Record::ints(&[1, 2, 3, 4, 5]).heap_bytes(), 40);
+        let mut tatp = Record::new(vec![
+            Value::Int(1),
+            Value::from("000000000000001"),
+            Value::Int(1),
+            Value::Int(1),
+            Value::Int(1),
+        ]);
+        assert_eq!(tatp.heap_bytes(), 5 * 8 + 15);
+        // A caller's buffer with spare capacity is copied out, not kept.
+        let mut spare = Vec::with_capacity(64);
+        spare.extend([Value::Int(1), Value::Int(2), Value::Int(3)]);
+        assert_eq!(Record::new(spare).heap_bytes(), 24);
+        // An integer write stays in place; a text write rebuilds exactly.
+        tatp.set(2, &Value::Int(9));
+        assert_eq!(tatp.heap_bytes(), 5 * 8 + 15);
+        tatp.set(1, &Value::from("ü"));
+        assert_eq!(tatp.heap_bytes(), 5 * 8 + 2);
+        assert_eq!(tatp.get(1), Value::from("ü"));
+        assert_eq!(tatp.int(2), Some(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 columns")]
+    fn a_record_holds_at_most_max_columns() {
+        assert_eq!(Record::ints(&[0; MAX_COLUMNS]).arity(), MAX_COLUMNS);
+        let _ = Record::ints(&[0; MAX_COLUMNS + 1]);
     }
 }

@@ -5,7 +5,7 @@
 //! the schema (paper §V-A): foreign-key dependencies between tables tell
 //! the partitioner which actions of a transaction are correlated.
 
-use crate::record::MAX_KEY_COMPONENTS;
+use crate::record::{MAX_COLUMNS, MAX_KEY_COMPONENTS};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -83,10 +83,15 @@ pub struct Schema {
 
 impl Schema {
     /// Build a schema; the record size is estimated from the column types.
-    /// A primary key is one to [`MAX_KEY_COMPONENTS`] `Int` columns — all a
-    /// [`crate::Key`] can hold.
+    /// A table has one to [`MAX_COLUMNS`] columns — all a [`crate::Record`]
+    /// can hold — and its primary key is one to [`MAX_KEY_COMPONENTS`] `Int`
+    /// columns — all a [`crate::Key`] can hold.
     pub fn new(name: impl Into<String>, columns: Vec<Column>, primary_key: Vec<usize>) -> Self {
         assert!(!columns.is_empty(), "a table needs at least one column");
+        assert!(
+            columns.len() <= MAX_COLUMNS,
+            "a table has at most {MAX_COLUMNS} columns"
+        );
         assert!(!primary_key.is_empty(), "a table needs a primary key");
         assert!(
             primary_key.len() <= MAX_KEY_COMPONENTS,
@@ -186,6 +191,17 @@ mod tests {
     #[should_panic(expected = "must be Int")]
     fn schema_rejects_a_text_key_column() {
         let _ = Schema::new("t", vec![Column::new("a", ColumnType::Text)], vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 columns")]
+    fn schema_rejects_more_columns_than_a_record_holds() {
+        let columns = |n| (0..n).map(|i| Column::new(format!("c{i}"), ColumnType::Int));
+        assert_eq!(
+            Schema::new("t", columns(MAX_COLUMNS).collect(), vec![0]).arity(),
+            32
+        );
+        let _ = Schema::new("t", columns(MAX_COLUMNS + 1).collect(), vec![0]);
     }
 
     #[test]

@@ -174,7 +174,10 @@ impl Table {
             })
     }
 
-    /// Update columns of an existing record.
+    /// Update columns of an existing record.  Integer changes to integer
+    /// columns are written in place.
+    // One per simulated update action.
+    // lint: hot-path
     pub fn update(
         &mut self,
         ctx: &mut SimCtx<'_>,
@@ -183,7 +186,7 @@ impl Table {
     ) -> StorageResult<()> {
         let record = self.probe_for_update(ctx, key, changes.len())?;
         for (col, value) in changes {
-            record.set(*col, value.clone());
+            record.set(*col, value);
         }
         Ok(())
     }
@@ -191,6 +194,8 @@ impl Table {
     /// Add `delta` to an integer column of an existing record
     /// (read-modify-write under one probe, charged as a one-column
     /// [`Table::update`]).
+    // One per simulated increment action.
+    // lint: hot-path
     pub fn increment(
         &mut self,
         ctx: &mut SimCtx<'_>,
@@ -199,8 +204,8 @@ impl Table {
         delta: i64,
     ) -> StorageResult<()> {
         let record = self.probe_for_update(ctx, key, 1)?;
-        let current = record.get(column).as_int();
-        record.set(column, Value::Int(current + delta));
+        let current = record.int(column).expect("increment targets an Int column");
+        record.set_int(column, current + delta);
         Ok(())
     }
 

@@ -15,6 +15,9 @@
 //!   `KeyColumn`) is checked against what it replaced: the rank is weakly
 //!   monotone over every key shape, and the column's searches equal
 //!   `binary_search` / `partition_point` over the plain key slice.
+//! * The packed row block (`Record`) is checked against the `Vec<Value>`
+//!   row it replaced: accessors, writes, schema checks, key extraction,
+//!   equality, and the `Debug`/JSON forms byte for byte.
 //! * The lock manager is driven against a naive lock-table oracle that
 //!   tracks, per lock, exactly which transactions hold it in which mode,
 //!   and per transaction the set of grants — verifying holder sets, the
@@ -23,6 +26,7 @@
 
 use atrapos_numa::{CoreId, CostModel, SimCtx, SocketId, Topology};
 use atrapos_storage::btree::KeyColumn;
+use atrapos_storage::record::{MAX_COLUMNS, MAX_KEY_COMPONENTS};
 use atrapos_storage::{
     BTree, Column, ColumnType, Key, LockId, LockManager, LockMode, Record, Schema, Table, TableId,
     Txn, TxnId, Value,
@@ -406,6 +410,137 @@ proptest! {
         let a: Vec<(&Key, i64)> = tree.iter().map(|(k, r)| (k, r.get(1).as_int())).collect();
         let b: Vec<(&Key, i64)> = model.iter().map(|(k, &v)| (k, v)).collect();
         prop_assert_eq!(a, b);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Packed records vs. the `Vec<Value>` row they replaced
+// ----------------------------------------------------------------------
+
+/// The row representation the packed block replaced, with its derived
+/// `Debug` and JSON forms — which the packed record must reproduce.
+mod naive {
+    use atrapos_storage::Value;
+
+    #[derive(Debug, Clone, PartialEq, serde::Serialize)]
+    pub struct Record {
+        pub values: Vec<Value>,
+    }
+}
+
+/// One column value: integers with their extremes, and texts of zero to
+/// eleven characters, one to four UTF-8 bytes each, JSON escapes included.
+fn value_strategy() -> impl Strategy<Value = Value> {
+    let chars = vec!['a', 'z', '0', ' ', '"', '\\', 'é', 'ü', '€', '\u{1F980}'];
+    let ints = prop_oneof![
+        3 => any::<i64>(),
+        1 => prop::sample::select(vec![i64::MIN, i64::MAX, 0, -1]),
+    ];
+    prop_oneof![
+        3 => ints.prop_map(Value::Int),
+        2 => prop::collection::vec(prop::sample::select(chars), 0..12)
+            .prop_map(|cs| Value::Text(cs.into_iter().collect())),
+    ]
+}
+
+/// Every observable of `record` equals the model's.
+fn check_against_model(record: &Record, model: &naive::Record) -> Result<(), TestCaseError> {
+    let values = &model.values;
+    prop_assert_eq!(record.arity(), values.len());
+    for (i, v) in values.iter().enumerate() {
+        prop_assert_eq!(&record.get(i), v);
+        let int = match v {
+            Value::Int(x) => Some(*x),
+            Value::Text(_) => None,
+        };
+        prop_assert_eq!(record.int(i), int);
+    }
+    prop_assert_eq!(
+        record.size_bytes(),
+        values.iter().map(Value::size_bytes).sum::<u64>()
+    );
+    prop_assert_eq!(format!("{record:?}"), format!("{model:?}"));
+    let json = serde::json::to_string(record);
+    prop_assert_eq!(&json, &serde::json::to_string(model));
+    let back: Record =
+        serde::json::from_str(&json).map_err(|e| TestCaseError::fail(e.to_string()))?;
+    prop_assert_eq!(&back, record);
+    prop_assert_eq!(&record.clone(), record);
+    // The layout is canonical: the same values packed afresh are equal.
+    prop_assert_eq!(&Record::new(values.clone()), record);
+    let ints: Option<Vec<i64>> = values
+        .iter()
+        .map(|v| match v {
+            Value::Int(x) => Some(*x),
+            Value::Text(_) => None,
+        })
+        .collect();
+    if let Some(ints) = ints {
+        prop_assert_eq!(&Record::ints(&ints), record);
+    }
+    // A key of up to four Int columns, last column first.
+    let pk: Vec<usize> = (0..values.len())
+        .rev()
+        .filter(|&i| matches!(values[i], Value::Int(_)))
+        .take(MAX_KEY_COMPONENTS)
+        .collect();
+    if pk.is_empty() {
+        return Ok(());
+    }
+    let columns = |types: &mut dyn Iterator<Item = ColumnType>| {
+        types
+            .enumerate()
+            .map(|(i, ty)| Column::new(format!("c{i}"), ty))
+            .collect::<Vec<_>>()
+    };
+    let types: Vec<ColumnType> = values.iter().map(Value::column_type).collect();
+    let schema = Schema::new("t", columns(&mut types.iter().copied()), pk.clone());
+    prop_assert!(record.conforms_to(&schema));
+    let key: Vec<i64> = pk.iter().map(|&c| values[c].as_int()).collect();
+    prop_assert_eq!(record.key(&schema), Key::ints(&key));
+    if values.len() < MAX_COLUMNS {
+        let wider = types.iter().copied().chain([ColumnType::Int]);
+        let wider = Schema::new("t", columns(&mut wider.into_iter()), pk.clone());
+        prop_assert!(!record.conforms_to(&wider));
+    }
+    if let Some(c) = (0..values.len()).find(|c| !pk.contains(c)) {
+        let mut flipped = types.clone();
+        flipped[c] = match flipped[c] {
+            ColumnType::Int => ColumnType::Text,
+            ColumnType::Text => ColumnType::Int,
+        };
+        let flipped = Schema::new("t", columns(&mut flipped.into_iter()), pk);
+        prop_assert!(!record.conforms_to(&flipped));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A packed record agrees with a plain `Vec<Value>` on every accessor,
+    /// on its schema checks and key, on equality, and on its `Debug` and
+    /// JSON forms — as built, and after each `set` of an integer or a text
+    /// over a column of either type.
+    #[test]
+    fn packed_records_agree_with_the_vec_model(
+        values in prop::collection::vec(value_strategy(), 0..=MAX_COLUMNS),
+        edits in prop::collection::vec((any::<usize>(), value_strategy()), 0..6),
+    ) {
+        let mut model = naive::Record { values };
+        let mut record = Record::new(model.values.clone());
+        check_against_model(&record, &model)?;
+        for (col, v) in edits {
+            if model.values.is_empty() {
+                break;
+            }
+            let col = col % model.values.len();
+            let (before, model_before) = (record.clone(), model.clone());
+            record.set(col, &v);
+            model.values[col] = v;
+            check_against_model(&record, &model)?;
+            prop_assert_eq!(before == record, model_before == model);
+        }
     }
 }
 

@@ -5,7 +5,7 @@ use atrapos_core::KeyDomain;
 use atrapos_engine::workload::{ensure_tables, ReconfigureError, WorkloadChange};
 use atrapos_engine::{Action, ActionOp, Phase, TableSpec, TransactionSpec, Workload};
 use atrapos_numa::CoreId;
-use atrapos_storage::{Column, ColumnType, Database, Key, Record, Schema, TableId, Value};
+use atrapos_storage::{Column, ColumnType, Database, Key, Record, Schema, TableId};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -23,17 +23,8 @@ fn probe_schema(name: &str) -> Schema {
 
 fn probe_record(key: i64) -> Record {
     // Column 0 is the primary key; the remaining columns carry payload.
-    Record::new(
-        (0..10)
-            .map(|c| {
-                if c == 0 {
-                    Value::Int(key)
-                } else {
-                    Value::Int(key * 10 + c)
-                }
-            })
-            .collect(),
-    )
+    let values: [i64; 10] = std::array::from_fn(|c| if c == 0 { key } else { key * 10 + c as i64 });
+    Record::ints(&values)
 }
 
 fn populate_probe(

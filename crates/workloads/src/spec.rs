@@ -24,7 +24,8 @@
 //!
 //! Malformed specs are rejected at load with typed [`SpecError`]s
 //! (zero-weight mixes, dangling table references, out-of-range key
-//! domains, empty tables, unknown ops or arguments), never at run time.
+//! domains, empty tables, rows wider than a record holds, unknown ops or
+//! arguments), never at run time.
 //!
 //! ```
 //! use atrapos_engine::Workload;
@@ -52,6 +53,7 @@ use atrapos_core::KeyDomain;
 use atrapos_engine::workload::{ensure_tables, ReconfigureError, WorkloadChange};
 use atrapos_engine::{Action, ActionOp, TableSpec, TransactionSpec, Workload};
 use atrapos_numa::CoreId;
+use atrapos_storage::record::MAX_COLUMNS;
 use atrapos_storage::{Column, ColumnType, Database, Key, Record, Schema, TableId, Value};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -83,7 +85,8 @@ pub struct TableDef {
     pub keys: i64,
     /// Rows per head key (`1` = plain single-column primary key).
     pub sub_rows: i64,
-    /// Integer payload columns after the key column(s).
+    /// Integer payload columns after the key column(s); with them a row
+    /// has at most [`MAX_COLUMNS`] columns.
     pub payload_fields: usize,
     /// Head keys reference this table's head keys (foreign key).
     pub parent: Option<String>,
@@ -253,6 +256,12 @@ pub enum SpecError {
         /// The offending table.
         table: String,
     },
+    /// A table's key column(s) plus `payload_fields` exceed the
+    /// [`MAX_COLUMNS`] a record holds.
+    TooManyColumns {
+        /// The offending table.
+        table: String,
+    },
     /// A `parent` link or op references a table the spec never declares.
     UnknownTable {
         /// Where the dangling reference sits (template or table name).
@@ -374,6 +383,10 @@ impl fmt::Display for SpecError {
             SpecError::TooManyRows { table } => write!(
                 f,
                 "table '{table}' takes the spec's row count (keys x sub_rows) past i64"
+            ),
+            SpecError::TooManyColumns { table } => write!(
+                f,
+                "table '{table}' has more than {MAX_COLUMNS} columns (key plus payload_fields)"
             ),
             SpecError::UnknownTable { context, table } => {
                 write!(f, "'{context}' references unknown table '{table}'")
@@ -511,6 +524,13 @@ impl WorkloadSpec {
                 .ok_or_else(|| SpecError::TooManyRows {
                     table: t.name.clone(),
                 })?;
+            // Compared this way round, a huge `payload_fields` cannot
+            // overflow the column count.
+            if t.payload_fields > MAX_COLUMNS - self.key_arity(i) {
+                return Err(SpecError::TooManyColumns {
+                    table: t.name.clone(),
+                });
+            }
             if let Some(parent) = &t.parent {
                 let p = self
                     .table_index(parent)
@@ -1014,23 +1034,22 @@ fn key_of(slot: KeySlot, args: &[i64]) -> Key {
 /// The record stored under head key `k` of a plain table: the key column
 /// plus `payload_fields` integer fields.
 fn plain_record(k: i64, payload_fields: usize) -> Record {
-    let mut values = Vec::with_capacity(1 + payload_fields);
-    values.push(Value::Int(k));
-    for f in 0..payload_fields as i64 {
-        values.push(Value::Int(k * 10 + f));
+    let mut values = [0; MAX_COLUMNS];
+    values[0] = k;
+    for (f, v) in (0..).zip(&mut values[1..=payload_fields]) {
+        *v = k * 10 + f;
     }
-    Record::new(values)
+    Record::ints(&values[..1 + payload_fields])
 }
 
 /// The record stored under `(i, j)` of a composite-key table.
 fn composite_record(i: i64, j: i64, payload_fields: usize) -> Record {
-    let mut values = Vec::with_capacity(2 + payload_fields);
-    values.push(Value::Int(i));
-    values.push(Value::Int(j));
-    for f in 0..payload_fields as i64 {
-        values.push(Value::Int(i * 100 + j + f));
+    let mut values = [0; MAX_COLUMNS];
+    values[..2].copy_from_slice(&[i, j]);
+    for (f, v) in (0..).zip(&mut values[2..2 + payload_fields]) {
+        *v = i * 100 + j + f;
     }
-    Record::new(values)
+    Record::ints(&values[..2 + payload_fields])
 }
 
 impl Workload for CompiledWorkload {
@@ -1571,6 +1590,34 @@ mod tests {
         let mut spec = simple_ab(100);
         spec.tables[0].keys = i64::MAX - 100;
         assert_eq!(spec.validate(), too_many);
+    }
+
+    /// A row as wide as a record holds loads; one column more — or a
+    /// `payload_fields` whose sum with the key would overflow — is a
+    /// typed error, not an overflow or an allocation abort in `tables()`.
+    #[test]
+    fn rows_wider_than_a_record_are_rejected() {
+        // Table B of SimpleAb has a two-column key, `usertable` one.
+        for (mut spec, table, key_arity) in [(simple_ab(10), 1, 2), (ycsb_a(10), 0, 1)] {
+            let name = spec.tables[table].name.clone();
+            spec.tables[table].payload_fields = MAX_COLUMNS - key_arity;
+            let w = spec.clone().compile().unwrap();
+            assert_eq!(w.tables()[table].schema.arity(), MAX_COLUMNS);
+            let mut db = Database::new();
+            w.populate(&mut db, &|_, _| true);
+            let rows = db.table(TableId(table as u32)).unwrap();
+            assert!(!rows.is_empty());
+            assert!(rows.index().iter().all(|(_, r)| r.arity() == MAX_COLUMNS));
+            for payload_fields in [MAX_COLUMNS - key_arity + 1, usize::MAX] {
+                spec.tables[table].payload_fields = payload_fields;
+                assert_eq!(
+                    spec.validate(),
+                    Err(SpecError::TooManyColumns {
+                        table: name.clone()
+                    })
+                );
+            }
+        }
     }
 
     #[test]

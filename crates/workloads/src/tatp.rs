@@ -386,13 +386,8 @@ impl Workload for Tatp {
                 for ai in 1..=per_sub {
                     let key = Key::ints(&[s, ai]);
                     if filter(ACCESS_INFO, &key) {
-                        t.load(Record::new(vec![
-                            Value::Int(s),
-                            Value::Int(ai),
-                            Value::Int(s % 256),
-                            Value::Int(ai % 256),
-                        ]))
-                        .expect("unique access info");
+                        t.load(Record::ints(&[s, ai, s % 256, ai % 256]))
+                            .expect("unique access info");
                     }
                 }
             }
@@ -405,13 +400,8 @@ impl Workload for Tatp {
                 for sf in 1..=per_sub {
                     let key = Key::ints(&[s, sf]);
                     if filter(SPECIAL_FACILITY, &key) {
-                        t.load(Record::new(vec![
-                            Value::Int(s),
-                            Value::Int(sf),
-                            Value::Int(1),
-                            Value::Int((s + sf) % 256),
-                        ]))
-                        .expect("unique special facility");
+                        t.load(Record::ints(&[s, sf, 1, (s + sf) % 256]))
+                            .expect("unique special facility");
                     }
                 }
             }

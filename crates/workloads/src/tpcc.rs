@@ -281,18 +281,11 @@ impl Tpcc {
         let phase3 = wtr.phase();
         phase3.push(Action::new(ActionOp::Insert {
             table: ORDER,
-            record: Record::new(vec![
-                Value::Int(w),
-                Value::Int(d),
-                Value::Int(o_id),
-                Value::Int(c),
-                Value::Int(0),
-                Value::Int(ol_cnt),
-            ]),
+            record: Record::ints(&[w, d, o_id, c, 0, ol_cnt]),
         }));
         phase3.push(Action::new(ActionOp::Insert {
             table: NEW_ORDER,
-            record: Record::new(vec![Value::Int(w), Value::Int(d), Value::Int(o_id)]),
+            record: Record::ints(&[w, d, o_id]),
         }));
         for &(i, supply_w) in &items {
             phase3.push(Action::new(ActionOp::Read {
@@ -311,14 +304,14 @@ impl Tpcc {
             }));
             phase4.push(Action::new(ActionOp::Insert {
                 table: ORDER_LINE,
-                record: Record::new(vec![
-                    Value::Int(w),
-                    Value::Int(d),
-                    Value::Int(o_id),
-                    Value::Int(ol_number as i64 + 1),
-                    Value::Int(i),
-                    Value::Int(rng.gen_range(1..=10)),
-                    Value::Int(rng.gen_range(1..=9999)),
+                record: Record::ints(&[
+                    w,
+                    d,
+                    o_id,
+                    ol_number as i64 + 1,
+                    i,
+                    rng.gen_range(1..=10),
+                    rng.gen_range(1..=9999),
                 ]),
             }));
         }
@@ -377,13 +370,7 @@ impl Tpcc {
         }));
         phase2.push(Action::new(ActionOp::Insert {
             table: HISTORY,
-            record: Record::new(vec![
-                Value::Int(w),
-                Value::Int(d),
-                Value::Int(h_seq),
-                Value::Int(c),
-                Value::Int(amount),
-            ]),
+            record: Record::ints(&[w, d, h_seq, c, amount]),
         }));
         wtr.finish();
     }
@@ -671,13 +658,8 @@ impl Workload for Tpcc {
                 for i in 1..=c.items {
                     let key = Key::ints(&[w, i]);
                     if filter(STOCK, &key) {
-                        t.load(Record::new(vec![
-                            Value::Int(w),
-                            Value::Int(i),
-                            Value::Int(50 + (i % 50)),
-                            Value::Int(0),
-                        ]))
-                        .expect("unique stock");
+                        t.load(Record::ints(&[w, i, 50 + (i % 50), 0]))
+                            .expect("unique stock");
                     }
                 }
             }
@@ -685,12 +667,7 @@ impl Workload for Tpcc {
                 if filter(DISTRICT, &Key::ints(&[w, d])) {
                     db.table_mut(DISTRICT)
                         .expect("district table")
-                        .load(Record::new(vec![
-                            Value::Int(w),
-                            Value::Int(d),
-                            Value::Int(0),
-                            Value::Int(c.initial_orders_per_district + 1),
-                        ]))
+                        .load(Record::ints(&[w, d, 0, c.initial_orders_per_district + 1]))
                         .expect("unique district");
                 }
                 {
@@ -698,15 +675,8 @@ impl Workload for Tpcc {
                     for cu in 1..=c.customers_per_district {
                         let key = Key::ints(&[w, d, cu]);
                         if filter(CUSTOMER, &key) {
-                            t.load(Record::new(vec![
-                                Value::Int(w),
-                                Value::Int(d),
-                                Value::Int(cu),
-                                Value::Int(-10),
-                                Value::Int(1),
-                                Value::Int(0),
-                            ]))
-                            .expect("unique customer");
+                            t.load(Record::ints(&[w, d, cu, -10, 1, 0]))
+                                .expect("unique customer");
                         }
                     }
                 }
@@ -716,38 +686,34 @@ impl Workload for Tpcc {
                     if filter(ORDER, &Key::ints(&[w, d, o])) {
                         db.table_mut(ORDER)
                             .expect("order table")
-                            .load(Record::new(vec![
-                                Value::Int(w),
-                                Value::Int(d),
-                                Value::Int(o),
-                                Value::Int(cu),
-                                Value::Int(if o < undelivered_from { 1 } else { 0 }),
-                                Value::Int(5),
+                            .load(Record::ints(&[
+                                w,
+                                d,
+                                o,
+                                cu,
+                                if o < undelivered_from { 1 } else { 0 },
+                                5,
                             ]))
                             .expect("unique order");
                     }
                     if o >= undelivered_from && filter(NEW_ORDER, &Key::ints(&[w, d, o])) {
                         db.table_mut(NEW_ORDER)
                             .expect("new_order table")
-                            .load(Record::new(vec![
-                                Value::Int(w),
-                                Value::Int(d),
-                                Value::Int(o),
-                            ]))
+                            .load(Record::ints(&[w, d, o]))
                             .expect("unique new order");
                     }
                     let t = db.table_mut(ORDER_LINE).expect("order_line table");
                     for ol in 1..=5 {
                         let key = Key::ints(&[w, d, o, ol]);
                         if filter(ORDER_LINE, &key) {
-                            t.load(Record::new(vec![
-                                Value::Int(w),
-                                Value::Int(d),
-                                Value::Int(o),
-                                Value::Int(ol),
-                                Value::Int(((o * 7 + ol) % c.items) + 1),
-                                Value::Int(5),
-                                Value::Int(100),
+                            t.load(Record::ints(&[
+                                w,
+                                d,
+                                o,
+                                ol,
+                                ((o * 7 + ol) % c.items) + 1,
+                                5,
+                                100,
                             ]))
                             .expect("unique order line");
                         }

@@ -13,6 +13,7 @@
 
 use atrapos_engine::{ActionOp, Workload};
 use atrapos_numa::CoreId;
+use atrapos_storage::record::MAX_COLUMNS;
 use atrapos_storage::{ColumnType, Database};
 use atrapos_workloads::spec::{ArgDef, OpDef, PhaseDef, TableDef, TemplateDef};
 use atrapos_workloads::{
@@ -447,13 +448,14 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// Specs from files: `Schema::new`'s key asserts stay out of reach
+// Specs from files: `Schema::new`'s asserts stay out of reach
 // ----------------------------------------------------------------------
 
 /// Compile `spec` (a rejection is a typed `SpecError`; a panic fails the
 /// test).  Whatever compiles must declare only primary keys of one or two
-/// `Int` columns, so `Schema::new`'s asserts — a text key column, more
-/// columns than a `Key` holds — cannot fire.  Returns whether it compiled.
+/// `Int` columns and rows of at most `MAX_COLUMNS` columns, so
+/// `Schema::new`'s asserts — a text key column, more columns than a `Key`
+/// or a `Record` holds — cannot fire.  Returns whether it compiled.
 fn compiles_to_small_int_keys(spec: &WorkloadSpec) -> bool {
     let Ok(w) = spec.compile() else {
         return false;
@@ -472,6 +474,7 @@ fn compiles_to_small_int_keys(spec: &WorkloadSpec) -> bool {
             "table {}: non-Int key column",
             t.schema.name
         );
+        assert!(t.schema.arity() <= MAX_COLUMNS, "table {}", t.schema.name);
     }
     true
 }
@@ -509,13 +512,18 @@ fn distribution() -> impl Strategy<Value = KeyDistribution> {
     })
 }
 
-/// Any table: from empty to a row count past `i64::MAX`.
+/// Any table: from empty to a row count past `i64::MAX`, from no payload
+/// to rows around the column limit and a column count past `usize::MAX`.
 fn table_def() -> impl Strategy<Value = TableDef> {
     (
         one_of(&TABLE_NAMES),
         prop_oneof![4 => -1i64..400, 1 => Just(i64::MAX)],
         prop_oneof![4 => -1i64..4, 1 => Just(i64::MAX)],
-        0usize..6,
+        prop_oneof![
+            4 => 0usize..6,
+            1 => MAX_COLUMNS - 3..MAX_COLUMNS + 2,
+            1 => Just(usize::MAX),
+        ],
         prop::option::of(one_of(&TABLE_NAMES)),
     )
         .prop_map(|(name, keys, sub_rows, payload_fields, parent)| TableDef {
@@ -611,10 +619,11 @@ fn any_spec() -> impl Strategy<Value = WorkloadSpec> {
 }
 
 /// Specs valid by construction: one to four tables with one- or
-/// two-column keys, some the children of the table before, all read by one
-/// template.
+/// two-column keys, narrow or up to the column limit, some the children of
+/// the table before, all read by one template.
 fn valid_spec() -> impl Strategy<Value = WorkloadSpec> {
-    prop::collection::vec((1i64..400, 1i64..4, 0usize..5, any::<bool>()), 1..5).prop_map(|shapes| {
+    let payload = prop_oneof![4 => 0usize..5, 1 => MAX_COLUMNS - 6..=MAX_COLUMNS - 2];
+    prop::collection::vec((1i64..400, 1i64..4, payload, any::<bool>()), 1..5).prop_map(|shapes| {
         let (mut tables, mut args, mut ops) = (Vec::<TableDef>::new(), Vec::new(), Vec::new());
         for (i, (keys, sub_rows, payload_fields, child)) in shapes.into_iter().enumerate() {
             let parent = tables
