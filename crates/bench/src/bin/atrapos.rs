@@ -5,7 +5,6 @@
 //! ```text
 //! atrapos figures              # run the whole catalogue, update BENCH_figures.json
 //! atrapos figures fig10 abl04  # run specific experiments
-//! atrapos wallclock --label L  # time the fixed simulator bundle
 //! atrapos sweep --workload tatp --sockets 1,8
 //! atrapos replay experiment.json
 //! atrapos report               # BENCH_figures.json -> REPRODUCTION.md + SVG charts
@@ -16,15 +15,18 @@
 //!
 //! `ATRAPOS_PAPER=1` switches `figures`/`sweep` to the paper-sized
 //! datasets; `ATRAPOS_REPORT_DIR` moves the JSON/SVG output directory;
-//! `ATRAPOS_THREADS` pins the experiment lab's thread pool.
+//! `ATRAPOS_THREADS` pins the experiment lab's thread pool; a value that is
+//! not a positive integer is an error before any command runs.
 
 use atrapos_bench::cli::{self, FlagSpec};
 use atrapos_bench::figures::{run_by_id, RUNNERS};
 use atrapos_bench::report::{
     figures_path, load_figures, report_dir, save_figures, workspace_root, write_scenario_json,
 };
-use atrapos_bench::{replay, shootout, wallclock, workload_cmd, Scale};
+use atrapos_bench::{replay, shootout, workload_cmd, Scale};
+use atrapos_engine::threads_from_env;
 use std::path::Path;
+use std::time::Instant;
 
 const USAGE: &str = "\
 atrapos — the ATraPos reproduction toolbox
@@ -36,12 +38,8 @@ COMMANDS:
                             the results in reports/BENCH_figures.json.
                             Without ids: the whole catalogue (fig01-fig13,
                             tab01-tab02, abl01-abl04, ycsb01-ycsb02,
-                            overload01-overload02, spec01).
-  wallclock [--label L] [--threads N] [--smoke]
-                            Time the fixed figure bundle on the parallel lab
-                            and append the entry to
-                            reports/BENCH_wallclock.json.  A timer, not a
-                            judge: speed claims go through benchmark/.
+                            overload01-overload02, spec01).  Host seconds
+                            per experiment and in total go to stderr.
   workload check <spec.json>...
                             Validate declarative WorkloadSpec files: parse,
                             run the typed structural checks, and print a
@@ -76,7 +74,7 @@ COMMANDS:
 ENVIRONMENT:
   ATRAPOS_PAPER=1       paper-sized datasets (slow)
   ATRAPOS_REPORT_DIR    output directory for JSON/SVG reports (default: reports/)
-  ATRAPOS_THREADS       experiment-lab thread-pool size";
+  ATRAPOS_THREADS       experiment-lab thread-pool size (a positive integer)";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -87,10 +85,13 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if let Err(e) = threads_from_env() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let result = match command {
         "figures" => cmd_figures(rest),
         "workload" => workload_cmd::cmd(rest),
-        "wallclock" => wallclock::run(rest),
         "sweep" => cmd_sweep(rest),
         "replay" => cmd_replay(rest),
         "report" => cmd_report(rest),
@@ -133,9 +134,14 @@ fn cmd_figures(args: &[String]) -> Result<(), String> {
     };
 
     let mut store = load_figures()?;
+    // Host seconds go to stderr only: the recorded results stay a pure
+    // function of the simulation.
+    let all = Instant::now();
     for id in &ids {
+        let one = Instant::now();
         let (fig, outcomes) = run_by_id(id, &scale)
             .unwrap_or_else(|| unreachable!("id '{id}' was validated against the runner table"));
+        eprintln!("{id}: {:.2} s host", one.elapsed().as_secs_f64());
         fig.print();
         if !outcomes.is_empty() {
             let meta = fig
@@ -146,6 +152,7 @@ fn cmd_figures(args: &[String]) -> Result<(), String> {
         }
         store.upsert(fig);
     }
+    eprintln!("total: {:.2} s host", all.elapsed().as_secs_f64());
     let path = save_figures(&store)?;
     eprintln!(
         "recorded {} experiment(s) in {} ({} total)",

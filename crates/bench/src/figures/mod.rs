@@ -86,17 +86,13 @@ pub const RUNNERS: &[(&str, Runner)] = &[
     ("spec01", Runner::Table(spec01_declarative_workloads)),
 ];
 
-/// The runner of experiment `id`.
-fn runner(id: &str) -> Option<Runner> {
-    RUNNERS.iter().find(|(k, _)| *k == id).map(|(_, r)| *r)
-}
-
 /// Run one experiment by id.  Timeline experiments also return the
 /// scenario outcomes their rows were read from (empty for the others);
 /// nothing here touches the file system — `atrapos figures` owns the
 /// writes.
 pub fn run_by_id(id: &str, scale: &Scale) -> Option<(FigureResult, Vec<ScenarioOutcome>)> {
-    Some(match runner(id)? {
+    let (_, runner) = RUNNERS.iter().find(|(k, _)| *k == id)?;
+    Some(match *runner {
         Runner::Table(table) => (table(scale), Vec::new()),
         Runner::Timeline { jobs, fold } => {
             let outcomes = run(jobs(scale));
@@ -105,64 +101,107 @@ pub fn run_by_id(id: &str, scale: &Scale) -> Option<(FigureResult, Vec<ScenarioO
     })
 }
 
-/// The lab jobs of timeline experiment `id` (`None` for table experiments
-/// and unknown ids) — for callers that time or pin the runs themselves.
-pub fn timeline_jobs(id: &str, scale: &Scale) -> Option<Vec<SweepJob>> {
-    match runner(id)? {
-        Runner::Table(_) => None,
-        Runner::Timeline { jobs, .. } => Some(jobs(scale)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::workspace_root;
     use atrapos_report::{FiguresFile, CATALOGUE};
-    use std::path::Path;
 
-    /// The experiments no other net runs: §III's motivation figures, the
-    /// placement comparison, the flow graph and the repartitioning cost.
-    /// Each runs through the runner table at the tiny scale and its table
-    /// is pinned — header, row count, FNV-1a digest of the rows — by one
-    /// line of `tests/goldens/paper_tables.txt`.  The simulator is
-    /// deterministic, so a changed line means changed simulated behaviour;
-    /// regenerate on purpose with `UPDATE_GOLDENS=1`.
-    #[test]
-    fn unwatched_paper_experiments_match_their_golden_lines() {
-        let ids = [
-            "fig01", "fig02", "fig03", "fig04", "tab01", "fig05", "fig06", "fig07", "fig09",
-        ];
-        let lines: String = ids
-            .iter()
-            .map(|id| {
-                let (fig, _) = run_by_id(id, &Scale::tiny()).expect("a catalogue id");
-                assert_eq!(fig.id, *id);
-                let digest = fig
-                    .rows
-                    .iter()
-                    .flat_map(|row| row.iter().flat_map(|cell| cell.bytes().chain([b'\t'])))
-                    .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-                    });
-                format!(
-                    "{id} rows={} digest={digest:016x} header={}\n",
-                    fig.rows.len(),
-                    fig.header.join("|")
+    /// FNV-1a over a byte stream.
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The golden line of one experiment: id, row count, the digest of the
+    /// rows (every cell followed by a tab), for a timeline experiment the
+    /// digest of its serialized outcomes, and the header.
+    fn golden_line(fig: &FigureResult, outcomes: &[ScenarioOutcome]) -> String {
+        let rows = fnv1a(
+            fig.rows
+                .iter()
+                .flat_map(|row| row.iter().flat_map(|cell| cell.bytes().chain([b'\t']))),
+        );
+        let outcomes = match outcomes {
+            [] => String::new(),
+            _ => format!(
+                " outcomes={:016x}",
+                fnv1a(
+                    outcomes
+                        .iter()
+                        .flat_map(|o| serde::json::to_string(o).into_bytes())
                 )
+            ),
+        };
+        format!(
+            "{} rows={} digest={rows:016x}{outcomes} header={}",
+            fig.id,
+            fig.rows.len(),
+            fig.header.join("|")
+        )
+    }
+
+    /// The one determinism net over the whole catalogue: every experiment
+    /// of [`RUNNERS`] runs at the tiny scale and must reproduce its line of
+    /// `tests/goldens/catalogue.txt` — one line per id, no more, no fewer.
+    /// The simulator is deterministic at any lab thread count, so a changed
+    /// line means changed simulated behaviour.  A mismatching experiment's
+    /// rows and outcomes go to `target/golden-diff/<id>.json`, for diffing
+    /// against the same file from another checkout; regenerate on purpose
+    /// with `UPDATE_GOLDENS=1`.
+    #[test]
+    fn catalogue() {
+        let root = workspace_root();
+        let path = root.join("tests/goldens/catalogue.txt");
+        let runs: Vec<(&str, FigureResult, Vec<ScenarioOutcome>)> = RUNNERS
+            .iter()
+            .map(|(id, _)| {
+                let (fig, outcomes) = run_by_id(id, &Scale::tiny()).expect("a runner id");
+                assert_eq!(fig.id, *id);
+                (*id, fig, outcomes)
             })
             .collect();
-        let path =
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/paper_tables.txt");
+        let lines: Vec<String> = runs
+            .iter()
+            .map(|(_, fig, outcomes)| golden_line(fig, outcomes))
+            .collect();
         if std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
-            std::fs::write(&path, &lines).expect("write golden");
+            std::fs::write(&path, lines.join("\n") + "\n").expect("write golden");
             return;
         }
         let want = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
+        let regenerate = "if intended, regenerate with \
+                          UPDATE_GOLDENS=1 cargo test -p atrapos-bench --lib catalogue";
+        let diff_dir = root.join("target/golden-diff");
+        let mut failed: Vec<&str> = Vec::new();
+        for ((id, fig, outcomes), line) in runs.iter().zip(&lines) {
+            if !want.lines().any(|l| l == line) {
+                failed.push(id);
+                std::fs::create_dir_all(&diff_dir).expect("create the diff directory");
+                let body = format!(
+                    "{{\"figure\": {}, \"outcomes\": {}}}\n",
+                    serde::json::to_string_pretty(fig),
+                    serde::json::to_string_pretty(outcomes)
+                );
+                std::fs::write(diff_dir.join(format!("{id}.json")), body).expect("write diff");
+            }
+        }
+        assert!(
+            failed.is_empty(),
+            "experiments diverged from tests/goldens/catalogue.txt: {failed:?} (rows and \
+             outcomes in {}); {regenerate}",
+            diff_dir.display()
+        );
+        let pinned: Vec<&str> = want
+            .lines()
+            .map(|l| l.split(' ').next().unwrap_or(""))
+            .collect();
+        let runnable: Vec<&str> = runs.iter().map(|(id, _, _)| *id).collect();
         assert_eq!(
-            want, lines,
-            "a paper table diverged from its golden line; if intended, regenerate with \
-             UPDATE_GOLDENS=1 cargo test -p atrapos-bench --lib unwatched_paper"
+            pinned, runnable,
+            "tests/goldens/catalogue.txt needs exactly one line per runner, in order; {regenerate}"
         );
     }
 
@@ -182,5 +221,16 @@ mod tests {
         }
         let recorded: Vec<&str> = file.figures.iter().map(|f| f.id.as_str()).collect();
         assert_eq!(recorded, catalogued);
+        // Every runnable experiment is recorded: an experiment with a
+        // runner but no committed rows goes unwatched by the report.
+        let committed =
+            std::fs::read_to_string(workspace_root().join("reports/BENCH_figures.json"))
+                .expect("the committed figure store");
+        let committed = FiguresFile::from_json(&committed).expect("a parseable figure store");
+        let recorded: Vec<&str> = committed.figures.iter().map(|f| f.id.as_str()).collect();
+        assert_eq!(
+            recorded, catalogued,
+            "reports/BENCH_figures.json must record every catalogue id, in order"
+        );
     }
 }

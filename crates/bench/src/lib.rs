@@ -20,8 +20,6 @@
 //! * [`replay`] — complete experiments (machine + design + timeline) as
 //!   JSON files.
 //! * [`shootout`] — ad-hoc design sweeps over a workload.
-//! * [`wallclock`] — times the figure bundle on the parallel lab (a timer,
-//!   not a judge: speed claims go through the `benchmark/` package).
 //! * [`workload_cmd`] — the `atrapos workload check` subcommand over
 //!   declarative `WorkloadSpec` JSON files.
 //!
@@ -44,7 +42,6 @@ pub mod harness;
 pub mod replay;
 pub mod report;
 pub mod shootout;
-pub mod wallclock;
 pub mod workload_cmd;
 
 pub use atrapos_engine::DesignSpec;

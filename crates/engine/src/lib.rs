@@ -48,7 +48,8 @@
 //! [`sweep::run_sweep`] executes a job list on a pool of scoped OS threads,
 //! returning results in job order — the output is byte-identical whether
 //! one thread ran the list or sixteen did.  `SystemDesign` and `Workload`
-//! are `Send` so boxed trait objects can move to the worker threads.
+//! are `Send` so boxed trait objects can move to the worker threads.  No
+//! module of this crate reads the wall clock; the harness times the host.
 
 #![warn(missing_docs)]
 
@@ -72,6 +73,8 @@ pub use designs::{DesignStats, IntervalOutcome, SystemDesign};
 pub use executor::{ExecutorConfig, RunStats, TimePoint, VirtualExecutor};
 pub use meta::{HostFingerprint, RunMeta};
 pub use scenario::{Scenario, ScenarioEvent, ScenarioOutcome, SegmentStats, TimedEvent};
-pub use sweep::{default_threads, parallel_map, run_sweep, SweepJob, SweepResult};
+pub use sweep::{
+    default_threads, parallel_map, run_sweep, threads_from_env, SweepJob, SweepResult,
+};
 pub use workers::WorkerPool;
 pub use workload::{ReconfigureError, TableSpec, Workload, WorkloadChange};

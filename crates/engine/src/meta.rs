@@ -8,8 +8,8 @@
 //! it.
 //!
 //! Only the machine spec and the seed influence simulated results (the lab
-//! is deterministic across thread counts); `threads` is recorded anyway so
-//! wall-clock numbers in the same file can be interpreted.
+//! is deterministic across thread counts); `threads` is recorded anyway as
+//! context for how long the run took on the host.
 
 use atrapos_numa::{CostModel, Machine};
 use serde::{Deserialize, Serialize};
@@ -71,9 +71,8 @@ impl RunMeta {
 ///
 /// Simulated results are host-independent, but wall-clock numbers are
 /// only comparable between runs on the same hardware, so everything that
-/// records host time (the `benchmark/` suite's result files, the
-/// `BENCH_wallclock.json` entries) stores this fingerprint beside its
-/// numbers.  Detection is best-effort and deterministic for a given host:
+/// records host time (the `benchmark/` suite's result files) stores this
+/// fingerprint beside its numbers.  Detection is best-effort and deterministic for a given host:
 /// OS, architecture, CPU model string (from `/proc/cpuinfo` where
 /// available), and the core count the process can use.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

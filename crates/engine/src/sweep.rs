@@ -1,10 +1,10 @@
 //! The parallel experiment lab.
 //!
 //! Every experiment in the repo — the Figure 10–13 timelines, the TATP and
-//! TPC-C design sweeps, the ablations, the wallclock bundle — decomposes
-//! into fully independent (design × workload × scenario) simulations.  Each
-//! one is deterministic in isolation (same seed ⇒ same simulated history),
-//! so the only thing serial execution buys is wasted cores.
+//! TPC-C design sweeps, the ablations — decomposes into fully independent
+//! (design × workload × scenario) simulations.  Each one is deterministic
+//! in isolation (same seed ⇒ same simulated history), so the only thing
+//! serial execution buys is wasted cores.
 //!
 //! A [`SweepJob`] describes one such simulation as data: a machine, a
 //! serializable [`DesignSpec`], a boxed [`Workload`] generator, a
@@ -12,7 +12,8 @@
 //! executes a list of jobs on a pool of scoped OS threads and returns the
 //! results *in job order*, so a sweep's output is byte-identical no matter
 //! how many threads ran it — `threads = 1` and `threads = N` produce the
-//! same report, and the regression suite pins that.
+//! same report, and the catalogue net pins that at both counts.  Nothing
+//! here reads a clock: timing the host is the caller's business.
 //!
 //! The scheduling is a plain shared-counter work queue: workers grab the
 //! next unclaimed job index until none remain.  Job-to-thread assignment
@@ -68,17 +69,12 @@ impl SweepJob {
         }
     }
 
-    /// Build the job's executor (design instantiation + data population).
-    fn into_executor(self) -> (Scenario, VirtualExecutor) {
-        let design = self.design.build(&self.machine, self.workload.as_ref());
-        let ex = VirtualExecutor::new(self.machine, design, self.workload, self.config);
-        (self.scenario, ex)
-    }
-
-    /// Run the job to completion on the current thread.
+    /// Build the job's executor (design instantiation + data population)
+    /// and run it to completion on the current thread.
     pub fn run(self) -> Result<ScenarioOutcome, ScenarioError> {
-        let (scenario, mut ex) = self.into_executor();
-        ex.run_scenario(&scenario)
+        let design = self.design.build(&self.machine, self.workload.as_ref());
+        VirtualExecutor::new(self.machine, design, self.workload, self.config)
+            .run_scenario(&self.scenario)
     }
 }
 
@@ -86,11 +82,6 @@ impl SweepJob {
 pub struct SweepResult {
     /// The job's name.
     pub name: String,
-    /// Wall-clock milliseconds the job spent simulating its scenario —
-    /// design build and data population are excluded, matching the
-    /// hand-rolled per-component timers the lab replaced.  Measured on the
-    /// worker thread; with more jobs than cores, contention inflates this.
-    pub wall_ms: f64,
     /// The simulation outcome.
     pub outcome: Result<ScenarioOutcome, ScenarioError>,
 }
@@ -103,21 +94,9 @@ pub struct SweepResult {
 /// changes.  `threads` is clamped to at least 1; pass
 /// [`default_threads()`] to use every available core.
 pub fn run_sweep(jobs: Vec<SweepJob>, threads: usize) -> Vec<SweepResult> {
-    parallel_map(jobs, threads, |job| {
-        let name = job.name.clone();
-        let (scenario, mut ex) = job.into_executor();
-        // Harness-side instrumentation: `wall_ms` reports how long the host
-        // took to run the job, never feeds the simulation, and is excluded
-        // from all determinism comparisons (see tests/sweep_determinism.rs).
-        #[allow(clippy::disallowed_methods)]
-        // lint: allow(wall-clock) — host wall time of a finished job report, outside the simulated timeline
-        let start = std::time::Instant::now();
-        let outcome = ex.run_scenario(&scenario);
-        SweepResult {
-            name,
-            wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            outcome,
-        }
+    parallel_map(jobs, threads, |job| SweepResult {
+        name: job.name.clone(),
+        outcome: job.run(),
     })
 }
 
@@ -168,19 +147,31 @@ where
         .collect()
 }
 
-/// The lab's default thread count: `ATRAPOS_THREADS` when set to a positive
-/// integer, otherwise the host's available parallelism.
+/// The lab's default thread count: `ATRAPOS_THREADS` when set, otherwise
+/// the host's available parallelism.  Panics on a set-but-invalid value
+/// (see [`threads_from_env`]): a pinned count must never silently widen.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("ATRAPOS_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
+    threads_from_env().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`default_threads`], with a set-but-invalid `ATRAPOS_THREADS` (`0`,
+/// `four`, empty) as an error naming the variable; front ends check it
+/// before running anything.
+pub fn threads_from_env() -> Result<usize, String> {
+    match std::env::var_os("ATRAPOS_THREADS") {
+        Some(value) => parse_threads(&value.to_string_lossy()),
+        None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+}
+
+/// An `ATRAPOS_THREADS` value: a positive integer.
+fn parse_threads(value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!(
+            "ATRAPOS_THREADS must be a positive integer, got '{value}'"
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -280,5 +271,16 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
+    }
+
+    #[test]
+    fn invalid_thread_counts_are_rejected_by_name() {
+        assert_eq!(parse_threads("1"), Ok(1));
+        assert_eq!(parse_threads(" 4 "), Ok(4));
+        for bad in ["0", "abc", ""] {
+            let err = parse_threads(bad).expect_err(bad);
+            assert!(err.contains("ATRAPOS_THREADS"), "{err}");
+            assert!(err.contains(&format!("'{bad}'")), "{err}");
+        }
     }
 }

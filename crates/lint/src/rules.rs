@@ -106,7 +106,7 @@ mod tests {
         assert!(sim_visible("crates/engine/src/executor.rs"));
         assert!(sim_visible("crates/workloads/src/tpcc.rs"));
         assert!(!sim_visible("crates/engine/tests/proptests.rs"));
-        assert!(!sim_visible("crates/bench/src/wallclock.rs"));
+        assert!(!sim_visible("crates/bench/src/harness.rs"));
         assert!(!sim_visible("crates/lint/src/scan.rs"));
         assert!(!sim_visible("shims/rand/src/lib.rs"));
         // A crate whose name merely starts with a sim crate's name.

@@ -7,7 +7,7 @@
 //! the recorded data, so any diff here is an intentional format change.
 //!
 //! To regenerate the snapshots after such a change (consistent with the
-//! figure goldens in `tests/golden_figures.rs`):
+//! experiment catalogue's `tests/goldens/catalogue.txt`):
 //!
 //! ```text
 //! UPDATE_GOLDENS=1 cargo test -p atrapos-report --test golden_report

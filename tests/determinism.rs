@@ -38,7 +38,7 @@ fn shrink(replay: &mut ReplayFile, factor: f64) {
 /// rerun starts from the exact same state.
 #[test]
 fn ycsb_drift_experiment_is_byte_identical_across_runs() {
-    use atrapos_bench::figures::timeline_jobs;
+    use atrapos_bench::figures::ycsb02_jobs;
     use atrapos_bench::Scale;
 
     let scale = {
@@ -50,8 +50,7 @@ fn ycsb_drift_experiment_is_byte_identical_across_runs() {
         s
     };
     let run_adaptive = || {
-        let job = timeline_jobs("ycsb02", &scale)
-            .expect("a timeline experiment")
+        let job = ycsb02_jobs(&scale)
             .into_iter()
             .find(|j| j.name.ends_with("ATraPos"))
             .expect("the adaptive variant is in the job list");
@@ -73,7 +72,7 @@ fn ycsb_drift_experiment_is_byte_identical_across_runs() {
 /// the exact same arrival sequence.
 #[test]
 fn open_loop_experiment_is_byte_identical_across_runs() {
-    use atrapos_bench::figures::timeline_jobs;
+    use atrapos_bench::figures::overload02_jobs;
     use atrapos_bench::Scale;
 
     let scale = {
@@ -86,8 +85,7 @@ fn open_loop_experiment_is_byte_identical_across_runs() {
         s
     };
     let run_open_loop = || {
-        let job = timeline_jobs("overload02", &scale)
-            .expect("a timeline experiment")
+        let job = overload02_jobs(&scale)
             .into_iter()
             .find(|j| j.name.ends_with("ATraPos"))
             .expect("the adaptive variant is in the job list");
