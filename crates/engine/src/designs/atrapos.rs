@@ -649,6 +649,29 @@ mod tests {
         }
     }
 
+    /// The scaleup-micro shape, on partition-local tables: each of the 80
+    /// workers' tables keeps at most twice the sweep floor of entries, not
+    /// one per row its partition ever read.
+    #[test]
+    fn lock_entries_stay_bounded_on_the_scaleup_micro_shape() {
+        use crate::designs::common::protocol_check::run_closed_loop;
+        use atrapos_storage::lock_manager::SWEEP_FLOOR;
+        let mut m = Machine::new(Topology::multisocket(8, 10), CostModel::westmere());
+        let mut w = TinyWorkload { rows: 160_000 };
+        let mut d = AtraposDesign::new(&m, &w, AtraposConfig::plp_baseline());
+        run_closed_loop(&mut d, &mut m, &mut w, 20_000);
+        let tables: Vec<usize> = d
+            .partition_locks
+            .iter()
+            .flatten()
+            .map(LockManager::record_entries)
+            .collect();
+        assert_eq!(tables.len(), 80);
+        assert!(tables.iter().all(|&n| n <= 2 * SWEEP_FLOOR), "{tables:?}");
+        // The 20 000 reads touch about 18 800 distinct rows.
+        assert_eq!(tables.iter().sum::<usize>(), 1_301);
+    }
+
     #[test]
     fn socket_failure_reroutes_to_a_fallback_core() {
         let mut topo = Topology::multisocket(2, 2);

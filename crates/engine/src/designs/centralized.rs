@@ -23,6 +23,9 @@ pub struct CentralizedDesign {
     db: Database,
     lock_manager: LockManager,
     protocol: TxnProtocol,
+    /// The one transaction descriptor, reset per transaction: its
+    /// held-lock list keeps its capacity, so locking allocates nothing.
+    txn: Txn,
     next_txn: u64,
     aborted: u64,
 }
@@ -47,6 +50,7 @@ impl CentralizedDesign {
             db,
             lock_manager: LockManager::centralized(LOCK_MANAGER_BUCKETS, n_sockets),
             protocol: TxnProtocol::centralized(),
+            txn: Txn::begin(TxnId(0)),
             next_txn: 1,
             aborted: 0,
         }
@@ -76,22 +80,23 @@ impl SystemDesign for CentralizedDesign {
         start: Cycles,
     ) -> TxnOutcome {
         let mut ctx = machine.ctx(client, start);
-        let mut txn = Txn::begin(TxnId(self.next_txn));
+        let txn_id = TxnId(self.next_txn);
         self.next_txn += 1;
+        self.txn.reset(txn_id);
 
         // Everything — begin, every action, commit — runs on the client's
         // own thread against the one set of centralized structures.
         ctx.work(Component::XctManagement, BEGIN_INSTRUCTIONS);
-        self.protocol.begin(&mut ctx, txn.id, true);
+        self.protocol.begin(&mut ctx, txn_id, true);
 
         // All actions of a phase run on the same thread: the
         // synchronization points are free in this design.
         let mut failed = false;
         for action in spec.phases.iter().flat_map(|p| &p.actions) {
-            acquire_action_locks(&mut ctx, &mut self.lock_manager, &mut txn, action);
+            acquire_action_locks(&mut ctx, &mut self.lock_manager, &mut self.txn, action);
             failed = !self
                 .protocol
-                .run_action(&mut ctx, &mut self.db, txn.id, action);
+                .run_action(&mut ctx, &mut self.db, txn_id, action);
             if failed {
                 self.aborted += 1;
                 break;
@@ -100,9 +105,9 @@ impl SystemDesign for CentralizedDesign {
 
         ctx.work(Component::XctManagement, COMMIT_INSTRUCTIONS);
         self.protocol
-            .log_outcome(&mut ctx, txn.id, failed, spec.is_update());
-        self.lock_manager.release_all(&mut ctx, &mut txn);
-        self.protocol.end(&mut ctx, txn.id, true);
+            .log_outcome(&mut ctx, txn_id, failed, spec.is_update());
+        self.lock_manager.release_all(&mut ctx, &mut self.txn);
+        self.protocol.end(&mut ctx, txn_id, true);
 
         let end = ctx.now();
         machine.commit(client, &ctx.finish());
@@ -191,6 +196,23 @@ mod tests {
         let mut design = CentralizedDesign::new(&machine, &TinyUpdateWorkload { rows: ROWS });
         run_mixed_stream(&mut design, &mut machine);
         assert_quiescent([&design.protocol], [&design.lock_manager]);
+    }
+
+    /// The scaleup-micro shape: 80 clients each read one of 160 000 rows.
+    /// The lock table keeps only the entries a lagging client could still
+    /// wait on, not one per row ever read.
+    #[test]
+    fn lock_entries_stay_bounded_on_the_scaleup_micro_shape() {
+        use crate::designs::common::protocol_check::run_closed_loop;
+        let mut machine = Machine::new(
+            atrapos_numa::Topology::multisocket(8, 10),
+            atrapos_numa::CostModel::westmere(),
+        );
+        let mut w = TinyWorkload { rows: 160_000 };
+        let mut design = CentralizedDesign::new(&machine, &w);
+        run_closed_loop(&mut design, &mut machine, &mut w, 20_000);
+        // The 20 000 reads touch about 18 800 distinct rows.
+        assert_eq!(design.lock_manager.record_entries(), 140);
     }
 
     #[test]

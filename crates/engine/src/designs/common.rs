@@ -336,8 +336,16 @@ mod tests {
             delta: 1,
         });
         acquire_action_locks(&mut ctx, &mut lm, &mut txn, &write);
-        assert!(txn.holds(&LockId::Table(TableId(0)), LockMode::IX));
-        assert!(txn.holds(&LockId::Record(TableId(0), Key::int(5)), LockMode::X));
+        let (table, record) = (
+            LockId::Table(TableId(0)),
+            LockId::Record(TableId(0), Key::int(5)),
+        );
+        assert_eq!(
+            txn.held_locks,
+            [(table, LockMode::IX), (record, LockMode::X)]
+        );
+        assert!(lm.holds(txn.id, &table, LockMode::IX));
+        assert!(lm.holds(txn.id, &record, LockMode::X));
         lm.check_grant_invariants().unwrap();
     }
 
@@ -365,8 +373,11 @@ pub(super) mod protocol_check {
     use super::*;
     use crate::action::{Phase, TransactionSpec};
     use crate::designs::SystemDesign;
+    use crate::workload::Workload;
     use atrapos_numa::Machine;
     use atrapos_storage::{Key, TableId};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     /// Rows per table of the `TinyUpdateWorkload` the stream runs against.
     pub const ROWS: i64 = 200;
@@ -417,6 +428,29 @@ pub(super) mod protocol_check {
             now = out.end;
         }
         assert_eq!(design.stats().aborted, 60, "{}", design.name());
+    }
+
+    /// Drive `design` as the closed-loop executor does — the client free
+    /// first runs next, at its ready time, which becomes the machine's
+    /// low-water mark — for `txns` transactions of `workload`.
+    pub fn run_closed_loop(
+        design: &mut dyn SystemDesign,
+        machine: &mut Machine,
+        workload: &mut dyn Workload,
+        txns: usize,
+    ) {
+        let clients = machine.topology.active_cores();
+        let mut free = vec![0; clients.len()];
+        let mut rng = SmallRng::seed_from_u64(11);
+        for _ in 0..txns {
+            let (i, ready) = (0..clients.len())
+                .map(|i| (i, free[i]))
+                .min_by_key(|&(_, t)| t)
+                .expect("an active client");
+            machine.set_low_water(ready);
+            let spec = workload.next_transaction(&mut rng, clients[i]);
+            free[i] = design.execute(machine, &spec, clients[i], ready).end;
+        }
     }
 
     /// After the stream no transaction is registered as active and no

@@ -504,6 +504,10 @@ impl VirtualExecutor {
             // Monitoring-interval boundaries that elapsed before the start.
             self.cross_interval_boundaries(submit_at, ghz, &mut counters.repartitions);
 
+            // No client is free before `t_ready`, and it never decreases:
+            // every later step starts at or after it.  (Not `submit_at`: a
+            // queued arrival can start before an earlier one did.)
+            self.machine.set_low_water(t_ready);
             let client_core = self.clients[ci].core;
             self.workload
                 .next_transaction_into(&mut self.rng, client_core, &mut self.spec_buf);

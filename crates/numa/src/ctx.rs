@@ -24,11 +24,13 @@ pub struct SimCtx<'a> {
     core: CoreId,
     socket: SocketId,
     now: Cycles,
+    low_water: Cycles,
     tally: Tally,
 }
 
 impl<'a> SimCtx<'a> {
-    /// Start a step on `core` at virtual time `start`.
+    /// Start a step on `core` at virtual time `start`.  Its low-water mark
+    /// is 0: nothing is known about the times of later steps.
     pub fn new(topo: &'a Topology, cost: &'a CostModel, core: CoreId, start: Cycles) -> Self {
         let socket = topo.socket_of(core);
         let tally = Tally {
@@ -42,14 +44,28 @@ impl<'a> SimCtx<'a> {
             core,
             socket,
             now: start,
+            low_water: 0,
             tally,
         }
+    }
+
+    /// Stamp the machine's low-water mark on a fresh step.
+    pub(crate) fn with_low_water(mut self, mark: Cycles) -> Self {
+        self.low_water = mark;
+        self
     }
 
     /// Current virtual time on this core.
     #[inline]
     pub fn now(&self) -> Cycles {
         self.now
+    }
+
+    /// The earliest virtual time at which this or any later step can still
+    /// start (see [`crate::Machine::set_low_water`]); 0 when unknown.
+    #[inline]
+    pub fn low_water(&self) -> Cycles {
+        self.low_water
     }
 
     /// The core executing this step.

@@ -23,6 +23,8 @@ pub struct Machine {
     cores: Vec<CoreCounters>,
     /// Cumulative interconnect/memory traffic.
     pub interconnect: Interconnect,
+    /// No step still to come starts before this virtual time.
+    low_water: Cycles,
 }
 
 impl Machine {
@@ -35,12 +37,33 @@ impl Machine {
             cost,
             cores: vec![CoreCounters::default(); n_cores],
             interconnect: Interconnect::new(n_sockets),
+            low_water: 0,
         }
     }
 
-    /// Start an accounting context for `core` at virtual time `start`.
+    /// Start an accounting context for `core` at virtual time `start`,
+    /// stamped with the machine's low-water mark.
     pub fn ctx(&self, core: CoreId, start: Cycles) -> SimCtx<'_> {
-        SimCtx::new(&self.topology, &self.cost, core, start)
+        SimCtx::new(&self.topology, &self.cost, core, start).with_low_water(self.low_water)
+    }
+
+    /// The low-water mark: the earliest virtual time at which any step
+    /// still to come can start.
+    pub fn low_water(&self) -> Cycles {
+        self.low_water
+    }
+
+    /// Raise the low-water mark to `mark`.  The caller promises that no
+    /// context it creates from now on starts, or does anything, before
+    /// `mark` — which lets time-stamped state that only an earlier request
+    /// could observe be forgotten.  The mark never decreases.
+    pub fn set_low_water(&mut self, mark: Cycles) {
+        debug_assert!(
+            mark >= self.low_water,
+            "low-water mark went back from {} to {mark}",
+            self.low_water
+        );
+        self.low_water = mark;
     }
 
     /// Merge a finished step's tally into the machine counters.
@@ -134,6 +157,30 @@ mod tests {
         m.reset_counters();
         assert_eq!(m.total_instructions(), 0);
         assert_eq!(m.topology.num_cores(), 80);
+    }
+
+    #[test]
+    fn contexts_carry_the_low_water_mark() {
+        let mut m = Machine::new(Topology::multisocket(2, 2), CostModel::westmere());
+        assert_eq!(m.ctx(CoreId(0), 0).low_water(), 0);
+        m.set_low_water(500);
+        m.set_low_water(500);
+        assert_eq!(m.low_water(), 500);
+        assert_eq!(m.ctx(CoreId(1), 700).low_water(), 500);
+        // A bare context knows nothing about later steps.
+        assert_eq!(
+            SimCtx::new(&m.topology, &m.cost, CoreId(1), 700).low_water(),
+            0
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "low-water mark went back")]
+    fn the_low_water_mark_never_decreases() {
+        let mut m = Machine::new(Topology::multisocket(2, 2), CostModel::westmere());
+        m.set_low_water(500);
+        m.set_low_water(499);
     }
 
     #[test]

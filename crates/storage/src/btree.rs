@@ -133,7 +133,7 @@ fn split_exact<T>(v: &mut Vec<T>, mid: usize) -> Vec<T> {
 
 impl KeyColumn {
     /// A column over `keys`, which must be sorted and duplicate-free.
-    fn from_keys(keys: Vec<Key>) -> Self {
+    pub(crate) fn from_keys(keys: Vec<Key>) -> Self {
         let heads = keys.iter().map(Key::head_rank).collect();
         Self { keys, heads }
     }
@@ -186,6 +186,17 @@ impl KeyColumn {
             .binary_search_by(|k| full_cmp(k, probe))
             .map(|i| lo + i)
             .map_err(|i| lo + i)
+    }
+
+    /// The number of keys `<= probe`: the child of an internal node that
+    /// may hold `probe`, or the range partition that owns it when the
+    /// column holds partition lower bounds.
+    #[inline]
+    pub(crate) fn child_index(&self, probe: &Key) -> usize {
+        match self.search(probe) {
+            Ok(i) => i + 1,
+            Err(i) => i,
+        }
     }
 
     /// The first slot whose key is `>= probe` (which may be shorter than
@@ -552,10 +563,7 @@ impl Internal {
     /// Index of the child that may contain `key`.
     #[inline]
     fn child_index(&self, key: &Key) -> usize {
-        match self.keys.search(key) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        }
+        self.keys.child_index(key)
     }
 }
 

@@ -9,15 +9,52 @@
 //! Figure 1).  The partition-local variant is what PLP and ATraPos use: each
 //! partition worker owns a small lock table that only it touches, so
 //! acquisitions are socket-local and uncontended.
+//!
+//! ## What an entry is
+//!
+//! Locks are granted in virtual time.  An entry is a lock's current holders
+//! — stored inline for one or two, the most one `execute` ever puts on a
+//! lock (one transaction, at most two modes) — plus two occupancy times:
+//! until when an exclusive holder, and until when shared holders, occupied
+//! the lock.  A request waits until the occupancy its mode conflicts with
+//! has drained; a release raises the matching time to the release instant.
+//! Table-intent entries sit in a dense slot per [`TableId`], record entries
+//! in a hash map.  Either way a request latches the bucket that
+//! [`LockId::bucket_hash`] picks, so every table lock of the centralized
+//! table keeps contending on its one fixed bucket.
+//!
+//! ## Why forgetting is exact
+//!
+//! Designs execute one transaction at a time, so a transaction processed
+//! later can request a lock at an *earlier* virtual time than another one
+//! already released it; the occupancy times are what make it wait.  An
+//! entry therefore cannot go at release.  But every context carries a
+//! low-water mark ([`SimCtx::low_water`]): no request still to come runs
+//! before it.  An entry with no holders and both occupancy times at or
+//! below the mark behaves exactly like an absent one — a request at any
+//! `t ≥ mark` waits for neither, and after its release the entry holds
+//! `max(old, now) = now` either way.  Dropping such entries changes no
+//! charge, and bounds lock memory by the locks in flight instead of by the
+//! keys ever touched.
+//!
+//! ## The sweep rule
+//!
+//! When the record map has grown to `max(SWEEP_FLOOR, 2 × its size after
+//! the last sweep)`, the next record request first drops every forgettable
+//! entry against its context's mark.  Each sweep leaves at least as much
+//! room as it found entries, so sweeping costs O(1) amortized per request.
+//! A context without a mark ([`SimCtx::new`]) has 0 and forgets nothing
+//! that was ever occupied.
 
 use crate::lock::{LockId, LockMode};
+use crate::record::Key;
+use crate::schema::TableId;
 use crate::txn::{Txn, TxnId};
 use atrapos_numa::{Component, ContendedLine, Cycles, SimCtx, SocketId, WaitMode};
-use serde::{Deserialize, Serialize};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A fast, deterministic multiply-xor hasher (FxHash-style) for the lock
-/// tables.  Lock entries are probed four times per simulated action, and
+/// A fast, deterministic multiply-xor hasher (FxHash-style) for the record
+/// lock map.  Record entries are probed twice per simulated action, and
 /// nothing observable depends on the map's iteration order, so trading
 /// SipHash's DoS resistance for speed is free here.  (The *bucket* hash of
 /// [`LockId::bucket_hash`] is unchanged — it feeds the simulation model.)
@@ -93,28 +130,174 @@ type FxMap<K, V> = std::collections::HashMap<K, V, FxBuild>;
 const LOCK_TABLE_WORK: u64 = 120;
 /// Instruction cost of releasing one lock.
 const LOCK_RELEASE_WORK: u64 = 60;
+/// Instruction cost of the upgrade fast path (no latch is taken).
+const UPGRADE_CHECK_WORK: u64 = 10;
+/// Record entries the map may hold before its first sweep.
+pub const SWEEP_FLOOR: usize = 32;
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// One grant: a transaction holding a lock in a mode.
+type Grant = (TxnId, LockMode);
+
+/// The holders of one lock: up to two inline, more on the heap.  Only
+/// concurrently open transactions (tests drive those) ever need the heap,
+/// and an entry moves back inline once it is down to two.
+#[derive(Debug, Clone)]
+enum Holders {
+    Inline { len: u8, slots: [Grant; 2] },
+    Spilled(Vec<Grant>),
+}
+
+impl Default for Holders {
+    fn default() -> Self {
+        Holders::Inline {
+            len: 0,
+            slots: [(TxnId(0), LockMode::IS); 2],
+        }
+    }
+}
+
+impl Holders {
+    #[inline]
+    fn as_slice(&self) -> &[Grant] {
+        match self {
+            Holders::Inline { len, slots } => &slots[..usize::from(*len)],
+            Holders::Spilled(grants) => grants,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, grant: Grant) {
+        match self {
+            Holders::Inline { len, slots } if usize::from(*len) < slots.len() => {
+                slots[usize::from(*len)] = grant;
+                *len += 1;
+            }
+            Holders::Inline { slots, .. } => {
+                let mut grants = slots.to_vec();
+                grants.push(grant);
+                *self = Holders::Spilled(grants);
+            }
+            Holders::Spilled(grants) => grants.push(grant),
+        }
+    }
+
+    /// Remove one copy of `grant`, if held.
+    #[inline]
+    fn remove(&mut self, grant: Grant) {
+        let Some(pos) = self.as_slice().iter().position(|g| *g == grant) else {
+            return;
+        };
+        match self {
+            Holders::Inline { len, slots } => {
+                *len -= 1;
+                slots.swap(pos, usize::from(*len));
+            }
+            Holders::Spilled(grants) => {
+                grants.swap_remove(pos);
+                if let [a, b] = grants[..] {
+                    *self = Holders::Inline {
+                        len: 2,
+                        slots: [a, b],
+                    };
+                }
+            }
+        }
+    }
+}
+
+/// One lock: who holds it, and until when it was occupied.
+#[derive(Debug, Clone, Default)]
 struct LockEntry {
-    holders: Vec<(TxnId, LockMode)>,
     /// Virtual time until which an exclusive holder occupies the lock.
     exclusive_until: Cycles,
     /// Virtual time until which shared holders occupy the lock.
     shared_until: Cycles,
-    /// Total times a requester had to wait for a logical conflict.
-    conflicts: u64,
+    holders: Holders,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Bucket {
-    latch: ContendedLine,
-    entries: FxMap<LockId, LockEntry>,
+impl LockEntry {
+    /// Whether `txn` already holds the lock in a mode that covers `mode`
+    /// (the lock-upgrade fast path).
+    #[inline]
+    fn covers(&self, txn: TxnId, mode: LockMode) -> bool {
+        self.holders
+            .as_slice()
+            .iter()
+            .any(|&(t, m)| t == txn && (m == mode || (m.is_exclusive() && !mode.is_exclusive())))
+    }
+
+    /// The virtual time a `mode` request waits until.
+    #[inline]
+    fn wait_until(&self, mode: LockMode) -> Cycles {
+        match mode {
+            LockMode::X => self.exclusive_until.max(self.shared_until),
+            LockMode::IX | LockMode::S | LockMode::IS => self.exclusive_until,
+        }
+    }
+
+    /// `grant` ends at virtual time `now`.
+    #[inline]
+    fn release(&mut self, grant: Grant, now: Cycles) {
+        self.holders.remove(grant);
+        let until = if grant.1.is_exclusive() {
+            &mut self.exclusive_until
+        } else {
+            &mut self.shared_until
+        };
+        *until = (*until).max(now);
+    }
+
+    /// Whether the entry behaves like an absent one for every request at
+    /// or after `mark`.
+    fn forgettable(&self, mark: Cycles) -> bool {
+        self.holders.as_slice().is_empty()
+            && self.exclusive_until <= mark
+            && self.shared_until <= mark
+    }
+}
+
+/// A table's intent-lock entry and the bucket latch it contends on.
+#[derive(Debug, Clone)]
+struct TableSlot {
+    latch: usize,
+    entry: LockEntry,
+}
+
+/// The bucket latch `id` contends on, out of `n_latches`.
+#[inline]
+fn bucket_of(id: &LockId, n_latches: usize) -> usize {
+    // A partition-local table has one bucket: skip hashing to `x % 1`.
+    if n_latches == 1 {
+        return 0;
+    }
+    (id.bucket_hash() as usize) % n_latches
+}
+
+/// The slot of `table`, creating the slots up to it on first use.
+#[inline]
+fn table_slot(tables: &mut Vec<TableSlot>, n_latches: usize, table: TableId) -> &mut TableSlot {
+    while tables.len() <= table.index() {
+        let id = LockId::Table(TableId(tables.len() as u32));
+        tables.push(TableSlot {
+            latch: bucket_of(&id, n_latches),
+            entry: LockEntry::default(),
+        });
+    }
+    &mut tables[table.index()]
 }
 
 /// A lock manager instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LockManager {
-    buckets: Vec<Bucket>,
+    /// Bucket latches: the centralized table's buckets, or the one latch
+    /// of a partition-local table.
+    latches: Vec<ContendedLine>,
+    /// Table-intent entries, indexed by [`TableId`].
+    tables: Vec<TableSlot>,
+    /// Record entries that could still make a request wait.
+    records: FxMap<(TableId, Key), LockEntry>,
+    /// Record-map size at which the next record request sweeps.
+    sweep_at: usize,
     /// Waiting policy: the centralized manager spins (cache-friendly
     /// back-off loop on a locally cached latch word), partition-local
     /// managers never wait in practice.
@@ -126,48 +309,38 @@ pub struct LockManager {
 }
 
 impl LockManager {
+    fn with_latches(latches: Vec<ContendedLine>, wait_mode: WaitMode) -> Self {
+        Self {
+            latches,
+            tables: Vec::new(),
+            records: FxMap::default(),
+            sweep_at: SWEEP_FLOOR,
+            wait_mode,
+            acquisitions: 0,
+            logical_waits: 0,
+        }
+    }
+
     /// The centralized (shared-everything) lock manager with `n_buckets`
     /// buckets whose latches are spread round-robin over `n_sockets`
     /// memory nodes.
     pub fn centralized(n_buckets: usize, n_sockets: usize) -> Self {
         assert!(n_buckets >= 1);
-        let buckets = (0..n_buckets)
-            .map(|i| Bucket {
-                latch: ContendedLine::new(SocketId((i % n_sockets.max(1)) as u16)),
-                entries: FxMap::default(),
-            })
+        let latches = (0..n_buckets)
+            .map(|i| ContendedLine::new(SocketId((i % n_sockets.max(1)) as u16)))
             .collect();
-        Self {
-            buckets,
-            wait_mode: WaitMode::Spin,
-            acquisitions: 0,
-            logical_waits: 0,
-        }
+        Self::with_latches(latches, WaitMode::Spin)
     }
 
     /// A partition-local lock table homed on `home`.
     pub fn partition_local(home: SocketId) -> Self {
-        Self {
-            buckets: vec![Bucket {
-                latch: ContendedLine::new(home),
-                entries: FxMap::default(),
-            }],
-            wait_mode: WaitMode::Stall,
-            acquisitions: 0,
-            logical_waits: 0,
-        }
-    }
-
-    fn bucket_index(&self, id: &LockId) -> usize {
-        // A partition-local table has one bucket: skip hashing to `x % 1`.
-        if self.buckets.len() == 1 {
-            return 0;
-        }
-        (id.bucket_hash() as usize) % self.buckets.len()
+        Self::with_latches(vec![ContendedLine::new(home)], WaitMode::Stall)
     }
 
     /// Acquire `id` in `mode` on behalf of `txn`.  Blocks (in virtual time)
     /// until conflicting holders have released.  Returns the cycles spent.
+    // Twice per simulated action: the table intent lock, then the record's.
+    // lint: hot-path
     pub fn acquire(
         &mut self,
         ctx: &mut SimCtx<'_>,
@@ -175,37 +348,45 @@ impl LockManager {
         id: LockId,
         mode: LockMode,
     ) -> Cycles {
+        debug_assert!(
+            ctx.now() >= ctx.low_water(),
+            "lock request at {} below the low-water mark {}",
+            ctx.now(),
+            ctx.low_water()
+        );
         let before = ctx.now();
-        if txn.holds(&id, mode) {
-            // Lock-upgrade fast path: already held in a sufficient mode.
-            ctx.work(Component::Locking, 10);
+        let n_latches = self.latches.len();
+        let (latch, entry) = match id {
+            LockId::Table(table) => {
+                let slot = table_slot(&mut self.tables, n_latches, table);
+                (slot.latch, &mut slot.entry)
+            }
+            LockId::Record(table, key) => {
+                if self.records.len() >= self.sweep_at {
+                    self.sweep(ctx.low_water());
+                }
+                let entry = self.records.entry((table, key)).or_default();
+                (bucket_of(&id, n_latches), entry)
+            }
+        };
+        if entry.covers(txn.id, mode) {
+            ctx.work(Component::Locking, UPGRADE_CHECK_WORK);
             return ctx.now() - before;
         }
         self.acquisitions += 1;
-        let b = self.bucket_index(&id);
-        let bucket = &mut self.buckets[b];
         // Latch the bucket (the physically contended part): a short critical
         // section on the bucket's latch word.
         ctx.critical_section(
             Component::Locking,
-            &mut bucket.latch,
+            &mut self.latches[latch],
             self.wait_mode,
             LOCK_TABLE_WORK,
         );
-        let entry = bucket.entries.entry(id).or_default();
         // Logical conflict: wait until the conflicting occupancy drains.
         // The latch is not held while waiting (a real lock manager enqueues
         // the request and blocks).
-        let wait_until = match mode {
-            LockMode::X | LockMode::IX => entry.exclusive_until.max(if mode == LockMode::X {
-                entry.shared_until
-            } else {
-                0
-            }),
-            LockMode::S | LockMode::IS => entry.exclusive_until,
-        };
+        let wait_until = entry.wait_until(mode);
         if wait_until > ctx.now() {
-            entry.conflicts += 1;
             self.logical_waits += 1;
             ctx.wait_until(Component::Locking, wait_until, WaitMode::Stall);
         }
@@ -220,59 +401,89 @@ impl LockManager {
     /// The held-lock list is cleared in place (not taken), so a reused
     /// transaction descriptor keeps its capacity and the next
     /// transaction's lock bookkeeping is allocation-free.
+    // Once per transaction (per action on ATraPos and PLP).
+    // lint: hot-path
     pub fn release_all(&mut self, ctx: &mut SimCtx<'_>, txn: &mut Txn) -> Cycles {
         let before = ctx.now();
-        for (id, mode) in &txn.held_locks {
-            let b = self.bucket_index(id);
-            let bucket = &mut self.buckets[b];
+        let n_latches = self.latches.len();
+        for &(id, mode) in &txn.held_locks {
+            let (latch, entry) = match id {
+                LockId::Table(table) => {
+                    let slot = table_slot(&mut self.tables, n_latches, table);
+                    (slot.latch, Some(&mut slot.entry))
+                }
+                LockId::Record(table, key) => (
+                    bucket_of(&id, n_latches),
+                    self.records.get_mut(&(table, key)),
+                ),
+            };
             ctx.critical_section(
                 Component::Locking,
-                &mut bucket.latch,
+                &mut self.latches[latch],
                 self.wait_mode,
                 LOCK_RELEASE_WORK,
             );
-            if let Some(entry) = bucket.entries.get_mut(id) {
-                if let Some(pos) = entry
-                    .holders
-                    .iter()
-                    .position(|(t, m)| *t == txn.id && *m == *mode)
-                {
-                    entry.holders.swap_remove(pos);
-                }
-                let now = ctx.now();
-                if mode.is_exclusive() {
-                    entry.exclusive_until = entry.exclusive_until.max(now);
-                } else {
-                    entry.shared_until = entry.shared_until.max(now);
-                }
+            if let Some(entry) = entry {
+                entry.release((txn.id, mode), ctx.now());
             }
         }
         txn.held_locks.clear();
         ctx.now() - before
     }
 
+    /// Drop every record entry that can no longer make a request at or
+    /// after `mark` wait, and set the size of the next sweep.
+    #[cold]
+    fn sweep(&mut self, mark: Cycles) {
+        self.records.retain(|_, entry| !entry.forgettable(mark));
+        self.sweep_at = SWEEP_FLOOR.max(2 * self.records.len());
+    }
+
+    fn entry(&self, id: &LockId) -> Option<&LockEntry> {
+        match *id {
+            LockId::Table(table) => self.tables.get(table.index()).map(|slot| &slot.entry),
+            LockId::Record(table, key) => self.records.get(&(table, key)),
+        }
+    }
+
+    /// Whether `txn` holds `id` in a mode at least as strong as `mode` —
+    /// the requests the upgrade fast path answers without a latch.
+    pub fn holds(&self, txn: TxnId, id: &LockId, mode: LockMode) -> bool {
+        self.entry(id).is_some_and(|e| e.covers(txn, mode))
+    }
+
     /// Current holders of `id` (for tests and invariant checks).
     pub fn holders_of(&self, id: &LockId) -> Vec<(TxnId, LockMode)> {
-        let b = self.bucket_index(id);
-        self.buckets[b]
-            .entries
-            .get(id)
-            .map(|e| e.holders.clone())
+        self.entry(id)
+            .map(|e| e.holders.as_slice().to_vec())
             .unwrap_or_default()
+    }
+
+    /// Record-lock entries currently kept: the table's memory, which the
+    /// sweep bounds by the locks in flight.
+    pub fn record_entries(&self) -> usize {
+        self.records.len()
     }
 
     /// Check that no two current holders of any lock are incompatible
     /// (ignoring same-transaction grants).  Used by tests.
     pub fn check_grant_invariants(&self) -> Result<(), String> {
-        for bucket in &self.buckets {
-            for (id, entry) in &bucket.entries {
-                for (i, (ta, ma)) in entry.holders.iter().enumerate() {
-                    for (tb, mb) in entry.holders.iter().skip(i + 1) {
-                        if ta != tb && !ma.compatible(*mb) {
-                            return Err(format!(
-                                "incompatible holders on {id:?}: {ta:?}:{ma:?} vs {tb:?}:{mb:?}"
-                            ));
-                        }
+        let tables = (0..).zip(&self.tables).map(|(i, slot)| {
+            let id = LockId::Table(TableId(i));
+            (id, &slot.entry)
+        });
+        let records = self
+            .records
+            .iter()
+            .map(|(&(table, key), entry)| (LockId::Record(table, key), entry));
+        for (id, entry) in tables.chain(records) {
+            let holders = entry.holders.as_slice();
+            for (i, (ta, ma)) in holders.iter().enumerate() {
+                for (tb, mb) in &holders[i + 1..] {
+                    if ta != tb && !ma.compatible(*mb) {
+                        return Err(format!(
+                            "incompatible holders on {id:?}: {ta:?}:{ma:?} vs {tb:?}:{mb:?}"
+                        ));
                     }
                 }
             }
@@ -284,9 +495,7 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Key;
-    use crate::schema::TableId;
-    use atrapos_numa::{CoreId, CostModel, Topology};
+    use atrapos_numa::{CoreId, CostModel, Machine, Topology};
 
     fn env() -> (Topology, CostModel) {
         (Topology::multisocket(4, 2), CostModel::westmere())
@@ -337,8 +546,13 @@ mod tests {
         let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
         lm.acquire(&mut ctx, &mut txn, id, LockMode::X);
         let acq = lm.acquisitions;
+        assert!(lm.holds(txn.id, &id, LockMode::S));
+        assert!(!lm.holds(TxnId(2), &id, LockMode::S));
+        let before = ctx.now();
         lm.acquire(&mut ctx, &mut txn, id, LockMode::S);
         assert_eq!(lm.acquisitions, acq, "S under held X must not re-acquire");
+        assert_eq!(ctx.now() - before, c.work_cycles(UPGRADE_CHECK_WORK));
+        assert_eq!(txn.held_locks, [(id, LockMode::X)]);
     }
 
     #[test]
@@ -386,5 +600,64 @@ mod tests {
         local.acquire(&mut ctx_l, &mut txn2, id, LockMode::IS);
         let local_cost = ctx_l.elapsed();
         assert!(central_cost > local_cost);
+    }
+
+    #[test]
+    fn table_locks_latch_the_bucket_their_hash_picks() {
+        let mut lm = LockManager::centralized(256, 4);
+        let mut slots = Vec::new();
+        for table in [TableId(3), TableId(0), TableId(7)] {
+            let id = LockId::Table(table);
+            let latch = table_slot(&mut slots, 256, table).latch;
+            assert_eq!(latch, (id.bucket_hash() % 256) as usize, "{table}");
+            assert_eq!(table_slot(&mut lm.tables, 256, table).latch, latch);
+        }
+        assert_eq!(lm.tables.len(), 8);
+        assert!(LockManager::partition_local(SocketId(0)).tables.is_empty());
+    }
+
+    #[test]
+    fn two_holders_stay_inline_and_more_spill_until_released() {
+        let mut holders = Holders::default();
+        let grant = |t: u64, m: LockMode| (TxnId(t), m);
+        holders.push(grant(1, LockMode::S));
+        holders.push(grant(1, LockMode::X));
+        assert!(matches!(holders, Holders::Inline { len: 2, .. }));
+        holders.push(grant(2, LockMode::S));
+        assert!(matches!(&holders, Holders::Spilled(g) if g.len() == 3));
+        holders.remove(grant(1, LockMode::S));
+        assert!(matches!(holders, Holders::Inline { len: 2, .. }));
+        holders.remove(grant(9, LockMode::S));
+        holders.remove(grant(2, LockMode::S));
+        assert_eq!(holders.as_slice(), [grant(1, LockMode::X)]);
+    }
+
+    /// A forgotten entry is recreated exactly as it would have been kept:
+    /// a request at or after the mark waits for nothing either way.
+    #[test]
+    fn entries_below_the_mark_are_swept_without_changing_a_charge() {
+        let (t, c) = env();
+        let mut machine = Machine::new(t, c);
+        let mut forgets = LockManager::partition_local(SocketId(0));
+        let mut keeps = LockManager::partition_local(SocketId(0));
+        let mut now = 0;
+        for i in 0..300u64 {
+            machine.set_low_water(now);
+            let id = LockId::Record(TableId(0), Key::int((i % 100) as i64));
+            let mut txn = Txn::begin(TxnId(i));
+            let mut ctx = machine.ctx(CoreId(0), now);
+            let charged = forgets.acquire(&mut ctx, &mut txn, id, LockMode::X)
+                + forgets.release_all(&mut ctx, &mut txn);
+            // The same request, from a context without a mark.
+            let mut ctx = SimCtx::new(&machine.topology, &machine.cost, CoreId(0), now);
+            let kept = keeps.acquire(&mut ctx, &mut txn, id, LockMode::X)
+                + keeps.release_all(&mut ctx, &mut txn);
+            assert_eq!(charged, kept, "txn {i}");
+            now += charged;
+        }
+        assert_eq!(keeps.record_entries(), 100);
+        assert!(forgets.record_entries() <= 2 * SWEEP_FLOOR);
+        assert_eq!(forgets.acquisitions, keeps.acquisitions);
+        assert_eq!(forgets.logical_waits, keeps.logical_waits);
     }
 }

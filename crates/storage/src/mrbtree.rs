@@ -11,18 +11,16 @@
 //! * **merge** combines two adjacent partitions into one;
 //! * a **rearrangement** is a split followed by a merge.
 
-use crate::btree::BTree;
+use crate::btree::{BTree, KeyColumn};
 use crate::error::{StorageError, StorageResult};
 use crate::record::{Key, Record};
 use atrapos_numa::SocketId;
 use serde::{Deserialize, Serialize};
 
-/// One physical partition: a key range with its own B+-tree root.
+/// One physical partition: a B+-tree root and where its data lives.  Its
+/// key range is kept by the [`MrBTree`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PartitionTree {
-    /// Inclusive lower bound of the key range; `None` for the first
-    /// partition (unbounded below).
-    pub lower: Option<Key>,
     /// The partition's B+-tree.
     pub tree: BTree,
     /// NUMA node on which this partition's data is allocated.
@@ -30,9 +28,8 @@ pub struct PartitionTree {
 }
 
 impl PartitionTree {
-    fn new(lower: Option<Key>, memory_node: SocketId) -> Self {
+    fn new(memory_node: SocketId) -> Self {
         Self {
-            lower,
             tree: BTree::new(),
             memory_node,
         }
@@ -43,13 +40,17 @@ impl PartitionTree {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MrBTree {
     partitions: Vec<PartitionTree>,
+    /// Inclusive lower bounds of partitions `1..` (partition 0 is unbounded
+    /// below), as a node's key column: routing a key is the node search.
+    lowers: KeyColumn,
 }
 
 impl MrBTree {
     /// A single-partition tree allocated on `memory_node`.
     pub fn new(memory_node: SocketId) -> Self {
         Self {
-            partitions: vec![PartitionTree::new(None, memory_node)],
+            partitions: vec![PartitionTree::new(memory_node)],
+            lowers: KeyColumn::default(),
         }
     }
 
@@ -68,12 +69,10 @@ impl MrBTree {
             boundaries.windows(2).all(|w| w[0] < w[1]),
             "partition boundaries must be strictly increasing"
         );
-        let mut partitions = Vec::with_capacity(memory_nodes.len());
-        partitions.push(PartitionTree::new(None, memory_nodes[0]));
-        for (i, b) in boundaries.into_iter().enumerate() {
-            partitions.push(PartitionTree::new(Some(b), memory_nodes[i + 1]));
+        Self {
+            partitions: memory_nodes.into_iter().map(PartitionTree::new).collect(),
+            lowers: KeyColumn::from_keys(boundaries),
         }
-        Self { partitions }
     }
 
     /// Number of partitions.
@@ -101,45 +100,28 @@ impl MrBTree {
         &self.partitions
     }
 
-    /// The partition index responsible for `key`.
+    /// The partition index responsible for `key`: the number of lower
+    /// bounds `<= key`.
     ///
-    /// Partition 0 is unbounded below and partitions 1.. carry strictly
-    /// increasing lower bounds (enforced at construction and by
-    /// `split_partition` / `merge_with_next`), so the last partition whose
-    /// lower bound is `<= key` is found by binary search rather than the
-    /// O(partitions) scan this used to be — `partition_for` runs twice per
-    /// simulated storage operation, which made it one of the hottest spots
-    /// of the whole simulator on many-core machines.
+    /// The bounds are strictly increasing (enforced at construction and by
+    /// `split_partition` / `merge_with_next`) and live in a [`KeyColumn`],
+    /// so routing is a node search: rank compares first, whole keys only
+    /// where ranks tie.  `partition_for` runs twice per simulated storage
+    /// operation.
     // lint: hot-path
     #[inline]
     pub fn partition_for(&self, key: &Key) -> usize {
-        // First index in 1.. whose lower bound exceeds `key`; the owner is
-        // the partition just before it.
-        let mut lo = 1usize;
-        let mut hi = self.partitions.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let above = match &self.partitions[mid].lower {
-                Some(lower) => lower > key,
-                None => false,
-            };
-            if above {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo - 1
+        self.lowers.child_index(key)
     }
 
     /// Inclusive lower bound of partition `idx` (`None` = unbounded).
     pub fn lower_bound(&self, idx: usize) -> Option<&Key> {
-        self.partitions[idx].lower.as_ref()
+        idx.checked_sub(1).map(|i| &self.lowers.keys()[i])
     }
 
     /// Exclusive upper bound of partition `idx` (`None` = unbounded).
     pub fn upper_bound(&self, idx: usize) -> Option<&Key> {
-        self.partitions.get(idx + 1).and_then(|p| p.lower.as_ref())
+        self.lowers.keys().get(idx)
     }
 
     /// Look up a key.
@@ -214,13 +196,12 @@ impl MrBTree {
         to: Option<&'k Key>,
     ) -> impl Iterator<Item = (&'a Key, &'a Record)> + use<'a, 'k> {
         let start = from.map_or(0, |k| self.partition_for(k));
-        self.partitions[start..]
-            .iter()
-            .take_while(move |p| match (&p.lower, to) {
+        (start..self.partitions.len())
+            .take_while(move |&i| match (self.lower_bound(i), to) {
                 (Some(lower), Some(to)) => lower < to,
                 _ => true,
             })
-            .flat_map(move |p| p.tree.range_iter(from, to))
+            .flat_map(move |i| self.partitions[i].tree.range_iter(from, to))
     }
 
     /// Move the memory allocation of partition `idx` to `node` (models
@@ -245,7 +226,7 @@ impl MrBTree {
             )));
         }
         // The boundary must lie strictly inside the partition's range.
-        if let Some(lower) = &self.partitions[idx].lower {
+        if let Some(lower) = self.lower_bound(idx) {
             if boundary <= *lower {
                 return Err(StorageError::InvalidPartitionBoundary(format!(
                     "boundary {boundary} not above partition lower bound {lower}"
@@ -261,9 +242,14 @@ impl MrBTree {
         }
         let right_tree = self.partitions[idx].tree.split_off(&boundary);
         let moved = right_tree.len();
-        let mut new_part = PartitionTree::new(Some(boundary), new_node);
-        new_part.tree = right_tree;
-        self.partitions.insert(idx + 1, new_part);
+        self.partitions.insert(
+            idx + 1,
+            PartitionTree {
+                tree: right_tree,
+                memory_node: new_node,
+            },
+        );
+        self.lowers.insert(idx, boundary);
         Ok(moved)
     }
 
@@ -277,6 +263,7 @@ impl MrBTree {
             )));
         }
         let right = self.partitions.remove(idx + 1);
+        self.lowers.remove(idx);
         let moved = right.tree.len();
         self.partitions[idx].tree.merge_from(right.tree);
         Ok(moved)
@@ -288,21 +275,15 @@ impl MrBTree {
         if self.partitions.is_empty() {
             return Err("multi-rooted tree must have at least one partition".into());
         }
-        if self.partitions[0].lower.is_some() {
-            return Err("first partition must be unbounded below".into());
+        if self.lowers.keys().len() + 1 != self.partitions.len() {
+            return Err("need one lower bound per partition after the first".into());
         }
-        for w in self.partitions.windows(2) {
-            match (&w[0].lower, &w[1].lower) {
-                (_, None) => return Err("only the first partition may be unbounded".into()),
-                (Some(a), Some(b)) if a >= b => {
-                    return Err(format!("partition bounds out of order: {a} >= {b}"))
-                }
-                _ => {}
-            }
-        }
+        self.lowers
+            .check_invariants()
+            .map_err(|e| format!("partition bounds: {e}"))?;
         for (i, p) in self.partitions.iter().enumerate() {
             p.tree.check_invariants()?;
-            let lower = p.lower.as_ref();
+            let lower = self.lower_bound(i);
             let upper = self.upper_bound(i);
             for (k, _) in p.tree.iter() {
                 if let Some(lo) = lower {

@@ -64,14 +64,6 @@ impl Txn {
         self.held_locks.push((id, mode));
     }
 
-    /// Whether the transaction already holds `id` in a mode at least as
-    /// strong as `mode` (lock-upgrade short-circuit).
-    pub fn holds(&self, id: &LockId, mode: LockMode) -> bool {
-        self.held_locks.iter().any(|(held, m)| {
-            held == id && (*m == mode || (m.is_exclusive() && !mode.is_exclusive()))
-        })
-    }
-
     /// Move to the committed state.
     pub fn commit(&mut self) {
         debug_assert!(matches!(self.state, TxnState::Active | TxnState::Prepared));
@@ -109,13 +101,18 @@ mod tests {
     }
 
     #[test]
-    fn lock_bookkeeping_and_upgrade_check() {
+    fn lock_bookkeeping_keeps_grant_order_and_capacity() {
         let mut t = Txn::begin(TxnId(1));
+        let table = LockId::Table(TableId(0));
         let rec = LockId::Record(TableId(0), crate::record::Key::int(7));
+        t.add_lock(table, LockMode::IX);
         t.add_lock(rec, LockMode::X);
-        assert!(t.holds(&rec, LockMode::X));
-        // Holding X is enough for an S request on the same lock.
-        assert!(t.holds(&rec, LockMode::S));
-        assert!(!t.holds(&LockId::Table(TableId(0)), LockMode::IS));
+        assert_eq!(t.held_locks, [(table, LockMode::IX), (rec, LockMode::X)]);
+        // A reused descriptor starts empty but keeps its capacity.
+        let capacity = t.held_locks.capacity();
+        t.reset(TxnId(2));
+        assert_eq!(t.id, TxnId(2));
+        assert!(t.held_locks.is_empty());
+        assert_eq!(t.held_locks.capacity(), capacity);
     }
 }

@@ -22,14 +22,25 @@
 //!   tracks, per lock, exactly which transactions hold it in which mode,
 //!   and per transaction the set of grants — verifying holder sets, the
 //!   upgrade fast path, release-all semantics, and the grant-compatibility
-//!   invariant after every step.
+//!   invariant after every step.  Extended with each lock's two occupancy
+//!   times and the bucket latches, the oracle becomes a lock table that
+//!   never forgets: under a rising low-water mark and request times that
+//!   jump backwards, the manager that forgets charges every request the
+//!   same cycles.  A deterministic count pins the memory bound.
+//! * Range-partition routing (`MrBTree::partition_for`, a node search over
+//!   the partitions' lower bounds) equals the whole-key binary search it
+//!   replaced, through splits and merges.
 
-use atrapos_numa::{CoreId, CostModel, SimCtx, SocketId, Topology};
+use atrapos_numa::{
+    Component, ContendedLine, CoreId, CostModel, Cycles, Machine, SimCtx, SocketId, Topology,
+    WaitMode,
+};
 use atrapos_storage::btree::KeyColumn;
+use atrapos_storage::lock_manager::SWEEP_FLOOR;
 use atrapos_storage::record::{MAX_COLUMNS, MAX_KEY_COMPONENTS};
 use atrapos_storage::{
-    BTree, Column, ColumnType, Key, LockId, LockManager, LockMode, Record, Schema, Table, TableId,
-    Txn, TxnId, Value,
+    BTree, Column, ColumnType, Key, LockId, LockManager, LockMode, MrBTree, Record, Schema, Table,
+    TableId, Txn, TxnId, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -548,13 +559,17 @@ proptest! {
 // Lock manager vs. naive oracle
 // ----------------------------------------------------------------------
 
-/// The naive oracle: per lock the exact multiset of (txn, mode) grants,
-/// per transaction its grant list in acquisition order.
+/// The naive oracle: per lock the exact multiset of (txn, mode) grants
+/// and the two occupancy times (exclusive, shared) its releases left, per
+/// transaction its grant list in acquisition order.  Nothing is ever
+/// removed.
 #[derive(Debug, Default)]
 struct LockOracle {
     #[allow(clippy::disallowed_types)]
     holders: HashMap<LockId, Vec<(TxnId, LockMode)>>,
     held: BTreeMap<TxnId, Vec<(LockId, LockMode)>>,
+    #[allow(clippy::disallowed_types)]
+    until: HashMap<LockId, (Cycles, Cycles)>,
 }
 
 impl LockOracle {
@@ -578,11 +593,33 @@ impl LockOracle {
 
     fn release_all(&mut self, txn: TxnId) {
         for (id, mode) in self.held.remove(&txn).unwrap_or_default() {
-            if let Some(hs) = self.holders.get_mut(&id) {
-                if let Some(pos) = hs.iter().position(|(t, m)| *t == txn && *m == mode) {
-                    hs.swap_remove(pos);
-                }
+            self.release(txn, id, mode, 0);
+        }
+    }
+
+    /// `txn`'s grant of `id` in `mode` ends at `now`.
+    fn release(&mut self, txn: TxnId, id: LockId, mode: LockMode, now: Cycles) {
+        if let Some(hs) = self.holders.get_mut(&id) {
+            if let Some(pos) = hs.iter().position(|(t, m)| *t == txn && *m == mode) {
+                hs.swap_remove(pos);
             }
+        }
+        let (exclusive, shared) = self.until.entry(id).or_default();
+        let until = if mode.is_exclusive() {
+            exclusive
+        } else {
+            shared
+        };
+        *until = (*until).max(now);
+    }
+
+    /// The virtual time a `mode` request on `id` waits until.
+    fn wait_until(&self, id: &LockId, mode: LockMode) -> Cycles {
+        let (exclusive, shared) = self.until.get(id).copied().unwrap_or_default();
+        if mode == LockMode::X {
+            exclusive.max(shared)
+        } else {
+            exclusive
         }
     }
 
@@ -649,8 +686,8 @@ proptest! {
                 let expect_fast_path = oracle.holds(txn.id, &id, mode);
                 prop_assert_eq!(
                     expect_fast_path,
-                    txn.holds(&id, mode),
-                    "oracle and Txn::holds disagree"
+                    lm.holds(txn.id, &id, mode),
+                    "oracle and LockManager::holds disagree"
                 );
                 let acquisitions_before = lm.acquisitions;
                 let waits_before = lm.logical_waits;
@@ -704,6 +741,287 @@ proptest! {
                     "holders survive release_all"
                 );
             }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Forgetting lock entries vs. a lock table that never forgets
+// ----------------------------------------------------------------------
+
+/// What the lock manager charges: a latched probe per acquisition, a
+/// latched release per grant, and the latch-free upgrade check.
+const LOCK_TABLE_WORK: u64 = 120;
+const LOCK_RELEASE_WORK: u64 = 60;
+const UPGRADE_CHECK_WORK: u64 = 10;
+
+/// The lock table that never forgets: the naive oracle, charging the
+/// manager's work on the same bucket latches.  Its upgrade fast path reads
+/// the transaction's own grant list, as the manager's used to.
+struct NeverForgets {
+    oracle: LockOracle,
+    latches: Vec<ContendedLine>,
+    wait: WaitMode,
+    acquisitions: u64,
+    logical_waits: u64,
+}
+
+impl NeverForgets {
+    fn new(centralized: bool) -> Self {
+        let (latches, wait) = if centralized {
+            let latches = (0..16)
+                .map(|i| ContendedLine::new(SocketId(i % 4)))
+                .collect();
+            (latches, WaitMode::Spin)
+        } else {
+            (vec![ContendedLine::new(SocketId(0))], WaitMode::Stall)
+        };
+        Self {
+            oracle: LockOracle::default(),
+            latches,
+            wait,
+            acquisitions: 0,
+            logical_waits: 0,
+        }
+    }
+
+    fn latch(&mut self, id: &LockId) -> &mut ContendedLine {
+        let n = self.latches.len();
+        let bucket = if n == 1 {
+            0
+        } else {
+            (id.bucket_hash() % n as u64) as usize
+        };
+        &mut self.latches[bucket]
+    }
+
+    fn acquire(&mut self, ctx: &mut SimCtx<'_>, txn: TxnId, id: LockId, mode: LockMode) -> Cycles {
+        let before = ctx.now();
+        if self.oracle.holds(txn, &id, mode) {
+            ctx.work(Component::Locking, UPGRADE_CHECK_WORK);
+            return ctx.now() - before;
+        }
+        self.acquisitions += 1;
+        let wait = self.wait;
+        ctx.critical_section(Component::Locking, self.latch(&id), wait, LOCK_TABLE_WORK);
+        let wait_until = self.oracle.wait_until(&id, mode);
+        if wait_until > ctx.now() {
+            self.logical_waits += 1;
+            ctx.wait_until(Component::Locking, wait_until, WaitMode::Stall);
+        }
+        self.oracle.grant(txn, id, mode);
+        ctx.now() - before
+    }
+
+    fn release_all(&mut self, ctx: &mut SimCtx<'_>, txn: TxnId) -> Cycles {
+        let before = ctx.now();
+        let wait = self.wait;
+        for (id, mode) in self.oracle.held.remove(&txn).unwrap_or_default() {
+            ctx.critical_section(Component::Locking, self.latch(&id), wait, LOCK_RELEASE_WORK);
+            self.oracle.release(txn, id, mode, ctx.now());
+        }
+        ctx.now() - before
+    }
+}
+
+/// Locks of the reclamation stream: three table locks and 157 records,
+/// enough distinct entries to cross the sweep floor several times.
+const STREAM_LOCKS: u8 = 160;
+
+/// One step of a lock stream with up to three transactions open at once.
+/// Request times are offsets above the current low-water mark, so they
+/// jump backwards as often as forwards, yet never fall below the mark.
+#[derive(Debug, Clone)]
+enum LockOp {
+    Acquire {
+        txn: usize,
+        lock: u8,
+        mode: u8,
+        offset: Cycles,
+    },
+    /// The transaction commits, and its slot starts a fresh one.
+    Release { txn: usize, offset: Cycles },
+    /// The low-water mark rises.
+    Advance(Cycles),
+}
+
+fn lock_op_strategy() -> impl Strategy<Value = LockOp> {
+    prop_oneof![
+        6 => (0..3usize, 0..STREAM_LOCKS, 0..4u8, 0..40_000u64)
+            .prop_map(|(txn, lock, mode, offset)| LockOp::Acquire { txn, lock, mode, offset }),
+        2 => (0..3usize, 0..40_000u64).prop_map(|(txn, offset)| LockOp::Release { txn, offset }),
+        2 => (0..30_000u64).prop_map(LockOp::Advance),
+    ]
+}
+
+fn sorted(mut grants: Vec<(TxnId, LockMode)>) -> Vec<(TxnId, LockMode)> {
+    grants.sort_by_key(|(t, m)| (*t, format!("{m:?}")));
+    grants
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The manager forgets entries against the mark; the reference keeps
+    /// every entry forever.  They agree on the cycles of every `acquire`
+    /// and `release_all`, on the upgrade fast path, on `acquisitions` and
+    /// `logical_waits`, and on every holder set — so forgetting is never
+    /// observable — and the manager keeps no more entries than the
+    /// reference.
+    #[test]
+    fn lock_manager_forgets_only_what_no_later_request_can_observe(
+        centralized in any::<bool>(),
+        ops in prop::collection::vec(lock_op_strategy(), 1..400),
+    ) {
+        let mut machine = Machine::new(Topology::multisocket(4, 2), CostModel::westmere());
+        let (topo, cost) = (machine.topology.clone(), machine.cost.clone());
+        let mut lm = if centralized {
+            LockManager::centralized(16, 4)
+        } else {
+            LockManager::partition_local(SocketId(0))
+        };
+        let mut reference = NeverForgets::new(centralized);
+        let mut txns: Vec<Txn> = (1..=3).map(|i| Txn::begin(TxnId(i))).collect();
+        let mut next_txn = 4;
+        let mut mark = 0;
+        for op in ops {
+            match op {
+                LockOp::Advance(step) => {
+                    mark += step;
+                    machine.set_low_water(mark);
+                }
+                LockOp::Acquire { txn: slot, lock, mode, offset } => {
+                    let (id, mode) = (lock_id(lock), lock_mode(mode));
+                    let txn = &mut txns[slot];
+                    let fast_path = reference.oracle.holds(txn.id, &id, mode);
+                    prop_assert_eq!(lm.holds(txn.id, &id, mode), fast_path, "fast path on {:?}", id);
+                    let core = CoreId(slot as u32 * 2);
+                    let mut ctx = machine.ctx(core, mark + offset);
+                    let mut rctx = SimCtx::new(&topo, &cost, core, mark + offset);
+                    let got = lm.acquire(&mut ctx, txn, id, mode);
+                    let want = reference.acquire(&mut rctx, txn.id, id, mode);
+                    prop_assert_eq!(got, want, "cycles of {:?} {:?}", id, mode);
+                    let held = reference.oracle.held.get(&txn.id).cloned().unwrap_or_default();
+                    prop_assert_eq!(&txn.held_locks, &held);
+                    prop_assert_eq!(sorted(lm.holders_of(&id)), reference.oracle.sorted_holders(&id));
+                }
+                LockOp::Release { txn: slot, offset } => {
+                    let txn = &mut txns[slot];
+                    let core = CoreId(slot as u32 * 2);
+                    let mut ctx = machine.ctx(core, mark + offset);
+                    let mut rctx = SimCtx::new(&topo, &cost, core, mark + offset);
+                    let got = lm.release_all(&mut ctx, txn);
+                    let want = reference.release_all(&mut rctx, txn.id);
+                    prop_assert_eq!(got, want, "cycles of release_all");
+                    txn.reset(TxnId(next_txn));
+                    next_txn += 1;
+                }
+            }
+            prop_assert_eq!(lm.acquisitions, reference.acquisitions);
+            prop_assert_eq!(lm.logical_waits, reference.logical_waits);
+            prop_assert!(lm.record_entries() <= reference.oracle.holders.len());
+        }
+        for l in 0..STREAM_LOCKS {
+            let id = lock_id(l);
+            prop_assert_eq!(sorted(lm.holders_of(&id)), reference.oracle.sorted_holders(&id));
+        }
+    }
+}
+
+/// The memory bound as a count: 10 000 one-key transactions over 10 000
+/// distinct keys, with the mark at each transaction's start, never leave
+/// more than twice the sweep floor of record entries — on either kind of
+/// table.  Without a mark every key keeps its entry, as every key did
+/// before entries were forgotten.
+#[test]
+fn lock_entries_stay_bounded_by_the_locks_in_flight() {
+    for centralized in [false, true] {
+        let make = || {
+            if centralized {
+                LockManager::centralized(256, 4)
+            } else {
+                LockManager::partition_local(SocketId(0))
+            }
+        };
+        let mut machine = Machine::new(Topology::multisocket(4, 2), CostModel::westmere());
+        let (mut forgets, mut keeps) = (make(), make());
+        let mut now = 0;
+        let mut most = 0;
+        for i in 0..10_000u64 {
+            machine.set_low_water(now);
+            let id = LockId::Record(TableId(0), Key::int(i as i64));
+            let mut txn = Txn::begin(TxnId(i));
+            let mut ctx = machine.ctx(CoreId(0), now);
+            forgets.acquire(&mut ctx, &mut txn, LockId::Table(TableId(0)), LockMode::IX);
+            forgets.acquire(&mut ctx, &mut txn, id, LockMode::X);
+            forgets.release_all(&mut ctx, &mut txn);
+            now = ctx.now();
+            most = most.max(forgets.record_entries());
+            let mut ctx = SimCtx::new(&machine.topology, &machine.cost, CoreId(0), now);
+            keeps.acquire(&mut ctx, &mut txn, id, LockMode::X);
+            keeps.release_all(&mut ctx, &mut txn);
+        }
+        assert!(
+            most <= 2 * SWEEP_FLOOR,
+            "centralized {centralized}: {most} live entries"
+        );
+        assert_eq!(keeps.record_entries(), 10_000, "centralized {centralized}");
+    }
+}
+
+// ----------------------------------------------------------------------
+// Range-partition routing vs. the whole-key search it replaced
+// ----------------------------------------------------------------------
+
+/// The last partition whose lower bound is `<= key`, by binary search over
+/// whole keys (`partition_for` before the bounds became a key column).
+fn whole_key_partition_for(tree: &MrBTree, key: &Key) -> usize {
+    let (mut lo, mut hi) = (1, tree.num_partitions());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if tree.lower_bound(mid).is_some_and(|lower| lower > key) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo - 1
+}
+
+proptest! {
+    /// Routing equals the whole-key search for probes of every shape —
+    /// composite keys whose ranks tie, probes equal to a boundary — over
+    /// random boundaries reshaped by splits and merges, and the bounds
+    /// stay where `lower_bound`/`upper_bound` say.
+    #[test]
+    fn partition_routing_matches_the_whole_key_search(
+        bounds in prop::collection::btree_set(key_strategy(), 0..100),
+        edits in prop::collection::vec((any::<bool>(), any::<u64>(), key_strategy()), 0..20),
+        probes in prop::collection::vec(key_strategy(), 1..40),
+    ) {
+        let nodes = vec![SocketId(0); bounds.len() + 1];
+        let mut tree = MrBTree::range_partitioned(bounds.into_iter().collect(), nodes);
+        for (split, at, key) in edits {
+            if split {
+                let idx = tree.partition_for(&key);
+                let on_bound = tree.lower_bound(idx) == Some(&key);
+                let split = tree.split_partition(idx, key, SocketId(1));
+                prop_assert_eq!(split.is_err(), on_bound, "split at {}", key);
+            } else if tree.num_partitions() > 1 {
+                let idx = at as usize % (tree.num_partitions() - 1);
+                tree.merge_with_next(idx).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            }
+        }
+        tree.check_invariants().map_err(TestCaseError::fail)?;
+        let n = tree.num_partitions();
+        prop_assert_eq!(tree.lower_bound(0), None);
+        prop_assert_eq!(tree.upper_bound(n - 1), None);
+        let lowers: Vec<Key> = (1..n).map(|i| *tree.lower_bound(i).unwrap()).collect();
+        for (i, lower) in lowers.iter().enumerate() {
+            prop_assert_eq!(tree.upper_bound(i), Some(lower));
+        }
+        for probe in probes.iter().chain(&lowers) {
+            prop_assert_eq!(tree.partition_for(probe), whole_key_partition_for(&tree, probe), "{}", probe);
         }
     }
 }

@@ -119,8 +119,9 @@ fn executor_hot_path_regions_are_live() {
     );
 }
 
-/// The point-probe path and `Timeline::book` are marked too: an allocation
-/// planted behind the first statement of each marked function is flagged.
+/// The point-probe path, the lock manager's `acquire` and `release_all`,
+/// and `Timeline::book` are marked too: an allocation planted behind a
+/// statement of each marked function is flagged.
 #[test]
 fn point_probe_hot_path_regions_are_live() {
     let regions = [
@@ -138,7 +139,18 @@ fn point_probe_hot_path_regions_are_live() {
             "let mut node = &mut self.root;",
         ),
         ("crates/storage/src/btree.rs", "let lo = run.start;"),
-        ("crates/storage/src/mrbtree.rs", "let mut lo = 1usize;"),
+        (
+            "crates/storage/src/mrbtree.rs",
+            "self.lowers.child_index(key)",
+        ),
+        (
+            "crates/storage/src/lock_manager.rs",
+            "let (latch, entry) = match id {",
+        ),
+        (
+            "crates/storage/src/lock_manager.rs",
+            "txn.held_locks.clear();",
+        ),
         (
             "crates/numa/src/contention.rs",
             "let duration = duration.max(1);",
