@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Cost parameters of the shared-nothing variant of the ATraPos model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardingConfig {
     /// Cost charged per co-access (synchronization observation) whose two
     /// sub-partitions live on different instances of the *same* machine —
@@ -192,7 +192,7 @@ impl ShardingPlan {
 }
 
 /// Evaluation of a sharding plan under a workload trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardingCost {
     /// Total absolute deviation of per-instance load from the mean (the
     /// shared-nothing analogue of `RU(S,W)`).

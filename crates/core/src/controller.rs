@@ -48,7 +48,7 @@ impl Default for ControllerConfig {
 }
 
 /// What the controller decided at the end of an interval.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum AdaptationOutcome {
     /// Keep the current scheme (throughput stable or no better scheme
     /// found).
@@ -68,7 +68,7 @@ pub enum AdaptationOutcome {
 }
 
 /// The adaptive controller.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdaptiveController {
     /// Configuration.
     pub config: ControllerConfig,
@@ -221,7 +221,7 @@ mod tests {
         let (mut topo, mut ctl) = setup();
         let stats = uniform_stats(80);
         ctl.on_interval(1000.0, &stats, &topo);
-        topo.fail_socket(atrapos_numa::SocketId(1));
+        topo.fail_socket(atrapos_numa::SocketId(1)).unwrap();
         let out = ctl.on_interval(1000.0, &stats, &topo);
         match out {
             AdaptationOutcome::Repartition { new_scheme, .. } => {

@@ -20,10 +20,9 @@
 use crate::partitioning::PartitioningScheme;
 use crate::stats::{SubPartitionId, WorkloadStats};
 use atrapos_numa::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Evaluation of a scheme under a workload trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostBreakdown {
     /// `RU(S,W)`: total absolute deviation of per-core load from the mean.
     pub resource_imbalance: f64,
@@ -194,7 +193,7 @@ mod tests {
             stats.record_action(SubPartitionId::new(TableId(0), sub), 10.0);
         }
         let before = resource_utilization(&scheme, &stats, &topo);
-        topo.fail_socket(atrapos_numa::SocketId(1));
+        topo.fail_socket(atrapos_numa::SocketId(1)).unwrap();
         // The scheme still maps half the load to the failed socket's cores,
         // which the active cores' average no longer accounts for: imbalance
         // appears, which is what triggers re-partitioning after a failure.

@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 pub const MONITOR_INSTRUCTIONS_PER_EVENT: u64 = 30;
 
 /// The workload monitor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Monitor {
     enabled: bool,
     stats: WorkloadStats,
@@ -97,7 +97,7 @@ impl Monitor {
 }
 
 /// Decision produced after a monitoring interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntervalDecision {
     /// Throughput is stable: keep running, interval was (possibly)
     /// lengthened.

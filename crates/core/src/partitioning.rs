@@ -389,7 +389,7 @@ mod tests {
         let mut topo = Topology::multisocket(2, 2);
         let scheme = PartitioningScheme::naive(&[(TableId(0), domain())], &topo, 10);
         scheme.check_invariants(&topo).unwrap();
-        topo.fail_socket(SocketId(1));
+        topo.fail_socket(SocketId(1)).unwrap();
         assert!(scheme.check_invariants(&topo).is_err());
     }
 

@@ -13,11 +13,10 @@
 use crate::partitioning::PartitioningScheme;
 use atrapos_numa::Topology;
 use atrapos_storage::{Database, Key, StorageResult, TableId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One repartitioning action.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RepartitionAction {
     /// Split the partition containing `boundary` at `boundary`.
     Split {
@@ -39,7 +38,7 @@ pub enum RepartitionAction {
 
 /// An ordered batch of repartitioning actions plus the placement the
 /// resulting partitions should have.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RepartitionPlan {
     /// Actions in application order (merges first, then splits).
     pub actions: Vec<RepartitionAction>,
@@ -72,7 +71,7 @@ impl RepartitionPlan {
 }
 
 /// Outcome of applying a plan to the physical database.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RepartitionStats {
     /// Splits performed.
     pub splits: usize,

@@ -394,7 +394,7 @@ mod tests {
                 stats.record_action(SubPartitionId::new(TableId(t), sub), 5.0);
             }
         }
-        topo.fail_socket(atrapos_numa::SocketId(2));
+        topo.fail_socket(atrapos_numa::SocketId(2)).unwrap();
         let scheme = choose_scheme(&current, &stats, &topo, &SearchConfig::default());
         scheme.check_invariants(&topo).unwrap();
     }

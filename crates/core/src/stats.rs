@@ -9,11 +9,10 @@
 //! formula is evaluated by summing the pairwise contributions.
 
 use atrapos_storage::TableId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identity of a sub-partition: a table and a sub-partition index within it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SubPartitionId {
     /// The table.
     pub table: TableId,
@@ -29,7 +28,7 @@ impl SubPartitionId {
 }
 
 /// Aggregated observations for one synchronization pair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SyncObservation {
     /// Number of times the pair synchronized.
     pub count: u64,
@@ -42,7 +41,7 @@ pub struct SyncObservation {
 /// Both maps are `BTreeMap`s so that iteration order — and therefore every
 /// decision the search derives from a trace — is deterministic across runs,
 /// matching the determinism guarantee of the virtual-time simulator.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkloadStats {
     /// Work (cycles) performed by actions on each sub-partition, indexed
     /// by `TableId` (an empty inner vector means the table was never

@@ -182,7 +182,7 @@ proptest! {
     ) {
         let mut topo = Topology::multisocket(sockets, cores);
         if fail_last_socket && sockets > 1 {
-            topo.fail_socket(SocketId((sockets - 1) as u16));
+            topo.fail_socket(SocketId((sockets - 1) as u16)).unwrap();
         }
         let naive = PartitioningScheme::naive(
             &[(TableId(0), KeyDomain::new(0, 10_000))],
@@ -290,7 +290,7 @@ proptest! {
         let failed_socket = SocketId((failed % sockets) as u16);
         // Keep at least one active socket.
         if sockets > 1 {
-            topo.fail_socket(failed_socket);
+            topo.fail_socket(failed_socket).unwrap();
         }
         let naive = PartitioningScheme::naive(
             &[(TableId(0), KeyDomain::new(0, 10_000))],

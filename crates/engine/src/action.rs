@@ -14,10 +14,9 @@
 
 use atrapos_numa::Cycles;
 use atrapos_storage::{Key, Record, TableId, Value};
-use serde::{Deserialize, Serialize};
 
 /// What an action does to its table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ActionOp {
     /// Read one record by primary key.
     Read {
@@ -116,7 +115,7 @@ impl ActionOp {
 }
 
 /// One action of a transaction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Action {
     /// The storage operation.
     pub op: ActionOp,
@@ -142,7 +141,7 @@ impl Action {
 
 /// A phase: actions that can run in parallel, terminated by a
 /// synchronization point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     /// Actions of this phase.
     pub actions: Vec<Action>,
@@ -163,7 +162,7 @@ impl Phase {
 }
 
 /// A fully instantiated transaction: its class and its flow graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransactionSpec {
     /// Transaction class (e.g. "GetSubData", "NewOrder").
     pub class: &'static str,
@@ -265,7 +264,7 @@ impl SpecRefill<'_> {
 }
 
 /// The result of executing one transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TxnOutcome {
     /// Whether the transaction committed.
     pub committed: bool,

@@ -675,7 +675,7 @@ mod tests {
     #[test]
     fn socket_failure_reroutes_to_a_fallback_core() {
         let mut topo = Topology::multisocket(2, 2);
-        topo.fail_socket(SocketId(1));
+        topo.fail_socket(SocketId(1)).unwrap();
         let core_on_failed = CoreId(3);
         let fallback = AtraposDesign::effective_core(&topo, core_on_failed);
         assert_eq!(topo.socket_of(fallback), SocketId(0));

@@ -31,7 +31,7 @@ use crate::workload::{ReconfigureError, Workload, WorkloadChange};
 use atrapos_core::LatencyHistogram;
 use atrapos_numa::{
     frac_cycles_to_micros, secs_to_cycles, Breakdown, CoreId, Cycles, Interconnect, Machine,
-    SocketId,
+    SocketId, UnknownSocket,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -39,7 +39,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Executor parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExecutorConfig {
     /// Random seed for the workload generator.
     pub seed: u64,
@@ -402,20 +402,23 @@ impl VirtualExecutor {
     }
 
     /// Fail a socket: its clients stop submitting and the design is
-    /// notified (paper Figure 12).
-    pub fn fail_socket(&mut self, socket: SocketId) {
-        self.machine.topology.fail_socket(socket);
+    /// notified (paper Figure 12).  A socket the machine lacks is an error
+    /// and changes nothing.
+    pub fn fail_socket(&mut self, socket: SocketId) -> Result<(), UnknownSocket> {
+        self.machine.topology.fail_socket(socket)?;
         for c in &mut self.clients {
             if self.machine.topology.socket_of(c.core) == socket {
                 c.active = false;
             }
         }
         self.design.on_topology_change(&self.machine);
+        Ok(())
     }
 
-    /// Restore a previously failed socket.
-    pub fn restore_socket(&mut self, socket: SocketId) {
-        self.machine.topology.restore_socket(socket);
+    /// Restore a previously failed socket.  A socket the machine lacks is
+    /// an error and changes nothing.
+    pub fn restore_socket(&mut self, socket: SocketId) -> Result<(), UnknownSocket> {
+        self.machine.topology.restore_socket(socket)?;
         for c in &mut self.clients {
             if self.machine.topology.socket_of(c.core) == socket {
                 c.active = true;
@@ -423,6 +426,7 @@ impl VirtualExecutor {
             }
         }
         self.design.on_topology_change(&self.machine);
+        Ok(())
     }
 
     /// Run for `virtual_secs` of virtual time and return the segment's
@@ -750,13 +754,35 @@ mod tests {
         let mut ex = executor_with("atrapos", 2, 2);
         ex.run_for(0.01);
         let before = ex.machine().topology.num_active_cores();
-        ex.fail_socket(SocketId(1));
+        ex.fail_socket(SocketId(1)).unwrap();
         assert_eq!(ex.machine().topology.num_active_cores(), before - 2);
         let stats = ex.run_for(0.01);
         // The system keeps running on the remaining socket.
         assert!(stats.committed > 0);
-        ex.restore_socket(SocketId(1));
+        ex.restore_socket(SocketId(1)).unwrap();
         assert_eq!(ex.machine().topology.num_active_cores(), before);
+    }
+
+    const MISSING: UnknownSocket = UnknownSocket {
+        socket: SocketId(2),
+        sockets: 2,
+    };
+
+    #[test]
+    fn failing_a_socket_the_machine_lacks_is_a_typed_error() {
+        let mut ex = executor_with("atrapos", 2, 2);
+        assert_eq!(ex.fail_socket(SocketId(2)), Err(MISSING));
+        assert_eq!(ex.machine().topology.num_active_cores(), 4);
+        assert!(ex.run_for(0.01).committed > 0);
+    }
+
+    #[test]
+    fn restoring_a_socket_the_machine_lacks_is_a_typed_error() {
+        let mut ex = executor_with("atrapos", 2, 2);
+        ex.fail_socket(SocketId(1)).unwrap();
+        assert_eq!(ex.restore_socket(SocketId(2)), Err(MISSING));
+        assert_eq!(ex.machine().topology.num_active_cores(), 2);
+        assert!(ex.run_for(0.01).committed > 0);
     }
 
     #[test]

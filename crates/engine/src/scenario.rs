@@ -465,10 +465,12 @@ impl VirtualExecutor {
                 })?;
             } else {
                 match &e.event {
-                    ScenarioEvent::FailSocket { socket } => self.fail_socket(SocketId(*socket)),
-                    ScenarioEvent::RestoreSocket { socket } => {
-                        self.restore_socket(SocketId(*socket))
-                    }
+                    ScenarioEvent::FailSocket { socket } => self
+                        .fail_socket(SocketId(*socket))
+                        .expect("socket events were checked against this machine"),
+                    ScenarioEvent::RestoreSocket { socket } => self
+                        .restore_socket(SocketId(*socket))
+                        .expect("socket events were checked against this machine"),
                     ScenarioEvent::SetInterval { secs } => self.set_default_interval_secs(*secs),
                     ScenarioEvent::SetArrivalRate { rate_tps } => {
                         self.set_arrival_process(ArrivalProcess::Poisson {

@@ -289,11 +289,11 @@ proptest! {
         prop_assert!(before.committed > 0);
         let failed = atrapos_numa::SocketId((fail_idx % sockets) as u16);
         let active_before = ex.machine().topology.num_active_cores();
-        ex.fail_socket(failed);
+        ex.fail_socket(failed).unwrap();
         prop_assert_eq!(ex.machine().topology.num_active_cores(), active_before - cores);
         let during = ex.run_for(0.004);
         prop_assert!(during.committed > 0, "system stalled after losing socket {failed}");
-        ex.restore_socket(failed);
+        ex.restore_socket(failed).unwrap();
         prop_assert_eq!(ex.machine().topology.num_active_cores(), active_before);
         let after = ex.run_for(0.004);
         prop_assert!(after.committed > 0);

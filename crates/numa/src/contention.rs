@@ -22,11 +22,10 @@
 
 use crate::clock::Cycles;
 use crate::topology::SocketId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// How a cache line is accessed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
     /// Plain read: the line can stay shared; concurrent readers do not
     /// serialize, but a reader still pays the transfer cost if the line is
@@ -38,7 +37,7 @@ pub enum AccessKind {
 }
 
 /// What a core does while it waits for a line or resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitMode {
     /// Spin-wait on a locally cached copy: instructions retire at the spin
     /// IPC (this is what inflates the IPC of the centralized design in the
@@ -55,7 +54,7 @@ pub enum WaitMode {
 const TIMELINE_CAPACITY: usize = 48;
 
 /// A bounded set of disjoint busy intervals on the virtual-time axis.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     /// Disjoint, non-empty `[start, end)` intervals sorted by start — and
     /// therefore by end.
@@ -158,7 +157,7 @@ impl Timeline {
 }
 
 /// A single contended cache line.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ContendedLine {
     /// Memory node the line's backing memory lives on.
     pub home: SocketId,

@@ -12,10 +12,9 @@
 //! multisockets (paper §III-B).
 
 use crate::clock::Cycles;
-use serde::{Deserialize, Serialize};
 
 /// Cycle costs of primitive machine operations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Instructions retired per cycle while executing useful transaction
     /// logic.  OLTP barely exceeds 1 IPC (paper §III-B, ref. \[25\]).

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// Storage-manager component a piece of work is attributed to.  Matches the
 /// categories of the paper's Figure 4 time breakdown, plus latching and
 /// monitoring which the paper discusses separately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Component {
     /// Transaction management: begin/commit/abort bookkeeping, transaction
     /// list maintenance, state read-locks.
@@ -218,27 +218,10 @@ impl<'a> IntoIterator for &'a TrafficList {
     }
 }
 
-impl serde::ser::Serialize for TrafficList {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Array(self.iter().map(serde::ser::Serialize::to_value).collect())
-    }
-}
-
-impl serde::de::Deserialize for TrafficList {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let items = <Vec<Transfer> as serde::de::Deserialize>::from_value(v)?;
-        let mut out = TrafficList::new();
-        for t in items {
-            out.push(t);
-        }
-        Ok(out)
-    }
-}
-
 /// Everything a single simulated step (action, transaction, or background
 /// task) accrues.  Produced by [`crate::SimCtx::finish`] and merged into the
 /// machine-wide counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Tally {
     /// Virtual time at which the step started.
     pub start: Cycles,
@@ -265,7 +248,7 @@ pub struct Tally {
 }
 
 /// Cumulative counters for one core.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CoreCounters {
     /// Instructions retired.
     pub instructions: u64,

@@ -7,10 +7,9 @@
 
 use crate::clock::{cycles_to_secs, Cycles};
 use crate::topology::{SocketId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Machine-wide traffic counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Interconnect {
     n_sockets: usize,
     /// Bytes moved from socket `from` to socket `to`, indexed `[from][to]`.

@@ -58,4 +58,4 @@ pub use ctx::SimCtx;
 pub use interconnect::Interconnect;
 pub use machine::Machine;
 pub use placement::{round_robin_by_socket, socket_fill, CorePlacement};
-pub use topology::{CoreId, SocketId, Topology, TopologyKind};
+pub use topology::{CoreId, SocketId, Topology, TopologyKind, UnknownSocket};

@@ -6,10 +6,9 @@
 //! is a mapping from logical workers (or data partitions) to [`CoreId`]s.
 
 use crate::topology::{CoreId, SocketId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// An explicit assignment of logical workers/partitions to cores.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorePlacement {
     assignment: Vec<CoreId>,
 }
@@ -137,7 +136,7 @@ mod tests {
     #[test]
     fn placements_skip_failed_sockets() {
         let mut topo = Topology::multisocket(4, 2);
-        topo.fail_socket(SocketId(1));
+        topo.fail_socket(SocketId(1)).unwrap();
         let p = round_robin_by_socket(&topo, 6);
         for (i, _) in p.iter() {
             assert_ne!(p.socket_of(i, &topo), SocketId(1));

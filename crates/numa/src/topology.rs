@@ -46,8 +46,29 @@ impl CoreId {
     }
 }
 
+/// A socket index past the last socket of the machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnknownSocket {
+    /// The socket asked for.
+    pub socket: SocketId,
+    /// How many sockets the machine has.
+    pub sockets: usize,
+}
+
+impl fmt::Display for UnknownSocket {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "no socket {}: the machine has {} sockets",
+            self.socket, self.sockets
+        )
+    }
+}
+
+impl std::error::Error for UnknownSocket {}
+
 /// How the sockets of a machine are wired together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyKind {
     /// A single socket: every core communicates through the shared LLC.
     SingleSocket,
@@ -65,7 +86,7 @@ pub enum TopologyKind {
 }
 
 /// A processor socket: a group of cores sharing a last-level cache.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Socket {
     /// Socket identifier.
     pub id: SocketId,
@@ -80,7 +101,7 @@ pub struct Socket {
 }
 
 /// The machine topology: sockets, cores, and the hop-distance matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     kind: TopologyKind,
     sockets: Vec<Socket>,
@@ -237,20 +258,29 @@ impl Topology {
         self.sockets[socket.index()].active
     }
 
+    /// The socket `socket` names, or the error that this machine lacks it.
+    fn socket_mut(&mut self, socket: SocketId) -> Result<&mut Socket, UnknownSocket> {
+        let sockets = self.sockets.len();
+        self.sockets
+            .get_mut(socket.index())
+            .ok_or(UnknownSocket { socket, sockets })
+    }
+
     /// Mark a socket as failed (its cores become unavailable).  Models the
     /// processor-failure experiment (Figure 12).
     ///
-    /// Returns `false` if the socket was already failed.
-    pub fn fail_socket(&mut self, socket: SocketId) -> bool {
-        let s = &mut self.sockets[socket.index()];
+    /// Returns `Ok(false)` if the socket was already failed.
+    pub fn fail_socket(&mut self, socket: SocketId) -> Result<bool, UnknownSocket> {
+        let s = self.socket_mut(socket)?;
         let was = s.active;
         s.active = false;
-        was
+        Ok(was)
     }
 
     /// Bring a previously failed socket back.
-    pub fn restore_socket(&mut self, socket: SocketId) {
-        self.sockets[socket.index()].active = true;
+    pub fn restore_socket(&mut self, socket: SocketId) -> Result<(), UnknownSocket> {
+        self.socket_mut(socket)?.active = true;
+        Ok(())
     }
 
     /// Identifiers of all active sockets.
@@ -452,7 +482,7 @@ mod tests {
     fn socket_failure_removes_cores() {
         let mut t = Topology::multisocket(8, 10);
         assert_eq!(t.num_active_cores(), 80);
-        assert!(t.fail_socket(SocketId(3)));
+        assert_eq!(t.fail_socket(SocketId(3)), Ok(true));
         assert!(!t.is_active(SocketId(3)));
         assert_eq!(t.num_active_cores(), 70);
         assert_eq!(t.active_sockets().len(), 7);
@@ -461,9 +491,33 @@ mod tests {
             .iter()
             .any(|c| t.socket_of(*c) == SocketId(3)));
         // Failing twice reports it was already failed.
-        assert!(!t.fail_socket(SocketId(3)));
-        t.restore_socket(SocketId(3));
+        assert_eq!(t.fail_socket(SocketId(3)), Ok(false));
+        t.restore_socket(SocketId(3)).unwrap();
         assert_eq!(t.num_active_cores(), 80);
+    }
+
+    const MISSING: UnknownSocket = UnknownSocket {
+        socket: SocketId(4),
+        sockets: 4,
+    };
+
+    #[test]
+    fn failing_a_socket_the_machine_lacks_is_a_typed_error() {
+        let mut t = Topology::multisocket(4, 2);
+        assert_eq!(t.fail_socket(SocketId(4)), Err(MISSING));
+        assert_eq!(t.active_sockets().len(), 4);
+        assert_eq!(
+            MISSING.to_string(),
+            "no socket S4: the machine has 4 sockets"
+        );
+    }
+
+    #[test]
+    fn restoring_a_socket_the_machine_lacks_is_a_typed_error() {
+        let mut t = Topology::multisocket(4, 2);
+        t.fail_socket(SocketId(0)).unwrap();
+        assert_eq!(t.restore_socket(SocketId(4)), Err(MISSING));
+        assert_eq!(t.active_sockets().len(), 3);
     }
 
     #[test]

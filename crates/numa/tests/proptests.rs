@@ -64,7 +64,7 @@ proptest! {
         let mut failed = Vec::new();
         for s in to_fail {
             if s < sockets && topo.active_sockets().len() > 1 {
-                topo.fail_socket(SocketId(s as u16));
+                topo.fail_socket(SocketId(s as u16)).unwrap();
                 failed.push(SocketId(s as u16));
             }
         }
@@ -77,7 +77,7 @@ proptest! {
             }
         }
         for &s in &failed {
-            topo.restore_socket(s);
+            topo.restore_socket(s).unwrap();
         }
         prop_assert_eq!(topo.num_active_cores(), sockets * cores);
     }

@@ -31,7 +31,6 @@
 //!   ATraPos repartitioning actions (paper §V-D).
 
 use crate::record::{Key, Record};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -43,7 +42,7 @@ const ORDER: usize = 64;
 const NODE_SLOTS: usize = ORDER + 1;
 
 /// A B+-tree from [`Key`] to [`Record`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BTree {
     root: Node,
     len: usize,
@@ -55,19 +54,19 @@ pub struct BTree {
     height: usize,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf(Leaf),
     Internal(Internal),
 }
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct Leaf {
     keys: KeyColumn,
     values: Vec<Record>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Internal {
     /// Separator keys; `children[i]` holds keys `< keys[i]`,
     /// `children[i+1]` holds keys `>= keys[i]`.
@@ -87,9 +86,6 @@ struct Internal {
 /// keys of one or two in-range integers every rank is unique and a search
 /// costs at most one full compare; a node whose keys all tie (TPC-C order
 /// lines sharing `(w_id, d_id)`) searches the keys directly.
-///
-/// The column is derived state: it serializes as its keys and is rebuilt
-/// on deserialization.
 #[derive(Debug, Clone, Default)]
 pub struct KeyColumn {
     keys: Vec<Key>,
@@ -262,18 +258,6 @@ impl KeyColumn {
             return Err("rank column does not match the node's keys".into());
         }
         Ok(())
-    }
-}
-
-impl serde::ser::Serialize for KeyColumn {
-    fn to_value(&self) -> serde::Value {
-        serde::ser::Serialize::to_value(&self.keys)
-    }
-}
-
-impl serde::de::Deserialize for KeyColumn {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        <Vec<Key> as serde::de::Deserialize>::from_value(v).map(KeyColumn::from_keys)
     }
 }
 
@@ -1067,14 +1051,57 @@ mod tests {
         assert!(spine.iter().all(|&c| c <= NODE_SLOTS), "{spine:?}");
     }
 
-    /// 64-bit FNV-1a of a tree's JSON: node boundaries, separators, records,
-    /// `len` and `height` — everything but vector capacity.
+    /// 64-bit FNV-1a.
+    struct Fnv(u64);
+
+    impl std::hash::Hasher for Fnv {
+        fn write(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        fn finish(&self) -> u64 {
+            self.0
+        }
+    }
+
+    /// FNV-1a of a tree's shape: `len`, `height`, then every node in
+    /// preorder — its separators or keys, a leaf's records, an internal
+    /// node's child count.  Everything but vector capacity and the rank
+    /// column, which the keys decide.
     fn shape_digest(t: &BTree) -> u64 {
-        serde::json::to_string(t)
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            })
+        use std::hash::{Hash, Hasher};
+        fn walk(node: &Node, h: &mut Fnv) {
+            match node {
+                Node::Leaf(leaf) => {
+                    h.write_u8(0);
+                    leaf.keys.keys().hash(h);
+                    for r in &leaf.values {
+                        h.write_usize(r.arity());
+                        for c in 0..r.arity() {
+                            match r.get(c) {
+                                Value::Int(v) => (0u8, v).hash(h),
+                                Value::Text(s) => (1u8, s).hash(h),
+                            }
+                        }
+                    }
+                }
+                Node::Internal(internal) => {
+                    h.write_u8(1);
+                    internal.keys.keys().hash(h);
+                    h.write_usize(internal.children.len());
+                    for child in &internal.children {
+                        walk(child, h);
+                    }
+                }
+            }
+        }
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        h.write_usize(t.len);
+        h.write_usize(t.height);
+        walk(&t.root, &mut h);
+        h.finish()
     }
 
     /// Insert-built shapes, pinned by digests of the same trees built with
@@ -1123,27 +1150,11 @@ mod tests {
         assert_eq!(
             [&ascending, &mixed, &orders].map(shape_digest),
             [
-                0xf64d_5dee_bb01_4d22,
-                0x6b0e_d8e4_2d09_d5e7,
-                0x41d0_5682_1b2d_5603
+                0xc5d2_0c1d_61a0_3dc2,
+                0xf427_3f7f_f7cf_665b,
+                0x3cd7_1543_aa50_ddde
             ]
         );
-    }
-
-    /// The rank column is derived state: a tree serializes its keys only
-    /// and comes back with the column rebuilt.
-    #[test]
-    fn serde_roundtrip_rebuilds_the_rank_columns() {
-        let mut t = BTree::new();
-        for i in 0..300 {
-            t.insert(Key::ints(&[i / 7, i % 7]), rec(i));
-        }
-        let text = serde::json::to_string(&t);
-        assert!(!text.contains("heads"));
-        let back: BTree = serde::json::from_str(&text).unwrap();
-        back.check_invariants().unwrap();
-        assert_eq!(back.height(), t.height());
-        assert!(back.iter().eq(t.iter()));
     }
 
     #[test]

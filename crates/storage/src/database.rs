@@ -3,10 +3,9 @@
 use crate::error::{StorageError, StorageResult};
 use crate::schema::TableId;
 use crate::table::Table;
-use serde::{Deserialize, Serialize};
 
 /// A collection of tables.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: Vec<Option<Table>>,
 }

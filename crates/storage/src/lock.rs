@@ -6,10 +6,9 @@
 
 use crate::record::Key;
 use crate::schema::TableId;
-use serde::{Deserialize, Serialize};
 
 /// Lock modes (subset of the classic hierarchy used by the workloads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockMode {
     /// Intention shared (table level).
     IS,
@@ -38,7 +37,7 @@ impl LockMode {
 }
 
 /// What a lock protects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockId {
     /// A whole table (intention locks).
     Table(TableId),

@@ -14,7 +14,6 @@
 use crate::per_socket::PerSocket;
 use crate::txn::TxnId;
 use atrapos_numa::{AccessKind, Component, ContendedLine, Cycles, SimCtx, SocketId, WaitMode};
-use serde::{Deserialize, Serialize};
 
 /// Instruction cost per 16 bytes of log payload copied into the buffer.
 const COPY_INSTRUCTIONS_PER_16B: u64 = 4;
@@ -25,7 +24,7 @@ const HEADER_INSTRUCTIONS: u64 = 60;
 const FLUSH_LATENCY: Cycles = 2_500;
 
 /// Kinds of log records generated by the workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogRecordKind {
     /// Tuple update (before/after image).
     Update,
@@ -43,7 +42,7 @@ pub enum LogRecordKind {
     DistributedCommit,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct LogBuffer {
     head: ContendedLine,
     next_lsn: u64,
@@ -63,7 +62,7 @@ impl LogBuffer {
 }
 
 /// The log manager.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogManager {
     buffers: PerSocket<LogBuffer>,
 }

@@ -15,11 +15,10 @@ use crate::btree::{BTree, KeyColumn};
 use crate::error::{StorageError, StorageResult};
 use crate::record::{Key, Record};
 use atrapos_numa::SocketId;
-use serde::{Deserialize, Serialize};
 
 /// One physical partition: a B+-tree root and where its data lives.  Its
 /// key range is kept by the [`MrBTree`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionTree {
     /// The partition's B+-tree.
     pub tree: BTree,
@@ -37,7 +36,7 @@ impl PartitionTree {
 }
 
 /// A multi-rooted B+-tree: an ordered collection of range partitions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MrBTree {
     partitions: Vec<PartitionTree>,
     /// Inclusive lower bounds of partitions `1..` (partition 0 is unbounded

@@ -8,10 +8,9 @@
 //! structures differ only in what an instance is and what using it costs.
 
 use atrapos_numa::SocketId;
-use serde::{Deserialize, Serialize};
 
 /// Either a single centralized `T` or one `T` per socket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PerSocket<T> {
     parts: Vec<T>,
 }

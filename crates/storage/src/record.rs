@@ -7,12 +7,11 @@
 //! four inline integers with no heap part at all.
 
 use crate::schema::{ColumnType, Schema};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A single column value.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Value {
     /// 64-bit signed integer.
     Int(i64),
@@ -107,12 +106,6 @@ impl fmt::Debug for Key {
         let Key { len, vals } = self;
         write!(f, "Key(Ints {{ len: {len}, vals: {vals:?} }})")
     }
-}
-
-/// One key component as it is serialized (`{"Int": v}`).
-#[derive(Serialize, Deserialize)]
-enum KeyComponent {
-    Int(i64),
 }
 
 impl Key {
@@ -227,27 +220,6 @@ impl std::hash::Hash for Key {
     }
 }
 
-impl serde::ser::Serialize for Key {
-    fn to_value(&self) -> serde::Value {
-        let comps: Vec<KeyComponent> = self.comps().iter().map(|&v| KeyComponent::Int(v)).collect();
-        serde::ser::Serialize::to_value(&comps)
-    }
-}
-
-impl serde::de::Deserialize for Key {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let comps = <Vec<KeyComponent> as serde::de::Deserialize>::from_value(v)?;
-        if !(1..=MAX_KEY_COMPONENTS).contains(&comps.len()) {
-            return Err(serde::Error::new(format!(
-                "a key has 1 to {MAX_KEY_COMPONENTS} components, got {}",
-                comps.len()
-            )));
-        }
-        let ints: Vec<i64> = comps.iter().map(|KeyComponent::Int(v)| *v).collect();
-        Ok(Key::ints(&ints))
-    }
-}
-
 impl fmt::Display for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
@@ -282,10 +254,9 @@ const CELL: usize = 8;
 /// there is no per-column heap block, and the record is 24 bytes inline.
 ///
 /// The layout is canonical — a row's values decide every byte — so
-/// equality is byte equality.  The JSON and `Debug` forms are those of the
-/// `Vec<Value>` this layout replaced (`{"values":[…]}`,
-/// `Record { values: [...] }`): tree JSON and generated-stream digests pin
-/// them.
+/// equality is byte equality.  The `Debug` form is that of the `Vec<Value>`
+/// this layout replaced (`Record { values: [...] }`): generated-stream
+/// digests pin it.
 #[derive(Clone, PartialEq)]
 pub struct Record {
     bytes: Box<[u8]>,
@@ -493,35 +464,6 @@ impl fmt::Debug for Record {
     }
 }
 
-impl serde::ser::Serialize for Record {
-    /// The derived form of `struct Record { values: Vec<Value> }`.
-    fn to_value(&self) -> serde::Value {
-        let values = self
-            .unpacked()
-            .map(|v| serde::ser::Serialize::to_value(&v))
-            .collect();
-        serde::Value::Object(vec![("values".to_string(), serde::Value::Array(values))])
-    }
-}
-
-impl serde::de::Deserialize for Record {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::expected("object for Record", v))?;
-        let values = serde::get_field(obj, "values")
-            .ok_or_else(|| serde::Error::new("missing field 'values' in Record"))?;
-        let values = <Vec<Value> as serde::de::Deserialize>::from_value(values)?;
-        if values.len() > MAX_COLUMNS {
-            return Err(serde::Error::new(format!(
-                "a record has at most {MAX_COLUMNS} columns, got {}",
-                values.len()
-            )));
-        }
-        Ok(Record::new(values))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,25 +506,6 @@ mod tests {
         assert_copy::<Key>();
     }
 
-    #[test]
-    fn key_json_round_trips_and_rejects_what_a_key_cannot_be() {
-        let json = serde::json::to_string(&Key::ints(&[7, 9]));
-        assert_eq!(json, r#"[{"Int":7},{"Int":9}]"#);
-        for comps in [&[3][..], &[7, 9], &[1, -2, 3], &[1, 2, 3, i64::MAX]] {
-            let key = Key::ints(comps);
-            let back: Key = serde::json::from_str(&serde::json::to_string(&key)).unwrap();
-            assert_eq!(back, key);
-            assert_eq!(back.len(), comps.len());
-        }
-        for bad in [
-            "[]",
-            r#"[{"Text":"a"}]"#,
-            r#"[{"Int":1},{"Int":2},{"Int":3},{"Int":4},{"Int":5}]"#,
-        ] {
-            assert!(serde::json::from_str::<Key>(bad).is_err(), "{bad}");
-        }
-    }
-
     /// The centralized lock manager's bucket choice — hence every recorded
     /// simulated number — hangs on the bytes `Key` feeds a hasher.  The
     /// constant was recorded when keys were a `Vec` of tagged components.
@@ -621,15 +544,14 @@ mod tests {
         assert_eq!(r.size_bytes(), 12);
     }
 
-    /// The JSON and `Debug` forms of five rows, recorded when a record was
-    /// a derived `struct Record { values: Vec<Value> }`.  Tree JSON digests
-    /// and generated-stream digests hang on them.
+    /// The `Debug` forms of five rows, recorded when a record was a derived
+    /// `struct Record { values: Vec<Value> }`.  Generated-stream digests
+    /// hang on them.
     #[test]
     fn record_forms_are_pinned() {
         let rows = [
             (
                 Record::ints(&[7, 70, -3]),
-                r#"{"values":[{"Int":7},{"Int":70},{"Int":-3}]}"#,
                 "Record { values: [Int(7), Int(70), Int(-3)] }",
             ),
             (
@@ -640,30 +562,23 @@ mod tests {
                     Value::Int(42),
                     Value::Int(42),
                 ]),
-                r#"{"values":[{"Int":42},{"Text":"000000000000042"},{"Int":0},{"Int":42},{"Int":42}]}"#,
                 r#"Record { values: [Int(42), Text("000000000000042"), Int(0), Int(42), Int(42)] }"#,
             ),
             (
                 Record::new(vec![Value::Int(1), Value::from(""), Value::Int(2)]),
-                r#"{"values":[{"Int":1},{"Text":""},{"Int":2}]}"#,
                 r#"Record { values: [Int(1), Text(""), Int(2)] }"#,
             ),
             (
                 Record::new(vec![Value::Int(5), Value::from("naïve \u{1F980} ü\"q\\")]),
-                r#"{"values":[{"Int":5},{"Text":"naïve 🦀 ü\"q\\"}]}"#,
                 r#"Record { values: [Int(5), Text("naïve 🦀 ü\"q\\")] }"#,
             ),
             (
                 Record::ints(&[i64::MIN, i64::MAX, 0]),
-                r#"{"values":[{"Int":-9223372036854775808},{"Int":9223372036854775807},{"Int":0}]}"#,
                 "Record { values: [Int(-9223372036854775808), Int(9223372036854775807), Int(0)] }",
             ),
         ];
-        for (record, json, debug) in rows {
-            assert_eq!(serde::json::to_string(&record), json);
+        for (record, debug) in rows {
             assert_eq!(format!("{record:?}"), debug);
-            let back: Record = serde::json::from_str(json).unwrap();
-            assert_eq!(back, record);
         }
         let empty_text = Record::new(vec![Value::Int(1), Value::from(""), Value::Int(2)]);
         assert_eq!(
@@ -671,17 +586,6 @@ mod tests {
             "Record {\n    values: [\n        Int(\n            1,\n        ),\n        \
              Text(\n            \"\",\n        ),\n        Int(\n            2,\n        ),\n    ],\n}"
         );
-    }
-
-    #[test]
-    fn record_json_rejects_what_a_record_cannot_be() {
-        let wide = format!(
-            r#"{{"values":[{}]}}"#,
-            vec![r#"{"Int":1}"#; MAX_COLUMNS + 1].join(",")
-        );
-        for bad in ["[]", "{}", r#"{"values":[{"Float":1}]}"#, &wide] {
-            assert!(serde::json::from_str::<Record>(bad).is_err(), "{bad}");
-        }
     }
 
     /// Memory, pinned by a count: a row owns one heap block of exactly

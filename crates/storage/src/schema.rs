@@ -28,7 +28,7 @@ impl fmt::Display for TableId {
 }
 
 /// SQL-ish column types supported by the storage manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
     /// 64-bit signed integer.
     Int,
@@ -37,7 +37,7 @@ pub enum ColumnType {
 }
 
 /// A column definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Column name.
     pub name: String,
@@ -56,7 +56,7 @@ impl Column {
 }
 
 /// A foreign-key reference from this table to another table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForeignKey {
     /// Columns of this table forming the reference.
     pub columns: Vec<usize>,
@@ -65,7 +65,7 @@ pub struct ForeignKey {
 }
 
 /// A table schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     /// Table name.
     pub name: String,

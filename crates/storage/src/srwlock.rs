@@ -15,13 +15,12 @@
 
 use crate::per_socket::PerSocket;
 use atrapos_numa::{AccessKind, Component, ContendedLine, Cycles, SimCtx, WaitMode};
-use serde::{Deserialize, Serialize};
 
 /// Instruction cost of the read-lock fast path (check + increment).
 const READ_LOCK_INSTRUCTIONS: u64 = 20;
 
 /// A state read/write lock, possibly partitioned by socket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StateRwLock {
     words: PerSocket<ContendedLine>,
 }

@@ -11,7 +11,6 @@ use crate::mrbtree::MrBTree;
 use crate::record::{Key, Record, Value};
 use crate::schema::{Schema, TableId};
 use atrapos_numa::{Component, SimCtx, SocketId};
-use serde::{Deserialize, Serialize};
 
 /// Instruction cost of descending one B+-tree level.
 const PROBE_INSTRUCTIONS_PER_LEVEL: u64 = 55;
@@ -21,7 +20,7 @@ const TUPLE_WORK_INSTRUCTIONS: u64 = 140;
 const STRUCTURE_CHANGE_INSTRUCTIONS: u64 = 220;
 
 /// A table: schema plus the multi-rooted primary index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Table identifier.
     pub id: TableId,

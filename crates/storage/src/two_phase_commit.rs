@@ -15,10 +15,9 @@
 use crate::log::{LogManager, LogRecordKind};
 use crate::txn::TxnId;
 use atrapos_numa::{Component, Cycles, SimCtx, SocketId};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a two-phase commit round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TwoPcOutcome {
     /// Every participant voted yes and the transaction committed.
     Committed,
@@ -30,7 +29,7 @@ pub enum TwoPcOutcome {
 }
 
 /// Two-phase-commit protocol parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TwoPhaseCommit {
     /// Size of a prepare/vote/decision/ack message in bytes.
     pub message_bytes: u64,
@@ -55,7 +54,7 @@ impl Default for TwoPhaseCommit {
 }
 
 /// Statistics of a completed 2PC round.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TwoPcStats {
     /// Messages exchanged.
     pub messages: u64,

@@ -1,14 +1,13 @@
 //! Transaction descriptors.
 
 use crate::lock::{LockId, LockMode};
-use serde::{Deserialize, Serialize};
 
 /// Transaction identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TxnId(pub u64);
 
 /// Lifecycle state of a transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnState {
     /// Executing.
     Active,
@@ -21,7 +20,7 @@ pub enum TxnState {
 }
 
 /// A transaction descriptor: identity, state, and the locks it holds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Txn {
     /// Identifier.
     pub id: TxnId,

@@ -12,7 +12,6 @@
 use crate::per_socket::PerSocket;
 use crate::txn::TxnId;
 use atrapos_numa::{AccessKind, Component, ContendedLine, SimCtx, SocketId, WaitMode};
-use serde::{Deserialize, Serialize};
 
 /// Instruction cost of the list manipulation itself (pointer swizzling),
 /// excluding the cache-line transfer which the simulator charges separately.
@@ -20,12 +19,12 @@ const LIST_OP_INSTRUCTIONS: u64 = 40;
 
 /// A list of active transactions: either one centralized list or one list
 /// per socket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TxnList {
     partitions: PerSocket<TxnListPartition>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct TxnListPartition {
     head: ContendedLine,
     active: Vec<TxnId>,

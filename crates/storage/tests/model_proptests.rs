@@ -17,7 +17,7 @@
 //!   `binary_search` / `partition_point` over the plain key slice.
 //! * The packed row block (`Record`) is checked against the `Vec<Value>`
 //!   row it replaced: accessors, writes, schema checks, key extraction,
-//!   equality, and the `Debug`/JSON forms byte for byte.
+//!   equality, and the `Debug` form byte for byte.
 //! * The lock manager is driven against a naive lock-table oracle that
 //!   tracks, per lock, exactly which transactions hold it in which mode,
 //!   and per transaction the set of grants — verifying holder sets, the
@@ -429,18 +429,18 @@ proptest! {
 // ----------------------------------------------------------------------
 
 /// The row representation the packed block replaced, with its derived
-/// `Debug` and JSON forms — which the packed record must reproduce.
+/// `Debug` form — which the packed record must reproduce.
 mod naive {
     use atrapos_storage::Value;
 
-    #[derive(Debug, Clone, PartialEq, serde::Serialize)]
+    #[derive(Debug, Clone, PartialEq)]
     pub struct Record {
         pub values: Vec<Value>,
     }
 }
 
 /// One column value: integers with their extremes, and texts of zero to
-/// eleven characters, one to four UTF-8 bytes each, JSON escapes included.
+/// eleven characters, one to four UTF-8 bytes each, `Debug` escapes included.
 fn value_strategy() -> impl Strategy<Value = Value> {
     let chars = vec!['a', 'z', '0', ' ', '"', '\\', 'é', 'ü', '€', '\u{1F980}'];
     let ints = prop_oneof![
@@ -471,11 +471,6 @@ fn check_against_model(record: &Record, model: &naive::Record) -> Result<(), Tes
         values.iter().map(Value::size_bytes).sum::<u64>()
     );
     prop_assert_eq!(format!("{record:?}"), format!("{model:?}"));
-    let json = serde::json::to_string(record);
-    prop_assert_eq!(&json, &serde::json::to_string(model));
-    let back: Record =
-        serde::json::from_str(&json).map_err(|e| TestCaseError::fail(e.to_string()))?;
-    prop_assert_eq!(&back, record);
     prop_assert_eq!(&record.clone(), record);
     // The layout is canonical: the same values packed afresh are equal.
     prop_assert_eq!(&Record::new(values.clone()), record);
@@ -530,8 +525,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// A packed record agrees with a plain `Vec<Value>` on every accessor,
-    /// on its schema checks and key, on equality, and on its `Debug` and
-    /// JSON forms — as built, and after each `set` of an integer or a text
+    /// on its schema checks and key, on equality, and on its `Debug` form
+    /// — as built, and after each `set` of an integer or a text
     /// over a column of either type.
     #[test]
     fn packed_records_agree_with_the_vec_model(

@@ -41,7 +41,6 @@ use atrapos_engine::{TableSpec, TransactionSpec, Workload};
 use atrapos_numa::CoreId;
 use atrapos_storage::{Database, Key, TableId};
 use rand::rngs::SmallRng;
-use serde::{Deserialize, Serialize};
 
 /// Payload fields per record (YCSB's default schema has ten 100-byte
 /// fields; the simulator charges per-row costs, so a compact fixed set
@@ -59,7 +58,7 @@ pub const MIX_NAMES: [&str; 6] = ["A", "B", "C", "D", "E", "F"];
 /// not sum to 1 — only their ratios matter — but at least one must be
 /// positive ([`Ycsb::new`] rejects what [`WorkloadSpec::validate`]
 /// rejects).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YcsbConfig {
     /// Initially loaded records (keys `0..record_count`).
     pub record_count: i64,
@@ -512,16 +511,6 @@ mod tests {
             let by_value = a.next_transaction(&mut rng_a, CoreId(0));
             b.next_transaction_into(&mut rng_b, CoreId(0), &mut buf);
             assert_eq!(by_value, buf);
-        }
-    }
-
-    #[test]
-    fn config_round_trips_through_serde() {
-        for name in MIX_NAMES {
-            let config = YcsbConfig::named(name, 1_000).unwrap().with_theta(0.6);
-            let text = serde::json::to_string(&config);
-            let back: YcsbConfig = serde::json::from_str(&text).unwrap();
-            assert_eq!(back, config);
         }
     }
 

@@ -66,18 +66,6 @@ impl std::fmt::Display for TestCaseError {
 
 impl std::error::Error for TestCaseError {}
 
-impl From<String> for TestCaseError {
-    fn from(reason: String) -> Self {
-        Self::fail(reason)
-    }
-}
-
-impl From<&str> for TestCaseError {
-    fn from(reason: &str) -> Self {
-        Self::fail(reason)
-    }
-}
-
 /// Runner configuration.
 #[derive(Debug, Clone)]
 pub struct ProptestConfig {
@@ -126,12 +114,6 @@ pub trait Strategy {
 
 /// A type-erased strategy.
 pub struct BoxedStrategy<T>(std::rc::Rc<dyn Strategy<Value = T>>);
-
-impl<T> Clone for BoxedStrategy<T> {
-    fn clone(&self) -> Self {
-        Self(self.0.clone())
-    }
-}
 
 impl<T> Strategy for BoxedStrategy<T> {
     type Value = T;
@@ -283,13 +265,6 @@ impl Arbitrary for bool {
     }
 }
 
-impl Arbitrary for f64 {
-    fn arbitrary(rng: &mut TestRng) -> Self {
-        // Finite, moderately sized values.
-        (rng.next_f64() - 0.5) * 2e12
-    }
-}
-
 /// The strategy returned by [`any`].
 pub struct Any<T>(std::marker::PhantomData<T>);
 
@@ -330,12 +305,6 @@ impl From<RangeInclusive<usize>> for SizeRange {
             min: *r.start(),
             max: *r.end() + 1,
         }
-    }
-}
-
-impl From<usize> for SizeRange {
-    fn from(n: usize) -> Self {
-        Self { min: n, max: n + 1 }
     }
 }
 

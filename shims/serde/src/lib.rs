@@ -11,14 +11,11 @@
 //!
 //! Intentional simplifications relative to real serde:
 //!
-//! * Deserialization is owned-only (`Deserialize` has no lifetime); the one
-//!   borrowed type in the workspace, `&'static str`, is materialized by
-//!   leaking the parsed string (transaction-class labels are a small,
-//!   bounded set).
+//! * Deserialization is owned-only (`Deserialize` has no lifetime).
 //! * Maps serialize as arrays of `[key, value]` pairs, which round-trips
 //!   non-string keys without a string-encoding convention.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -232,18 +229,6 @@ impl Ser for str {
     }
 }
 
-/// Transaction-class labels are `&'static str`; deserialization leaks the
-/// parsed string.  The label set of any run is small and bounded, so the
-/// leak is a few dozen short strings at most.
-impl De for &'static str {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(Box::leak(s.clone().into_boxed_str())),
-            other => Err(Error::expected("string", other)),
-        }
-    }
-}
-
 impl<T: Ser> Ser for Option<T> {
     fn to_value(&self) -> Value {
         match self {
@@ -329,49 +314,11 @@ macro_rules! tuple_impl {
 }
 
 tuple_impl! {
-    (A: 0)
     (A: 0, B: 1)
     (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
 }
 
-macro_rules! map_impl {
-    ($name:ident, $($bound:tt)+) => {
-        impl<K: Ser + $($bound)+, V: Ser> Ser for $name<K, V> {
-            fn to_value(&self) -> Value {
-                Value::Array(
-                    self.iter()
-                        .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                        .collect(),
-                )
-            }
-        }
-        impl<K: De + $($bound)+, V: De> De for $name<K, V> {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let items = v.as_array().ok_or_else(|| Error::expected("array (map)", v))?;
-                items
-                    .iter()
-                    .map(|pair| {
-                        let kv = pair
-                            .as_array()
-                            .ok_or_else(|| Error::expected("[key, value] pair", pair))?;
-                        if kv.len() != 2 {
-                            return Err(Error::new("expected [key, value] pair"));
-                        }
-                        Ok((K::from_value(&kv[0])?, V::from_value(&kv[1])?))
-                    })
-                    .collect()
-            }
-        }
-    };
-}
-
-map_impl!(BTreeMap, Ord);
-
-// HashMap is implemented by hand (not via the macro) so custom hashers —
-// e.g. the storage crate's fast deterministic lock-table hasher — keep
-// working with derived Serialize/Deserialize.
-impl<K: Ser + std::hash::Hash + Eq, V: Ser, S: std::hash::BuildHasher> Ser for HashMap<K, V, S> {
+impl<K: Ser, V: Ser> Ser for BTreeMap<K, V> {
     fn to_value(&self) -> Value {
         Value::Array(
             self.iter()
@@ -381,43 +328,15 @@ impl<K: Ser + std::hash::Hash + Eq, V: Ser, S: std::hash::BuildHasher> Ser for H
     }
 }
 
-impl<K: De + std::hash::Hash + Eq, V: De, S: std::hash::BuildHasher + Default> De
-    for HashMap<K, V, S>
-{
+impl<K: De + Ord, V: De> De for BTreeMap<K, V> {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        let items = v
-            .as_array()
-            .ok_or_else(|| Error::expected("array (map)", v))?;
-        items
-            .iter()
-            .map(|pair| {
-                let kv = pair
-                    .as_array()
-                    .ok_or_else(|| Error::expected("[key, value] pair", pair))?;
-                if kv.len() != 2 {
-                    return Err(Error::new("expected [key, value] pair"));
-                }
-                Ok((K::from_value(&kv[0])?, V::from_value(&kv[1])?))
-            })
-            .collect()
+        Ok(Vec::<(K, V)>::from_value(v)?.into_iter().collect())
     }
 }
 
 impl<T: Ser + ?Sized> Ser for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
-    }
-}
-
-impl<T: Ser + ?Sized> Ser for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: De> De for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(Box::new(T::from_value(v)?))
     }
 }
 

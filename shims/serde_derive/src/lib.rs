@@ -1,27 +1,26 @@
 //! Derive macros for the offline `serde` shim.
 //!
 //! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` for the
-//! type shapes used in this workspace — named-field structs, tuple/newtype
-//! structs, and enums with unit, tuple, and struct variants, with simple
-//! generic parameters — by walking the raw token stream (no `syn`/`quote`;
-//! the build environment has no network access to fetch them).
+//! type shapes used in this workspace — named-field structs, newtype
+//! structs, and enums with unit, newtype, and struct variants, none of them
+//! generic — by walking the raw token stream (no `syn`/`quote`; the build
+//! environment has no network access to fetch them).
 //!
 //! The generated representation matches serde_json's defaults: structs are
 //! objects, newtype structs are transparent, enums are externally tagged.
-//! The only field attribute honoured is `#[serde(skip)]` (omit on
-//! serialize, `Default::default()` on deserialize).
+//! No `#[serde(...)]` attribute is accepted.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Derive `serde::ser::Serialize`.
-#[proc_macro_derive(Serialize, attributes(serde))]
+#[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_serialize(&item).parse().expect("generated impl parses")
 }
 
 /// Derive `serde::de::Deserialize`.
-#[proc_macro_derive(Deserialize, attributes(serde))]
+#[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_deserialize(&item)
@@ -33,15 +32,12 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 // A minimal item model
 // ---------------------------------------------------------------------
 
-struct Field {
-    name: String,
-    skip: bool,
-}
-
 enum Shape {
-    Named(Vec<Field>),
-    /// Tuple struct/variant with this many slots.
-    Tuple(usize),
+    /// Named fields.
+    Named(Vec<String>),
+    /// One unnamed field.
+    Newtype,
+    /// No fields (enum variants only).
     Unit,
 }
 
@@ -50,14 +46,8 @@ struct Variant {
     shape: Shape,
 }
 
-struct GenericParam {
-    name: String,
-    bounds: String,
-}
-
 struct Item {
     name: String,
-    generics: Vec<GenericParam>,
     kind: Kind,
 }
 
@@ -79,50 +69,21 @@ fn parse_item(input: TokenStream) -> Item {
 
     let keyword = expect_ident(&tokens, &mut i);
     let name = expect_ident(&tokens, &mut i);
-    let generics = parse_generics(&tokens, &mut i);
-
-    // Skip an optional where-clause (not used in this workspace, but cheap
-    // to tolerate): everything up to the body group or semicolon.
-    while i < tokens.len() {
-        match &tokens[i] {
-            TokenTree::Group(g) if g.delimiter() == Delimiter::Brace => break,
-            TokenTree::Group(g) if g.delimiter() == Delimiter::Parenthesis => break,
-            TokenTree::Punct(p) if p.as_char() == ';' => break,
-            _ => i += 1,
-        }
-    }
-
     let kind = match keyword.as_str() {
-        "struct" => Kind::Struct(parse_struct_body(&tokens, &mut i)),
-        "enum" => Kind::Enum(parse_enum_body(&tokens, &mut i)),
+        "struct" => Kind::Struct(parse_struct_body(&name, tokens.get(i))),
+        "enum" => Kind::Enum(parse_enum_body(&name, tokens.get(i))),
         other => panic!("serde derive: expected struct or enum, got '{other}'"),
     };
-
-    Item {
-        name,
-        generics,
-        kind,
-    }
+    Item { name, kind }
 }
 
-fn skip_attrs(tokens: &[TokenTree], i: &mut usize) -> bool {
-    // Returns whether any skipped attribute was `#[serde(skip)]`.
-    let mut skip = false;
+fn skip_attrs(tokens: &[TokenTree], i: &mut usize) {
     while let Some(TokenTree::Punct(p)) = tokens.get(*i) {
-        if p.as_char() != '#' {
+        if p.as_char() != '#' || !matches!(tokens.get(*i + 1), Some(TokenTree::Group(_))) {
             break;
         }
-        if let Some(TokenTree::Group(g)) = tokens.get(*i + 1) {
-            let body = g.stream().to_string().replace(' ', "");
-            if body.starts_with("serde(") && body.contains("skip") {
-                skip = true;
-            }
-            *i += 2;
-        } else {
-            break;
-        }
+        *i += 2;
     }
-    skip
 }
 
 fn skip_visibility(tokens: &[TokenTree], i: &mut usize) {
@@ -148,72 +109,28 @@ fn expect_ident(tokens: &[TokenTree], i: &mut usize) -> String {
     }
 }
 
-fn parse_generics(tokens: &[TokenTree], i: &mut usize) -> Vec<GenericParam> {
-    match tokens.get(*i) {
-        Some(TokenTree::Punct(p)) if p.as_char() == '<' => {}
-        _ => return Vec::new(),
-    }
-    *i += 1;
-    let mut depth = 1usize;
-    let mut params = Vec::new();
-    let mut current: Vec<String> = Vec::new();
-    while *i < tokens.len() {
-        match &tokens[*i] {
-            TokenTree::Punct(p) if p.as_char() == '<' => {
-                depth += 1;
-                current.push("<".into());
-            }
-            TokenTree::Punct(p) if p.as_char() == '>' => {
-                depth -= 1;
-                if depth == 0 {
-                    *i += 1;
-                    break;
-                }
-                current.push(">".into());
-            }
-            TokenTree::Punct(p) if p.as_char() == ',' && depth == 1 => {
-                params.push(current.join(" "));
-                current = Vec::new();
-            }
-            t => current.push(t.to_string()),
-        }
-        *i += 1;
-    }
-    if !current.is_empty() {
-        params.push(current.join(" "));
-    }
-    params
-        .into_iter()
-        .map(|p| {
-            let (name, bounds) = match p.split_once(':') {
-                Some((n, b)) => (n.trim().to_string(), b.trim().to_string()),
-                None => (p.trim().to_string(), String::new()),
-            };
-            GenericParam { name, bounds }
-        })
-        .collect()
-}
-
-fn parse_struct_body(tokens: &[TokenTree], i: &mut usize) -> Shape {
-    match tokens.get(*i) {
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-            let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-            Shape::Named(parse_named_fields(&inner))
-        }
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-            let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-            Shape::Tuple(count_tuple_slots(&inner))
-        }
-        Some(TokenTree::Punct(p)) if p.as_char() == ';' => Shape::Unit,
-        other => panic!("serde derive: unexpected struct body {other:?}"),
+/// The fields of a struct or variant body: `{ .. }` or `( .. )`.
+fn parse_fields(owner: &str, body: &proc_macro::Group) -> Shape {
+    let inner: Vec<TokenTree> = body.stream().into_iter().collect();
+    match body.delimiter() {
+        Delimiter::Brace => Shape::Named(parse_named_fields(&inner)),
+        Delimiter::Parenthesis if count_tuple_slots(&inner) == 1 => Shape::Newtype,
+        _ => panic!("serde derive: {owner} must have named fields or exactly one unnamed field"),
     }
 }
 
-fn parse_named_fields(tokens: &[TokenTree]) -> Vec<Field> {
+fn parse_struct_body(name: &str, body: Option<&TokenTree>) -> Shape {
+    match body {
+        Some(TokenTree::Group(g)) => parse_fields(name, g),
+        other => panic!("serde derive: {name} is generic or has no body ({other:?})"),
+    }
+}
+
+fn parse_named_fields(tokens: &[TokenTree]) -> Vec<String> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        let skip = skip_attrs(tokens, &mut i);
+        skip_attrs(tokens, &mut i);
         if i >= tokens.len() {
             break;
         }
@@ -238,7 +155,7 @@ fn parse_named_fields(tokens: &[TokenTree]) -> Vec<Field> {
             }
             i += 1;
         }
-        fields.push(Field { name, skip });
+        fields.push(name);
     }
     fields
 }
@@ -260,10 +177,10 @@ fn count_tuple_slots(tokens: &[TokenTree]) -> usize {
     slots
 }
 
-fn parse_enum_body(tokens: &[TokenTree], i: &mut usize) -> Vec<Variant> {
-    let group = match tokens.get(*i) {
+fn parse_enum_body(name: &str, body: Option<&TokenTree>) -> Vec<Variant> {
+    let group = match body {
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => g,
-        other => panic!("serde derive: expected enum body, got {other:?}"),
+        other => panic!("serde derive: {name} is generic or has no body ({other:?})"),
     };
     let inner: Vec<TokenTree> = group.stream().into_iter().collect();
     let mut variants = Vec::new();
@@ -273,17 +190,11 @@ fn parse_enum_body(tokens: &[TokenTree], i: &mut usize) -> Vec<Variant> {
         if j >= inner.len() {
             break;
         }
-        let name = expect_ident(&inner, &mut j);
+        let vn = expect_ident(&inner, &mut j);
         let shape = match inner.get(j) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let body: Vec<TokenTree> = g.stream().into_iter().collect();
+            Some(TokenTree::Group(g)) => {
                 j += 1;
-                Shape::Named(parse_named_fields(&body))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let body: Vec<TokenTree> = g.stream().into_iter().collect();
-                j += 1;
-                Shape::Tuple(count_tuple_slots(&body))
+                parse_fields(&format!("{name}::{vn}"), g)
             }
             _ => Shape::Unit,
         };
@@ -297,7 +208,7 @@ fn parse_enum_body(tokens: &[TokenTree], i: &mut usize) -> Vec<Variant> {
             }
             j += 1;
         }
-        variants.push(Variant { name, shape });
+        variants.push(Variant { name: vn, shape });
     }
     variants
 }
@@ -306,62 +217,20 @@ fn parse_enum_body(tokens: &[TokenTree], i: &mut usize) -> Vec<Variant> {
 // Code generation
 // ---------------------------------------------------------------------
 
-fn impl_header(item: &Item, trait_path: &str, extra_bound: &str) -> String {
-    let ty_args = if item.generics.is_empty() {
-        String::new()
-    } else {
-        format!(
-            "<{}>",
-            item.generics
-                .iter()
-                .map(|g| g.name.clone())
-                .collect::<Vec<_>>()
-                .join(", ")
-        )
-    };
-    let impl_args = if item.generics.is_empty() {
-        String::new()
-    } else {
-        format!(
-            "<{}>",
-            item.generics
-                .iter()
-                .map(|g| {
-                    if g.bounds.is_empty() {
-                        format!("{}: {extra_bound}", g.name)
-                    } else {
-                        format!("{}: {} + {extra_bound}", g.name, g.bounds)
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join(", ")
-        )
-    };
-    format!("impl{impl_args} {trait_path} for {}{ty_args}", item.name)
-}
-
 fn gen_serialize(item: &Item) -> String {
     let body = match &item.kind {
         Kind::Struct(Shape::Named(fields)) => {
             let mut s =
                 String::from("let mut fields: Vec<(String, ::serde::Value)> = Vec::new();\n");
-            for f in fields.iter().filter(|f| !f.skip) {
+            for f in fields {
                 s.push_str(&format!(
-                    "fields.push((\"{0}\".to_string(), ::serde::ser::Serialize::to_value(&self.{0})));\n",
-                    f.name
+                    "fields.push((\"{f}\".to_string(), ::serde::ser::Serialize::to_value(&self.{f})));\n"
                 ));
             }
             s.push_str("::serde::Value::Object(fields)");
             s
         }
-        Kind::Struct(Shape::Tuple(1)) => "::serde::ser::Serialize::to_value(&self.0)".to_string(),
-        Kind::Struct(Shape::Tuple(n)) => {
-            let items: Vec<String> = (0..*n)
-                .map(|k| format!("::serde::ser::Serialize::to_value(&self.{k})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", items.join(", "))
-        }
-        Kind::Struct(Shape::Unit) => "::serde::Value::Null".to_string(),
+        Kind::Struct(_) => "::serde::ser::Serialize::to_value(&self.0)".to_string(),
         Kind::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
@@ -370,36 +239,21 @@ fn gen_serialize(item: &Item) -> String {
                     Shape::Unit => arms.push_str(&format!(
                         "Self::{name} => ::serde::Value::Str(\"{name}\".to_string()),\n"
                     )),
-                    Shape::Tuple(1) => arms.push_str(&format!(
+                    Shape::Newtype => arms.push_str(&format!(
                         "Self::{name}(x0) => ::serde::Value::Object(vec![(\"{name}\".to_string(), ::serde::ser::Serialize::to_value(x0))]),\n"
                     )),
-                    Shape::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|k| format!("x{k}")).collect();
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::ser::Serialize::to_value({b})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "Self::{name}({}) => ::serde::Value::Object(vec![(\"{name}\".to_string(), ::serde::Value::Array(vec![{}]))]),\n",
-                            binds.join(", "),
-                            items.join(", ")
-                        ));
-                    }
                     Shape::Named(fields) => {
-                        let binds: Vec<String> =
-                            fields.iter().map(|f| f.name.clone()).collect();
                         let mut inner = String::from(
                             "let mut vfields: Vec<(String, ::serde::Value)> = Vec::new();\n",
                         );
-                        for f in fields.iter().filter(|f| !f.skip) {
+                        for f in fields {
                             inner.push_str(&format!(
-                                "vfields.push((\"{0}\".to_string(), ::serde::ser::Serialize::to_value({0})));\n",
-                                f.name
+                                "vfields.push((\"{f}\".to_string(), ::serde::ser::Serialize::to_value({f})));\n"
                             ));
                         }
                         arms.push_str(&format!(
                             "Self::{name} {{ {} }} => {{ {inner} ::serde::Value::Object(vec![(\"{name}\".to_string(), ::serde::Value::Object(vfields))]) }},\n",
-                            binds.join(", ")
+                            fields.join(", ")
                         ));
                     }
                 }
@@ -408,8 +262,8 @@ fn gen_serialize(item: &Item) -> String {
         }
     };
     format!(
-        "{} {{\n fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n}}",
-        impl_header(item, "::serde::ser::Serialize", "::serde::ser::Serialize")
+        "impl ::serde::ser::Serialize for {} {{\n fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n}}",
+        item.name
     )
 }
 
@@ -417,11 +271,7 @@ fn gen_serialize(item: &Item) -> String {
 /// key first tries `Value::Null` (so `Option<T>` fields default to `None`,
 /// matching serde_json's external representation); only if that also fails
 /// is the missing-field error reported.
-fn field_from_object(field: &str, obj_binding: &str, ty: &str, variant: Option<&str>) -> String {
-    let context = match variant {
-        Some(v) => format!("{ty}::{v}"),
-        None => ty.to_string(),
-    };
+fn field_from_object(field: &str, obj_binding: &str, context: &str) -> String {
     format!(
         "{field}: match ::serde::get_field({obj_binding}, \"{field}\") {{\n\
          Some(v) => ::serde::de::Deserialize::from_value(v)?,\n\
@@ -440,30 +290,12 @@ fn gen_deserialize(item: &Item) -> String {
             );
             s.push_str("Ok(Self {\n");
             for f in fields {
-                if f.skip {
-                    s.push_str(&format!("{}: Default::default(),\n", f.name));
-                } else {
-                    s.push_str(&field_from_object(&f.name, "obj", &item.name, None));
-                }
+                s.push_str(&field_from_object(f, "obj", name));
             }
             s.push_str("})");
             s
         }
-        Kind::Struct(Shape::Tuple(1)) => {
-            "Ok(Self(::serde::de::Deserialize::from_value(v)?))".to_string()
-        }
-        Kind::Struct(Shape::Tuple(n)) => {
-            let mut s = format!(
-                "let items = v.as_array().ok_or_else(|| ::serde::Error::expected(\"array for {name}\", v))?;\n\
-                 if items.len() != {n} {{ return Err(::serde::Error::new(\"wrong arity for {name}\")); }}\n"
-            );
-            let slots: Vec<String> = (0..*n)
-                .map(|k| format!("::serde::de::Deserialize::from_value(&items[{k}])?"))
-                .collect();
-            s.push_str(&format!("Ok(Self({}))", slots.join(", ")));
-            s
-        }
-        Kind::Struct(Shape::Unit) => "Ok(Self)".to_string(),
+        Kind::Struct(_) => "Ok(Self(::serde::de::Deserialize::from_value(v)?))".to_string(),
         Kind::Enum(variants) => {
             let mut unit_arms = String::new();
             let mut tagged_arms = String::new();
@@ -477,37 +309,16 @@ fn gen_deserialize(item: &Item) -> String {
                             "\"{vn}\" => return Ok(Self::{vn}),\n"
                         ));
                     }
-                    Shape::Tuple(1) => tagged_arms.push_str(&format!(
+                    Shape::Newtype => tagged_arms.push_str(&format!(
                         "\"{vn}\" => return Ok(Self::{vn}(::serde::de::Deserialize::from_value(payload)?)),\n"
                     )),
-                    Shape::Tuple(n) => {
-                        let slots: Vec<String> = (0..*n)
-                            .map(|k| format!("::serde::de::Deserialize::from_value(&items[{k}])?"))
-                            .collect();
-                        tagged_arms.push_str(&format!(
-                            "\"{vn}\" => {{\n\
-                             let items = payload.as_array().ok_or_else(|| ::serde::Error::expected(\"array for {name}::{vn}\", payload))?;\n\
-                             if items.len() != {n} {{ return Err(::serde::Error::new(\"wrong arity for {name}::{vn}\")); }}\n\
-                             return Ok(Self::{vn}({}));\n}}\n",
-                            slots.join(", ")
-                        ));
-                    }
                     Shape::Named(fields) => {
                         let mut inner = format!(
                             "let vobj = payload.as_object().ok_or_else(|| ::serde::Error::expected(\"object for {name}::{vn}\", payload))?;\n"
                         );
                         inner.push_str(&format!("return Ok(Self::{vn} {{\n"));
                         for f in fields {
-                            if f.skip {
-                                inner.push_str(&format!("{}: Default::default(),\n", f.name));
-                            } else {
-                                inner.push_str(&field_from_object(
-                                    &f.name,
-                                    "vobj",
-                                    name,
-                                    Some(vn),
-                                ));
-                            }
+                            inner.push_str(&field_from_object(f, "vobj", &format!("{name}::{vn}")));
                         }
                         inner.push_str("});\n");
                         tagged_arms.push_str(&format!("\"{vn}\" => {{\n{inner}}}\n"));
@@ -534,7 +345,6 @@ fn gen_deserialize(item: &Item) -> String {
         }
     };
     format!(
-        "{} {{\n fn from_value(v: &::serde::Value) -> Result<Self, ::serde::Error> {{\n{body}\n}}\n}}",
-        impl_header(item, "::serde::de::Deserialize", "::serde::de::Deserialize")
+        "impl ::serde::de::Deserialize for {name} {{\n fn from_value(v: &::serde::Value) -> Result<Self, ::serde::Error> {{\n{body}\n}}\n}}"
     )
 }

@@ -97,7 +97,7 @@ fn socket_failure_is_survived_and_adapted_to() {
         },
     );
     let before = ex.run_for(0.01);
-    ex.fail_socket(SocketId(1));
+    ex.fail_socket(SocketId(1)).unwrap();
     let after = ex.run_for(0.02);
     assert!(before.committed > 0);
     assert!(
@@ -109,7 +109,7 @@ fn socket_failure_is_survived_and_adapted_to() {
         "the controller should repartition for the surviving cores"
     );
     // The new scheme only uses the surviving socket's cores.
-    ex.restore_socket(SocketId(1));
+    ex.restore_socket(SocketId(1)).unwrap();
     let restored = ex.run_for(0.005);
     assert!(restored.committed > 0);
 }

@@ -96,19 +96,6 @@ fn event_strategy() -> impl Strategy<Value = ScenarioEvent> {
     ]
 }
 
-fn ycsb_config_strategy() -> impl Strategy<Value = atrapos_workloads::YcsbConfig> {
-    (
-        prop::sample::select(vec!["A", "B", "C", "D", "E", "F"]),
-        100i64..100_000,
-        distribution_strategy(),
-    )
-        .prop_map(|(name, records, distribution)| {
-            atrapos_workloads::YcsbConfig::named(name, records)
-                .expect("core mix")
-                .with_distribution(distribution)
-        })
-}
-
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
     (
         prop::collection::vec((0.0f64..1.0, event_strategy(), any::<bool>()), 0..8),
@@ -144,15 +131,6 @@ proptest! {
         let text = serde::json::to_string(&change);
         let back: WorkloadChange = serde::json::from_str(&text).unwrap();
         prop_assert_eq!(back, change);
-    }
-
-    /// Every `YcsbConfig` (core mixes A–F at arbitrary sizes and
-    /// distributions) survives a JSON round-trip bit-exactly.
-    #[test]
-    fn ycsb_configs_round_trip(config in ycsb_config_strategy()) {
-        let text = serde::json::to_string(&config);
-        let back: atrapos_workloads::YcsbConfig = serde::json::from_str(&text).unwrap();
-        prop_assert_eq!(back, config);
     }
 
     /// Every generated scenario is valid and survives a JSON round-trip.
