@@ -61,9 +61,10 @@ COMMANDS:
                             the committed copies instead of writing.
   lint [root] [--only rule] [--list-rules]
                             Static analysis: scan every .rs file for
-                            determinism hazards (std HashMap/HashSet,
-                            wall-clock reads, unseeded RNG in sim-visible
-                            crates) and hot-path allocation regressions.
+                            allocations inside `// lint: hot-path` blocks
+                            and malformed `// lint:` directives, and count
+                            each package's non-test lines (determinism is
+                            clippy.toml's job).
                             Findings print as `file:line: rule — message`
                             and exit nonzero. Default root: the workspace
                             this binary was built from. --only <rule>

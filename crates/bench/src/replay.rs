@@ -8,14 +8,19 @@
 //! serialized outcomes.
 
 use atrapos_engine::scenario::{Scenario, ScenarioError, ScenarioOutcome};
-use atrapos_engine::{DesignSpec, ExecutorConfig, VirtualExecutor};
+use atrapos_engine::{DesignSpec, ExecutorConfig, SharedNothingGranularity, VirtualExecutor};
 use atrapos_numa::{CostModel, Machine, Topology};
+use atrapos_storage::MemoryPolicy;
 use atrapos_workloads::{Tatp, TatpConfig, TatpTxn};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// The default replay file, shipped with the repository.
 pub const DEFAULT_REPLAY_PATH: &str = "examples/scenarios/adaptive_tatp.json";
+
+/// Most time-series buckets a run may ask for: `interval_secs` is also the
+/// bucket width, and the executor keeps one counter per bucket.
+const MAX_BUCKETS: f64 = 1e6;
 
 /// A complete, self-contained experiment description.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -50,7 +55,65 @@ impl ReplayFile {
             .scenario
             .validate()
             .map_err(|e| format!("invalid scenario in '{}': {e}", path.display()))?;
+        replay
+            .validate()
+            .map_err(|e| format!("invalid replay file '{}': {e}", path.display()))?;
         Ok(replay)
+    }
+
+    /// Reject the machine and design fields a run could not survive, naming
+    /// the field.  The scenario is checked by [`Scenario::validate`].
+    pub fn validate(&self) -> Result<(), String> {
+        let interval = self.interval_secs;
+        if !(interval.is_finite() && interval > 0.0)
+            || self.scenario.duration_secs / interval > MAX_BUCKETS
+        {
+            return Err(format!(
+                "interval_secs = {interval}: must be a finite number of seconds > 0 and at \
+                 least 1/{MAX_BUCKETS} of the scenario's {} s",
+                self.scenario.duration_secs
+            ));
+        }
+        for (field, n) in [
+            ("sockets", self.sockets),
+            ("cores_per_socket", self.cores_per_socket),
+        ] {
+            if n == 0 {
+                return Err(format!("{field} = 0: a machine needs at least one"));
+            }
+        }
+        let DesignSpec::SharedNothing {
+            granularity,
+            memory_policy,
+            plan,
+            ..
+        } = &self.design
+        else {
+            return Ok(());
+        };
+        if let MemoryPolicy::Central(node) = memory_policy {
+            if node.index() >= self.sockets {
+                return Err(format!(
+                    "design.memory_policy = Central({}): the machine has {} sockets",
+                    node.0, self.sockets
+                ));
+            }
+        }
+        if let Some(plan) = plan {
+            let instances = match granularity {
+                SharedNothingGranularity::PerCore => self.sockets * self.cores_per_socket,
+                SharedNothingGranularity::PerSocket => self.sockets,
+            };
+            if plan.n_instances != instances {
+                return Err(format!(
+                    "design.plan.n_instances = {}: the deployment has {instances} instances",
+                    plan.n_instances
+                ));
+            }
+            plan.check_invariants()
+                .map_err(|e| format!("design.plan: {e}"))?;
+        }
+        Ok(())
     }
 
     /// Build the executor this file describes (machine, populated design,
@@ -164,6 +227,61 @@ mod tests {
         let outcome = replay.run().expect("sample replay runs");
         assert!(outcome.total_committed() > 0);
         assert_eq!(outcome.segments.len(), 3);
+    }
+
+    /// The sample with one field broken: `validate` must reject it, naming
+    /// `field`.
+    fn rejects(field: &str, break_it: impl FnOnce(&mut ReplayFile)) {
+        let mut replay = sample();
+        break_it(&mut replay);
+        let err = replay.validate().expect_err(field);
+        assert!(err.starts_with(field), "{field}: {err}");
+    }
+
+    #[test]
+    fn a_non_positive_or_too_fine_interval_is_rejected() {
+        for secs in [0.0, -0.05, f64::NAN, f64::INFINITY, 1e-9] {
+            rejects("interval_secs", |r| r.interval_secs = secs);
+        }
+    }
+
+    #[test]
+    fn an_empty_machine_is_rejected() {
+        rejects("sockets", |r| r.sockets = 0);
+        rejects("cores_per_socket", |r| r.cores_per_socket = 0);
+    }
+
+    #[test]
+    fn central_memory_on_a_missing_socket_is_rejected() {
+        rejects("design.memory_policy", |r| {
+            r.design = DesignSpec::shared_nothing_with_memory_policy(MemoryPolicy::Central(
+                atrapos_numa::SocketId(4),
+            ))
+        });
+        let mut fine = sample();
+        fine.design = DesignSpec::shared_nothing_with_memory_policy(MemoryPolicy::Central(
+            atrapos_numa::SocketId(3),
+        ));
+        assert_eq!(fine.validate(), Ok(()));
+    }
+
+    #[test]
+    fn a_sharding_plan_that_does_not_fit_the_deployment_is_rejected() {
+        use atrapos_core::ShardingPlan;
+        use atrapos_engine::Workload;
+        let domains = Tatp::new(TatpConfig::scaled(2_000)).table_domains();
+        let plan = |instances| ShardingPlan::range(&domains, 8, instances, instances);
+        rejects("design.plan.n_instances", |r| {
+            r.design = DesignSpec::shared_nothing_with_plan(plan(3))
+        });
+        let mut broken = plan(4);
+        broken.instance_machine.pop();
+        rejects("design.plan", |r| {
+            r.design = DesignSpec::shared_nothing_with_plan(broken)
+        });
+        let mut fine = sample();
+        fine.design = DesignSpec::shared_nothing_with_plan(plan(4));
+        assert_eq!(fine.validate(), Ok(()));
     }
 
     #[test]

@@ -417,7 +417,7 @@ impl SystemDesign for AtraposDesign {
                 // loop allocation-free; the machine counters are additive,
                 // so commit order does not affect any observable.
                 let tally = actx.finish();
-                machine.commit(core, &tally);
+                machine.commit(&tally);
                 self.phase_sockets.push(machine.topology.socket_of(core));
                 if failed {
                     break;
@@ -452,7 +452,7 @@ impl SystemDesign for AtraposDesign {
         let end = cctx.now();
         self.workers.occupy(commit_core, phase_start, end);
         let tally = cctx.finish();
-        machine.commit(commit_core, &tally);
+        machine.commit(&tally);
         TxnOutcome {
             committed: !failed,
             start,

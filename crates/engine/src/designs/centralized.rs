@@ -110,7 +110,7 @@ impl SystemDesign for CentralizedDesign {
         self.protocol.end(&mut ctx, txn_id, true);
 
         let end = ctx.now();
-        machine.commit(client, &ctx.finish());
+        machine.commit(&ctx.finish());
         TxnOutcome {
             committed: !failed,
             start,
@@ -151,7 +151,7 @@ mod tests {
             now = out.end;
         }
         assert_eq!(design.aborted(), 0);
-        assert!(machine.total_instructions() > 0);
+        assert!(machine.totals().instructions > 0);
         // Read-only workload never touches the log.
         assert_eq!(design.protocol.log.total_records(), 0);
     }

@@ -262,8 +262,9 @@ impl SystemDesign for SharedNothingDesign {
         let mut remote_branches: BTreeMap<usize, Txn> = BTreeMap::new();
 
         let mut ctx = machine.ctx(client, start);
-        // lint: allow(hot-path-alloc) — 2PC slow path only; empty Vec::new does not touch the heap until a remote participant appears
-        let mut remote_tallies: Vec<(CoreId, Tally)> = Vec::new();
+        // What the remote participants accrue; committed once `ctx` no
+        // longer borrows the machine.
+        let mut remote = Tally::default();
         ctx.work(Component::XctManagement, BEGIN_INSTRUCTIONS);
         if home != client_instance {
             // Ship the request to the owning instance over a shared-memory
@@ -315,7 +316,7 @@ impl SystemDesign for SharedNothingDesign {
                     .protocol
                     .run_action(&mut rctx, &mut inst.db, txn_id, action);
                 let remote_done = rctx.now();
-                remote_tallies.push((inst.home_core, rctx.finish()));
+                remote.absorb(&rctx.finish());
                 // The coordinator waits for the participant's reply.
                 ctx.wait_until(
                     Component::Communication,
@@ -373,10 +374,8 @@ impl SystemDesign for SharedNothingDesign {
         }
 
         let end = ctx.now();
-        machine.commit(client, &ctx.finish());
-        for (core, tally) in remote_tallies {
-            machine.commit(core, &tally);
-        }
+        machine.commit(&ctx.finish());
+        machine.commit(&remote);
         TxnOutcome {
             committed: !failed,
             start,

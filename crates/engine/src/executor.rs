@@ -29,9 +29,10 @@ use crate::arrival::ArrivalProcess;
 use crate::designs::{DesignStats, SystemDesign};
 use crate::workload::{ReconfigureError, Workload, WorkloadChange};
 use atrapos_core::LatencyHistogram;
+use atrapos_numa::interconnect::{bandwidth_gbps, qpi_imc_ratio};
 use atrapos_numa::{
-    frac_cycles_to_micros, secs_to_cycles, Breakdown, CoreId, Cycles, Interconnect, Machine,
-    SocketId, UnknownSocket,
+    frac_cycles_to_micros, secs_to_cycles, Breakdown, CoreId, Cycles, Machine, SocketId, Tally,
+    UnknownSocket,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -216,15 +217,6 @@ struct SegFrame {
     end_at: Cycles,
     bucket_len: Cycles,
     n_buckets: usize,
-}
-
-/// Hardware counters at the segment start, for per-segment deltas.
-struct HwSnapshot {
-    instr: u64,
-    cycles: Cycles,
-    breakdown: Breakdown,
-    qpi_bytes: u64,
-    local_bytes: u64,
 }
 
 /// Per-segment tallies.
@@ -444,7 +436,7 @@ impl VirtualExecutor {
             n_buckets,
             ..
         } = frame;
-        let snap = self.hw_snapshot();
+        let snap = *self.machine.totals();
         let mut counters = SegCounters {
             committed: 0,
             aborted: 0,
@@ -570,16 +562,6 @@ impl VirtualExecutor {
         }
     }
 
-    fn hw_snapshot(&self) -> HwSnapshot {
-        HwSnapshot {
-            instr: self.machine.total_instructions(),
-            cycles: self.machine.total_occupied_cycles(),
-            breakdown: self.machine.breakdown(),
-            qpi_bytes: self.machine.interconnect.total_cross_socket_bytes(),
-            local_bytes: self.machine.interconnect.local_memory_bytes,
-        }
-    }
-
     /// Cross every monitoring-interval boundary that elapsed before `t`,
     /// handing control to the design at each one.
     fn cross_interval_boundaries(&mut self, t: Cycles, ghz: f64, repartitions: &mut u64) {
@@ -605,13 +587,14 @@ impl VirtualExecutor {
         }
     }
 
-    /// Assemble a segment's `RunStats` from its counters, hardware deltas
-    /// and (in open loop) the arrival source's per-segment accounting.
+    /// Assemble a segment's `RunStats` from its counters, the machine
+    /// totals accrued since `snap` (their reading at the segment start) and
+    /// (in open loop) the arrival source's per-segment accounting.
     fn finish_stats(
         &self,
         virtual_secs: f64,
         frame: &SegFrame,
-        snap: &HwSnapshot,
+        snap: &Tally,
         counters: SegCounters,
     ) -> RunStats {
         let ghz = self.machine.topology.frequency_ghz();
@@ -625,9 +608,7 @@ impl VirtualExecutor {
             buckets,
         } = counters;
         let executed = committed + aborted;
-        let d_instr = self.machine.total_instructions() - snap.instr;
-        let d_cycles = self.machine.total_occupied_cycles() - snap.cycles;
-        let breakdown = self.machine.breakdown().saturating_sub(&snap.breakdown);
+        let hw = self.machine.totals().since(snap);
         // The last bucket may be truncated by the segment end
         // (`seg_len % bucket_len != 0`); normalize each bucket's count by
         // the bucket's actual width, not the configured width.
@@ -644,9 +625,6 @@ impl VirtualExecutor {
                 }
             })
             .collect();
-        let d_qpi_bytes = self.machine.interconnect.total_cross_socket_bytes() - snap.qpi_bytes;
-        let d_local_bytes = self.machine.interconnect.local_memory_bytes - snap.local_bytes;
-        let d_mem_bytes = d_qpi_bytes + d_local_bytes;
         let quantile_us = |q: f64| frac_cycles_to_micros(latency_histogram.quantile(q) as f64, ghz);
         let open = self.open_loop.as_ref();
         RunStats {
@@ -664,19 +642,11 @@ impl VirtualExecutor {
             p99_latency_us: quantile_us(0.99),
             p999_latency_us: quantile_us(0.999),
             latency_histogram,
-            ipc: if d_cycles == 0 {
-                0.0
-            } else {
-                d_instr as f64 / d_cycles as f64
-            },
-            breakdown,
-            qpi_imc_ratio: if d_mem_bytes == 0 {
-                0.0
-            } else {
-                d_qpi_bytes as f64 / d_mem_bytes as f64
-            },
-            interconnect_gbps: Interconnect::bandwidth_gbps(
-                d_qpi_bytes,
+            ipc: hw.ipc(),
+            breakdown: hw.breakdown,
+            qpi_imc_ratio: qpi_imc_ratio(hw.remote_bytes, hw.local_memory_bytes),
+            interconnect_gbps: bandwidth_gbps(
+                hw.remote_bytes,
                 frame.seg_len.max(1),
                 &self.machine.topology,
             ),
@@ -848,10 +818,10 @@ mod tests {
         // for *every* segment, not only the first.
         let mut ex = executor_with("centralized", 2, 2);
         let ghz = ex.machine().topology.frequency_ghz();
-        let mut prev_bytes = ex.machine().interconnect.total_cross_socket_bytes();
+        let mut prev_bytes = ex.machine().totals().remote_bytes;
         for seg in 0..3 {
             let stats = ex.run_for(0.01);
-            let now_bytes = ex.machine().interconnect.total_cross_socket_bytes();
+            let now_bytes = ex.machine().totals().remote_bytes;
             let d_bytes = now_bytes - prev_bytes;
             prev_bytes = now_bytes;
             let seg_secs = atrapos_numa::secs_to_cycles(0.01, ghz) as f64 / (ghz * 1e9);
@@ -873,12 +843,12 @@ mod tests {
         // segment.  The old code reported the all-time running ratio, so
         // later segments leaked earlier traffic into the metric.
         let mut ex = executor_with("centralized", 2, 2);
-        let mut prev_qpi = ex.machine().interconnect.total_cross_socket_bytes();
-        let mut prev_local = ex.machine().interconnect.local_memory_bytes;
+        let mut prev_qpi = ex.machine().totals().remote_bytes;
+        let mut prev_local = ex.machine().totals().local_memory_bytes;
         for seg in 0..3 {
             let stats = ex.run_for(0.01);
-            let now_qpi = ex.machine().interconnect.total_cross_socket_bytes();
-            let now_local = ex.machine().interconnect.local_memory_bytes;
+            let now_qpi = ex.machine().totals().remote_bytes;
+            let now_local = ex.machine().totals().local_memory_bytes;
             let d_qpi = now_qpi - prev_qpi;
             let d_local = now_local - prev_local;
             prev_qpi = now_qpi;

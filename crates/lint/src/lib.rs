@@ -1,13 +1,16 @@
-//! Determinism & hot-path hygiene static analysis for the atrapos workspace.
+//! Hot-path hygiene and line counting for the atrapos workspace.
 //!
-//! The headline guarantee of this repo — bit-identical simulation across
-//! hosts, thread counts, and replays — has been broken more than once by
-//! std `HashMap` iteration-order nondeterminism.  This crate encodes that
-//! lesson as a machine-checked pass: a dependency-free, comment- and
-//! string-literal-aware scanner (a small hand-rolled lexer, no `syn`)
-//! that walks every `.rs` file in the workspace and enforces the rule set
-//! in [`rules`].  Run it as `atrapos lint`; findings print as
-//! `file:line: rule — message` and any finding makes the exit nonzero.
+//! A dependency-free, comment- and string-literal-aware scanner (a small
+//! hand-rolled lexer, no `syn`) walks every `.rs` file in the workspace.
+//! It enforces the rule set in [`rules`] — no allocation inside a
+//! `// lint: hot-path` block, and well-formed `// lint:` directives — and
+//! counts each package's lines outside `#[cfg(test)]` items.  Run it as
+//! `atrapos lint`; findings print as `file:line: rule — message` and any
+//! finding makes the exit nonzero.
+//!
+//! Determinism is not checked here: `clippy.toml` disallows the std hash
+//! collections and the wall clock, compiler-backed, and CI runs clippy
+//! with `-D warnings`.
 //!
 //! See [`rules`] for the rule list and [`scan`] for directive/waiver
 //! syntax.
@@ -18,7 +21,7 @@ pub mod lexer;
 pub mod rules;
 pub mod scan;
 
-pub use rules::{rule_by_name, Rule, RULES, SIM_CRATES};
+pub use rules::{rule_by_name, Rule, RULES};
 pub use scan::{non_test_lines, scan_source, Finding};
 
 use std::path::{Path, PathBuf};

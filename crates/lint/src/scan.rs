@@ -5,9 +5,7 @@
 //! `file:line: rule` output without touching the filesystem.
 
 use crate::lexer::{is_ident_byte, lex, Lexed};
-use crate::rules::{
-    rule_by_name, sim_visible, HOT_PATH_ALLOC, LINT_DIRECTIVE, STD_HASH, UNSEEDED_RNG, WALL_CLOCK,
-};
+use crate::rules::{rule_by_name, HOT_PATH_ALLOC, LINT_DIRECTIVE};
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,8 +45,7 @@ impl Waiver {
     }
 }
 
-/// Scan one source file.  `rel_path` decides rule scope (sim-visible or
-/// not); the hot-path and directive rules apply everywhere.
+/// Scan one source file; `rel_path` names it in the findings.
 pub fn scan_source(rel_path: &str, src: &str) -> Vec<Finding> {
     let lexed = lex(src);
     let mut findings = Vec::new();
@@ -62,12 +59,9 @@ pub fn scan_source(rel_path: &str, src: &str) -> Vec<Finding> {
         &mut waivers,
         &mut hot_regions,
     );
-    let test_ranges = cfg_test_ranges(&lexed.code);
-    let in_test = |pos: usize| test_ranges.iter().any(|&(lo, hi)| pos >= lo && pos < hi);
     let in_hot = |pos: usize| hot_regions.iter().any(|&(lo, hi)| pos > lo && pos < hi);
 
     let code = lexed.code.as_bytes();
-    let determinism = sim_visible(rel_path);
     let mut i = 0usize;
     while i < code.len() {
         if !is_ident_byte(code[i]) || (i > 0 && is_ident_byte(code[i - 1])) {
@@ -78,54 +72,17 @@ pub fn scan_source(rel_path: &str, src: &str) -> Vec<Finding> {
         while i < code.len() && is_ident_byte(code[i]) {
             i += 1;
         }
+        if !in_hot(start) {
+            continue;
+        }
         let ident = &lexed.code[start..i];
-        let line = lexed.line_of(start);
-        let mut push = |rule: &'static str, message: String| {
+        if let Some(what) = hot_alloc_finding(&lexed.code, start, i, ident) {
             findings.push(Finding {
                 file: rel_path.to_string(),
-                line,
-                rule,
-                message,
+                line: lexed.line_of(start),
+                rule: HOT_PATH_ALLOC,
+                message: format!("`{what}` allocates inside a `// lint: hot-path` region"),
             });
-        };
-
-        if determinism && !in_test(start) {
-            match ident {
-                "HashMap" | "HashSet" => {
-                    if let Some(msg) = std_hash_finding(&lexed.code, i, ident) {
-                        push(STD_HASH, msg);
-                    }
-                }
-                "Instant" | "SystemTime" if path_segment_after(&lexed.code, i) == Some("now") => {
-                    push(
-                        WALL_CLOCK,
-                        format!(
-                            "`{ident}::now` reads the wall clock inside a sim-visible \
-                             crate; simulated quantities must come from the virtual \
-                             clock, and harness timing belongs in `crates/bench`"
-                        ),
-                    );
-                }
-                "thread_rng" | "from_entropy" | "OsRng" => {
-                    push(
-                        UNSEEDED_RNG,
-                        format!(
-                            "`{ident}` draws ambient entropy inside a sim-visible crate; \
-                             all simulated randomness must flow from the seeded executor RNG"
-                        ),
-                    );
-                }
-                _ => {}
-            }
-        }
-
-        if in_hot(start) {
-            if let Some(what) = hot_alloc_finding(&lexed.code, start, i, ident) {
-                push(
-                    HOT_PATH_ALLOC,
-                    format!("`{what}` allocates inside a `// lint: hot-path` region"),
-                );
-            }
         }
     }
 
@@ -232,7 +189,6 @@ fn brace_block_after(code: &str, from: usize) -> Option<(usize, usize)> {
 
 /// Byte ranges covered by `#[cfg(test)]` items (the attribute plus the
 /// following braced block, or up to the `;` for brace-less items).
-/// Determinism rules skip these: test-only code never feeds simulation.
 fn cfg_test_ranges(code: &str) -> Vec<(usize, usize)> {
     let mut ranges = Vec::new();
     let mut from = 0usize;
@@ -342,90 +298,6 @@ fn generic_list_end(code: &str, lt: usize) -> Option<usize> {
     None
 }
 
-/// Decide whether a `HashMap`/`HashSet` identifier ending at `i` is a
-/// nondeterministically seeded use.  Flags `::new`/`::with_capacity`
-/// (only defined for the std `RandomState` hasher) and generic forms
-/// without a hasher parameter; `::default()`, `::with_hasher`, and
-/// hasher-parameterized types (e.g. `HashMap<K, V, FxBuild>`) pass.
-fn std_hash_finding(code: &str, i: usize, ident: &str) -> Option<String> {
-    let needed = if ident == "HashMap" { 3 } else { 2 };
-    let (p, b) = next_nonspace(code, i)?;
-    if b == b'<' {
-        return (count_generic_params(code, p)? < needed).then(|| {
-            format!(
-                "std `{ident}` without a hasher parameter defaults to the randomly seeded \
-                 `RandomState`; use `BTreeMap`/`BTreeSet` or a deterministic hasher build"
-            )
-        });
-    }
-    if b == b':' {
-        match path_segment_after(code, i) {
-            Some(seg) if seg == "new" || seg == "with_capacity" => {
-                return Some(format!(
-                    "`{ident}::{seg}` builds a std hash collection with the randomly seeded \
-                     `RandomState` hasher; use `BTreeMap`/`BTreeSet` or a deterministic \
-                     hasher build"
-                ));
-            }
-            // `::default()`, `::with_hasher(..)`, `::from(..)` on an
-            // explicitly typed binding: the hasher comes from the type,
-            // which is checked where it is written.
-            Some(_) => return None,
-            None => {
-                // Turbofish `HashMap::<K, V>::new()`.
-                let (p1, b1) = next_nonspace(code, i)?;
-                if b1 == b':' && code.as_bytes().get(p1 + 1) == Some(&b':') {
-                    let (p2, b2) = next_nonspace(code, p1 + 2)?;
-                    if b2 == b'<' {
-                        return (count_generic_params(code, p2)? < needed).then(|| {
-                            format!(
-                                "turbofish `{ident}` without a hasher parameter defaults to \
-                                 the randomly seeded `RandomState`"
-                            )
-                        });
-                    }
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Count top-level generic parameters of the `<..>` list opening at `lt`
-/// (`code[lt] == '<'`).  Returns `None` if the list never closes.
-fn count_generic_params(code: &str, lt: usize) -> Option<usize> {
-    let b = code.as_bytes();
-    let mut depth_angle = 1usize;
-    let mut depth_other = 0usize;
-    let mut params = 1usize;
-    let mut saw_content = false;
-    let mut k = lt + 1;
-    while k < b.len() {
-        match b[k] {
-            b'<' => depth_angle += 1,
-            b'>' if k > 0 && (b[k - 1] == b'-' || b[k - 1] == b'=') => {} // `->` / `=>`
-            b'>' => {
-                depth_angle -= 1;
-                if depth_angle == 0 {
-                    return Some(if saw_content { params } else { 0 });
-                }
-            }
-            b'(' | b'[' => depth_other += 1,
-            b')' | b']' => depth_other = depth_other.saturating_sub(1),
-            b',' if depth_angle == 1 && depth_other == 0 => params += 1,
-            b';' if depth_angle == 1 && depth_other == 0 => {
-                // A `;` at type depth means this `<` was a comparison in
-                // expression context after all; give up.
-                return None;
-            }
-            c if !c.is_ascii_whitespace() => saw_content = true,
-            _ => {}
-        }
-        k += 1;
-    }
-    None
-}
-
 /// Is the identifier `ident` spanning `start..end` an allocation-shaped
 /// call?  Returns the display form to report.
 fn hot_alloc_finding(code: &str, start: usize, end: usize, ident: &str) -> Option<String> {
@@ -489,19 +361,5 @@ mod tests {
         assert_eq!(non_test_lines(src), 5);
         assert_eq!(non_test_lines(""), 0);
         assert_eq!(non_test_lines("fn only() {}"), 1);
-    }
-
-    #[test]
-    fn generic_param_counting() {
-        let probe = |s: &str| {
-            let lt = s.find('<').unwrap();
-            count_generic_params(s, lt)
-        };
-        assert_eq!(probe("<K, V>"), Some(2));
-        assert_eq!(probe("<(i64, i64), i64>"), Some(2));
-        assert_eq!(probe("<K, V, FxBuild>"), Some(3));
-        assert_eq!(probe("<Vec<(u8, u8)>, BTreeMap<K, V>>"), Some(2));
-        assert_eq!(probe("<&'a str, fn(A, B) -> C>"), Some(2));
-        assert_eq!(probe("<K, V"), None);
     }
 }

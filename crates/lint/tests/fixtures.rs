@@ -1,10 +1,10 @@
 //! Fixture tests: known-bad snippets must flag the right rule at the
 //! right line, waivers must suppress (with a mandatory reason), and the
-//! scanner must see through comments, strings, and `#[cfg(test)]`.
+//! scanner must see through comments and strings.
 
-use atrapos_lint::scan_source;
+use atrapos_lint::{non_test_lines, scan_source};
 
-const SIM: &str = "crates/engine/src/fixture.rs";
+const ENGINE: &str = "crates/engine/src/fixture.rs";
 const HARNESS: &str = "crates/bench/src/fixture.rs";
 
 /// `(line, rule)` pairs of every finding.
@@ -16,126 +16,85 @@ fn hits(path: &str, src: &str) -> Vec<(usize, String)> {
 }
 
 #[test]
-fn std_hash_constructors_flag_at_the_right_line() {
-    let src = "use std::collections::HashMap;\n\
-               fn f() {\n\
-               \x20   let a = HashMap::new();\n\
-               \x20   let b = HashMap::with_capacity(8);\n\
-               \x20   let c: HashSet<u32> = HashSet::default();\n\
-               }\n";
-    let got = hits(SIM, src);
-    assert!(got.contains(&(3, "std-hash".into())), "{got:?}");
-    assert!(got.contains(&(4, "std-hash".into())), "{got:?}");
-    // Line 5: the 1-param HashSet *type* flags; `::default()` itself does
-    // not (the hasher comes from the type annotation).
-    assert!(got.contains(&(5, "std-hash".into())), "{got:?}");
-}
-
-#[test]
-fn hasher_parameterized_and_default_forms_pass() {
-    let src = "type FxMap<K, V> = HashMap<K, V, FxBuild>;\n\
-               fn f(m: &HashMap<u32, u32, FxBuild>) -> FxMap<u8, u8> {\n\
-               \x20   let _ = m;\n\
-               \x20   FxMap::default()\n\
-               }\n";
-    assert_eq!(hits(SIM, src), vec![]);
-}
-
-#[test]
-fn short_generic_types_flag_and_turbofish_flags() {
-    let src = "fn f() -> HashMap<(i64, i64), i64> {\n\
-               \x20   HashMap::<(i64, i64), i64>::new()\n\
-               }\n";
-    let got = hits(SIM, src);
-    assert!(got.contains(&(1, "std-hash".into())), "{got:?}");
-    assert!(got.contains(&(2, "std-hash".into())), "{got:?}");
-}
-
-#[test]
-fn wall_clock_and_rng_flag() {
+fn determinism_is_left_to_clippy() {
+    // clippy.toml disallows these in the simulation crates; the lint
+    // neither flags them nor accepts a waiver naming a rule for them.
     let src = "fn f() {\n\
+               \x20   let m = std::collections::HashMap::<u8, u8>::new();\n\
                \x20   let t = std::time::Instant::now();\n\
-               \x20   let s = SystemTime::now();\n\
-               \x20   let mut r = rand::thread_rng();\n\
-               \x20   let q = SmallRng::from_entropy();\n\
+               \x20   let r = rand::thread_rng();\n\
                }\n";
-    let got = hits(SIM, src);
-    assert!(got.contains(&(2, "wall-clock".into())), "{got:?}");
-    assert!(got.contains(&(3, "wall-clock".into())), "{got:?}");
-    assert!(got.contains(&(4, "unseeded-rng".into())), "{got:?}");
-    assert!(got.contains(&(5, "unseeded-rng".into())), "{got:?}");
-}
-
-#[test]
-fn determinism_rules_only_apply_to_sim_crates() {
-    let src = "fn f() { let m = HashMap::new(); let t = Instant::now(); }\n";
-    assert_eq!(hits(HARNESS, src), vec![]);
-    assert_eq!(hits("crates/lint/src/fixture.rs", src), vec![]);
-    // But the src/ tree of a sim crate flags both.
-    assert_eq!(hits(SIM, src).len(), 2);
-    // Test trees of sim crates are harness-side.
-    assert_eq!(hits("crates/engine/tests/fixture.rs", src), vec![]);
+    assert_eq!(hits(ENGINE, src), vec![]);
+    for rule in ["std-hash", "wall-clock", "unseeded-rng"] {
+        let waiver = format!("fn f() {{}} // lint: allow({rule}) — a reason\n");
+        assert_eq!(hits(ENGINE, &waiver), vec![(1, "lint-directive".into())]);
+    }
 }
 
 #[test]
 fn cfg_test_blocks_are_skipped() {
+    // ... by the line count: the test module's four lines are not shipped
+    // code.
     let src = "fn prod() {}\n\
                #[cfg(test)]\n\
                mod tests {\n\
                \x20   fn helper() { let m = HashMap::new(); }\n\
                }\n\
                fn after() { let t = Instant::now(); }\n";
-    let got = hits(SIM, src);
-    assert_eq!(got, vec![(6, "wall-clock".into())], "{got:?}");
+    assert_eq!(non_test_lines(src), 2);
 }
 
 #[test]
 fn comments_and_strings_never_flag() {
-    let src = "fn f() {\n\
-               \x20   // HashMap::new() Instant::now() thread_rng()\n\
-               \x20   let s = \"HashMap::new() Instant::now()\";\n\
-               \x20   /* SystemTime::now() */\n\
+    let src = "// lint: hot-path\n\
+               fn f() {\n\
+               \x20   // Vec::new() format!(\"x\") v.clone()\n\
+               \x20   let s = \"Vec::new() Box::new(1)\";\n\
+               \x20   /* String::from(\"y\") */\n\
                \x20   let _ = s;\n\
                }\n";
-    assert_eq!(hits(SIM, src), vec![]);
+    assert_eq!(hits(ENGINE, src), vec![]);
 }
 
 #[test]
 fn trailing_waiver_suppresses_its_line_only() {
-    let src = "fn f() {\n\
-               \x20   let a = HashMap::new(); // lint: allow(std-hash) — never iterated, keyed access only\n\
-               \x20   let b = HashMap::new();\n\
+    let src = "// lint: hot-path\n\
+               fn f() {\n\
+               \x20   let a = Vec::new(); // lint: allow(hot-path-alloc) — empty, never grows\n\
+               \x20   let b = Vec::new();\n\
                }\n";
-    let got = hits(SIM, src);
-    assert_eq!(got, vec![(3, "std-hash".into())], "{got:?}");
+    let got = hits(ENGINE, src);
+    assert_eq!(got, vec![(4, "hot-path-alloc".into())], "{got:?}");
 }
 
 #[test]
 fn standalone_waiver_covers_the_next_line() {
-    let src = "fn f() {\n\
-               \x20   // lint: allow(wall-clock) — harness-side timing of the host\n\
-               \x20   let t = Instant::now();\n\
-               \x20   let u = Instant::now();\n\
+    let src = "// lint: hot-path\n\
+               fn f() {\n\
+               \x20   // lint: allow(hot-path-alloc) — slow path, taken once per run\n\
+               \x20   let a = Vec::new();\n\
+               \x20   let b = Vec::new();\n\
                }\n";
-    let got = hits(SIM, src);
-    assert_eq!(got, vec![(4, "wall-clock".into())], "{got:?}");
+    let got = hits(ENGINE, src);
+    assert_eq!(got, vec![(5, "hot-path-alloc".into())], "{got:?}");
 }
 
 #[test]
 fn waiver_reason_is_mandatory() {
-    for bad in [
-        "fn f() { let a = HashMap::new(); } // lint: allow(std-hash)\n",
-        "fn f() { let a = HashMap::new(); } // lint: allow(std-hash) —\n",
-        "fn f() { let a = HashMap::new(); } // lint: allow(std-hash) -   \n",
+    for waiver in [
+        "// lint: allow(hot-path-alloc)",
+        "// lint: allow(hot-path-alloc) —",
+        "// lint: allow(hot-path-alloc) -   ",
     ] {
-        let got = hits(SIM, bad);
+        let bad = format!("// lint: hot-path\nfn f() {{ let a = Vec::new(); }} {waiver}\n");
+        let got = hits(ENGINE, &bad);
         assert!(
-            got.contains(&(1, "lint-directive".into())),
+            got.contains(&(2, "lint-directive".into())),
             "missing-reason waiver must flag: {bad:?} -> {got:?}"
         );
         // And the underlying finding is NOT suppressed.
         assert!(
-            got.contains(&(1, "std-hash".into())),
+            got.contains(&(2, "hot-path-alloc".into())),
             "reasonless waiver must not suppress: {bad:?} -> {got:?}"
         );
     }
@@ -144,17 +103,17 @@ fn waiver_reason_is_mandatory() {
 #[test]
 fn waiver_for_unknown_rule_is_rejected() {
     let src = "fn f() {} // lint: allow(no-such-rule) — because\n";
-    let got = hits(SIM, src);
+    let got = hits(ENGINE, src);
     assert_eq!(got, vec![(1, "lint-directive".into())], "{got:?}");
 }
 
 #[test]
 fn unknown_directives_are_rejected_but_doc_comment_prose_is_not() {
-    let got = hits(SIM, "fn f() {} // lint: frobnicate\n");
+    let got = hits(ENGINE, "fn f() {} // lint: frobnicate\n");
     assert_eq!(got, vec![(1, "lint-directive".into())], "{got:?}");
     // Doc comments are prose, not configuration.
-    assert_eq!(hits(SIM, "/// lint: frobnicate\nfn f() {}\n"), vec![]);
-    assert_eq!(hits(SIM, "//! lint: hot-path\nfn f() {}\n"), vec![]);
+    assert_eq!(hits(ENGINE, "/// lint: frobnicate\nfn f() {}\n"), vec![]);
+    assert_eq!(hits(ENGINE, "//! lint: hot-path\nfn f() {}\n"), vec![]);
 }
 
 #[test]
@@ -233,10 +192,10 @@ fn method_call_shape_is_required_for_alloc_flags() {
 
 #[test]
 fn findings_render_as_file_line_rule() {
-    let f = &scan_source(SIM, "fn f() { let t = Instant::now(); }\n")[0];
+    let f = &scan_source(ENGINE, "// lint: hot-path\nfn f() { let v = vec![1]; }\n")[0];
     let s = f.to_string();
     assert!(
-        s.starts_with("crates/engine/src/fixture.rs:1: wall-clock — "),
+        s.starts_with("crates/engine/src/fixture.rs:2: hot-path-alloc — "),
         "{s}"
     );
 }

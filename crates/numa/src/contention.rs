@@ -12,6 +12,10 @@
 //! and each one pays a transfer cost that depends on which socket last
 //! owned the line.
 //!
+//! A line keeps only what decides the next access: its home node, its
+//! current owner, and its busy intervals.  Its traffic is counted in the
+//! accessing step's [`crate::Tally`], not on the line.
+//!
 //! Because the execution engine simulates one transaction at a time, accesses
 //! to a line do not necessarily arrive in increasing virtual-time order: a
 //! transaction processed *earlier* may have touched the line at a *later*
@@ -165,14 +169,6 @@ pub struct ContendedLine {
     owner: Option<SocketId>,
     /// Busy intervals of in-flight exclusive accesses.
     timeline: Timeline,
-    /// Number of exclusive (RMW) accesses performed.
-    pub rmw_count: u64,
-    /// Number of read accesses performed.
-    pub read_count: u64,
-    /// Total cycles cores spent waiting for this line.
-    pub total_wait: Cycles,
-    /// Accesses that crossed a socket boundary.
-    pub remote_accesses: u64,
 }
 
 impl ContendedLine {
@@ -182,10 +178,6 @@ impl ContendedLine {
             home,
             owner: None,
             timeline: Timeline::default(),
-            rmw_count: 0,
-            read_count: 0,
-            total_wait: 0,
-            remote_accesses: 0,
         }
     }
 
@@ -211,29 +203,11 @@ impl ContendedLine {
         self.timeline.book(at, duration)
     }
 
-    /// Record the outcome of an access decided by the simulation context.
-    pub(crate) fn commit_access(
-        &mut self,
-        kind: AccessKind,
-        accessor: SocketId,
-        waited: Cycles,
-        crossed_socket: bool,
-    ) {
-        match kind {
-            AccessKind::Rmw => {
-                self.rmw_count += 1;
-                self.owner = Some(accessor);
-            }
-            AccessKind::Read => {
-                self.read_count += 1;
-                if self.owner.is_none() {
-                    self.owner = Some(accessor);
-                }
-            }
-        }
-        self.total_wait += waited;
-        if crossed_socket {
-            self.remote_accesses += 1;
+    /// Record who holds the line after an access decided by the simulation
+    /// context: an RMW takes ownership, a read only claims an unowned line.
+    pub(crate) fn commit_access(&mut self, kind: AccessKind, accessor: SocketId) {
+        if kind == AccessKind::Rmw || self.owner.is_none() {
+            self.owner = Some(accessor);
         }
     }
 }
@@ -356,20 +330,23 @@ mod tests {
     fn rmw_takes_ownership() {
         let mut l = ContendedLine::new(SocketId(0));
         l.book_exclusive(0, 300);
-        l.commit_access(AccessKind::Rmw, SocketId(2), 0, true);
+        l.commit_access(AccessKind::Rmw, SocketId(2));
         assert_eq!(l.owner(), Some(SocketId(2)));
         assert_eq!(l.busy_horizon(), 300);
-        assert_eq!(l.rmw_count, 1);
-        assert_eq!(l.remote_accesses, 1);
+        l.commit_access(AccessKind::Rmw, SocketId(1));
+        assert_eq!(l.owner(), Some(SocketId(1)));
     }
 
     #[test]
     fn read_does_not_steal_ownership() {
         let mut l = ContendedLine::new(SocketId(0));
-        l.commit_access(AccessKind::Rmw, SocketId(1), 0, false);
-        l.commit_access(AccessKind::Read, SocketId(4), 10, true);
+        l.commit_access(AccessKind::Read, SocketId(1));
+        assert_eq!(
+            l.owner(),
+            Some(SocketId(1)),
+            "a read claims an unowned line"
+        );
+        l.commit_access(AccessKind::Read, SocketId(4));
         assert_eq!(l.owner(), Some(SocketId(1)));
-        assert_eq!(l.read_count, 1);
-        assert_eq!(l.total_wait, 10);
     }
 }

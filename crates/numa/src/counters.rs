@@ -1,14 +1,16 @@
-//! Per-core performance counters and component time breakdowns.
+//! What a run counts: the [`Tally`] of a step, and the component time
+//! breakdown inside it.
 //!
 //! The paper's evaluation reports hardware-counter-derived metrics
-//! (instructions retired per cycle, Figure 1) and profiler-derived time
-//! breakdowns per system component (Figure 4).  The simulator computes both
-//! from first principles: every simulated operation reports how many
-//! instructions it retires, how many cycles it takes, and which component of
-//! the storage manager it belongs to.
+//! (instructions retired per cycle, Figure 1; the QPI/IMC traffic ratio,
+//! Table I) and profiler-derived time breakdowns per system component
+//! (Figure 4).  The simulator computes them from first principles: every
+//! simulated operation reports how many instructions it retires, how many
+//! cycles it takes, which component of the storage manager it belongs to,
+//! and how many bytes it moves across or within a socket.  All of these
+//! are machine-wide sums; nothing is kept per link, per line or per core.
 
 use crate::clock::Cycles;
-use crate::topology::SocketId;
 use serde::{Deserialize, Serialize};
 
 /// Storage-manager component a piece of work is attributed to.  Matches the
@@ -79,7 +81,7 @@ impl Component {
 }
 
 /// Cycle breakdown by component.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Breakdown {
     cycles: [u64; COMPONENT_COUNT],
 }
@@ -135,93 +137,10 @@ impl Breakdown {
     }
 }
 
-/// One interconnect transfer: (from socket, to socket, bytes).
-pub type Transfer = (SocketId, SocketId, u64);
-
-/// Inline capacity of [`TrafficList`].  A single simulated step rarely
-/// generates more than a couple of cross-socket transfers (one line
-/// transfer plus a synchronization message or two), so four inline slots
-/// keep the hot path allocation-free.
-const TRAFFIC_INLINE: usize = 4;
-
-/// The interconnect transfers of one step: a small-vector that stores the
-/// common case inline and spills to the heap only for unusually chatty
-/// steps.
-#[derive(Debug, Clone)]
-pub struct TrafficList {
-    len: u8,
-    inline: [Transfer; TRAFFIC_INLINE],
-    spill: Vec<Transfer>,
-}
-
-impl Default for TrafficList {
-    fn default() -> Self {
-        Self {
-            len: 0,
-            inline: [(SocketId(0), SocketId(0), 0); TRAFFIC_INLINE],
-            spill: Vec::new(),
-        }
-    }
-}
-
-impl TrafficList {
-    /// An empty list.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a transfer.
-    #[inline]
-    pub fn push(&mut self, t: Transfer) {
-        let i = self.len as usize;
-        if i < TRAFFIC_INLINE {
-            self.inline[i] = t;
-            self.len += 1;
-        } else {
-            self.spill.push(t);
-        }
-    }
-
-    /// Number of transfers recorded.
-    pub fn len(&self) -> usize {
-        self.len as usize + self.spill.len()
-    }
-
-    /// Whether no transfer was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterate over the transfers in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Transfer> {
-        self.inline[..self.len as usize]
-            .iter()
-            .chain(self.spill.iter())
-    }
-
-    /// Drop all transfers (keeps the spill capacity).
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
-    }
-}
-
-impl<'a> IntoIterator for &'a TrafficList {
-    type Item = &'a Transfer;
-    type IntoIter =
-        std::iter::Chain<std::slice::Iter<'a, Transfer>, std::slice::Iter<'a, Transfer>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.inline[..self.len as usize]
-            .iter()
-            .chain(self.spill.iter())
-    }
-}
-
-/// Everything a single simulated step (action, transaction, or background
-/// task) accrues.  Produced by [`crate::SimCtx::finish`] and merged into the
-/// machine-wide counters.
-#[derive(Debug, Clone, Default)]
+/// Everything a simulated step (action, transaction, or background task)
+/// accrues: produced by [`crate::SimCtx::finish`] and absorbed into the
+/// machine-wide running total, which is a `Tally` too.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Tally {
     /// Virtual time at which the step started.
     pub start: Cycles,
@@ -238,52 +157,51 @@ pub struct Tally {
     pub spin_cycles: Cycles,
     /// Per-component breakdown of all cycles.
     pub breakdown: Breakdown,
-    /// Interconnect traffic generated: (from socket, to socket, bytes).
-    pub traffic: TrafficList,
+    /// Bytes that crossed a socket boundary (the paper's QPI traffic).
+    pub remote_bytes: u64,
     /// Bytes served from the local memory controller.
     pub local_memory_bytes: u64,
-    /// Number of times this step had to wait for a contended line or
-    /// resource held by another core.
-    pub waits: u64,
 }
 
-/// Cumulative counters for one core.
-#[derive(Debug, Clone, Default)]
-pub struct CoreCounters {
-    /// Instructions retired.
-    pub instructions: u64,
-    /// Cycles doing useful work.
-    pub busy_cycles: Cycles,
-    /// Stalled cycles.
-    pub stall_cycles: Cycles,
-    /// Spinning cycles.
-    pub spin_cycles: Cycles,
-    /// Per-component cycle breakdown.
-    pub breakdown: Breakdown,
-    /// Number of waits on contended lines/resources.
-    pub waits: u64,
-    /// Latest virtual time observed on this core.
-    pub last_seen: Cycles,
-}
-
-impl CoreCounters {
-    /// Fold a step's tally into the cumulative counters.
-    pub fn absorb(&mut self, tally: &Tally) {
-        self.instructions += tally.instructions;
-        self.busy_cycles += tally.busy_cycles;
-        self.stall_cycles += tally.stall_cycles;
-        self.spin_cycles += tally.spin_cycles;
-        self.breakdown.merge(&tally.breakdown);
-        self.waits += tally.waits;
-        self.last_seen = self.last_seen.max(tally.end);
+impl Tally {
+    /// Add `other`'s counts to this one; `start` and `end` stay as they are.
+    pub fn absorb(&mut self, other: &Tally) {
+        self.instructions += other.instructions;
+        self.busy_cycles += other.busy_cycles;
+        self.stall_cycles += other.stall_cycles;
+        self.spin_cycles += other.spin_cycles;
+        self.breakdown.merge(&other.breakdown);
+        self.remote_bytes += other.remote_bytes;
+        self.local_memory_bytes += other.local_memory_bytes;
     }
 
-    /// Total cycles the core was occupied.
+    /// The counts accrued between `earlier` and `self`, two readings of the
+    /// same running total.
+    pub fn since(&self, earlier: &Tally) -> Tally {
+        Tally {
+            start: earlier.end,
+            end: self.end,
+            instructions: self.instructions - earlier.instructions,
+            busy_cycles: self.busy_cycles - earlier.busy_cycles,
+            stall_cycles: self.stall_cycles - earlier.stall_cycles,
+            spin_cycles: self.spin_cycles - earlier.spin_cycles,
+            breakdown: self.breakdown.saturating_sub(&earlier.breakdown),
+            remote_bytes: self.remote_bytes - earlier.remote_bytes,
+            local_memory_bytes: self.local_memory_bytes - earlier.local_memory_bytes,
+        }
+    }
+
+    /// Cycles the cores were occupied: busy + stall + spin.
     pub fn occupied_cycles(&self) -> Cycles {
         self.busy_cycles + self.stall_cycles + self.spin_cycles
     }
 
-    /// Instructions per cycle over the cycles the core was occupied.
+    /// Instructions per occupied cycle (0.0 when nothing ran).
+    ///
+    /// This mirrors what a profiler reports on a saturated system: every
+    /// core is either doing work, stalled on the memory system, or
+    /// spinning, and IPC is instructions retired divided by those cycles
+    /// (Figure 1).
     pub fn ipc(&self) -> f64 {
         let c = self.occupied_cycles();
         if c == 0 {
@@ -328,27 +246,32 @@ mod tests {
     }
 
     #[test]
-    fn core_counters_absorb_tallies() {
-        let mut cc = CoreCounters::default();
+    fn a_running_total_absorbs_tallies_and_reads_back_deltas() {
+        let mut total = Tally::default();
         let mut t = Tally {
             start: 0,
             end: 500,
             instructions: 400,
             busy_cycles: 400,
             stall_cycles: 100,
+            remote_bytes: 64,
             ..Default::default()
         };
         t.breakdown.add(Component::XctExecution, 500);
-        cc.absorb(&t);
-        cc.absorb(&t);
-        assert_eq!(cc.instructions, 800);
-        assert_eq!(cc.occupied_cycles(), 1000);
-        assert!((cc.ipc() - 0.8).abs() < 1e-12);
-        assert_eq!(cc.last_seen, 500);
+        total.absorb(&t);
+        let first = total;
+        total.absorb(&t);
+        assert_eq!(total.instructions, 800);
+        assert_eq!(total.occupied_cycles(), 1000);
+        assert_eq!(total.remote_bytes, 128);
+        assert!((total.ipc() - 0.8).abs() < 1e-12);
+        let delta = total.since(&first);
+        assert_eq!((delta.instructions, delta.remote_bytes), (400, 64));
+        assert_eq!(delta.breakdown, t.breakdown);
     }
 
     #[test]
     fn ipc_of_idle_core_is_zero() {
-        assert_eq!(CoreCounters::default().ipc(), 0.0);
+        assert_eq!(Tally::default().ipc(), 0.0);
     }
 }

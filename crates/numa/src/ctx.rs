@@ -6,9 +6,9 @@
 //! Storage operations call its methods to charge useful work, cache-line
 //! accesses, resource acquisitions, memory reads, and messages; the context
 //! advances its virtual clock and records instructions, cycles (by
-//! [`Component`]), waits, and interconnect traffic.  When the step is done,
-//! [`SimCtx::finish`] yields a [`Tally`] that the caller merges into the
-//! machine-wide counters.
+//! [`Component`]), and the bytes it moved across and within sockets.  When
+//! the step is done, [`SimCtx::finish`] yields a [`Tally`] that the caller
+//! merges into the machine-wide total.
 
 use crate::clock::Cycles;
 use crate::contention::{AccessKind, ContendedLine, WaitMode};
@@ -133,7 +133,6 @@ impl<'a> SimCtx<'a> {
     pub fn wait_until(&mut self, component: Component, t: Cycles, mode: WaitMode) -> Cycles {
         let waited = t.saturating_sub(self.now);
         if waited > 0 {
-            self.tally.waits += 1;
             match mode {
                 WaitMode::Spin => self.spin(component, waited),
                 WaitMode::Stall => self.stall(component, waited),
@@ -161,41 +160,30 @@ impl<'a> SimCtx<'a> {
         wait: WaitMode,
     ) -> Cycles {
         let before = self.now;
-        let (transfer, crossed, from) = self.line_transfer_cost(line, kind);
+        let (transfer, crossed) = self.line_transfer_cost(line, kind);
         let grant = match kind {
             AccessKind::Rmw => line.book_exclusive(self.now, transfer),
             AccessKind::Read => line.earliest_grant(self.now, 1),
         };
-        let waited = grant.saturating_sub(self.now);
-        if waited > 0 {
-            self.tally.waits += 1;
-            match wait {
-                WaitMode::Spin => self.spin(component, waited),
-                WaitMode::Stall => self.stall(component, waited),
-            }
-        }
+        self.wait_until(component, grant, wait);
         self.stall(component, transfer);
-        self.record_line_traffic(line, crossed, from);
-        line.commit_access(kind, self.socket, waited, crossed);
+        self.record_line_traffic(line, crossed);
+        line.commit_access(kind, self.socket);
         self.now - before
     }
 
     /// Cost of bringing `line` into this core's cache, given its current
-    /// owner: (cycles, crossed a socket boundary, source socket).
-    fn line_transfer_cost(
-        &self,
-        line: &ContendedLine,
-        kind: AccessKind,
-    ) -> (Cycles, bool, Option<SocketId>) {
-        let (cycles, crossed, from) = match line.owner() {
-            Some(owner) if owner == self.socket => (self.cost.cache_transfer(0), false, None),
+    /// owner: (cycles, crossed a socket boundary).
+    fn line_transfer_cost(&self, line: &ContendedLine, kind: AccessKind) -> (Cycles, bool) {
+        let (cycles, hops) = match line.owner() {
+            Some(owner) if owner == self.socket => (self.cost.cache_transfer(0), 0),
             Some(owner) => {
                 let hops = self.topo.distance(self.socket, owner);
-                (self.cost.cache_transfer(hops), hops > 0, Some(owner))
+                (self.cost.cache_transfer(hops), hops)
             }
             None => {
                 let hops = self.topo.distance(self.socket, line.home);
-                (self.cost.memory_access(hops), hops > 0, Some(line.home))
+                (self.cost.memory_access(hops), hops)
             }
         };
         let cycles = if kind == AccessKind::Rmw {
@@ -203,16 +191,14 @@ impl<'a> SimCtx<'a> {
         } else {
             cycles
         };
-        (cycles, crossed, from)
+        (cycles, hops > 0)
     }
 
-    fn record_line_traffic(&mut self, line: &ContendedLine, crossed: bool, from: Option<SocketId>) {
+    /// Count the line's bytes: remote when the transfer crossed a socket
+    /// boundary, local when it came from this socket's memory.
+    fn record_line_traffic(&mut self, line: &ContendedLine, crossed: bool) {
         if crossed {
-            if let Some(from) = from {
-                self.tally
-                    .traffic
-                    .push((from, self.socket, self.cost.cache_line_bytes));
-            }
+            self.tally.remote_bytes += self.cost.cache_line_bytes;
         } else if line.owner().is_none() {
             self.tally.local_memory_bytes += self.cost.cache_line_bytes;
         }
@@ -233,21 +219,14 @@ impl<'a> SimCtx<'a> {
         instructions: u64,
     ) -> Cycles {
         let before = self.now;
-        let (transfer, crossed, from) = self.line_transfer_cost(line, AccessKind::Rmw);
+        let (transfer, crossed) = self.line_transfer_cost(line, AccessKind::Rmw);
         let work = self.cost.work_cycles(instructions);
         let grant = line.book_exclusive(self.now, transfer + work);
-        let waited = grant.saturating_sub(self.now);
-        if waited > 0 {
-            self.tally.waits += 1;
-            match wait {
-                WaitMode::Spin => self.spin(component, waited),
-                WaitMode::Stall => self.stall(component, waited),
-            }
-        }
+        self.wait_until(component, grant, wait);
         self.stall(component, transfer);
         self.work(component, instructions);
-        self.record_line_traffic(line, crossed, from);
-        line.commit_access(AccessKind::Rmw, self.socket, waited, crossed);
+        self.record_line_traffic(line, crossed);
+        line.commit_access(AccessKind::Rmw, self.socket);
         self.now - before
     }
 
@@ -262,9 +241,7 @@ impl<'a> SimCtx<'a> {
         let rest = (lines - 1) * (first / 4);
         self.stall(component, first + rest);
         if hops > 0 {
-            self.tally
-                .traffic
-                .push((node, self.socket, lines * self.cost.cache_line_bytes));
+            self.tally.remote_bytes += lines * self.cost.cache_line_bytes;
         } else {
             self.tally.local_memory_bytes += lines * self.cost.cache_line_bytes;
         }
@@ -278,7 +255,7 @@ impl<'a> SimCtx<'a> {
         let cycles = self.cost.message(hops, bytes);
         self.stall(component, cycles);
         if hops > 0 {
-            self.tally.traffic.push((self.socket, to, bytes));
+            self.tally.remote_bytes += bytes;
         }
         cycles
     }
@@ -348,7 +325,6 @@ mod tests {
             "remote {remote_cost} vs local {local_cost}"
         );
         assert_eq!(line.owner(), Some(SocketId(2)));
-        assert_eq!(line.remote_accesses, 1);
     }
 
     #[test]
@@ -376,7 +352,6 @@ mod tests {
         );
         assert!(ctx_b.now() > free);
         let tally_b = ctx_b.finish();
-        assert_eq!(tally_b.waits, 1);
         assert!(tally_b.stall_cycles >= free);
     }
 
@@ -422,14 +397,13 @@ mod tests {
         let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
         ctx.memory_read(Component::XctExecution, SocketId(3), 256);
         let tally = ctx.finish();
-        let total: u64 = tally.traffic.iter().map(|(_, _, b)| *b).sum();
-        assert_eq!(total, 256);
+        assert_eq!(tally.remote_bytes, 256);
         assert_eq!(tally.local_memory_bytes, 0);
 
         let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
         ctx.memory_read(Component::XctExecution, SocketId(0), 256);
         let tally = ctx.finish();
-        assert!(tally.traffic.is_empty());
+        assert_eq!(tally.remote_bytes, 0);
         assert_eq!(tally.local_memory_bytes, 256);
     }
 

@@ -12,8 +12,8 @@
 //! hardware is not available in this environment, this crate models it
 //! explicitly:
 //!
-//! * [`Topology`] — sockets, cores, and an inter-socket distance (hop) matrix,
-//!   with presets for the paper's 8-socket twisted-cube box as well as smaller
+//! * [`Topology`] — sockets, cores, and an inter-socket distance (hop) matrix:
+//!   the paper's 8-socket twisted-cube box, and smaller fully connected
 //!   configurations.
 //! * [`CostModel`] — calibrated cycle costs for local/remote cache-line
 //!   transfers, memory accesses, atomic read-modify-write operations, and
@@ -25,11 +25,14 @@
 //!   costs, which is what produces the multisocket scalability collapse of
 //!   centralized designs.
 //! * [`SimCtx`] — the accounting context threaded through every storage and
-//!   engine operation.  It accumulates instructions, cycles (split by
-//!   [`Component`]), and interconnect traffic for the current step.
-//! * [`Machine`] — the aggregate: topology + cost model + per-core counters +
-//!   interconnect traffic, with derived metrics (IPC, QPI/IMC ratios,
-//!   per-component time breakdowns).
+//!   engine operation.  It accumulates a step's [`Tally`]: instructions,
+//!   cycles (split by [`Component`]), and the bytes it moved across socket
+//!   boundaries and from local memory.
+//! * [`Machine`] — the aggregate: topology + cost model + one machine-wide
+//!   running [`Tally`].  A run reports what that total holds — IPC, the
+//!   component breakdown, and the QPI/IMC ratio and interconnect bandwidth
+//!   derived in [`interconnect`] — and the machine counts nothing per
+//!   link, per cache line or per core.
 //!
 //! Everything is deterministic and single-threaded: a discrete virtual clock
 //! replaces wall-clock time, so every figure of the paper can be regenerated
@@ -42,7 +45,6 @@ pub mod counters;
 pub mod ctx;
 pub mod interconnect;
 pub mod machine;
-pub mod placement;
 pub mod topology;
 
 pub use clock::{
@@ -51,11 +53,7 @@ pub use clock::{
 };
 pub use contention::{AccessKind, ContendedLine, WaitMode};
 pub use cost::CostModel;
-pub use counters::{
-    Breakdown, Component, CoreCounters, Tally, TrafficList, Transfer, COMPONENT_COUNT,
-};
+pub use counters::{Breakdown, Component, Tally, COMPONENT_COUNT};
 pub use ctx::SimCtx;
-pub use interconnect::Interconnect;
 pub use machine::Machine;
-pub use placement::{round_robin_by_socket, socket_fill, CorePlacement};
-pub use topology::{CoreId, SocketId, Topology, TopologyKind, UnknownSocket};
+pub use topology::{CoreId, SocketId, Topology, UnknownSocket};

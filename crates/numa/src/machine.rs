@@ -1,17 +1,16 @@
-//! The simulated machine: topology + cost model + cumulative counters.
+//! The simulated machine: topology + cost model + one running total.
 
 use crate::clock::{cycles_to_secs, Cycles};
 use crate::cost::CostModel;
-use crate::counters::{Breakdown, CoreCounters, Tally};
+use crate::counters::Tally;
 use crate::ctx::SimCtx;
-use crate::interconnect::Interconnect;
 use crate::topology::{CoreId, Topology};
 
 /// A multisocket machine under simulation.
 ///
-/// Owns the hardware description (topology, cost model) and the cumulative
-/// performance counters (per-core work, interconnect traffic).  Execution
-/// engines create short-lived [`SimCtx`] accounting contexts with
+/// Owns the hardware description (topology, cost model) and the
+/// machine-wide running total of everything the committed steps accrued.
+/// Execution engines create short-lived [`SimCtx`] accounting contexts with
 /// [`Machine::ctx`] and merge them back with [`Machine::commit`].
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -19,10 +18,8 @@ pub struct Machine {
     pub topology: Topology,
     /// Cycle cost model.
     pub cost: CostModel,
-    /// Cumulative per-core counters.
-    cores: Vec<CoreCounters>,
-    /// Cumulative interconnect/memory traffic.
-    pub interconnect: Interconnect,
+    /// Sum of every committed tally.
+    totals: Tally,
     /// No step still to come starts before this virtual time.
     low_water: Cycles,
 }
@@ -30,13 +27,10 @@ pub struct Machine {
 impl Machine {
     /// Build a machine from a topology and cost model.
     pub fn new(topology: Topology, cost: CostModel) -> Self {
-        let n_cores = topology.num_cores();
-        let n_sockets = topology.num_sockets();
         Self {
             topology,
             cost,
-            cores: vec![CoreCounters::default(); n_cores],
-            interconnect: Interconnect::new(n_sockets),
+            totals: Tally::default(),
             low_water: 0,
         }
     }
@@ -66,64 +60,21 @@ impl Machine {
         self.low_water = mark;
     }
 
-    /// Merge a finished step's tally into the machine counters.
-    pub fn commit(&mut self, core: CoreId, tally: &Tally) {
-        self.cores[core.index()].absorb(tally);
-        for &(from, to, bytes) in &tally.traffic {
-            self.interconnect.record(from, to, bytes);
-        }
-        self.interconnect.record_local(tally.local_memory_bytes);
+    /// Add a finished step's tally to the machine-wide total.
+    pub fn commit(&mut self, tally: &Tally) {
+        self.totals.absorb(tally);
     }
 
-    /// Cumulative counters of one core.
-    pub fn core_counters(&self, core: CoreId) -> &CoreCounters {
-        &self.cores[core.index()]
-    }
-
-    /// Machine-wide instructions retired.
-    pub fn total_instructions(&self) -> u64 {
-        self.cores.iter().map(|c| c.instructions).sum()
-    }
-
-    /// Machine-wide occupied cycles (busy + stall + spin over all cores).
-    pub fn total_occupied_cycles(&self) -> Cycles {
-        self.cores.iter().map(|c| c.occupied_cycles()).sum()
-    }
-
-    /// Machine-wide IPC over occupied cycles.
-    ///
-    /// This mirrors what a profiler reports on a saturated system: every
-    /// core is either doing work, stalled on the memory system, or spinning,
-    /// and IPC is instructions retired divided by those cycles (Figure 1).
-    pub fn ipc(&self) -> f64 {
-        let cycles = self.total_occupied_cycles();
-        if cycles == 0 {
-            0.0
-        } else {
-            self.total_instructions() as f64 / cycles as f64
-        }
-    }
-
-    /// Machine-wide component breakdown.
-    pub fn breakdown(&self) -> Breakdown {
-        let mut b = Breakdown::new();
-        for c in &self.cores {
-            b.merge(&c.breakdown);
-        }
-        b
+    /// The machine-wide total of every committed tally: instructions,
+    /// occupied cycles, the component breakdown, and the remote and local
+    /// byte counts.  Its `start` and `end` are 0.
+    pub fn totals(&self) -> &Tally {
+        &self.totals
     }
 
     /// Convert cycles to seconds at this machine's frequency.
     pub fn secs(&self, cycles: Cycles) -> f64 {
         cycles_to_secs(cycles, self.topology.frequency_ghz())
-    }
-
-    /// Reset all counters (topology and cost model are preserved).
-    pub fn reset_counters(&mut self) {
-        for c in &mut self.cores {
-            *c = CoreCounters::default();
-        }
-        self.interconnect.reset();
     }
 }
 
@@ -134,29 +85,16 @@ mod tests {
     use crate::topology::SocketId;
 
     #[test]
-    fn commit_accumulates_per_core_and_traffic() {
+    fn commit_accumulates_work_and_traffic() {
         let mut m = Machine::new(Topology::multisocket(2, 2), CostModel::westmere());
         let mut ctx = m.ctx(CoreId(0), 0);
         ctx.work(Component::XctExecution, 1000);
         ctx.memory_read(Component::XctExecution, SocketId(1), 128);
         let tally = ctx.finish();
-        m.commit(CoreId(0), &tally);
-        assert_eq!(m.core_counters(CoreId(0)).instructions, 1000);
-        assert_eq!(m.interconnect.total_cross_socket_bytes(), 128);
-        assert!(m.ipc() > 0.0 && m.ipc() <= 1.0);
-    }
-
-    #[test]
-    fn reset_clears_counters_but_keeps_hardware() {
-        let mut m = Machine::new(Topology::westmere_ex_8x10(), CostModel::westmere());
-        let mut ctx = m.ctx(CoreId(5), 0);
-        ctx.work(Component::Locking, 10);
-        let t = ctx.finish();
-        m.commit(CoreId(5), &t);
-        assert!(m.total_instructions() > 0);
-        m.reset_counters();
-        assert_eq!(m.total_instructions(), 0);
-        assert_eq!(m.topology.num_cores(), 80);
+        m.commit(&tally);
+        assert_eq!(m.totals().instructions, 1000);
+        assert_eq!(m.totals().remote_bytes, 128);
+        assert!(m.totals().ipc() > 0.0 && m.totals().ipc() <= 1.0);
     }
 
     #[test]
@@ -190,9 +128,8 @@ mod tests {
             let mut ctx = m.ctx(core, 0);
             ctx.work(Component::Logging, 100);
             let t = ctx.finish();
-            m.commit(core, &t);
+            m.commit(&t);
         }
-        let b = m.breakdown();
-        assert_eq!(b.get(Component::Logging), 200);
+        assert_eq!(m.totals().breakdown.get(Component::Logging), 200);
     }
 }

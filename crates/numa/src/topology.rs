@@ -67,24 +67,6 @@ impl fmt::Display for UnknownSocket {
 
 impl std::error::Error for UnknownSocket {}
 
-/// How the sockets of a machine are wired together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopologyKind {
-    /// A single socket: every core communicates through the shared LLC.
-    SingleSocket,
-    /// All sockets are directly connected (1 hop), typical for 2- and
-    /// 4-socket glueless QPI machines.
-    FullyConnected,
-    /// The 8-socket twisted-cube wiring of the paper's Westmere-EX box:
-    /// diameter 2, i.e. every pair of sockets is at most two hops apart.
-    TwistedCube,
-    /// A 2D mesh of tiles grouped into islands (Tilera-style, mentioned in
-    /// §II-A of the paper as a future source of on-chip Islands).
-    Mesh,
-    /// Arbitrary, user-provided distance matrix.
-    Custom,
-}
-
 /// A processor socket: a group of cores sharing a last-level cache.
 #[derive(Debug, Clone)]
 pub struct Socket {
@@ -95,15 +77,11 @@ pub struct Socket {
     /// Whether the socket is currently active. `false` models the
     /// processor-failure experiment of Figure 12.
     pub active: bool,
-    /// Size of the local memory node, in bytes (used by memory-placement
-    /// experiments; not enforced).
-    pub memory_bytes: u64,
 }
 
 /// The machine topology: sockets, cores, and the hop-distance matrix.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    kind: TopologyKind,
     sockets: Vec<Socket>,
     core_to_socket: Vec<SocketId>,
     /// `distance[a][b]` = number of interconnect hops between sockets `a`
@@ -117,93 +95,34 @@ impl Topology {
     /// Build a multisocket machine with `n_sockets` sockets of
     /// `cores_per_socket` cores each.
     ///
-    /// * 1 socket → [`TopologyKind::SingleSocket`]
-    /// * 2–4 sockets → [`TopologyKind::FullyConnected`] (1 hop everywhere)
-    /// * more sockets → [`TopologyKind::TwistedCube`] (diameter 2); for
-    ///   exactly 8 sockets this reproduces the paper's platform.
+    /// * 1–4 sockets: fully connected (1 hop between any two sockets),
+    ///   like the glueless QPI wiring of 2- and 4-socket boxes;
+    /// * more sockets: a twisted cube (diameter 2); for exactly 8 sockets
+    ///   this reproduces the paper's platform.
     pub fn multisocket(n_sockets: usize, cores_per_socket: usize) -> Self {
         assert!(n_sockets >= 1, "a machine needs at least one socket");
         assert!(cores_per_socket >= 1, "a socket needs at least one core");
-        let kind = match n_sockets {
-            1 => TopologyKind::SingleSocket,
-            2..=4 => TopologyKind::FullyConnected,
-            _ => TopologyKind::TwistedCube,
+        let distance = if n_sockets <= 4 {
+            fully_connected(n_sockets)
+        } else {
+            twisted_cube(n_sockets)
         };
-        let distance = match kind {
-            TopologyKind::SingleSocket => vec![vec![0]],
-            TopologyKind::FullyConnected => fully_connected(n_sockets),
-            TopologyKind::TwistedCube => twisted_cube(n_sockets),
-            _ => unreachable!(),
-        };
-        Self::from_parts(kind, n_sockets, cores_per_socket, distance)
-    }
-
-    /// The paper's experimental platform: 8 sockets × 10 cores, twisted cube.
-    pub fn westmere_ex_8x10() -> Self {
-        Self::multisocket(8, 10)
-    }
-
-    /// A 2D mesh of `nx * ny` islands with `cores_per_island` cores each.
-    /// Distance between islands is their Manhattan distance, modelling
-    /// Tilera-style on-chip islands.
-    pub fn mesh(nx: usize, ny: usize, cores_per_island: usize) -> Self {
-        assert!(nx >= 1 && ny >= 1);
-        let n = nx * ny;
-        let mut distance = vec![vec![0u32; n]; n];
-        for (a, row) in distance.iter_mut().enumerate() {
-            for (b, d) in row.iter_mut().enumerate() {
-                let (ax, ay) = (a % nx, a / nx);
-                let (bx, by) = (b % nx, b / nx);
-                *d = (ax.abs_diff(bx) + ay.abs_diff(by)) as u32;
-            }
-        }
-        Self::from_parts(TopologyKind::Mesh, n, cores_per_island, distance)
-    }
-
-    /// Build a topology from an explicit distance matrix.
-    ///
-    /// # Panics
-    /// Panics if the matrix is not square, not zero on the diagonal, or not
-    /// symmetric.
-    pub fn custom(cores_per_socket: usize, distance: Vec<Vec<u32>>) -> Self {
-        let n = distance.len();
-        assert!(n >= 1, "distance matrix must be non-empty");
-        for (i, row) in distance.iter().enumerate() {
-            assert_eq!(row.len(), n, "distance matrix must be square");
-            assert_eq!(row[i], 0, "diagonal of the distance matrix must be 0");
-            for (j, &d) in row.iter().enumerate() {
-                assert_eq!(d, distance[j][i], "distance matrix must be symmetric");
-            }
-        }
-        Self::from_parts(TopologyKind::Custom, n, cores_per_socket, distance)
-    }
-
-    fn from_parts(
-        kind: TopologyKind,
-        n_sockets: usize,
-        cores_per_socket: usize,
-        distance: Vec<Vec<u32>>,
-    ) -> Self {
         let mut sockets = Vec::with_capacity(n_sockets);
         let mut core_to_socket = Vec::with_capacity(n_sockets * cores_per_socket);
-        let mut next_core = 0u32;
         for s in 0..n_sockets {
             let id = SocketId(s as u16);
-            let mut cores = Vec::with_capacity(cores_per_socket);
-            for _ in 0..cores_per_socket {
-                cores.push(CoreId(next_core));
-                core_to_socket.push(id);
-                next_core += 1;
-            }
+            let first = core_to_socket.len() as u32;
+            let cores = (first..first + cores_per_socket as u32)
+                .map(CoreId)
+                .collect();
+            core_to_socket.extend(std::iter::repeat_n(id, cores_per_socket));
             sockets.push(Socket {
                 id,
                 cores,
                 active: true,
-                memory_bytes: 32 * (1 << 30), // 32 GB per NUMA node, as in the paper
             });
         }
         Self {
-            kind,
             sockets,
             core_to_socket,
             distance,
@@ -211,9 +130,9 @@ impl Topology {
         }
     }
 
-    /// The wiring style of this machine.
-    pub fn kind(&self) -> TopologyKind {
-        self.kind
+    /// The paper's experimental platform: 8 sockets × 10 cores, twisted cube.
+    pub fn westmere_ex_8x10() -> Self {
+        Self::multisocket(8, 10)
     }
 
     /// Clock frequency in GHz.
@@ -310,24 +229,6 @@ impl Topology {
             .sum()
     }
 
-    /// Average hop distance between distinct active sockets.  Returns 0.0 on a
-    /// single-socket machine.
-    pub fn average_distance(&self) -> f64 {
-        let active = self.active_sockets();
-        if active.len() < 2 {
-            return 0.0;
-        }
-        let mut total = 0u64;
-        let mut pairs = 0u64;
-        for (i, &a) in active.iter().enumerate() {
-            for &b in active.iter().skip(i + 1) {
-                total += u64::from(self.distance(a, b));
-                pairs += 1;
-            }
-        }
-        total as f64 / pairs as f64
-    }
-
     /// Maximum hop distance between any two active sockets (the network
     /// diameter restricted to active sockets).
     pub fn diameter(&self) -> u32 {
@@ -412,13 +313,11 @@ mod tests {
         assert_eq!(t.num_cores(), 10);
         assert_eq!(t.distance(SocketId(0), SocketId(0)), 0);
         assert_eq!(t.diameter(), 0);
-        assert_eq!(t.kind(), TopologyKind::SingleSocket);
     }
 
     #[test]
     fn four_socket_machine_is_fully_connected() {
         let t = Topology::multisocket(4, 8);
-        assert_eq!(t.kind(), TopologyKind::FullyConnected);
         assert_eq!(t.diameter(), 1);
         for a in 0..4 {
             for b in 0..4 {
@@ -433,7 +332,6 @@ mod tests {
         let t = Topology::westmere_ex_8x10();
         assert_eq!(t.num_sockets(), 8);
         assert_eq!(t.num_cores(), 80);
-        assert_eq!(t.kind(), TopologyKind::TwistedCube);
         // Twisted cube: no socket pair is more than 2 hops apart.
         assert_eq!(t.diameter(), 2);
         // ... and at least one pair is 2 hops apart (it is not fully connected).
@@ -518,35 +416,5 @@ mod tests {
         t.fail_socket(SocketId(0)).unwrap();
         assert_eq!(t.restore_socket(SocketId(4)), Err(MISSING));
         assert_eq!(t.active_sockets().len(), 3);
-    }
-
-    #[test]
-    fn mesh_uses_manhattan_distance() {
-        let t = Topology::mesh(3, 2, 4);
-        assert_eq!(t.num_sockets(), 6);
-        assert_eq!(t.num_cores(), 24);
-        // Island 0 is at (0,0), island 5 at (2,1): distance 3.
-        assert_eq!(t.distance(SocketId(0), SocketId(5)), 3);
-        assert_eq!(t.kind(), TopologyKind::Mesh);
-    }
-
-    #[test]
-    fn custom_topology_validates_matrix() {
-        let t = Topology::custom(2, vec![vec![0, 3], vec![3, 0]]);
-        assert_eq!(t.distance(SocketId(0), SocketId(1)), 3);
-        assert_eq!(t.kind(), TopologyKind::Custom);
-    }
-
-    #[test]
-    #[should_panic(expected = "symmetric")]
-    fn custom_topology_rejects_asymmetric_matrix() {
-        let _ = Topology::custom(2, vec![vec![0, 3], vec![2, 0]]);
-    }
-
-    #[test]
-    fn average_distance_is_between_one_and_diameter() {
-        let t = Topology::westmere_ex_8x10();
-        let avg = t.average_distance();
-        assert!((1.0..=2.0).contains(&avg), "avg distance {avg}");
     }
 }

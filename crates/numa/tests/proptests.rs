@@ -1,11 +1,10 @@
 //! Property-based tests for the hardware-Island machine model: topology
 //! metrics, the virtual-time contention primitives, the calibrated cost
-//! model, the per-step accounting context, and interconnect traffic
-//! bookkeeping.
+//! model, the per-step accounting context, and what the machine counts.
 
 use atrapos_numa::{
-    round_robin_by_socket, socket_fill, AccessKind, Component, ContendedLine, CoreId, CostModel,
-    Cycles, Interconnect, Machine, SimCtx, SocketId, Topology, WaitMode,
+    AccessKind, Breakdown, Component, ContendedLine, CoreId, CostModel, Cycles, Machine, SimCtx,
+    SocketId, Tally, Topology, WaitMode,
 };
 use proptest::prelude::*;
 
@@ -39,9 +38,6 @@ proptest! {
                     prop_assert!(d >= 1);
                 }
             }
-        }
-        if sockets > 1 {
-            prop_assert!(topo.average_distance() > 0.0);
         }
     }
 
@@ -82,57 +78,11 @@ proptest! {
         prop_assert_eq!(topo.num_active_cores(), sockets * cores);
     }
 
-    /// The mesh (Tilera-style) preset produces hop distances consistent with
-    /// a Manhattan grid: bounded by `(nx-1)+(ny-1)` and symmetric.
-    #[test]
-    fn mesh_topology_distances_follow_the_grid(nx in 1usize..=6, ny in 1usize..=6, cores in 1usize..=4) {
-        let topo = Topology::mesh(nx, ny, cores);
-        prop_assert_eq!(topo.num_sockets(), nx * ny);
-        let max_hops = (nx - 1 + ny - 1) as u32;
-        prop_assert!(topo.diameter() <= max_hops);
-        for a in 0..(nx * ny) {
-            for b in 0..(nx * ny) {
-                let d = topo.distance(SocketId(a as u16), SocketId(b as u16));
-                prop_assert_eq!(d, topo.distance(SocketId(b as u16), SocketId(a as u16)));
-                // Manhattan distance of the grid coordinates.
-                let (ax, ay) = (a % nx, a / nx);
-                let (bx, by) = (b % nx, b / nx);
-                let manhattan = (ax.abs_diff(bx) + ay.abs_diff(by)) as u32;
-                prop_assert_eq!(d, manhattan);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Placement helpers
-    // ------------------------------------------------------------------
-
-    /// Round-robin placement spreads threads so that no core is assigned
-    /// more than one thread above any other, while socket-fill packs them
-    /// socket by socket.
-    #[test]
-    fn placement_strategies_cover_requested_threads((sockets, cores) in machine_shape(), n in 1usize..100) {
-        let topo = Topology::multisocket(sockets, cores);
-        for placement in [round_robin_by_socket(&topo, n), socket_fill(&topo, n)] {
-            prop_assert_eq!(placement.len(), n);
-            let per_core = placement.load_per_core(&topo);
-            prop_assert_eq!(per_core.iter().sum::<usize>(), n);
-            for (i, _) in placement.iter() {
-                prop_assert!(placement.core_of(i).index() < topo.num_cores());
-            }
-        }
-        let rr = round_robin_by_socket(&topo, n);
-        let loads = rr.load_per_core(&topo);
-        let max = loads.iter().copied().max().unwrap_or(0);
-        let min = loads.iter().copied().min().unwrap_or(0);
-        prop_assert!(max - min <= 1, "round-robin should be balanced: {loads:?}");
-    }
-
     // ------------------------------------------------------------------
     // Cost model
     // ------------------------------------------------------------------
 
-    /// Transfer, memory, atomic, and message costs are monotone in hop
+    /// Cache-transfer, memory, atomic, and message costs are monotone in hop
     /// distance and message size, and the uniform ablation model removes the
     /// remote penalty entirely.
     #[test]
@@ -162,9 +112,8 @@ proptest! {
     // ------------------------------------------------------------------
 
     /// Exclusive (RMW) accesses to one cache line serialize in virtual time:
-    /// however the request times interleave, no two booked exclusive spans
-    /// overlap, and every access from a different socket than the previous
-    /// owner is counted as remote.
+    /// however the request times interleave, every access consumes cycles
+    /// and the line stays busy until the last of them completes.
     #[test]
     fn contended_line_serializes_rmw_accesses(
         accesses in prop::collection::vec((0u32..16, 0u64..10_000), 1..60),
@@ -172,23 +121,14 @@ proptest! {
         let topo = Topology::multisocket(4, 4);
         let cost = CostModel::westmere();
         let mut line = ContendedLine::new(SocketId(0));
-        let mut spans: Vec<(Cycles, Cycles)> = Vec::new();
-        let mut rmws = 0u64;
+        let mut last_end: Cycles = 0;
         for (core, start) in accesses {
             let mut ctx = SimCtx::new(&topo, &cost, CoreId(core), start);
-            let begin = ctx.now();
             ctx.access_line(Component::XctManagement, &mut line, AccessKind::Rmw, WaitMode::Stall);
-            rmws += 1;
-            let end = ctx.now();
-            prop_assert!(end > begin, "an RMW always consumes cycles");
-            spans.push((begin, end));
+            prop_assert!(ctx.now() > start, "an RMW always consumes cycles");
+            last_end = last_end.max(ctx.now());
         }
-        prop_assert_eq!(line.rmw_count, rmws);
-        prop_assert!(line.busy_horizon() >= spans.iter().map(|&(_, e)| e).max().unwrap_or(0));
-        // The line's busy timeline keeps disjoint intervals (the booked
-        // exclusive spans never overlap), so the total wait it reports is
-        // consistent with serialization.
-        prop_assert!(line.total_wait <= spans.iter().map(|&(s, e)| e - s).sum::<u64>());
+        prop_assert!(line.busy_horizon() >= last_end);
     }
 
     // ------------------------------------------------------------------
@@ -244,65 +184,92 @@ proptest! {
             expected_instructions += instructions;
             now = ctx.now();
             let tally = ctx.finish();
-            machine.commit(CoreId(core), &tally);
+            machine.commit(&tally);
         }
-        prop_assert_eq!(machine.total_instructions(), expected_instructions);
-        prop_assert!(machine.total_occupied_cycles() > 0);
-        let ipc = machine.ipc();
+        prop_assert_eq!(machine.totals().instructions, expected_instructions);
+        prop_assert!(machine.totals().occupied_cycles() > 0);
+        let ipc = machine.totals().ipc();
         let c = CostModel::westmere();
         prop_assert!(ipc > 0.0 && ipc <= c.spin_ipc.max(c.base_ipc) + 1e-9);
-        machine.reset_counters();
-        prop_assert_eq!(machine.total_instructions(), 0);
-        prop_assert_eq!(machine.total_occupied_cycles(), 0);
     }
 
     // ------------------------------------------------------------------
-    // Interconnect traffic
+    // What the machine counts
     // ------------------------------------------------------------------
 
-    /// Link-level traffic accounting is conservative: the per-link counters
-    /// sum to the total cross-socket bytes, local traffic never appears on a
-    /// link, and the QPI/IMC ratio is the cross-socket to local byte ratio.
+    /// The machine counts what a run reports.  On any machine shape and any
+    /// sequence of line accesses, critical sections, memory reads and
+    /// messages across cores, a step's `remote_bytes` are exactly the bytes
+    /// of its accesses whose hop distance is > 0, and its
+    /// `local_memory_bytes` those served by its own socket's memory.  After
+    /// the commits, the machine total's instructions, occupied cycles,
+    /// breakdown and both byte counts are the sums over the committed
+    /// tallies.
     #[test]
-    fn interconnect_accounting_is_conservative(
-        transfers in prop::collection::vec((0u16..4, 0u16..4, 1u64..4_096), 0..60),
-        local in prop::collection::vec(1u64..4_096, 0..20),
+    fn the_machine_counts_what_a_run_reports(
+        (sockets, cores) in (1usize..=8, 1usize..=4),
+        steps in prop::collection::vec(
+            (0usize..32, 0u64..5_000, prop::collection::vec((0u8..5, 0usize..8, 1u64..2_048), 1..8)),
+            1..30,
+        ),
     ) {
-        let topo = Topology::multisocket(4, 2);
-        let mut ic = Interconnect::new(4);
-        let mut cross = 0u64;
-        let mut local_total = 0u64;
-        for &(a, b, bytes) in &transfers {
-            ic.record(SocketId(a), SocketId(b), bytes);
-            if a != b {
-                cross += bytes;
-            } else {
-                local_total += bytes;
+        let mut machine = Machine::new(Topology::multisocket(sockets, cores), CostModel::westmere());
+        let line_bytes = machine.cost.cache_line_bytes;
+        let socket = |i: usize| SocketId((i % sockets) as u16);
+        let mut lines: Vec<ContendedLine> = (0..3).map(|i| ContendedLine::new(socket(i))).collect();
+        let (mut instructions, mut occupied, mut breakdown) = (0u64, 0, Breakdown::new());
+        let (mut remote, mut local) = (0u64, 0u64);
+        let mut now: Cycles = 0;
+        for (core, jitter, ops) in steps {
+            let core = CoreId((core % (sockets * cores)) as u32);
+            let mut ctx = machine.ctx(core, now.saturating_sub(jitter));
+            let here = ctx.socket();
+            let (mut want_remote, mut want_local) = (0u64, 0u64);
+            for (kind, target, bytes) in ops {
+                let hops = |from: SocketId| machine.topology.distance(here, from);
+                if kind < 3 {
+                    let line = &mut lines[target % 3];
+                    let from = line.owner().unwrap_or(line.home);
+                    if hops(from) > 0 {
+                        want_remote += line_bytes;
+                    } else if line.owner().is_none() {
+                        want_local += line_bytes;
+                    }
+                    match kind {
+                        0 => ctx.access_line(Component::Locking, line, AccessKind::Rmw, WaitMode::Spin),
+                        1 => ctx.access_line(Component::Latching, line, AccessKind::Read, WaitMode::Stall),
+                        _ => ctx.critical_section(Component::Logging, line, WaitMode::Spin, bytes),
+                    };
+                } else if kind == 3 {
+                    let moved = bytes.div_ceil(line_bytes) * line_bytes;
+                    if hops(socket(target)) > 0 {
+                        want_remote += moved;
+                    } else {
+                        want_local += moved;
+                    }
+                    ctx.memory_read(Component::XctExecution, socket(target), bytes);
+                } else {
+                    if hops(socket(target)) > 0 {
+                        want_remote += bytes;
+                    }
+                    ctx.send_message(Component::Communication, socket(target), bytes);
+                }
             }
+            let tally = ctx.finish();
+            prop_assert_eq!(tally.remote_bytes, want_remote);
+            prop_assert_eq!(tally.local_memory_bytes, want_local);
+            instructions += tally.instructions;
+            occupied += tally.busy_cycles + tally.stall_cycles + tally.spin_cycles;
+            breakdown.merge(&tally.breakdown);
+            remote += tally.remote_bytes;
+            local += tally.local_memory_bytes;
+            now = now.max(tally.end);
+            machine.commit(&tally);
         }
-        for &bytes in &local {
-            ic.record_local(bytes);
-            local_total += bytes;
-        }
-        prop_assert_eq!(ic.total_cross_socket_bytes(), cross);
-        // Per-link counters cover exactly the cross-socket bytes.
-        let mut link_sum = 0u64;
-        for a in 0..4u16 {
-            for b in (a + 1)..4u16 {
-                link_sum += ic.link(SocketId(a), SocketId(b));
-            }
-        }
-        prop_assert_eq!(link_sum, cross);
-        // QPI/IMC ratio: every remote access also hits a memory controller,
-        // so the denominator is local + remote bytes.
-        let ratio = ic.qpi_to_imc_ratio();
-        if local_total + cross > 0 {
-            let expected = cross as f64 / (local_total + cross) as f64;
-            prop_assert!((ratio - expected).abs() < 1e-9);
-            prop_assert!((0.0..=1.0).contains(&ratio));
-        }
-        prop_assert!(ic.max_link_utilization(1_000_000, &topo, 12.8) >= 0.0);
-        ic.reset();
-        prop_assert_eq!(ic.total_cross_socket_bytes(), 0);
+        let totals: Tally = *machine.totals();
+        prop_assert_eq!(totals.instructions, instructions);
+        prop_assert_eq!(totals.occupied_cycles(), occupied);
+        prop_assert_eq!(totals.breakdown, breakdown);
+        prop_assert_eq!((totals.remote_bytes, totals.local_memory_bytes), (remote, local));
     }
 }

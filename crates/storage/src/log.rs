@@ -161,7 +161,7 @@ mod tests {
             let mut ctx = SimCtx::new(&t, &c, core, now);
             log.insert(&mut ctx, TxnId(i), LogRecordKind::Update, 120);
             now = ctx.now();
-            remote += ctx.tally().traffic.len();
+            remote += usize::from(ctx.tally().remote_bytes > 0);
         }
         remote
     }

@@ -132,7 +132,7 @@ mod tests {
             let mut ctx = SimCtx::new(&t, &c, core, now);
             list.add(&mut ctx, TxnId(i));
             now = ctx.now();
-            remote += ctx.tally().traffic.len();
+            remote += usize::from(ctx.tally().remote_bytes > 0);
         }
         remote
     }
@@ -161,7 +161,10 @@ mod tests {
         let mut end = SimCtx::new(&t, &c, CoreId(4), begin.now());
         list.remove(&mut end, TxnId(7));
         assert_eq!(list.active_count(), 0);
-        assert!(begin.tally().traffic.is_empty() && end.tally().traffic.is_empty());
+        assert_eq!(
+            (begin.tally().remote_bytes, end.tally().remote_bytes),
+            (0, 0)
+        );
     }
 
     #[test]

@@ -361,7 +361,7 @@ proptest! {
             log.insert(&mut ctx, TxnId(i as u64 + 1), LogRecordKind::Update, *bytes);
             expected_bytes += *bytes;
             now = ctx.now();
-            remote_reservations += ctx.tally().traffic.len();
+            remote_reservations += usize::from(ctx.tally().remote_bytes > 0);
         }
         prop_assert_eq!(log.total_records(), writes.len() as u64);
         prop_assert!(log.total_bytes() >= expected_bytes);
@@ -410,7 +410,7 @@ proptest! {
                 ctx
             };
             now = ctx.now();
-            remote_head_accesses += ctx.tally().traffic.len();
+            remote_head_accesses += usize::from(ctx.tally().remote_bytes > 0);
         }
         prop_assert_eq!(list.active_count(), active.len());
         if per_socket {
@@ -432,7 +432,7 @@ proptest! {
             lock.read_acquire(&mut ctx);
             lock.read_release(&mut ctx);
             now = ctx.now();
+            prop_assert_eq!(ctx.tally().remote_bytes, 0, "reader on core {} went remote", core);
         }
-        prop_assert_eq!(lock.remote_accesses(), 0);
     }
 }

@@ -39,5 +39,17 @@ fn main() {
     println!("average latency        : {:.1} µs", stats.avg_latency_us);
     println!("machine IPC            : {:.2}", stats.ipc);
     println!("QPI/IMC traffic ratio  : {:.2}", stats.qpi_imc_ratio);
+    println!(
+        "interconnect bandwidth : {:.2} Gbit/s",
+        stats.interconnect_gbps
+    );
     println!("repartitionings        : {}", stats.repartitions);
+
+    // 5. The machine counts machine-wide totals, nothing per link or core:
+    //    the ratio and bandwidth above are derived from these two sums.
+    let totals = executor.machine().totals();
+    println!(
+        "bytes moved            : {} remote, {} local",
+        totals.remote_bytes, totals.local_memory_bytes
+    );
 }
