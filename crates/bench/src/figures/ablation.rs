@@ -30,7 +30,7 @@ use atrapos_engine::{
     Action, ActionOp, AtraposConfig, DesignSpec, Phase, TableSpec, TransactionSpec, Workload,
 };
 use atrapos_numa::{CoreId, CostModel, Machine, Topology};
-use atrapos_storage::{Column, ColumnType, Database, Key, Record, Schema, TableId};
+use atrapos_storage::{Column, ColumnType, Database, Key, Schema, TableId};
 use atrapos_workloads::{SimpleAb, Tatp, TatpConfig, TatpTxn};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -265,7 +265,7 @@ impl Workload for ShiftedAb {
             for i in 0..self.rows {
                 let key = Key::int(i);
                 if filter(TableId(t), &key) {
-                    table.load(Record::ints(&[i, 0])).expect("unique keys");
+                    table.load_ints(&[i, 0]).expect("unique keys");
                 }
             }
         }

@@ -236,7 +236,7 @@ pub fn ensure_tables(workload: &dyn Workload, db: &mut Database) {
 pub mod testing {
     use super::*;
     use crate::action::{Action, ActionOp};
-    use atrapos_storage::{Column, ColumnType, Record};
+    use atrapos_storage::{Column, ColumnType};
     use rand::Rng;
 
     /// A minimal workload: one table of `rows` rows, each transaction reads
@@ -274,7 +274,7 @@ pub mod testing {
             for i in 0..self.rows {
                 let key = Key::int(i);
                 if filter(TableId(0), &key) {
-                    table.load(Record::ints(&[i, i * 2])).expect("unique keys");
+                    table.load_ints(&[i, i * 2]).expect("unique keys");
                 }
             }
         }
@@ -330,7 +330,7 @@ pub mod testing {
                 for i in 0..self.rows {
                     let key = Key::int(i);
                     if filter(TableId(t), &key) {
-                        table.load(Record::ints(&[i, 0])).expect("unique keys");
+                        table.load_ints(&[i, 0]).expect("unique keys");
                     }
                 }
             }

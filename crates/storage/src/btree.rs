@@ -1,4 +1,4 @@
-//! A from-scratch in-memory B+-tree mapping [`Key`]s to [`Record`]s.
+//! A from-scratch in-memory B+-tree mapping [`Key`]s to rows.
 //!
 //! This is the physical index structure underlying every table partition.
 //! The multi-rooted B-tree of physiological partitioning
@@ -6,13 +6,23 @@
 //! logical partition.
 //!
 //! Design notes:
-//! * Classic B+-tree: records live only in leaves; internal nodes hold
+//! * Classic B+-tree: rows live only in leaves; internal nodes hold
 //!   separator keys.
-//! * Every node keeps its keys in a [`KeyColumn`]: the keys plus a packed
+//! * Nodes store what differs, as Shore-MT's slotted pages do: a node keeps
+//!   its keys in a [`KeyColumn`] — the components flat, at the tree's key
+//!   width — and a leaf keeps all of its rows in one byte block, each in
+//!   the [`Record`] layout, with one `u32` end offset per slot and one shape
+//!   word for the leaf.  No node holds a [`Key`] or a [`Record`]; readers
+//!   get a key by value and a row as a borrowed [`Row`], writers go through
+//!   [`RowMut`].  Every key of a tree has one width and every row one
+//!   shape (the table's schema); a key or row of another is a bug and
+//!   panics.
+//! * A column of keys two or more components wide also keeps a packed
 //!   column of 8-byte order-preserving prefixes ([`Key::head_rank`]).  A
-//!   probe binary-searches the 512-byte column and finishes with full key
-//!   compares only where prefixes tie — Graefe & Larson's "poor man's
-//!   normalized keys" (*B-tree indexes and CPU caches*, ICDE 2001).
+//!   probe binary-searches that column and finishes with full key compares
+//!   only where prefixes tie — Graefe & Larson's "poor man's normalized
+//!   keys" (*B-tree indexes and CPU caches*, ICDE 2001).  A column of
+//!   one-integer keys is its own rank column and never compares whole keys.
 //! * An insert above a node's last key takes the last slot (leaf) or the
 //!   last child (internal node) without a search — the answer the search
 //!   would give — so an ascending load goes straight down the right spine,
@@ -28,9 +38,10 @@
 //!   structural compaction happens when a partition is rebuilt during
 //!   repartitioning.
 //! * `split_off` / `merge_from` implement the physical part of the
-//!   ATraPos repartitioning actions (paper §V-D).
+//!   ATraPos repartitioning actions (paper §V-D).  Both rebuild by copying
+//!   row bytes from leaf to leaf, with no allocation per row.
 
-use crate::record::{Key, Record};
+use crate::record::{write_cell, Key, Record, Row, Value};
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -41,7 +52,7 @@ const ORDER: usize = 64;
 /// whose insert triggers the split.
 const NODE_SLOTS: usize = ORDER + 1;
 
-/// A B+-tree from [`Key`] to [`Record`].
+/// A B+-tree from [`Key`] to rows.
 #[derive(Debug, Clone)]
 pub struct BTree {
     root: Node,
@@ -60,10 +71,17 @@ enum Node {
     Internal(Internal),
 }
 
+/// A leaf: its keys, and its rows in one block.
 #[derive(Debug, Clone, Default)]
 struct Leaf {
     keys: KeyColumn,
-    values: Vec<Record>,
+    /// The rows in slot order, back to back, each in the [`Record`] layout.
+    rows: Vec<u8>,
+    /// `ends[i]` is where slot `i`'s row ends in `rows`; it starts where
+    /// slot `i - 1`'s ends (slot 0 at 0).
+    ends: Vec<u32>,
+    /// The shape word every row of the leaf shares.
+    shape: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -74,47 +92,110 @@ struct Internal {
     children: Vec<Node>,
 }
 
-/// The sorted keys of one node, with a parallel packed column of their
-/// [`Key::head_rank`]s.
+/// The sorted keys of one node, stored flat at the node's key width, with
+/// a parallel packed column of their [`Key::head_rank`]s when the keys
+/// have two or more components.
 ///
-/// A node's 64 keys span 40 cache lines; their ranks span 8.  Searches
-/// therefore run on the ranks and go to the keys only for the run of slots
-/// whose rank equals the probe's.  Ranks are *weakly* monotone in the keys
-/// (`a <= b` implies `rank(a) <= rank(b)`): a smaller or larger rank
-/// decides the order, an equal rank decides nothing, so equality — and the
-/// order inside a run of ties — always comes from full key compares.  For
-/// keys of one or two in-range integers every rank is unique and a search
-/// costs at most one full compare; a node whose keys all tie (TPC-C order
-/// lines sharing `(w_id, d_id)`) searches the keys directly.
+/// A node's 64 one-integer keys span 8 cache lines, and their integers
+/// order them exactly: the search is a binary search over the `i64`s.
+/// Wider keys span more, so searches run on the ranks and go to the keys
+/// only for the run of slots whose rank equals the probe's.  Ranks are
+/// *weakly* monotone in the keys (`a <= b` implies `rank(a) <= rank(b)`):
+/// a smaller or larger rank decides the order, an equal rank decides
+/// nothing, so equality — and the order inside a run of ties — always
+/// comes from full key compares.  For keys of two in-range integers every
+/// rank is unique and a search costs at most one full compare; a node
+/// whose keys all tie (TPC-C order lines sharing `(w_id, d_id)`) searches
+/// the keys directly.
+///
+/// Probes may have any width: a range bound shorter than the stored keys
+/// orders before every key it is a prefix of.
 #[derive(Debug, Clone, Default)]
 pub struct KeyColumn {
-    keys: Vec<Key>,
-    /// `heads[i] == keys[i].head_rank()`.
+    /// Components per key, fixed by the first key (0 while there is none).
+    width: usize,
+    /// The keys' components, `width` per key, in key order.
+    comps: Vec<i64>,
+    /// `heads[i]` is key `i`'s `head_rank()` when `width >= 2`; empty for
+    /// narrower columns.
     heads: Vec<i64>,
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Full `Key` compares the current thread's node searches have made
+    /// Full key compares the current thread's node searches have made
     /// (pins the point-probe cost with a deterministic count).
     pub(crate) static FULL_COMPARES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// The one place a node search compares whole keys.
+/// The one place a node search compares whole keys, given as their
+/// components.
 #[inline]
-fn full_cmp(a: &Key, b: &Key) -> Ordering {
+fn full_cmp(a: &[i64], b: &[i64]) -> Ordering {
     #[cfg(test)]
     FULL_COMPARES.with(|n| n.set(n.get() + 1));
     a.cmp(b)
 }
 
-/// Make room for one more element of a node vector that holds at most
-/// `slots`: grow straight to `slots`, never by doubling.
+/// The slots of a weakly monotone rank column whose rank equals `rank`.
+/// Every key before the run is smaller than the probe and every key after
+/// it is greater, so a search only has to compare keys inside it.
 #[inline]
-fn reserve_slot<T>(v: &mut Vec<T>, slots: usize) {
-    if v.len() == v.capacity() {
-        v.reserve_exact(slots.saturating_sub(v.len()).max(1));
+fn rank_run(heads: &[i64], rank: i64) -> Range<usize> {
+    // All ranks tie (or the column is empty): it narrows nothing.
+    if heads.first() == heads.last() {
+        return 0..heads.len();
     }
+    let lo = heads.partition_point(|&h| h < rank);
+    let mut hi = lo;
+    if heads.get(hi) == Some(&rank) {
+        hi += 1;
+        // Ranks are nearly always unique; only a tie pays a second
+        // search for the end of the run.
+        if heads.get(hi) == Some(&rank) {
+            hi += 1 + heads[hi + 1..].partition_point(|&h| h == rank);
+        }
+    }
+    lo..hi
+}
+
+/// The node search over sorted keys with rank column `heads`: `cmp(i)`
+/// orders key `i` against a probe of rank `rank`.  `Ok` is the slot that
+/// compares equal, `Err` the first slot that compares greater.  Node
+/// columns and a range partitioning's bounds both search through here.
+#[inline]
+fn ranked_search(
+    heads: &[i64],
+    rank: i64,
+    cmp: impl Fn(usize) -> Ordering,
+) -> Result<usize, usize> {
+    let Range { start, end } = rank_run(heads, rank);
+    let (mut lo, mut hi) = (start, end);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match cmp(mid) {
+            Ordering::Less => lo = mid + 1,
+            Ordering::Greater => hi = mid,
+            Ordering::Equal => return Ok(mid),
+        }
+    }
+    Err(lo)
+}
+
+/// Make room for `need` more elements of a node vector that holds at most
+/// `most`: grow straight to `most`, never by doubling.
+#[inline]
+fn reserve_slots<T>(v: &mut Vec<T>, need: usize, most: usize) {
+    if v.capacity() - v.len() < need {
+        v.reserve_exact(most.saturating_sub(v.len()).max(need));
+    }
+}
+
+/// Insert `src` into `v` at `at`: an append, and one move of the tail.
+#[inline]
+fn insert_slice<T: Copy>(v: &mut Vec<T>, at: usize, src: &[T]) {
+    v.extend_from_slice(src);
+    v[at..].rotate_right(src.len());
 }
 
 /// Split a node vector at `mid`: the left half moves into an exact-size
@@ -128,71 +209,110 @@ fn split_exact<T>(v: &mut Vec<T>, mid: usize) -> Vec<T> {
 }
 
 impl KeyColumn {
-    /// A column over `keys`, which must be sorted and duplicate-free.
-    pub(crate) fn from_keys(keys: Vec<Key>) -> Self {
-        let heads = keys.iter().map(Key::head_rank).collect();
-        Self { keys, heads }
-    }
-
-    /// The keys, in order.
-    #[inline]
-    pub fn keys(&self) -> &[Key] {
-        &self.keys
+    /// An empty column with room for exactly `n` keys of `width`
+    /// components.
+    fn with_capacity(width: usize, n: usize) -> Self {
+        Self {
+            width,
+            comps: Vec::with_capacity(width * n),
+            heads: Vec::with_capacity(if width >= 2 { n } else { 0 }),
+        }
     }
 
     /// Number of keys.
     #[inline]
-    fn len(&self) -> usize {
-        self.keys.len()
+    pub fn len(&self) -> usize {
+        if self.width >= 2 {
+            self.heads.len()
+        } else {
+            self.comps.len()
+        }
     }
 
-    /// The slots whose rank equals the probe's.  Every key before the run
-    /// is smaller than `probe` and every key after it is greater, so a
-    /// search only has to compare keys inside it.
+    /// Whether the column holds no key.
+    pub fn is_empty(&self) -> bool {
+        self.comps.is_empty()
+    }
+
+    /// The components of key `i`.
     #[inline]
-    fn rank_run(&self, probe: &Key) -> Range<usize> {
-        let heads = self.heads.as_slice();
-        // All ranks tie (or the node is empty): the column narrows nothing.
-        if heads.first() == heads.last() {
-            return 0..heads.len();
+    fn comps_at(&self, i: usize) -> &[i64] {
+        &self.comps[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Key `i`.
+    #[inline]
+    pub fn key(&self, i: usize) -> Key {
+        Key::ints(self.comps_at(i))
+    }
+
+    /// The keys, in order.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = Key> + '_ {
+        self.comps.chunks_exact(self.width.max(1)).map(Key::ints)
+    }
+
+    /// The last key.
+    fn last(&self) -> Option<Key> {
+        self.len().checked_sub(1).map(|i| self.key(i))
+    }
+
+    /// Panic unless `key` has the column's width; the first key sets it.
+    #[inline]
+    fn adopt_width(&mut self, key: &Key) {
+        if self.width == 0 {
+            self.width = key.len();
         }
-        let rank = probe.head_rank();
-        let lo = heads.partition_point(|&h| h < rank);
-        let mut hi = lo;
-        if heads.get(hi) == Some(&rank) {
-            hi += 1;
-            // Ranks are nearly always unique; only a tie pays a second
-            // search for the end of the run.
-            if heads.get(hi) == Some(&rank) {
-                hi += 1 + heads[hi + 1..].partition_point(|&h| h == rank);
+        assert_eq!(
+            key.len(),
+            self.width,
+            "a node column of {}-component keys got the key {key}",
+            self.width
+        );
+    }
+
+    /// Search for `probe`, ordering a key equal to it as `on_equal` says:
+    /// `Equal` finds it (`Ok`), `Greater` stops before it and `Less` steps
+    /// past it (both `Err`).
+    // Once per node on every descent.
+    // lint: hot-path
+    #[inline]
+    fn find(&self, probe: &Key, on_equal: Ordering) -> Result<usize, usize> {
+        if self.width == 1 {
+            // One-integer keys order exactly by their integer.  A longer
+            // probe with the same head orders after the key it extends.
+            let head = probe.head_int();
+            let i = self.comps.partition_point(|&k| k < head);
+            if self.comps.get(i) != Some(&head) {
+                return Err(i);
             }
+            return match if probe.len() > 1 {
+                Ordering::Less
+            } else {
+                on_equal
+            } {
+                Ordering::Less => Err(i + 1),
+                Ordering::Equal => Ok(i),
+                Ordering::Greater => Err(i),
+            };
         }
-        lo..hi
+        let probe_comps = probe.comps();
+        ranked_search(&self.heads, probe.head_rank(), |i| {
+            full_cmp(self.comps_at(i), probe_comps).then(on_equal)
+        })
     }
 
     /// `<[Key]>::binary_search`: the slot holding `probe`, or the slot it
     /// would be inserted at.
-    // Once per node on every descent.
-    // lint: hot-path
     #[inline]
     pub fn search(&self, probe: &Key) -> Result<usize, usize> {
-        let run = self.rank_run(probe);
-        let lo = run.start;
-        self.keys[run]
-            .binary_search_by(|k| full_cmp(k, probe))
-            .map(|i| lo + i)
-            .map_err(|i| lo + i)
+        self.find(probe, Ordering::Equal)
     }
 
     /// The number of keys `<= probe`: the child of an internal node that
-    /// may hold `probe`, or the range partition that owns it when the
-    /// column holds partition lower bounds.
+    /// may hold `probe`.
     #[inline]
-    pub(crate) fn child_index(&self, probe: &Key) -> usize {
-        match self.search(probe) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        }
+    fn child_index(&self, probe: &Key) -> usize {
+        self.find(probe, Ordering::Less).unwrap_or_else(|i| i)
     }
 
     /// The first slot whose key is `>= probe` (which may be shorter than
@@ -201,63 +321,289 @@ impl KeyColumn {
     // lint: hot-path
     #[inline]
     pub fn lower_bound(&self, probe: &Key) -> usize {
-        let run = self.rank_run(probe);
-        run.start + self.keys[run].partition_point(|k| full_cmp(k, probe) == Ordering::Less)
+        self.find(probe, Ordering::Greater).unwrap_or_else(|i| i)
     }
 
     /// Insert `key` at slot `i` (as returned by a failed [`Self::search`]).
     pub fn insert(&mut self, i: usize, key: Key) {
-        reserve_slot(&mut self.keys, NODE_SLOTS);
-        reserve_slot(&mut self.heads, NODE_SLOTS);
-        self.heads.insert(i, key.head_rank());
-        self.keys.insert(i, key);
+        self.adopt_width(&key);
+        let w = self.width;
+        reserve_slots(&mut self.comps, w, NODE_SLOTS * w);
+        insert_slice(&mut self.comps, i * w, key.comps());
+        if w >= 2 {
+            reserve_slots(&mut self.heads, 1, NODE_SLOTS);
+            self.heads.insert(i, key.head_rank());
+        }
+    }
+
+    /// Append `key`, which must sort after every key of the column, into
+    /// room the column already has.
+    fn push(&mut self, key: Key) {
+        self.adopt_width(&key);
+        self.comps.extend_from_slice(key.comps());
+        if self.width >= 2 {
+            self.heads.push(key.head_rank());
+        }
     }
 
     /// Remove and return the key at slot `i`.
     pub fn remove(&mut self, i: usize) -> Key {
-        self.heads.remove(i);
-        self.keys.remove(i)
+        let key = self.key(i);
+        self.comps.drain(i * self.width..(i + 1) * self.width);
+        if self.width >= 2 {
+            self.heads.remove(i);
+        }
+        key
     }
 
     /// [`Self::search`] for an insert: a probe above the last key — every
     /// insert of an ascending load — goes to the end without a search.
     #[inline]
     fn insert_slot(&self, probe: &Key) -> Result<usize, usize> {
-        match self.keys.last() {
-            Some(last) if probe > last => Err(self.len()),
-            _ => self.search(probe),
+        let n = self.len();
+        if n > 0 && probe.comps() > self.comps_at(n - 1) {
+            return Err(n);
         }
+        self.search(probe)
     }
 
     /// Move the keys from slot `mid` on into a new column.
     pub fn split_off(&mut self, mid: usize) -> KeyColumn {
+        let heads = if self.width >= 2 {
+            split_exact(&mut self.heads, mid)
+        } else {
+            Vec::new()
+        };
         KeyColumn {
-            keys: split_exact(&mut self.keys, mid),
-            heads: split_exact(&mut self.heads, mid),
+            width: self.width,
+            comps: split_exact(&mut self.comps, mid * self.width),
+            heads,
         }
     }
 
-    /// Consume the column into its keys.
-    fn into_keys(self) -> Vec<Key> {
-        self.keys
-    }
-
-    /// Verify that the keys are strictly increasing and the rank column
-    /// matches them.
+    /// Verify that the keys share one width, are strictly increasing, and
+    /// that the rank column matches them.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if let Some(w) = self.keys.windows(2).find(|w| w[0] >= w[1]) {
-            return Err(format!("node keys out of order: {} >= {}", w[0], w[1]));
+        let w = self.width;
+        if w > crate::record::MAX_KEY_COMPONENTS || (w == 0 && !self.comps.is_empty()) {
+            return Err(format!("node column of {w}-component keys"));
         }
-        if self.heads.len() != self.keys.len()
-            || self
-                .keys
-                .iter()
-                .zip(&self.heads)
-                .any(|(k, &h)| k.head_rank() != h)
-        {
+        if self.comps.len() != w * self.len() {
+            return Err(format!(
+                "node column holds {} components for {} keys of width {w}",
+                self.comps.len(),
+                self.len()
+            ));
+        }
+        let keys: Vec<Key> = self.keys().collect();
+        if let Some(k) = keys.windows(2).find(|k| k[0] >= k[1]) {
+            return Err(format!("node keys out of order: {} >= {}", k[0], k[1]));
+        }
+        let heads: Vec<i64> = if w >= 2 {
+            keys.iter().map(Key::head_rank).collect()
+        } else {
+            Vec::new()
+        };
+        if heads != self.heads {
             return Err("rank column does not match the node's keys".into());
         }
         Ok(())
+    }
+}
+
+/// Sorted whole keys of any widths, with their rank column: the lower
+/// bounds of a range partitioning, which may be shorter than the table's
+/// keys and change width from split to split.  They search like a node
+/// column, through the same code.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Bounds {
+    keys: Vec<Key>,
+    /// `heads[i] == keys[i].head_rank()`.
+    heads: Vec<i64>,
+}
+
+impl Bounds {
+    /// Bounds over `keys`, which must be strictly increasing.
+    pub(crate) fn new(keys: Vec<Key>) -> Self {
+        let heads = keys.iter().map(Key::head_rank).collect();
+        Self { keys, heads }
+    }
+
+    /// The bounds, in order.
+    pub(crate) fn keys(&self) -> &[Key] {
+        &self.keys
+    }
+
+    /// The number of bounds `<= probe`: the range partition that owns it.
+    #[inline]
+    pub(crate) fn count_le(&self, probe: &Key) -> usize {
+        let comps = probe.comps();
+        ranked_search(&self.heads, probe.head_rank(), |i| {
+            full_cmp(self.keys[i].comps(), comps).then(Ordering::Less)
+        })
+        .unwrap_or_else(|i| i)
+    }
+
+    /// Insert `key` at slot `i`.
+    pub(crate) fn insert(&mut self, i: usize, key: Key) {
+        self.heads.insert(i, key.head_rank());
+        self.keys.insert(i, key);
+    }
+
+    /// Remove the bound at slot `i`.
+    pub(crate) fn remove(&mut self, i: usize) {
+        self.heads.remove(i);
+        self.keys.remove(i);
+    }
+
+    /// Verify that the bounds are strictly increasing and the rank column
+    /// matches them.
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        if let Some(w) = self.keys.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!("bounds out of order: {} >= {}", w[0], w[1]));
+        }
+        if !self
+            .keys
+            .iter()
+            .map(Key::head_rank)
+            .eq(self.heads.iter().copied())
+        {
+            return Err("rank column does not match the bounds".into());
+        }
+        Ok(())
+    }
+}
+
+impl Leaf {
+    /// An empty leaf with room for exactly `n` keys of `width` components
+    /// and `bytes` bytes of rows of shape `shape`.
+    fn with_capacity(width: usize, n: usize, bytes: usize, shape: u64) -> Self {
+        Self {
+            keys: KeyColumn::with_capacity(width, n),
+            rows: Vec::with_capacity(bytes),
+            ends: Vec::with_capacity(n),
+            shape,
+        }
+    }
+
+    /// Number of rows.
+    #[inline]
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Where slot `i`'s row lies in `rows`.
+    #[inline]
+    fn span(&self, i: usize) -> Range<usize> {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        start..self.ends[i] as usize
+    }
+
+    /// The row in slot `i`.
+    #[inline]
+    fn row(&self, i: usize) -> Row<'_> {
+        Row::from_parts(&self.rows[self.span(i)], self.shape)
+    }
+
+    /// Panic unless `row` has the leaf's shape; an empty leaf takes it.
+    #[inline]
+    fn adopt_shape(&mut self, row: Row<'_>) {
+        if self.ends.is_empty() {
+            self.shape = row.shape();
+        }
+        assert_eq!(
+            row.shape(),
+            self.shape,
+            "a leaf of rows of shape {:#x} got a row of shape {:#x}",
+            self.shape,
+            row.shape()
+        );
+    }
+
+    /// Shift the end offsets of slots `from..` by `delta` bytes.
+    fn shift_ends(&mut self, from: usize, delta: isize) {
+        for end in &mut self.ends[from..] {
+            *end = end.wrapping_add_signed(delta as i32);
+        }
+    }
+
+    /// Panic unless the row bytes still fit the `u32` offsets.
+    fn check_block(&self) {
+        assert!(
+            u32::try_from(self.rows.len()).is_ok(),
+            "a leaf holds under 4 GiB of rows"
+        );
+    }
+
+    /// Insert `key` and `row` at slot `i`.
+    fn insert(&mut self, i: usize, key: Key, row: Row<'_>) {
+        self.adopt_shape(row);
+        self.keys.insert(i, key);
+        let bytes = row.bytes();
+        // Room for the rest of the node's slots at this row's size.
+        let most = NODE_SLOTS.saturating_sub(self.len()) * bytes.len() + self.rows.len();
+        reserve_slots(&mut self.rows, bytes.len(), most);
+        let at = self.span_start(i);
+        insert_slice(&mut self.rows, at, bytes);
+        self.check_block();
+        reserve_slots(&mut self.ends, 1, NODE_SLOTS);
+        self.ends.insert(i, (at + bytes.len()) as u32);
+        self.shift_ends(i + 1, bytes.len() as isize);
+    }
+
+    /// Where slot `i`'s row starts (the end of the block for `i == len`).
+    #[inline]
+    fn span_start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |p| self.ends[p] as usize)
+    }
+
+    /// Replace the row in slot `i` with `row`, returning the old one.
+    fn replace(&mut self, i: usize, row: Row<'_>) -> Record {
+        self.adopt_shape(row);
+        let old = self.row(i).to_record();
+        let span = self.span(i);
+        let delta = row.bytes().len() as isize - span.len() as isize;
+        if delta > 0 {
+            self.rows.reserve_exact(delta as usize);
+        }
+        self.rows.splice(span, row.bytes().iter().copied());
+        self.check_block();
+        self.shift_ends(i, delta);
+        old
+    }
+
+    /// Remove slot `i`, returning its key's row.
+    fn remove(&mut self, i: usize) -> Record {
+        let span = self.span(i);
+        let old = self.row(i).to_record();
+        self.keys.remove(i);
+        self.rows.drain(span.clone());
+        self.ends.remove(i);
+        self.shift_ends(i, -(span.len() as isize));
+        old
+    }
+
+    /// Overwrite column `col` of the row in slot `i`.
+    fn write(&mut self, i: usize, col: usize, v: &Value) {
+        let at = self.span_start(i);
+        let delta = write_cell(&mut self.rows, at, self.shape, col, v);
+        if delta != 0 {
+            self.check_block();
+            self.shift_ends(i, delta);
+        }
+    }
+
+    /// Move the slots from `mid` on into a new leaf.
+    fn split_off(&mut self, mid: usize) -> Leaf {
+        let cut = self.span_start(mid);
+        let mut right = Leaf {
+            keys: self.keys.split_off(mid),
+            rows: split_exact(&mut self.rows, cut),
+            ends: split_exact(&mut self.ends, mid),
+            shape: self.shape,
+        };
+        right.shift_ends(0, -(cut as isize));
+        right
     }
 }
 
@@ -309,35 +655,35 @@ impl BTree {
     /// Look up a key.
     // One per simulated read action.
     // lint: hot-path
-    pub fn get(&self, key: &Key) -> Option<&Record> {
+    pub fn get(&self, key: &Key) -> Option<Row<'_>> {
         let mut node = &self.root;
         loop {
             match node {
                 Node::Leaf(leaf) => {
-                    return leaf.keys.search(key).ok().map(|i| &leaf.values[i]);
+                    return leaf.keys.search(key).ok().map(|i| leaf.row(i));
                 }
                 Node::Internal(internal) => {
-                    node = &internal.children[internal.child_index(key)];
+                    node = &internal.children[internal.keys.child_index(key)];
                 }
             }
         }
     }
 
-    /// Mutable lookup.
+    /// Look up a key for writing.
     // One per simulated update / increment action.
     // lint: hot-path
-    pub fn get_mut(&mut self, key: &Key) -> Option<&mut Record> {
+    pub fn get_mut(&mut self, key: &Key) -> Option<RowMut<'_>> {
         let mut node = &mut self.root;
         loop {
             match node {
                 Node::Leaf(leaf) => {
                     return match leaf.keys.search(key) {
-                        Ok(i) => Some(&mut leaf.values[i]),
+                        Ok(slot) => Some(RowMut { leaf, slot }),
                         Err(_) => None,
                     };
                 }
                 Node::Internal(internal) => {
-                    let idx = internal.child_index(key);
+                    let idx = internal.keys.child_index(key);
                     node = &mut internal.children[idx];
                 }
             }
@@ -352,32 +698,44 @@ impl BTree {
     /// Insert a key/record pair.  Returns the previous record if the key was
     /// already present (the pair is replaced).
     pub fn insert(&mut self, key: Key, record: Record) -> Option<Record> {
-        self.insert_with(key, record, true)
+        self.insert_row(key, record.row(), true).flatten()
     }
 
     /// Insert a key/record pair unless the key is already present: a
     /// present key leaves the tree untouched and hands `record` back.
     pub fn insert_new(&mut self, key: Key, record: Record) -> Result<(), Record> {
-        self.insert_with(key, record, false).map_or(Ok(()), Err)
+        match self.insert_row(key, record.row(), false) {
+            None => Ok(()),
+            Some(_) => Err(record),
+        }
     }
 
-    /// Insert; on a present key either replace its record or leave it.
-    /// Returns the record that is not in the tree afterwards: the displaced
-    /// one when replacing, `record` itself otherwise, `None` for a new key.
-    fn insert_with(&mut self, key: Key, record: Record, replace: bool) -> Option<Record> {
-        let (left_out, split) = self.root.insert(key, record, replace);
+    /// Copy `row` in under `key` unless the key is already present (which
+    /// leaves the tree untouched).  Whether the row went in.
+    pub fn insert_new_row(&mut self, key: Key, row: Row<'_>) -> bool {
+        self.insert_row(key, row, false).is_none()
+    }
+
+    /// Copy `row` in under `key`; on a present key either replace its row
+    /// or leave it.  `None` for a new key; for a present one, the displaced
+    /// record when replacing.
+    fn insert_row(&mut self, key: Key, row: Row<'_>, replace: bool) -> Option<Option<Record>> {
+        let split = match self.root.insert(key, row, replace) {
+            Inserted::Present(displaced) => return Some(displaced),
+            Inserted::New(split) => split,
+        };
         if let Some((sep, right)) = split {
             let old_root = std::mem::replace(&mut self.root, Node::Leaf(Leaf::default()));
+            let mut keys = KeyColumn::with_capacity(sep.len(), 1);
+            keys.push(sep);
             self.root = Node::Internal(Internal {
-                keys: KeyColumn::from_keys(vec![sep]),
+                keys,
                 children: vec![old_root, right],
             });
             self.height += 1;
         }
-        if left_out.is_none() {
-            self.len += 1;
-        }
-        left_out
+        self.len += 1;
+        None
     }
 
     /// Remove a key.  Returns the removed record, if any.
@@ -390,17 +748,17 @@ impl BTree {
     }
 
     /// Smallest key in the tree.
-    pub fn min_key(&self) -> Option<&Key> {
+    pub fn min_key(&self) -> Option<Key> {
         self.iter().next().map(|(k, _)| k)
     }
 
     /// Largest key in the tree: a rightmost descent that steps back over
     /// lazily emptied leaves.
-    pub fn max_key(&self) -> Option<&Key> {
+    pub fn max_key(&self) -> Option<Key> {
         self.root.max_key()
     }
 
-    /// In-order iterator over `(key, record)` pairs.
+    /// In-order iterator over `(key, row)` pairs.
     pub fn iter(&self) -> Iter<'_> {
         Iter::new(&self.root, None)
     }
@@ -413,8 +771,8 @@ impl BTree {
         &'a self,
         from: Option<&Key>,
         to: Option<&'k Key>,
-    ) -> impl Iterator<Item = (&'a Key, &'a Record)> + use<'a, 'k> {
-        Iter::new(&self.root, from).take_while(move |&(k, _)| to.is_none_or(|t| k < t))
+    ) -> impl Iterator<Item = (Key, Row<'a>)> + use<'a, 'k> {
+        Iter::new(&self.root, from).take_while(move |(k, _)| to.is_none_or(|t| k < t))
     }
 
     /// Build a tree from key-sorted, duplicate-free pairs.
@@ -423,33 +781,49 @@ impl BTree {
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
             "bulk_load requires sorted unique keys"
         );
-        let len = pairs.len();
-        if len == 0 {
-            return Self::new();
+        Self::build(pairs.iter().map(|(k, r)| (*k, r.row())))
+    }
+
+    /// Build a tree from key-sorted, duplicate-free entries, copying each
+    /// row's bytes into its leaf's block.  Every leaf and internal node is
+    /// filled to ~3/4 of capacity and every node vector is exact-size; the
+    /// one scratch buffer serves every leaf.
+    fn build<'r>(entries: impl Iterator<Item = (Key, Row<'r>)>) -> Self {
+        let per_leaf = ORDER * 3 / 4;
+        let mut entries = entries.peekable();
+        let mut chunk: Vec<(Key, Row<'r>)> = Vec::with_capacity(per_leaf);
+        let mut level: Vec<(Key, Node)> = Vec::new();
+        let mut len = 0;
+        while entries.peek().is_some() {
+            chunk.clear();
+            chunk.extend(entries.by_ref().take(per_leaf));
+            let (first, row) = chunk[0];
+            let bytes = chunk.iter().map(|(_, r)| r.bytes().len()).sum();
+            let mut leaf = Leaf::with_capacity(first.len(), chunk.len(), bytes, row.shape());
+            for &(key, row) in &chunk {
+                leaf.adopt_shape(row);
+                leaf.keys.push(key);
+                leaf.rows.extend_from_slice(row.bytes());
+                leaf.check_block();
+                leaf.ends.push(leaf.rows.len() as u32);
+            }
+            len += chunk.len();
+            level.push((first, Node::Leaf(leaf)));
         }
-        // Fill leaves to ~3/4 of capacity.
-        let per_leaf = (ORDER * 3 / 4).max(1);
-        let mut leaves: Vec<(Key, Node)> = Vec::with_capacity(len / per_leaf + 1);
-        let mut it = pairs.into_iter().peekable();
-        while it.peek().is_some() {
-            let chunk: Vec<(Key, Record)> = it.by_ref().take(per_leaf).collect();
-            let first = chunk[0].0;
-            let (keys, values) = chunk.into_iter().unzip();
-            let keys = KeyColumn::from_keys(keys);
-            leaves.push((first, Node::Leaf(Leaf { keys, values })));
+        if level.is_empty() {
+            return Self::new();
         }
         // Build internal levels bottom-up.
         let mut height = 1;
-        let mut level = leaves;
         while level.len() > 1 {
             height += 1;
             let per_node = (ORDER * 3 / 4).max(2);
-            let mut next = Vec::with_capacity(level.len() / per_node + 1);
+            let mut next = Vec::with_capacity(level.len() / (per_node + 1) + 1);
             let mut it = level.into_iter().peekable();
             while it.peek().is_some() {
                 let chunk: Vec<(Key, Node)> = it.by_ref().take(per_node + 1).collect();
                 let first = chunk[0].0;
-                let mut keys = Vec::with_capacity(chunk.len().saturating_sub(1));
+                let mut keys = KeyColumn::with_capacity(first.len(), chunk.len() - 1);
                 let mut children = Vec::with_capacity(chunk.len());
                 for (i, (k, n)) in chunk.into_iter().enumerate() {
                     if i > 0 {
@@ -457,12 +831,11 @@ impl BTree {
                     }
                     children.push(n);
                 }
-                let keys = KeyColumn::from_keys(keys);
                 next.push((first, Node::Internal(Internal { keys, children })));
             }
             level = next;
         }
-        let root = level.into_iter().next().map(|(_, n)| n).unwrap();
+        let root = level.pop().map(|(_, n)| n).expect("one root");
         Self { root, len, height }
     }
 
@@ -470,13 +843,9 @@ impl BTree {
     /// removed from `self` and returned as a new tree.  This is the physical
     /// *split* repartitioning action.
     pub fn split_off(&mut self, boundary: &Key) -> BTree {
-        let mut left = std::mem::take(self).into_pairs();
-        // Every pair is moved twice below, so a linear scan costs nothing
-        // next to it — and node searches stay `KeyColumn`'s alone.
-        let at = left.iter().take_while(|(k, _)| k < boundary).count();
-        let right = left.split_off(at);
-        *self = BTree::bulk_load(left);
-        BTree::bulk_load(right)
+        let old = std::mem::take(self);
+        *self = BTree::build(old.range_iter(None, Some(boundary)));
+        BTree::build(old.range_iter(Some(boundary), None))
     }
 
     /// Merge all entries of `other` into `self`.  This is the physical
@@ -486,37 +855,32 @@ impl BTree {
     pub fn merge_from(&mut self, other: BTree) {
         // When the ranges are disjoint and adjacent, a rebuild keeps the
         // result compact; otherwise plain inserts would work too.
-        let mut all = std::mem::take(self).into_pairs();
-        all.reserve(other.len);
-        other.root.drain_into(&mut all);
-        // The stable sort keeps `self`'s pair ahead of `other`'s on an equal
-        // key and `dedup_by` drops the later of the two, so swap first: the
-        // survivor carries `other`'s record.
-        all.sort_by_key(|a| a.0);
-        all.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                std::mem::swap(later, kept);
+        let mine = std::mem::take(self);
+        let (mut a, mut b) = (mine.iter().peekable(), other.iter().peekable());
+        let merged = std::iter::from_fn(|| {
+            let order = match (a.peek(), b.peek()) {
+                (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
+                (Some(_), None) => Ordering::Less,
+                (None, _) => Ordering::Greater,
+            };
+            match order {
+                Ordering::Less => a.next(),
+                Ordering::Greater => b.next(),
+                Ordering::Equal => {
+                    a.next();
+                    b.next()
+                }
             }
-            same
         });
-        *self = BTree::bulk_load(all);
+        *self = BTree::build(merged);
     }
 
-    /// Consume the tree into its `(key, record)` pairs in key order, moving
-    /// (not cloning) every entry out of the leaves.
-    fn into_pairs(self) -> Vec<(Key, Record)> {
-        let mut out = Vec::with_capacity(self.len);
-        self.root.drain_into(&mut out);
-        out
-    }
-
-    /// Verify the B+-tree structural invariants (key order within nodes,
-    /// rank columns matching their keys, separator correctness, length).
-    /// Used by tests.
+    /// Verify the B+-tree structural invariants (key order and width
+    /// within nodes, rank columns matching their keys, one row shape per
+    /// leaf, separator correctness, length).  Used by tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut count = 0usize;
-        let mut last: Option<&Key> = None;
+        let mut last: Option<Key> = None;
         for (k, _) in self.iter() {
             if let Some(prev) = last {
                 if prev >= k {
@@ -541,44 +905,67 @@ impl BTree {
         }
         self.root.check(None, None)
     }
-}
 
-impl Internal {
-    /// Index of the child that may contain `key`.
-    #[inline]
-    fn child_index(&self, key: &Key) -> usize {
-        self.keys.child_index(key)
+    /// Heap bytes of the tree's nodes: every node vector's capacity times
+    /// its element size.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.root.heap_bytes()
     }
 }
 
+/// A row of a leaf, open for writing: the one path updates take.
+pub struct RowMut<'a> {
+    leaf: &'a mut Leaf,
+    slot: usize,
+}
+
+impl RowMut<'_> {
+    /// The row as it stands.
+    pub fn row(&self) -> Row<'_> {
+        self.leaf.row(self.slot)
+    }
+
+    /// Integer in column `i`, or `None` on a text column.
+    #[inline]
+    pub fn int(&self, i: usize) -> Option<i64> {
+        self.row().int(i)
+    }
+
+    /// Overwrite column `i` with `v`, which must have the column's type:
+    /// an integer in place, a text by re-splicing the row in its leaf.
+    // lint: hot-path
+    #[inline]
+    pub fn set(&mut self, i: usize, v: &Value) {
+        self.leaf.write(self.slot, i, v);
+    }
+}
+
+/// What [`Node::insert`] did.
+enum Inserted {
+    /// The key was present: the displaced record when replacing, `None`
+    /// when the tree was left alone.
+    Present(Option<Record>),
+    /// The key went in; a split hands up (separator, right sibling).
+    New(Option<(Key, Node)>),
+}
+
 impl Node {
-    /// Insert, returning (the record left out of the tree, as
-    /// [`BTree::insert_with`] defines it; optional split: (separator, right
-    /// sibling)).
-    fn insert(
-        &mut self,
-        key: Key,
-        record: Record,
-        replace: bool,
-    ) -> (Option<Record>, Option<(Key, Node)>) {
+    /// Insert `row` under `key`, replacing a present key's row or leaving
+    /// it.
+    fn insert(&mut self, key: Key, row: Row<'_>, replace: bool) -> Inserted {
         match self {
             Node::Leaf(leaf) => match leaf.keys.insert_slot(&key) {
-                Ok(i) if replace => (Some(std::mem::replace(&mut leaf.values[i], record)), None),
-                Ok(_) => (Some(record), None),
+                Ok(i) if replace => Inserted::Present(Some(leaf.replace(i, row))),
+                Ok(_) => Inserted::Present(None),
                 Err(i) => {
-                    leaf.keys.insert(i, key);
-                    reserve_slot(&mut leaf.values, NODE_SLOTS);
-                    leaf.values.insert(i, record);
-                    if leaf.keys.len() <= ORDER {
-                        return (None, None);
+                    leaf.insert(i, key, row);
+                    if leaf.len() <= ORDER {
+                        return Inserted::New(None);
                     }
-                    let mid = leaf.keys.len() / 2;
-                    let right = Leaf {
-                        keys: leaf.keys.split_off(mid),
-                        values: split_exact(&mut leaf.values, mid),
-                    };
-                    let sep = right.keys.keys()[0];
-                    (None, Some((sep, Node::Leaf(right))))
+                    let right = leaf.split_off(leaf.len() / 2);
+                    let sep = right.keys.key(0);
+                    Inserted::New(Some((sep, Node::Leaf(right))))
                 }
             },
             Node::Internal(internal) => {
@@ -587,15 +974,16 @@ impl Node {
                     .keys
                     .insert_slot(&key)
                     .map_or_else(|i| i, |i| i + 1);
-                let (left_out, split) = internal.children[idx].insert(key, record, replace);
-                let Some((sep, right)) = split else {
-                    return (left_out, None);
+                let split = match internal.children[idx].insert(key, row, replace) {
+                    Inserted::New(Some(split)) => split,
+                    done => return done,
                 };
+                let (sep, right) = split;
                 internal.keys.insert(idx, sep);
-                reserve_slot(&mut internal.children, NODE_SLOTS + 1);
+                reserve_slots(&mut internal.children, 1, NODE_SLOTS + 1);
                 internal.children.insert(idx + 1, right);
                 if internal.keys.len() <= ORDER {
-                    return (left_out, None);
+                    return Inserted::New(None);
                 }
                 // The middle separator moves up; it stays in neither half.
                 let mid = internal.keys.len() / 2;
@@ -605,7 +993,7 @@ impl Node {
                     keys,
                     children: split_exact(&mut internal.children, mid + 1),
                 };
-                (left_out, Some((sep, Node::Internal(right))))
+                Inserted::New(Some((sep, Node::Internal(right))))
             }
         }
     }
@@ -613,37 +1001,19 @@ impl Node {
     /// Lazy removal: delete from the leaf without rebalancing.
     fn remove(&mut self, key: &Key) -> Option<Record> {
         match self {
-            Node::Leaf(leaf) => match leaf.keys.search(key) {
-                Ok(i) => {
-                    leaf.keys.remove(i);
-                    Some(leaf.values.remove(i))
-                }
-                Err(_) => None,
-            },
+            Node::Leaf(leaf) => leaf.keys.search(key).ok().map(|i| leaf.remove(i)),
             Node::Internal(internal) => {
-                let idx = internal.child_index(key);
+                let idx = internal.keys.child_index(key);
                 internal.children[idx].remove(key)
             }
         }
     }
 
     /// Largest key below this node, skipping lazily emptied leaves.
-    fn max_key(&self) -> Option<&Key> {
+    fn max_key(&self) -> Option<Key> {
         match self {
-            Node::Leaf(leaf) => leaf.keys.keys().last(),
+            Node::Leaf(leaf) => leaf.keys.last(),
             Node::Internal(internal) => internal.children.iter().rev().find_map(Node::max_key),
-        }
-    }
-
-    /// Move every entry below this node into `out`, in key order.
-    fn drain_into(self, out: &mut Vec<(Key, Record)>) {
-        match self {
-            Node::Leaf(leaf) => out.extend(leaf.keys.into_keys().into_iter().zip(leaf.values)),
-            Node::Internal(internal) => {
-                for child in internal.children {
-                    child.drain_into(out);
-                }
-            }
         }
     }
 
@@ -651,20 +1021,25 @@ impl Node {
     fn check(&self, lower: Option<&Key>, upper: Option<&Key>) -> Result<(), String> {
         match self {
             Node::Leaf(leaf) => {
-                if leaf.keys.len() != leaf.values.len() {
-                    return Err("leaf keys/values length mismatch".into());
+                if leaf.keys.len() != leaf.len() {
+                    return Err("leaf keys/rows length mismatch".into());
                 }
                 leaf.keys.check_invariants()?;
-                for k in leaf.keys.keys() {
-                    if let Some(lo) = lower {
-                        if k < lo {
-                            return Err(format!("leaf key {k} below lower bound {lo}"));
-                        }
+                let ordered = leaf.ends.windows(2).all(|w| w[0] <= w[1]);
+                if !ordered || leaf.ends.last().map_or(0, |&e| e as usize) != leaf.rows.len() {
+                    return Err("leaf row offsets do not tile its block".into());
+                }
+                for (i, k) in leaf.keys.keys().enumerate() {
+                    let row = leaf.row(i);
+                    let cells = 8 * row.arity();
+                    if row.bytes().len() < cells || row.size_bytes() > row.bytes().len() as u64 {
+                        return Err(format!("leaf row under key {k} is malformed"));
                     }
-                    if let Some(hi) = upper {
-                        if k >= hi {
-                            return Err(format!("leaf key {k} not below upper bound {hi}"));
-                        }
+                    if lower.is_some_and(|lo| k < *lo) {
+                        return Err(format!("leaf key {k} below lower bound"));
+                    }
+                    if upper.is_some_and(|hi| k >= *hi) {
+                        return Err(format!("leaf key {k} not below upper bound"));
                     }
                 }
                 Ok(())
@@ -674,7 +1049,7 @@ impl Node {
                     return Err("internal children/keys arity mismatch".into());
                 }
                 internal.keys.check_invariants()?;
-                let seps = internal.keys.keys();
+                let seps: Vec<Key> = internal.keys.keys().collect();
                 for (i, child) in internal.children.iter().enumerate() {
                     let lo = if i == 0 { lower } else { Some(&seps[i - 1]) };
                     let hi = if i == seps.len() {
@@ -685,6 +1060,27 @@ impl Node {
                     child.check(lo, hi)?;
                 }
                 Ok(())
+            }
+        }
+    }
+
+    /// Heap bytes of the vectors of this node and every node below it.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let column = |k: &KeyColumn| (k.comps.capacity() + k.heads.capacity()) * size_of::<i64>();
+        match self {
+            Node::Leaf(leaf) => {
+                column(&leaf.keys) + leaf.rows.capacity() + leaf.ends.capacity() * size_of::<u32>()
+            }
+            Node::Internal(internal) => {
+                column(&internal.keys)
+                    + internal.children.capacity() * size_of::<Node>()
+                    + internal
+                        .children
+                        .iter()
+                        .map(Node::heap_bytes)
+                        .sum::<usize>()
             }
         }
     }
@@ -735,7 +1131,7 @@ impl<'a> Iter<'a> {
                     return;
                 }
                 Node::Internal(internal) => {
-                    let idx = from.map_or(0, |f| internal.child_index(f));
+                    let idx = from.map_or(0, |f| internal.keys.child_index(f));
                     self.stack.push((internal, idx + 1));
                     node = &internal.children[idx];
                 }
@@ -757,14 +1153,14 @@ impl<'a> Iter<'a> {
 }
 
 impl<'a> Iterator for Iter<'a> {
-    type Item = (&'a Key, &'a Record);
+    type Item = (Key, Row<'a>);
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             match self.leaf {
-                Some((leaf, idx)) if idx < leaf.keys.len() => {
+                Some((leaf, idx)) if idx < leaf.len() => {
                     self.leaf = Some((leaf, idx + 1));
-                    return Some((&leaf.keys.keys()[idx], &leaf.values[idx]));
+                    return Some((leaf.keys.key(idx), leaf.row(idx)));
                 }
                 Some(_) => {
                     if !self.advance_to_next_leaf() {
@@ -1027,7 +1423,7 @@ mod tests {
     /// to its length — an ascending load never touches it again — and only
     /// the right spine's leaf, which the load keeps filling, has spare
     /// slots, at most `NODE_SLOTS` (doubling vectors left about 2.06 slots
-    /// per key).
+    /// per key).  A column of one-integer keys keeps no rank column.
     #[test]
     fn ascending_load_leaves_no_spare_leaf_capacity() {
         let mut t = BTree::new();
@@ -1038,17 +1434,97 @@ mod tests {
         let (last, rest) = levels.last().unwrap().split_last().unwrap();
         let caps = |l: &Leaf| {
             [
-                l.keys.keys.capacity(),
+                l.keys.comps.capacity(),
+                l.ends.capacity(),
+                l.rows.capacity() / 16,
                 l.keys.heads.capacity(),
-                l.values.capacity(),
             ]
         };
         for node in rest {
             let l = leaf(node);
-            assert_eq!(caps(l), [l.keys.len(); 3]);
+            assert_eq!(caps(l), [l.len(), l.len(), l.len(), 0]);
         }
         let spine = caps(leaf(last));
-        assert!(spine.iter().all(|&c| c <= NODE_SLOTS), "{spine:?}");
+        assert!(spine[..3].iter().all(|&c| c <= NODE_SLOTS), "{spine:?}");
+        assert_eq!(spine[3], 0);
+    }
+
+    /// Memory, pinned by a count: 200 k ascending five-integer rows under
+    /// one-integer keys cost at most 58 heap bytes each — 8 of key, 40 of
+    /// row, 4 of end offset, and the node structs their parents hold —
+    /// where a leaf of `Key`s and `Record`s cost over 120.
+    #[test]
+    fn ascending_five_int_rows_cost_at_most_58_bytes_each() {
+        const ROWS: i64 = 200_000;
+        let mut t = BTree::new();
+        for i in 0..ROWS {
+            t.insert(Key::int(i), Record::ints(&[i, i, i, i, i]));
+        }
+        let per_row = t.heap_bytes() as f64 / ROWS as f64;
+        assert!(per_row <= 58.0, "{per_row:.2} B per row");
+    }
+
+    /// A key of another width than the tree's is a bug, named as one.
+    #[test]
+    #[should_panic(expected = "a node column of 1-component keys got the key (1,2)")]
+    fn a_key_of_another_width_panics() {
+        let mut t = BTree::new();
+        t.insert(Key::int(1), rec(1));
+        t.insert(Key::ints(&[1, 2]), rec(2));
+    }
+
+    /// So is a row of another shape than the leaf's.
+    #[test]
+    #[should_panic(expected = "a leaf of rows of shape")]
+    fn a_row_of_another_shape_panics() {
+        let mut t = BTree::new();
+        t.insert(Key::int(1), rec(1));
+        t.insert(Key::int(2), Record::ints(&[2]));
+    }
+
+    /// Text writes re-splice the slot's bytes in the leaf's block: a text
+    /// that grows, shrinks or empties moves the rows behind it and the
+    /// later text column of its own row, and leaves the other rows alone.
+    #[test]
+    fn text_writes_resplice_the_leaf_block() {
+        let row = |i: i64, a: &str, b: &str| {
+            Record::new(vec![
+                Value::Int(i),
+                Value::from(a),
+                Value::Int(-i),
+                Value::from(b),
+            ])
+        };
+        let mut t = BTree::new();
+        for i in 0..40 {
+            t.insert(Key::int(i), row(i, "ab", "cd"));
+        }
+        for (i, a) in [(3, "a much longer text"), (4, ""), (5, "ü"), (39, "tail")] {
+            t.get_mut(&Key::int(i)).unwrap().set(1, &Value::from(a));
+            assert_eq!(t.get(&Key::int(i)).unwrap().to_record(), row(i, a, "cd"));
+        }
+        t.get_mut(&Key::int(6))
+            .unwrap()
+            .set(3, &Value::from("last column"));
+        t.get_mut(&Key::int(6)).unwrap().set(2, &Value::Int(7));
+        t.check_invariants().unwrap();
+        for (k, r) in t.iter() {
+            let i = k.head_int();
+            let want = match i {
+                3 => row(i, "a much longer text", "cd"),
+                4 => row(i, "", "cd"),
+                5 => row(i, "ü", "cd"),
+                6 => Record::new(vec![
+                    Value::Int(6),
+                    Value::from("ab"),
+                    Value::Int(7),
+                    Value::from("last column"),
+                ]),
+                39 => row(i, "tail", "cd"),
+                _ => row(i, "ab", "cd"),
+            };
+            assert_eq!(r.to_record(), want, "key {i}");
+        }
     }
 
     /// 64-bit FNV-1a.
@@ -1066,6 +1542,15 @@ mod tests {
         }
     }
 
+    /// What hashing the node's keys as a `[Key]` slice feeds the hasher.
+    fn hash_keys(keys: &KeyColumn, h: &mut Fnv) {
+        use std::hash::{Hash, Hasher};
+        h.write_usize(keys.len());
+        for k in keys.keys() {
+            k.hash(h);
+        }
+    }
+
     /// FNV-1a of a tree's shape: `len`, `height`, then every node in
     /// preorder — its separators or keys, a leaf's records, an internal
     /// node's child count.  Everything but vector capacity and the rank
@@ -1076,8 +1561,8 @@ mod tests {
             match node {
                 Node::Leaf(leaf) => {
                     h.write_u8(0);
-                    leaf.keys.keys().hash(h);
-                    for r in &leaf.values {
+                    hash_keys(&leaf.keys, h);
+                    for r in (0..leaf.len()).map(|i| leaf.row(i)) {
                         h.write_usize(r.arity());
                         for c in 0..r.arity() {
                             match r.get(c) {
@@ -1089,7 +1574,7 @@ mod tests {
                 }
                 Node::Internal(internal) => {
                     h.write_u8(1);
-                    internal.keys.keys().hash(h);
+                    hash_keys(&internal.keys, h);
                     h.write_usize(internal.children.len());
                     for child in &internal.children {
                         walk(child, h);
@@ -1124,7 +1609,7 @@ mod tests {
                 next += 1 + round % 3;
                 mixed.insert(Key::int(next), rec(next));
             }
-            let max = *mixed.max_key().unwrap();
+            let max = mixed.max_key().unwrap();
             assert!(mixed.insert_new(max, rec(-1)).is_err());
             assert!(mixed.insert(max, rec(max.head_int() * 2)).is_some());
             for _ in 0..3 {

@@ -50,6 +50,7 @@ pub mod txn;
 pub mod txn_list;
 
 pub use btree::BTree;
+pub use btree::RowMut;
 pub use database::Database;
 pub use error::{StorageError, StorageResult};
 pub use lock::{LockId, LockMode};
@@ -58,7 +59,7 @@ pub use log::{LogManager, LogRecordKind};
 pub use memory::MemoryPolicy;
 pub use mrbtree::MrBTree;
 pub use per_socket::PerSocket;
-pub use record::{Key, Record, Value};
+pub use record::{Key, Record, Row, Value};
 pub use schema::{Column, ColumnType, Schema, TableId};
 pub use srwlock::StateRwLock;
 pub use table::Table;

@@ -11,9 +11,9 @@
 //! * **merge** combines two adjacent partitions into one;
 //! * a **rearrangement** is a split followed by a merge.
 
-use crate::btree::{BTree, KeyColumn};
+use crate::btree::{BTree, Bounds, RowMut};
 use crate::error::{StorageError, StorageResult};
-use crate::record::{Key, Record};
+use crate::record::{Key, Record, Row};
 use atrapos_numa::SocketId;
 
 /// One physical partition: a B+-tree root and where its data lives.  Its
@@ -40,8 +40,9 @@ impl PartitionTree {
 pub struct MrBTree {
     partitions: Vec<PartitionTree>,
     /// Inclusive lower bounds of partitions `1..` (partition 0 is unbounded
-    /// below), as a node's key column: routing a key is the node search.
-    lowers: KeyColumn,
+    /// below), kept whole — they may be shorter than the table's keys —
+    /// and searched like a node's key column.
+    lowers: Bounds,
 }
 
 impl MrBTree {
@@ -49,7 +50,7 @@ impl MrBTree {
     pub fn new(memory_node: SocketId) -> Self {
         Self {
             partitions: vec![PartitionTree::new(memory_node)],
-            lowers: KeyColumn::default(),
+            lowers: Bounds::default(),
         }
     }
 
@@ -70,7 +71,7 @@ impl MrBTree {
         );
         Self {
             partitions: memory_nodes.into_iter().map(PartitionTree::new).collect(),
-            lowers: KeyColumn::from_keys(boundaries),
+            lowers: Bounds::new(boundaries),
         }
     }
 
@@ -103,14 +104,14 @@ impl MrBTree {
     /// bounds `<= key`.
     ///
     /// The bounds are strictly increasing (enforced at construction and by
-    /// `split_partition` / `merge_with_next`) and live in a [`KeyColumn`],
-    /// so routing is a node search: rank compares first, whole keys only
+    /// `split_partition` / `merge_with_next`) and carry a rank column, so
+    /// routing is the node search: rank compares first, whole keys only
     /// where ranks tie.  `partition_for` runs twice per simulated storage
     /// operation.
     // lint: hot-path
     #[inline]
     pub fn partition_for(&self, key: &Key) -> usize {
-        self.lowers.child_index(key)
+        self.lowers.count_le(key)
     }
 
     /// Inclusive lower bound of partition `idx` (`None` = unbounded).
@@ -124,26 +125,26 @@ impl MrBTree {
     }
 
     /// Look up a key.
-    pub fn get(&self, key: &Key) -> Option<&Record> {
+    pub fn get(&self, key: &Key) -> Option<Row<'_>> {
         self.get_in(self.partition_for(key), key)
     }
 
     /// Look up a key within a known partition (callers that already routed
     /// the key avoid a second `partition_for`).
     #[inline]
-    pub fn get_in(&self, idx: usize, key: &Key) -> Option<&Record> {
+    pub fn get_in(&self, idx: usize, key: &Key) -> Option<Row<'_>> {
         self.partitions[idx].tree.get(key)
     }
 
-    /// Mutable lookup.
-    pub fn get_mut(&mut self, key: &Key) -> Option<&mut Record> {
+    /// Lookup for writing.
+    pub fn get_mut(&mut self, key: &Key) -> Option<RowMut<'_>> {
         let idx = self.partition_for(key);
         self.get_mut_in(idx, key)
     }
 
-    /// Mutable lookup within a known partition.
+    /// Lookup for writing within a known partition.
     #[inline]
-    pub fn get_mut_in(&mut self, idx: usize, key: &Key) -> Option<&mut Record> {
+    pub fn get_mut_in(&mut self, idx: usize, key: &Key) -> Option<RowMut<'_>> {
         self.partitions[idx].tree.get_mut(key)
     }
 
@@ -158,13 +159,13 @@ impl MrBTree {
         self.partitions[idx].tree.insert(key, record)
     }
 
-    /// Insert a new key within a known partition (must be
+    /// Copy `row` in under a new key within a known partition (must be
     /// `partition_for(&key)`).  A key that is already present leaves the
-    /// tree untouched and hands `record` back.
+    /// tree untouched.  Whether the row went in.
     #[inline]
-    pub fn insert_new_in(&mut self, idx: usize, key: Key, record: Record) -> Result<(), Record> {
+    pub fn insert_new_in(&mut self, idx: usize, key: Key, row: Row<'_>) -> bool {
         debug_assert_eq!(idx, self.partition_for(&key));
-        self.partitions[idx].tree.insert_new(key, record)
+        self.partitions[idx].tree.insert_new_row(key, row)
     }
 
     /// Remove within a known partition (must be `partition_for(key)`).
@@ -181,7 +182,7 @@ impl MrBTree {
     }
 
     /// Iterate over all entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Key, &Record)> {
+    pub fn iter(&self) -> impl Iterator<Item = (Key, Row<'_>)> {
         self.partitions.iter().flat_map(|p| p.tree.iter())
     }
 
@@ -193,7 +194,7 @@ impl MrBTree {
         &'a self,
         from: Option<&'k Key>,
         to: Option<&'k Key>,
-    ) -> impl Iterator<Item = (&'a Key, &'a Record)> + use<'a, 'k> {
+    ) -> impl Iterator<Item = (Key, Row<'a>)> + use<'a, 'k> {
         let start = from.map_or(0, |k| self.partition_for(k));
         (start..self.partitions.len())
             .take_while(move |&i| match (self.lower_bound(i), to) {
@@ -286,12 +287,12 @@ impl MrBTree {
             let upper = self.upper_bound(i);
             for (k, _) in p.tree.iter() {
                 if let Some(lo) = lower {
-                    if k < lo {
+                    if k < *lo {
                         return Err(format!("key {k} below partition {i} lower bound {lo}"));
                     }
                 }
                 if let Some(hi) = upper {
-                    if k >= hi {
+                    if k >= *hi {
                         return Err(format!("key {k} at/above partition {i} upper bound {hi}"));
                     }
                 }

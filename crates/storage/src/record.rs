@@ -136,7 +136,7 @@ impl Key {
 
     /// The components, in key order.
     #[inline]
-    fn comps(&self) -> &[i64] {
+    pub(crate) fn comps(&self) -> &[i64] {
         &self.vals[..self.len as usize]
     }
 
@@ -253,6 +253,11 @@ const CELL: usize = 8;
 /// its low 32.  So an all-integer row owns exactly `8 × arity` heap bytes,
 /// there is no per-column heap block, and the record is 24 bytes inline.
 ///
+/// A `Record` is the owned row at the API edge — what inserts take, what
+/// a delete hands back, what transaction specs carry.  The B+-tree stores
+/// no `Record`: a leaf copies the same bytes into its one row block and
+/// lends them out as a [`Row`].
+///
 /// The layout is canonical — a row's values decide every byte — so
 /// equality is byte equality.  The `Debug` form is that of the `Vec<Value>`
 /// this layout replaced (`Record { values: [...] }`): generated-stream
@@ -260,6 +265,14 @@ const CELL: usize = 8;
 #[derive(Clone, PartialEq)]
 pub struct Record {
     bytes: Box<[u8]>,
+    shape: u64,
+}
+
+/// A borrowed row: the bytes of one [`Record`]'s layout, wherever they
+/// live — a record's own block or a slot of a B+-tree leaf's row block.
+#[derive(Clone, Copy, PartialEq)]
+pub struct Row<'a> {
+    bytes: &'a [u8],
     shape: u64,
 }
 
@@ -281,15 +294,7 @@ impl Record {
 
     /// An all-integer row, built straight into its block.
     pub fn ints(values: &[i64]) -> Self {
-        check_arity(values.len());
-        let mut bytes = Vec::with_capacity(CELL * values.len());
-        for v in values {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        Self {
-            bytes: bytes.into_boxed_slice(),
-            shape: (values.len() as u64) << 32,
-        }
+        IntRow::new(values).row().to_record()
     }
 
     fn pack(values: &[Value]) -> Self {
@@ -330,16 +335,103 @@ impl Record {
         }
     }
 
+    /// The row this record holds, borrowed.
+    #[inline]
+    pub fn row(&self) -> Row<'_> {
+        Row {
+            bytes: &self.bytes,
+            shape: self.shape,
+        }
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.row().arity()
+    }
+
+    /// Value of column `i`.
+    pub fn get(&self, i: usize) -> Value {
+        self.row().get(i)
+    }
+
+    /// Integer in column `i`, or `None` on a text column.  Never allocates.
+    #[inline]
+    pub fn int(&self, i: usize) -> Option<i64> {
+        self.row().int(i)
+    }
+
+    /// Overwrite column `i`.  A value of the column's type is written into
+    /// the block as a leaf writes it ([`write_cell`]); a value of the other
+    /// type repacks the row.
+    pub fn set(&mut self, i: usize, v: &Value) {
+        if self.row().column_type(i) == v.column_type() {
+            let mut bytes = std::mem::take(&mut self.bytes).into_vec();
+            write_cell(&mut bytes, 0, self.shape, i, v);
+            self.bytes = bytes.into_boxed_slice();
+        } else {
+            let mut values: Vec<Value> = self.row().values().collect();
+            values[i] = v.clone();
+            *self = Self::pack(&values);
+        }
+    }
+
+    /// Extract the primary key of this record according to `schema`.
+    pub fn key(&self, schema: &Schema) -> Key {
+        self.row().key(schema)
+    }
+
+    /// Whether the record matches the schema's column count and types.
+    pub fn conforms_to(&self, schema: &Schema) -> bool {
+        self.row().conforms_to(schema)
+    }
+
+    /// Approximate in-memory size in bytes: 8 per integer plus the text
+    /// bytes.
+    pub fn size_bytes(&self) -> u64 {
+        self.row().size_bytes()
+    }
+
+    /// Heap bytes the row owns — all of them in its one block.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+}
+
+impl<'a> Row<'a> {
+    /// A row over `bytes`, laid out as `shape` says.
+    #[inline]
+    pub(crate) fn from_parts(bytes: &'a [u8], shape: u64) -> Self {
+        Self { bytes, shape }
+    }
+
+    /// The row's bytes, in the [`Record`] layout.
+    #[inline]
+    pub(crate) fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The row's shape word: arity high, text-column mask low.
+    #[inline]
+    pub(crate) fn shape(&self) -> u64 {
+        self.shape
+    }
+
     /// Number of columns.
     #[inline]
     pub fn arity(&self) -> usize {
         (self.shape >> 32) as usize
     }
 
-    /// Whether column `i` (in range) is a text column.
+    /// The type of column `i` (in range).
     #[inline]
-    fn is_text(&self, i: usize) -> bool {
-        self.shape >> i & 1 == 1
+    fn column_type(&self, i: usize) -> ColumnType {
+        if self.shape >> i & 1 == 1 {
+            ColumnType::Text
+        } else {
+            ColumnType::Int
+        }
     }
 
     /// The raw cell of column `i`.
@@ -350,12 +442,11 @@ impl Record {
             "column {i} of a {}-column record",
             self.arity()
         );
-        let at = CELL * i;
-        u64::from_le_bytes(self.bytes[at..at + CELL].try_into().expect("8-byte cell"))
+        read_cell(self.bytes, i)
     }
 
     /// The text a text column's `cell` points at.
-    fn text(&self, cell: u64) -> &str {
+    fn text(&self, cell: u64) -> &'a str {
         let start = CELL * self.arity() + (cell >> 32) as usize;
         let len = cell as u32 as usize;
         std::str::from_utf8(&self.bytes[start..start + len]).expect("packed from a str")
@@ -364,10 +455,9 @@ impl Record {
     /// Value of column `i`.
     pub fn get(&self, i: usize) -> Value {
         let cell = self.cell(i);
-        if self.is_text(i) {
-            Value::Text(self.text(cell).to_owned())
-        } else {
-            Value::Int(cell as i64)
+        match self.column_type(i) {
+            ColumnType::Text => Value::Text(self.text(cell).to_owned()),
+            ColumnType::Int => Value::Int(cell as i64),
         }
     }
 
@@ -376,36 +466,15 @@ impl Record {
     #[inline]
     pub fn int(&self, i: usize) -> Option<i64> {
         let cell = self.cell(i);
-        (!self.is_text(i)).then_some(cell as i64)
+        (self.column_type(i) == ColumnType::Int).then_some(cell as i64)
     }
 
     /// The columns, in order.
-    fn unpacked(&self) -> impl Iterator<Item = Value> + '_ {
-        (0..self.arity()).map(|i| self.get(i))
+    fn values(self) -> impl Iterator<Item = Value> + 'a {
+        (0..self.arity()).map(move |i| self.get(i))
     }
 
-    /// Overwrite column `i`.  An integer over an integer is written in
-    /// place; anything touching a text column rebuilds the block.
-    pub fn set(&mut self, i: usize, v: &Value) {
-        match v {
-            Value::Int(x) if self.int(i).is_some() => self.set_int(i, *x),
-            _ => {
-                let mut values: Vec<Value> = self.unpacked().collect();
-                values[i] = v.clone();
-                *self = Self::pack(&values);
-            }
-        }
-    }
-
-    /// Overwrite integer column `i` in place.
-    // lint: hot-path
-    pub(crate) fn set_int(&mut self, i: usize, v: i64) {
-        assert!(self.int(i).is_some(), "column {i} is not an Int column");
-        let at = CELL * i;
-        self.bytes[at..at + CELL].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Extract the primary key of this record according to `schema`.
+    /// Extract the primary key of this row according to `schema`.
     pub fn key(&self, schema: &Schema) -> Key {
         let pk = &schema.primary_key;
         let mut vals = [0i64; MAX_KEY_COMPONENTS];
@@ -418,14 +487,14 @@ impl Record {
         }
     }
 
-    /// Whether the record matches the schema's column count and types.
+    /// Whether the row matches the schema's column count and types.
     pub fn conforms_to(&self, schema: &Schema) -> bool {
         self.arity() == schema.columns.len()
             && schema
                 .columns
                 .iter()
                 .enumerate()
-                .all(|(i, c)| self.is_text(i) == (c.ty == ColumnType::Text))
+                .all(|(i, c)| self.column_type(i) == c.ty)
     }
 
     /// Approximate in-memory size in bytes: 8 per integer plus the text
@@ -436,10 +505,87 @@ impl Record {
         (CELL * (self.arity() - texts) + text_bytes) as u64
     }
 
-    /// Heap bytes the row owns — all of them in its one block.
-    #[cfg(test)]
-    fn heap_bytes(&self) -> usize {
-        self.bytes.len()
+    /// An owned copy: one exact-size block.
+    pub fn to_record(&self) -> Record {
+        Record {
+            bytes: self.bytes.into(),
+            shape: self.shape,
+        }
+    }
+}
+
+/// An all-integer row packed on the stack, for loaders that copy rows
+/// straight into leaves.
+pub(crate) struct IntRow {
+    bytes: [u8; CELL * MAX_COLUMNS],
+    arity: usize,
+}
+
+impl IntRow {
+    /// Pack `values`.
+    pub(crate) fn new(values: &[i64]) -> Self {
+        check_arity(values.len());
+        let mut bytes = [0; CELL * MAX_COLUMNS];
+        for (cell, v) in bytes.chunks_exact_mut(CELL).zip(values) {
+            cell.copy_from_slice(&v.to_le_bytes());
+        }
+        Self {
+            bytes,
+            arity: values.len(),
+        }
+    }
+
+    /// The packed row, borrowed.
+    pub(crate) fn row(&self) -> Row<'_> {
+        Row::from_parts(&self.bytes[..CELL * self.arity], (self.arity as u64) << 32)
+    }
+}
+
+/// The cell of column `i` of a row laid out from `bytes[0]`.
+#[inline]
+fn read_cell(bytes: &[u8], i: usize) -> u64 {
+    let at = CELL * i;
+    u64::from_le_bytes(bytes[at..at + CELL].try_into().expect("8-byte cell"))
+}
+
+/// Overwrite column `i` of the row of shape `shape` that starts at
+/// `rows[at]` with `v`, which must have the column's type; the row may be
+/// followed by others.  An integer goes in place.  A text re-splices the
+/// row's tail — bytes after the row shift with it — and moves the offsets
+/// of the text columns behind it.  Returns the change in the row's length.
+/// This is the one write path of packed rows: a [`Record`]'s block and a
+/// leaf's row block alike.
+pub(crate) fn write_cell(rows: &mut Vec<u8>, at: usize, shape: u64, i: usize, v: &Value) -> isize {
+    let row = Row::from_parts(&rows[at..], shape);
+    let cell = row.cell(i);
+    let put = |rows: &mut Vec<u8>, col: usize, cell: u64| {
+        let c = at + CELL * col;
+        rows[c..c + CELL].copy_from_slice(&cell.to_le_bytes());
+    };
+    match (row.column_type(i), v) {
+        (ColumnType::Int, Value::Int(x)) => {
+            put(rows, i, *x as u64);
+            0
+        }
+        (ColumnType::Text, Value::Text(s)) => {
+            let arity = row.arity();
+            let (offset, old_len) = (cell >> 32, cell as u32 as usize);
+            let start = at + CELL * arity + offset as usize;
+            let delta = s.len() as isize - old_len as isize;
+            if delta > 0 {
+                rows.reserve_exact(delta as usize);
+            }
+            rows.splice(start..start + old_len, s.bytes());
+            put(rows, i, offset << 32 | s.len() as u64);
+            for j in i + 1..arity {
+                if shape >> j & 1 == 1 {
+                    let moved = read_cell(&rows[at..], j).wrapping_add_signed((delta as i64) << 32);
+                    put(rows, j, moved);
+                }
+            }
+            delta
+        }
+        (ty, v) => panic!("column {i} is a {ty:?} column, not {:?}", v.column_type()),
     }
 }
 
@@ -452,14 +598,21 @@ impl From<Vec<Value>> for Record {
 impl fmt::Debug for Record {
     /// The derived form of `struct Record { values: Vec<Value> }`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct Values<'a>(&'a Record);
+        self.row().fmt(f)
+    }
+}
+
+impl fmt::Debug for Row<'_> {
+    /// The [`Record`] form of the same row.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Values<'a>(Row<'a>);
         impl fmt::Debug for Values<'_> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_list().entries(self.0.unpacked()).finish()
+                f.debug_list().entries(self.0.values()).finish()
             }
         }
         f.debug_struct("Record")
-            .field("values", &Values(self))
+            .field("values", &Values(*self))
             .finish()
     }
 }

@@ -6,9 +6,10 @@
 //! remote-memory experiments (paper §III-D, Table I) and the partition
 //! placement decisions of ATraPos have a physical effect.
 
+use crate::btree::RowMut;
 use crate::error::{StorageError, StorageResult};
 use crate::mrbtree::MrBTree;
-use crate::record::{Key, Record, Value};
+use crate::record::{IntRow, Key, Record, Row, Value};
 use crate::schema::{Schema, TableId};
 use atrapos_numa::{Component, SimCtx, SocketId};
 
@@ -82,27 +83,45 @@ impl Table {
     /// Populate the table outside of simulation (initial load).  Returns an
     /// error on schema mismatch or duplicate key.
     pub fn load(&mut self, record: Record) -> StorageResult<()> {
-        if !record.conforms_to(&self.schema) {
-            return Err(StorageError::SchemaMismatch {
-                table: self.id,
-                expected: self.schema.arity(),
-                got: record.arity(),
-            });
-        }
-        let key = record.key(&self.schema);
-        let partition = self.index.partition_for(&key);
-        self.insert_new(partition, key, record).map(drop)
+        self.load_row(record.row())
     }
 
-    /// Add `record` under `key` to `partition`.  A key that is already
-    /// there is an error and keeps the record it has.
-    fn insert_new(&mut self, partition: usize, key: Key, record: Record) -> StorageResult<Key> {
-        match self.index.insert_new_in(partition, key, record) {
-            Ok(()) => Ok(key),
-            Err(_rejected) => Err(StorageError::DuplicateKey {
+    /// [`Table::load`] of an all-integer row, packed on the stack and
+    /// copied straight into its leaf: no heap block per row.
+    pub fn load_ints(&mut self, values: &[i64]) -> StorageResult<()> {
+        self.load_row(IntRow::new(values).row())
+    }
+
+    /// [`Table::load`] of a borrowed row.
+    fn load_row(&mut self, row: Row<'_>) -> StorageResult<()> {
+        self.check_schema(row)?;
+        let key = row.key(&self.schema);
+        let partition = self.index.partition_for(&key);
+        self.insert_new(partition, key, row).map(drop)
+    }
+
+    /// A schema-mismatch error unless `row` conforms to the schema.
+    fn check_schema(&self, row: Row<'_>) -> StorageResult<()> {
+        if row.conforms_to(&self.schema) {
+            return Ok(());
+        }
+        Err(StorageError::SchemaMismatch {
+            table: self.id,
+            expected: self.schema.arity(),
+            got: row.arity(),
+        })
+    }
+
+    /// Copy `row` in under `key` to `partition`.  A key that is already
+    /// there is an error and keeps the row it has.
+    fn insert_new(&mut self, partition: usize, key: Key, row: Row<'_>) -> StorageResult<Key> {
+        if self.index.insert_new_in(partition, key, row) {
+            Ok(key)
+        } else {
+            Err(StorageError::DuplicateKey {
                 table: self.id,
                 key,
-            }),
+            })
         }
     }
 
@@ -130,12 +149,12 @@ impl Table {
         );
     }
 
-    /// Read a record by primary key.  Returns a borrow — the hot path does
-    /// not even look inside the record; callers that need an owned copy
-    /// clone at the call site.
+    /// Read a record by primary key.  Returns a borrowed row — the hot
+    /// path does not even look inside it; callers that need an owned copy
+    /// take one with [`Row::to_record`].
     // One per simulated read action.
     // lint: hot-path
-    pub fn read(&self, ctx: &mut SimCtx<'_>, key: &Key) -> StorageResult<&Record> {
+    pub fn read(&self, ctx: &mut SimCtx<'_>, key: &Key) -> StorageResult<Row<'_>> {
         let partition = self.index.partition_for(key);
         self.charge_probe(ctx, partition);
         ctx.work(Component::XctExecution, TUPLE_WORK_INSTRUCTIONS);
@@ -157,7 +176,7 @@ impl Table {
         ctx: &mut SimCtx<'_>,
         key: &Key,
         columns: usize,
-    ) -> StorageResult<&mut Record> {
+    ) -> StorageResult<RowMut<'_>> {
         let partition = self.index.partition_for(key);
         self.charge_probe(ctx, partition);
         ctx.work(
@@ -183,9 +202,9 @@ impl Table {
         key: &Key,
         changes: &[(usize, Value)],
     ) -> StorageResult<()> {
-        let record = self.probe_for_update(ctx, key, changes.len())?;
+        let mut row = self.probe_for_update(ctx, key, changes.len())?;
         for (col, value) in changes {
-            record.set(*col, value);
+            row.set(*col, value);
         }
         Ok(())
     }
@@ -202,29 +221,24 @@ impl Table {
         column: usize,
         delta: i64,
     ) -> StorageResult<()> {
-        let record = self.probe_for_update(ctx, key, 1)?;
-        let current = record.int(column).expect("increment targets an Int column");
-        record.set_int(column, current + delta);
+        let mut row = self.probe_for_update(ctx, key, 1)?;
+        let current = row.int(column).expect("increment targets an Int column");
+        row.set(column, &Value::Int(current + delta));
         Ok(())
     }
 
     /// Insert a new record.
     pub fn insert(&mut self, ctx: &mut SimCtx<'_>, record: Record) -> StorageResult<Key> {
-        if !record.conforms_to(&self.schema) {
-            return Err(StorageError::SchemaMismatch {
-                table: self.id,
-                expected: self.schema.arity(),
-                got: record.arity(),
-            });
-        }
-        let key = record.key(&self.schema);
+        let row = record.row();
+        self.check_schema(row)?;
+        let key = row.key(&self.schema);
         let partition = self.index.partition_for(&key);
         self.charge_probe(ctx, partition);
         ctx.work(
             Component::XctExecution,
             TUPLE_WORK_INSTRUCTIONS + STRUCTURE_CHANGE_INSTRUCTIONS,
         );
-        self.insert_new(partition, key, record)
+        self.insert_new(partition, key, row)
     }
 
     /// Delete a record by primary key.
@@ -255,8 +269,8 @@ impl Table {
         from: Option<&Key>,
         to: Option<&Key>,
         limit: usize,
-    ) -> Vec<&Record> {
-        let rows: Vec<&Record> = self
+    ) -> Vec<Row<'_>> {
+        let rows: Vec<Row<'_>> = self
             .index
             .range_iter(from, to)
             .take(limit)
@@ -282,7 +296,7 @@ impl Table {
 
     /// Read a record without charging simulation costs (tests, loaders,
     /// consistency checks).
-    pub fn peek(&self, key: &Key) -> Option<&Record> {
+    pub fn peek(&self, key: &Key) -> Option<Row<'_>> {
         self.index.get(key)
     }
 
@@ -508,43 +522,85 @@ mod tests {
         }
     }
 
-    /// Point-probe cost, pinned by a count: on single-int keys every rank
-    /// in a node's packed column is unique, so a probe compares whole keys
-    /// at most once per level — where a binary search over the keys
-    /// themselves makes about six.
+    /// Point-probe cost, pinned by a count: a column of single-int keys is
+    /// its own rank column, so a probe never compares whole keys; on
+    /// two-int keys every rank in a node's packed column is unique, so a
+    /// probe compares whole keys at most once per level — where a binary
+    /// search over the keys themselves makes about six.
     #[test]
     fn point_probes_compare_whole_keys_at_most_once_per_level() {
         use crate::btree::FULL_COMPARES;
         const ROWS: i64 = 200_000;
         let (t, c) = env();
+        for width in [1, 2] {
+            let schema = Schema::new(
+                "narrow",
+                vec![
+                    Column::new("a", ColumnType::Int),
+                    Column::new("b", ColumnType::Int),
+                ],
+                (0..width).collect(),
+            );
+            // Present (even) and absent (odd) keys across the whole key
+            // space; two-int keys split it into `(i / 1000, i % 1000)`.
+            let key = |i: i64| match width {
+                1 => Key::int(i),
+                _ => Key::ints(&[i / 1_000, i % 1_000]),
+            };
+            let mut table = Table::new(TableId(0), schema, SocketId(0));
+            table
+                .load_many((0..ROWS).map(|i| {
+                    let k = key(2 * i);
+                    let b = if width == 1 { i } else { k.comps()[1] };
+                    Record::ints(&[k.head_int(), b])
+                }))
+                .unwrap();
+            let height = table.index().partition(0).tree.height();
+            assert!(
+                height >= 3,
+                "the table must be deep enough to mean something"
+            );
+            let most = if width == 1 { 0 } else { height };
+            let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
+            for i in (0..2 * ROWS).step_by(997) {
+                FULL_COMPARES.with(|n| n.set(0));
+                assert_eq!(table.read(&mut ctx, &key(i)).is_ok(), i % 2 == 0);
+                let compares = FULL_COMPARES.with(|n| n.get());
+                assert!(
+                    compares <= most,
+                    "width {width}: probe for {i} made {compares} full compares (height {height})"
+                );
+            }
+        }
+    }
+
+    /// Memory, pinned by a count: a table of four-int keys and all-int
+    /// rows (TPC-C's order lines) stores per row its key at table width,
+    /// one rank, the row and at most 12 bytes of offsets and node structs.
+    #[test]
+    fn four_int_keys_cost_their_width_plus_a_rank_per_row() {
         let schema = Schema::new(
-            "narrow",
-            vec![
-                Column::new("id", ColumnType::Int),
-                Column::new("v", ColumnType::Int),
-            ],
-            vec![0],
+            "order_line",
+            (0..6)
+                .map(|i| Column::new(format!("c{i}"), ColumnType::Int))
+                .collect(),
+            vec![0, 1, 2, 3],
         );
         let mut table = Table::new(TableId(0), schema, SocketId(0));
-        table
-            .load_many((0..ROWS).map(|i| Record::new(vec![Value::Int(2 * i), Value::Int(i)])))
-            .unwrap();
-        let height = table.index().partition(0).tree.height();
-        assert!(
-            height >= 3,
-            "the table must be deep enough to mean something"
-        );
-        let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
-        // Present (even) and absent (odd) keys across the whole key space.
-        for key in (0..2 * ROWS).step_by(997) {
-            FULL_COMPARES.with(|n| n.set(0));
-            assert_eq!(table.read(&mut ctx, &Key::int(key)).is_ok(), key % 2 == 0);
-            let compares = FULL_COMPARES.with(|n| n.get());
-            assert!(
-                compares <= height,
-                "probe for {key} made {compares} full compares (height {height})"
-            );
+        let mut rows = 0;
+        for w in 1..=2 {
+            for d in 1..=10 {
+                for o in 1..=300 {
+                    for ol in 1..=(5 + o % 11) {
+                        table.load_ints(&[w, d, o, ol, o * ol, 7]).unwrap();
+                        rows += 1;
+                    }
+                }
+            }
         }
+        let per_row = table.index().partition(0).tree.heap_bytes() as f64 / rows as f64;
+        let bound = (8 * 4 + 8 + 6 * 8 + 12) as f64;
+        assert!(per_row <= bound, "{per_row:.2} B per row (bound {bound})");
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //!   `KeyColumn`) is checked against what it replaced: the rank is weakly
 //!   monotone over every key shape, and the column's searches equal
 //!   `binary_search` / `partition_point` over the plain key slice.
+//! * The packed leaves — keys stored flat at one width, rows in one byte
+//!   block per leaf — of a `BTree` and of a `Table` are driven against a
+//!   `BTreeMap<Key, Record>` through inserts, rejected duplicates, removes,
+//!   integer and text writes (texts that grow, shrink and empty), splits,
+//!   merges, bulk loads, repartitionings and scans with bounds shorter
+//!   than the keys; after every step the contents equal the model's byte
+//!   for byte and every invariant holds.
 //! * The packed row block (`Record`) is checked against the `Vec<Value>`
 //!   row it replaced: accessors, writes, schema checks, key extraction,
 //!   equality, and the `Debug` form byte for byte.
@@ -116,8 +123,8 @@ proptest! {
                 TreeOp::SplitMerge(boundary) => {
                     let right = tree.split_off(&Key::int(boundary));
                     // Both halves are well-formed and partition the keys.
-                    prop_assert!(tree.iter().all(|(k, _)| k < &Key::int(boundary)));
-                    prop_assert!(right.iter().all(|(k, _)| k >= &Key::int(boundary)));
+                    prop_assert!(tree.iter().all(|(k, _)| k < Key::int(boundary)));
+                    prop_assert!(right.iter().all(|(k, _)| k >= Key::int(boundary)));
                     tree.merge_from(right);
                 }
             }
@@ -199,7 +206,7 @@ fn range_iter_starts_inside_leaves_emptied_by_remove() {
             );
         }
     }
-    assert_eq!(tree.min_key().map(Key::head_int), Some(300));
+    assert_eq!(tree.min_key().as_ref().map(Key::head_int), Some(300));
 }
 
 fn two_int_schema() -> Schema {
@@ -236,8 +243,8 @@ proptest! {
             prop_assert_eq!(tree.remove(&Key::int(k)).is_some(), model.remove(&k).is_some());
         }
         prop_assert_eq!(tree_range(&tree, from, to), model_range(&model, from, to));
-        prop_assert_eq!(tree.min_key().map(Key::head_int), model.keys().next().copied());
-        prop_assert_eq!(tree.max_key().map(Key::head_int), model.keys().next_back().copied());
+        prop_assert_eq!(tree.min_key().as_ref().map(Key::head_int), model.keys().next().copied());
+        prop_assert_eq!(tree.max_key().as_ref().map(Key::head_int), model.keys().next_back().copied());
     }
 
     /// `Table::range_read(from, to, limit)` equals
@@ -317,10 +324,18 @@ fn component_strategy() -> impl Strategy<Value = i64> {
 /// composites, many of which share their `(w_id, d_id)` prefix — the nodes
 /// whose ranks all tie.
 fn key_strategy() -> impl Strategy<Value = Key> {
+    (raw_key_strategy(), 1usize..=MAX_KEY_COMPONENTS)
+        .prop_map(|(raw, width)| Key::ints(&raw[..width]))
+}
+
+/// Four key components, to be cut to a key width: [`component_strategy`]
+/// values, or a TPC-C-like `(w_id, d_id, o_id, ol_number)` from a small
+/// space, so that keys share their `(w_id, d_id)` prefix in long runs.
+fn raw_key_strategy() -> impl Strategy<Value = [i64; MAX_KEY_COMPONENTS]> {
     prop_oneof![
-        3 => prop::collection::vec(component_strategy(), 1..=4).prop_map(|c| Key::ints(&c)),
-        2 => (1i64..3, 1i64..3, 0i64..40, 0i64..4, 2usize..=4)
-            .prop_map(|(w, d, o, ol, arity)| Key::ints(&[w, d, o, ol][..arity])),
+        3 => prop::collection::vec(component_strategy(), MAX_KEY_COMPONENTS..=MAX_KEY_COMPONENTS)
+            .prop_map(|c| [c[0], c[1], c[2], c[3]]),
+        2 => (1i64..3, 1i64..3, 0i64..40, 0i64..4).prop_map(|(w, d, o, ol)| [w, d, o, ol]),
     ]
 }
 
@@ -339,18 +354,21 @@ proptest! {
     /// The column search is the plain search: `search` equals
     /// `binary_search` and `lower_bound` equals `partition_point` over the
     /// keys, for probes of any shape — shorter than the stored keys (range
-    /// bounds), longer, absent, tied on the rank — on columns built by
-    /// `insert`, thinned by `remove` and cut by `split_off`.
+    /// bounds), longer, absent, tied on the rank — on columns of one key
+    /// width from one to four, built by `insert`, thinned by `remove` and
+    /// cut by `split_off`.
     #[test]
     fn key_column_searches_like_the_plain_key_slice(
-        keys in prop::collection::vec(key_strategy(), 0..120),
+        width in 1usize..=MAX_KEY_COMPONENTS,
+        keys in prop::collection::vec(raw_key_strategy(), 0..120),
         removals in prop::collection::vec(any::<u64>(), 0..30),
         cut in any::<u64>(),
         probes in prop::collection::vec(key_strategy(), 1..40),
     ) {
         let mut column = KeyColumn::default();
         let mut model: Vec<Key> = Vec::new();
-        for key in keys {
+        for raw in keys {
+            let key = Key::ints(&raw[..width]);
             let slot = column.search(&key);
             prop_assert_eq!(slot, model.binary_search(&key));
             if let Err(i) = slot {
@@ -368,7 +386,7 @@ proptest! {
         let (right, right_model) = (column.split_off(mid), model.split_off(mid));
         for (column, model) in [(&column, &model), (&right, &right_model)] {
             column.check_invariants().map_err(TestCaseError::fail)?;
-            prop_assert_eq!(column.keys(), model.as_slice());
+            prop_assert_eq!(column.keys().collect::<Vec<_>>(), model.clone());
             for probe in probes.iter().chain(model) {
                 prop_assert_eq!(column.search(probe), model.binary_search(probe), "{probe}");
                 prop_assert_eq!(
@@ -380,17 +398,21 @@ proptest! {
         }
     }
 
-    /// Trees over keys of every shape keep their invariants — the rank
+    /// Trees over keys of every width keep their invariants — the rank
     /// columns equal to their keys' ranks among them — through any sequence
-    /// of inserts, removes, splits and merges, and agree with an ordered
-    /// map on lookups and scans.
+    /// of inserts, removes, splits and merges at boundaries of any width,
+    /// and agree with an ordered map on lookups and scans.
     #[test]
     fn btree_over_any_key_shape_matches_ordered_map(
-        ops in prop::collection::vec((0u8..8, key_strategy(), any::<i64>()), 1..500),
+        width in 1usize..=MAX_KEY_COMPONENTS,
+        ops in prop::collection::vec((0u8..8, raw_key_strategy(), any::<i64>()), 1..500),
+        bound_widths in prop::collection::vec(1usize..=MAX_KEY_COMPONENTS, 500..=500),
     ) {
         let mut tree = BTree::new();
         let mut model: BTreeMap<Key, i64> = BTreeMap::new();
-        for (op, key, v) in ops {
+        for ((op, raw, v), bound_width) in ops.into_iter().zip(bound_widths) {
+            let key = Key::ints(&raw[..width]);
+            let bound = Key::ints(&raw[..bound_width]);
             match op {
                 0..=3 => {
                     let a = tree.insert(key, record_for(0, v)).is_some();
@@ -402,25 +424,309 @@ proptest! {
                     prop_assert_eq!(a, model.get(&key).copied());
                 }
                 6 => {
-                    let a: Vec<&Key> = tree.range_iter(Some(&key), None).map(|(k, _)| k).collect();
-                    let b: Vec<&Key> = model.range(&key..).map(|(k, _)| k).collect();
+                    let a: Vec<Key> = tree.range_iter(Some(&bound), None).map(|(k, _)| k).collect();
+                    let b: Vec<Key> = model.range(bound..).map(|(k, _)| *k).collect();
                     prop_assert_eq!(a, b);
                 }
                 _ => {
-                    let right = tree.split_off(&key);
+                    let right = tree.split_off(&bound);
                     tree.check_invariants().map_err(TestCaseError::fail)?;
                     right.check_invariants().map_err(TestCaseError::fail)?;
-                    prop_assert!(tree.iter().all(|(k, _)| k < &key));
-                    prop_assert!(right.iter().all(|(k, _)| k >= &key));
+                    prop_assert!(tree.iter().all(|(k, _)| k < bound));
+                    prop_assert!(right.iter().all(|(k, _)| k >= bound));
                     tree.merge_from(right);
                 }
             }
             prop_assert_eq!(tree.len(), model.len());
         }
         tree.check_invariants().map_err(TestCaseError::fail)?;
-        let a: Vec<(&Key, i64)> = tree.iter().map(|(k, r)| (k, r.get(1).as_int())).collect();
-        let b: Vec<(&Key, i64)> = model.iter().map(|(k, &v)| (k, v)).collect();
+        let a: Vec<(Key, i64)> = tree.iter().map(|(k, r)| (k, r.get(1).as_int())).collect();
+        let b: Vec<(Key, i64)> = model.iter().map(|(k, &v)| (*k, v)).collect();
         prop_assert_eq!(a, b);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Packed leaves vs. an ordered map of records
+// ----------------------------------------------------------------------
+
+/// One step of the packed-leaf model workload.  Keys are cut from four raw
+/// components to the case's key width; bounds to a width of their own (`0`
+/// is unbounded), usually shorter than the keys.
+#[derive(Debug, Clone)]
+enum LeafOp {
+    /// `BTree::insert` (replaces); the table deletes and inserts.
+    Insert([i64; 4], i64),
+    /// `BTree::insert_new` and `Table::load`: a present key keeps its row.
+    InsertNew([i64; 4], i64),
+    Remove([i64; 4]),
+    /// Write an integer into the first (`false`) or second integer column;
+    /// the table increments the second one.
+    SetInt([i64; 4], bool, i64),
+    /// Write a text into the first (`false`) or second text column.
+    SetText([i64; 4], bool, String),
+    /// `split_off` at a bound, then `merge_from` the right half back.
+    SplitMerge([i64; 4], usize),
+    /// `merge_from` a bulk-loaded tree that overlaps every key `>=` the
+    /// bound with changed rows: they win.
+    MergeOverlap([i64; 4], usize, i64),
+    /// Rebuild the tree with `bulk_load` from its own entries.
+    Rebuild,
+    /// Split the table's partition at a bound (even) or merge two (odd).
+    Repartition([i64; 4], usize, u64),
+    /// Scan `[from, to)` and read up to `limit` rows of it from the table.
+    Range([i64; 4], usize, [i64; 4], usize, usize),
+}
+
+/// Texts of zero to twenty characters, empty a fifth of the time, so a
+/// text write grows, shrinks or empties its cell.
+fn text_strategy() -> impl Strategy<Value = String> {
+    let chars = vec!['a', 'z', ' ', '"', 'é', '€', '\u{1F980}'];
+    prop_oneof![
+        1 => Just(String::new()),
+        4 => prop::collection::vec(prop::sample::select(chars), 0..20)
+            .prop_map(|cs| cs.into_iter().collect()),
+    ]
+}
+
+fn leaf_op_strategy() -> impl Strategy<Value = LeafOp> {
+    let bound = || (raw_key_strategy(), 0usize..=MAX_KEY_COMPONENTS);
+    let small = || -1_000_000i64..1_000_000;
+    prop_oneof![
+        6 => (raw_key_strategy(), small()).prop_map(|(k, v)| LeafOp::Insert(k, v)),
+        3 => (raw_key_strategy(), small()).prop_map(|(k, v)| LeafOp::InsertNew(k, v)),
+        3 => raw_key_strategy().prop_map(LeafOp::Remove),
+        3 => (raw_key_strategy(), any::<bool>(), small())
+            .prop_map(|(k, second, v)| LeafOp::SetInt(k, second, v)),
+        4 => (raw_key_strategy(), any::<bool>(), text_strategy())
+            .prop_map(|(k, second, t)| LeafOp::SetText(k, second, t)),
+        1 => bound().prop_map(|(k, w)| LeafOp::SplitMerge(k, w)),
+        1 => (bound(), small()).prop_map(|((k, w), d)| LeafOp::MergeOverlap(k, w, d)),
+        1 => Just(LeafOp::Rebuild),
+        1 => (bound(), any::<u64>()).prop_map(|((k, w), u)| LeafOp::Repartition(k, w, u)),
+        2 => (bound(), bound(), 0usize..40)
+            .prop_map(|((f, fw), (t, tw), limit)| LeafOp::Range(f, fw, t, tw, limit)),
+    ]
+}
+
+/// A row of the model workload's table: the key's components, then
+/// `a: Int, s: Text, b: Int, t: Text`.
+fn leaf_row(key: &[i64], a: i64, s: &str, b: i64, t: &str) -> Record {
+    let mut values: Vec<Value> = key.iter().map(|&c| Value::Int(c)).collect();
+    values.extend([Value::Int(a), Value::from(s), Value::Int(b), Value::from(t)]);
+    Record::new(values)
+}
+
+/// `record` with column `col` set to `v`, packed afresh (not through the
+/// write path under test).
+fn with_value(record: &Record, col: usize, v: Value) -> Record {
+    let mut values: Vec<Value> = (0..record.arity()).map(|c| record.get(c)).collect();
+    values[col] = v;
+    Record::new(values)
+}
+
+/// The tree and the table hold exactly the model's rows, byte for byte,
+/// and both keep their invariants.
+fn check_leaves(
+    tree: &BTree,
+    table: &Table,
+    model: &BTreeMap<Key, Record>,
+) -> Result<(), TestCaseError> {
+    tree.check_invariants().map_err(TestCaseError::fail)?;
+    table
+        .index()
+        .check_invariants()
+        .map_err(TestCaseError::fail)?;
+    prop_assert_eq!(tree.len(), model.len());
+    prop_assert_eq!(table.len(), model.len());
+    let want = || model.iter().map(|(k, r)| (*k, r.row()));
+    if !tree.iter().eq(want()) || !table.index().iter().eq(want()) {
+        let want: Vec<(Key, Record)> = model.iter().map(|(k, r)| (*k, r.clone())).collect();
+        for got in [
+            tree.iter()
+                .map(|(k, r)| (k, r.to_record()))
+                .collect::<Vec<_>>(),
+            table
+                .index()
+                .iter()
+                .map(|(k, r)| (k, r.to_record()))
+                .collect(),
+        ] {
+            prop_assert_eq!(got, want.clone());
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// A tree and a table of packed leaves — keys at one width from one to
+    /// four, rows with two text columns — agree with an ordered map of
+    /// records after every insert, rejected duplicate, remove, integer and
+    /// text write, split, merge (overlapping ones too), bulk load,
+    /// repartitioning and scan, with bounds of every width.
+    #[test]
+    fn packed_leaves_match_the_ordered_map_model(
+        width in 1usize..=MAX_KEY_COMPONENTS,
+        bounds in prop::collection::vec((raw_key_strategy(), 1usize..=MAX_KEY_COMPONENTS), 0..4),
+        ops in prop::collection::vec(leaf_op_strategy(), 1..300),
+    ) {
+        let cut = |raw: &[i64; 4], w: usize| (w > 0).then(|| Key::ints(&raw[..w.min(width)]));
+        let columns: Vec<Column> = (0..width)
+            .map(|i| Column::new(format!("k{i}"), ColumnType::Int))
+            .chain([
+                Column::new("a", ColumnType::Int),
+                Column::new("s", ColumnType::Text),
+                Column::new("b", ColumnType::Int),
+                Column::new("t", ColumnType::Text),
+            ])
+            .collect();
+        let schema = Schema::new("packed", columns, (0..width).collect());
+        let mut bounds: Vec<Key> = bounds.iter().filter_map(|(raw, w)| cut(raw, *w)).collect();
+        bounds.sort();
+        bounds.dedup();
+        let nodes = vec![SocketId(0); bounds.len() + 1];
+        let mut table = Table::range_partitioned(TableId(0), schema, bounds, nodes);
+        let mut tree = BTree::new();
+        let mut model: BTreeMap<Key, Record> = BTreeMap::new();
+        let topo = Topology::multisocket(2, 2);
+        let cost = CostModel::westmere();
+        let mut ctx = SimCtx::new(&topo, &cost, CoreId(0), 0);
+        let (a, s, b, t) = (width, width + 1, width + 2, width + 3);
+        for op in ops {
+            match op {
+                LeafOp::Insert(raw, v) => {
+                    let key = Key::ints(&raw[..width]);
+                    let row = leaf_row(&raw[..width], v, "ins", -v, "");
+                    prop_assert_eq!(tree.insert(key, row.clone()), model.get(&key).cloned());
+                    if model.contains_key(&key) {
+                        table.delete(&mut ctx, &key).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    }
+                    prop_assert_eq!(table.insert(&mut ctx, row.clone()).ok(), Some(key));
+                    model.insert(key, row);
+                }
+                LeafOp::InsertNew(raw, v) => {
+                    let key = Key::ints(&raw[..width]);
+                    let row = leaf_row(&raw[..width], v, "new", v, "ü");
+                    let present = model.contains_key(&key);
+                    prop_assert_eq!(tree.insert_new(key, row.clone()).err(), present.then(|| row.clone()));
+                    prop_assert_eq!(table.load(row.clone()).is_err(), present);
+                    model.entry(key).or_insert(row);
+                }
+                LeafOp::Remove(raw) => {
+                    let key = Key::ints(&raw[..width]);
+                    let want = model.remove(&key);
+                    prop_assert_eq!(tree.remove(&key), want.clone());
+                    prop_assert_eq!(table.delete(&mut ctx, &key).ok(), want);
+                }
+                LeafOp::SetInt(raw, second, v) => {
+                    let key = Key::ints(&raw[..width]);
+                    let col = if second { b } else { a };
+                    let Some(old) = model.get(&key) else {
+                        prop_assert!(tree.get_mut(&key).is_none());
+                        prop_assert!(table.increment(&mut ctx, &key, b, v).is_err());
+                        continue;
+                    };
+                    let new = old.int(col).unwrap() + v;
+                    let mut row = tree.get_mut(&key).unwrap();
+                    prop_assert_eq!(row.int(col), old.int(col));
+                    row.set(col, &Value::Int(new));
+                    if second {
+                        table.increment(&mut ctx, &key, col, v)
+                    } else {
+                        table.update(&mut ctx, &key, &[(col, Value::Int(new))])
+                    }
+                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    let new = with_value(old, col, Value::Int(new));
+                    model.insert(key, new);
+                }
+                LeafOp::SetText(raw, second, text) => {
+                    let key = Key::ints(&raw[..width]);
+                    let col = if second { t } else { s };
+                    let Some(old) = model.get(&key) else {
+                        prop_assert!(tree.get_mut(&key).is_none());
+                        continue;
+                    };
+                    let v = Value::Text(text);
+                    tree.get_mut(&key).unwrap().set(col, &v);
+                    table
+                        .update(&mut ctx, &key, &[(col, v.clone())])
+                        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    let new = with_value(old, col, v);
+                    model.insert(key, new);
+                }
+                LeafOp::SplitMerge(raw, w) => {
+                    let Some(bound) = cut(&raw, w) else { continue };
+                    let right = tree.split_off(&bound);
+                    tree.check_invariants().map_err(TestCaseError::fail)?;
+                    right.check_invariants().map_err(TestCaseError::fail)?;
+                    prop_assert!(tree.iter().map(|(k, _)| k).eq(model.range(..bound).map(|(k, _)| *k)));
+                    prop_assert!(right.iter().map(|(k, _)| k).eq(model.range(bound..).map(|(k, _)| *k)));
+                    tree.merge_from(right);
+                }
+                LeafOp::MergeOverlap(raw, w, d) => {
+                    let Some(bound) = cut(&raw, w) else { continue };
+                    let changed: Vec<(Key, Record)> = model
+                        .range(bound..)
+                        .map(|(k, r)| (*k, with_value(r, a, Value::Int(r.int(a).unwrap() ^ d))))
+                        .collect();
+                    for (key, row) in &changed {
+                        let v = row.get(a);
+                        table
+                            .update(&mut ctx, key, &[(a, v)])
+                            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    }
+                    model.extend(changed.iter().cloned());
+                    tree.merge_from(BTree::bulk_load(changed));
+                }
+                LeafOp::Rebuild => {
+                    tree = BTree::bulk_load(tree.iter().map(|(k, r)| (k, r.to_record())).collect());
+                }
+                LeafOp::Repartition(raw, w, u) => {
+                    let index = table.index_mut();
+                    match cut(&raw, w) {
+                        Some(bound) if u % 2 == 0 => {
+                            let idx = index.partition_for(&bound);
+                            let on_bound = index.lower_bound(idx) == Some(&bound);
+                            prop_assert_eq!(
+                                index.split_partition(idx, bound, SocketId(1)).is_err(),
+                                on_bound
+                            );
+                        }
+                        _ if index.num_partitions() > 1 => {
+                            let idx = u as usize % (index.num_partitions() - 1);
+                            index.merge_with_next(idx).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                        }
+                        _ => {}
+                    }
+                }
+                LeafOp::Range(f, fw, to, tw, limit) => {
+                    let (from, to) = (cut(&f, fw), cut(&to, tw));
+                    let want: Vec<(Key, Record)> = match (&from, &to) {
+                        (Some(f), Some(t)) if f >= t => Vec::new(),
+                        _ => {
+                            let lo = from.map_or(Bound::Unbounded, Bound::Included);
+                            let hi = to.map_or(Bound::Unbounded, Bound::Excluded);
+                            model.range((lo, hi)).map(|(k, r)| (*k, r.clone())).collect()
+                        }
+                    };
+                    let got: Vec<(Key, Record)> = tree
+                        .range_iter(from.as_ref(), to.as_ref())
+                        .map(|(k, r)| (k, r.to_record()))
+                        .collect();
+                    prop_assert_eq!(&got, &want);
+                    let read: Vec<Record> = table
+                        .range_read(&mut ctx, from.as_ref(), to.as_ref(), limit)
+                        .into_iter()
+                        .map(|r| r.to_record())
+                        .collect();
+                    let want: Vec<Record> = want.into_iter().take(limit).map(|(_, r)| r).collect();
+                    prop_assert_eq!(read, want);
+                }
+            }
+            check_leaves(&tree, &table, &model)?;
+        }
     }
 }
 

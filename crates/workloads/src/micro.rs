@@ -5,7 +5,7 @@ use atrapos_core::KeyDomain;
 use atrapos_engine::workload::{ensure_tables, ReconfigureError, WorkloadChange};
 use atrapos_engine::{Action, ActionOp, Phase, TableSpec, TransactionSpec, Workload};
 use atrapos_numa::CoreId;
-use atrapos_storage::{Column, ColumnType, Database, Key, Record, Schema, TableId};
+use atrapos_storage::{Column, ColumnType, Database, Key, Schema, TableId};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -21,10 +21,9 @@ fn probe_schema(name: &str) -> Schema {
     )
 }
 
-fn probe_record(key: i64) -> Record {
+fn probe_row(key: i64) -> [i64; 10] {
     // Column 0 is the primary key; the remaining columns carry payload.
-    let values: [i64; 10] = std::array::from_fn(|c| if c == 0 { key } else { key * 10 + c as i64 });
-    Record::ints(&values)
+    std::array::from_fn(|c| if c == 0 { key } else { key * 10 + c as i64 })
 }
 
 fn populate_probe(
@@ -38,7 +37,7 @@ fn populate_probe(
     for i in 0..rows {
         let key = Key::int(i);
         if filter(TableId(0), &key) {
-            table.load(probe_record(i)).expect("unique keys");
+            table.load_ints(&probe_row(i)).expect("unique keys");
         }
     }
 }

@@ -386,7 +386,7 @@ impl Workload for Tatp {
                 for ai in 1..=per_sub {
                     let key = Key::ints(&[s, ai]);
                     if filter(ACCESS_INFO, &key) {
-                        t.load(Record::ints(&[s, ai, s % 256, ai % 256]))
+                        t.load_ints(&[s, ai, s % 256, ai % 256])
                             .expect("unique access info");
                     }
                 }
@@ -400,7 +400,7 @@ impl Workload for Tatp {
                 for sf in 1..=per_sub {
                     let key = Key::ints(&[s, sf]);
                     if filter(SPECIAL_FACILITY, &key) {
-                        t.load(Record::ints(&[s, sf, 1, (s + sf) % 256]))
+                        t.load_ints(&[s, sf, 1, (s + sf) % 256])
                             .expect("unique special facility");
                     }
                 }

@@ -658,7 +658,7 @@ impl Workload for Tpcc {
                 for i in 1..=c.items {
                     let key = Key::ints(&[w, i]);
                     if filter(STOCK, &key) {
-                        t.load(Record::ints(&[w, i, 50 + (i % 50), 0]))
+                        t.load_ints(&[w, i, 50 + (i % 50), 0])
                             .expect("unique stock");
                     }
                 }
@@ -667,7 +667,7 @@ impl Workload for Tpcc {
                 if filter(DISTRICT, &Key::ints(&[w, d])) {
                     db.table_mut(DISTRICT)
                         .expect("district table")
-                        .load(Record::ints(&[w, d, 0, c.initial_orders_per_district + 1]))
+                        .load_ints(&[w, d, 0, c.initial_orders_per_district + 1])
                         .expect("unique district");
                 }
                 {
@@ -675,7 +675,7 @@ impl Workload for Tpcc {
                     for cu in 1..=c.customers_per_district {
                         let key = Key::ints(&[w, d, cu]);
                         if filter(CUSTOMER, &key) {
-                            t.load(Record::ints(&[w, d, cu, -10, 1, 0]))
+                            t.load_ints(&[w, d, cu, -10, 1, 0])
                                 .expect("unique customer");
                         }
                     }
@@ -686,36 +686,21 @@ impl Workload for Tpcc {
                     if filter(ORDER, &Key::ints(&[w, d, o])) {
                         db.table_mut(ORDER)
                             .expect("order table")
-                            .load(Record::ints(&[
-                                w,
-                                d,
-                                o,
-                                cu,
-                                if o < undelivered_from { 1 } else { 0 },
-                                5,
-                            ]))
+                            .load_ints(&[w, d, o, cu, if o < undelivered_from { 1 } else { 0 }, 5])
                             .expect("unique order");
                     }
                     if o >= undelivered_from && filter(NEW_ORDER, &Key::ints(&[w, d, o])) {
                         db.table_mut(NEW_ORDER)
                             .expect("new_order table")
-                            .load(Record::ints(&[w, d, o]))
+                            .load_ints(&[w, d, o])
                             .expect("unique new order");
                     }
                     let t = db.table_mut(ORDER_LINE).expect("order_line table");
                     for ol in 1..=5 {
                         let key = Key::ints(&[w, d, o, ol]);
                         if filter(ORDER_LINE, &key) {
-                            t.load(Record::ints(&[
-                                w,
-                                d,
-                                o,
-                                ol,
-                                ((o * 7 + ol) % c.items) + 1,
-                                5,
-                                100,
-                            ]))
-                            .expect("unique order line");
+                            t.load_ints(&[w, d, o, ol, ((o * 7 + ol) % c.items) + 1, 5, 100])
+                                .expect("unique order line");
                         }
                     }
                 }

@@ -120,17 +120,17 @@ fn point_probe_hot_path_regions_are_live() {
         ),
         (
             "crates/storage/src/btree.rs",
-            "return leaf.keys.search(key).ok().map(|i| &leaf.values[i]);",
+            "return leaf.keys.search(key).ok().map(|i| leaf.row(i));",
         ),
         (
             "crates/storage/src/btree.rs",
             "let mut node = &mut self.root;",
         ),
-        ("crates/storage/src/btree.rs", "let lo = run.start;"),
         (
-            "crates/storage/src/mrbtree.rs",
-            "self.lowers.child_index(key)",
+            "crates/storage/src/btree.rs",
+            "let head = probe.head_int();",
         ),
+        ("crates/storage/src/mrbtree.rs", "self.lowers.count_le(key)"),
         (
             "crates/storage/src/lock_manager.rs",
             "let (latch, entry) = match id {",

@@ -63,7 +63,7 @@ fn digest(dbs: &[&Database]) -> (usize, u64) {
             let rows = tables.entry(table.id.0).or_default();
             for (key, row) in table.index().iter() {
                 let values: Vec<Value> = (0..row.arity()).map(|c| row.get(c)).collect();
-                if let Some(held) = rows.insert(*key, values.clone()) {
+                if let Some(held) = rows.insert(key, values.clone()) {
                     assert_eq!(
                         held, values,
                         "instances disagree on table {} key {key}",
