@@ -64,6 +64,11 @@ use std::fmt;
 /// materializes one CDF entry per key; see `atrapos_core::distribution`).
 const MAX_ZIPFIAN_KEYS: i64 = 1 << 23;
 
+/// Most rows a spec may declare, summed over its tables: `populate` loads
+/// every one of them, so a larger spec would run the host out of memory
+/// instead of failing validation.  The largest shipped spec has 1 M rows.
+pub const MAX_SPEC_ROWS: i64 = 1 << 26;
+
 // ---------------------------------------------------------------------
 // The spec vocabulary
 // ---------------------------------------------------------------------
@@ -251,7 +256,8 @@ pub enum SpecError {
         table: String,
     },
     /// The spec's row count (`keys × sub_rows`, summed over the tables)
-    /// overflows an `i64`; reported at the table where it does.
+    /// passes [`MAX_SPEC_ROWS`]; reported at the table where it overflows
+    /// an `i64`, if it does, and otherwise where it passes the cap.
     TooManyRows {
         /// The offending table.
         table: String,
@@ -382,7 +388,8 @@ impl fmt::Display for SpecError {
             }
             SpecError::TooManyRows { table } => write!(
                 f,
-                "table '{table}' takes the spec's row count (keys x sub_rows) past i64"
+                "table '{table}' takes the spec's row count (keys x sub_rows, summed over \
+                 the tables) past the cap of {MAX_SPEC_ROWS} rows"
             ),
             SpecError::TooManyColumns { table } => write!(
                 f,
@@ -506,6 +513,7 @@ impl WorkloadSpec {
             return Err(SpecError::NoTemplates);
         }
         let mut rows = 0i64;
+        let mut past_cap = None;
         for (i, t) in self.tables.iter().enumerate() {
             if self.tables[..i].iter().any(|o| o.name == t.name) {
                 return Err(SpecError::DuplicateTable {
@@ -524,6 +532,9 @@ impl WorkloadSpec {
                 .ok_or_else(|| SpecError::TooManyRows {
                     table: t.name.clone(),
                 })?;
+            if rows > MAX_SPEC_ROWS && past_cap.is_none() {
+                past_cap = Some(t.name.clone());
+            }
             // Compared this way round, a huge `payload_fields` cannot
             // overflow the column count.
             if t.payload_fields > MAX_COLUMNS - self.key_arity(i) {
@@ -545,6 +556,9 @@ impl WorkloadSpec {
                     });
                 }
             }
+        }
+        if let Some(table) = past_cap {
+            return Err(SpecError::TooManyRows { table });
         }
         let mut total = 0.0f64;
         for (i, tpl) in self.templates.iter().enumerate() {
@@ -1031,25 +1045,25 @@ fn key_of(slot: KeySlot, args: &[i64]) -> Key {
     }
 }
 
-/// The record stored under head key `k` of a plain table: the key column
-/// plus `payload_fields` integer fields.
-fn plain_record(k: i64, payload_fields: usize) -> Record {
+/// Hand `f` the integers stored under head key `k` of a plain table: the
+/// key column plus `payload_fields` integer fields.
+fn with_plain_row<R>(k: i64, payload_fields: usize, f: impl FnOnce(&[i64]) -> R) -> R {
     let mut values = [0; MAX_COLUMNS];
     values[0] = k;
     for (f, v) in (0..).zip(&mut values[1..=payload_fields]) {
         *v = k * 10 + f;
     }
-    Record::ints(&values[..1 + payload_fields])
+    f(&values[..1 + payload_fields])
 }
 
-/// The record stored under `(i, j)` of a composite-key table.
-fn composite_record(i: i64, j: i64, payload_fields: usize) -> Record {
+/// Hand `f` the integers stored under `(i, j)` of a composite-key table.
+fn with_composite_row<R>(i: i64, j: i64, payload_fields: usize, f: impl FnOnce(&[i64]) -> R) -> R {
     let mut values = [0; MAX_COLUMNS];
     values[..2].copy_from_slice(&[i, j]);
     for (f, v) in (0..).zip(&mut values[2..2 + payload_fields]) {
         *v = i * 100 + j + f;
     }
-    Record::ints(&values[..2 + payload_fields])
+    f(&values[..2 + payload_fields])
 }
 
 impl Workload for CompiledWorkload {
@@ -1100,8 +1114,7 @@ impl Workload for CompiledWorkload {
                     for j in 0..t.sub_rows {
                         let key = Key::ints(&[k, j]);
                         if filter(id, &key) {
-                            table
-                                .load(composite_record(k, j, t.payload_fields))
+                            with_composite_row(k, j, t.payload_fields, |row| table.load_ints(row))
                                 .expect("unique keys");
                         }
                     }
@@ -1110,8 +1123,7 @@ impl Workload for CompiledWorkload {
                 for k in 0..t.keys {
                     let key = Key::int(k);
                     if filter(id, &key) {
-                        table
-                            .load(plain_record(k, t.payload_fields))
+                        with_plain_row(k, t.payload_fields, |row| table.load_ints(row))
                             .expect("unique keys");
                     }
                 }
@@ -1197,7 +1209,7 @@ impl Workload for CompiledWorkload {
                         insert_cursors[*table] += 1;
                         Action::new(ActionOp::Insert {
                             table: TableId(*table as u32),
-                            record: plain_record(k, tables[*table].payload_fields),
+                            record: with_plain_row(k, tables[*table].payload_fields, Record::ints),
                         })
                     }
                 });
@@ -1590,6 +1602,28 @@ mod tests {
         let mut spec = simple_ab(100);
         spec.tables[0].keys = i64::MAX - 100;
         assert_eq!(spec.validate(), too_many);
+    }
+
+    /// A spec declares at most `MAX_SPEC_ROWS` rows, summed over its tables:
+    /// one row more is a typed error naming the cap and the table where
+    /// the count passes it, not a `populate` that runs out of memory.
+    #[test]
+    fn row_counts_past_the_cap_are_rejected() {
+        let too_many = |table: &str| {
+            Err(SpecError::TooManyRows {
+                table: table.to_string(),
+            })
+        };
+        // Table B holds `keys × sub_rows` = 400 rows.
+        let mut spec = simple_ab(100);
+        spec.tables[0].keys = MAX_SPEC_ROWS - 400;
+        assert_eq!(spec.validate(), Ok(()));
+        spec.tables[0].keys += 1;
+        assert_eq!(spec.validate(), too_many("B"));
+        spec.tables[0].keys = MAX_SPEC_ROWS + 1;
+        assert_eq!(spec.validate(), too_many("A"));
+        let message = spec.validate().unwrap_err().to_string();
+        assert!(message.contains("cap of 67108864 rows"), "{message}");
     }
 
     /// A row as wide as a record holds loads; one column more — or a
