@@ -221,17 +221,12 @@ impl KeyColumn {
 
     /// Number of keys.
     #[inline]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         if self.width >= 2 {
             self.heads.len()
         } else {
             self.comps.len()
         }
-    }
-
-    /// Whether the column holds no key.
-    pub fn is_empty(&self) -> bool {
-        self.comps.is_empty()
     }
 
     /// The components of key `i`.
@@ -242,7 +237,7 @@ impl KeyColumn {
 
     /// Key `i`.
     #[inline]
-    pub fn key(&self, i: usize) -> Key {
+    fn key(&self, i: usize) -> Key {
         Key::ints(self.comps_at(i))
     }
 
@@ -495,8 +490,13 @@ impl Leaf {
     /// Where slot `i`'s row lies in `rows`.
     #[inline]
     fn span(&self, i: usize) -> Range<usize> {
-        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
-        start..self.ends[i] as usize
+        self.span_start(i)..self.ends[i] as usize
+    }
+
+    /// Where slot `i`'s row starts (the end of the block for `i == len`).
+    #[inline]
+    fn span_start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |p| self.ends[p] as usize)
     }
 
     /// The row in slot `i`.
@@ -549,12 +549,6 @@ impl Leaf {
         reserve_slots(&mut self.ends, 1, NODE_SLOTS);
         self.ends.insert(i, (at + bytes.len()) as u32);
         self.shift_ends(i + 1, bytes.len() as isize);
-    }
-
-    /// Where slot `i`'s row starts (the end of the block for `i == len`).
-    #[inline]
-    fn span_start(&self, i: usize) -> usize {
-        i.checked_sub(1).map_or(0, |p| self.ends[p] as usize)
     }
 
     /// Replace the row in slot `i` with `row`, returning the old one.
@@ -1031,9 +1025,8 @@ impl Node {
                 }
                 for (i, k) in leaf.keys.keys().enumerate() {
                     let row = leaf.row(i);
-                    let cells = 8 * row.arity();
-                    if row.bytes().len() < cells || row.size_bytes() > row.bytes().len() as u64 {
-                        return Err(format!("leaf row under key {k} is malformed"));
+                    if row.bytes().len() < 8 * row.arity() {
+                        return Err(format!("leaf row under key {k} is shorter than its cells"));
                     }
                     if lower.is_some_and(|lo| k < *lo) {
                         return Err(format!("leaf key {k} below lower bound"));
