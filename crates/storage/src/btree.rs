@@ -754,19 +754,15 @@ impl BTree {
 
     /// In-order iterator over `(key, row)` pairs.
     pub fn iter(&self) -> Iter<'_> {
-        Iter::new(&self.root, None)
+        Iter::new(&self.root, None, None)
     }
 
     /// Lazy in-order cursor over the entries whose keys are in `[from, to)`
     /// (`None` bounds are unbounded): one descent to the leaf holding
     /// `from`, then a leaf-to-leaf walk that stops at the first key
     /// `>= to` — O(height + entries yielded), wherever the range starts.
-    pub fn range_iter<'a, 'k>(
-        &'a self,
-        from: Option<&Key>,
-        to: Option<&'k Key>,
-    ) -> impl Iterator<Item = (Key, Row<'a>)> + use<'a, 'k> {
-        Iter::new(&self.root, from).take_while(move |(k, _)| to.is_none_or(|t| k < t))
+    pub fn range_iter(&self, from: Option<&Key>, to: Option<&Key>) -> Iter<'_> {
+        Iter::new(&self.root, from, to.copied())
     }
 
     /// Build a tree from key-sorted, duplicate-free pairs.
@@ -1085,6 +1081,9 @@ pub struct Iter<'a> {
     /// Stack of (internal node, next child index) plus the current leaf.
     stack: Vec<(&'a Internal, usize)>,
     leaf: Option<(&'a Leaf, usize)>,
+    /// The exclusive upper bound (`None` = unbounded), compared on the
+    /// slot's components before its key is built.
+    to: Option<Key>,
 }
 
 #[cfg(test)]
@@ -1096,11 +1095,12 @@ thread_local! {
 
 impl<'a> Iter<'a> {
     /// A cursor at the first entry with key `>= from` (the very first entry
-    /// when `from` is `None`).
-    fn new(root: &'a Node, from: Option<&Key>) -> Self {
+    /// when `from` is `None`) that ends before the first key `>= to`.
+    fn new(root: &'a Node, from: Option<&Key>, to: Option<Key>) -> Self {
         let mut it = Iter {
             stack: Vec::new(),
             leaf: None,
+            to,
         };
         it.seek(root, from);
         it
@@ -1145,15 +1145,23 @@ impl<'a> Iter<'a> {
     }
 }
 
-impl<'a> Iterator for Iter<'a> {
-    type Item = (Key, Row<'a>);
-
-    fn next(&mut self) -> Option<Self::Item> {
+impl<'a> Iter<'a> {
+    /// The next slot in key order below the upper bound: its leaf and
+    /// index.
+    #[inline]
+    fn next_slot(&mut self) -> Option<(&'a Leaf, usize)> {
         loop {
             match self.leaf {
                 Some((leaf, idx)) if idx < leaf.len() => {
+                    if self
+                        .to
+                        .is_some_and(|to| leaf.keys.comps_at(idx) >= to.comps())
+                    {
+                        self.leaf = None;
+                        return None;
+                    }
                     self.leaf = Some((leaf, idx + 1));
-                    return Some((leaf.keys.key(idx), leaf.row(idx)));
+                    return Some((leaf, idx));
                 }
                 Some(_) => {
                     if !self.advance_to_next_leaf() {
@@ -1163,6 +1171,33 @@ impl<'a> Iterator for Iter<'a> {
                 None => return None,
             }
         }
+    }
+
+    /// The rows alone: no key is built.
+    pub fn rows(self) -> Rows<'a> {
+        Rows(self)
+    }
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (Key, Row<'a>);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_slot()
+            .map(|(leaf, idx)| (leaf.keys.key(idx), leaf.row(idx)))
+    }
+}
+
+/// The rows of an [`Iter`], in key order.
+pub struct Rows<'a>(Iter<'a>);
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = Row<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Row<'a>> {
+        self.0.next_slot().map(|(leaf, idx)| leaf.row(idx))
     }
 }
 

@@ -195,13 +195,35 @@ impl MrBTree {
         from: Option<&'k Key>,
         to: Option<&'k Key>,
     ) -> impl Iterator<Item = (Key, Row<'a>)> + use<'a, 'k> {
+        self.range_trees(from, to)
+            .flat_map(move |t| t.range_iter(from, to))
+    }
+
+    /// [`MrBTree::range_iter`]'s rows alone, with no key built.
+    pub fn range_rows<'a, 'k>(
+        &'a self,
+        from: Option<&'k Key>,
+        to: Option<&'k Key>,
+    ) -> impl Iterator<Item = Row<'a>> + use<'a, 'k> {
+        self.range_trees(from, to)
+            .flat_map(move |t| t.range_iter(from, to).rows())
+    }
+
+    /// The trees of the partitions that overlap `[from, to)`, in order.
+    fn range_trees<'a, 'k>(
+        &'a self,
+        from: Option<&Key>,
+        to: Option<&'k Key>,
+    ) -> impl Iterator<Item = &'a BTree> + use<'a, 'k> {
         let start = from.map_or(0, |k| self.partition_for(k));
-        (start..self.partitions.len())
-            .take_while(move |&i| match (self.lower_bound(i), to) {
+        self.partitions[start..]
+            .iter()
+            .enumerate()
+            .take_while(move |&(i, _)| match (self.lower_bound(start + i), to) {
                 (Some(lower), Some(to)) => lower < to,
                 _ => true,
             })
-            .flat_map(move |i| self.partitions[i].tree.range_iter(from, to))
+            .map(|(_, p)| &p.tree)
     }
 
     /// Move the memory allocation of partition `idx` to `node` (models

@@ -1,10 +1,13 @@
 //! Values, records, and keys.
 //!
-//! A [`Record`] packs one row into a single exact-size heap block: one
-//! 8-byte little-endian cell per column, then the UTF-8 bytes of its text
-//! columns.  An integer cell is the value; a text cell is the
-//! `offset << 32 | len` of its bytes in that tail.  A [`Key`] is up to
-//! four inline integers with no heap part at all.
+//! A row is one 8-byte little-endian cell per column, then the UTF-8 bytes
+//! of its text columns.  An integer cell is the value; a text cell is the
+//! `offset << 32 | len` of its bytes in that tail.  A [`Record`] owns one
+//! row in a single exact-size heap block; a [`Row`] borrows one, wherever
+//! its bytes live — a record, or a slot of a B+-tree leaf, which keeps all
+//! of its rows back to back in one block.  `write_cell` is the one path
+//! that writes into packed rows.  A [`Key`] is up to four inline integers
+//! with no heap part at all.
 
 use crate::schema::{ColumnType, Schema};
 use std::cmp::Ordering;
@@ -362,7 +365,7 @@ impl Record {
     }
 
     /// Overwrite column `i`.  A value of the column's type is written into
-    /// the block as a leaf writes it ([`write_cell`]); a value of the other
+    /// the block as a leaf writes it (`write_cell`); a value of the other
     /// type repacks the row.
     pub fn set(&mut self, i: usize, v: &Value) {
         if self.row().column_type(i) == v.column_type() {

@@ -272,9 +272,8 @@ impl Table {
     ) -> Vec<Row<'_>> {
         let rows: Vec<Row<'_>> = self
             .index
-            .range_iter(from, to)
+            .range_rows(from, to)
             .take(limit)
-            .map(|(_, r)| r)
             // lint: allow(hot-path-alloc) — the rows handed back to the caller; the scan's one allocation
             .collect();
         // Charge a probe on the first relevant partition plus streaming cost
