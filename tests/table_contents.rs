@@ -33,7 +33,7 @@ use std::path::PathBuf;
 
 /// Transactions per run.
 const TXNS: usize = 3_000;
-/// Monitoring interval of the driver, in virtual seconds.
+/// Monitoring interval of the closed loop, in virtual seconds.
 const INTERVAL_SECS: f64 = 0.0005;
 
 /// 64-bit FNV-1a.
