@@ -1617,9 +1617,10 @@ mod tests {
         h.finish()
     }
 
-    /// Insert-built shapes, pinned by digests of the same trees built with
-    /// a search on every insert: the right-spine shortcut must give every
-    /// insert the slot the search gives.
+    /// Insert-built shapes and the heap bytes of their nodes, pinned by the
+    /// same trees built with a search on every insert: the right-spine
+    /// shortcuts must give every insert the slot the search gives, and
+    /// every node vector the capacity it had.
     #[test]
     fn insert_built_shapes_are_pinned() {
         let mut ascending = BTree::new();
@@ -1660,13 +1661,52 @@ mod tests {
         }
         orders.check_invariants().unwrap();
 
+        // Three-int keys over rows whose text runs 0 to 60 bytes, loaded
+        // ascending: a row longer than the ones before it outgrows the
+        // bytes its leaf reserved.
+        let mut texts = BTree::new();
+        for i in 0..6_000i64 {
+            let text = "t".repeat((i * 37 % 61) as usize);
+            let row = Record::new(vec![Value::Int(i), Value::from(text), Value::Int(-i)]);
+            texts.insert(Key::ints(&[i / 1_000, i / 10 % 100, i % 10]), row);
+        }
+        texts.check_invariants().unwrap();
+
+        // Ascending runs after removes lazily emptied the rightmost leaf
+        // (and the one before it): the next run starts in the gap, then
+        // above everything the tree ever held.
+        let mut emptied = BTree::new();
+        for i in 0..5_000 {
+            emptied.insert(Key::int(i), rec(i));
+        }
+        for i in 4_900..5_000 {
+            emptied.remove(&Key::int(i));
+        }
+        for i in 4_950..7_000 {
+            emptied.insert(Key::int(i), rec(i));
+        }
+        for i in (6_000..7_000).rev() {
+            emptied.remove(&Key::int(i));
+        }
+        for i in 7_000..7_500 {
+            emptied.insert(Key::int(i), rec(i));
+        }
+        emptied.check_invariants().unwrap();
+
+        let trees = [&ascending, &mixed, &orders, &texts, &emptied];
         assert_eq!(
-            [&ascending, &mixed, &orders].map(shape_digest),
+            trees.map(shape_digest),
             [
                 0xc5d2_0c1d_61a0_3dc2,
                 0xf427_3f7f_f7cf_665b,
-                0x3cd7_1543_aa50_ddde
+                0x3cd7_1543_aa50_ddde,
+                0x8a24_b07a_77d2_4864,
+                0x4dbf_7e1e_9df4_ad02,
             ]
+        );
+        assert_eq!(
+            trees.map(BTree::heap_bytes),
+            [327_916, 415_072, 513_664, 580_415, 248_332]
         );
     }
 

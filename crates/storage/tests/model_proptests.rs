@@ -19,9 +19,10 @@
 //!   block per leaf — of a `BTree` and of a `Table` are driven against a
 //!   `BTreeMap<Key, Record>` through inserts, rejected duplicates, removes,
 //!   integer and text writes (texts that grow, shrink and empty), splits,
-//!   merges, bulk loads, repartitionings and scans with bounds shorter
-//!   than the keys; after every step the contents equal the model's byte
-//!   for byte and every invariant holds.
+//!   merges, bulk loads, repartitionings, scans with bounds shorter than
+//!   the keys, and runs of appends above the maximum interleaved with
+//!   inserts and removes of it; after every step the contents equal the
+//!   model's byte for byte and every invariant holds.
 //! * The packed row block (`Record`) is checked against the `Vec<Value>`
 //!   row it replaced: accessors, writes, schema checks, key extraction,
 //!   equality, and the `Debug` form byte for byte.
@@ -476,6 +477,11 @@ enum LeafOp {
     Repartition([i64; 4], usize, u64),
     /// Scan `[from, to)` and read up to `limit` rows of it from the table.
     Range([i64; 4], usize, [i64; 4], usize, usize),
+    /// Append keys above the maximum, each `step` above the one before in
+    /// its last component, and after each one touch the new maximum as
+    /// `then` says: 0 nothing, 1 `insert_new` it (rejected), 2 `insert`
+    /// it (replaced), 3 remove it.
+    Append(Vec<(i64, u8)>, i64),
 }
 
 /// Texts of zero to twenty characters, empty a fifth of the time, so a
@@ -506,6 +512,8 @@ fn leaf_op_strategy() -> impl Strategy<Value = LeafOp> {
         1 => (bound(), any::<u64>()).prop_map(|((k, w), u)| LeafOp::Repartition(k, w, u)),
         2 => (bound(), bound(), 0usize..40)
             .prop_map(|((f, fw), (t, tw), limit)| LeafOp::Range(f, fw, t, tw, limit)),
+        2 => (prop::collection::vec((1i64..4, 0u8..4), 1..150), small())
+            .prop_map(|(steps, v)| LeafOp::Append(steps, v)),
     ]
 }
 
@@ -565,7 +573,8 @@ proptest! {
     /// four, rows with two text columns — agree with an ordered map of
     /// records after every insert, rejected duplicate, remove, integer and
     /// text write, split, merge (overlapping ones too), bulk load,
-    /// repartitioning and scan, with bounds of every width.
+    /// repartitioning and scan, with bounds of every width, and through
+    /// ascending runs that re-insert or remove their maximum.
     #[test]
     fn packed_leaves_match_the_ordered_map_model(
         width in 1usize..=MAX_KEY_COMPONENTS,
@@ -723,6 +732,49 @@ proptest! {
                         .collect();
                     let want: Vec<Record> = want.into_iter().take(limit).map(|(_, r)| r).collect();
                     prop_assert_eq!(read, want);
+                }
+                LeafOp::Append(steps, v) => {
+                    for (i, (step, then)) in (0..).zip(steps) {
+                        // A row's first columns are its key's components.
+                        let mut comps = [0; 4];
+                        if let Some(max) = model.values().next_back() {
+                            for (c, slot) in comps[..width].iter_mut().enumerate() {
+                                *slot = max.int(c).unwrap();
+                            }
+                        }
+                        let Some(last) = comps[width - 1].checked_add(step) else { break };
+                        comps[width - 1] = last;
+                        let key = Key::ints(&comps[..width]);
+                        let row = leaf_row(&comps[..width], v + i, "app", i, "end");
+                        prop_assert!(tree.insert_new(key, row.clone()).is_ok());
+                        // The table appends through both of its paths.
+                        if i % 2 == 0 {
+                            table.load(row.clone()).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                        } else {
+                            prop_assert_eq!(table.insert(&mut ctx, row.clone()).ok(), Some(key));
+                        }
+                        model.insert(key, row.clone());
+                        match then {
+                            1 => {
+                                let again = leaf_row(&comps[..width], -v, "dup", i, "");
+                                prop_assert_eq!(tree.insert_new(key, again.clone()).err(), Some(again.clone()));
+                                prop_assert!(table.load(again).is_err());
+                            }
+                            2 => {
+                                let new = leaf_row(&comps[..width], -v, "replaced", i, "");
+                                prop_assert_eq!(tree.insert(key, new.clone()), Some(row.clone()));
+                                table.delete(&mut ctx, &key).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                                prop_assert_eq!(table.insert(&mut ctx, new.clone()).ok(), Some(key));
+                                model.insert(key, new);
+                            }
+                            3 => {
+                                prop_assert_eq!(tree.remove(&key), Some(row.clone()));
+                                prop_assert_eq!(table.delete(&mut ctx, &key).ok(), Some(row));
+                                model.remove(&key);
+                            }
+                            _ => {}
+                        }
+                    }
                 }
             }
             check_leaves(&tree, &table, &model)?;
