@@ -10,6 +10,7 @@
 use atrapos_numa::{CoreId, Topology};
 use atrapos_storage::{Key, TableId};
 use serde::{Deserialize, Serialize};
+use std::ops::RangeInclusive;
 
 /// The integer key domain `[lo, hi)` of a table (all built-in workloads use
 /// integer-headed keys; composite keys partition by their head column).
@@ -34,11 +35,12 @@ impl KeyDomain {
     }
 
     /// The sub-partition index (out of `n_sub`) a key head falls into.
+    // Once per loaded row of a shared-nothing instance, and per action.
+    // lint: hot-path
+    #[inline]
     pub fn sub_partition_of(&self, key_head: i64, n_sub: usize) -> usize {
-        let clamped = key_head.clamp(self.lo, self.hi - 1);
-        let offset = (clamped - self.lo) as i128;
-        let idx = offset * n_sub as i128 / self.width() as i128;
-        (idx as usize).min(n_sub - 1)
+        let offset = key_head.clamp(self.lo, self.hi - 1) - self.lo;
+        (mul_div(offset, n_sub, 0, self.width()) as usize).min(n_sub - 1)
     }
 
     /// The inclusive lower key of sub-partition `idx` (out of `n_sub`): the
@@ -49,9 +51,41 @@ impl KeyDomain {
     /// built from these keys agree exactly with the logical routing.
     pub fn sub_partition_lower(&self, idx: usize, n_sub: usize) -> i64 {
         // Ceiling division on non-negative operands (width > 0, idx >= 0).
-        let numerator = self.width() as i128 * idx as i128;
-        let n = n_sub as i128;
-        self.lo + ((numerator + n - 1) / n) as i64
+        let n = n_sub as i64;
+        self.lo + mul_div(self.width(), idx, n - 1, n) as i64
+    }
+
+    /// Every key head [`KeyDomain::sub_partition_of`] maps to `idx` (out
+    /// of `n_sub`), out-of-domain ones included: a filter that compares
+    /// instead of dividing.  Empty when the domain is narrower than
+    /// `n_sub` and `idx` gets no key.
+    pub fn sub_partition_heads(&self, idx: usize, n_sub: usize) -> RangeInclusive<i64> {
+        let start = match idx {
+            0 => i64::MIN,
+            _ => self.sub_partition_lower(idx, n_sub),
+        };
+        let end = match idx + 1 < n_sub {
+            // The next lower is above `lo`, so this cannot overflow.
+            true => self.sub_partition_lower(idx + 1, n_sub) - 1,
+            false => i64::MAX,
+        };
+        start..=end
+    }
+}
+
+/// `(a * b + round) / d`, rounded down, for non-negative operands and
+/// `d > 0`.  It is computed in `i64` when the numerator fits, which gives
+/// the same quotient as `i128` at a fraction of the cost; only a domain
+/// wider than about `i64::MAX / b` falls back to `i128`.
+#[inline]
+fn mul_div(a: i64, b: usize, round: i64, d: i64) -> i128 {
+    let numerator = i64::try_from(b)
+        .ok()
+        .and_then(|b| a.checked_mul(b))
+        .and_then(|p| p.checked_add(round));
+    match numerator {
+        Some(n) => i128::from(n / d),
+        None => (i128::from(a) * b as i128 + i128::from(round)) / i128::from(d),
     }
 }
 

@@ -22,6 +22,7 @@ use atrapos_storage::{
     Database, LockManager, MemoryPolicy, Table, TableId, TwoPhaseCommit, Txn, TxnId,
 };
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 /// Granularity of the shared-nothing deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -99,13 +100,22 @@ impl SharedNothingDesign {
             for spec in workload.tables() {
                 db.add_table(Table::new(spec.id, spec.schema.clone(), memory_node));
             }
+            // The key heads `instance_for` routes here, per table: the
+            // filter runs on every row of the workload once per instance.
+            let owned: Vec<(TableId, RangeInclusive<i64>)> = domains
+                .iter()
+                .map(|&(t, d)| (t, d.sub_partition_heads(idx, n_instances)))
+                .collect();
             let route = |table: TableId, key: &atrapos_storage::Key| match &plan {
                 Some(p) => {
                     p.instance_of_key(table, key.head_int())
                         .min(n_instances - 1)
                         == idx
                 }
-                None => instance_for(&domains, n_instances, table, key.head_int()) == idx,
+                None => owned
+                    .iter()
+                    .find(|(t, _)| *t == table)
+                    .map_or(idx == 0, |(_, heads)| heads.contains(&key.head_int())),
             };
             workload.populate(&mut db, &route);
             instances.push(Instance {
@@ -187,14 +197,11 @@ fn instance_for(
     table: TableId,
     key_head: i64,
 ) -> usize {
-    let domain = domains
+    domains
         .iter()
         .find(|(t, _)| *t == table)
-        .map(|(_, d)| *d)
-        .unwrap_or(KeyDomain::new(0, 1));
-    let clamped = key_head.clamp(domain.lo, domain.hi - 1);
-    let idx = (clamped - domain.lo) as i128 * n as i128 / domain.width() as i128;
-    (idx as usize).min(n - 1)
+        .map_or(KeyDomain::new(0, 1), |(_, d)| *d)
+        .sub_partition_of(key_head, n)
 }
 
 impl SystemDesign for SharedNothingDesign {

@@ -23,11 +23,16 @@
 //!   only where prefixes tie — Graefe & Larson's "poor man's normalized
 //!   keys" (*B-tree indexes and CPU caches*, ICDE 2001).  A column of
 //!   one-integer keys is its own rank column and never compares whole keys.
-//! * An insert above a node's last key takes the last slot (leaf) or the
-//!   last child (internal node) without a search — the answer the search
-//!   would give — so an ascending load goes straight down the right spine,
-//!   as PostgreSQL's nbtree "fastpath" for rightmost-leaf inserts does.  An
-//!   equal key still searches, so duplicates are found as before.
+//! * An insert above the last key of the rightmost leaf — every row of an
+//!   ascending load — walks the right spine by last child and appends to
+//!   that leaf with one compare, as PostgreSQL's nbtree "fastpath" for
+//!   rightmost-leaf inserts does.  It is the slot a search would find, so
+//!   it builds the very tree the general path builds.  Any other insert —
+//!   into a lazily emptied rightmost leaf, one the insert splits, or below
+//!   the maximum — takes the general path, a recursive descent that hands
+//!   splits up.  That path, too, takes a node's last slot or child without
+//!   a search when the key is above its last key; an equal key still
+//!   searches, so duplicates are found as before.
 //! * Node vectors are sized to the node, not doubled: they grow straight to
 //!   the most a node can hold.  A split copies the half it leaves behind
 //!   into an exact-size vector and the growing right half keeps the full
@@ -191,11 +196,15 @@ fn reserve_slots<T>(v: &mut Vec<T>, need: usize, most: usize) {
     }
 }
 
-/// Insert `src` into `v` at `at`: an append, and one move of the tail.
+/// Insert `src` into `v` at `at`: an append, and one move of the tail if
+/// there is one.
 #[inline]
 fn insert_slice<T: Copy>(v: &mut Vec<T>, at: usize, src: &[T]) {
+    let tail = v.len() > at;
     v.extend_from_slice(src);
-    v[at..].rotate_right(src.len());
+    if tail {
+        v[at..].rotate_right(src.len());
+    }
 }
 
 /// Split a node vector at `mid`: the left half moves into an exact-size
@@ -409,19 +418,35 @@ impl KeyColumn {
 /// Sorted whole keys of any widths, with their rank column: the lower
 /// bounds of a range partitioning, which may be shorter than the table's
 /// keys and change width from split to split.  They search like a node
-/// column, through the same code.
-#[derive(Debug, Clone, Default)]
+/// column, through the same code; bounds that are all one integer wide
+/// search their integers, as a column of one-integer keys does.
+#[derive(Debug, Clone)]
 pub(crate) struct Bounds {
     keys: Vec<Key>,
-    /// `heads[i] == keys[i].head_rank()`.
+    /// `heads[i]` is `keys[i]`'s integer when every bound is one integer
+    /// wide (`ints`), and its `head_rank()` otherwise.
     heads: Vec<i64>,
+    ints: bool,
 }
 
 impl Bounds {
     /// Bounds over `keys`, which must be strictly increasing.
     pub(crate) fn new(keys: Vec<Key>) -> Self {
-        let heads = keys.iter().map(Key::head_rank).collect();
-        Self { keys, heads }
+        let (ints, heads) = Self::heads_of(&keys);
+        Self { keys, heads, ints }
+    }
+
+    /// What [`Self::index`] sets `ints` and `heads` to.
+    fn heads_of(keys: &[Key]) -> (bool, Vec<i64>) {
+        let ints = keys.iter().all(|k| k.len() == 1);
+        let head: fn(&Key) -> i64 = if ints { Key::head_int } else { Key::head_rank };
+        (ints, keys.iter().map(head).collect())
+    }
+
+    /// Recompute the search columns from the keys (tens of them, and only
+    /// when a partitioning changes).
+    fn index(&mut self) {
+        (self.ints, self.heads) = Self::heads_of(&self.keys);
     }
 
     /// The bounds, in order.
@@ -430,8 +455,16 @@ impl Bounds {
     }
 
     /// The number of bounds `<= probe`: the range partition that owns it.
+    // Once per routed action and per loaded row of a partitioned table.
+    // lint: hot-path
     #[inline]
     pub(crate) fn count_le(&self, probe: &Key) -> usize {
+        if self.ints {
+            // A one-integer bound is `<=` every probe its integer does not
+            // exceed: a longer probe with the same head extends it.
+            let head = probe.head_int();
+            return self.heads.partition_point(|&b| b <= head);
+        }
         let comps = probe.comps();
         ranked_search(&self.heads, probe.head_rank(), |i| {
             full_cmp(self.keys[i].comps(), comps).then(Ordering::Less)
@@ -439,31 +472,44 @@ impl Bounds {
         .unwrap_or_else(|i| i)
     }
 
+    /// [`Self::count_le`], trying `guess` first: the answer for the last
+    /// probe of an ascending run holds for the next one until it crosses
+    /// a bound, and two compares of one-integer bounds confirm it where a
+    /// search makes several.
+    // Once per loaded row of a partitioned table.
+    // lint: hot-path
+    #[inline]
+    pub(crate) fn count_le_from(&self, probe: &Key, guess: usize) -> usize {
+        if self.ints && guess <= self.heads.len() {
+            let head = probe.head_int();
+            let above = guess == 0 || self.heads[guess - 1] <= head;
+            if above && self.heads.get(guess).is_none_or(|&b| head < b) {
+                return guess;
+            }
+        }
+        self.count_le(probe)
+    }
+
     /// Insert `key` at slot `i`.
     pub(crate) fn insert(&mut self, i: usize, key: Key) {
-        self.heads.insert(i, key.head_rank());
         self.keys.insert(i, key);
+        self.index();
     }
 
     /// Remove the bound at slot `i`.
     pub(crate) fn remove(&mut self, i: usize) {
-        self.heads.remove(i);
         self.keys.remove(i);
+        self.index();
     }
 
-    /// Verify that the bounds are strictly increasing and the rank column
-    /// matches them.
+    /// Verify that the bounds are strictly increasing and the search
+    /// columns match them.
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
         if let Some(w) = self.keys.windows(2).find(|w| w[0] >= w[1]) {
             return Err(format!("bounds out of order: {} >= {}", w[0], w[1]));
         }
-        if !self
-            .keys
-            .iter()
-            .map(Key::head_rank)
-            .eq(self.heads.iter().copied())
-        {
-            return Err("rank column does not match the bounds".into());
+        if Self::heads_of(&self.keys) != (self.ints, self.heads.clone()) {
+            return Err("search columns do not match the bounds".into());
         }
         Ok(())
     }
@@ -549,6 +595,18 @@ impl Leaf {
         reserve_slots(&mut self.ends, 1, NODE_SLOTS);
         self.ends.insert(i, (at + bytes.len()) as u32);
         self.shift_ends(i + 1, bytes.len() as isize);
+    }
+
+    /// Append `key` and `row` if `key` sorts after the leaf's last key and
+    /// the leaf takes one more slot without a split.  Whether it did.
+    #[inline]
+    fn try_append(&mut self, key: Key, row: Row<'_>) -> bool {
+        let n = self.len();
+        if n == 0 || n >= ORDER || key.comps() <= self.keys.comps_at(n - 1) {
+            return false;
+        }
+        self.insert(n, key, row);
+        true
     }
 
     /// Replace the row in slot `i` with `row`, returning the old one.
@@ -714,6 +772,10 @@ impl BTree {
     /// or leave it.  `None` for a new key; for a present one, the displaced
     /// record when replacing.
     fn insert_row(&mut self, key: Key, row: Row<'_>, replace: bool) -> Option<Option<Record>> {
+        if self.root.rightmost_leaf().try_append(key, row) {
+            self.len += 1;
+            return None;
+        }
         let split = match self.root.insert(key, row, replace) {
             Inserted::Present(displaced) => return Some(displaced),
             Inserted::New(split) => split,
@@ -984,6 +1046,23 @@ impl Node {
                     children: split_exact(&mut internal.children, mid + 1),
                 };
                 Inserted::New(Some((sep, Node::Internal(right))))
+            }
+        }
+    }
+
+    /// The last leaf below this node: the end of the right spine.
+    #[inline]
+    fn rightmost_leaf(&mut self) -> &mut Leaf {
+        let mut node = self;
+        loop {
+            match node {
+                Node::Leaf(leaf) => return leaf,
+                Node::Internal(internal) => {
+                    node = internal
+                        .children
+                        .last_mut()
+                        .expect("an internal node has children");
+                }
             }
         }
     }

@@ -297,7 +297,7 @@ impl Record {
 
     /// An all-integer row, built straight into its block.
     pub fn ints(values: &[i64]) -> Self {
-        IntRow::new(values).row().to_record()
+        with_int_row(values, |row| row.to_record())
     }
 
     fn pack(values: &[Value]) -> Self {
@@ -492,12 +492,7 @@ impl<'a> Row<'a> {
 
     /// Whether the row matches the schema's column count and types.
     pub fn conforms_to(&self, schema: &Schema) -> bool {
-        self.arity() == schema.columns.len()
-            && schema
-                .columns
-                .iter()
-                .enumerate()
-                .all(|(i, c)| self.column_type(i) == c.ty)
+        self.shape == shape_of(schema)
     }
 
     /// Approximate in-memory size in bytes: 8 per integer plus the text
@@ -517,31 +512,48 @@ impl<'a> Row<'a> {
     }
 }
 
-/// An all-integer row packed on the stack, for loaders that copy rows
-/// straight into leaves.
-pub(crate) struct IntRow {
-    bytes: [u8; CELL * MAX_COLUMNS],
-    arity: usize,
+/// The shape word of the rows `schema` describes: arity high, text-column
+/// mask low.  Two rows conform to one schema exactly when their shape
+/// words are equal.
+pub(crate) fn shape_of(schema: &Schema) -> u64 {
+    let mask = (0..)
+        .zip(&schema.columns)
+        .filter(|(_, c)| c.ty == ColumnType::Text)
+        .fold(0u64, |mask, (i, _)| mask | 1 << i);
+    (schema.columns.len() as u64) << 32 | mask
 }
 
-impl IntRow {
-    /// Pack `values`.
-    pub(crate) fn new(values: &[i64]) -> Self {
-        check_arity(values.len());
-        let mut bytes = [0; CELL * MAX_COLUMNS];
-        for (cell, v) in bytes.chunks_exact_mut(CELL).zip(values) {
+/// Columns of the stack buffer most all-integer rows are packed in; wider
+/// rows take one of [`MAX_COLUMNS`].
+const NARROW_COLUMNS: usize = 8;
+
+/// Hand `f` the all-integer row of `values`, packed on the stack — for
+/// loaders that copy rows straight into leaves.  The buffer is zeroed
+/// before it is filled, so a row of at most [`NARROW_COLUMNS`] columns —
+/// every built-in table's — gets a buffer of that size.
+#[inline]
+pub(crate) fn with_int_row<R>(values: &[i64], f: impl FnOnce(Row<'_>) -> R) -> R {
+    check_arity(values.len());
+    let pack = |buf: &mut [u8]| {
+        for (cell, v) in buf.chunks_exact_mut(CELL).zip(values) {
             cell.copy_from_slice(&v.to_le_bytes());
         }
-        Self {
-            bytes,
-            arity: values.len(),
-        }
-    }
-
-    /// The packed row, borrowed.
-    pub(crate) fn row(&self) -> Row<'_> {
-        Row::from_parts(&self.bytes[..CELL * self.arity], (self.arity as u64) << 32)
-    }
+    };
+    let mut narrow = [0; CELL * NARROW_COLUMNS];
+    let wide;
+    let buf: &[u8] = if values.len() <= NARROW_COLUMNS {
+        pack(&mut narrow);
+        &narrow
+    } else {
+        let mut buf = [0; CELL * MAX_COLUMNS];
+        pack(&mut buf);
+        wide = buf;
+        &wide
+    };
+    f(Row::from_parts(
+        &buf[..CELL * values.len()],
+        (values.len() as u64) << 32,
+    ))
 }
 
 /// The cell of column `i` of a row laid out from `bytes[0]`.

@@ -9,7 +9,7 @@
 use crate::btree::RowMut;
 use crate::error::{StorageError, StorageResult};
 use crate::mrbtree::MrBTree;
-use crate::record::{IntRow, Key, Record, Row, Value};
+use crate::record::{shape_of, with_int_row, Key, Record, Row, Value};
 use crate::schema::{Schema, TableId};
 use atrapos_numa::{Component, SimCtx, SocketId};
 
@@ -25,18 +25,27 @@ const STRUCTURE_CHANGE_INSTRUCTIONS: u64 = 220;
 pub struct Table {
     /// Table identifier.
     pub id: TableId,
-    /// Table schema.
+    /// Table schema, fixed at construction.
     pub schema: Schema,
+    /// The shape word of the schema's rows: a row conforms exactly when it
+    /// has this shape.
+    shape: u64,
     index: MrBTree,
 }
 
 impl Table {
     /// A single-partition table allocated on `memory_node`.
     pub fn new(id: TableId, schema: Schema, memory_node: SocketId) -> Self {
+        Self::with_index(id, schema, MrBTree::new(memory_node))
+    }
+
+    /// A table over `index`.
+    fn with_index(id: TableId, schema: Schema, index: MrBTree) -> Self {
         Self {
             id,
+            shape: shape_of(&schema),
             schema,
-            index: MrBTree::new(memory_node),
+            index,
         }
     }
 
@@ -47,11 +56,11 @@ impl Table {
         boundaries: Vec<Key>,
         memory_nodes: Vec<SocketId>,
     ) -> Self {
-        Self {
+        Self::with_index(
             id,
             schema,
-            index: MrBTree::range_partitioned(boundaries, memory_nodes),
-        }
+            MrBTree::range_partitioned(boundaries, memory_nodes),
+        )
     }
 
     /// Table name (from the schema).
@@ -89,20 +98,20 @@ impl Table {
     /// [`Table::load`] of an all-integer row, packed on the stack and
     /// copied straight into its leaf: no heap block per row.
     pub fn load_ints(&mut self, values: &[i64]) -> StorageResult<()> {
-        self.load_row(IntRow::new(values).row())
+        with_int_row(values, |row| self.load_row(row))
     }
 
     /// [`Table::load`] of a borrowed row.
     fn load_row(&mut self, row: Row<'_>) -> StorageResult<()> {
         self.check_schema(row)?;
         let key = row.key(&self.schema);
-        let partition = self.index.partition_for(&key);
+        let partition = self.index.partition_for_insert(&key);
         self.insert_new(partition, key, row).map(drop)
     }
 
     /// A schema-mismatch error unless `row` conforms to the schema.
     fn check_schema(&self, row: Row<'_>) -> StorageResult<()> {
-        if row.conforms_to(&self.schema) {
+        if row.shape() == self.shape {
             return Ok(());
         }
         Err(StorageError::SchemaMismatch {
@@ -232,7 +241,7 @@ impl Table {
         let row = record.row();
         self.check_schema(row)?;
         let key = row.key(&self.schema);
-        let partition = self.index.partition_for(&key);
+        let partition = self.index.partition_for_insert(&key);
         self.charge_probe(ctx, partition);
         ctx.work(
             Component::XctExecution,
