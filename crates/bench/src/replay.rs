@@ -8,9 +8,11 @@
 //! serialized outcomes.
 
 use atrapos_engine::scenario::{Scenario, ScenarioError, ScenarioOutcome};
-use atrapos_engine::{DesignSpec, ExecutorConfig, SharedNothingGranularity, VirtualExecutor};
+use atrapos_engine::{
+    DesignSpec, ExecutorConfig, SharedNothingGranularity, VirtualExecutor, Workload,
+};
 use atrapos_numa::{CostModel, Machine, Topology};
-use atrapos_storage::MemoryPolicy;
+use atrapos_storage::{MemoryPolicy, TableId};
 use atrapos_workloads::{Tatp, TatpConfig, TatpTxn};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -82,6 +84,15 @@ impl ReplayFile {
                 return Err(format!("{field} = 0: a machine needs at least one"));
             }
         }
+        if let DesignSpec::Atrapos { config, .. } = &self.design {
+            if let Some(scheme) = &config.initial_scheme {
+                let topo = Topology::multisocket(self.sockets, self.cores_per_socket);
+                let tables: Vec<TableId> = self.tatp().tables().iter().map(|t| t.id).collect();
+                scheme
+                    .check_invariants(&topo, &tables)
+                    .map_err(|e| format!("design.config.initial_scheme: {e}"))?;
+            }
+        }
         let DesignSpec::SharedNothing {
             granularity,
             memory_policy,
@@ -123,7 +134,7 @@ impl ReplayFile {
             Topology::multisocket(self.sockets, self.cores_per_socket),
             CostModel::westmere(),
         );
-        let mut workload = Tatp::new(TatpConfig::scaled(self.tatp_subscribers));
+        let mut workload = self.tatp();
         let initial = TatpTxn::from_label(&self.initial_txn)
             .ok_or_else(|| format!("unknown initial transaction '{}'", self.initial_txn))?;
         workload.set_single(initial);
@@ -138,6 +149,11 @@ impl ReplayFile {
                 time_series_bucket_secs: self.interval_secs,
             },
         ))
+    }
+
+    /// The file's TATP workload, on the standard mix.
+    fn tatp(&self) -> Tatp {
+        Tatp::new(TatpConfig::scaled(self.tatp_subscribers))
     }
 
     /// Run the experiment to completion.
@@ -210,6 +226,8 @@ pub fn print_outcome(replay: &ReplayFile, outcome: &ScenarioOutcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atrapos_core::{KeyDomain, PartitioningScheme, TablePartitioning};
+    use atrapos_numa::CoreId;
 
     #[test]
     fn sample_round_trips_and_runs() {
@@ -282,6 +300,80 @@ mod tests {
         let mut fine = sample();
         fine.design = DesignSpec::shared_nothing_with_plan(plan(4));
         assert_eq!(fine.validate(), Ok(()));
+    }
+
+    /// The sample on a valid initial scheme — two partitions of two
+    /// sub-partitions per table — after `break_it`.
+    fn with_scheme(break_it: impl FnOnce(&mut PartitioningScheme)) -> ReplayFile {
+        let mut replay = sample();
+        let topo = Topology::multisocket(replay.sockets, replay.cores_per_socket);
+        let mut scheme = PartitioningScheme::even(&replay.tatp().table_domains(), &topo, 2, 2);
+        break_it(&mut scheme);
+        let DesignSpec::Atrapos { config, .. } = &mut replay.design else {
+            unreachable!("the sample runs ATraPos")
+        };
+        config.initial_scheme = Some(scheme);
+        replay
+    }
+
+    /// `validate` rejects the sample's initial scheme once `break_it` broke
+    /// it, with a message containing `why`.
+    fn rejects_scheme(why: &str, break_it: impl FnOnce(&mut TablePartitioning)) {
+        let replay = with_scheme(|s| break_it(&mut s.tables_mut()[0]));
+        let err = replay.validate().expect_err(why);
+        assert!(
+            err.starts_with("design.config.initial_scheme: ") && err.contains(why),
+            "{why}: {err}"
+        );
+    }
+
+    #[test]
+    fn a_valid_initial_scheme_is_accepted() {
+        assert_eq!(with_scheme(|_| {}).validate(), Ok(()));
+    }
+
+    #[test]
+    fn an_initial_scheme_over_an_empty_domain_is_rejected() {
+        rejects_scheme("[1, 1) is empty", |t| t.domain = KeyDomain { lo: 1, hi: 1 });
+    }
+
+    #[test]
+    fn an_initial_scheme_over_a_domain_wider_than_i64_is_rejected() {
+        rejects_scheme("wider than i64::MAX", |t| {
+            t.domain = KeyDomain {
+                lo: i64::MIN,
+                hi: i64::MAX,
+            }
+        });
+    }
+
+    #[test]
+    fn an_initial_scheme_on_a_core_past_the_machine_is_rejected() {
+        rejects_scheme("core C16 of a 16-core machine", |t| {
+            t.partitions[0].core = CoreId(16)
+        });
+    }
+
+    #[test]
+    fn an_initial_scheme_that_misses_a_sub_partition_is_rejected() {
+        rejects_scheme("cover 4 of 5 sub-partitions", |t| t.num_sub_partitions = 5);
+    }
+
+    #[test]
+    fn an_initial_scheme_without_sub_partitions_is_rejected() {
+        rejects_scheme("has no partitions", |t| {
+            t.num_sub_partitions = 0;
+            t.partitions.clear();
+        });
+    }
+
+    #[test]
+    fn an_initial_scheme_that_misses_a_table_is_rejected() {
+        let replay = with_scheme(|s| *s = PartitioningScheme::new(s.tables()[..3].to_vec()));
+        assert_eq!(
+            replay.validate(),
+            Err("design.config.initial_scheme: table T3 is not in the scheme".to_string())
+        );
     }
 
     #[test]

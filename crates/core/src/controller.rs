@@ -107,7 +107,10 @@ impl AdaptiveController {
         stats: &WorkloadStats,
         topo: &Topology,
     ) -> AdaptationOutcome {
-        let hardware_changed = self.current.check_invariants(topo).is_err();
+        let hardware_changed = self
+            .current
+            .check_invariants(topo, &self.current.table_ids())
+            .is_err();
         let decision = self.config.interval.observe(throughput);
         if decision == IntervalDecision::Stable && !hardware_changed {
             return AdaptationOutcome::NoChange;
@@ -128,7 +131,10 @@ impl AdaptiveController {
         let old_combined = old_cost.combined(self.config.sync_weight);
         let new_combined = new_cost.combined(self.config.sync_weight);
         let improved = new_combined < old_combined * (1.0 - self.config.improvement_threshold)
-            || (hardware_changed && candidate.check_invariants(topo).is_ok());
+            || (hardware_changed
+                && candidate
+                    .check_invariants(topo, &self.current.table_ids())
+                    .is_ok());
         if !improved {
             return AdaptationOutcome::NoChange;
         }
@@ -225,7 +231,7 @@ mod tests {
         let out = ctl.on_interval(1000.0, &stats, &topo);
         match out {
             AdaptationOutcome::Repartition { new_scheme, .. } => {
-                new_scheme.check_invariants(&topo).unwrap();
+                new_scheme.check_invariants(&topo, &[TableId(0)]).unwrap();
             }
             AdaptationOutcome::NoChange => panic!("expected adaptation after socket failure"),
         }

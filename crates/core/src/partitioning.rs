@@ -34,6 +34,17 @@ impl KeyDomain {
         self.hi - self.lo
     }
 
+    /// Reject a domain no key can be routed through: an empty one, or one
+    /// wider than an `i64` counts, whose width would wrap.
+    pub fn check(&self) -> Result<(), String> {
+        let Self { lo, hi } = *self;
+        match hi.checked_sub(lo) {
+            Some(width) if width > 0 => Ok(()),
+            Some(_) => Err(format!("key domain [{lo}, {hi}) is empty")),
+            None => Err(format!("key domain [{lo}, {hi}) is wider than i64::MAX")),
+        }
+    }
+
     /// The sub-partition index (out of `n_sub`) a key head falls into.
     // Once per loaded row of a shared-nothing instance, and per action.
     // lint: hot-path
@@ -173,9 +184,13 @@ impl TablePartitioning {
             .collect()
     }
 
-    /// Check structural invariants: partitions are non-empty, contiguous,
-    /// ordered, and cover `[0, num_sub_partitions)`.
+    /// Check structural invariants: the domain routes keys, and partitions
+    /// are non-empty, contiguous, ordered, and cover
+    /// `[0, num_sub_partitions)`.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.domain
+            .check()
+            .map_err(|e| format!("table {}: {e}", self.table))?;
         if self.partitions.is_empty() {
             return Err(format!("table {} has no partitions", self.table));
         }
@@ -282,6 +297,11 @@ impl PartitioningScheme {
         &self.tables
     }
 
+    /// The tables the scheme partitions, in scheme order.
+    pub fn table_ids(&self) -> Vec<TableId> {
+        self.tables.iter().map(|t| t.table).collect()
+    }
+
     /// Mutable access to per-table partitionings (used by the search).
     pub fn tables_mut(&mut self) -> &mut [TablePartitioning] {
         &mut self.tables
@@ -316,12 +336,28 @@ impl PartitioningScheme {
         counts
     }
 
-    /// Check invariants of every table partitioning and that every partition
-    /// is assigned to an active core.
-    pub fn check_invariants(&self, topo: &Topology) -> Result<(), String> {
+    /// Check that the scheme partitions every table of `tables`, that
+    /// every table partitioning keeps its invariants, and that every
+    /// partition is assigned to an active core of `topo`.  A scheme that
+    /// passes can be built and routed through without a panic.
+    pub fn check_invariants(&self, topo: &Topology, tables: &[TableId]) -> Result<(), String> {
+        if let Some(missing) = tables
+            .iter()
+            .find(|&&id| !self.tables.iter().any(|t| t.table == id))
+        {
+            return Err(format!("table {missing} is not in the scheme"));
+        }
         for t in &self.tables {
             t.check_invariants()?;
             for p in &t.partitions {
+                if p.core.index() >= topo.num_cores() {
+                    return Err(format!(
+                        "table {} has a partition on core {} of a {}-core machine",
+                        t.table,
+                        p.core,
+                        topo.num_cores()
+                    ));
+                }
                 let socket = topo.socket_of(p.core);
                 if !topo.is_active(socket) {
                     return Err(format!(
@@ -365,7 +401,7 @@ mod tests {
         let t = scheme.table(TableId(0));
         assert_eq!(t.partitions.len(), 8);
         assert_eq!(t.num_sub_partitions, 80);
-        scheme.check_invariants(&topo).unwrap();
+        scheme.check_invariants(&topo, &[TableId(0)]).unwrap();
         // Keys are spread over all cores.
         let c0 = scheme.core_of_key(TableId(0), 0);
         let c_last = scheme.core_of_key(TableId(0), 999);
@@ -422,9 +458,9 @@ mod tests {
     fn invariant_checker_rejects_partitions_on_failed_sockets() {
         let mut topo = Topology::multisocket(2, 2);
         let scheme = PartitioningScheme::naive(&[(TableId(0), domain())], &topo, 10);
-        scheme.check_invariants(&topo).unwrap();
+        scheme.check_invariants(&topo, &[TableId(0)]).unwrap();
         topo.fail_socket(SocketId(1)).unwrap();
-        assert!(scheme.check_invariants(&topo).is_err());
+        assert!(scheme.check_invariants(&topo, &[TableId(0)]).is_err());
     }
 
     #[test]
@@ -437,6 +473,8 @@ mod tests {
             10,
         );
         assert_eq!(scheme.total_partitions(), 8);
-        scheme.check_invariants(&topo).unwrap();
+        scheme
+            .check_invariants(&topo, &[TableId(0), TableId(1)])
+            .unwrap();
     }
 }

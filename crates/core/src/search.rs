@@ -347,7 +347,9 @@ mod tests {
             }
         }
         let scheme = choose_partitioning(&current, &stats, &topo, &SearchConfig::default());
-        scheme.check_invariants(&topo).unwrap();
+        scheme
+            .check_invariants(&topo, &current.table_ids())
+            .unwrap();
         let ru = resource_utilization(&scheme, &stats, &topo);
         let total = stats.total_load();
         assert!(ru / total < 0.10, "imbalance {ru} of total {total}");
@@ -366,7 +368,9 @@ mod tests {
         }
         let naive_ru = resource_utilization(&current, &stats, &topo);
         let scheme = choose_partitioning(&current, &stats, &topo, &SearchConfig::default());
-        scheme.check_invariants(&topo).unwrap();
+        scheme
+            .check_invariants(&topo, &current.table_ids())
+            .unwrap();
         let ru = resource_utilization(&scheme, &stats, &topo);
         assert!(
             ru < naive_ru * 0.5,
@@ -380,7 +384,9 @@ mod tests {
         let current = naive_two_tables(&topo);
         let stats = WorkloadStats::new();
         let scheme = choose_partitioning(&current, &stats, &topo, &SearchConfig::default());
-        scheme.check_invariants(&topo).unwrap();
+        scheme
+            .check_invariants(&topo, &current.table_ids())
+            .unwrap();
         assert_eq!(scheme.table(TableId(0)).partitions.len(), 4);
     }
 
@@ -396,7 +402,9 @@ mod tests {
         }
         topo.fail_socket(atrapos_numa::SocketId(2)).unwrap();
         let scheme = choose_scheme(&current, &stats, &topo, &SearchConfig::default());
-        scheme.check_invariants(&topo).unwrap();
+        scheme
+            .check_invariants(&topo, &current.table_ids())
+            .unwrap();
     }
 
     #[test]
@@ -425,7 +433,9 @@ mod tests {
             );
         }
         let placed = choose_placement(&current, &stats, &topo, &SearchConfig::default());
-        placed.check_invariants(&topo).unwrap();
+        placed
+            .check_invariants(&topo, &current.table_ids())
+            .unwrap();
         let ts_before = sync_overhead(&current, &stats, &topo);
         let ts_after = sync_overhead(&placed, &stats, &topo);
         assert!(
@@ -461,7 +471,9 @@ mod tests {
             );
         }
         let scheme = choose_scheme(&current, &stats, &topo, &SearchConfig::default());
-        scheme.check_invariants(&topo).unwrap();
+        scheme
+            .check_invariants(&topo, &current.table_ids())
+            .unwrap();
         // The result must not be worse than the naive starting point on
         // either objective by more than a small factor.
         let ru_new = resource_utilization(&scheme, &stats, &topo);

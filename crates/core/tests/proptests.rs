@@ -88,7 +88,8 @@ proptest! {
             .map(|i| (TableId(i as u32), KeyDomain::new(0, width)))
             .collect();
         let scheme = PartitioningScheme::naive(&tables, &topo, sub_per);
-        scheme.check_invariants(&topo).map_err(TestCaseError::fail)?;
+        let ids: Vec<TableId> = tables.iter().map(|&(t, _)| t).collect();
+        scheme.check_invariants(&topo, &ids).map_err(TestCaseError::fail)?;
         let n_cores = sockets * cores;
         prop_assert_eq!(scheme.total_partitions(), n_tables * n_cores);
         prop_assert_eq!(scheme.partitions_per_core(&topo), vec![n_tables; n_cores]);
@@ -191,7 +192,7 @@ proptest! {
         );
         let stats = trace_for_table(TableId(0), &loads);
         let chosen = choose_partitioning(&naive, &stats, &topo, &SearchConfig::default());
-        chosen.check_invariants(&topo).map_err(TestCaseError::fail)?;
+        chosen.check_invariants(&topo, &naive.table_ids()).map_err(TestCaseError::fail)?;
         for t in chosen.tables() {
             for p in &t.partitions {
                 prop_assert!(topo.is_active(topo.socket_of(p.core)), "partition on failed socket");
@@ -264,7 +265,7 @@ proptest! {
         let placed = choose_placement(&scheme, &stats, &topo, &SearchConfig::default());
         let ts_after = sync_overhead(&placed, &stats, &topo);
         prop_assert!(ts_after <= ts_before + 1e-9, "TS got worse: {ts_before} -> {ts_after}");
-        placed.check_invariants(&topo).map_err(TestCaseError::fail)?;
+        placed.check_invariants(&topo, &scheme.table_ids()).map_err(TestCaseError::fail)?;
         // The placement step only moves partitions between cores; the
         // sub-partition boundaries are untouched.
         for (t_before, t_after) in scheme.tables().iter().zip(placed.tables()) {
@@ -299,7 +300,7 @@ proptest! {
         );
         let stats = trace_for_table(TableId(0), &loads);
         let chosen = choose_scheme(&naive, &stats, &topo, &SearchConfig::default());
-        chosen.check_invariants(&topo).map_err(TestCaseError::fail)?;
+        chosen.check_invariants(&topo, &naive.table_ids()).map_err(TestCaseError::fail)?;
         if sockets > 1 {
             for t in chosen.tables() {
                 for p in &t.partitions {
