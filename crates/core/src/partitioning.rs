@@ -10,6 +10,7 @@
 use atrapos_numa::{CoreId, Topology};
 use atrapos_storage::{Key, TableId};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::ops::RangeInclusive;
 
 /// The integer key domain `[lo, hi)` of a table (all built-in workloads use
@@ -68,17 +69,21 @@ impl KeyDomain {
 
     /// Every key head [`KeyDomain::sub_partition_of`] maps to `idx` (out
     /// of `n_sub`), out-of-domain ones included: a filter that compares
-    /// instead of dividing.  Empty when the domain is narrower than
-    /// `n_sub` and `idx` gets no key.
+    /// instead of dividing.  Keys below the domain go where `lo` goes and
+    /// keys above it where `hi - 1` goes.  Empty when the domain is
+    /// narrower than `n_sub` and `idx` gets no key.
     pub fn sub_partition_heads(&self, idx: usize, n_sub: usize) -> RangeInclusive<i64> {
+        let last = self.sub_partition_of(self.hi - 1, n_sub);
         let start = match idx {
             0 => i64::MIN,
             _ => self.sub_partition_lower(idx, n_sub),
         };
-        let end = match idx + 1 < n_sub {
+        let end = match idx.cmp(&last) {
             // The next lower is above `lo`, so this cannot overflow.
-            true => self.sub_partition_lower(idx + 1, n_sub) - 1,
-            false => i64::MAX,
+            Ordering::Less => self.sub_partition_lower(idx + 1, n_sub) - 1,
+            Ordering::Equal => i64::MAX,
+            // Past the index of `hi - 1`: no key, and `start >= hi`.
+            Ordering::Greater => self.hi - 1,
         };
         start..=end
     }

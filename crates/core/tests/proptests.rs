@@ -607,3 +607,52 @@ mod sampler {
         }
     }
 }
+
+proptest! {
+    // Cheap, and the fallback to `i128` only shows on wide domains.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The routing arithmetic divides in `i64` when the product fits and in
+    /// `i128` otherwise; either way every result equals the all-`i128`
+    /// formula it replaced, over domains from one key to `i64::MAX` keys
+    /// wide and keys inside, on the edges of and outside them.
+    /// Shared-nothing's `instance_for` is `sub_partition_of`, and its
+    /// populate filter `sub_partition_heads`, which must hold exactly the
+    /// keys routed to its index.
+    #[test]
+    fn i64_routing_matches_the_i128_formula(
+        width in prop_oneof![
+            2 => 1i64..1_000,
+            1 => 1i64..(1 << 40),
+            2 => 1i64..=i64::MAX,
+            1 => (i64::MAX - 1_000)..=i64::MAX,
+        ],
+        lo_seed in any::<i64>(),
+        n_sub in prop_oneof![1usize..64, 1usize..1_000_000],
+        pick in 0u8..4,
+        raw in any::<i64>(),
+        off in -3i64..=3,
+        idx_seed in any::<usize>(),
+    ) {
+        let lo = lo_seed.min(i64::MAX - width);
+        let hi = lo + width;
+        let domain = KeyDomain::new(lo, hi);
+        let key = match pick {
+            0 => raw,
+            1 => lo.saturating_add(off),
+            2 => hi.saturating_add(off),
+            _ => lo.saturating_add(raw.rem_euclid(width)),
+        };
+        let (wide, n) = (i128::from(width), n_sub as i128);
+        let offset = i128::from(key.clamp(lo, hi - 1)) - i128::from(lo);
+        let want = ((offset * n / wide) as usize).min(n_sub - 1);
+        prop_assert_eq!(domain.sub_partition_of(key, n_sub), want);
+        for idx in [0, idx_seed % (n_sub + 1), n_sub - 1, n_sub] {
+            let want = lo + ((wide * idx as i128 + n - 1) / n) as i64;
+            prop_assert_eq!(domain.sub_partition_lower(idx, n_sub), want);
+        }
+        for idx in [want, idx_seed % n_sub] {
+            prop_assert_eq!(domain.sub_partition_heads(idx, n_sub).contains(&key), idx == want);
+        }
+    }
+}
