@@ -360,8 +360,10 @@ impl KeyColumn {
         key
     }
 
-    /// [`Self::search`] for an insert: a probe above the last key — every
-    /// insert of an ascending load — goes to the end without a search.
+    /// [`Self::search`] for an insert: a probe above the last key — an
+    /// ascending load's insert that the append arm left to the general
+    /// path, such as one that splits the rightmost leaf — goes to the end
+    /// without a search.
     #[inline]
     fn insert_slot(&self, probe: &Key) -> Result<usize, usize> {
         let n = self.len();
@@ -770,7 +772,8 @@ impl BTree {
 
     /// Copy `row` in under `key`; on a present key either replace its row
     /// or leave it.  `None` for a new key; for a present one, the displaced
-    /// record when replacing.
+    /// record when replacing.  A key the rightmost leaf can append is
+    /// appended there without a descent; every other insert descends.
     fn insert_row(&mut self, key: Key, row: Row<'_>, replace: bool) -> Option<Option<Record>> {
         if self.root.rightmost_leaf().try_append(key, row) {
             self.len += 1;
