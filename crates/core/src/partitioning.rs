@@ -10,8 +10,6 @@
 use atrapos_numa::{CoreId, Topology};
 use atrapos_storage::{Key, TableId};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::ops::RangeInclusive;
 
 /// The integer key domain `[lo, hi)` of a table (all built-in workloads use
 /// integer-headed keys; composite keys partition by their head column).
@@ -65,27 +63,6 @@ impl KeyDomain {
         // Ceiling division on non-negative operands (width > 0, idx >= 0).
         let n = n_sub as i64;
         self.lo + mul_div(self.width(), idx, n - 1, n) as i64
-    }
-
-    /// Every key head [`KeyDomain::sub_partition_of`] maps to `idx` (out
-    /// of `n_sub`), out-of-domain ones included: a filter that compares
-    /// instead of dividing.  Keys below the domain go where `lo` goes and
-    /// keys above it where `hi - 1` goes.  Empty when the domain is
-    /// narrower than `n_sub` and `idx` gets no key.
-    pub fn sub_partition_heads(&self, idx: usize, n_sub: usize) -> RangeInclusive<i64> {
-        let last = self.sub_partition_of(self.hi - 1, n_sub);
-        let start = match idx {
-            0 => i64::MIN,
-            _ => self.sub_partition_lower(idx, n_sub),
-        };
-        let end = match idx.cmp(&last) {
-            // The next lower is above `lo`, so this cannot overflow.
-            Ordering::Less => self.sub_partition_lower(idx + 1, n_sub) - 1,
-            Ordering::Equal => i64::MAX,
-            // Past the index of `hi - 1`: no key, and `start >= hi`.
-            Ordering::Greater => self.hi - 1,
-        };
-        start..=end
     }
 }
 

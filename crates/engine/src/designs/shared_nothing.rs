@@ -22,7 +22,6 @@ use atrapos_storage::{
     Database, LockManager, MemoryPolicy, Table, TableId, TwoPhaseCommit, Txn, TxnId,
 };
 use std::collections::BTreeMap;
-use std::ops::RangeInclusive;
 
 /// Granularity of the shared-nothing deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -100,22 +99,13 @@ impl SharedNothingDesign {
             for spec in workload.tables() {
                 db.add_table(Table::new(spec.id, spec.schema.clone(), memory_node));
             }
-            // The key heads `instance_for` routes here, per table: the
-            // filter runs on every row of the workload once per instance.
-            let owned: Vec<(TableId, RangeInclusive<i64>)> = domains
-                .iter()
-                .map(|&(t, d)| (t, d.sub_partition_heads(idx, n_instances)))
-                .collect();
             let route = |table: TableId, key: &atrapos_storage::Key| match &plan {
                 Some(p) => {
                     p.instance_of_key(table, key.head_int())
                         .min(n_instances - 1)
                         == idx
                 }
-                None => owned
-                    .iter()
-                    .find(|(t, _)| *t == table)
-                    .map_or(idx == 0, |(_, heads)| heads.contains(&key.head_int())),
+                None => instance_for(&domains, n_instances, table, key.head_int()) == idx,
             };
             workload.populate(&mut db, &route);
             instances.push(Instance {
