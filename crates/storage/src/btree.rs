@@ -474,24 +474,6 @@ impl Bounds {
         .unwrap_or_else(|i| i)
     }
 
-    /// [`Self::count_le`], trying `guess` first: the answer for the last
-    /// probe of an ascending run holds for the next one until it crosses
-    /// a bound, and two compares of one-integer bounds confirm it where a
-    /// search makes several.
-    // Once per loaded row of a partitioned table.
-    // lint: hot-path
-    #[inline]
-    pub(crate) fn count_le_from(&self, probe: &Key, guess: usize) -> usize {
-        if self.ints && guess <= self.heads.len() {
-            let head = probe.head_int();
-            let above = guess == 0 || self.heads[guess - 1] <= head;
-            if above && self.heads.get(guess).is_none_or(|&b| head < b) {
-                return guess;
-            }
-        }
-        self.count_le(probe)
-    }
-
     /// Insert `key` at slot `i`.
     pub(crate) fn insert(&mut self, i: usize, key: Key) {
         self.keys.insert(i, key);

@@ -43,8 +43,6 @@ pub struct MrBTree {
     /// below), kept whole — they may be shorter than the table's keys —
     /// and searched like a node's key column.
     lowers: Bounds,
-    /// The partition the last row copied in went to.
-    last_insert: usize,
 }
 
 impl MrBTree {
@@ -53,7 +51,6 @@ impl MrBTree {
         Self {
             partitions: vec![PartitionTree::new(memory_node)],
             lowers: Bounds::new(Vec::new()),
-            last_insert: 0,
         }
     }
 
@@ -75,7 +72,6 @@ impl MrBTree {
         Self {
             partitions: memory_nodes.into_iter().map(PartitionTree::new).collect(),
             lowers: Bounds::new(boundaries),
-            last_insert: 0,
         }
     }
 
@@ -116,16 +112,6 @@ impl MrBTree {
     #[inline]
     pub fn partition_for(&self, key: &Key) -> usize {
         self.lowers.count_le(key)
-    }
-
-    /// [`MrBTree::partition_for`] for a row about to be copied in: the
-    /// partition the last one went to is checked first, so each row of an
-    /// ascending load — where consecutive rows share a partition until
-    /// they cross a bound — is routed with two compares.
-    #[inline]
-    pub fn partition_for_insert(&mut self, key: &Key) -> usize {
-        self.last_insert = self.lowers.count_le_from(key, self.last_insert);
-        self.last_insert
     }
 
     /// Inclusive lower bound of partition `idx` (`None` = unbounded).

@@ -25,8 +25,7 @@ const STRUCTURE_CHANGE_INSTRUCTIONS: u64 = 220;
 pub struct Table {
     /// Table identifier.
     pub id: TableId,
-    /// Table schema, fixed at construction.
-    pub schema: Schema,
+    schema: Schema,
     /// The shape word of the schema's rows: a row conforms exactly when it
     /// has this shape.
     shape: u64,
@@ -61,6 +60,11 @@ impl Table {
             schema,
             MrBTree::range_partitioned(boundaries, memory_nodes),
         )
+    }
+
+    /// Table schema, fixed at construction.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
     }
 
     /// Table name (from the schema).
@@ -105,7 +109,7 @@ impl Table {
     fn load_row(&mut self, row: Row<'_>) -> StorageResult<()> {
         self.check_schema(row)?;
         let key = row.key(&self.schema);
-        let partition = self.index.partition_for_insert(&key);
+        let partition = self.index.partition_for(&key);
         self.insert_new(partition, key, row).map(drop)
     }
 
@@ -241,7 +245,7 @@ impl Table {
         let row = record.row();
         self.check_schema(row)?;
         let key = row.key(&self.schema);
-        let partition = self.index.partition_for_insert(&key);
+        let partition = self.index.partition_for(&key);
         self.charge_probe(ctx, partition);
         ctx.work(
             Component::XctExecution,
