@@ -523,35 +523,17 @@ pub(crate) fn shape_of(schema: &Schema) -> u64 {
     (schema.columns.len() as u64) << 32 | mask
 }
 
-/// Columns of the stack buffer most all-integer rows are packed in; wider
-/// rows take one of [`MAX_COLUMNS`].
-const NARROW_COLUMNS: usize = 8;
-
 /// Hand `f` the all-integer row of `values`, packed on the stack — for
-/// loaders that copy rows straight into leaves.  The buffer is zeroed
-/// before it is filled, so a row of at most [`NARROW_COLUMNS`] columns —
-/// every built-in table's — gets a buffer of that size.
+/// loaders that copy rows straight into leaves.
 #[inline]
 pub(crate) fn with_int_row<R>(values: &[i64], f: impl FnOnce(Row<'_>) -> R) -> R {
     check_arity(values.len());
-    let pack = |buf: &mut [u8]| {
-        for (cell, v) in buf.chunks_exact_mut(CELL).zip(values) {
-            cell.copy_from_slice(&v.to_le_bytes());
-        }
-    };
-    let mut narrow = [0; CELL * NARROW_COLUMNS];
-    let wide;
-    let buf: &[u8] = if values.len() <= NARROW_COLUMNS {
-        pack(&mut narrow);
-        &narrow
-    } else {
-        let mut buf = [0; CELL * MAX_COLUMNS];
-        pack(&mut buf);
-        wide = buf;
-        &wide
-    };
+    let mut bytes = [0; CELL * MAX_COLUMNS];
+    for (cell, v) in bytes.chunks_exact_mut(CELL).zip(values) {
+        cell.copy_from_slice(&v.to_le_bytes());
+    }
     f(Row::from_parts(
-        &buf[..CELL * values.len()],
+        &bytes[..CELL * values.len()],
         (values.len() as u64) << 32,
     ))
 }
