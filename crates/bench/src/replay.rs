@@ -84,13 +84,29 @@ impl ReplayFile {
                 return Err(format!("{field} = 0: a machine needs at least one"));
             }
         }
+        if self.tatp_subscribers <= 0 {
+            return Err(format!(
+                "tatp_subscribers = {}: the dataset needs at least one subscriber",
+                self.tatp_subscribers
+            ));
+        }
         if let DesignSpec::Atrapos { config, .. } = &self.design {
-            if let Some(scheme) = &config.initial_scheme {
-                let topo = Topology::multisocket(self.sockets, self.cores_per_socket);
-                let tables: Vec<TableId> = self.tatp().tables().iter().map(|t| t.id).collect();
-                scheme
-                    .check_invariants(&topo, &tables)
-                    .map_err(|e| format!("design.config.initial_scheme: {e}"))?;
+            match &config.initial_scheme {
+                Some(scheme) => {
+                    let topo = Topology::multisocket(self.sockets, self.cores_per_socket);
+                    let tables: Vec<TableId> = self.tatp().tables().iter().map(|t| t.id).collect();
+                    scheme
+                        .check_invariants(&topo, &tables)
+                        .map_err(|e| format!("design.config.initial_scheme: {e}"))?;
+                }
+                None if config.sub_per_partition == 0 => {
+                    return Err(
+                        "design.config.sub_per_partition = 0: with no initial_scheme, \
+                         every partition needs at least one sub-partition"
+                            .into(),
+                    );
+                }
+                None => {}
             }
         }
         let DesignSpec::SharedNothing {
@@ -270,6 +286,29 @@ mod tests {
     }
 
     #[test]
+    fn a_dataset_without_subscribers_is_rejected() {
+        for n in [0, -5] {
+            rejects("tatp_subscribers", |r| r.tatp_subscribers = n);
+        }
+    }
+
+    /// ATraPos's naive starting scheme needs a sub-partition per partition;
+    /// an initial scheme brings its own, and the field goes unused.
+    #[test]
+    fn zero_sub_partitions_per_partition_are_rejected_without_a_scheme() {
+        let zero = |r: &mut ReplayFile| {
+            let DesignSpec::Atrapos { config, .. } = &mut r.design else {
+                unreachable!("the sample runs ATraPos")
+            };
+            config.sub_per_partition = 0;
+        };
+        rejects("design.config.sub_per_partition", zero);
+        let mut fine = with_scheme(|_| {});
+        zero(&mut fine);
+        assert_eq!(fine.validate(), Ok(()));
+    }
+
+    #[test]
     fn central_memory_on_a_missing_socket_is_rejected() {
         rejects("design.memory_policy", |r| {
             r.design = DesignSpec::shared_nothing_with_memory_policy(MemoryPolicy::Central(
@@ -296,6 +335,11 @@ mod tests {
         broken.instance_machine.pop();
         rejects("design.plan", |r| {
             r.design = DesignSpec::shared_nothing_with_plan(broken)
+        });
+        let mut empty = domains.clone();
+        empty[0].1 = KeyDomain { lo: 1, hi: 1 };
+        rejects("design.plan: table T0: key domain [1, 1) is empty", |r| {
+            r.design = DesignSpec::shared_nothing_with_plan(ShardingPlan::range(&empty, 8, 4, 4))
         });
         let mut fine = sample();
         fine.design = DesignSpec::shared_nothing_with_plan(plan(4));

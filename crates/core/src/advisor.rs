@@ -164,8 +164,8 @@ impl ShardingPlan {
         }
     }
 
-    /// Structural invariants: every owner index is a valid instance and
-    /// every instance has a machine.
+    /// Structural invariants: every table's domain routes keys, every owner
+    /// index is a valid instance and every instance has a machine.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.instance_machine.len() != self.n_instances {
             return Err(format!(
@@ -174,7 +174,8 @@ impl ShardingPlan {
                 self.instance_machine.len()
             ));
         }
-        for (table, (_, owners)) in &self.tables {
+        for (table, (domain, owners)) in &self.tables {
+            domain.check().map_err(|e| format!("table {table}: {e}"))?;
             if owners.is_empty() {
                 return Err(format!("table {table} has no sub-partitions"));
             }
@@ -428,6 +429,25 @@ mod tests {
         assert_eq!(plan.instance_of_key(TableId(0), 999), 3);
         // Instances 0 and 2 share machine 0; 1 and 3 share machine 1.
         assert_eq!(plan.instance_machine, vec![0, 1, 0, 1]);
+    }
+
+    /// A domain no key can be routed through — empty, inverted, or wider
+    /// than `i64::MAX` — breaks the plan, named by its table.
+    #[test]
+    fn invariants_reject_a_domain_that_routes_no_key() {
+        for (lo, hi, why) in [
+            (5, 5, "is empty"),
+            (9, 3, "is empty"),
+            (i64::MIN, i64::MAX, "is wider than i64::MAX"),
+        ] {
+            let mut plan = ShardingPlan::range(&two_tables(), 8, 2, 2);
+            plan.tables.get_mut(&TableId(1)).unwrap().0 = KeyDomain { lo, hi };
+            let err = plan.check_invariants().unwrap_err();
+            assert_eq!(
+                err,
+                format!("table {}: key domain [{lo}, {hi}) {why}", TableId(1))
+            );
+        }
     }
 
     #[test]

@@ -168,7 +168,7 @@ pub fn apply_plan(
                 let index = t.index_mut();
                 // Find the partition whose lower bound equals the boundary.
                 let idx = (0..index.num_partitions())
-                    .find(|&i| index.lower_bound(i) == Some(boundary))
+                    .find(|&i| index.lower_bound(i).map(Key::int) == Some(*boundary))
                     .ok_or_else(|| {
                         atrapos_storage::StorageError::InvalidPartitionBoundary(format!(
                             "merge boundary {boundary} not found in table {table}"

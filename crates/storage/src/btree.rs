@@ -17,12 +17,11 @@
 //!   [`RowMut`].  Every key of a tree has one width and every row one
 //!   shape (the table's schema); a key or row of another is a bug and
 //!   panics.
-//! * A column of keys two or more components wide also keeps a packed
-//!   column of 8-byte order-preserving prefixes ([`Key::head_rank`]).  A
-//!   probe binary-searches that column and finishes with full key compares
-//!   only where prefixes tie — Graefe & Larson's "poor man's normalized
-//!   keys" (*B-tree indexes and CPU caches*, ICDE 2001).  A column of
-//!   one-integer keys is its own rank column and never compares whole keys.
+//! * Keys order by their integers, and nothing else is stored to order
+//!   them: a column of one-integer keys is binary-searched over its
+//!   `i64`s and never compares whole keys; a wider column is searched by
+//!   one branch-free binary search over its components, which compares
+//!   whole keys `⌈log₂ n⌉ + 1` times in a node of `n`.
 //! * An insert above the last key of the rightmost leaf — every row of an
 //!   ascending load — walks the right spine by last child and appends to
 //!   that leaf with one compare, as PostgreSQL's nbtree "fastpath" for
@@ -97,21 +96,15 @@ struct Internal {
     children: Vec<Node>,
 }
 
-/// The sorted keys of one node, stored flat at the node's key width, with
-/// a parallel packed column of their [`Key::head_rank`]s when the keys
-/// have two or more components.
+/// The sorted keys of one node, stored flat at the node's key width.
 ///
 /// A node's 64 one-integer keys span 8 cache lines, and their integers
 /// order them exactly: the search is a binary search over the `i64`s.
-/// Wider keys span more, so searches run on the ranks and go to the keys
-/// only for the run of slots whose rank equals the probe's.  Ranks are
-/// *weakly* monotone in the keys (`a <= b` implies `rank(a) <= rank(b)`):
-/// a smaller or larger rank decides the order, an equal rank decides
-/// nothing, so equality — and the order inside a run of ties — always
-/// comes from full key compares.  For keys of two in-range integers every
-/// rank is unique and a search costs at most one full compare; a node
-/// whose keys all tie (TPC-C order lines sharing `(w_id, d_id)`) searches
-/// the keys directly.
+/// Wider keys are searched by one binary search over their components
+/// that halves to the end with no early exit, as
+/// `slice::binary_search_by` does: its loop count depends only on the
+/// node's size, and each step picks a half with a conditional move, not
+/// a branch.
 ///
 /// Probes may have any width: a range bound shorter than the stored keys
 /// orders before every key it is a prefix of.
@@ -121,9 +114,6 @@ pub struct KeyColumn {
     width: usize,
     /// The keys' components, `width` per key, in key order.
     comps: Vec<i64>,
-    /// `heads[i]` is key `i`'s `head_rank()` when `width >= 2`; empty for
-    /// narrower columns.
-    heads: Vec<i64>,
 }
 
 #[cfg(test)]
@@ -140,51 +130,6 @@ fn full_cmp(a: &[i64], b: &[i64]) -> Ordering {
     #[cfg(test)]
     FULL_COMPARES.with(|n| n.set(n.get() + 1));
     a.cmp(b)
-}
-
-/// The slots of a weakly monotone rank column whose rank equals `rank`.
-/// Every key before the run is smaller than the probe and every key after
-/// it is greater, so a search only has to compare keys inside it.
-#[inline]
-fn rank_run(heads: &[i64], rank: i64) -> Range<usize> {
-    // All ranks tie (or the column is empty): it narrows nothing.
-    if heads.first() == heads.last() {
-        return 0..heads.len();
-    }
-    let lo = heads.partition_point(|&h| h < rank);
-    let mut hi = lo;
-    if heads.get(hi) == Some(&rank) {
-        hi += 1;
-        // Ranks are nearly always unique; only a tie pays a second
-        // search for the end of the run.
-        if heads.get(hi) == Some(&rank) {
-            hi += 1 + heads[hi + 1..].partition_point(|&h| h == rank);
-        }
-    }
-    lo..hi
-}
-
-/// The node search over sorted keys with rank column `heads`: `cmp(i)`
-/// orders key `i` against a probe of rank `rank`.  `Ok` is the slot that
-/// compares equal, `Err` the first slot that compares greater.  Node
-/// columns and a range partitioning's bounds both search through here.
-#[inline]
-fn ranked_search(
-    heads: &[i64],
-    rank: i64,
-    cmp: impl Fn(usize) -> Ordering,
-) -> Result<usize, usize> {
-    let Range { start, end } = rank_run(heads, rank);
-    let (mut lo, mut hi) = (start, end);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        match cmp(mid) {
-            Ordering::Less => lo = mid + 1,
-            Ordering::Greater => hi = mid,
-            Ordering::Equal => return Ok(mid),
-        }
-    }
-    Err(lo)
 }
 
 /// Make room for `need` more elements of a node vector that holds at most
@@ -224,17 +169,21 @@ impl KeyColumn {
         Self {
             width,
             comps: Vec::with_capacity(width * n),
-            heads: Vec::with_capacity(if width >= 2 { n } else { 0 }),
         }
     }
 
     /// Number of keys.
     #[inline]
     fn len(&self) -> usize {
-        if self.width >= 2 {
-            self.heads.len()
-        } else {
-            self.comps.len()
+        // Widths run from 1 to `MAX_KEY_COMPONENTS`: each arm divides by a
+        // constant, a multiply rather than a `div`.
+        let n = self.comps.len();
+        match self.width {
+            0 | 1 => n,
+            2 => n / 2,
+            3 => n / 3,
+            4 => n / 4,
+            w => n / w,
         }
     }
 
@@ -299,10 +248,38 @@ impl KeyColumn {
                 Ordering::Greater => Err(i),
             };
         }
-        let probe_comps = probe.comps();
-        ranked_search(&self.heads, probe.head_rank(), |i| {
-            full_cmp(self.comps_at(i), probe_comps).then(on_equal)
-        })
+        self.halving_search(probe.comps(), on_equal)
+    }
+
+    /// [`Self::find`] on a column two or more components wide:
+    /// `slice::binary_search_by` over the keys, stepping through `comps`
+    /// in components so that no multiply sits between one compare and the
+    /// next load.  It halves until one key is left and then compares that
+    /// one: `⌈log₂ n⌉ + 1` whole-key compares over `n` keys, whatever
+    /// prefix they share.
+    // Once per node of two-or-more-integer keys on every descent.
+    // lint: hot-path
+    #[inline]
+    fn halving_search(&self, probe: &[i64], on_equal: Ordering) -> Result<usize, usize> {
+        let (w, n) = (self.width, self.len());
+        if n == 0 {
+            return Err(0);
+        }
+        let cmp = |at: usize| full_cmp(&self.comps[at..at + w], probe).then(on_equal);
+        // `base` is the first component of key `slot`.
+        let (mut slot, mut base, mut size) = (0, 0, n);
+        while size > 1 {
+            let half = size / 2;
+            let greater = cmp(base + half * w) == Ordering::Greater;
+            slot = std::hint::select_unpredictable(greater, slot, slot + half);
+            base = std::hint::select_unpredictable(greater, base, base + half * w);
+            size -= half;
+        }
+        match cmp(base) {
+            Ordering::Equal => Ok(slot),
+            Ordering::Less => Err(slot + 1),
+            Ordering::Greater => Err(slot),
+        }
     }
 
     /// `<[Key]>::binary_search`: the slot holding `probe`, or the slot it
@@ -334,10 +311,6 @@ impl KeyColumn {
         let w = self.width;
         reserve_slots(&mut self.comps, w, NODE_SLOTS * w);
         insert_slice(&mut self.comps, i * w, key.comps());
-        if w >= 2 {
-            reserve_slots(&mut self.heads, 1, NODE_SLOTS);
-            self.heads.insert(i, key.head_rank());
-        }
     }
 
     /// Append `key`, which must sort after every key of the column, into
@@ -345,18 +318,12 @@ impl KeyColumn {
     fn push(&mut self, key: Key) {
         self.adopt_width(&key);
         self.comps.extend_from_slice(key.comps());
-        if self.width >= 2 {
-            self.heads.push(key.head_rank());
-        }
     }
 
     /// Remove and return the key at slot `i`.
     pub fn remove(&mut self, i: usize) -> Key {
         let key = self.key(i);
         self.comps.drain(i * self.width..(i + 1) * self.width);
-        if self.width >= 2 {
-            self.heads.remove(i);
-        }
         key
     }
 
@@ -375,125 +342,27 @@ impl KeyColumn {
 
     /// Move the keys from slot `mid` on into a new column.
     pub fn split_off(&mut self, mid: usize) -> KeyColumn {
-        let heads = if self.width >= 2 {
-            split_exact(&mut self.heads, mid)
-        } else {
-            Vec::new()
-        };
         KeyColumn {
             width: self.width,
             comps: split_exact(&mut self.comps, mid * self.width),
-            heads,
         }
     }
 
-    /// Verify that the keys share one width, are strictly increasing, and
-    /// that the rank column matches them.
+    /// Verify that the keys share one width and are strictly increasing.
     pub fn check_invariants(&self) -> Result<(), String> {
         let w = self.width;
         if w > crate::record::MAX_KEY_COMPONENTS || (w == 0 && !self.comps.is_empty()) {
             return Err(format!("node column of {w}-component keys"));
         }
-        if self.comps.len() != w * self.len() {
+        if !self.comps.len().is_multiple_of(w) {
             return Err(format!(
-                "node column holds {} components for {} keys of width {w}",
-                self.comps.len(),
-                self.len()
+                "node column holds {} components, not a whole number of keys of width {w}",
+                self.comps.len()
             ));
         }
         let keys: Vec<Key> = self.keys().collect();
         if let Some(k) = keys.windows(2).find(|k| k[0] >= k[1]) {
             return Err(format!("node keys out of order: {} >= {}", k[0], k[1]));
-        }
-        let heads: Vec<i64> = if w >= 2 {
-            keys.iter().map(Key::head_rank).collect()
-        } else {
-            Vec::new()
-        };
-        if heads != self.heads {
-            return Err("rank column does not match the node's keys".into());
-        }
-        Ok(())
-    }
-}
-
-/// Sorted whole keys of any widths, with their rank column: the lower
-/// bounds of a range partitioning, which may be shorter than the table's
-/// keys and change width from split to split.  They search like a node
-/// column, through the same code; bounds that are all one integer wide
-/// search their integers, as a column of one-integer keys does.
-#[derive(Debug, Clone)]
-pub(crate) struct Bounds {
-    keys: Vec<Key>,
-    /// `heads[i]` is `keys[i]`'s integer when every bound is one integer
-    /// wide (`ints`), and its `head_rank()` otherwise.
-    heads: Vec<i64>,
-    ints: bool,
-}
-
-impl Bounds {
-    /// Bounds over `keys`, which must be strictly increasing.
-    pub(crate) fn new(keys: Vec<Key>) -> Self {
-        let (ints, heads) = Self::heads_of(&keys);
-        Self { keys, heads, ints }
-    }
-
-    /// What [`Self::index`] sets `ints` and `heads` to.
-    fn heads_of(keys: &[Key]) -> (bool, Vec<i64>) {
-        let ints = keys.iter().all(|k| k.len() == 1);
-        let head: fn(&Key) -> i64 = if ints { Key::head_int } else { Key::head_rank };
-        (ints, keys.iter().map(head).collect())
-    }
-
-    /// Recompute the search columns from the keys (tens of them, and only
-    /// when a partitioning changes).
-    fn index(&mut self) {
-        (self.ints, self.heads) = Self::heads_of(&self.keys);
-    }
-
-    /// The bounds, in order.
-    pub(crate) fn keys(&self) -> &[Key] {
-        &self.keys
-    }
-
-    /// The number of bounds `<= probe`: the range partition that owns it.
-    // Once per routed action and per loaded row of a partitioned table.
-    // lint: hot-path
-    #[inline]
-    pub(crate) fn count_le(&self, probe: &Key) -> usize {
-        if self.ints {
-            // A one-integer bound is `<=` every probe its integer does not
-            // exceed: a longer probe with the same head extends it.
-            let head = probe.head_int();
-            return self.heads.partition_point(|&b| b <= head);
-        }
-        let comps = probe.comps();
-        ranked_search(&self.heads, probe.head_rank(), |i| {
-            full_cmp(self.keys[i].comps(), comps).then(Ordering::Less)
-        })
-        .unwrap_or_else(|i| i)
-    }
-
-    /// Insert `key` at slot `i`.
-    pub(crate) fn insert(&mut self, i: usize, key: Key) {
-        self.keys.insert(i, key);
-        self.index();
-    }
-
-    /// Remove the bound at slot `i`.
-    pub(crate) fn remove(&mut self, i: usize) {
-        self.keys.remove(i);
-        self.index();
-    }
-
-    /// Verify that the bounds are strictly increasing and the search
-    /// columns match them.
-    pub(crate) fn check_invariants(&self) -> Result<(), String> {
-        if let Some(w) = self.keys.windows(2).find(|w| w[0] >= w[1]) {
-            return Err(format!("bounds out of order: {} >= {}", w[0], w[1]));
-        }
-        if Self::heads_of(&self.keys) != (self.ints, self.heads.clone()) {
-            return Err("search columns do not match the bounds".into());
         }
         Ok(())
     }
@@ -913,8 +782,8 @@ impl BTree {
     }
 
     /// Verify the B+-tree structural invariants (key order and width
-    /// within nodes, rank columns matching their keys, one row shape per
-    /// leaf, separator correctness, length).  Used by tests.
+    /// within nodes, one row shape per leaf, separator correctness,
+    /// length).  Used by tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut count = 0usize;
         let mut last: Option<Key> = None;
@@ -1121,7 +990,7 @@ impl Node {
     #[cfg(test)]
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let column = |k: &KeyColumn| (k.comps.capacity() + k.heads.capacity()) * size_of::<i64>();
+        let column = |k: &KeyColumn| k.comps.capacity() * size_of::<i64>();
         match self {
             Node::Leaf(leaf) => {
                 column(&leaf.keys) + leaf.rows.capacity() + leaf.ends.capacity() * size_of::<u32>()
@@ -1515,7 +1384,7 @@ mod tests {
     /// to its length — an ascending load never touches it again — and only
     /// the right spine's leaf, which the load keeps filling, has spare
     /// slots, at most `NODE_SLOTS` (doubling vectors left about 2.06 slots
-    /// per key).  A column of one-integer keys keeps no rank column.
+    /// per key).
     #[test]
     fn ascending_load_leaves_no_spare_leaf_capacity() {
         let mut t = BTree::new();
@@ -1529,16 +1398,14 @@ mod tests {
                 l.keys.comps.capacity(),
                 l.ends.capacity(),
                 l.rows.capacity() / 16,
-                l.keys.heads.capacity(),
             ]
         };
         for node in rest {
             let l = leaf(node);
-            assert_eq!(caps(l), [l.len(), l.len(), l.len(), 0]);
+            assert_eq!(caps(l), [l.len(), l.len(), l.len()]);
         }
         let spine = caps(leaf(last));
-        assert!(spine[..3].iter().all(|&c| c <= NODE_SLOTS), "{spine:?}");
-        assert_eq!(spine[3], 0);
+        assert!(spine.iter().all(|&c| c <= NODE_SLOTS), "{spine:?}");
     }
 
     /// Memory, pinned by a count: 200 k ascending five-integer rows under
@@ -1645,8 +1512,7 @@ mod tests {
 
     /// FNV-1a of a tree's shape: `len`, `height`, then every node in
     /// preorder — its separators or keys, a leaf's records, an internal
-    /// node's child count.  Everything but vector capacity and the rank
-    /// column, which the keys decide.
+    /// node's child count.  Everything but vector capacity.
     fn shape_digest(t: &BTree) -> u64 {
         use std::hash::{Hash, Hasher};
         fn walk(node: &Node, h: &mut Fnv) {
@@ -1770,7 +1636,7 @@ mod tests {
         );
         assert_eq!(
             trees.map(BTree::heap_bytes),
-            [327_916, 415_072, 513_664, 580_415, 248_332]
+            [318_412, 407_152, 416_936, 523_879, 240_412]
         );
     }
 

@@ -11,7 +11,7 @@
 //! * **merge** combines two adjacent partitions into one;
 //! * a **rearrangement** is a split followed by a merge.
 
-use crate::btree::{BTree, Bounds, RowMut};
+use crate::btree::{BTree, RowMut};
 use crate::error::{StorageError, StorageResult};
 use crate::record::{Key, Record, Row};
 use atrapos_numa::SocketId;
@@ -40,9 +40,9 @@ impl PartitionTree {
 pub struct MrBTree {
     partitions: Vec<PartitionTree>,
     /// Inclusive lower bounds of partitions `1..` (partition 0 is unbounded
-    /// below), kept whole — they may be shorter than the table's keys —
-    /// and searched like a node's key column.
-    lowers: Bounds,
+    /// below), strictly increasing: each is a key head, as every
+    /// partitioning routes by its key's first integer.
+    lowers: Vec<i64>,
 }
 
 impl MrBTree {
@@ -50,15 +50,15 @@ impl MrBTree {
     pub fn new(memory_node: SocketId) -> Self {
         Self {
             partitions: vec![PartitionTree::new(memory_node)],
-            lowers: Bounds::new(Vec::new()),
+            lowers: Vec::new(),
         }
     }
 
     /// A range-partitioned tree: `boundaries` are the inclusive lower bounds
     /// of partitions 1..n (partition 0 is unbounded below), and
     /// `memory_nodes[i]` is where partition `i` is allocated.  `memory_nodes`
-    /// must have exactly `boundaries.len() + 1` entries and `boundaries`
-    /// must be strictly increasing.
+    /// must have exactly `boundaries.len() + 1` entries, and `boundaries`
+    /// must be one-integer keys, strictly increasing.
     pub fn range_partitioned(boundaries: Vec<Key>, memory_nodes: Vec<SocketId>) -> Self {
         assert_eq!(
             memory_nodes.len(),
@@ -66,12 +66,17 @@ impl MrBTree {
             "need one memory node per partition"
         );
         assert!(
-            boundaries.windows(2).all(|w| w[0] < w[1]),
+            boundaries.iter().all(|b| b.len() == 1),
+            "partition boundaries must be one-integer keys"
+        );
+        let lowers: Vec<i64> = boundaries.iter().map(Key::head_int).collect();
+        assert!(
+            lowers.windows(2).all(|w| w[0] < w[1]),
             "partition boundaries must be strictly increasing"
         );
         Self {
             partitions: memory_nodes.into_iter().map(PartitionTree::new).collect(),
-            lowers: Bounds::new(boundaries),
+            lowers,
         }
     }
 
@@ -101,27 +106,28 @@ impl MrBTree {
     }
 
     /// The partition index responsible for `key`: the number of lower
-    /// bounds `<= key`.
+    /// bounds `<=` its first integer.
     ///
     /// The bounds are strictly increasing (enforced at construction and by
-    /// `split_partition` / `merge_with_next`) and carry a rank column, so
-    /// routing is the node search: rank compares first, whole keys only
-    /// where ranks tie.  `partition_for` runs twice per simulated storage
-    /// operation.
+    /// `split_partition` / `merge_with_next`), so routing is one binary
+    /// search over integers, as `atrapos-core` routes a key head through
+    /// its sub-partitions.  `partition_for` runs twice per simulated
+    /// storage operation.
     // lint: hot-path
     #[inline]
     pub fn partition_for(&self, key: &Key) -> usize {
-        self.lowers.count_le(key)
+        let head = key.head_int();
+        self.lowers.partition_point(|&b| b <= head)
     }
 
     /// Inclusive lower bound of partition `idx` (`None` = unbounded).
-    pub fn lower_bound(&self, idx: usize) -> Option<&Key> {
-        idx.checked_sub(1).map(|i| &self.lowers.keys()[i])
+    pub fn lower_bound(&self, idx: usize) -> Option<i64> {
+        idx.checked_sub(1).map(|i| self.lowers[i])
     }
 
     /// Exclusive upper bound of partition `idx` (`None` = unbounded).
-    pub fn upper_bound(&self, idx: usize) -> Option<&Key> {
-        self.lowers.keys().get(idx)
+    pub fn upper_bound(&self, idx: usize) -> Option<i64> {
+        self.lowers.get(idx).copied()
     }
 
     /// Look up a key.
@@ -220,7 +226,7 @@ impl MrBTree {
             .iter()
             .enumerate()
             .take_while(move |&(i, _)| match (self.lower_bound(start + i), to) {
-                (Some(lower), Some(to)) => lower < to,
+                (Some(lower), Some(to)) => Key::int(lower) < *to,
                 _ => true,
             })
             .map(|(_, p)| &p.tree)
@@ -232,8 +238,9 @@ impl MrBTree {
         self.partitions[idx].memory_node = node;
     }
 
-    /// Split partition `idx` at `boundary`.  The upper half becomes a new
-    /// partition (inserted at `idx + 1`) allocated on `new_node`.
+    /// Split partition `idx` at `boundary`, a one-integer key.  The upper
+    /// half becomes a new partition (inserted at `idx + 1`) allocated on
+    /// `new_node`.
     ///
     /// Returns the number of records moved.
     pub fn split_partition(
@@ -247,16 +254,22 @@ impl MrBTree {
                 "partition index {idx} out of range"
             )));
         }
+        if boundary.len() != 1 {
+            return Err(StorageError::InvalidPartitionBoundary(format!(
+                "boundary {boundary} is not one integer"
+            )));
+        }
         // The boundary must lie strictly inside the partition's range.
+        let head = boundary.head_int();
         if let Some(lower) = self.lower_bound(idx) {
-            if boundary <= *lower {
+            if head <= lower {
                 return Err(StorageError::InvalidPartitionBoundary(format!(
                     "boundary {boundary} not above partition lower bound {lower}"
                 )));
             }
         }
         if let Some(upper) = self.upper_bound(idx) {
-            if boundary >= *upper {
+            if head >= upper {
                 return Err(StorageError::InvalidPartitionBoundary(format!(
                     "boundary {boundary} not below next partition bound {upper}"
                 )));
@@ -271,7 +284,7 @@ impl MrBTree {
                 memory_node: new_node,
             },
         );
-        self.lowers.insert(idx, boundary);
+        self.lowers.insert(idx, head);
         Ok(moved)
     }
 
@@ -297,24 +310,27 @@ impl MrBTree {
         if self.partitions.is_empty() {
             return Err("multi-rooted tree must have at least one partition".into());
         }
-        if self.lowers.keys().len() + 1 != self.partitions.len() {
+        if self.lowers.len() + 1 != self.partitions.len() {
             return Err("need one lower bound per partition after the first".into());
         }
-        self.lowers
-            .check_invariants()
-            .map_err(|e| format!("partition bounds: {e}"))?;
+        if let Some(w) = self.lowers.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!(
+                "partition bounds out of order: {} >= {}",
+                w[0], w[1]
+            ));
+        }
         for (i, p) in self.partitions.iter().enumerate() {
             p.tree.check_invariants()?;
             let lower = self.lower_bound(i);
             let upper = self.upper_bound(i);
             for (k, _) in p.tree.iter() {
                 if let Some(lo) = lower {
-                    if k < *lo {
+                    if k.head_int() < lo {
                         return Err(format!("key {k} below partition {i} lower bound {lo}"));
                     }
                 }
                 if let Some(hi) = upper {
-                    if k >= *hi {
+                    if k.head_int() >= hi {
                         return Err(format!("key {k} at/above partition {i} upper bound {hi}"));
                     }
                 }
@@ -393,6 +409,19 @@ mod tests {
         assert!(t.split_partition(1, Key::int(100), SocketId(0)).is_err());
         assert!(t.split_partition(0, Key::int(500), SocketId(0)).is_err());
         assert!(t.split_partition(5, Key::int(100), SocketId(0)).is_err());
+        // Partitions route by key head: a wider bound is no boundary.
+        assert!(matches!(
+            t.split_partition(0, Key::ints(&[100, 1]), SocketId(0)),
+            Err(StorageError::InvalidPartitionBoundary(_))
+        ));
+        assert_eq!(t.num_partitions(), 2);
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "partition boundaries must be one-integer keys")]
+    fn wider_boundaries_are_refused() {
+        MrBTree::range_partitioned(vec![Key::ints(&[1, 2])], vec![SocketId(0); 2]);
     }
 
     #[test]

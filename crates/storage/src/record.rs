@@ -149,27 +149,6 @@ impl Key {
         self.vals[0]
     }
 
-    /// An order-preserving 64-bit prefix of the key, for the packed column
-    /// B+-tree nodes search before they touch a full key: the first
-    /// component in the high 32 bits, the second clamped to `[0, 2³²)` in
-    /// the low 32 (absent = 0).  Whatever does not fit saturates — a first
-    /// component outside `i32` takes the whole rank to `i64::MIN`/`MAX` —
-    /// so the rank is only *weakly* monotone:
-    /// `a <= b` implies `a.head_rank() <= b.head_rank()`, and nothing more.
-    /// Unequal ranks order their keys; equal ranks say nothing, so equality
-    /// is always decided by a full `Key` compare.
-    #[inline]
-    pub fn head_rank(&self) -> i64 {
-        const LOW_MAX: i64 = u32::MAX as i64;
-        // An absent second component is a zero slot.
-        let (head, low) = (self.vals[0], self.vals[1]);
-        match i32::try_from(head) {
-            Ok(h) => (i64::from(h) << 32) | low.clamp(0, LOW_MAX),
-            Err(_) if head < 0 => i64::MIN,
-            Err(_) => i64::MAX,
-        }
-    }
-
     /// Number of components.
     #[inline]
     pub fn len(&self) -> usize {
@@ -631,23 +610,6 @@ mod tests {
         assert!(Key::ints(&[1, 5]) < Key::ints(&[2, 0]));
         assert!(Key::ints(&[1, 5]) < Key::ints(&[1, 6]));
         assert!(Key::ints(&[1]) < Key::ints(&[1, 0]));
-    }
-
-    #[test]
-    fn head_rank_packs_two_components_and_saturates() {
-        assert_eq!(Key::int(5).head_rank(), 5 << 32);
-        assert_eq!(Key::int(-1).head_rank(), -1 << 32);
-        assert_eq!(Key::ints(&[7, 9]).head_rank(), (7 << 32) | 9);
-        // Components past the second do not count; a second one is clamped.
-        assert_eq!(Key::ints(&[7, 9, 3, 1]).head_rank(), (7 << 32) | 9);
-        assert_eq!(Key::ints(&[7, -4]).head_rank(), Key::int(7).head_rank());
-        assert_eq!(
-            Key::ints(&[7, 1 << 40]).head_rank(),
-            (7 << 32) | 0xFFFF_FFFF
-        );
-        // What does not fit saturates, keeping the order weakly.
-        assert_eq!(Key::int(i64::from(i32::MAX) + 1).head_rank(), i64::MAX);
-        assert_eq!(Key::int(i64::from(i32::MIN) - 1).head_rank(), i64::MIN);
     }
 
     #[test]

@@ -535,12 +535,12 @@ mod tests {
     }
 
     /// Point-probe cost, pinned by a count: a column of single-int keys is
-    /// its own rank column, so a probe never compares whole keys; on
-    /// two-int keys every rank in a node's packed column is unique, so a
-    /// probe compares whole keys at most once per level — where a binary
-    /// search over the keys themselves makes about six.
+    /// searched over its integers, so a probe never compares whole keys; a
+    /// column of two-int keys is searched by halving with no early exit,
+    /// so a probe compares whole keys at most `⌈log₂ 64⌉ + 1 = 7` times
+    /// per level.
     #[test]
-    fn point_probes_compare_whole_keys_at_most_once_per_level() {
+    fn point_probes_compare_whole_keys_at_most_seven_times_per_level() {
         use crate::btree::FULL_COMPARES;
         const ROWS: i64 = 200_000;
         let (t, c) = env();
@@ -572,7 +572,7 @@ mod tests {
                 height >= 3,
                 "the table must be deep enough to mean something"
             );
-            let most = if width == 1 { 0 } else { height };
+            let most = if width == 1 { 0 } else { 7 * height };
             let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
             for i in (0..2 * ROWS).step_by(997) {
                 FULL_COMPARES.with(|n| n.set(0));
@@ -588,9 +588,9 @@ mod tests {
 
     /// Memory, pinned by a count: a table of four-int keys and all-int
     /// rows (TPC-C's order lines) stores per row its key at table width,
-    /// one rank, the row and at most 12 bytes of offsets and node structs.
+    /// the row and at most 12 bytes of offsets and node structs.
     #[test]
-    fn four_int_keys_cost_their_width_plus_a_rank_per_row() {
+    fn four_int_keys_cost_their_width_per_row() {
         let schema = Schema::new(
             "order_line",
             (0..6)
@@ -611,7 +611,7 @@ mod tests {
             }
         }
         let per_row = table.index().partition(0).tree.heap_bytes() as f64 / rows as f64;
-        let bound = (8 * 4 + 8 + 6 * 8 + 12) as f64;
+        let bound = (8 * 4 + 6 * 8 + 12) as f64;
         assert!(per_row <= bound, "{per_row:.2} B per row (bound {bound})");
     }
 

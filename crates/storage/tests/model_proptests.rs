@@ -11,16 +11,15 @@
 //!   every bound shape: open or closed on either side, in a key gap, below
 //!   the minimum, above the maximum, inverted, and starting inside leaves
 //!   that lazy deletion emptied.
-//! * The packed rank column of the B+-tree nodes (`Key::head_rank`,
-//!   `KeyColumn`) is checked against what it replaced: the rank is weakly
-//!   monotone over every key shape, and the column's searches equal
-//!   `binary_search` / `partition_point` over the plain key slice.
+//! * The flat key column of the B+-tree nodes (`KeyColumn`) searches like
+//!   the plain key slice: its searches equal `binary_search` /
+//!   `partition_point` over the keys, for every key and probe shape.
 //! * The packed leaves — keys stored flat at one width, rows in one byte
 //!   block per leaf — of a `BTree` and of a `Table` are driven against a
 //!   `BTreeMap<Key, Record>` through inserts, rejected duplicates, removes,
 //!   integer and text writes (texts that grow, shrink and empty), splits,
-//!   merges, bulk loads, repartitionings, scans with bounds shorter than
-//!   the keys, and runs of appends above the maximum interleaved with
+//!   merges, bulk loads, repartitionings at one-integer bounds, scans with
+//!   bounds shorter than the keys, and runs of appends above the maximum interleaved with
 //!   inserts and removes of it; after every step the contents equal the
 //!   model's byte for byte and every invariant holds.
 //! * The packed row block (`Record`) is checked against the `Vec<Value>`
@@ -35,9 +34,10 @@
 //!   never forgets: under a rising low-water mark and request times that
 //!   jump backwards, the manager that forgets charges every request the
 //!   same cycles.  A deterministic count pins the memory bound.
-//! * Range-partition routing (`MrBTree::partition_for`, a node search over
-//!   the partitions' lower bounds) equals the whole-key binary search it
-//!   replaced, through splits and merges.
+//! * Range-partition routing (`MrBTree::partition_for`, an integer search
+//!   of the key's head over the partitions' one-integer lower bounds)
+//!   equals a binary search over whole keys, for probes of every width,
+//!   through splits and merges; a wider split bound is refused.
 
 use atrapos_numa::{
     Component, ContendedLine, CoreId, CostModel, Cycles, Machine, SimCtx, SocketId, Topology,
@@ -291,13 +291,11 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// The packed rank column vs. the plain key slice
+// The node key column vs. the plain key slice
 // ----------------------------------------------------------------------
 
-/// One key component from the values the rank treats specially: small
-/// integers (shared prefixes, negative, zero), the edges of the `i32`
-/// first-component field and of the `[0, 2³²)` second-component field, and
-/// arbitrary integers.
+/// One key component: small integers (shared prefixes, negative, zero),
+/// the edges of `i32` and of `[0, 2³²)`, and arbitrary integers.
 fn component_strategy() -> impl Strategy<Value = i64> {
     const I32_MIN: i64 = i32::MIN as i64;
     const I32_MAX: i64 = i32::MAX as i64;
@@ -320,10 +318,9 @@ fn component_strategy() -> impl Strategy<Value = i64> {
     ]
 }
 
-/// Keys of every shape the rank has to order: one to four components of
+/// Keys of every shape a node has to order: one to four components of
 /// [`component_strategy`] (so `(1, 2)` meets `(1, 2, 0)`), and TPC-C-like
-/// composites, many of which share their `(w_id, d_id)` prefix — the nodes
-/// whose ranks all tie.
+/// composites, many of which share their `(w_id, d_id)` prefix.
 fn key_strategy() -> impl Strategy<Value = Key> {
     (raw_key_strategy(), 1usize..=MAX_KEY_COMPONENTS)
         .prop_map(|(raw, width)| Key::ints(&raw[..width]))
@@ -341,21 +338,10 @@ fn raw_key_strategy() -> impl Strategy<Value = [i64; MAX_KEY_COMPONENTS]> {
 }
 
 proptest! {
-    /// `a <= b` implies `rank(a) <= rank(b)` — the one property the node
-    /// search relies on.
-    #[test]
-    fn head_rank_is_weakly_monotone(a in key_strategy(), b in key_strategy()) {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(
-            lo.head_rank() <= hi.head_rank(),
-            "{lo} <= {hi}, but rank {} > {}", lo.head_rank(), hi.head_rank()
-        );
-    }
-
     /// The column search is the plain search: `search` equals
     /// `binary_search` and `lower_bound` equals `partition_point` over the
     /// keys, for probes of any shape — shorter than the stored keys (range
-    /// bounds), longer, absent, tied on the rank — on columns of one key
+    /// bounds), longer, absent, sharing a long prefix — on columns of one key
     /// width from one to four, built by `insert`, thinned by `remove` and
     /// cut by `split_off`.
     #[test]
@@ -399,8 +385,7 @@ proptest! {
         }
     }
 
-    /// Trees over keys of every width keep their invariants — the rank
-    /// columns equal to their keys' ranks among them — through any sequence
+    /// Trees over keys of every width keep their invariants through any sequence
     /// of inserts, removes, splits and merges at boundaries of any width,
     /// and agree with an ordered map on lookups and scans.
     #[test]
@@ -473,7 +458,8 @@ enum LeafOp {
     MergeOverlap([i64; 4], usize, i64),
     /// Rebuild the tree with `bulk_load` from its own entries.
     Rebuild,
-    /// Split the table's partition at a bound (even) or merge two (odd).
+    /// Split the table's partition at the bound's first integer (even) or
+    /// merge two (odd).
     Repartition([i64; 4], usize, u64),
     /// Scan `[from, to)` and read up to `limit` rows of it from the table.
     Range([i64; 4], usize, [i64; 4], usize, usize),
@@ -573,12 +559,13 @@ proptest! {
     /// four, rows with two text columns — agree with an ordered map of
     /// records after every insert, rejected duplicate, remove, integer and
     /// text write, split, merge (overlapping ones too), bulk load,
-    /// repartitioning and scan, with bounds of every width, and through
-    /// ascending runs that re-insert or remove their maximum.
+    /// repartitioning at one-integer bounds and scan, with scan and split
+    /// bounds of every width, and through ascending runs that re-insert or
+    /// remove their maximum.
     #[test]
     fn packed_leaves_match_the_ordered_map_model(
         width in 1usize..=MAX_KEY_COMPONENTS,
-        bounds in prop::collection::vec((raw_key_strategy(), 1usize..=MAX_KEY_COMPONENTS), 0..4),
+        bounds in prop::collection::vec(raw_key_strategy(), 0..4),
         ops in prop::collection::vec(leaf_op_strategy(), 1..300),
     ) {
         let cut = |raw: &[i64; 4], w: usize| (w > 0).then(|| Key::ints(&raw[..w.min(width)]));
@@ -592,7 +579,7 @@ proptest! {
             ])
             .collect();
         let schema = Schema::new("packed", columns, (0..width).collect());
-        let mut bounds: Vec<Key> = bounds.iter().filter_map(|(raw, w)| cut(raw, *w)).collect();
+        let mut bounds: Vec<Key> = bounds.iter().filter_map(|raw| cut(raw, 1)).collect();
         bounds.sort();
         bounds.dedup();
         let nodes = vec![SocketId(0); bounds.len() + 1];
@@ -694,10 +681,10 @@ proptest! {
                 }
                 LeafOp::Repartition(raw, w, u) => {
                     let index = table.index_mut();
-                    match cut(&raw, w) {
+                    match cut(&raw, w.min(1)) {
                         Some(bound) if u % 2 == 0 => {
                             let idx = index.partition_for(&bound);
-                            let on_bound = index.lower_bound(idx) == Some(&bound);
+                            let on_bound = index.lower_bound(idx) == Some(bound.head_int());
                             prop_assert_eq!(
                                 index.split_partition(idx, bound, SocketId(1)).is_err(),
                                 on_bound
@@ -1323,16 +1310,19 @@ fn lock_entries_stay_bounded_by_the_locks_in_flight() {
 }
 
 // ----------------------------------------------------------------------
-// Range-partition routing vs. the whole-key search it replaced
+// Range-partition routing vs. a whole-key search
 // ----------------------------------------------------------------------
 
 /// The last partition whose lower bound is `<= key`, by binary search over
-/// whole keys (`partition_for` before the bounds became a key column).
+/// whole keys (`partition_for` before the bounds became integers).
 fn whole_key_partition_for(tree: &MrBTree, key: &Key) -> usize {
     let (mut lo, mut hi) = (1, tree.num_partitions());
     while lo < hi {
         let mid = (lo + hi) / 2;
-        if tree.lower_bound(mid).is_some_and(|lower| lower > key) {
+        if tree
+            .lower_bound(mid)
+            .is_some_and(|lower| Key::int(lower) > *key)
+        {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -1343,23 +1333,30 @@ fn whole_key_partition_for(tree: &MrBTree, key: &Key) -> usize {
 
 proptest! {
     /// Routing equals the whole-key search for probes of every shape —
-    /// composite keys whose ranks tie, probes equal to a boundary — over
-    /// random boundaries reshaped by splits and merges, and the bounds
-    /// stay where `lower_bound`/`upper_bound` say.
+    /// composite keys sharing a prefix, probes equal to a boundary — over
+    /// random one-integer boundaries reshaped by splits and merges, and the
+    /// bounds stay where `lower_bound`/`upper_bound` say.  A split at a
+    /// wider key is refused.
     #[test]
     fn partition_routing_matches_the_whole_key_search(
-        bounds in prop::collection::btree_set(key_strategy(), 0..100),
-        edits in prop::collection::vec((any::<bool>(), any::<u64>(), key_strategy()), 0..20),
+        bounds in prop::collection::btree_set(component_strategy(), 0..100),
+        edits in prop::collection::vec(
+            (any::<bool>(), any::<u64>(), prop_oneof![
+                3 => component_strategy().prop_map(Key::int),
+                1 => key_strategy(),
+            ]),
+            0..20,
+        ),
         probes in prop::collection::vec(key_strategy(), 1..40),
     ) {
         let nodes = vec![SocketId(0); bounds.len() + 1];
-        let mut tree = MrBTree::range_partitioned(bounds.into_iter().collect(), nodes);
+        let mut tree = MrBTree::range_partitioned(bounds.into_iter().map(Key::int).collect(), nodes);
         for (split, at, key) in edits {
             if split {
                 let idx = tree.partition_for(&key);
-                let on_bound = tree.lower_bound(idx) == Some(&key);
+                let refused = key.len() > 1 || tree.lower_bound(idx) == Some(key.head_int());
                 let split = tree.split_partition(idx, key, SocketId(1));
-                prop_assert_eq!(split.is_err(), on_bound, "split at {}", key);
+                prop_assert_eq!(split.is_err(), refused, "split at {}", key);
             } else if tree.num_partitions() > 1 {
                 let idx = at as usize % (tree.num_partitions() - 1);
                 tree.merge_with_next(idx).map_err(|e| TestCaseError::fail(e.to_string()))?;
@@ -1369,9 +1366,9 @@ proptest! {
         let n = tree.num_partitions();
         prop_assert_eq!(tree.lower_bound(0), None);
         prop_assert_eq!(tree.upper_bound(n - 1), None);
-        let lowers: Vec<Key> = (1..n).map(|i| *tree.lower_bound(i).unwrap()).collect();
+        let lowers: Vec<Key> = (1..n).map(|i| Key::int(tree.lower_bound(i).unwrap())).collect();
         for (i, lower) in lowers.iter().enumerate() {
-            prop_assert_eq!(tree.upper_bound(i), Some(lower));
+            prop_assert_eq!(tree.upper_bound(i).map(Key::int), Some(*lower));
         }
         for probe in probes.iter().chain(&lowers) {
             prop_assert_eq!(tree.partition_for(probe), whole_key_partition_for(&tree, probe), "{}", probe);

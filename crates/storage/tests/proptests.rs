@@ -181,10 +181,10 @@ proptest! {
             let key = Key::int(k);
             let idx = mr.partition_for(&key);
             if let Some(lower) = mr.lower_bound(idx) {
-                prop_assert!(lower <= &key);
+                prop_assert!(lower <= k);
             }
             if let Some(upper) = mr.upper_bound(idx) {
-                prop_assert!(&key < upper);
+                prop_assert!(k < upper);
             }
             prop_assert_eq!(mr.get(&key).map(|r| r.get(0).as_int()), Some(k));
         }

@@ -55,12 +55,12 @@ mod tests {
         for _ in 0..20 {
             let spec = w.next_transaction(&mut rng, CoreId(0));
             assert_eq!(spec.num_actions(), 2);
-            let heads: Vec<i64> = spec.phases[0]
+            let key_heads: Vec<i64> = spec.phases[0]
                 .actions
                 .iter()
                 .map(|a| a.op.routing_key_head())
                 .collect();
-            assert_eq!(heads[0], heads[1]);
+            assert_eq!(key_heads[0], key_heads[1]);
         }
     }
 

@@ -394,12 +394,12 @@ proptest! {
         for _ in 0..50 {
             let spec = w.next_transaction(&mut rng, CoreId(0));
             prop_assert_eq!(spec.num_actions(), 2);
-            let heads: Vec<i64> = spec
+            let key_heads: Vec<i64> = spec
                 .phases
                 .iter()
                 .flat_map(|p| p.actions.iter().map(|a| a.op.routing_key_head()))
                 .collect();
-            prop_assert_eq!(heads[0], heads[1], "A and B keys must share the same head");
+            prop_assert_eq!(key_heads[0], key_heads[1], "A and B keys must share the same head");
         }
         assert_routing_validity(&mut w, seed, &[CoreId(0), CoreId(1)], 50)?;
         // Population respects the declared table specs.

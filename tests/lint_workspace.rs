@@ -130,7 +130,14 @@ fn point_probe_hot_path_regions_are_live() {
             "crates/storage/src/btree.rs",
             "let head = probe.head_int();",
         ),
-        ("crates/storage/src/mrbtree.rs", "self.lowers.count_le(key)"),
+        (
+            "crates/storage/src/btree.rs",
+            "let (mut slot, mut base, mut size) = (0, 0, n);",
+        ),
+        (
+            "crates/storage/src/mrbtree.rs",
+            "let head = key.head_int();",
+        ),
         (
             "crates/storage/src/lock_manager.rs",
             "let (latch, entry) = match id {",
