@@ -17,6 +17,12 @@
 //!   [`RowMut`].  Every key of a tree has one width and every row one
 //!   shape (the table's schema); a key or row of another is a bug and
 //!   panics.
+//! * The tree stores a row's bytes as they come and lends them back with
+//!   the key cells the row kept apart, taken from the slot's key: a table
+//!   hands in rows whose key cells are lent from the key (see
+//!   `Row::lend_key`), so each key is stored once, in the key column.
+//!   The tree itself knows nothing of schemas: a row that keeps no cells
+//!   apart is stored whole.
 //! * Keys order by their integers, and nothing else is stored to order
 //!   them: a column of one-integer keys is binary-searched over its
 //!   `i64`s and never compares whole keys; a wider column is searched by
@@ -45,7 +51,7 @@
 //!   ATraPos repartitioning actions (paper §V-D).  Both rebuild by copying
 //!   row bytes from leaf to leaf, with no allocation per row.
 
-use crate::record::{write_cell, Key, Record, Row, Value};
+use crate::record::{prefix_width, write_cell, Key, Record, Row, Value};
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -398,15 +404,21 @@ impl Leaf {
         i.checked_sub(1).map_or(0, |p| self.ends[p] as usize)
     }
 
-    /// The row in slot `i`.
+    /// The row in slot `i`, its key cells lent from the slot's key.
+    // Once per row a read, an update or a scan touches.
+    // lint: hot-path
     #[inline]
     fn row(&self, i: usize) -> Row<'_> {
-        Row::from_parts(&self.rows[self.span(i)], self.shape)
+        let prefix = &self.keys.comps_at(i)[..prefix_width(self.shape)];
+        Row::from_parts(prefix, &self.rows[self.span(i)], self.shape)
     }
 
-    /// Panic unless `row` has the leaf's shape; an empty leaf takes it.
+    /// Panic unless `row` has the leaf's shape; an empty leaf takes it.  The
+    /// key cells `row` keeps apart are not stored — the leaf lends `key`'s
+    /// leading components in their place — so they must be those
+    /// components (checked in debug builds).
     #[inline]
-    fn adopt_shape(&mut self, row: Row<'_>) {
+    fn adopt(&mut self, key: &Key, row: Row<'_>) {
         if self.ends.is_empty() {
             self.shape = row.shape();
         }
@@ -416,6 +428,11 @@ impl Leaf {
             "a leaf of rows of shape {:#x} got a row of shape {:#x}",
             self.shape,
             row.shape()
+        );
+        debug_assert!(
+            key.comps().starts_with(row.prefix()),
+            "a row with key cells {:?} filed under the key {key}",
+            row.prefix()
         );
     }
 
@@ -436,7 +453,7 @@ impl Leaf {
 
     /// Insert `key` and `row` at slot `i`.
     fn insert(&mut self, i: usize, key: Key, row: Row<'_>) {
-        self.adopt_shape(row);
+        self.adopt(&key, row);
         self.keys.insert(i, key);
         let bytes = row.bytes();
         // Room for the rest of the node's slots at this row's size.
@@ -464,7 +481,7 @@ impl Leaf {
 
     /// Replace the row in slot `i` with `row`, returning the old one.
     fn replace(&mut self, i: usize, row: Row<'_>) -> Record {
-        self.adopt_shape(row);
+        self.adopt(&self.keys.key(i), row);
         let old = self.row(i).to_record();
         let span = self.span(i);
         let delta = row.bytes().len() as isize - span.len() as isize;
@@ -488,10 +505,14 @@ impl Leaf {
         old
     }
 
-    /// Overwrite column `col` of the row in slot `i`.
+    /// Overwrite column `col` of the row in slot `i`; a key cell the leaf
+    /// keeps in its key column is not writable.
     fn write(&mut self, i: usize, col: usize, v: &Value) {
+        let stored = col
+            .checked_sub(prefix_width(self.shape))
+            .unwrap_or_else(|| panic!("column {col} is a key column"));
         let at = self.span_start(i);
-        let delta = write_cell(&mut self.rows, at, self.shape, col, v);
+        let delta = write_cell(&mut self.rows, at, self.shape, stored, v);
         if delta != 0 {
             self.check_block();
             self.shift_ends(i, delta);
@@ -707,7 +728,7 @@ impl BTree {
             let bytes = chunk.iter().map(|(_, r)| r.bytes().len()).sum();
             let mut leaf = Leaf::with_capacity(first.len(), chunk.len(), bytes, row.shape());
             for &(key, row) in &chunk {
-                leaf.adopt_shape(row);
+                leaf.adopt(&key, row);
                 leaf.keys.push(key);
                 leaf.rows.extend_from_slice(row.bytes());
                 leaf.check_block();
@@ -840,6 +861,7 @@ impl RowMut<'_> {
 
     /// Overwrite column `i` with `v`, which must have the column's type:
     /// an integer in place, a text by re-splicing the row in its leaf.
+    /// Panics on a key cell the leaf keeps in its key column.
     // lint: hot-path
     #[inline]
     pub fn set(&mut self, i: usize, v: &Value) {
@@ -954,7 +976,7 @@ impl Node {
                 }
                 for (i, k) in leaf.keys.keys().enumerate() {
                     let row = leaf.row(i);
-                    if row.bytes().len() < 8 * row.arity() {
+                    if row.bytes().len() < 8 * row.cells() {
                         return Err(format!("leaf row under key {k} is shorter than its cells"));
                     }
                     if lower.is_some_and(|lo| k < *lo) {

@@ -16,6 +16,8 @@ pub enum StorageError {
     KeyNotFound { table: TableId, key: Key },
     /// An insert collided with an existing key.
     DuplicateKey { table: TableId, key: Key },
+    /// A write targeted a primary-key column, which a row is filed under.
+    KeyColumnWrite { table: TableId, column: usize },
     /// A record did not match the table schema.
     SchemaMismatch {
         table: TableId,
@@ -41,6 +43,12 @@ impl fmt::Display for StorageError {
             }
             StorageError::DuplicateKey { table, key } => {
                 write!(f, "duplicate key {key:?} in table {table:?}")
+            }
+            StorageError::KeyColumnWrite { table, column } => {
+                write!(
+                    f,
+                    "column {column} of table {table:?} is a primary-key column"
+                )
             }
             StorageError::SchemaMismatch {
                 table,

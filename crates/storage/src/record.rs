@@ -5,9 +5,9 @@
 //! `offset << 32 | len` of its bytes in that tail.  A [`Record`] owns one
 //! row in a single exact-size heap block; a [`Row`] borrows one, wherever
 //! its bytes live — a record, or a slot of a B+-tree leaf, which keeps all
-//! of its rows back to back in one block.  `write_cell` is the one path
-//! that writes into packed rows.  A [`Key`] is up to four inline integers
-//! with no heap part at all.
+//! of its rows back to back in one block and their key cells only in its
+//! key column.  `write_cell` is the one path that writes into packed rows.
+//! A [`Key`] is up to four inline integers with no heap part at all.
 
 use crate::schema::{ColumnType, Schema};
 use std::cmp::Ordering;
@@ -223,6 +223,19 @@ pub const MAX_COLUMNS: usize = 32;
 /// Bytes per column cell.
 const CELL: usize = 8;
 
+/// Where a shape word's key-prefix width starts.  A shape word holds the
+/// text mask of the row's stored cells in bits 0..32, the number of stored
+/// cells in bits 32..40, and from bit 40 the number of leading integer
+/// cells kept outside the row's bytes (0 for a record).
+const PREFIX_SHIFT: u32 = 40;
+
+/// The number of leading key cells a row of shape `shape` keeps outside
+/// its bytes.
+#[inline]
+pub(crate) fn prefix_width(shape: u64) -> usize {
+    (shape >> PREFIX_SHIFT) as usize
+}
+
 /// A tuple: one value per column of the table schema.
 ///
 /// # Row layout
@@ -237,8 +250,12 @@ const CELL: usize = 8;
 ///
 /// A `Record` is the owned row at the API edge — what inserts take, what
 /// a delete hands back, what transaction specs carry.  The B+-tree stores
-/// no `Record`: a leaf copies the same bytes into its one row block and
-/// lends them out as a [`Row`].
+/// no `Record`: a leaf copies the row's bytes into its one row block and
+/// lends them out as a [`Row`].  A table's leaf stores each key once: its
+/// rows drop their first `w` cells, the primary key, which the leaf's key
+/// column already holds.  What is left, `bytes[8w..]`, is itself a row in
+/// this layout — `arity − w` cells, the text mask shifted down by `w` —
+/// since text cells locate their bytes from the start of the text tail.
 ///
 /// The layout is canonical — a row's values decide every byte — so
 /// equality is byte equality.  The `Debug` form is that of the `Vec<Value>`
@@ -250,11 +267,18 @@ pub struct Record {
     shape: u64,
 }
 
-/// A borrowed row: the bytes of one [`Record`]'s layout, wherever they
-/// live — a record's own block or a slot of a B+-tree leaf's row block.
-#[derive(Clone, Copy, PartialEq)]
+/// A borrowed row: its leading key cells, when they are kept apart, and
+/// the bytes of the rest in the [`Record`] layout, wherever they live — a
+/// record's own block (with no key cells apart) or a slot of a B+-tree
+/// leaf's row block (with the slot's key components from the leaf's key
+/// column).  Every accessor sees the full row.
+#[derive(Clone, Copy)]
 pub struct Row<'a> {
+    /// Columns `0..prefix.len()`: integer cells not held in `bytes`.
+    prefix: &'a [i64],
+    /// The other columns, laid out as a row of their own.
     bytes: &'a [u8],
+    /// The shape word of `bytes`, with the prefix width on top.
     shape: u64,
 }
 
@@ -320,10 +344,7 @@ impl Record {
     /// The row this record holds, borrowed.
     #[inline]
     pub fn row(&self) -> Row<'_> {
-        Row {
-            bytes: &self.bytes,
-            shape: self.shape,
-        }
+        Row::from_parts(&[], &self.bytes, self.shape)
     }
 
     /// Number of columns.
@@ -382,41 +403,92 @@ impl Record {
 }
 
 impl<'a> Row<'a> {
-    /// A row over `bytes`, laid out as `shape` says.
+    /// A row of key cells `prefix` and the rest in `bytes`, laid out as
+    /// `shape` says; `prefix` must be as wide as `shape`'s prefix.
     #[inline]
-    pub(crate) fn from_parts(bytes: &'a [u8], shape: u64) -> Self {
-        Self { bytes, shape }
+    pub(crate) fn from_parts(prefix: &'a [i64], bytes: &'a [u8], shape: u64) -> Self {
+        debug_assert_eq!(prefix.len(), prefix_width(shape));
+        Self {
+            prefix,
+            bytes,
+            shape,
+        }
     }
 
-    /// The row's bytes, in the [`Record`] layout.
+    /// The row with its first `key.len()` columns — integer cells holding
+    /// `key` — taken from `key` instead of its bytes: `bytes()` is then the
+    /// rest of the row, what a leaf stores beside its key column.  The row
+    /// must keep no cells apart yet.
+    #[inline]
+    pub(crate) fn lend_key<'k>(self, key: &'k [i64]) -> Row<'k>
+    where
+        'a: 'k,
+    {
+        let w = key.len();
+        debug_assert!(self.prefix.is_empty() && (0..w).all(|c| self.int(c) == Some(key[c])));
+        let mask = self.shape as u32 as u64;
+        Row::from_parts(
+            key,
+            &self.bytes[CELL * w..],
+            (w as u64) << PREFIX_SHIFT | ((self.cells() - w) as u64) << 32 | mask >> w,
+        )
+    }
+
+    /// The row's stored bytes, in the [`Record`] layout: every column but
+    /// the key cells kept apart.
     #[inline]
     pub(crate) fn bytes(&self) -> &'a [u8] {
         self.bytes
     }
 
-    /// The row's shape word: arity high, text-column mask low.
+    /// The key cells kept apart from the bytes.
+    #[inline]
+    pub(crate) fn prefix(&self) -> &'a [i64] {
+        self.prefix
+    }
+
+    /// The shape word of the stored bytes: the prefix width, the number of
+    /// stored cells and their text-column mask.
     #[inline]
     pub(crate) fn shape(&self) -> u64 {
         self.shape
     }
 
+    /// Number of cells in the stored bytes.
+    #[inline]
+    pub(crate) fn cells(&self) -> usize {
+        (self.shape >> 32) as u8 as usize
+    }
+
     /// Number of columns.
     #[inline]
     pub fn arity(&self) -> usize {
-        (self.shape >> 32) as usize
+        self.prefix.len() + self.cells()
+    }
+
+    /// The text-column mask of the full row.
+    #[inline]
+    fn text_mask(&self) -> u64 {
+        (self.shape as u32 as u64) << self.prefix.len()
+    }
+
+    /// The shape word of the full row, as [`shape_of`] gives it.
+    #[inline]
+    fn full_shape(&self) -> u64 {
+        (self.arity() as u64) << 32 | self.text_mask()
     }
 
     /// The type of column `i` (in range).
     #[inline]
     fn column_type(&self, i: usize) -> ColumnType {
-        if self.shape >> i & 1 == 1 {
+        if self.text_mask() >> i & 1 == 1 {
             ColumnType::Text
         } else {
             ColumnType::Int
         }
     }
 
-    /// The raw cell of column `i`.
+    /// The raw cell of column `i`: a key cell kept apart is an integer.
     #[inline]
     fn cell(&self, i: usize) -> u64 {
         assert!(
@@ -424,14 +496,23 @@ impl<'a> Row<'a> {
             "column {i} of a {}-column record",
             self.arity()
         );
-        read_cell(self.bytes, i)
+        match i.checked_sub(self.prefix.len()) {
+            Some(stored) => read_cell(self.bytes, stored),
+            None => self.prefix[i] as u64,
+        }
+    }
+
+    /// The bytes of the text columns, in column order.
+    #[inline]
+    fn text_tail(&self) -> &'a [u8] {
+        &self.bytes[CELL * self.cells()..]
     }
 
     /// The text a text column's `cell` points at.
     fn text(&self, cell: u64) -> &'a str {
-        let start = CELL * self.arity() + (cell >> 32) as usize;
+        let start = (cell >> 32) as usize;
         let len = cell as u32 as usize;
-        std::str::from_utf8(&self.bytes[start..start + len]).expect("packed from a str")
+        std::str::from_utf8(&self.text_tail()[start..start + len]).expect("packed from a str")
     }
 
     /// Value of column `i`.
@@ -456,38 +537,50 @@ impl<'a> Row<'a> {
         (0..self.arity()).map(move |i| self.get(i))
     }
 
-    /// Extract the primary key of this row according to `schema`.
+    /// Extract the primary key of this row according to `schema`: its
+    /// leading integer columns.
     pub fn key(&self, schema: &Schema) -> Key {
-        let pk = &schema.primary_key;
+        let n = schema.primary_key.len();
         let mut vals = [0i64; MAX_KEY_COMPONENTS];
-        for (slot, &col) in vals[..pk.len()].iter_mut().zip(pk) {
+        for (col, slot) in vals[..n].iter_mut().enumerate() {
             *slot = self.int(col).expect("primary-key columns are Int");
         }
-        Key {
-            len: pk.len() as u8,
-            vals,
-        }
+        Key { len: n as u8, vals }
     }
 
     /// Whether the row matches the schema's column count and types.
     pub fn conforms_to(&self, schema: &Schema) -> bool {
-        self.shape == shape_of(schema)
+        self.full_shape() == shape_of(schema)
     }
 
     /// Approximate in-memory size in bytes: 8 per integer plus the text
     /// bytes.
     pub fn size_bytes(&self) -> u64 {
-        let texts = (self.shape as u32).count_ones() as usize;
-        let text_bytes = self.bytes.len() - CELL * self.arity();
-        (CELL * (self.arity() - texts) + text_bytes) as u64
+        let texts = self.text_mask().count_ones() as usize;
+        (CELL * (self.arity() - texts) + self.text_tail().len()) as u64
     }
 
-    /// An owned copy: one exact-size block.
+    /// An owned copy of the full row: one exact-size block.
     pub fn to_record(&self) -> Record {
-        Record {
-            bytes: self.bytes.into(),
-            shape: self.shape,
+        let mut bytes = Vec::with_capacity(CELL * self.prefix.len() + self.bytes.len());
+        for v in self.prefix {
+            bytes.extend_from_slice(&v.to_le_bytes());
         }
+        bytes.extend_from_slice(self.bytes);
+        Record {
+            bytes: bytes.into_boxed_slice(),
+            shape: self.full_shape(),
+        }
+    }
+}
+
+impl PartialEq for Row<'_> {
+    /// Rows are equal when their values are, wherever their key cells are
+    /// kept: the cells of the full row, then the text tail.
+    fn eq(&self, other: &Self) -> bool {
+        self.full_shape() == other.full_shape()
+            && (0..self.arity()).all(|i| self.cell(i) == other.cell(i))
+            && self.text_tail() == other.text_tail()
     }
 }
 
@@ -512,6 +605,7 @@ pub(crate) fn with_int_row<R>(values: &[i64], f: impl FnOnce(Row<'_>) -> R) -> R
         cell.copy_from_slice(&v.to_le_bytes());
     }
     f(Row::from_parts(
+        &[],
         &bytes[..CELL * values.len()],
         (values.len() as u64) << 32,
     ))
@@ -524,15 +618,17 @@ fn read_cell(bytes: &[u8], i: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + CELL].try_into().expect("8-byte cell"))
 }
 
-/// Overwrite column `i` of the row of shape `shape` that starts at
-/// `rows[at]` with `v`, which must have the column's type; the row may be
-/// followed by others.  An integer goes in place.  A text re-splices the
-/// row's tail — bytes after the row shift with it — and moves the offsets
-/// of the text columns behind it.  Returns the change in the row's length.
-/// This is the one write path of packed rows: a [`Record`]'s block and a
-/// leaf's row block alike.
+/// Overwrite stored cell `i` of the row of shape `shape` that starts at
+/// `rows[at]` with `v`, which must have the cell's type; the row may be
+/// followed by others.  Key cells kept apart are no part of it: cell `i`
+/// is column `i + prefix_width(shape)`.  An integer goes in place.  A text
+/// re-splices the row's tail — bytes after the row shift with it — and
+/// moves the offsets of the text columns behind it.  Returns the change in
+/// the row's length.  This is the one write path of packed rows: a
+/// [`Record`]'s block and a leaf's row block alike.
 pub(crate) fn write_cell(rows: &mut Vec<u8>, at: usize, shape: u64, i: usize, v: &Value) -> isize {
-    let row = Row::from_parts(&rows[at..], shape);
+    let shape = shape & ((1 << PREFIX_SHIFT) - 1);
+    let row = Row::from_parts(&[], &rows[at..], shape);
     let cell = row.cell(i);
     let put = |rows: &mut Vec<u8>, col: usize, cell: u64| {
         let c = at + CELL * col;
@@ -635,16 +731,72 @@ mod tests {
             "t",
             vec![
                 Column::new("a", ColumnType::Int),
-                Column::new("b", ColumnType::Text),
                 Column::new("c", ColumnType::Int),
+                Column::new("b", ColumnType::Text),
             ],
-            vec![2, 0],
+            vec![0, 1],
         );
-        let r = Record::new(vec![Value::Int(1), Value::from("x"), Value::Int(9)]);
+        let r = Record::new(vec![Value::Int(9), Value::Int(1), Value::from("x")]);
         assert_eq!(r.key(&schema), Key::ints(&[9, 1]));
         assert!(r.conforms_to(&schema));
         let bad = Record::new(vec![Value::Int(1), Value::Int(2), Value::Int(9)]);
         assert!(!bad.conforms_to(&schema));
+    }
+
+    /// A row whose key cells are lent from its key is the same row: every
+    /// accessor sees the full row, its stored bytes are the record's from
+    /// the first non-key cell on, and writes through them land where the
+    /// record's would.
+    #[test]
+    fn a_row_with_lent_key_cells_reads_as_the_full_row() {
+        let schema = Schema::new(
+            "t",
+            vec![
+                Column::new("w", ColumnType::Int),
+                Column::new("d", ColumnType::Int),
+                Column::new("s", ColumnType::Text),
+                Column::new("n", ColumnType::Int),
+                Column::new("t", ColumnType::Text),
+            ],
+            vec![0, 1],
+        );
+        let mut record = Record::new(vec![
+            Value::Int(3),
+            Value::Int(-7),
+            Value::from("naïve"),
+            Value::Int(42),
+            Value::from("tail"),
+        ]);
+        let key = record.key(&schema);
+        let lent = record.row().lend_key(key.comps());
+        assert_eq!(lent.bytes(), &record.bytes[16..]);
+        assert_eq!((lent.arity(), lent.cells()), (5, 3));
+        assert_eq!(lent, record.row());
+        assert!(lent.conforms_to(&schema));
+        assert_eq!(lent.key(&schema), key);
+        assert_eq!(lent.size_bytes(), record.size_bytes());
+        assert_eq!(lent.to_record(), record);
+        assert_eq!(format!("{lent:?}"), format!("{record:?}"));
+        for c in 0..5 {
+            assert_eq!(lent.get(c), record.get(c));
+            assert_eq!(lent.int(c), record.int(c));
+        }
+        // A text write to column 2 is one to stored cell 0.
+        let mut stored = lent.bytes().to_vec();
+        let delta = write_cell(&mut stored, 0, lent.shape(), 0, &Value::from("zz"));
+        assert_eq!(delta, 2 - "naïve".len() as isize);
+        let written = Row::from_parts(key.comps(), &stored, lent.shape());
+        record.set(2, &Value::from("zz"));
+        assert_eq!(written.to_record(), record);
+        // A row with other values differs, wherever its cells are kept.
+        let other = Record::new(vec![
+            Value::Int(3),
+            Value::Int(-8),
+            Value::from("zz"),
+            Value::Int(42),
+            Value::from("tail"),
+        ]);
+        assert_ne!(written, other.row());
     }
 
     #[test]

@@ -85,7 +85,9 @@ impl Schema {
     /// Build a schema; the record size is estimated from the column types.
     /// A table has one to [`MAX_COLUMNS`] columns — all a [`crate::Record`]
     /// can hold — and its primary key is one to [`MAX_KEY_COMPONENTS`] `Int`
-    /// columns — all a [`crate::Key`] can hold.
+    /// columns — all a [`crate::Key`] can hold — and they are the leading
+    /// columns in order, which a table's leaves store only in their key
+    /// column.
     pub fn new(name: impl Into<String>, columns: Vec<Column>, primary_key: Vec<usize>) -> Self {
         assert!(!columns.is_empty(), "a table needs at least one column");
         assert!(
@@ -97,12 +99,16 @@ impl Schema {
             primary_key.len() <= MAX_KEY_COMPONENTS,
             "a primary key has at most {MAX_KEY_COMPONENTS} columns"
         );
-        for &pk in &primary_key {
+        for (i, &pk) in primary_key.iter().enumerate() {
             assert!(pk < columns.len(), "primary key column out of range");
             assert!(
                 columns[pk].ty == ColumnType::Int,
                 "primary key column `{}` must be Int",
                 columns[pk].name
+            );
+            assert!(
+                pk == i,
+                "primary key column {i} is column {pk}: a primary key is the leading columns in order"
             );
         }
         let record_bytes = columns
@@ -202,6 +208,13 @@ mod tests {
             32
         );
         let _ = Schema::new("t", columns(MAX_COLUMNS + 1).collect(), vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a primary key is the leading columns in order")]
+    fn schema_rejects_a_key_that_is_not_the_leading_columns() {
+        let columns = (0..3).map(|i| Column::new(format!("c{i}"), ColumnType::Int));
+        let _ = Schema::new("t", columns.collect(), vec![1, 0]);
     }
 
     #[test]

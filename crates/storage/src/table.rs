@@ -5,6 +5,12 @@
 //! tree height plus a memory access to the partition's NUMA node, so the
 //! remote-memory experiments (paper §III-D, Table I) and the partition
 //! placement decisions of ATraPos have a physical effect.
+//!
+//! A table stores each primary key once: every schema keys on its leading
+//! integer columns, and a row goes into its leaf with those cells lent from
+//! its key (`Row::lend_key`), so the leaf keeps them only in its key
+//! column and hands them back on every read.  Key columns are therefore not
+//! writable: a row is filed under its key.
 
 use crate::btree::RowMut;
 use crate::error::{StorageError, StorageResult};
@@ -113,6 +119,18 @@ impl Table {
         self.insert_new(partition, key, row).map(drop)
     }
 
+    /// A key-column error if `column` is one of the primary-key columns.
+    #[inline]
+    fn check_writable(&self, column: usize) -> StorageResult<()> {
+        if column < self.schema.primary_key.len() {
+            return Err(StorageError::KeyColumnWrite {
+                table: self.id,
+                column,
+            });
+        }
+        Ok(())
+    }
+
     /// A schema-mismatch error unless `row` conforms to the schema.
     fn check_schema(&self, row: Row<'_>) -> StorageResult<()> {
         if row.shape() == self.shape {
@@ -125,10 +143,14 @@ impl Table {
         })
     }
 
-    /// Copy `row` in under `key` to `partition`.  A key that is already
-    /// there is an error and keeps the row it has.
+    /// Copy `row`, a whole row of the schema, in under its `key` to
+    /// `partition`, leaving its key cells to the leaf's key column.  A key
+    /// that is already there is an error and keeps the row it has.
     fn insert_new(&mut self, partition: usize, key: Key, row: Row<'_>) -> StorageResult<Key> {
-        if self.index.insert_new_in(partition, key, row) {
+        if self
+            .index
+            .insert_new_in(partition, key, row.lend_key(key.comps()))
+        {
             Ok(key)
         } else {
             Err(StorageError::DuplicateKey {
@@ -206,7 +228,8 @@ impl Table {
     }
 
     /// Update columns of an existing record.  Integer changes to integer
-    /// columns are written in place.
+    /// columns are written in place.  A change to a primary-key column is
+    /// an error, and then no column changes.
     // One per simulated update action.
     // lint: hot-path
     pub fn update(
@@ -215,6 +238,9 @@ impl Table {
         key: &Key,
         changes: &[(usize, Value)],
     ) -> StorageResult<()> {
+        for (col, _) in changes {
+            self.check_writable(*col)?;
+        }
         let mut row = self.probe_for_update(ctx, key, changes.len())?;
         for (col, value) in changes {
             row.set(*col, value);
@@ -224,7 +250,7 @@ impl Table {
 
     /// Add `delta` to an integer column of an existing record
     /// (read-modify-write under one probe, charged as a one-column
-    /// [`Table::update`]).
+    /// [`Table::update`]).  A primary-key column is an error.
     // One per simulated increment action.
     // lint: hot-path
     pub fn increment(
@@ -234,6 +260,7 @@ impl Table {
         column: usize,
         delta: i64,
     ) -> StorageResult<()> {
+        self.check_writable(column)?;
         let mut row = self.probe_for_update(ctx, key, 1)?;
         let current = row.int(column).expect("increment targets an Int column");
         row.set(column, &Value::Int(current + delta));
@@ -401,6 +428,35 @@ mod tests {
             table.peek(&Key::int(7)).unwrap().get(2).as_text(),
             "owner-7"
         );
+    }
+
+    /// A row is filed under its key, so a write to a key column is refused
+    /// with a typed error — in a batch too, which then changes nothing —
+    /// and the row still reports the key it is filed under.
+    #[test]
+    fn key_columns_are_not_writable() {
+        let (t, c) = env();
+        let mut table = Table::new(TableId(4), schema(), SocketId(0));
+        table.load(rec(7, 700)).unwrap();
+        let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
+        let refused = StorageError::KeyColumnWrite {
+            table: TableId(4),
+            column: 0,
+        };
+        let key = Key::int(7);
+        assert_eq!(
+            table.update(&mut ctx, &key, &[(0, Value::Int(8))]),
+            Err(refused.clone())
+        );
+        assert_eq!(
+            table.update(&mut ctx, &key, &[(1, Value::Int(1)), (0, Value::Int(8))]),
+            Err(refused.clone())
+        );
+        assert_eq!(table.increment(&mut ctx, &key, 0, 1), Err(refused));
+        let row = table.peek(&key).unwrap();
+        assert_eq!(row.key(table.schema()), key);
+        assert_eq!(row.to_record(), rec(7, 700));
+        assert!(table.peek(&Key::int(8)).is_none());
     }
 
     #[test]
@@ -588,7 +644,8 @@ mod tests {
 
     /// Memory, pinned by a count: a table of four-int keys and all-int
     /// rows (TPC-C's order lines) stores per row its key at table width,
-    /// the row and at most 12 bytes of offsets and node structs.
+    /// the row's other cells and at most 12 bytes of offsets and node
+    /// structs — the key once.
     #[test]
     fn four_int_keys_cost_their_width_per_row() {
         let schema = Schema::new(
@@ -611,8 +668,31 @@ mod tests {
             }
         }
         let per_row = table.index().partition(0).tree.heap_bytes() as f64 / rows as f64;
-        let bound = (8 * 4 + 6 * 8 + 12) as f64;
+        let bound = (8 * 4 + (6 - 4) * 8 + 12) as f64;
         assert!(per_row <= bound, "{per_row:.2} B per row (bound {bound})");
+    }
+
+    /// Memory, pinned by a count: 200 k ascending five-integer rows under
+    /// one-integer keys cost a table at most 50 heap bytes each — 8 of
+    /// key, 32 of the four other cells, 4 of end offset, and the node
+    /// structs their parents hold — where a row that kept its key cell too
+    /// cost 56.
+    #[test]
+    fn five_int_rows_store_their_key_once() {
+        const ROWS: i64 = 200_000;
+        let schema = Schema::new(
+            "usertable",
+            (0..5)
+                .map(|i| Column::new(format!("f{i}"), ColumnType::Int))
+                .collect(),
+            vec![0],
+        );
+        let mut table = Table::new(TableId(0), schema, SocketId(0));
+        for i in 0..ROWS {
+            table.load_ints(&[i, i, i, i, i]).unwrap();
+        }
+        let per_row = table.index().partition(0).tree.heap_bytes() as f64 / ROWS as f64;
+        assert!(per_row <= 50.0, "{per_row:.2} B per row");
     }
 
     #[test]

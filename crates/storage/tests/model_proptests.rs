@@ -22,6 +22,12 @@
 //!   bounds shorter than the keys, and runs of appends above the maximum interleaved with
 //!   inserts and removes of it; after every step the contents equal the
 //!   model's byte for byte and every invariant holds.
+//! * A `Table`, whose leaves keep each key only in their key column, is
+//!   driven against a `BTreeMap<Key, Record>` through inserts, loads,
+//!   updates, increments, deletes and partition splits and merges, with
+//!   keys one to four integers wide; every row reads back whole under its
+//!   own key, a delete hands back the whole record, and a write to a key
+//!   column is refused.
 //! * The packed row block (`Record`) is checked against the `Vec<Value>`
 //!   row it replaced: accessors, writes, schema checks, key extraction,
 //!   equality, and the `Debug` form byte for byte.
@@ -47,8 +53,8 @@ use atrapos_storage::btree::KeyColumn;
 use atrapos_storage::lock_manager::SWEEP_FLOOR;
 use atrapos_storage::record::{MAX_COLUMNS, MAX_KEY_COMPONENTS};
 use atrapos_storage::{
-    BTree, Column, ColumnType, Key, LockId, LockManager, LockMode, MrBTree, Record, Schema, Table,
-    TableId, Txn, TxnId, Value,
+    BTree, Column, ColumnType, Key, LockId, LockManager, LockMode, MrBTree, Record, Schema,
+    StorageError, Table, TableId, Txn, TxnId, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -770,6 +776,176 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
+// A table vs. an ordered map of records
+// ----------------------------------------------------------------------
+
+/// One step of a table driven against an ordered map of its records.  Raw
+/// keys are cut to the case's key width.
+#[derive(Debug, Clone)]
+enum TableOp {
+    /// `Table::insert` (`false`) or `Table::load` of a row: a present key is
+    /// refused and keeps its row.
+    Insert([i64; 4], bool, i64, String),
+    /// `Table::update` of column `col % arity` — a key column is refused —
+    /// to the integer or the text, whichever is the column's type.
+    Update([i64; 4], usize, i64, String),
+    /// `Table::increment` of integer column `col % (width + 2)` — the key
+    /// columns, then `a` and `b`; a key column is refused.
+    Increment([i64; 4], usize, i64),
+    /// `Table::delete`: hands back the full record.
+    Delete([i64; 4]),
+    /// Split the partition that holds the first integer there.
+    Split(i64),
+    /// Merge partition `u % (partitions - 1)` with the next.
+    Merge(u64),
+}
+
+fn table_op_strategy() -> impl Strategy<Value = TableOp> {
+    let small = || -1_000_000i64..1_000_000;
+    prop_oneof![
+        6 => (raw_key_strategy(), any::<bool>(), small(), text_strategy())
+            .prop_map(|(k, load, v, t)| TableOp::Insert(k, load, v, t)),
+        4 => (raw_key_strategy(), any::<usize>(), small(), text_strategy())
+            .prop_map(|(k, col, v, t)| TableOp::Update(k, col, v, t)),
+        3 => (raw_key_strategy(), any::<usize>(), small())
+            .prop_map(|(k, col, d)| TableOp::Increment(k, col, d)),
+        3 => raw_key_strategy().prop_map(TableOp::Delete),
+        1 => raw_key_strategy().prop_map(|k| TableOp::Split(k[0])),
+        1 => any::<u64>().prop_map(TableOp::Merge),
+    ]
+}
+
+/// The table holds exactly the model's records, each under its own key,
+/// and keeps its invariants.
+fn check_table(table: &Table, model: &BTreeMap<Key, Record>) -> Result<(), TestCaseError> {
+    table
+        .index()
+        .check_invariants()
+        .map_err(TestCaseError::fail)?;
+    prop_assert_eq!(table.len(), model.len());
+    let got: Vec<(Key, Record)> = table
+        .index()
+        .iter()
+        .map(|(k, r)| {
+            prop_assert_eq!(r.key(table.schema()), k);
+            prop_assert!(r.conforms_to(table.schema()));
+            Ok((k, r.to_record()))
+        })
+        .collect::<Result<_, TestCaseError>>()?;
+    let want: Vec<(Key, Record)> = model.iter().map(|(k, r)| (*k, r.clone())).collect();
+    prop_assert_eq!(got, want);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// A table whose leaves keep each key only in their key column — keys
+    /// one to four integers wide, integer and text columns behind them —
+    /// agrees with an ordered map of whole records through inserts and
+    /// loads (duplicates refused), integer and text updates, increments,
+    /// deletes that hand back the whole record, and partition splits and
+    /// merges, which rebuild trees through the bulk loader.  A write to a
+    /// key column is refused with a typed error and changes nothing.
+    #[test]
+    fn a_table_matches_the_ordered_map_of_its_records(
+        width in 1usize..=MAX_KEY_COMPONENTS,
+        ops in prop::collection::vec(table_op_strategy(), 1..300),
+    ) {
+        let columns: Vec<Column> = (0..width)
+            .map(|i| Column::new(format!("k{i}"), ColumnType::Int))
+            .chain([
+                Column::new("a", ColumnType::Int),
+                Column::new("s", ColumnType::Text),
+                Column::new("b", ColumnType::Int),
+            ])
+            .collect();
+        let arity = columns.len();
+        let schema = Schema::new("keyed", columns, (0..width).collect());
+        let mut table = Table::new(TableId(3), schema, SocketId(0));
+        let mut model: BTreeMap<Key, Record> = BTreeMap::new();
+        let topo = Topology::multisocket(2, 2);
+        let cost = CostModel::westmere();
+        let mut ctx = SimCtx::new(&topo, &cost, CoreId(0), 0);
+        let key_column = |column| StorageError::KeyColumnWrite { table: TableId(3), column };
+        for op in ops {
+            match op {
+                TableOp::Insert(raw, load, v, text) => {
+                    let key = Key::ints(&raw[..width]);
+                    let mut values: Vec<Value> = raw[..width].iter().map(|&c| Value::Int(c)).collect();
+                    values.extend([Value::Int(v), Value::Text(text), Value::Int(-v)]);
+                    let row = Record::new(values);
+                    let present = model.contains_key(&key);
+                    let got = if load {
+                        table.load(row.clone()).map(|()| key)
+                    } else {
+                        table.insert(&mut ctx, row.clone())
+                    };
+                    match got {
+                        Ok(k) => prop_assert!(!present && k == key),
+                        Err(e) => prop_assert!(present && e == StorageError::DuplicateKey { table: TableId(3), key }),
+                    }
+                    model.entry(key).or_insert(row);
+                }
+                TableOp::Update(raw, col, v, text) => {
+                    let key = Key::ints(&raw[..width]);
+                    let col = col % arity;
+                    let value = if col == width + 1 { Value::Text(text) } else { Value::Int(v) };
+                    let got = table.update(&mut ctx, &key, &[(col, value.clone())]);
+                    match model.get_mut(&key) {
+                        _ if col < width => prop_assert_eq!(got, Err(key_column(col))),
+                        None => prop_assert!(matches!(got, Err(StorageError::KeyNotFound { .. }))),
+                        Some(record) => {
+                            prop_assert_eq!(got, Ok(()));
+                            record.set(col, &value);
+                        }
+                    }
+                }
+                TableOp::Increment(raw, col, delta) => {
+                    let key = Key::ints(&raw[..width]);
+                    let col = match col % (width + 2) {
+                        c if c < width => c,
+                        c if c == width => width,
+                        _ => width + 2,
+                    };
+                    let got = table.increment(&mut ctx, &key, col, delta);
+                    match model.get_mut(&key) {
+                        _ if col < width => prop_assert_eq!(got, Err(key_column(col))),
+                        None => prop_assert!(matches!(got, Err(StorageError::KeyNotFound { .. }))),
+                        Some(record) => {
+                            prop_assert_eq!(got, Ok(()));
+                            let now = record.int(col).unwrap() + delta;
+                            record.set(col, &Value::Int(now));
+                        }
+                    }
+                }
+                TableOp::Delete(raw) => {
+                    let key = Key::ints(&raw[..width]);
+                    prop_assert_eq!(table.delete(&mut ctx, &key).ok(), model.remove(&key));
+                }
+                TableOp::Split(head) => {
+                    let index = table.index_mut();
+                    let idx = index.partition_for(&Key::int(head));
+                    let on_bound = index.lower_bound(idx) == Some(head);
+                    prop_assert_eq!(
+                        index.split_partition(idx, Key::int(head), SocketId(1)).is_err(),
+                        on_bound
+                    );
+                }
+                TableOp::Merge(u) => {
+                    let index = table.index_mut();
+                    if index.num_partitions() > 1 {
+                        let idx = u as usize % (index.num_partitions() - 1);
+                        index.merge_with_next(idx).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    }
+                }
+            }
+            check_table(&table, &model)?;
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
 // Packed records vs. the `Vec<Value>` row they replaced
 // ----------------------------------------------------------------------
 
@@ -829,10 +1005,9 @@ fn check_against_model(record: &Record, model: &naive::Record) -> Result<(), Tes
     if let Some(ints) = ints {
         prop_assert_eq!(&Record::ints(&ints), record);
     }
-    // A key of up to four Int columns, last column first.
+    // A key of the leading Int columns, up to four.
     let pk: Vec<usize> = (0..values.len())
-        .rev()
-        .filter(|&i| matches!(values[i], Value::Int(_)))
+        .take_while(|&i| matches!(values[i], Value::Int(_)))
         .take(MAX_KEY_COMPONENTS)
         .collect();
     if pk.is_empty() {
