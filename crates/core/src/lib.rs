@@ -57,7 +57,7 @@ pub use advisor::{
 };
 pub use controller::{AdaptationOutcome, AdaptiveController, ControllerConfig};
 pub use cost_model::{resource_utilization, sync_overhead, CostBreakdown};
-pub use distribution::{KeyDistribution, KeySampler};
+pub use distribution::{KeyDistribution, KeySampler, ZipfianDomainTooLarge, MAX_ZIPFIAN_DOMAIN};
 pub use histogram::LatencyHistogram;
 pub use monitor::{AdaptiveInterval, IntervalDecision, Monitor, MONITOR_INSTRUCTIONS_PER_EVENT};
 pub use partitioning::{KeyDomain, PartitionSpec, PartitioningScheme, TablePartitioning};

@@ -2,7 +2,7 @@
 //! generation.
 
 use crate::action::TransactionSpec;
-use atrapos_core::{KeyDistribution, KeyDomain};
+use atrapos_core::{KeyDistribution, KeyDomain, ZipfianDomainTooLarge};
 use atrapos_numa::CoreId;
 use atrapos_storage::{Database, Key, Schema, TableId};
 use rand::rngs::SmallRng;
@@ -115,6 +115,15 @@ pub enum ReconfigureError {
         /// The mix names the workload accepts.
         known: Vec<&'static str>,
     },
+    /// A Zipfian distribution was asked for over a key domain the sampler
+    /// refuses to build a table for; the workload keeps drawing from its
+    /// previous distribution.
+    ZipfianDomain {
+        /// Name of the workload.
+        workload: String,
+        /// The refused domain.
+        source: ZipfianDomainTooLarge,
+    },
 }
 
 impl fmt::Display for ReconfigureError {
@@ -141,6 +150,9 @@ impl fmt::Display for ReconfigureError {
                 "workload '{workload}' has no mix named '{name}' (known: {})",
                 known.join(", ")
             ),
+            ReconfigureError::ZipfianDomain { workload, source } => {
+                write!(f, "workload '{workload}': {source}")
+            }
         }
     }
 }

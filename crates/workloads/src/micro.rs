@@ -3,7 +3,7 @@
 use crate::generator::{KeyDistribution, KeySampler};
 use atrapos_core::KeyDomain;
 use atrapos_engine::workload::{ensure_tables, ReconfigureError, WorkloadChange};
-use atrapos_engine::{Action, ActionOp, Phase, TableSpec, TransactionSpec, Workload};
+use atrapos_engine::{Action, ActionOp, TableSpec, TransactionSpec, Workload};
 use atrapos_numa::CoreId;
 use atrapos_storage::{Column, ColumnType, Database, Key, Schema, TableId};
 use rand::rngs::SmallRng;
@@ -89,28 +89,32 @@ impl ReadOneRow {
             distribution: KeyDistribution::Uniform,
             samplers: Vec::new(),
         };
-        w.rebuild_samplers();
+        w.set_distribution(KeyDistribution::Uniform)
+            .expect("a uniform sampler has no cap");
         w
     }
 
-    /// Switch the key distribution (e.g. to a hotspot) at runtime.
-    pub fn set_distribution(&mut self, d: KeyDistribution) {
+    /// Switch the key distribution (e.g. to a hotspot) at runtime.  A
+    /// Zipfian distribution over a site wider than the sampler's cap is
+    /// refused, and the workload keeps its previous distribution.
+    pub fn set_distribution(&mut self, d: KeyDistribution) -> Result<(), ReconfigureError> {
+        self.samplers = (0..self.sites)
+            .map(|site| {
+                let (lo, hi) = self.site_range(site);
+                d.try_sampler(lo, hi)
+            })
+            .collect::<Result<_, _>>()
+            .map_err(|source| ReconfigureError::ZipfianDomain {
+                workload: self.name().to_string(),
+                source,
+            })?;
         self.distribution = d;
-        self.rebuild_samplers();
+        Ok(())
     }
 
     /// The current key distribution.
     pub fn distribution(&self) -> KeyDistribution {
         self.distribution
-    }
-
-    fn rebuild_samplers(&mut self) {
-        self.samplers = (0..self.sites)
-            .map(|site| {
-                let (lo, hi) = self.site_range(site);
-                self.distribution.sampler(lo, hi)
-            })
-            .collect();
     }
 
     fn site_range(&self, site: usize) -> (i64, i64) {
@@ -151,26 +155,32 @@ impl Workload for ReadOneRow {
     }
 
     fn next_transaction(&mut self, rng: &mut SmallRng, client: CoreId) -> TransactionSpec {
+        let mut spec = TransactionSpec::empty();
+        self.next_transaction_into(rng, client, &mut spec);
+        spec
+    }
+
+    fn next_transaction_into(
+        &mut self,
+        rng: &mut SmallRng,
+        client: CoreId,
+        spec: &mut TransactionSpec,
+    ) {
         let site = self.site_of(client);
         let k = self.samplers[site].sample(rng);
-        TransactionSpec::single_phase(
-            "read-one-row",
-            vec![Action::new(ActionOp::Read {
-                table: TableId(0),
-                key: Key::int(k),
-            })],
-        )
+        let mut w = spec.refill("read-one-row");
+        w.phase().push(Action::new(ActionOp::Read {
+            table: TableId(0),
+            key: Key::int(k),
+        }));
+        w.finish();
     }
 
     fn reconfigure(&mut self, change: &WorkloadChange) -> Result<(), ReconfigureError> {
         match change {
-            WorkloadChange::Distribution { distribution } => {
-                self.set_distribution(*distribution);
-                Ok(())
-            }
+            WorkloadChange::Distribution { distribution } => self.set_distribution(*distribution),
             WorkloadChange::ZipfianTheta { theta } => {
-                self.set_distribution(KeyDistribution::Zipfian { theta: *theta });
-                Ok(())
+                self.set_distribution(KeyDistribution::Zipfian { theta: *theta })
             }
             other => Err(ReconfigureError::Unsupported {
                 workload: self.name().to_string(),
@@ -199,6 +209,9 @@ pub struct MultiSiteUpdate {
     pub multi_site_percent: u32,
     /// Rows updated per transaction (10 in the paper).
     pub rows_per_txn: usize,
+    /// Scratch buffer the generator sorts and dedups each transaction's
+    /// keys in, kept so generation does not allocate.
+    keys: Vec<i64>,
 }
 
 impl MultiSiteUpdate {
@@ -212,6 +225,7 @@ impl MultiSiteUpdate {
             cores_per_site,
             multi_site_percent: multi_site_percent.min(100),
             rows_per_txn: 10,
+            keys: Vec::new(),
         }
     }
 
@@ -250,10 +264,22 @@ impl Workload for MultiSiteUpdate {
     }
 
     fn next_transaction(&mut self, rng: &mut SmallRng, client: CoreId) -> TransactionSpec {
+        let mut spec = TransactionSpec::empty();
+        self.next_transaction_into(rng, client, &mut spec);
+        spec
+    }
+
+    fn next_transaction_into(
+        &mut self,
+        rng: &mut SmallRng,
+        client: CoreId,
+        spec: &mut TransactionSpec,
+    ) {
         let site = self.site_of(client);
         let (lo, hi) = self.local_range(site);
         let multi = rng.gen_range(0u32..100) < self.multi_site_percent;
-        let mut keys = Vec::with_capacity(self.rows_per_txn);
+        let keys = &mut self.keys;
+        keys.clear();
         // The first row always comes from the local site.
         keys.push(rng.gen_range(lo..hi));
         for _ in 1..self.rows_per_txn {
@@ -265,21 +291,16 @@ impl Workload for MultiSiteUpdate {
         }
         keys.sort_unstable();
         keys.dedup();
-        let actions = keys
-            .into_iter()
-            .map(|k| {
-                Action::new(ActionOp::Increment {
-                    table: TableId(0),
-                    key: Key::int(k),
-                    column: 1,
-                    delta: 1,
-                })
+        let mut w = spec.refill(if multi { "multi-site" } else { "local" });
+        w.phase().extend(keys.iter().map(|&k| {
+            Action::new(ActionOp::Increment {
+                table: TableId(0),
+                key: Key::int(k),
+                column: 1,
+                delta: 1,
             })
-            .collect();
-        TransactionSpec::new(
-            if multi { "multi-site" } else { "local" },
-            vec![Phase::new(actions)],
-        )
+        }));
+        w.finish();
     }
 
     fn reconfigure(&mut self, change: &WorkloadChange) -> Result<(), ReconfigureError> {
@@ -340,17 +361,27 @@ impl Workload for ReadManyRows {
         populate_probe(self, self.rows, db, filter);
     }
 
-    fn next_transaction(&mut self, rng: &mut SmallRng, _client: CoreId) -> TransactionSpec {
-        let actions = (0..self.rows_per_txn)
-            .map(|_| {
-                Action::new(ActionOp::Read {
-                    table: TableId(0),
-                    key: Key::int(rng.gen_range(0..self.rows)),
-                })
-                .with_extra_instructions(60)
+    fn next_transaction(&mut self, rng: &mut SmallRng, client: CoreId) -> TransactionSpec {
+        let mut spec = TransactionSpec::empty();
+        self.next_transaction_into(rng, client, &mut spec);
+        spec
+    }
+
+    fn next_transaction_into(
+        &mut self,
+        rng: &mut SmallRng,
+        _client: CoreId,
+        spec: &mut TransactionSpec,
+    ) {
+        let mut w = spec.refill("read-many-rows");
+        w.phase().extend((0..self.rows_per_txn).map(|_| {
+            Action::new(ActionOp::Read {
+                table: TableId(0),
+                key: Key::int(rng.gen_range(0..self.rows)),
             })
-            .collect();
-        TransactionSpec::single_phase("read-many-rows", actions)
+            .with_extra_instructions(60)
+        }));
+        w.finish();
     }
 }
 
@@ -381,7 +412,8 @@ mod tests {
             data_fraction: 0.05,
             access_fraction: 1.0,
             period_txns: 100,
-        });
+        })
+        .unwrap();
         let mut rng = SmallRng::seed_from_u64(4);
         let key_at = |w: &mut ReadOneRow, rng: &mut SmallRng| {
             w.next_transaction(rng, CoreId(0)).phases[0].actions[0]
@@ -400,6 +432,28 @@ mod tests {
             late.iter().all(|&k| (400..700).contains(&k)),
             "late keys {late:?}"
         );
+    }
+
+    #[test]
+    fn a_zipfian_reconfiguration_past_the_cap_is_refused_and_changes_nothing() {
+        let mut w = ReadOneRow::with_rows(9_000_000);
+        let err = w
+            .reconfigure(&WorkloadChange::ZipfianTheta { theta: 0.99 })
+            .unwrap_err();
+        assert!(
+            matches!(&err, ReconfigureError::ZipfianDomain { source, .. } if source.keys == 9_000_000),
+            "{err}"
+        );
+        assert_eq!(w.distribution(), KeyDistribution::Uniform);
+        let mut fresh = ReadOneRow::with_rows(9_000_000);
+        let mut a = SmallRng::seed_from_u64(5);
+        let mut b = SmallRng::seed_from_u64(5);
+        for _ in 0..50 {
+            assert_eq!(
+                w.next_transaction(&mut a, CoreId(0)),
+                fresh.next_transaction(&mut b, CoreId(0))
+            );
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! ```
 
 use crate::generator::{KeyDistribution, KeySampler, Mix};
-use atrapos_core::KeyDomain;
+use atrapos_core::{KeyDomain, ZipfianDomainTooLarge, MAX_ZIPFIAN_DOMAIN};
 use atrapos_engine::workload::{ensure_tables, ReconfigureError, WorkloadChange};
 use atrapos_engine::{Action, ActionOp, TableSpec, TransactionSpec, Workload};
 use atrapos_numa::CoreId;
@@ -59,10 +59,6 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Largest key domain a `Zipfian` argument may sample (the core layer
-/// materializes one CDF entry per key; see `atrapos_core::distribution`).
-const MAX_ZIPFIAN_KEYS: i64 = 1 << 23;
 
 /// Most rows a spec may declare, summed over its tables: `populate` loads
 /// every one of them, so a larger spec would run the host out of memory
@@ -405,7 +401,7 @@ impl fmt::Display for SpecError {
             SpecError::ZipfianDomain { template, table } => write!(
                 f,
                 "template '{template}': Zipfian argument over table '{table}' \
-                 exceeds the {MAX_ZIPFIAN_KEYS}-key cap"
+                 exceeds the {MAX_ZIPFIAN_DOMAIN}-key cap"
             ),
             SpecError::DuplicateTemplate { template } => {
                 write!(f, "template '{template}' is declared twice")
@@ -613,7 +609,7 @@ impl WorkloadSpec {
                             table: table.clone(),
                         })?;
                     if matches!(distribution, KeyDistribution::Zipfian { .. })
-                        && self.tables[t].keys > MAX_ZIPFIAN_KEYS
+                        && self.tables[t].keys > MAX_ZIPFIAN_DOMAIN
                     {
                         return Err(SpecError::ZipfianDomain {
                             template: name(),
@@ -746,7 +742,7 @@ enum CompiledArg {
 /// A precomputed sampler over one table's key domain, shared by every key
 /// argument that draws that table with that distribution: a stateful
 /// distribution (the drifting hot window) then advances once per draw of
-/// the *workload*, whichever template drew, and a Zipfian CDF is built
+/// the *workload*, whichever template drew, and a Zipfian table is built
 /// once per table rather than once per template.
 #[derive(Debug, Clone)]
 struct SharedSampler {
@@ -762,18 +758,19 @@ fn sampler_slot(
     table: usize,
     keys: i64,
     distribution: KeyDistribution,
-) -> usize {
-    let shared = samplers
+) -> Result<usize, ZipfianDomainTooLarge> {
+    if let Some(shared) = samplers
         .iter()
-        .position(|s| s.table == table && s.distribution == distribution);
-    shared.unwrap_or_else(|| {
-        samplers.push(SharedSampler {
-            table,
-            distribution,
-            sampler: distribution.sampler(0, keys),
-        });
-        samplers.len() - 1
-    })
+        .position(|s| s.table == table && s.distribution == distribution)
+    {
+        return Ok(shared);
+    }
+    samplers.push(SharedSampler {
+        table,
+        distribution,
+        sampler: distribution.try_sampler(0, keys)?,
+    });
+    Ok(samplers.len() - 1)
 }
 
 /// How an op finds its key in the drawn-argument buffer.
@@ -913,6 +910,7 @@ impl CompiledWorkload {
         let mut sampler = |table: &str, distribution: KeyDistribution| {
             let table = spec.table_index(table).expect("validated table reference");
             sampler_slot(samplers, table, spec.tables[table].keys, distribution)
+                .expect("validated Zipfian domain")
         };
         let args = tpl
             .args
@@ -991,8 +989,29 @@ impl CompiledWorkload {
     }
 
     /// Set every key argument's distribution and rebuild the samplers
-    /// (one per sampled table from here on).
-    pub fn set_distribution(&mut self, d: KeyDistribution) {
+    /// (one per sampled table from here on).  A Zipfian distribution over a
+    /// table larger than the sampler's cap is refused, and the workload
+    /// keeps its previous distribution.
+    pub fn set_distribution(&mut self, d: KeyDistribution) -> Result<(), ReconfigureError> {
+        // Rebuild into copies, so a refusal leaves the workload untouched.
+        let mut samplers = Vec::new();
+        let mut templates = self.templates.clone();
+        for tpl in &mut templates {
+            for arg in &mut tpl.args {
+                if let CompiledArg::Key { sampler } | CompiledArg::LatestKey { sampler } = arg {
+                    let table = self.samplers[*sampler].table;
+                    let keys = self.spec.tables[table].keys;
+                    *sampler = sampler_slot(&mut samplers, table, keys, d).map_err(|source| {
+                        ReconfigureError::ZipfianDomain {
+                            workload: self.spec.name.clone(),
+                            source,
+                        }
+                    })?;
+                }
+            }
+        }
+        self.templates = templates;
+        self.samplers = samplers;
         for tpl in &mut self.spec.templates {
             for arg in &mut tpl.args {
                 if let ArgDef::Key { distribution, .. } | ArgDef::LatestKey { distribution, .. } =
@@ -1002,16 +1021,7 @@ impl CompiledWorkload {
                 }
             }
         }
-        let previous = std::mem::take(&mut self.samplers);
-        for tpl in &mut self.templates {
-            for arg in &mut tpl.args {
-                if let CompiledArg::Key { sampler } | CompiledArg::LatestKey { sampler } = arg {
-                    let table = previous[*sampler].table;
-                    let keys = self.spec.tables[table].keys;
-                    *sampler = sampler_slot(&mut self.samplers, table, keys, d);
-                }
-            }
-        }
+        Ok(())
     }
 }
 
@@ -1244,13 +1254,9 @@ impl Workload for CompiledWorkload {
                 self.mix = standard_mix(&self.spec);
                 Ok(())
             }
-            WorkloadChange::Distribution { distribution } => {
-                self.set_distribution(*distribution);
-                Ok(())
-            }
+            WorkloadChange::Distribution { distribution } => self.set_distribution(*distribution),
             WorkloadChange::ZipfianTheta { theta } => {
-                self.set_distribution(KeyDistribution::Zipfian { theta: *theta });
-                Ok(())
+                self.set_distribution(KeyDistribution::Zipfian { theta: *theta })
             }
             other => Err(ReconfigureError::Unsupported {
                 workload: self.spec.name.clone(),
@@ -1536,6 +1542,25 @@ mod tests {
             w.reconfigure(&WorkloadChange::MultiSitePercent { percent: 10 }),
             Err(ReconfigureError::Unsupported { .. })
         ));
+    }
+
+    #[test]
+    fn a_zipfian_reconfiguration_past_the_cap_is_refused_and_changes_nothing() {
+        let spec = simple_ab(10_000_000);
+        let mut w = spec.clone().compile().unwrap();
+        let err = w
+            .reconfigure(&WorkloadChange::ZipfianTheta { theta: 0.99 })
+            .unwrap_err();
+        assert!(
+            matches!(&err, ReconfigureError::ZipfianDomain { source, .. } if source.keys == 10_000_000),
+            "{err}"
+        );
+        assert_eq!(w.spec(), &spec);
+        let mut fresh = spec.compile().unwrap();
+        assert_eq!(
+            spec_stream_digest(&mut w, 7, 50),
+            spec_stream_digest(&mut fresh, 7, 50)
+        );
     }
 
     #[test]

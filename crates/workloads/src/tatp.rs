@@ -117,7 +117,7 @@ pub struct Tatp {
     distribution: KeyDistribution,
     /// Derived from `distribution` over the subscriber domain; rebuilt on
     /// reconfiguration so per-transaction draws never allocate (the
-    /// Zipfian variant precomputes its CDF here).
+    /// Zipfian variant precomputes its table here).
     sampler: KeySampler,
 }
 
@@ -159,10 +159,18 @@ impl Tatp {
 
     /// Change the subscriber-id distribution (Figure 11 uses a hotspot where
     /// 50% of the requests hit 20% of the data; the YCSB-style experiments
-    /// may carry Zipfian or drifting skew over).
-    pub fn set_distribution(&mut self, d: KeyDistribution) {
+    /// may carry Zipfian or drifting skew over).  A Zipfian distribution
+    /// over more subscribers than the sampler's cap is refused, and the
+    /// workload keeps its previous distribution.
+    pub fn set_distribution(&mut self, d: KeyDistribution) -> Result<(), ReconfigureError> {
+        self.sampler = d
+            .try_sampler(1, self.config.subscribers + 1)
+            .map_err(|source| ReconfigureError::ZipfianDomain {
+                workload: self.name().to_string(),
+                source,
+            })?;
         self.distribution = d;
-        self.sampler = d.sampler(1, self.config.subscribers + 1);
+        Ok(())
     }
 
     /// Number of subscribers.
@@ -458,13 +466,9 @@ impl Workload for Tatp {
                 self.set_standard_mix();
                 Ok(())
             }
-            WorkloadChange::Distribution { distribution } => {
-                self.set_distribution(*distribution);
-                Ok(())
-            }
+            WorkloadChange::Distribution { distribution } => self.set_distribution(*distribution),
             WorkloadChange::ZipfianTheta { theta } => {
-                self.set_distribution(KeyDistribution::Zipfian { theta: *theta });
-                Ok(())
+                self.set_distribution(KeyDistribution::Zipfian { theta: *theta })
             }
             other => Err(ReconfigureError::Unsupported {
                 workload: self.name().to_string(),
@@ -481,6 +485,30 @@ mod tests {
 
     fn small() -> Tatp {
         Tatp::new(TatpConfig::scaled(200))
+    }
+
+    #[test]
+    fn a_zipfian_reconfiguration_past_the_cap_is_refused_and_changes_nothing() {
+        let mut w = Tatp::new(TatpConfig::scaled(9_000_000));
+        let err = w
+            .reconfigure(&WorkloadChange::Distribution {
+                distribution: KeyDistribution::Zipfian { theta: 0.99 },
+            })
+            .unwrap_err();
+        assert!(
+            matches!(&err, ReconfigureError::ZipfianDomain { source, .. } if source.keys == 9_000_000),
+            "{err}"
+        );
+        assert_eq!(w.distribution(), KeyDistribution::Uniform);
+        let mut fresh = Tatp::new(TatpConfig::scaled(9_000_000));
+        let mut a = SmallRng::seed_from_u64(5);
+        let mut b = SmallRng::seed_from_u64(5);
+        for _ in 0..50 {
+            assert_eq!(
+                w.next_transaction(&mut a, CoreId(0)),
+                fresh.next_transaction(&mut b, CoreId(0))
+            );
+        }
     }
 
     #[test]
@@ -543,7 +571,8 @@ mod tests {
         w.set_distribution(KeyDistribution::Hotspot {
             data_fraction: 0.2,
             access_fraction: 0.9,
-        });
+        })
+        .unwrap();
         w.set_single(TatpTxn::GetSubscriberData);
         let mut rng = SmallRng::seed_from_u64(9);
         let mut hot = 0;

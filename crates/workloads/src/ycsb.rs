@@ -288,7 +288,7 @@ pub struct Ycsb(CompiledWorkload);
 impl Ycsb {
     /// Compile the workload a config describes; a config that describes
     /// none (no records, no positive weight, an empty scan range, a
-    /// Zipfian domain past the CDF cap) is a typed error.
+    /// Zipfian domain past the sampler cap) is a typed error.
     pub fn new(config: YcsbConfig) -> Result<Self, SpecError> {
         config.spec().compile().map(Self)
     }
@@ -331,7 +331,7 @@ impl Workload for Ycsb {
                 name: name.clone(),
                 known: MIX_NAMES.to_vec(),
             })?;
-        // The core mixes are Zipfian, so a dataset past the CDF cap
+        // The core mixes are Zipfian, so a dataset past the sampler cap
         // (loaded under another distribution) cannot switch to one.
         self.0 = CompiledWorkload::compile(config.spec(), Some(&self.0)).map_err(|_| {
             ReconfigureError::Unsupported {

@@ -1,17 +1,23 @@
-//! Heap allocations of an ascending load, pinned by a count.
+//! Heap allocations of an ascending load and of transaction generation,
+//! pinned by a count.
 //!
 //! A counting global allocator — in this test binary only — counts every
 //! allocation and reallocation the current thread makes while a count is
 //! open.  A load copies each row into its leaf's block, so it allocates
 //! only when a node is created or split: about three times per 33 rows
 //! (the exact-size vectors a split leaves behind), and never per row.
-//! The pins are upper bounds: a change may lower a count (and then the
-//! pin), never raise it.
+//! A generator refills the executor's reused `TransactionSpec`, so once
+//! its buffers have grown it allocates nothing at all.  The pins are
+//! upper bounds: a change may lower a count (and then the pin), never
+//! raise it.
 
 use atrapos_engine::workload::populate_all;
-use atrapos_numa::SocketId;
+use atrapos_engine::{TransactionSpec, Workload};
+use atrapos_numa::{CoreId, SocketId};
 use atrapos_storage::{Column, ColumnType, Database, Schema, Table, TableId};
-use atrapos_workloads::WorkloadSpec;
+use atrapos_workloads::{KeyDistribution, MultiSiteUpdate, ReadManyRows, ReadOneRow, WorkloadSpec};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -101,4 +107,49 @@ fn the_ycsb_spec_populate_allocates_per_split_not_per_row() {
     let count = allocations(|| populate_all(&workload, &mut db));
     assert_eq!(db.table(TableId(0)).unwrap().len(), ROWS as usize);
     assert!(count <= PIN, "{count} allocations, pinned at most {PIN}");
+}
+
+/// Transactions each generator makes before its count opens, so every
+/// reused buffer has reached its working size.
+const WARM_UP: usize = 100;
+
+/// The allocations `w` makes generating 1 000 transactions into one
+/// reused spec after warm-up, from four clients.
+fn generation_allocations(w: &mut dyn Workload) -> usize {
+    let mut rng = SmallRng::seed_from_u64(9);
+    let mut spec = TransactionSpec::empty();
+    for i in 0..WARM_UP {
+        w.next_transaction_into(&mut rng, CoreId((i % 4) as u32), &mut spec);
+    }
+    allocations(|| {
+        for i in 0..1_000 {
+            w.next_transaction_into(&mut rng, CoreId((i % 4) as u32), &mut spec);
+        }
+    })
+}
+
+#[test]
+fn the_micro_generators_allocate_nothing_per_transaction() {
+    let mut one = ReadOneRow::partitionable(10_000, 4, 1);
+    let mut multi = MultiSiteUpdate::new(10_000, 4, 1, 50);
+    let mut many = ReadManyRows::with_rows(10_000, 100);
+    for (name, w) in [
+        ("read-one-row", &mut one as &mut dyn Workload),
+        ("multi-site-update", &mut multi),
+        ("read-many-rows", &mut many),
+    ] {
+        assert_eq!(generation_allocations(w), 0, "{name}");
+    }
+}
+
+#[test]
+fn a_zipfian_draw_allocates_nothing() {
+    let mut sampler = KeyDistribution::Zipfian { theta: 0.99 }.sampler(0, 100_000);
+    let mut rng = SmallRng::seed_from_u64(3);
+    let count = allocations(|| {
+        for _ in 0..10_000 {
+            std::hint::black_box(sampler.sample(&mut rng));
+        }
+    });
+    assert_eq!(count, 0);
 }

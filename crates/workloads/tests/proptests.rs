@@ -305,7 +305,7 @@ proptest! {
     ) {
         let mut w = Tatp::new(TatpConfig::scaled(subscribers));
         w.set_single(TatpTxn::GetSubscriberData);
-        w.set_distribution(KeyDistribution::Hotspot { data_fraction, access_fraction });
+        w.set_distribution(KeyDistribution::Hotspot { data_fraction, access_fraction }).unwrap();
         assert_routing_validity(&mut w, seed, &[CoreId(0)], 100)?;
     }
 
