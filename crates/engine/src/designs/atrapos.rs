@@ -649,27 +649,46 @@ mod tests {
         }
     }
 
+    /// The 80 partition-local lock tables of the ATraPos design after
+    /// 20 000 transactions of the scaleup-micro shape.
+    fn scaleup_micro_lock_tables() -> Vec<LockManager> {
+        use crate::designs::common::protocol_check::run_closed_loop;
+        let mut m = Machine::new(Topology::multisocket(8, 10), CostModel::westmere());
+        let mut w = TinyWorkload { rows: 160_000 };
+        let mut d = AtraposDesign::new(&m, &w, AtraposConfig::plp_baseline());
+        run_closed_loop(&mut d, &mut m, &mut w, 20_000);
+        let tables: Vec<LockManager> = d.partition_locks.into_iter().flatten().collect();
+        assert_eq!(tables.len(), 80);
+        tables
+    }
+
     /// The scaleup-micro shape, on partition-local tables: each of the 80
     /// workers' tables keeps at most twice the sweep floor of entries, not
     /// one per row its partition ever read.
     #[test]
     fn lock_entries_stay_bounded_on_the_scaleup_micro_shape() {
-        use crate::designs::common::protocol_check::run_closed_loop;
         use atrapos_storage::lock_manager::SWEEP_FLOOR;
-        let mut m = Machine::new(Topology::multisocket(8, 10), CostModel::westmere());
-        let mut w = TinyWorkload { rows: 160_000 };
-        let mut d = AtraposDesign::new(&m, &w, AtraposConfig::plp_baseline());
-        run_closed_loop(&mut d, &mut m, &mut w, 20_000);
-        let tables: Vec<usize> = d
-            .partition_locks
+        let tables: Vec<usize> = scaleup_micro_lock_tables()
             .iter()
-            .flatten()
             .map(LockManager::record_entries)
             .collect();
-        assert_eq!(tables.len(), 80);
         assert!(tables.iter().all(|&n| n <= 2 * SWEEP_FLOOR), "{tables:?}");
         // The 20 000 reads touch about 18 800 distinct rows.
-        assert_eq!(tables.iter().sum::<usize>(), 1_301);
+        assert_eq!(tables.iter().sum::<usize>(), 381);
+    }
+
+    /// The same 80 tables stay within 2 000 heap bytes each: a record
+    /// entry sits once in a slab, its map bucket holds only a slot, and no
+    /// table grows past the sweep floor of 8 before its first sweep.  They
+    /// hold 147 472 bytes; with the entries in the map and a floor of 32
+    /// they held 464 664.
+    #[test]
+    fn lock_tables_stay_small_on_the_scaleup_micro_shape() {
+        let bytes: usize = scaleup_micro_lock_tables()
+            .iter()
+            .map(LockManager::heap_bytes)
+            .sum();
+        assert!(bytes <= 80 * 2_000, "{bytes} heap bytes in 80 lock tables");
     }
 
     #[test]

@@ -340,10 +340,8 @@ mod tests {
             LockId::Table(TableId(0)),
             LockId::Record(TableId(0), Key::int(5)),
         );
-        assert_eq!(
-            txn.held_locks,
-            [(table, LockMode::IX), (record, LockMode::X)]
-        );
+        let grants: Vec<_> = txn.held_locks.iter().map(|h| (h.id, h.mode)).collect();
+        assert_eq!(grants, [(table, LockMode::IX), (record, LockMode::X)]);
         assert!(lm.holds(txn.id, &table, LockMode::IX));
         assert!(lm.holds(txn.id, &record, LockMode::X));
         lm.check_grant_invariants().unwrap();

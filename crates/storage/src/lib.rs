@@ -64,5 +64,5 @@ pub use schema::{Column, ColumnType, Schema, TableId};
 pub use srwlock::StateRwLock;
 pub use table::Table;
 pub use two_phase_commit::{TwoPcOutcome, TwoPhaseCommit};
-pub use txn::{Txn, TxnId, TxnState};
+pub use txn::{HeldLock, Txn, TxnId, TxnState};
 pub use txn_list::TxnList;

@@ -110,4 +110,49 @@ mod tests {
         let id = LockId::Record(TableId(3), Key::int(5));
         assert_eq!(id.bucket_hash(), 0x2f5f_ea07_e321_79be);
     }
+
+    /// `bucket_hash` runs std's `DefaultHasher`, SipHash-1-3 with zero
+    /// keys today, and std does not promise that algorithm across
+    /// releases.  The hash picks the bucket latch of centralized and
+    /// shared-nothing lock tables, so a toolchain that changed it would
+    /// move their simulated results with no code change.  This golden
+    /// catches that: a table lock and record keys one to four integers
+    /// wide.
+    #[test]
+    fn bucket_hash_golden_pins_the_std_default_hasher() {
+        let golden = [
+            (LockId::Table(TableId(0)), 0x21ce_683a_8657_94df),
+            (LockId::Table(TableId(5)), 0x3f47_e6f4_3069_8d0f),
+            (
+                LockId::Record(TableId(0), Key::int(1)),
+                0xb102_cdb2_6267_5b93,
+            ),
+            (
+                LockId::Record(TableId(2), Key::int(-7)),
+                0x276d_aeb1_35ce_c866,
+            ),
+            (
+                LockId::Record(TableId(1), Key::ints(&[3, 10])),
+                0x650c_34b1_547f_8a33,
+            ),
+            (
+                LockId::Record(TableId(4), Key::ints(&[1, 2, 3])),
+                0xd425_6cc3_80ea_77b8,
+            ),
+            (
+                LockId::Record(TableId(6), Key::ints(&[9, 8, 7, i64::MAX])),
+                0x9ffd_c00d_28d2_879e,
+            ),
+        ];
+        for (id, want) in golden {
+            assert_eq!(
+                id.bucket_hash(),
+                want,
+                "LockId::bucket_hash of {id:?} changed: std's DefaultHasher \
+                 (SipHash-1-3, zero keys) is no longer the algorithm the \
+                 recorded results used, so centralized and shared-nothing \
+                 lock tables latch other buckets"
+            );
+        }
+    }
 }

@@ -19,6 +19,24 @@ pub enum TxnState {
     Aborted,
 }
 
+/// One granted lock, and where its lock manager keeps it: the bucket latch
+/// it contends on and its entry's slot (the [`TableId`] index for a table
+/// lock, the record slab's slot otherwise).  The manager that granted it
+/// releases it without hashing or probing anything again.
+///
+/// [`TableId`]: crate::schema::TableId
+#[derive(Debug, Clone, Copy)]
+pub struct HeldLock {
+    /// The lock.
+    pub id: LockId,
+    /// The mode it was granted in.
+    pub mode: LockMode,
+    /// Index of the bucket latch in the granting manager.
+    pub(crate) latch: u32,
+    /// Index of the entry in the granting manager.
+    pub(crate) slot: u32,
+}
+
 /// A transaction descriptor: identity, state, and the locks it holds.
 #[derive(Debug, Clone)]
 pub struct Txn {
@@ -27,7 +45,7 @@ pub struct Txn {
     /// Current state.
     pub state: TxnState,
     /// Locks held (released at commit/abort: strict two-phase locking).
-    pub held_locks: Vec<(LockId, LockMode)>,
+    pub held_locks: Vec<HeldLock>,
     /// Bytes of log payload generated so far.
     pub log_bytes: u64,
     /// Whether this transaction is (part of) a distributed transaction.
@@ -56,11 +74,6 @@ impl Txn {
         self.held_locks.clear();
         self.log_bytes = 0;
         self.distributed = false;
-    }
-
-    /// Record a granted lock.
-    pub fn add_lock(&mut self, id: LockId, mode: LockMode) {
-        self.held_locks.push((id, mode));
     }
 
     /// Move to the committed state.
@@ -104,9 +117,16 @@ mod tests {
         let mut t = Txn::begin(TxnId(1));
         let table = LockId::Table(TableId(0));
         let rec = LockId::Record(TableId(0), crate::record::Key::int(7));
-        t.add_lock(table, LockMode::IX);
-        t.add_lock(rec, LockMode::X);
-        assert_eq!(t.held_locks, [(table, LockMode::IX), (rec, LockMode::X)]);
+        let held = |id, mode, slot| HeldLock {
+            id,
+            mode,
+            latch: 0,
+            slot,
+        };
+        t.held_locks.push(held(table, LockMode::IX, 0));
+        t.held_locks.push(held(rec, LockMode::X, 3));
+        let grants: Vec<_> = t.held_locks.iter().map(|h| (h.id, h.mode)).collect();
+        assert_eq!(grants, [(table, LockMode::IX), (rec, LockMode::X)]);
         // A reused descriptor starts empty but keeps its capacity.
         let capacity = t.held_locks.capacity();
         t.reset(TxnId(2));

@@ -1153,6 +1153,11 @@ fn lock_id(l: u8) -> LockId {
     }
 }
 
+/// A transaction's grants, in order, without the manager's latch and slot.
+fn grants(txn: &Txn) -> Vec<(LockId, LockMode)> {
+    txn.held_locks.iter().map(|h| (h.id, h.mode)).collect()
+}
+
 fn lock_mode(m: u8) -> LockMode {
     match m {
         0 => LockMode::IS,
@@ -1169,7 +1174,9 @@ proptest! {
     /// The lock manager's observable state — holder sets, per-transaction
     /// grant lists, the upgrade fast path, acquisition counts, wait
     /// accounting, and the grant-compatibility invariant — must match the
-    /// naive oracle at every step.
+    /// naive oracle at every step.  The low-water mark follows each
+    /// transaction's start, so with nine record locks the table sweeps
+    /// (at its floor of 8) between the grants of one transaction.
     #[test]
     fn lock_manager_matches_naive_oracle(
         centralized in any::<bool>(),
@@ -1178,8 +1185,7 @@ proptest! {
             1..40,
         ),
     ) {
-        let topo = Topology::multisocket(4, 2);
-        let cost = CostModel::westmere();
+        let mut machine = Machine::new(Topology::multisocket(4, 2), CostModel::westmere());
         let mut lm = if centralized {
             LockManager::centralized(16, 4)
         } else {
@@ -1193,6 +1199,10 @@ proptest! {
         let mut now = 0;
 
         for (i, batch) in txn_batches.iter().enumerate() {
+            // No request comes before this transaction's start, so every
+            // record request past the sweep floor forgets the committed
+            // entries while this transaction's own grants stay held.
+            machine.set_low_water(now);
             let mut txn = Txn::begin(TxnId(i as u64 + 1));
             let core = CoreId(((i % 4) * 2) as u32);
             for &(l, m) in batch {
@@ -1206,7 +1216,7 @@ proptest! {
                 );
                 let acquisitions_before = lm.acquisitions;
                 let waits_before = lm.logical_waits;
-                let mut ctx = SimCtx::new(&topo, &cost, core, now);
+                let mut ctx = machine.ctx(core, now);
                 lm.acquire(&mut ctx, &mut txn, id, mode);
                 now = ctx.now();
                 if expect_fast_path {
@@ -1235,7 +1245,7 @@ proptest! {
                 // The transaction's grant list agrees exactly (order
                 // preserved).
                 let want = oracle.held.get(&txn.id).cloned().unwrap_or_default();
-                prop_assert_eq!(&txn.held_locks, &want);
+                prop_assert_eq!(grants(&txn), want);
                 lm.check_grant_invariants().map_err(TestCaseError::fail)?;
             }
             // Commit: strict 2PL releases everything.
@@ -1245,7 +1255,7 @@ proptest! {
                     ever_exclusive[*l as usize] = true;
                 }
             }
-            let mut ctx = SimCtx::new(&topo, &cost, core, now);
+            let mut ctx = machine.ctx(core, now);
             lm.release_all(&mut ctx, &mut txn);
             now = ctx.now();
             oracle.release_all(txn.id);
@@ -1417,7 +1427,7 @@ proptest! {
                     let want = reference.acquire(&mut rctx, txn.id, id, mode);
                     prop_assert_eq!(got, want, "cycles of {:?} {:?}", id, mode);
                     let held = reference.oracle.held.get(&txn.id).cloned().unwrap_or_default();
-                    prop_assert_eq!(&txn.held_locks, &held);
+                    prop_assert_eq!(grants(txn), held);
                     prop_assert_eq!(sorted(lm.holders_of(&id)), reference.oracle.sorted_holders(&id));
                 }
                 LockOp::Release { txn: slot, offset } => {

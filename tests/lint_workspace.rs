@@ -140,7 +140,7 @@ fn point_probe_hot_path_regions_are_live() {
         ),
         (
             "crates/storage/src/lock_manager.rs",
-            "let (latch, entry) = match id {",
+            "let (latch, slot) = match id {",
         ),
         (
             "crates/storage/src/lock_manager.rs",
