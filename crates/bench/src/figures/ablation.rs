@@ -27,7 +27,7 @@ use atrapos_core::{
 use atrapos_engine::scenario::{Scenario, ScenarioEvent};
 use atrapos_engine::workload::ensure_tables;
 use atrapos_engine::{
-    Action, ActionOp, AtraposConfig, DesignSpec, Phase, TableSpec, TransactionSpec, Workload,
+    Action, ActionOp, AtraposConfig, DesignSpec, TableSpec, TransactionSpec, Workload,
 };
 use atrapos_numa::{CoreId, CostModel, Machine, Topology};
 use atrapos_storage::{Column, ColumnType, Database, Key, Schema, TableId};
@@ -271,23 +271,27 @@ impl Workload for ShiftedAb {
         }
     }
 
-    fn next_transaction(&mut self, rng: &mut SmallRng, _client: CoreId) -> TransactionSpec {
+    fn next_transaction_into(
+        &mut self,
+        rng: &mut SmallRng,
+        _client: CoreId,
+        spec: &mut TransactionSpec,
+    ) {
         let k = rng.gen_range(0..self.rows);
-        TransactionSpec::new(
-            "shifted-ab",
-            vec![Phase::new(vec![
-                Action::new(ActionOp::Read {
-                    table: TableId(0),
-                    key: Key::int(k),
-                }),
-                Action::new(ActionOp::Increment {
-                    table: TableId(1),
-                    key: Key::int(self.partner(k)),
-                    column: 1,
-                    delta: 1,
-                }),
-            ])],
-        )
+        let partner = self.partner(k);
+        let mut w = spec.refill("shifted-ab");
+        let phase = w.phase();
+        phase.push(Action::new(ActionOp::Read {
+            table: TableId(0),
+            key: Key::int(k),
+        }));
+        phase.push(Action::new(ActionOp::Increment {
+            table: TableId(1),
+            key: Key::int(partner),
+            column: 1,
+            delta: 1,
+        }));
+        w.finish();
     }
 }
 
@@ -303,8 +307,9 @@ pub fn sample_shifted_trace(rows: i64, n_sub: usize, samples: usize) -> Workload
     stats.declare_table(TableId(1), n_sub);
     use rand::SeedableRng;
     let mut rng = SmallRng::seed_from_u64(7);
+    let mut spec = TransactionSpec::empty();
     for _ in 0..samples {
-        let spec = workload.next_transaction(&mut rng, CoreId(0));
+        workload.next_transaction_into(&mut rng, CoreId(0), &mut spec);
         let mut subs = Vec::new();
         for action in spec.phases.iter().flat_map(|p| &p.actions) {
             let sub = SubPartitionId::new(

@@ -54,7 +54,9 @@ pub enum AdaptationOutcome {
     /// found).
     NoChange,
     /// Adopt a new scheme; the engine must apply `plan` and rebuild its
-    /// routing tables.
+    /// routing tables.  The caller holds the scheme in force: if it cannot
+    /// apply the plan it keeps its old scheme, and the next evaluation
+    /// starts from that.
     Repartition {
         /// The new scheme.
         new_scheme: PartitioningScheme,
@@ -72,7 +74,6 @@ pub enum AdaptationOutcome {
 pub struct AdaptiveController {
     /// Configuration.
     pub config: ControllerConfig,
-    current: PartitioningScheme,
     /// Number of repartitionings performed.
     pub adaptations: u64,
     /// Number of model evaluations performed.
@@ -80,13 +81,11 @@ pub struct AdaptiveController {
 }
 
 impl AdaptiveController {
-    /// Build a controller starting from `initial` (typically the naive
-    /// scheme, which is what ATraPos uses when it has no workload
-    /// information yet).
-    pub fn new(initial: PartitioningScheme, config: ControllerConfig) -> Self {
+    /// Build a controller.  The scheme it evaluates against is the one the
+    /// caller passes to [`AdaptiveController::on_interval`].
+    pub fn new(config: ControllerConfig) -> Self {
         Self {
             config,
-            current: initial,
             adaptations: 0,
             evaluations: 0,
         }
@@ -97,52 +96,52 @@ impl AdaptiveController {
         self.config.interval.current_secs()
     }
 
-    /// Feed the result of one monitoring interval.  `throughput` is in
-    /// transactions per second over the interval; `stats` is the aggregated
-    /// trace of the interval; `topo` reflects the *current* hardware (a
-    /// failed socket shows up here).
+    /// Feed the result of one monitoring interval.  `current` is the scheme
+    /// in force; `throughput` is in transactions per second over the
+    /// interval; `stats` is the aggregated trace of the interval; `topo`
+    /// reflects the *current* hardware (a failed socket shows up here).
     pub fn on_interval(
         &mut self,
+        current: &PartitioningScheme,
         throughput: f64,
         stats: &WorkloadStats,
         topo: &Topology,
     ) -> AdaptationOutcome {
-        let hardware_changed = self
-            .current
-            .check_invariants(topo, &self.current.table_ids())
+        let hardware_changed = current
+            .check_invariants(topo, &current.table_ids())
             .is_err();
         let decision = self.config.interval.observe(throughput);
         if decision == IntervalDecision::Stable && !hardware_changed {
             return AdaptationOutcome::NoChange;
         }
-        self.evaluate_and_maybe_adapt(stats, topo, hardware_changed)
+        self.evaluate_and_maybe_adapt(current, stats, topo, hardware_changed)
     }
 
     fn evaluate_and_maybe_adapt(
         &mut self,
+        current: &PartitioningScheme,
         stats: &WorkloadStats,
         topo: &Topology,
         hardware_changed: bool,
     ) -> AdaptationOutcome {
         self.evaluations += 1;
-        let candidate = choose_scheme(&self.current, stats, topo, &self.config.search);
-        let old_cost = evaluate(&self.current, stats, topo);
+        let candidate = choose_scheme(current, stats, topo, &self.config.search);
+        let old_cost = evaluate(current, stats, topo);
         let new_cost = evaluate(&candidate, stats, topo);
         let old_combined = old_cost.combined(self.config.sync_weight);
         let new_combined = new_cost.combined(self.config.sync_weight);
         let improved = new_combined < old_combined * (1.0 - self.config.improvement_threshold)
             || (hardware_changed
                 && candidate
-                    .check_invariants(topo, &self.current.table_ids())
+                    .check_invariants(topo, &current.table_ids())
                     .is_ok());
         if !improved {
             return AdaptationOutcome::NoChange;
         }
-        let plan = plan_repartitioning(&self.current, &candidate);
+        let plan = plan_repartitioning(current, &candidate);
         if plan.is_empty() {
             return AdaptationOutcome::NoChange;
         }
-        self.current = candidate.clone();
         self.adaptations += 1;
         self.config.interval.reset();
         AdaptationOutcome::Repartition {
@@ -161,12 +160,13 @@ mod tests {
     use crate::stats::SubPartitionId;
     use atrapos_storage::TableId;
 
-    fn setup() -> (Topology, AdaptiveController) {
+    fn setup() -> (Topology, PartitioningScheme, AdaptiveController) {
         let topo = Topology::multisocket(2, 4);
         let scheme = PartitioningScheme::naive(&[(TableId(0), KeyDomain::new(0, 1000))], &topo, 10);
         (
             topo,
-            AdaptiveController::new(scheme, ControllerConfig::default()),
+            scheme,
+            AdaptiveController::new(ControllerConfig::default()),
         )
     }
 
@@ -189,10 +189,10 @@ mod tests {
 
     #[test]
     fn stable_throughput_never_repartitions() {
-        let (topo, mut ctl) = setup();
+        let (topo, scheme, mut ctl) = setup();
         let stats = uniform_stats(80);
         for _ in 0..5 {
-            let out = ctl.on_interval(1000.0, &stats, &topo);
+            let out = ctl.on_interval(&scheme, 1000.0, &stats, &topo);
             assert!(matches!(out, AdaptationOutcome::NoChange));
         }
         assert_eq!(ctl.adaptations, 0);
@@ -201,14 +201,14 @@ mod tests {
 
     #[test]
     fn throughput_drop_with_skew_triggers_repartitioning() {
-        let (topo, mut ctl) = setup();
+        let (topo, scheme, mut ctl) = setup();
         let uniform = uniform_stats(80);
         for _ in 0..3 {
-            ctl.on_interval(1000.0, &uniform, &topo);
+            ctl.on_interval(&scheme, 1000.0, &uniform, &topo);
         }
         // Skew appears and throughput collapses (paper Figure 11).
         let skew = skewed_stats(80);
-        let out = ctl.on_interval(200.0, &skew, &topo);
+        let out = ctl.on_interval(&scheme, 200.0, &skew, &topo);
         match out {
             AdaptationOutcome::Repartition {
                 old_cost, new_cost, ..
@@ -224,11 +224,11 @@ mod tests {
 
     #[test]
     fn hardware_failure_forces_adaptation_even_with_stable_throughput() {
-        let (mut topo, mut ctl) = setup();
+        let (mut topo, scheme, mut ctl) = setup();
         let stats = uniform_stats(80);
-        ctl.on_interval(1000.0, &stats, &topo);
+        ctl.on_interval(&scheme, 1000.0, &stats, &topo);
         topo.fail_socket(atrapos_numa::SocketId(1)).unwrap();
-        let out = ctl.on_interval(1000.0, &stats, &topo);
+        let out = ctl.on_interval(&scheme, 1000.0, &stats, &topo);
         match out {
             AdaptationOutcome::Repartition { new_scheme, .. } => {
                 new_scheme.check_invariants(&topo, &[TableId(0)]).unwrap();
@@ -239,14 +239,43 @@ mod tests {
 
     #[test]
     fn evaluation_without_improvement_keeps_the_scheme() {
-        let (topo, mut ctl) = setup();
+        let (topo, scheme, mut ctl) = setup();
         let stats = uniform_stats(80);
         // Big throughput swing triggers an evaluation, but the uniform load
         // cannot be balanced any better than the naive scheme already is.
-        ctl.on_interval(1000.0, &stats, &topo);
-        let out = ctl.on_interval(100.0, &stats, &topo);
+        ctl.on_interval(&scheme, 1000.0, &stats, &topo);
+        let out = ctl.on_interval(&scheme, 100.0, &stats, &topo);
         assert!(matches!(out, AdaptationOutcome::NoChange));
         assert!(ctl.evaluations >= 1);
         assert_eq!(ctl.adaptations, 0);
+    }
+
+    #[test]
+    fn an_unadopted_repartition_leaves_the_callers_scheme_in_force() {
+        let (topo, scheme, mut ctl) = setup();
+        let uniform = uniform_stats(80);
+        let skew = skewed_stats(80);
+        ctl.on_interval(&scheme, 1000.0, &uniform, &topo);
+        let first = match ctl.on_interval(&scheme, 200.0, &skew, &topo) {
+            AdaptationOutcome::Repartition {
+                new_scheme, plan, ..
+            } => (new_scheme, plan),
+            AdaptationOutcome::NoChange => panic!("expected a repartitioning"),
+        };
+        // The caller could not apply the plan and keeps its old scheme.
+        // The next evaluation starts from that scheme, so it proposes the
+        // same move again rather than an empty step from the candidate.
+        ctl.on_interval(&scheme, 1000.0, &skew, &topo);
+        match ctl.on_interval(&scheme, 200.0, &skew, &topo) {
+            AdaptationOutcome::Repartition {
+                new_scheme, plan, ..
+            } => {
+                assert_eq!(new_scheme, first.0);
+                assert_eq!(plan.actions, first.1.actions);
+                assert_eq!(plan.placement_changes, first.1.placement_changes);
+            }
+            AdaptationOutcome::NoChange => panic!("the old scheme is still skewed"),
+        }
+        assert_eq!(ctl.adaptations, 2);
     }
 }

@@ -66,8 +66,8 @@ pub enum KeyDistribution {
     },
 }
 
-/// Largest domain a Zipfian sampler is built for (its table costs about
-/// 4 bytes per key, see [`ZipfianTable`]; the paper-scale datasets top out
+/// Largest domain a Zipfian sampler is built for (its table of 32-bit CDF
+/// thresholds costs about 4 bytes per key; the paper-scale datasets top out
 /// at 800 K keys, well below this).
 pub const MAX_ZIPFIAN_DOMAIN: i64 = 1 << 23;
 

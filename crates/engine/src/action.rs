@@ -149,11 +149,18 @@ pub struct Phase {
     pub sync_bytes: u64,
 }
 
+/// The default synchronization payload of a phase: one cache line per
+/// action.
+fn default_sync_bytes(actions: &[Action]) -> u64 {
+    64 * actions.len() as u64
+}
+
 impl Phase {
     /// A phase with the default synchronization payload (one cache line per
-    /// action).
+    /// action).  Generators refill through [`TransactionSpec::refill`]; this
+    /// builds the phases of hand-made test transactions.
     pub fn new(actions: Vec<Action>) -> Self {
-        let sync_bytes = 64 * actions.len() as u64;
+        let sync_bytes = default_sync_bytes(&actions);
         Self {
             actions,
             sync_bytes,
@@ -196,15 +203,8 @@ impl TransactionSpec {
         }
     }
 
-    /// A transaction with a single phase.
-    pub fn single_phase(class: &'static str, actions: Vec<Action>) -> Self {
-        Self {
-            class,
-            phases: vec![Phase::new(actions)],
-        }
-    }
-
-    /// A transaction with explicit phases.
+    /// A transaction with explicit phases (for hand-made test
+    /// transactions; generators refill through [`TransactionSpec::refill`]).
     pub fn new(class: &'static str, phases: Vec<Phase>) -> Self {
         Self { class, phases }
     }
@@ -253,12 +253,11 @@ impl SpecRefill<'_> {
     }
 
     /// Finish the refill: drop unused trailing phases and give every phase
-    /// the default synchronization payload of one cache line per action,
-    /// exactly as [`Phase::new`] would.
+    /// the default synchronization payload of one cache line per action.
     pub fn finish(self) {
         self.spec.phases.truncate(self.used);
         for p in &mut self.spec.phases {
-            p.sync_bytes = 64 * p.actions.len() as u64;
+            p.sync_bytes = default_sync_bytes(&p.actions);
         }
     }
 }
@@ -320,13 +319,12 @@ mod tests {
         assert_eq!(spec.num_actions(), 3);
         assert_eq!(spec.num_sync_points(), 2);
         assert!(!spec.is_update());
+        let single = TransactionSpec::new("t", vec![Phase::new(vec![read(0, 1)])]);
+        assert_eq!(single.num_sync_points(), 0);
     }
 
     #[test]
-    fn single_phase_constructor() {
-        let spec = TransactionSpec::single_phase("t", vec![read(0, 1)]);
-        assert_eq!(spec.phases.len(), 1);
-        assert_eq!(spec.num_sync_points(), 0);
+    fn outcome_latency() {
         let out = TxnOutcome {
             committed: true,
             start: 100,

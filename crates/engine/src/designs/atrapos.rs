@@ -167,7 +167,7 @@ impl AtraposDesign {
         } else {
             TxnProtocol::centralized()
         };
-        let controller = AdaptiveController::new(scheme.clone(), config.controller.clone());
+        let controller = AdaptiveController::new(config.controller.clone());
         let monitor = Monitor::new(config.monitoring);
         Self {
             name: name.to_string(),
@@ -474,9 +474,12 @@ impl SystemDesign for AtraposDesign {
             return IntervalOutcome::default();
         }
         let stats = self.monitor.take_stats();
-        let outcome = self
-            .controller
-            .on_interval(interval_throughput, &stats, &machine.topology);
+        let outcome = self.controller.on_interval(
+            &self.scheme,
+            interval_throughput,
+            &stats,
+            &machine.topology,
+        );
         match outcome {
             AdaptationOutcome::NoChange => IntervalOutcome {
                 pause_cycles: 0,

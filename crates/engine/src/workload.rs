@@ -182,27 +182,30 @@ pub trait Workload: Send {
     /// with its slice of the data.
     fn populate(&self, db: &mut Database, filter: &dyn Fn(TableId, &Key) -> bool);
 
-    /// Generate the next transaction, submitted by the client bound to
-    /// `client` (site-aware workloads use it to decide which rows are
-    /// "local" to the submitting site).
-    fn next_transaction(&mut self, rng: &mut SmallRng, client: CoreId) -> TransactionSpec;
-
-    /// Generate the next transaction into a reusable spec buffer.
+    /// Generate the next transaction into a reusable spec buffer,
+    /// submitted by the client bound to `client` (site-aware workloads use
+    /// it to decide which rows are "local" to the submitting site).
     ///
-    /// The executor calls this once per simulated transaction with the
-    /// same buffer, so workloads that implement it via
-    /// [`TransactionSpec::refill`] generate specs without allocating.
-    /// Implementations must draw from `rng` in exactly the same order as
-    /// `next_transaction` — the simulator's bit-for-bit reproducibility
-    /// (and the golden-figure regression suite) depends on it.  The
-    /// default simply overwrites the buffer with `next_transaction`.
+    /// This is a workload's one generator.  The executor calls it once per
+    /// simulated transaction with the same buffer, and implementations
+    /// refill it through [`TransactionSpec::refill`], so once the buffer
+    /// has grown to the workload's largest transaction generation
+    /// allocates nothing beyond what the actions own (an update's
+    /// changes, an insert's record).
     fn next_transaction_into(
         &mut self,
         rng: &mut SmallRng,
         client: CoreId,
         spec: &mut TransactionSpec,
-    ) {
-        *spec = self.next_transaction(rng, client);
+    );
+
+    /// Generate the next transaction into a fresh spec: the allocating
+    /// convenience for tests and one-off callers, drawing from `rng`
+    /// exactly as [`Workload::next_transaction_into`] does.
+    fn next_transaction(&mut self, rng: &mut SmallRng, client: CoreId) -> TransactionSpec {
+        let mut spec = TransactionSpec::empty();
+        self.next_transaction_into(rng, client, &mut spec);
+        spec
     }
 
     /// Table ids and key domains (convenience for building partitioning
@@ -291,15 +294,19 @@ pub mod testing {
             }
         }
 
-        fn next_transaction(&mut self, rng: &mut SmallRng, _client: CoreId) -> TransactionSpec {
+        fn next_transaction_into(
+            &mut self,
+            rng: &mut SmallRng,
+            _client: CoreId,
+            spec: &mut TransactionSpec,
+        ) {
             let k = rng.gen_range(0..self.rows);
-            TransactionSpec::single_phase(
-                "tiny-read",
-                vec![Action::new(ActionOp::Read {
-                    table: TableId(0),
-                    key: Key::int(k),
-                })],
-            )
+            let mut w = spec.refill("tiny-read");
+            w.phase().push(Action::new(ActionOp::Read {
+                table: TableId(0),
+                key: Key::int(k),
+            }));
+            w.finish();
         }
     }
 
@@ -348,20 +355,23 @@ pub mod testing {
             }
         }
 
-        fn next_transaction(&mut self, rng: &mut SmallRng, _client: CoreId) -> TransactionSpec {
+        fn next_transaction_into(
+            &mut self,
+            rng: &mut SmallRng,
+            _client: CoreId,
+            spec: &mut TransactionSpec,
+        ) {
             let k = rng.gen_range(0..self.rows);
-            let mk = |t: u32| {
+            let mut w = spec.refill("tiny-update");
+            w.phase().extend((0..2).map(|t| {
                 Action::new(ActionOp::Increment {
                     table: TableId(t),
                     key: Key::int(k),
                     column: 1,
                     delta: 1,
                 })
-            };
-            TransactionSpec::new(
-                "tiny-update",
-                vec![crate::action::Phase::new(vec![mk(0), mk(1)])],
-            )
+            }));
+            w.finish();
         }
     }
 }

@@ -154,12 +154,6 @@ impl Workload for ReadOneRow {
         populate_probe(self, self.rows, db, filter);
     }
 
-    fn next_transaction(&mut self, rng: &mut SmallRng, client: CoreId) -> TransactionSpec {
-        let mut spec = TransactionSpec::empty();
-        self.next_transaction_into(rng, client, &mut spec);
-        spec
-    }
-
     fn next_transaction_into(
         &mut self,
         rng: &mut SmallRng,
@@ -263,12 +257,6 @@ impl Workload for MultiSiteUpdate {
         populate_probe(self, self.rows, db, filter);
     }
 
-    fn next_transaction(&mut self, rng: &mut SmallRng, client: CoreId) -> TransactionSpec {
-        let mut spec = TransactionSpec::empty();
-        self.next_transaction_into(rng, client, &mut spec);
-        spec
-    }
-
     fn next_transaction_into(
         &mut self,
         rng: &mut SmallRng,
@@ -359,12 +347,6 @@ impl Workload for ReadManyRows {
 
     fn populate(&self, db: &mut Database, filter: &dyn Fn(TableId, &Key) -> bool) {
         populate_probe(self, self.rows, db, filter);
-    }
-
-    fn next_transaction(&mut self, rng: &mut SmallRng, client: CoreId) -> TransactionSpec {
-        let mut spec = TransactionSpec::empty();
-        self.next_transaction_into(rng, client, &mut spec);
-        spec
     }
 
     fn next_transaction_into(

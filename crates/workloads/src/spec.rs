@@ -1141,12 +1141,6 @@ impl Workload for CompiledWorkload {
         }
     }
 
-    fn next_transaction(&mut self, rng: &mut SmallRng, client: CoreId) -> TransactionSpec {
-        let mut spec = TransactionSpec::empty();
-        self.next_transaction_into(rng, client, &mut spec);
-        spec
-    }
-
     fn next_transaction_into(
         &mut self,
         rng: &mut SmallRng,

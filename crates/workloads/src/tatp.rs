@@ -187,15 +187,7 @@ impl Tatp {
         self.sampler.sample(rng)
     }
 
-    fn build(&mut self, txn: TatpTxn, rng: &mut SmallRng) -> TransactionSpec {
-        let mut spec = TransactionSpec::empty();
-        self.build_into(txn, rng, &mut spec);
-        spec
-    }
-
     /// Build a transaction of type `txn` into a reusable spec buffer.
-    /// Draws from `rng` in the exact order the by-value builder always
-    /// did, so generation stays bit-for-bit reproducible.
     fn build_into(&mut self, txn: TatpTxn, rng: &mut SmallRng, spec: &mut TransactionSpec) {
         let s = self.subscriber_id(rng);
         match txn {
@@ -432,11 +424,6 @@ impl Workload for Tatp {
                 }
             }
         }
-    }
-
-    fn next_transaction(&mut self, rng: &mut SmallRng, _client: CoreId) -> TransactionSpec {
-        let txn = self.mix.pick(rng);
-        self.build(txn, rng)
     }
 
     fn next_transaction_into(

@@ -16,7 +16,7 @@
 
 use atrapos_core::KeyDomain;
 use atrapos_engine::workload::{ensure_tables, ReconfigureError, WorkloadChange};
-use atrapos_engine::{Action, ActionOp, Phase, TableSpec, TransactionSpec, Workload};
+use atrapos_engine::{Action, ActionOp, TableSpec, TransactionSpec, Workload};
 use atrapos_numa::CoreId;
 use atrapos_storage::{Column, ColumnType, Database, Key, Record, Schema, TableId, Value};
 use rand::rngs::SmallRng;
@@ -143,8 +143,9 @@ pub struct Tpcc {
     undelivered: BTreeMap<(i64, i64), i64>,
     /// Next history sequence number per (warehouse, district).
     next_h_seq: BTreeMap<(i64, i64), i64>,
-    /// Reusable `(item, supply warehouse)` buffer for NewOrder generation.
-    item_scratch: Vec<(i64, i64)>,
+    /// Reusable pair buffer: NewOrder's `(item, supply warehouse)` lines,
+    /// Delivery's `(district, order id)` deliveries.
+    scratch: Vec<(i64, i64)>,
 }
 
 impl Tpcc {
@@ -166,7 +167,7 @@ impl Tpcc {
             next_o_id,
             undelivered,
             next_h_seq,
-            item_scratch: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -213,15 +214,8 @@ impl Tpcc {
         rng.gen_range(1..=self.config.items)
     }
 
-    fn new_order(&mut self, rng: &mut SmallRng) -> TransactionSpec {
-        let mut spec = TransactionSpec::empty();
-        self.new_order_into(rng, &mut spec);
-        spec
-    }
-
     /// Build a NewOrder into a reusable spec buffer (allocation-free apart
-    /// from the inserted records).  Draws from `rng` in the exact order
-    /// the by-value builder always did.
+    /// from the inserted records).
     fn new_order_into(&mut self, rng: &mut SmallRng, spec: &mut TransactionSpec) {
         let warehouses = self.config.warehouses;
         let w = rng.gen_range(1..=warehouses);
@@ -235,7 +229,7 @@ impl Tpcc {
             *e += 1;
             id
         };
-        let mut items = std::mem::take(&mut self.item_scratch);
+        let mut items = std::mem::take(&mut self.scratch);
         items.clear();
         let mut wtr = spec.refill("NewOrder");
         // Fixed part: read warehouse, district, customer, and the items.
@@ -316,13 +310,7 @@ impl Tpcc {
             }));
         }
         wtr.finish();
-        self.item_scratch = items;
-    }
-
-    fn payment(&mut self, rng: &mut SmallRng) -> TransactionSpec {
-        let mut spec = TransactionSpec::empty();
-        self.payment_into(rng, &mut spec);
-        spec
+        self.scratch = items;
     }
 
     /// Build a Payment into a reusable spec buffer.
@@ -375,38 +363,39 @@ impl Tpcc {
         wtr.finish();
     }
 
-    fn order_status(&mut self, rng: &mut SmallRng) -> TransactionSpec {
+    /// Build an OrderStatus into a reusable spec buffer.
+    fn order_status_into(&mut self, rng: &mut SmallRng, spec: &mut TransactionSpec) {
         let w = self.pick_warehouse(rng);
         let d = self.pick_district(rng);
         let c = self.pick_customer(rng);
         let max_o = self.next_o_id[&(w, d)] - 1;
         let o_id = rng.gen_range(1..=max_o.max(1));
-        TransactionSpec::new(
-            "OrderStatus",
-            vec![
-                Phase::new(vec![Action::new(ActionOp::Read {
-                    table: CUSTOMER,
-                    key: Key::ints(&[w, d, c]),
-                })]),
-                Phase::new(vec![Action::new(ActionOp::Read {
-                    table: ORDER,
-                    key: Key::ints(&[w, d, o_id]),
-                })]),
-                Phase::new(vec![Action::new(ActionOp::ReadRange {
-                    table: ORDER_LINE,
-                    from: Key::ints(&[w, d, o_id, 0]),
-                    to: Key::ints(&[w, d, o_id + 1, 0]),
-                    limit: 15,
-                })]),
-            ],
-        )
+        let mut wtr = spec.refill("OrderStatus");
+        wtr.phase().push(Action::new(ActionOp::Read {
+            table: CUSTOMER,
+            key: Key::ints(&[w, d, c]),
+        }));
+        wtr.phase().push(Action::new(ActionOp::Read {
+            table: ORDER,
+            key: Key::ints(&[w, d, o_id]),
+        }));
+        wtr.phase().push(Action::new(ActionOp::ReadRange {
+            table: ORDER_LINE,
+            from: Key::ints(&[w, d, o_id, 0]),
+            to: Key::ints(&[w, d, o_id + 1, 0]),
+            limit: 15,
+        }));
+        wtr.finish();
     }
 
-    fn delivery(&mut self, rng: &mut SmallRng) -> TransactionSpec {
+    /// Build a Delivery into a reusable spec buffer: the oldest undelivered
+    /// order of every district that has one, or a read of the warehouse
+    /// when none has.
+    fn delivery_into(&mut self, rng: &mut SmallRng, spec: &mut TransactionSpec) {
         let w = self.pick_warehouse(rng);
         let carrier = rng.gen_range(1..=10);
-        let mut phase_deletes = Vec::new();
-        let mut phase_updates = Vec::new();
+        let mut orders = std::mem::take(&mut self.scratch);
+        orders.clear();
         for d in 1..=self.config.districts_per_warehouse {
             let entry = self.undelivered.get_mut(&(w, d)).expect("district exists");
             let o_id = *entry;
@@ -414,68 +403,70 @@ impl Tpcc {
                 continue; // nothing to deliver in this district
             }
             *entry += 1;
-            phase_deletes.push(Action::new(ActionOp::Delete {
-                table: NEW_ORDER,
-                key: Key::ints(&[w, d, o_id]),
-            }));
-            phase_updates.push(Action::new(ActionOp::Update {
-                table: ORDER,
-                key: Key::ints(&[w, d, o_id]),
-                changes: vec![(4, Value::Int(carrier))],
-            }));
-            phase_updates.push(Action::new(ActionOp::Increment {
-                table: CUSTOMER,
-                key: Key::ints(&[w, d, ((o_id - 1) % self.config.customers_per_district) + 1]),
-                column: 5,
-                delta: 1,
-            }));
+            orders.push((d, o_id));
         }
-        if phase_deletes.is_empty() {
+        let mut wtr = spec.refill("Delivery");
+        if orders.is_empty() {
             // Nothing to deliver anywhere: degenerate read of the warehouse.
-            return TransactionSpec::single_phase(
-                "Delivery",
-                vec![Action::new(ActionOp::Read {
-                    table: WAREHOUSE,
-                    key: Key::int(w),
-                })],
-            );
+            wtr.phase().push(Action::new(ActionOp::Read {
+                table: WAREHOUSE,
+                key: Key::int(w),
+            }));
+        } else {
+            wtr.phase().extend(orders.iter().map(|&(d, o_id)| {
+                Action::new(ActionOp::Delete {
+                    table: NEW_ORDER,
+                    key: Key::ints(&[w, d, o_id]),
+                })
+            }));
+            let updates = wtr.phase();
+            for &(d, o_id) in &orders {
+                updates.push(Action::new(ActionOp::Update {
+                    table: ORDER,
+                    key: Key::ints(&[w, d, o_id]),
+                    changes: vec![(4, Value::Int(carrier))],
+                }));
+                updates.push(Action::new(ActionOp::Increment {
+                    table: CUSTOMER,
+                    key: Key::ints(&[w, d, ((o_id - 1) % self.config.customers_per_district) + 1]),
+                    column: 5,
+                    delta: 1,
+                }));
+            }
         }
-        TransactionSpec::new(
-            "Delivery",
-            vec![Phase::new(phase_deletes), Phase::new(phase_updates)],
-        )
+        wtr.finish();
+        self.scratch = orders;
     }
 
-    fn stock_level(&mut self, rng: &mut SmallRng) -> TransactionSpec {
+    /// Build a StockLevel into a reusable spec buffer.
+    fn stock_level_into(&mut self, rng: &mut SmallRng, spec: &mut TransactionSpec) {
         let w = self.pick_warehouse(rng);
         let d = self.pick_district(rng);
         let next_o = self.next_o_id[&(w, d)];
         let from_o = (next_o - 20).max(1);
-        let mut phases = vec![
-            Phase::new(vec![Action::new(ActionOp::Read {
-                table: DISTRICT,
-                key: Key::ints(&[w, d]),
-            })]),
-            Phase::new(vec![Action::new(ActionOp::ReadRange {
+        let mut wtr = spec.refill("StockLevel");
+        wtr.phase().push(Action::new(ActionOp::Read {
+            table: DISTRICT,
+            key: Key::ints(&[w, d]),
+        }));
+        wtr.phase().push(
+            Action::new(ActionOp::ReadRange {
                 table: ORDER_LINE,
                 from: Key::ints(&[w, d, from_o, 0]),
                 to: Key::ints(&[w, d, next_o, 0]),
                 limit: 200,
             })
-            .with_extra_instructions(2_000)]),
-        ];
+            .with_extra_instructions(2_000),
+        );
         // Probe the stock rows of ~20 distinct items referenced by the
         // recent order lines (the join of the paper's description).
-        let stock_reads = (0..20)
-            .map(|_| {
-                Action::new(ActionOp::Read {
-                    table: STOCK,
-                    key: Key::ints(&[w, self.pick_item(rng)]),
-                })
+        wtr.phase().extend((0..20).map(|_| {
+            Action::new(ActionOp::Read {
+                table: STOCK,
+                key: Key::ints(&[w, self.pick_item(rng)]),
             })
-            .collect();
-        phases.push(Phase::new(stock_reads));
-        TransactionSpec::new("StockLevel", phases)
+        }));
+        wtr.finish();
     }
 }
 
@@ -708,30 +699,18 @@ impl Workload for Tpcc {
         }
     }
 
-    fn next_transaction(&mut self, rng: &mut SmallRng, _client: CoreId) -> TransactionSpec {
-        match self.mix.pick(rng) {
-            TpccTxn::NewOrder => self.new_order(rng),
-            TpccTxn::Payment => self.payment(rng),
-            TpccTxn::OrderStatus => self.order_status(rng),
-            TpccTxn::Delivery => self.delivery(rng),
-            TpccTxn::StockLevel => self.stock_level(rng),
-        }
-    }
-
     fn next_transaction_into(
         &mut self,
         rng: &mut SmallRng,
         _client: CoreId,
         spec: &mut TransactionSpec,
     ) {
-        // The two transaction types that dominate the mix (88%) refill the
-        // buffer in place; the long tail overwrites it.
         match self.mix.pick(rng) {
             TpccTxn::NewOrder => self.new_order_into(rng, spec),
             TpccTxn::Payment => self.payment_into(rng, spec),
-            TpccTxn::OrderStatus => *spec = self.order_status(rng),
-            TpccTxn::Delivery => *spec = self.delivery(rng),
-            TpccTxn::StockLevel => *spec = self.stock_level(rng),
+            TpccTxn::OrderStatus => self.order_status_into(rng, spec),
+            TpccTxn::Delivery => self.delivery_into(rng, spec),
+            TpccTxn::StockLevel => self.stock_level_into(rng, spec),
         }
     }
 

@@ -307,10 +307,6 @@ impl Workload for Ycsb {
         self.0.populate(db, filter)
     }
 
-    fn next_transaction(&mut self, rng: &mut SmallRng, client: CoreId) -> TransactionSpec {
-        self.0.next_transaction(rng, client)
-    }
-
     fn next_transaction_into(
         &mut self,
         rng: &mut SmallRng,

@@ -7,7 +7,8 @@
 //! only when a node is created or split: about three times per 33 rows
 //! (the exact-size vectors a split leaves behind), and never per row.
 //! A generator refills the executor's reused `TransactionSpec`, so once
-//! its buffers have grown it allocates nothing at all.  The pins are
+//! its buffers have grown it allocates nothing beyond what its actions own
+//! (an update's changes list, an insert's record).  The pins are
 //! upper bounds: a change may lower a count (and then the pin), never
 //! raise it.
 
@@ -15,7 +16,10 @@ use atrapos_engine::workload::populate_all;
 use atrapos_engine::{TransactionSpec, Workload};
 use atrapos_numa::{CoreId, SocketId};
 use atrapos_storage::{Column, ColumnType, Database, Schema, Table, TableId};
-use atrapos_workloads::{KeyDistribution, MultiSiteUpdate, ReadManyRows, ReadOneRow, WorkloadSpec};
+use atrapos_workloads::{
+    KeyDistribution, MultiSiteUpdate, ReadManyRows, ReadOneRow, Tatp, TatpConfig, Tpcc, TpccConfig,
+    WorkloadSpec, Ycsb, YcsbConfig,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -139,6 +143,31 @@ fn the_micro_generators_allocate_nothing_per_transaction() {
         ("read-many-rows", &mut many),
     ] {
         assert_eq!(generation_allocations(w), 0, "{name}");
+    }
+}
+
+/// The standard mixes allocate only what their actions own: the changes
+/// list of an update and the record of an insert (TATP's updates and
+/// call-forwarding insert, TPC-C's inserts and Delivery's carrier updates,
+/// YCSB-A's updates).
+#[test]
+fn the_standard_mixes_allocate_only_what_their_actions_own() {
+    const TATP_PIN: usize = 347;
+    const TPCC_PIN: usize = 7_850;
+    const YCSB_A_PIN: usize = 513;
+    let mut tatp = Tatp::new(TatpConfig::scaled(1_000));
+    let mut tpcc = Tpcc::new(TpccConfig::scaled(2));
+    let mut ycsb = Ycsb::new(YcsbConfig::workload_a(10_000)).unwrap();
+    for (name, w, pin) in [
+        ("TATP", &mut tatp as &mut dyn Workload, TATP_PIN),
+        ("TPC-C", &mut tpcc, TPCC_PIN),
+        ("YCSB-A", &mut ycsb, YCSB_A_PIN),
+    ] {
+        let count = generation_allocations(w);
+        assert!(
+            count <= pin,
+            "{name}: {count} allocations, pinned at most {pin}"
+        );
     }
 }
 

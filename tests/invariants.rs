@@ -55,10 +55,6 @@ impl<W: Workload> Workload for Counting<W> {
     fn populate(&self, db: &mut Database, filter: &dyn Fn(TableId, &Key) -> bool) {
         self.inner.populate(db, filter)
     }
-    fn next_transaction(&mut self, rng: &mut SmallRng, client: CoreId) -> TransactionSpec {
-        self.generated.fetch_add(1, Ordering::Relaxed);
-        self.inner.next_transaction(rng, client)
-    }
     fn next_transaction_into(
         &mut self,
         rng: &mut SmallRng,
