@@ -49,11 +49,6 @@ pub struct ShardingConfig {
     /// Relative weight of the load-imbalance objective against the
     /// distributed-transaction objective.
     pub balance_weight: f64,
-    /// Cost per byte of physically moving a record between instances during
-    /// repartitioning (used by [`estimate_migration_bytes`] consumers; much
-    /// higher than the logical repartitioning of the shared-everything
-    /// engine).
-    pub move_cost_per_byte: f64,
     /// Maximum improvement iterations of the greedy search.
     pub max_iterations: usize,
 }
@@ -64,7 +59,6 @@ impl Default for ShardingConfig {
             local_distributed_cost: 1.0,
             remote_distributed_cost: 4.0,
             balance_weight: 0.5,
-            move_cost_per_byte: 0.05,
             max_iterations: 400,
         }
     }

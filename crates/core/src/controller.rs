@@ -69,26 +69,19 @@ pub enum AdaptationOutcome {
     },
 }
 
-/// The adaptive controller.
+/// The adaptive controller.  It counts nothing itself: the design that
+/// applies its plans counts the repartitionings that happened.
 #[derive(Debug, Clone)]
 pub struct AdaptiveController {
     /// Configuration.
     pub config: ControllerConfig,
-    /// Number of repartitionings performed.
-    pub adaptations: u64,
-    /// Number of model evaluations performed.
-    pub evaluations: u64,
 }
 
 impl AdaptiveController {
     /// Build a controller.  The scheme it evaluates against is the one the
     /// caller passes to [`AdaptiveController::on_interval`].
     pub fn new(config: ControllerConfig) -> Self {
-        Self {
-            config,
-            adaptations: 0,
-            evaluations: 0,
-        }
+        Self { config }
     }
 
     /// Length of the next monitoring interval, in (virtual) seconds.
@@ -124,7 +117,6 @@ impl AdaptiveController {
         topo: &Topology,
         hardware_changed: bool,
     ) -> AdaptationOutcome {
-        self.evaluations += 1;
         let candidate = choose_scheme(current, stats, topo, &self.config.search);
         let old_cost = evaluate(current, stats, topo);
         let new_cost = evaluate(&candidate, stats, topo);
@@ -142,7 +134,6 @@ impl AdaptiveController {
         if plan.is_empty() {
             return AdaptationOutcome::NoChange;
         }
-        self.adaptations += 1;
         self.config.interval.reset();
         AdaptationOutcome::Repartition {
             new_scheme: candidate,
@@ -195,7 +186,6 @@ mod tests {
             let out = ctl.on_interval(&scheme, 1000.0, &stats, &topo);
             assert!(matches!(out, AdaptationOutcome::NoChange));
         }
-        assert_eq!(ctl.adaptations, 0);
         assert!(ctl.interval_secs() > 1.0, "interval should have grown");
     }
 
@@ -204,7 +194,8 @@ mod tests {
         let (topo, scheme, mut ctl) = setup();
         let uniform = uniform_stats(80);
         for _ in 0..3 {
-            ctl.on_interval(&scheme, 1000.0, &uniform, &topo);
+            let out = ctl.on_interval(&scheme, 1000.0, &uniform, &topo);
+            assert!(matches!(out, AdaptationOutcome::NoChange));
         }
         // Skew appears and throughput collapses (paper Figure 11).
         let skew = skewed_stats(80);
@@ -217,7 +208,6 @@ mod tests {
             }
             AdaptationOutcome::NoChange => panic!("expected a repartitioning"),
         }
-        assert_eq!(ctl.adaptations, 1);
         // The monitoring interval resets to stay alert.
         assert_eq!(ctl.interval_secs(), 1.0);
     }
@@ -244,10 +234,10 @@ mod tests {
         // Big throughput swing triggers an evaluation, but the uniform load
         // cannot be balanced any better than the naive scheme already is.
         ctl.on_interval(&scheme, 1000.0, &stats, &topo);
+        let mut interval = ctl.config.interval.clone();
+        assert_eq!(interval.observe(100.0), IntervalDecision::Evaluate);
         let out = ctl.on_interval(&scheme, 100.0, &stats, &topo);
         assert!(matches!(out, AdaptationOutcome::NoChange));
-        assert!(ctl.evaluations >= 1);
-        assert_eq!(ctl.adaptations, 0);
     }
 
     #[test]
@@ -276,6 +266,5 @@ mod tests {
             }
             AdaptationOutcome::NoChange => panic!("the old scheme is still skewed"),
         }
-        assert_eq!(ctl.adaptations, 2);
     }
 }

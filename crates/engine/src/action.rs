@@ -13,7 +13,7 @@
 //! its four synchronization points become the phase boundaries.
 
 use atrapos_numa::Cycles;
-use atrapos_storage::{Key, Record, TableId, Value};
+use atrapos_storage::{Key, Record, TableId};
 
 /// What an action does to its table.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,14 +36,16 @@ pub enum ActionOp {
         /// Maximum rows returned.
         limit: usize,
     },
-    /// Overwrite columns of one record.
+    /// Overwrite one integer column of one record, in place.
     Update {
         /// Table to update.
         table: TableId,
         /// Primary key.
         key: Key,
-        /// `(column index, new value)` pairs.
-        changes: Vec<(usize, Value)>,
+        /// Column to overwrite.
+        column: usize,
+        /// New value.
+        value: i64,
     },
     /// Add a signed delta to an integer column (used for balances and
     /// counters so that consistency checks remain meaningful).

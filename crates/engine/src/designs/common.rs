@@ -134,8 +134,9 @@ pub fn storage_op(ctx: &mut SimCtx<'_>, db: &mut Database, action: &Action) -> S
         ActionOp::Update {
             table,
             key,
-            changes,
-        } => db.table_mut(*table)?.update(ctx, key, changes),
+            column,
+            value,
+        } => db.table_mut(*table)?.update(ctx, key, *column, *value),
         ActionOp::Increment {
             table,
             key,
@@ -280,7 +281,8 @@ mod tests {
             ActionOp::Update {
                 table,
                 key,
-                changes: vec![(1, Value::Int(9))],
+                column: 1,
+                value: 9,
             },
             // 316 bytes: wider than the per-row log image.
             ActionOp::Insert {

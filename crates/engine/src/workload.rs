@@ -190,8 +190,8 @@ pub trait Workload: Send {
     /// simulated transaction with the same buffer, and implementations
     /// refill it through [`TransactionSpec::refill`], so once the buffer
     /// has grown to the workload's largest transaction generation
-    /// allocates nothing beyond what the actions own (an update's
-    /// changes, an insert's record).
+    /// allocates nothing beyond what the actions own (an insert's
+    /// record).
     fn next_transaction_into(
         &mut self,
         rng: &mut SmallRng,

@@ -6,7 +6,8 @@
 //! row in a single exact-size heap block; a [`Row`] borrows one, wherever
 //! its bytes live — a record, or a slot of a B+-tree leaf, which keeps all
 //! of its rows back to back in one block and their key cells only in its
-//! key column.  `write_cell` is the one path that writes into packed rows.
+//! key column.  A packed row never changes length: `write_cell`, the one
+//! path that writes into packed rows, overwrites one integer cell in place.
 //! A [`Key`] is up to four inline integers with no heap part at all.
 
 use crate::schema::{ColumnType, Schema};
@@ -364,21 +365,6 @@ impl Record {
         self.row().int(i)
     }
 
-    /// Overwrite column `i`.  A value of the column's type is written into
-    /// the block as a leaf writes it (`write_cell`); a value of the other
-    /// type repacks the row.
-    pub fn set(&mut self, i: usize, v: &Value) {
-        if self.row().column_type(i) == v.column_type() {
-            let mut bytes = std::mem::take(&mut self.bytes).into_vec();
-            write_cell(&mut bytes, 0, self.shape, i, v);
-            self.bytes = bytes.into_boxed_slice();
-        } else {
-            let mut values: Vec<Value> = self.row().values().collect();
-            values[i] = v.clone();
-            *self = Self::pack(&values);
-        }
-    }
-
     /// Extract the primary key of this record according to `schema`.
     pub fn key(&self, schema: &Schema) -> Key {
         self.row().key(schema)
@@ -618,47 +604,21 @@ fn read_cell(bytes: &[u8], i: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + CELL].try_into().expect("8-byte cell"))
 }
 
-/// Overwrite stored cell `i` of the row of shape `shape` that starts at
-/// `rows[at]` with `v`, which must have the cell's type; the row may be
-/// followed by others.  Key cells kept apart are no part of it: cell `i`
-/// is column `i + prefix_width(shape)`.  An integer goes in place.  A text
-/// re-splices the row's tail — bytes after the row shift with it — and
-/// moves the offsets of the text columns behind it.  Returns the change in
-/// the row's length.  This is the one write path of packed rows: a
-/// [`Record`]'s block and a leaf's row block alike.
-pub(crate) fn write_cell(rows: &mut Vec<u8>, at: usize, shape: u64, i: usize, v: &Value) -> isize {
+/// Overwrite stored integer cell `i` of the row of shape `shape` that
+/// starts at `rows[at]` with `v`, in place; the row may be followed by
+/// others.  Key cells kept apart are no part of it: cell `i` is column
+/// `i + prefix_width(shape)`.  Panics on a text cell.  This is the one
+/// write path of packed rows, and it never changes a row's length: no text
+/// is written after a row is packed.
+pub(crate) fn write_cell(rows: &mut [u8], at: usize, shape: u64, i: usize, v: i64) {
     let shape = shape & ((1 << PREFIX_SHIFT) - 1);
     let row = Row::from_parts(&[], &rows[at..], shape);
-    let cell = row.cell(i);
-    let put = |rows: &mut Vec<u8>, col: usize, cell: u64| {
-        let c = at + CELL * col;
-        rows[c..c + CELL].copy_from_slice(&cell.to_le_bytes());
-    };
-    match (row.column_type(i), v) {
-        (ColumnType::Int, Value::Int(x)) => {
-            put(rows, i, *x as u64);
-            0
-        }
-        (ColumnType::Text, Value::Text(s)) => {
-            let arity = row.arity();
-            let (offset, old_len) = (cell >> 32, cell as u32 as usize);
-            let start = at + CELL * arity + offset as usize;
-            let delta = s.len() as isize - old_len as isize;
-            if delta > 0 {
-                rows.reserve_exact(delta as usize);
-            }
-            rows.splice(start..start + old_len, s.bytes());
-            put(rows, i, offset << 32 | s.len() as u64);
-            for j in i + 1..arity {
-                if shape >> j & 1 == 1 {
-                    let moved = read_cell(&rows[at..], j).wrapping_add_signed((delta as i64) << 32);
-                    put(rows, j, moved);
-                }
-            }
-            delta
-        }
-        (ty, v) => panic!("column {i} is a {ty:?} column, not {:?}", v.column_type()),
-    }
+    assert!(
+        row.int(i).is_some(),
+        "stored cell {i} is a Text cell, not Int"
+    );
+    let c = at + CELL * i;
+    rows[c..c + CELL].copy_from_slice(&v.to_le_bytes());
 }
 
 impl From<Vec<Value>> for Record {
@@ -760,7 +720,7 @@ mod tests {
             ],
             vec![0, 1],
         );
-        let mut record = Record::new(vec![
+        let record = Record::new(vec![
             Value::Int(3),
             Value::Int(-7),
             Value::from("naïve"),
@@ -781,22 +741,21 @@ mod tests {
             assert_eq!(lent.get(c), record.get(c));
             assert_eq!(lent.int(c), record.int(c));
         }
-        // A text write to column 2 is one to stored cell 0.
+        // An integer write to column 3 is one to stored cell 1, in place.
         let mut stored = lent.bytes().to_vec();
-        let delta = write_cell(&mut stored, 0, lent.shape(), 0, &Value::from("zz"));
-        assert_eq!(delta, 2 - "naïve".len() as isize);
+        write_cell(&mut stored, 0, lent.shape(), 1, -42);
+        assert_eq!(stored.len(), lent.bytes().len());
         let written = Row::from_parts(key.comps(), &stored, lent.shape());
-        record.set(2, &Value::from("zz"));
-        assert_eq!(written.to_record(), record);
-        // A row with other values differs, wherever its cells are kept.
-        let other = Record::new(vec![
+        let want = Record::new(vec![
             Value::Int(3),
-            Value::Int(-8),
-            Value::from("zz"),
-            Value::Int(42),
+            Value::Int(-7),
+            Value::from("naïve"),
+            Value::Int(-42),
             Value::from("tail"),
         ]);
-        assert_ne!(written, other.row());
+        assert_eq!(written.to_record(), want);
+        // A row with other values differs, wherever its cells are kept.
+        assert_ne!(written, record.row());
     }
 
     #[test]
@@ -858,7 +817,7 @@ mod tests {
     fn a_row_owns_one_exact_block() {
         assert!(std::mem::size_of::<Record>() <= 24);
         assert_eq!(Record::ints(&[1, 2, 3, 4, 5]).heap_bytes(), 40);
-        let mut tatp = Record::new(vec![
+        let tatp = Record::new(vec![
             Value::Int(1),
             Value::from("000000000000001"),
             Value::Int(1),
@@ -870,13 +829,6 @@ mod tests {
         let mut spare = Vec::with_capacity(64);
         spare.extend([Value::Int(1), Value::Int(2), Value::Int(3)]);
         assert_eq!(Record::new(spare).heap_bytes(), 24);
-        // An integer write stays in place; a text write rebuilds exactly.
-        tatp.set(2, &Value::Int(9));
-        assert_eq!(tatp.heap_bytes(), 5 * 8 + 15);
-        tatp.set(1, &Value::from("ü"));
-        assert_eq!(tatp.heap_bytes(), 5 * 8 + 2);
-        assert_eq!(tatp.get(1), Value::from("ü"));
-        assert_eq!(tatp.int(2), Some(9));
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! column and hands them back on every read.  Key columns are therefore not
 //! writable: a row is filed under its key.
 
-use crate::btree::RowMut;
 use crate::error::{StorageError, StorageResult};
 use crate::mrbtree::MrBTree;
-use crate::record::{shape_of, with_int_row, Key, Record, Row, Value};
+use crate::record::{shape_of, with_int_row, Key, Record, Row};
 use crate::schema::{Schema, TableId};
 use atrapos_numa::{Component, SimCtx, SocketId};
 
@@ -202,55 +201,22 @@ impl Table {
             })
     }
 
-    /// Locate an existing record for an in-place write of `columns`
-    /// columns: one index probe, charged as probe + tuple work.
-    // One per simulated update / increment action.
-    // lint: hot-path
-    fn probe_for_update(
-        &mut self,
-        ctx: &mut SimCtx<'_>,
-        key: &Key,
-        columns: usize,
-    ) -> StorageResult<RowMut<'_>> {
-        let partition = self.index.partition_for(key);
-        self.charge_probe(ctx, partition);
-        ctx.work(
-            Component::XctExecution,
-            TUPLE_WORK_INSTRUCTIONS + 30 * columns as u64,
-        );
-        self.index
-            .get_mut_in(partition, key)
-            .ok_or(StorageError::KeyNotFound {
-                table: self.id,
-                // lint: allow(hot-path-alloc) — error path only, and Key stores up to four ints inline
-                key: *key,
-            })
-    }
-
-    /// Update columns of an existing record.  Integer changes to integer
-    /// columns are written in place.  A change to a primary-key column is
-    /// an error, and then no column changes.
+    /// Set integer column `column` of an existing record to `value`, in
+    /// place.  A primary-key column is an error.
     // One per simulated update action.
     // lint: hot-path
     pub fn update(
         &mut self,
         ctx: &mut SimCtx<'_>,
         key: &Key,
-        changes: &[(usize, Value)],
+        column: usize,
+        value: i64,
     ) -> StorageResult<()> {
-        for (col, _) in changes {
-            self.check_writable(*col)?;
-        }
-        let mut row = self.probe_for_update(ctx, key, changes.len())?;
-        for (col, value) in changes {
-            row.set(*col, value);
-        }
-        Ok(())
+        self.write_int(ctx, key, column, |_| value)
     }
 
-    /// Add `delta` to an integer column of an existing record
-    /// (read-modify-write under one probe, charged as a one-column
-    /// [`Table::update`]).  A primary-key column is an error.
+    /// Add `delta` to an integer column of an existing record, in place.  A
+    /// primary-key column is an error.
     // One per simulated increment action.
     // lint: hot-path
     pub fn increment(
@@ -260,10 +226,36 @@ impl Table {
         column: usize,
         delta: i64,
     ) -> StorageResult<()> {
+        self.write_int(ctx, key, column, |current| current + delta)
+    }
+
+    /// The body of [`Table::update`] and [`Table::increment`]: refuse a
+    /// key column, locate the record with one index probe (charged as
+    /// probe + tuple work for one column), and write `new(current)` over
+    /// the integer in `column`.
+    // lint: hot-path
+    #[inline]
+    fn write_int(
+        &mut self,
+        ctx: &mut SimCtx<'_>,
+        key: &Key,
+        column: usize,
+        new: impl FnOnce(i64) -> i64,
+    ) -> StorageResult<()> {
         self.check_writable(column)?;
-        let mut row = self.probe_for_update(ctx, key, 1)?;
-        let current = row.int(column).expect("increment targets an Int column");
-        row.set(column, &Value::Int(current + delta));
+        let partition = self.index.partition_for(key);
+        self.charge_probe(ctx, partition);
+        ctx.work(Component::XctExecution, TUPLE_WORK_INSTRUCTIONS + 30);
+        let mut row = self
+            .index
+            .get_mut_in(partition, key)
+            .ok_or(StorageError::KeyNotFound {
+                table: self.id,
+                // lint: allow(hot-path-alloc) — error path only, and Key stores up to four ints inline
+                key: *key,
+            })?;
+        let current = row.int(column).expect("writes target an Int column");
+        row.set(column, new(current));
         Ok(())
     }
 
@@ -348,6 +340,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Value;
     use crate::schema::{Column, ColumnType};
     use atrapos_numa::{CoreId, CostModel, Topology};
 
@@ -420,9 +413,7 @@ mod tests {
         let mut table = Table::new(TableId(0), schema(), SocketId(0));
         table.load(rec(7, 700)).unwrap();
         let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
-        table
-            .update(&mut ctx, &Key::int(7), &[(1, Value::Int(999))])
-            .unwrap();
+        table.update(&mut ctx, &Key::int(7), 1, 999).unwrap();
         assert_eq!(table.peek(&Key::int(7)).unwrap().get(1).as_int(), 999);
         assert_eq!(
             table.peek(&Key::int(7)).unwrap().get(2).as_text(),
@@ -431,8 +422,8 @@ mod tests {
     }
 
     /// A row is filed under its key, so a write to a key column is refused
-    /// with a typed error — in a batch too, which then changes nothing —
-    /// and the row still reports the key it is filed under.
+    /// with a typed error, and the row still reports the key it is filed
+    /// under.
     #[test]
     fn key_columns_are_not_writable() {
         let (t, c) = env();
@@ -444,14 +435,7 @@ mod tests {
             column: 0,
         };
         let key = Key::int(7);
-        assert_eq!(
-            table.update(&mut ctx, &key, &[(0, Value::Int(8))]),
-            Err(refused.clone())
-        );
-        assert_eq!(
-            table.update(&mut ctx, &key, &[(1, Value::Int(1)), (0, Value::Int(8))]),
-            Err(refused.clone())
-        );
+        assert_eq!(table.update(&mut ctx, &key, 0, 8), Err(refused.clone()));
         assert_eq!(table.increment(&mut ctx, &key, 0, 1), Err(refused));
         let row = table.peek(&key).unwrap();
         assert_eq!(row.key(table.schema()), key);

@@ -17,8 +17,7 @@
 //! * The packed leaves — keys stored flat at one width, rows in one byte
 //!   block per leaf — of a `BTree` and of a `Table` are driven against a
 //!   `BTreeMap<Key, Record>` through inserts, rejected duplicates, removes,
-//!   integer and text writes (texts that grow, shrink and empty), splits,
-//!   merges, bulk loads, repartitionings at one-integer bounds, scans with
+//!   in-place integer writes beside text columns, splits, merges, bulk loads, repartitionings at one-integer bounds, scans with
 //!   bounds shorter than the keys, and runs of appends above the maximum interleaved with
 //!   inserts and removes of it; after every step the contents equal the
 //!   model's byte for byte and every invariant holds.
@@ -29,7 +28,7 @@
 //!   own key, a delete hands back the whole record, and a write to a key
 //!   column is refused.
 //! * The packed row block (`Record`) is checked against the `Vec<Value>`
-//!   row it replaced: accessors, writes, schema checks, key extraction,
+//!   row it replaced: accessors, schema checks, key extraction,
 //!   equality, and the `Debug` form byte for byte.
 //! * The lock manager is driven against a naive lock-table oracle that
 //!   tracks, per lock, exactly which transactions hold it in which mode,
@@ -455,8 +454,6 @@ enum LeafOp {
     /// Write an integer into the first (`false`) or second integer column;
     /// the table increments the second one.
     SetInt([i64; 4], bool, i64),
-    /// Write a text into the first (`false`) or second text column.
-    SetText([i64; 4], bool, String),
     /// `split_off` at a bound, then `merge_from` the right half back.
     SplitMerge([i64; 4], usize),
     /// `merge_from` a bulk-loaded tree that overlaps every key `>=` the
@@ -476,8 +473,7 @@ enum LeafOp {
     Append(Vec<(i64, u8)>, i64),
 }
 
-/// Texts of zero to twenty characters, empty a fifth of the time, so a
-/// text write grows, shrinks or empties its cell.
+/// Texts of zero to twenty characters, empty a fifth of the time.
 fn text_strategy() -> impl Strategy<Value = String> {
     let chars = vec!['a', 'z', ' ', '"', 'é', '€', '\u{1F980}'];
     prop_oneof![
@@ -496,8 +492,6 @@ fn leaf_op_strategy() -> impl Strategy<Value = LeafOp> {
         3 => raw_key_strategy().prop_map(LeafOp::Remove),
         3 => (raw_key_strategy(), any::<bool>(), small())
             .prop_map(|(k, second, v)| LeafOp::SetInt(k, second, v)),
-        4 => (raw_key_strategy(), any::<bool>(), text_strategy())
-            .prop_map(|(k, second, t)| LeafOp::SetText(k, second, t)),
         1 => bound().prop_map(|(k, w)| LeafOp::SplitMerge(k, w)),
         1 => (bound(), small()).prop_map(|((k, w), d)| LeafOp::MergeOverlap(k, w, d)),
         1 => Just(LeafOp::Rebuild),
@@ -563,8 +557,8 @@ proptest! {
 
     /// A tree and a table of packed leaves — keys at one width from one to
     /// four, rows with two text columns — agree with an ordered map of
-    /// records after every insert, rejected duplicate, remove, integer and
-    /// text write, split, merge (overlapping ones too), bulk load,
+    /// records after every insert, rejected duplicate, remove, integer
+    /// write, split, merge (overlapping ones too), bulk load,
     /// repartitioning at one-integer bounds and scan, with scan and split
     /// bounds of every width, and through ascending runs that re-insert or
     /// remove their maximum.
@@ -595,7 +589,7 @@ proptest! {
         let topo = Topology::multisocket(2, 2);
         let cost = CostModel::westmere();
         let mut ctx = SimCtx::new(&topo, &cost, CoreId(0), 0);
-        let (a, s, b, t) = (width, width + 1, width + 2, width + 3);
+        let (a, b) = (width, width + 2);
         for op in ops {
             match op {
                 LeafOp::Insert(raw, v) => {
@@ -633,29 +627,14 @@ proptest! {
                     let new = old.int(col).unwrap() + v;
                     let mut row = tree.get_mut(&key).unwrap();
                     prop_assert_eq!(row.int(col), old.int(col));
-                    row.set(col, &Value::Int(new));
+                    row.set(col, new);
                     if second {
                         table.increment(&mut ctx, &key, col, v)
                     } else {
-                        table.update(&mut ctx, &key, &[(col, Value::Int(new))])
+                        table.update(&mut ctx, &key, col, new)
                     }
                     .map_err(|e| TestCaseError::fail(e.to_string()))?;
                     let new = with_value(old, col, Value::Int(new));
-                    model.insert(key, new);
-                }
-                LeafOp::SetText(raw, second, text) => {
-                    let key = Key::ints(&raw[..width]);
-                    let col = if second { t } else { s };
-                    let Some(old) = model.get(&key) else {
-                        prop_assert!(tree.get_mut(&key).is_none());
-                        continue;
-                    };
-                    let v = Value::Text(text);
-                    tree.get_mut(&key).unwrap().set(col, &v);
-                    table
-                        .update(&mut ctx, &key, &[(col, v.clone())])
-                        .map_err(|e| TestCaseError::fail(e.to_string()))?;
-                    let new = with_value(old, col, v);
                     model.insert(key, new);
                 }
                 LeafOp::SplitMerge(raw, w) => {
@@ -674,9 +653,8 @@ proptest! {
                         .map(|(k, r)| (*k, with_value(r, a, Value::Int(r.int(a).unwrap() ^ d))))
                         .collect();
                     for (key, row) in &changed {
-                        let v = row.get(a);
                         table
-                            .update(&mut ctx, key, &[(a, v)])
+                            .update(&mut ctx, key, a, row.int(a).unwrap())
                             .map_err(|e| TestCaseError::fail(e.to_string()))?;
                     }
                     model.extend(changed.iter().cloned());
@@ -786,11 +764,10 @@ enum TableOp {
     /// `Table::insert` (`false`) or `Table::load` of a row: a present key is
     /// refused and keeps its row.
     Insert([i64; 4], bool, i64, String),
-    /// `Table::update` of column `col % arity` — a key column is refused —
-    /// to the integer or the text, whichever is the column's type.
-    Update([i64; 4], usize, i64, String),
-    /// `Table::increment` of integer column `col % (width + 2)` — the key
+    /// `Table::update` of integer column `col % (width + 2)` — the key
     /// columns, then `a` and `b`; a key column is refused.
+    Update([i64; 4], usize, i64),
+    /// `Table::increment` of the integer column `Update` would pick.
     Increment([i64; 4], usize, i64),
     /// `Table::delete`: hands back the full record.
     Delete([i64; 4]),
@@ -805,8 +782,8 @@ fn table_op_strategy() -> impl Strategy<Value = TableOp> {
     prop_oneof![
         6 => (raw_key_strategy(), any::<bool>(), small(), text_strategy())
             .prop_map(|(k, load, v, t)| TableOp::Insert(k, load, v, t)),
-        4 => (raw_key_strategy(), any::<usize>(), small(), text_strategy())
-            .prop_map(|(k, col, v, t)| TableOp::Update(k, col, v, t)),
+        4 => (raw_key_strategy(), any::<usize>(), small())
+            .prop_map(|(k, col, v)| TableOp::Update(k, col, v)),
         3 => (raw_key_strategy(), any::<usize>(), small())
             .prop_map(|(k, col, d)| TableOp::Increment(k, col, d)),
         3 => raw_key_strategy().prop_map(TableOp::Delete),
@@ -843,7 +820,7 @@ proptest! {
     /// A table whose leaves keep each key only in their key column — keys
     /// one to four integers wide, integer and text columns behind them —
     /// agrees with an ordered map of whole records through inserts and
-    /// loads (duplicates refused), integer and text updates, increments,
+    /// loads (duplicates refused), integer updates and increments,
     /// deletes that hand back the whole record, and partition splits and
     /// merges, which rebuild trees through the bulk loader.  A write to a
     /// key column is refused with a typed error and changes nothing.
@@ -860,8 +837,12 @@ proptest! {
                 Column::new("b", ColumnType::Int),
             ])
             .collect();
-        let arity = columns.len();
         let schema = Schema::new("keyed", columns, (0..width).collect());
+        // The key columns, then `a` and `b`.
+        let int_column = |col: usize| match col % (width + 2) {
+            c if c <= width => c,
+            _ => width + 2,
+        };
         let mut table = Table::new(TableId(3), schema, SocketId(0));
         let mut model: BTreeMap<Key, Record> = BTreeMap::new();
         let topo = Topology::multisocket(2, 2);
@@ -887,35 +868,22 @@ proptest! {
                     }
                     model.entry(key).or_insert(row);
                 }
-                TableOp::Update(raw, col, v, text) => {
+                TableOp::Update(raw, col, v) | TableOp::Increment(raw, col, v) => {
                     let key = Key::ints(&raw[..width]);
-                    let col = col % arity;
-                    let value = if col == width + 1 { Value::Text(text) } else { Value::Int(v) };
-                    let got = table.update(&mut ctx, &key, &[(col, value.clone())]);
-                    match model.get_mut(&key) {
-                        _ if col < width => prop_assert_eq!(got, Err(key_column(col))),
-                        None => prop_assert!(matches!(got, Err(StorageError::KeyNotFound { .. }))),
-                        Some(record) => {
-                            prop_assert_eq!(got, Ok(()));
-                            record.set(col, &value);
-                        }
-                    }
-                }
-                TableOp::Increment(raw, col, delta) => {
-                    let key = Key::ints(&raw[..width]);
-                    let col = match col % (width + 2) {
-                        c if c < width => c,
-                        c if c == width => width,
-                        _ => width + 2,
+                    let col = int_column(col);
+                    let increment = matches!(op, TableOp::Increment(..));
+                    let got = if increment {
+                        table.increment(&mut ctx, &key, col, v)
+                    } else {
+                        table.update(&mut ctx, &key, col, v)
                     };
-                    let got = table.increment(&mut ctx, &key, col, delta);
                     match model.get_mut(&key) {
                         _ if col < width => prop_assert_eq!(got, Err(key_column(col))),
                         None => prop_assert!(matches!(got, Err(StorageError::KeyNotFound { .. }))),
                         Some(record) => {
                             prop_assert_eq!(got, Ok(()));
-                            let now = record.int(col).unwrap() + delta;
-                            record.set(col, &Value::Int(now));
+                            let now = if increment { record.int(col).unwrap() + v } else { v };
+                            *record = with_value(record, col, Value::Int(now));
                         }
                     }
                 }
@@ -1045,28 +1013,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// A packed record agrees with a plain `Vec<Value>` on every accessor,
-    /// on its schema checks and key, on equality, and on its `Debug` form
-    /// — as built, and after each `set` of an integer or a text
-    /// over a column of either type.
+    /// on its schema checks and key, on equality, and on its `Debug` form.
     #[test]
     fn packed_records_agree_with_the_vec_model(
         values in prop::collection::vec(value_strategy(), 0..=MAX_COLUMNS),
-        edits in prop::collection::vec((any::<usize>(), value_strategy()), 0..6),
     ) {
-        let mut model = naive::Record { values };
-        let mut record = Record::new(model.values.clone());
+        let model = naive::Record { values };
+        let record = Record::new(model.values.clone());
         check_against_model(&record, &model)?;
-        for (col, v) in edits {
-            if model.values.is_empty() {
-                break;
-            }
-            let col = col % model.values.len();
-            let (before, model_before) = (record.clone(), model.clone());
-            record.set(col, &v);
-            model.values[col] = v;
-            check_against_model(&record, &model)?;
-            prop_assert_eq!(before == record, model_before == model);
-        }
     }
 }
 

@@ -9,16 +9,21 @@ use atrapos_storage::{Column, ColumnType, Database, Key, Schema, TableId};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// The single table used by all three microbenchmarks: ten integer columns,
-/// keyed by the first.
-fn probe_schema(name: &str) -> Schema {
-    Schema::new(
-        name,
-        (0..10)
-            .map(|i| Column::new(format!("c{i}"), ColumnType::Int))
-            .collect(),
-        vec![0],
-    )
+/// The single table used by all three microbenchmarks, `rows` rows of ten
+/// integer columns keyed by the first.
+fn probe_tables(rows: i64) -> Vec<TableSpec> {
+    vec![TableSpec {
+        id: TableId(0),
+        schema: Schema::new(
+            "probe",
+            (0..10)
+                .map(|i| Column::new(format!("c{i}"), ColumnType::Int))
+                .collect(),
+            vec![0],
+        ),
+        domain: KeyDomain::new(0, rows),
+        rows: rows as u64,
+    }]
 }
 
 fn probe_row(key: i64) -> [i64; 10] {
@@ -40,6 +45,21 @@ fn populate_probe(
             table.load_ints(&probe_row(i)).expect("unique keys");
         }
     }
+}
+
+/// The site whose keys the client bound to `client` draws: clients fill
+/// sites `cores_per_site` at a time, wrapping around.
+fn site_of(client: CoreId, cores_per_site: usize, sites: usize) -> usize {
+    (client.index() / cores_per_site) % sites
+}
+
+/// The keys `[lo, hi)` of `site`'s slice of `rows` keys cut into `sites`
+/// equal slices; the last slice takes the remainder, and no slice is empty.
+fn site_slice(rows: i64, sites: usize, site: usize) -> (i64, i64) {
+    let width = rows / sites as i64;
+    let lo = site as i64 * width;
+    let hi = if site + 1 == sites { rows } else { lo + width };
+    (lo, hi.max(lo + 1))
 }
 
 /// The perfectly partitionable microbenchmark: every transaction reads one
@@ -100,7 +120,7 @@ impl ReadOneRow {
     pub fn set_distribution(&mut self, d: KeyDistribution) -> Result<(), ReconfigureError> {
         self.samplers = (0..self.sites)
             .map(|site| {
-                let (lo, hi) = self.site_range(site);
+                let (lo, hi) = site_slice(self.rows, self.sites, site);
                 d.try_sampler(lo, hi)
             })
             .collect::<Result<_, _>>()
@@ -116,24 +136,6 @@ impl ReadOneRow {
     pub fn distribution(&self) -> KeyDistribution {
         self.distribution
     }
-
-    fn site_range(&self, site: usize) -> (i64, i64) {
-        if self.sites <= 1 {
-            return (0, self.rows);
-        }
-        let width = self.rows / self.sites as i64;
-        let lo = site as i64 * width;
-        let hi = if site + 1 == self.sites {
-            self.rows
-        } else {
-            lo + width
-        };
-        (lo, hi.max(lo + 1))
-    }
-
-    fn site_of(&self, client: CoreId) -> usize {
-        (client.index() / self.cores_per_site) % self.sites
-    }
 }
 
 impl Workload for ReadOneRow {
@@ -142,12 +144,7 @@ impl Workload for ReadOneRow {
     }
 
     fn tables(&self) -> Vec<TableSpec> {
-        vec![TableSpec {
-            id: TableId(0),
-            schema: probe_schema("probe"),
-            domain: KeyDomain::new(0, self.rows),
-            rows: self.rows as u64,
-        }]
+        probe_tables(self.rows)
     }
 
     fn populate(&self, db: &mut Database, filter: &dyn Fn(TableId, &Key) -> bool) {
@@ -160,7 +157,7 @@ impl Workload for ReadOneRow {
         client: CoreId,
         spec: &mut TransactionSpec,
     ) {
-        let site = self.site_of(client);
+        let site = site_of(client, self.cores_per_site, self.sites);
         let k = self.samplers[site].sample(rng);
         let mut w = spec.refill("read-one-row");
         w.phase().push(Action::new(ActionOp::Read {
@@ -222,21 +219,6 @@ impl MultiSiteUpdate {
             keys: Vec::new(),
         }
     }
-
-    fn site_of(&self, client: CoreId) -> usize {
-        (client.index() / self.cores_per_site) % self.sites
-    }
-
-    fn local_range(&self, site: usize) -> (i64, i64) {
-        let width = self.rows / self.sites as i64;
-        let lo = site as i64 * width;
-        let hi = if site + 1 == self.sites {
-            self.rows
-        } else {
-            lo + width
-        };
-        (lo, hi.max(lo + 1))
-    }
 }
 
 impl Workload for MultiSiteUpdate {
@@ -245,12 +227,7 @@ impl Workload for MultiSiteUpdate {
     }
 
     fn tables(&self) -> Vec<TableSpec> {
-        vec![TableSpec {
-            id: TableId(0),
-            schema: probe_schema("probe"),
-            domain: KeyDomain::new(0, self.rows),
-            rows: self.rows as u64,
-        }]
+        probe_tables(self.rows)
     }
 
     fn populate(&self, db: &mut Database, filter: &dyn Fn(TableId, &Key) -> bool) {
@@ -263,8 +240,8 @@ impl Workload for MultiSiteUpdate {
         client: CoreId,
         spec: &mut TransactionSpec,
     ) {
-        let site = self.site_of(client);
-        let (lo, hi) = self.local_range(site);
+        let site = site_of(client, self.cores_per_site, self.sites);
+        let (lo, hi) = site_slice(self.rows, self.sites, site);
         let multi = rng.gen_range(0u32..100) < self.multi_site_percent;
         let keys = &mut self.keys;
         keys.clear();
@@ -337,12 +314,7 @@ impl Workload for ReadManyRows {
     }
 
     fn tables(&self) -> Vec<TableSpec> {
-        vec![TableSpec {
-            id: TableId(0),
-            schema: probe_schema("probe"),
-            domain: KeyDomain::new(0, self.rows),
-            rows: self.rows as u64,
-        }]
+        probe_tables(self.rows)
     }
 
     fn populate(&self, db: &mut Database, filter: &dyn Fn(TableId, &Key) -> bool) {
@@ -469,10 +441,11 @@ mod tests {
     #[test]
     fn multi_site_maps_clients_to_sites_by_cores_per_site() {
         let w = MultiSiteUpdate::new(1000, 4, 10, 50);
-        assert_eq!(w.site_of(CoreId(0)), 0);
-        assert_eq!(w.site_of(CoreId(9)), 0);
-        assert_eq!(w.site_of(CoreId(10)), 1);
-        assert_eq!(w.site_of(CoreId(39)), 3);
+        let site = |c| site_of(CoreId(c), w.cores_per_site, w.sites);
+        assert_eq!(site(0), 0);
+        assert_eq!(site(9), 0);
+        assert_eq!(site(10), 1);
+        assert_eq!(site(39), 3);
     }
 
     #[test]

@@ -225,12 +225,14 @@ impl Tatp {
                 phase.push(Action::new(ActionOp::Update {
                     table: SUBSCRIBER,
                     key: Key::int(s),
-                    changes: vec![(2, Value::Int(rng.gen_range(0..2)))],
+                    column: 2,
+                    value: rng.gen_range(0..2),
                 }));
                 phase.push(Action::new(ActionOp::Update {
                     table: SPECIAL_FACILITY,
                     key: Key::ints(&[s, 1]),
-                    changes: vec![(3, Value::Int(rng.gen_range(0..256)))],
+                    column: 3,
+                    value: rng.gen_range(0..256),
                 }));
                 w.finish();
             }
@@ -239,7 +241,8 @@ impl Tatp {
                 w.phase().push(Action::new(ActionOp::Update {
                     table: SUBSCRIBER,
                     key: Key::int(s),
-                    changes: vec![(4, Value::Int(rng.gen_range(0..1 << 30)))],
+                    column: 4,
+                    value: rng.gen_range(0..1 << 30),
                 }));
                 w.finish();
             }

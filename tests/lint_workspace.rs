@@ -108,7 +108,8 @@ fn executor_hot_path_regions_are_live() {
 }
 
 /// The point-probe path, the lock manager's `acquire` and `release_all`,
-/// and `Timeline::book` are marked too: an allocation planted behind a
+/// `Timeline::book` and the spec engine's generator (YCSB's, SimpleAb's
+/// and every spec file's) are marked too: an allocation planted behind a
 /// statement of each marked function is flagged.
 #[test]
 fn point_probe_hot_path_regions_are_live() {
@@ -149,6 +150,10 @@ fn point_probe_hot_path_regions_are_live() {
         (
             "crates/numa/src/contention.rs",
             "let duration = duration.max(1);",
+        ),
+        (
+            "crates/workloads/src/spec.rs",
+            "let mut w = out.refill(tpl.class);",
         ),
     ];
     for (file, anchor) in regions {
