@@ -11,12 +11,14 @@
 //! * Nodes store what differs, as Shore-MT's slotted pages do: a node keeps
 //!   its keys in a [`KeyColumn`] — the components flat, at the tree's key
 //!   width — and a leaf keeps all of its rows in one byte block, each in
-//!   the [`Record`] layout, with one `u32` end offset per slot and one shape
-//!   word for the leaf.  No node holds a [`Key`] or a [`Record`]; readers
-//!   get a key by value and a row as a borrowed [`Row`], writers go through
-//!   [`RowMut`].  Every key of a tree has one width and every row one
-//!   shape (the table's schema); a key or row of another is a bug and
-//!   panics.
+//!   the [`Record`] layout, with one shape word for the leaf.  Rows with no
+//!   text cell all have one length, `8 × cells`, so such a leaf finds slot
+//!   `i` at `i × 8 × cells` and keeps no offsets; a leaf of text rows keeps
+//!   one `u32` end offset per slot.  No node holds a [`Key`] or a
+//!   [`Record`]; readers get a key by value and a row as a borrowed
+//!   [`Row`], writers go through [`RowMut`].  Every key of a tree has one
+//!   width and every row one shape (the table's schema); a key or row of
+//!   another is a bug and panics.
 //! * The tree stores a row's bytes as they come and lends them back with
 //!   the key cells the row kept apart, taken from the slot's key: a table
 //!   hands in rows whose key cells are lent from the key (see
@@ -38,10 +40,13 @@
 //!   splits up.  That path, too, takes a node's last slot or child without
 //!   a search when the key is above its last key; an equal key still
 //!   searches, so duplicates are found as before.
-//! * Node vectors are sized to the node, not doubled: they grow straight to
-//!   the most a node can hold.  A split copies the half it leaves behind
-//!   into an exact-size vector and the growing right half keeps the full
-//!   buffer, so an ascending load reallocates neither.
+//! * Node vectors are sized to the node, not doubled.  An append at a
+//!   node's end — every row of an ascending load — grows them straight to
+//!   the most a node can hold; an insert inside a node grows its vectors
+//!   by an eighth, since a leaf filled out of order rarely fills.  A split
+//!   copies the half it leaves behind into an exact-size vector and the
+//!   growing right half keeps the full buffer, so an ascending load
+//!   reallocates neither.
 //! * Deletion is *lazy*: entries are removed from leaves without rebalancing
 //!   (a common choice in real systems, e.g. PostgreSQL only reclaims empty
 //!   pages asynchronously).  Lookups, scans, and inserts remain correct;
@@ -51,7 +56,7 @@
 //!   ATraPos repartitioning actions (paper §V-D).  Both rebuild by copying
 //!   row bytes from leaf to leaf, with no allocation per row.
 
-use crate::record::{prefix_width, write_cell, Key, Record, Row};
+use crate::record::{fixed_len, prefix_width, write_cell, Key, Record, Row};
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -87,10 +92,12 @@ struct Leaf {
     keys: KeyColumn,
     /// The rows in slot order, back to back, each in the [`Record`] layout.
     rows: Vec<u8>,
-    /// `ends[i]` is where slot `i`'s row ends in `rows`; it starts where
-    /// slot `i - 1`'s ends (slot 0 at 0).
+    /// For rows with a text cell, `ends[i]` is where slot `i`'s row ends in
+    /// `rows`; it starts where slot `i - 1`'s ends (slot 0 at 0).  Empty
+    /// for rows without one: they all have the leaf's stride.
     ends: Vec<u32>,
-    /// The shape word every row of the leaf shares.
+    /// The shape word every row of the leaf shares.  Without a text cell it
+    /// fixes the stride: slot `i` starts at `i × 8 × cells`.
     shape: u64,
 }
 
@@ -139,19 +146,29 @@ fn full_cmp(a: &[i64], b: &[i64]) -> Ordering {
 }
 
 /// Make room for `need` more elements of a node vector that holds at most
-/// `most`: grow straight to `most`, never by doubling.
+/// `most`, to insert them at `at`; never by doubling.  An append at the end
+/// grows `v` straight to `most` — an ascending load appends again soon —
+/// and an insert inside it grows `v` by an eighth, at least by `need` and
+/// at most to `most`.
 #[inline]
-fn reserve_slots<T>(v: &mut Vec<T>, need: usize, most: usize) {
+fn reserve_slots<T>(v: &mut Vec<T>, at: usize, need: usize, most: usize) {
     if v.capacity() - v.len() < need {
+        let most = if at < v.len() {
+            most.min(v.len() + v.len() / 8)
+        } else {
+            most
+        };
         v.reserve_exact(most.saturating_sub(v.len()).max(need));
     }
 }
 
-/// Insert `src` into `v` at `at`: an append, and one move of the tail if
-/// there is one.
+/// Insert `src` into `v`, a node vector that holds at most `most`, at
+/// `at`: room as [`reserve_slots`] makes it, an append, and one move of the
+/// tail if there is one.
 #[inline]
-fn insert_slice<T: Copy>(v: &mut Vec<T>, at: usize, src: &[T]) {
+fn insert_slice<T: Copy>(v: &mut Vec<T>, at: usize, src: &[T], most: usize) {
     let tail = v.len() > at;
+    reserve_slots(v, at, src.len(), most);
     v.extend_from_slice(src);
     if tail {
         v[at..].rotate_right(src.len());
@@ -315,8 +332,7 @@ impl KeyColumn {
     pub fn insert(&mut self, i: usize, key: Key) {
         self.adopt_width(&key);
         let w = self.width;
-        reserve_slots(&mut self.comps, w, NODE_SLOTS * w);
-        insert_slice(&mut self.comps, i * w, key.comps());
+        insert_slice(&mut self.comps, i * w, key.comps(), NODE_SLOTS * w);
     }
 
     /// Append `key`, which must sort after every key of the column, into
@@ -378,10 +394,11 @@ impl Leaf {
     /// An empty leaf with room for exactly `n` keys of `width` components
     /// and `bytes` bytes of rows of shape `shape`.
     fn with_capacity(width: usize, n: usize, bytes: usize, shape: u64) -> Self {
+        let ends = if fixed_len(shape).is_some() { 0 } else { n };
         Self {
             keys: KeyColumn::with_capacity(width, n),
             rows: Vec::with_capacity(bytes),
-            ends: Vec::with_capacity(n),
+            ends: Vec::with_capacity(ends),
             shape,
         }
     }
@@ -389,19 +406,25 @@ impl Leaf {
     /// Number of rows.
     #[inline]
     fn len(&self) -> usize {
-        self.ends.len()
+        self.keys.len()
     }
 
     /// Where slot `i`'s row lies in `rows`.
     #[inline]
     fn span(&self, i: usize) -> Range<usize> {
-        self.span_start(i)..self.ends[i] as usize
+        match fixed_len(self.shape) {
+            Some(stride) => i * stride..(i + 1) * stride,
+            None => self.span_start(i)..self.ends[i] as usize,
+        }
     }
 
     /// Where slot `i`'s row starts (the end of the block for `i == len`).
     #[inline]
     fn span_start(&self, i: usize) -> usize {
-        i.checked_sub(1).map_or(0, |p| self.ends[p] as usize)
+        match fixed_len(self.shape) {
+            Some(stride) => i * stride,
+            None => i.checked_sub(1).map_or(0, |p| self.ends[p] as usize),
+        }
     }
 
     /// The row in slot `i`, its key cells lent from the slot's key.
@@ -419,7 +442,7 @@ impl Leaf {
     /// components (checked in debug builds).
     #[inline]
     fn adopt(&mut self, key: &Key, row: Row<'_>) {
-        if self.ends.is_empty() {
+        if self.len() == 0 {
             self.shape = row.shape();
         }
         assert_eq!(
@@ -443,28 +466,24 @@ impl Leaf {
         }
     }
 
-    /// Panic unless the row bytes still fit the `u32` offsets.
-    fn check_block(&self) {
-        assert!(
-            u32::try_from(self.rows.len()).is_ok(),
-            "a leaf holds under 4 GiB of rows"
-        );
-    }
-
     /// Insert `key` and `row` at slot `i`.
     fn insert(&mut self, i: usize, key: Key, row: Row<'_>) {
         self.adopt(&key, row);
+        let n = self.len();
         self.keys.insert(i, key);
         let bytes = row.bytes();
         // Room for the rest of the node's slots at this row's size.
-        let most = NODE_SLOTS.saturating_sub(self.len()) * bytes.len() + self.rows.len();
-        reserve_slots(&mut self.rows, bytes.len(), most);
+        let most = NODE_SLOTS.saturating_sub(n) * bytes.len() + self.rows.len();
         let at = self.span_start(i);
-        insert_slice(&mut self.rows, at, bytes);
-        self.check_block();
-        reserve_slots(&mut self.ends, 1, NODE_SLOTS);
-        self.ends.insert(i, (at + bytes.len()) as u32);
-        self.shift_ends(i + 1, bytes.len() as isize);
+        insert_slice(&mut self.rows, at, bytes, most);
+        if fixed_len(self.shape).is_none() {
+            assert!(
+                u32::try_from(self.rows.len()).is_ok(),
+                "a leaf holds under 4 GiB of rows"
+            );
+            insert_slice(&mut self.ends, i, &[at as u32], NODE_SLOTS);
+            self.shift_ends(i, bytes.len() as isize);
+        }
     }
 
     /// Append `key` and `row` if `key` sorts after the leaf's last key and
@@ -479,29 +498,16 @@ impl Leaf {
         true
     }
 
-    /// Replace the row in slot `i` with `row`, returning the old one.
-    fn replace(&mut self, i: usize, row: Row<'_>) -> Record {
-        self.adopt(&self.keys.key(i), row);
-        let old = self.row(i).to_record();
-        let span = self.span(i);
-        let delta = row.bytes().len() as isize - span.len() as isize;
-        if delta > 0 {
-            self.rows.reserve_exact(delta as usize);
-        }
-        self.rows.splice(span, row.bytes().iter().copied());
-        self.check_block();
-        self.shift_ends(i, delta);
-        old
-    }
-
     /// Remove slot `i`, returning its key's row.
     fn remove(&mut self, i: usize) -> Record {
         let span = self.span(i);
         let old = self.row(i).to_record();
         self.keys.remove(i);
         self.rows.drain(span.clone());
-        self.ends.remove(i);
-        self.shift_ends(i, -(span.len() as isize));
+        if fixed_len(self.shape).is_none() {
+            self.ends.remove(i);
+            self.shift_ends(i, -(span.len() as isize));
+        }
         old
     }
 
@@ -518,14 +524,33 @@ impl Leaf {
     /// Move the slots from `mid` on into a new leaf.
     fn split_off(&mut self, mid: usize) -> Leaf {
         let cut = self.span_start(mid);
+        // A leaf of fixed-stride rows has no end offsets to split.
+        let ends = mid.min(self.ends.len());
         let mut right = Leaf {
             keys: self.keys.split_off(mid),
             rows: split_exact(&mut self.rows, cut),
-            ends: split_exact(&mut self.ends, mid),
+            ends: split_exact(&mut self.ends, ends),
             shape: self.shape,
         };
         right.shift_ends(0, -(cut as isize));
         right
+    }
+
+    /// Verify that the rows tile the block: `len × stride` bytes without
+    /// a text cell, else one end offset per slot, in order, the last at
+    /// the block's end.
+    fn check_block(&self) -> Result<(), String> {
+        let tiled = match fixed_len(self.shape) {
+            Some(stride) => self.ends.is_empty() && self.rows.len() == self.len() * stride,
+            None => {
+                self.ends.len() == self.len()
+                    && self.ends.windows(2).all(|w| w[0] <= w[1])
+                    && self.ends.last().map_or(0, |&e| e as usize) == self.rows.len()
+            }
+        };
+        tiled
+            .then_some(())
+            .ok_or_else(|| "leaf rows do not tile its block".into())
     }
 }
 
@@ -618,37 +643,37 @@ impl BTree {
     }
 
     /// Insert a key/record pair.  Returns the previous record if the key was
-    /// already present (the pair is replaced).
+    /// already present: it is removed and the pair inserted in its place.
     pub fn insert(&mut self, key: Key, record: Record) -> Option<Record> {
-        self.insert_row(key, record.row(), true).flatten()
+        if self.insert_new_row(key, record.row()) {
+            return None;
+        }
+        let old = self.remove(&key);
+        self.insert_new_row(key, record.row());
+        old
     }
 
     /// Insert a key/record pair unless the key is already present: a
     /// present key leaves the tree untouched and hands `record` back.
     pub fn insert_new(&mut self, key: Key, record: Record) -> Result<(), Record> {
-        match self.insert_row(key, record.row(), false) {
-            None => Ok(()),
-            Some(_) => Err(record),
+        if self.insert_new_row(key, record.row()) {
+            Ok(())
+        } else {
+            Err(record)
         }
     }
 
     /// Copy `row` in under `key` unless the key is already present (which
-    /// leaves the tree untouched).  Whether the row went in.
+    /// leaves the tree untouched).  Whether the row went in.  A key the
+    /// rightmost leaf can append is appended there without a descent;
+    /// every other insert descends.
     pub fn insert_new_row(&mut self, key: Key, row: Row<'_>) -> bool {
-        self.insert_row(key, row, false).is_none()
-    }
-
-    /// Copy `row` in under `key`; on a present key either replace its row
-    /// or leave it.  `None` for a new key; for a present one, the displaced
-    /// record when replacing.  A key the rightmost leaf can append is
-    /// appended there without a descent; every other insert descends.
-    fn insert_row(&mut self, key: Key, row: Row<'_>, replace: bool) -> Option<Option<Record>> {
         if self.root.rightmost_leaf().try_append(key, row) {
             self.len += 1;
-            return None;
+            return true;
         }
-        let split = match self.root.insert(key, row, replace) {
-            Inserted::Present(displaced) => return Some(displaced),
+        let split = match self.root.insert(key, row) {
+            Inserted::Present => return false,
             Inserted::New(split) => split,
         };
         if let Some((sep, right)) = split {
@@ -662,7 +687,7 @@ impl BTree {
             self.height += 1;
         }
         self.len += 1;
-        None
+        true
     }
 
     /// Remove a key.  Returns the removed record, if any.
@@ -724,11 +749,7 @@ impl BTree {
             let bytes = chunk.iter().map(|(_, r)| r.bytes().len()).sum();
             let mut leaf = Leaf::with_capacity(first.len(), chunk.len(), bytes, row.shape());
             for &(key, row) in &chunk {
-                leaf.adopt(&key, row);
-                leaf.keys.push(key);
-                leaf.rows.extend_from_slice(row.bytes());
-                leaf.check_block();
-                leaf.ends.push(leaf.rows.len() as u32);
+                leaf.insert(leaf.len(), key, row);
             }
             len += chunk.len();
             level.push((first, Node::Leaf(leaf)));
@@ -799,8 +820,8 @@ impl BTree {
     }
 
     /// Verify the B+-tree structural invariants (key order and width
-    /// within nodes, one row shape per leaf, separator correctness,
-    /// length).  Used by tests.
+    /// within nodes, one row shape per leaf and rows that tile its block,
+    /// separator correctness, length).  Used by tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut count = 0usize;
         let mut last: Option<Key> = None;
@@ -867,21 +888,18 @@ impl RowMut<'_> {
 
 /// What [`Node::insert`] did.
 enum Inserted {
-    /// The key was present: the displaced record when replacing, `None`
-    /// when the tree was left alone.
-    Present(Option<Record>),
+    /// The key was present; the tree was left alone.
+    Present,
     /// The key went in; a split hands up (separator, right sibling).
     New(Option<(Key, Node)>),
 }
 
 impl Node {
-    /// Insert `row` under `key`, replacing a present key's row or leaving
-    /// it.
-    fn insert(&mut self, key: Key, row: Row<'_>, replace: bool) -> Inserted {
+    /// Insert `row` under `key` unless the key is present.
+    fn insert(&mut self, key: Key, row: Row<'_>) -> Inserted {
         match self {
             Node::Leaf(leaf) => match leaf.keys.insert_slot(&key) {
-                Ok(i) if replace => Inserted::Present(Some(leaf.replace(i, row))),
-                Ok(_) => Inserted::Present(None),
+                Ok(_) => Inserted::Present,
                 Err(i) => {
                     leaf.insert(i, key, row);
                     if leaf.len() <= ORDER {
@@ -898,13 +916,13 @@ impl Node {
                     .keys
                     .insert_slot(&key)
                     .map_or_else(|i| i, |i| i + 1);
-                let split = match internal.children[idx].insert(key, row, replace) {
+                let split = match internal.children[idx].insert(key, row) {
                     Inserted::New(Some(split)) => split,
                     done => return done,
                 };
                 let (sep, right) = split;
                 internal.keys.insert(idx, sep);
-                reserve_slots(&mut internal.children, 1, NODE_SLOTS + 1);
+                reserve_slots(&mut internal.children, idx + 1, 1, NODE_SLOTS + 1);
                 internal.children.insert(idx + 1, right);
                 if internal.keys.len() <= ORDER {
                     return Inserted::New(None);
@@ -962,14 +980,8 @@ impl Node {
     fn check(&self, lower: Option<&Key>, upper: Option<&Key>) -> Result<(), String> {
         match self {
             Node::Leaf(leaf) => {
-                if leaf.keys.len() != leaf.len() {
-                    return Err("leaf keys/rows length mismatch".into());
-                }
                 leaf.keys.check_invariants()?;
-                let ordered = leaf.ends.windows(2).all(|w| w[0] <= w[1]);
-                if !ordered || leaf.ends.last().map_or(0, |&e| e as usize) != leaf.rows.len() {
-                    return Err("leaf row offsets do not tile its block".into());
-                }
+                leaf.check_block()?;
                 for (i, k) in leaf.keys.keys().enumerate() {
                     let row = leaf.row(i);
                     if row.bytes().len() < 8 * row.cells() {
@@ -1398,47 +1410,110 @@ mod tests {
         }
     }
 
+    /// Slots each vector of a leaf has room for: keys, end offsets and
+    /// rows (at the leaf's mean row length).
+    fn slot_caps(l: &Leaf) -> [usize; 3] {
+        let row_len = l.rows.len() / l.len();
+        [
+            l.keys.comps.capacity() / l.keys.width,
+            l.ends.capacity(),
+            l.rows.capacity() / row_len,
+        ]
+    }
+
+    /// `n` rows under the keys `0, step, 2 × step, ...`, inserted in
+    /// ascending order; the rows hold a two-byte text cell when `text`.
+    fn ascending(n: i64, step: i64, text: bool) -> BTree {
+        let mut t = BTree::new();
+        for i in (0..n).map(|i| i * step) {
+            let row = if text {
+                Record::new(vec![Value::Int(i), Value::from("ab")])
+            } else {
+                rec(i)
+            };
+            t.insert(Key::int(i), row);
+        }
+        t
+    }
+
     /// The capacity rule, pinned: the half a split leaves behind is trimmed
     /// to its length — an ascending load never touches it again — and only
     /// the right spine's leaf, which the load keeps filling, has spare
     /// slots, at most `NODE_SLOTS` (doubling vectors left about 2.06 slots
-    /// per key).
+    /// per key).  A leaf of all-integer rows holds no end offsets at all,
+    /// and one of text rows exactly one per row.
     #[test]
     fn ascending_load_leaves_no_spare_leaf_capacity() {
-        let mut t = BTree::new();
-        for i in 0..10_000 {
-            t.insert(Key::int(i), rec(i));
+        for text in [false, true] {
+            let t = ascending(10_000, 1, text);
+            let levels = levels(&t);
+            let (last, rest) = levels.last().unwrap().split_last().unwrap();
+            let ends = |l: &Leaf| if text { l.len() } else { 0 };
+            for node in rest {
+                let l = leaf(node);
+                assert_eq!(slot_caps(l), [l.len(), ends(l), l.len()], "text {text}");
+            }
+            let spine = leaf(last);
+            let caps = slot_caps(spine);
+            assert!(caps.iter().all(|&c| c <= NODE_SLOTS), "{caps:?}");
+            assert_eq!(caps[1] > 0, text, "{caps:?}");
         }
-        let levels = levels(&t);
-        let (last, rest) = levels.last().unwrap().split_last().unwrap();
-        let caps = |l: &Leaf| {
-            [
-                l.keys.comps.capacity(),
-                l.ends.capacity(),
-                l.rows.capacity() / 16,
-            ]
-        };
-        for node in rest {
-            let l = leaf(node);
-            assert_eq!(caps(l), [l.len(), l.len(), l.len()]);
+    }
+
+    /// The growth rule, pinned: an insert inside a leaf grows its vectors
+    /// by an eighth, not straight to a full node as an append does.  One
+    /// insert inside each leaf an ascending load left exact-size leaves it
+    /// room for at most `len + len/8 + 1` slots.
+    #[test]
+    fn an_insert_inside_a_leaf_grows_it_by_an_eighth() {
+        for text in [false, true] {
+            let mut t = ascending(10_000, 2, text);
+            let firsts: Vec<Key> = levels(&t)
+                .last()
+                .unwrap()
+                .iter()
+                .map(|node| leaf(node).keys.key(0))
+                .collect();
+            let (_, inside) = firsts.split_last().unwrap();
+            for k in inside {
+                let k = k.head_int() + 1;
+                let row = if text {
+                    Record::new(vec![Value::Int(k), Value::from("cd")])
+                } else {
+                    rec(k)
+                };
+                assert!(t.insert_new(Key::int(k), row).is_ok());
+            }
+            t.check_invariants().unwrap();
+            let levels = levels(&t);
+            let (_, rest) = levels.last().unwrap().split_last().unwrap();
+            assert_eq!(rest.len(), inside.len());
+            for node in rest {
+                let l = leaf(node);
+                let (len, most) = (l.len(), l.len() + l.len() / 8 + 1);
+                assert_eq!(len, ORDER / 2 + 1, "text {text}");
+                let caps = slot_caps(l);
+                assert!(
+                    caps.iter().all(|&c| c <= most) && (caps[1] > 0) == text,
+                    "text {text}: {len} rows in room for {caps:?}"
+                );
+            }
         }
-        let spine = caps(leaf(last));
-        assert!(spine.iter().all(|&c| c <= NODE_SLOTS), "{spine:?}");
     }
 
     /// Memory, pinned by a count: 200 k ascending five-integer rows under
-    /// one-integer keys cost at most 58 heap bytes each — 8 of key, 40 of
-    /// row, 4 of end offset, and the node structs their parents hold —
+    /// one-integer keys cost at most 54 heap bytes each — 8 of key, 40 of
+    /// row, and the node structs their parents hold, with no end offset —
     /// where a leaf of `Key`s and `Record`s cost over 120.
     #[test]
-    fn ascending_five_int_rows_cost_at_most_58_bytes_each() {
+    fn ascending_five_int_rows_cost_at_most_54_bytes_each() {
         const ROWS: i64 = 200_000;
         let mut t = BTree::new();
         for i in 0..ROWS {
             t.insert(Key::int(i), Record::ints(&[i, i, i, i, i]));
         }
         let per_row = t.heap_bytes() as f64 / ROWS as f64;
-        assert!(per_row <= 58.0, "{per_row:.2} B per row");
+        assert!(per_row <= 54.0, "{per_row:.2} B per row");
     }
 
     /// A key of another width than the tree's is a bug, named as one.
@@ -1648,7 +1723,7 @@ mod tests {
         );
         assert_eq!(
             trees.map(BTree::heap_bytes),
-            [318_412, 407_152, 416_936, 523_879, 240_412]
+            [278_344, 247_994, 370_752, 523_879, 210_584]
         );
     }
 

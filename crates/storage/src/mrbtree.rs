@@ -159,12 +159,6 @@ impl MrBTree {
         self.get(key).is_some()
     }
 
-    /// Insert a key/record pair, returning the replaced record if any.
-    pub fn insert(&mut self, key: Key, record: Record) -> Option<Record> {
-        let idx = self.partition_for(&key);
-        self.partitions[idx].tree.insert(key, record)
-    }
-
     /// Copy `row` in under a new key within a known partition (must be
     /// `partition_for(&key)`).  A key that is already present leaves the
     /// tree untouched.  Whether the row went in.
@@ -356,16 +350,22 @@ mod tests {
         let nodes = vec![SocketId(0); parts];
         let mut t = MrBTree::range_partitioned(boundaries, nodes);
         for i in 0..n {
-            t.insert(Key::int(i), rec(i));
+            insert(&mut t, i);
         }
         t
+    }
+
+    /// Insert the row for `i` under its key, in the partition it routes to.
+    fn insert(t: &mut MrBTree, i: i64) {
+        let key = Key::int(i);
+        assert!(t.insert_new_in(t.partition_for(&key), key, rec(i).row()));
     }
 
     #[test]
     fn single_partition_roundtrip() {
         let mut t = MrBTree::new(SocketId(0));
         for i in 0..100 {
-            t.insert(Key::int(i), rec(i));
+            insert(&mut t, i);
         }
         assert_eq!(t.len(), 100);
         assert_eq!(t.num_partitions(), 1);

@@ -237,6 +237,13 @@ pub(crate) fn prefix_width(shape: u64) -> usize {
     (shape >> PREFIX_SHIFT) as usize
 }
 
+/// The one byte length every row of shape `shape` has when its stored
+/// cells hold no text — 8 per cell — or `None` when one is text.
+#[inline]
+pub(crate) fn fixed_len(shape: u64) -> Option<usize> {
+    (shape as u32 == 0).then_some(CELL * (shape >> 32) as u8 as usize)
+}
+
 /// A tuple: one value per column of the table schema.
 ///
 /// # Row layout

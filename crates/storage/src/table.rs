@@ -628,8 +628,8 @@ mod tests {
 
     /// Memory, pinned by a count: a table of four-int keys and all-int
     /// rows (TPC-C's order lines) stores per row its key at table width,
-    /// the row's other cells and at most 12 bytes of offsets and node
-    /// structs — the key once.
+    /// the row's other cells and at most 8 bytes of node structs and spare
+    /// slots — the key once, and no end offset.
     #[test]
     fn four_int_keys_cost_their_width_per_row() {
         let schema = Schema::new(
@@ -652,14 +652,14 @@ mod tests {
             }
         }
         let per_row = table.index().partition(0).tree.heap_bytes() as f64 / rows as f64;
-        let bound = (8 * 4 + (6 - 4) * 8 + 12) as f64;
+        let bound = (8 * 4 + (6 - 4) * 8 + 8) as f64;
         assert!(per_row <= bound, "{per_row:.2} B per row (bound {bound})");
     }
 
     /// Memory, pinned by a count: 200 k ascending five-integer rows under
-    /// one-integer keys cost a table at most 50 heap bytes each — 8 of
-    /// key, 32 of the four other cells, 4 of end offset, and the node
-    /// structs their parents hold — where a row that kept its key cell too
+    /// one-integer keys cost a table at most 46 heap bytes each — 8 of
+    /// key, 32 of the four other cells, and the node structs their parents
+    /// hold, with no end offset — where a row that kept its key cell too
     /// cost 56.
     #[test]
     fn five_int_rows_store_their_key_once() {
@@ -676,7 +676,7 @@ mod tests {
             table.load_ints(&[i, i, i, i, i]).unwrap();
         }
         let per_row = table.index().partition(0).tree.heap_bytes() as f64 / ROWS as f64;
-        assert!(per_row <= 50.0, "{per_row:.2} B per row");
+        assert!(per_row <= 46.0, "{per_row:.2} B per row");
     }
 
     #[test]

@@ -818,30 +818,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// A table whose leaves keep each key only in their key column — keys
-    /// one to four integers wide, integer and text columns behind them —
-    /// agrees with an ordered map of whole records through inserts and
-    /// loads (duplicates refused), integer updates and increments,
-    /// deletes that hand back the whole record, and partition splits and
-    /// merges, which rebuild trees through the bulk loader.  A write to a
-    /// key column is refused with a typed error and changes nothing.
+    /// one to four integers wide, two integer columns behind them, and
+    /// between those a text column or none (leaves of fixed-stride rows
+    /// with no end offsets) — agrees with an ordered map of whole records
+    /// through inserts and loads (duplicates refused), integer updates and
+    /// increments, deletes that hand back the whole record, and partition
+    /// splits and merges, which rebuild trees through the bulk loader.  A
+    /// write to a key column is refused with a typed error and changes
+    /// nothing.
     #[test]
     fn a_table_matches_the_ordered_map_of_its_records(
         width in 1usize..=MAX_KEY_COMPONENTS,
+        with_text in any::<bool>(),
         ops in prop::collection::vec(table_op_strategy(), 1..300),
     ) {
+        let text_column = with_text.then(|| Column::new("s", ColumnType::Text));
         let columns: Vec<Column> = (0..width)
             .map(|i| Column::new(format!("k{i}"), ColumnType::Int))
-            .chain([
-                Column::new("a", ColumnType::Int),
-                Column::new("s", ColumnType::Text),
-                Column::new("b", ColumnType::Int),
-            ])
+            .chain([Column::new("a", ColumnType::Int)])
+            .chain(text_column)
+            .chain([Column::new("b", ColumnType::Int)])
             .collect();
+        let b = columns.len() - 1;
         let schema = Schema::new("keyed", columns, (0..width).collect());
         // The key columns, then `a` and `b`.
         let int_column = |col: usize| match col % (width + 2) {
             c if c <= width => c,
-            _ => width + 2,
+            _ => b,
         };
         let mut table = Table::new(TableId(3), schema, SocketId(0));
         let mut model: BTreeMap<Key, Record> = BTreeMap::new();
@@ -854,7 +857,9 @@ proptest! {
                 TableOp::Insert(raw, load, v, text) => {
                     let key = Key::ints(&raw[..width]);
                     let mut values: Vec<Value> = raw[..width].iter().map(|&c| Value::Int(c)).collect();
-                    values.extend([Value::Int(v), Value::Text(text), Value::Int(-v)]);
+                    values.push(Value::Int(v));
+                    values.extend(with_text.then_some(Value::Text(text)));
+                    values.push(Value::Int(-v));
                     let row = Record::new(values);
                     let present = model.contains_key(&key);
                     let got = if load {

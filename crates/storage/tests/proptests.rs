@@ -172,7 +172,8 @@ proptest! {
         let mut mr = MrBTree::range_partitioned(boundary_keys, nodes);
         prop_assert_eq!(mr.num_partitions(), boundaries.len() + 1);
         for &k in &keys {
-            mr.insert(Key::int(k), record_for(k, k));
+            let key = Key::int(k);
+            prop_assert!(mr.insert_new_in(mr.partition_for(&key), key, record_for(k, k).row()));
         }
         mr.check_invariants().map_err(TestCaseError::fail)?;
         prop_assert_eq!(mr.len(), keys.len());
@@ -202,7 +203,8 @@ proptest! {
     ) {
         let mut mr = MrBTree::new(SocketId(0));
         for &k in &keys {
-            mr.insert(Key::int(k), record_for(k, k));
+            let key = Key::int(k);
+            prop_assert!(mr.insert_new_in(mr.partition_for(&key), key, record_for(k, k).row()));
         }
         let before: Vec<i64> = mr.iter().map(|(k, _)| k.head_int()).collect();
         let moved = mr

@@ -4,8 +4,9 @@
 //! A counting global allocator — in this test binary only — counts every
 //! allocation and reallocation the current thread makes while a count is
 //! open.  A load copies each row into its leaf's block, so it allocates
-//! only when a node is created or split: about three times per 33 rows
-//! (the exact-size vectors a split leaves behind), and never per row.
+//! only when a node is created or split: about twice per 33 rows (the
+//! exact-size key column and row block a split leaves behind; a leaf of
+//! all-integer rows keeps no end offsets), and never per row.
 //! A generator refills the executor's reused `TransactionSpec`, so once
 //! its buffers have grown it allocates nothing beyond what its actions own
 //! (an insert's record): an update carries its one cell inline.  The pins
@@ -79,7 +80,7 @@ fn allocations(f: impl FnOnce()) -> usize {
 /// keys: the leaves and internal nodes, nothing per row.
 #[test]
 fn an_ascending_load_allocates_per_split_not_per_row() {
-    const PIN: usize = 9_570;
+    const PIN: usize = 6_446;
     let schema = Schema::new(
         "usertable",
         (0..5)
@@ -102,7 +103,7 @@ fn an_ascending_load_allocates_per_split_not_per_row() {
 #[test]
 fn the_ycsb_spec_populate_allocates_per_split_not_per_row() {
     // The load's count plus creating the table.
-    const PIN: usize = 9_591;
+    const PIN: usize = 6_467;
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs/ycsb_a.json");
     let mut spec = WorkloadSpec::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
     spec.tables[0].keys = ROWS;
