@@ -53,8 +53,12 @@
 //!   structural compaction happens when a partition is rebuilt during
 //!   repartitioning.
 //! * `split_off` / `merge_from` implement the physical part of the
-//!   ATraPos repartitioning actions (paper §V-D).  Both rebuild by copying
-//!   row bytes from leaf to leaf, with no allocation per row.
+//!   ATraPos repartitioning actions (paper §V-D).  Both stream the old
+//!   trees' rows in key order into the one builder `bulk_load` uses, which
+//!   copies each row's bytes once, with no allocation per row.  The walk
+//!   drops each old leaf once its rows are copied and each internal node
+//!   once its children are handed on, so a repartitioning never holds two
+//!   copies of the partition it moves.
 
 use crate::record::{fixed_len, prefix_width, write_cell, Key, Record, Row};
 use std::cmp::Ordering;
@@ -723,100 +727,60 @@ impl BTree {
         Iter::new(&self.root, from, to.copied())
     }
 
-    /// Build a tree from key-sorted, duplicate-free pairs.
+    /// Build a tree from key-sorted, duplicate-free pairs; keys out of
+    /// order panic.
     pub fn bulk_load(pairs: Vec<(Key, Record)>) -> Self {
-        debug_assert!(
-            pairs.windows(2).all(|w| w[0].0 < w[1].0),
-            "bulk_load requires sorted unique keys"
-        );
-        Self::build(pairs.iter().map(|(k, r)| (*k, r.row())))
-    }
-
-    /// Build a tree from key-sorted, duplicate-free entries, copying each
-    /// row's bytes into its leaf's block.  Every leaf and internal node is
-    /// filled to ~3/4 of capacity and every node vector is exact-size; the
-    /// one scratch buffer serves every leaf.
-    fn build<'r>(entries: impl Iterator<Item = (Key, Row<'r>)>) -> Self {
-        let per_leaf = ORDER * 3 / 4;
-        let mut entries = entries.peekable();
-        let mut chunk: Vec<(Key, Row<'r>)> = Vec::with_capacity(per_leaf);
-        let mut level: Vec<(Key, Node)> = Vec::new();
-        let mut len = 0;
-        while entries.peek().is_some() {
-            chunk.clear();
-            chunk.extend(entries.by_ref().take(per_leaf));
-            let (first, row) = chunk[0];
-            let bytes = chunk.iter().map(|(_, r)| r.bytes().len()).sum();
-            let mut leaf = Leaf::with_capacity(first.len(), chunk.len(), bytes, row.shape());
-            for &(key, row) in &chunk {
-                leaf.insert(leaf.len(), key, row);
-            }
-            len += chunk.len();
-            level.push((first, Node::Leaf(leaf)));
+        let mut tree = Builder::new();
+        for (key, record) in pairs {
+            tree.push(key, record.row());
         }
-        if level.is_empty() {
-            return Self::new();
-        }
-        // Build internal levels bottom-up.
-        let mut height = 1;
-        while level.len() > 1 {
-            height += 1;
-            let per_node = (ORDER * 3 / 4).max(2);
-            let mut next = Vec::with_capacity(level.len() / (per_node + 1) + 1);
-            let mut it = level.into_iter().peekable();
-            while it.peek().is_some() {
-                let chunk: Vec<(Key, Node)> = it.by_ref().take(per_node + 1).collect();
-                let first = chunk[0].0;
-                let mut keys = KeyColumn::with_capacity(first.len(), chunk.len() - 1);
-                let mut children = Vec::with_capacity(chunk.len());
-                for (i, (k, n)) in chunk.into_iter().enumerate() {
-                    if i > 0 {
-                        keys.push(k);
-                    }
-                    children.push(n);
-                }
-                next.push((first, Node::Internal(Internal { keys, children })));
-            }
-            level = next;
-        }
-        let root = level.pop().map(|(_, n)| n).expect("one root");
-        Self { root, len, height }
+        tree.finish()
     }
 
     /// Split the tree at `boundary`: entries with keys `>= boundary` are
     /// removed from `self` and returned as a new tree.  This is the physical
-    /// *split* repartitioning action.
+    /// *split* repartitioning action: one pass over the old leaves, each
+    /// dropped once its rows are copied into the left or the right tree.
     pub fn split_off(&mut self, boundary: &Key) -> BTree {
-        let old = std::mem::take(self);
-        *self = BTree::build(old.range_iter(None, Some(boundary)));
-        BTree::build(old.range_iter(Some(boundary), None))
+        let mut old = Entries::new(std::mem::take(self));
+        let (mut left, mut right) = (Builder::new(), Builder::new());
+        while let Some(key) = old.peek() {
+            let side = if key < boundary.comps() {
+                &mut left
+            } else {
+                &mut right
+            };
+            old.copy_into(side);
+        }
+        *self = left.finish();
+        right.finish()
     }
 
     /// Merge all entries of `other` into `self`.  This is the physical
-    /// *merge* repartitioning action.  Keys of `other` overwrite equal keys
-    /// in `self` (the caller guarantees disjoint ranges in normal
-    /// operation).
+    /// *merge* repartitioning action: a two-way merge over both trees'
+    /// leaves, each dropped once its rows are copied.  Keys of `other`
+    /// overwrite equal keys in `self` (the caller guarantees disjoint
+    /// ranges in normal operation).
     pub fn merge_from(&mut self, other: BTree) {
-        // When the ranges are disjoint and adjacent, a rebuild keeps the
-        // result compact; otherwise plain inserts would work too.
-        let mine = std::mem::take(self);
-        let (mut a, mut b) = (mine.iter().peekable(), other.iter().peekable());
-        let merged = std::iter::from_fn(|| {
+        let (mut a, mut b) = (Entries::new(std::mem::take(self)), Entries::new(other));
+        let mut merged = Builder::new();
+        loop {
             let order = match (a.peek(), b.peek()) {
-                (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
+                (Some(ka), Some(kb)) => ka.cmp(kb),
                 (Some(_), None) => Ordering::Less,
-                (None, _) => Ordering::Greater,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => break,
             };
             match order {
-                Ordering::Less => a.next(),
-                Ordering::Greater => b.next(),
+                Ordering::Less => a.copy_into(&mut merged),
+                Ordering::Greater => b.copy_into(&mut merged),
                 Ordering::Equal => {
-                    a.next();
-                    b.next()
+                    a.skip();
+                    b.copy_into(&mut merged);
                 }
             }
-        });
-        *self = BTree::build(merged);
+        }
+        *self = merged.finish();
     }
 
     /// Verify the B+-tree structural invariants (key order and width
@@ -1035,6 +999,204 @@ impl Node {
                         .sum::<usize>()
             }
         }
+    }
+}
+
+/// Rows of a leaf a build makes, and children of an internal node it makes
+/// less one: ~3/4 of a node, leaving room for inserts to come.
+const BUILT: usize = ORDER * 3 / 4;
+
+/// Makes a tree from rows handed in one at a time in strictly ascending
+/// key order: the one way a tree is built whole, by [`BTree::bulk_load`]
+/// and by the repartitioning actions [`BTree::split_off`] and
+/// [`BTree::merge_from`].  Filled left to right, leaves hold `BUILT` rows
+/// and internal nodes `BUILT + 1` children; the last node of each level
+/// holds the rest.  Each row's bytes are copied once, and every node
+/// vector ends exact-size.  A node is closed as soon as it is full, so the
+/// builder holds one open node per level besides the tree it has closed.
+struct Builder {
+    /// The leaf being filled.  It is closed when the row after its last
+    /// arrives, so it is empty only before the first row.
+    leaf: Leaf,
+    /// The open internal node of each level, the one above the leaves
+    /// first.
+    levels: Vec<Level>,
+    len: usize,
+}
+
+/// The open internal node of one level of a [`Builder`].
+struct Level {
+    /// The first key below the node.
+    first: Key,
+    keys: KeyColumn,
+    children: Vec<Node>,
+}
+
+impl Level {
+    /// Take the open node out, its vectors trimmed to what it holds.
+    fn close(&mut self) -> (Key, Node) {
+        let mut keys = std::mem::take(&mut self.keys);
+        let mut children = std::mem::take(&mut self.children);
+        keys.comps.shrink_to_fit();
+        children.shrink_to_fit();
+        (self.first, Node::Internal(Internal { keys, children }))
+    }
+}
+
+impl Builder {
+    fn new() -> Self {
+        Self {
+            leaf: Leaf::default(),
+            levels: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Copy `row` in under `key`, which must sort after every key before
+    /// it.
+    #[inline]
+    fn push(&mut self, key: Key, row: Row<'_>) {
+        let n = self.leaf.len();
+        if n > 0 {
+            let last = self.leaf.keys.comps_at(n - 1);
+            assert!(
+                last < key.comps(),
+                "a tree is built from strictly ascending keys, but {key} came after {}",
+                Key::ints(last)
+            );
+        }
+        if n == 0 || n == BUILT {
+            // Room for a full leaf of rows as long as this one.
+            let bytes = BUILT * row.bytes().len();
+            self.close_leaf(Leaf::with_capacity(key.len(), BUILT, bytes, row.shape()));
+        }
+        self.leaf.insert(self.leaf.len(), key, row);
+        self.len += 1;
+    }
+
+    /// Hand the open leaf, if it holds a row, up to the level above,
+    /// trimmed to what it holds, and open `next` in its place.
+    fn close_leaf(&mut self, next: Leaf) {
+        let mut leaf = std::mem::replace(&mut self.leaf, next);
+        if leaf.len() == 0 {
+            return;
+        }
+        leaf.keys.comps.shrink_to_fit();
+        leaf.rows.shrink_to_fit();
+        leaf.ends.shrink_to_fit();
+        self.hand_up(0, leaf.keys.key(0), Node::Leaf(leaf));
+    }
+
+    /// Hand `node`, whose first key is `first`, to the open node of level
+    /// `at`; a node that fills is closed and handed up in turn.
+    fn hand_up(&mut self, at: usize, first: Key, node: Node) {
+        if at == self.levels.len() {
+            self.levels.push(Level {
+                first,
+                keys: KeyColumn::default(),
+                children: Vec::new(),
+            });
+        }
+        let level = &mut self.levels[at];
+        if level.children.is_empty() {
+            level.first = first;
+            level.keys = KeyColumn::with_capacity(first.len(), BUILT);
+            level.children = Vec::with_capacity(BUILT + 1);
+        } else {
+            level.keys.push(first);
+        }
+        level.children.push(node);
+        if level.children.len() == BUILT + 1 {
+            let (first, node) = level.close();
+            self.hand_up(at + 1, first, node);
+        }
+    }
+
+    /// The tree: each level's last node closed, from the leaves up, until
+    /// the top level holds one node, the root.  (A level that closed a
+    /// node has one above it, so the top level holds all it was handed.)
+    fn finish(mut self) -> BTree {
+        if self.len == 0 {
+            return BTree::new();
+        }
+        self.close_leaf(Leaf::default());
+        let mut at = 0;
+        loop {
+            let top = at + 1 == self.levels.len();
+            let level = &mut self.levels[at];
+            if top && level.children.len() == 1 {
+                let root = level.children.pop().expect("the level's one node");
+                return BTree {
+                    root,
+                    len: self.len,
+                    height: at + 1,
+                };
+            }
+            if !level.children.is_empty() {
+                let (first, node) = level.close();
+                self.hand_up(at + 1, first, node);
+            }
+            at += 1;
+        }
+    }
+}
+
+/// The entries of a tree in key order, taken from its leaves as they come
+/// out of the tree one at a time: each leaf is dropped once its last row
+/// is copied, and each internal node once its last child is handed on, so
+/// a rebuild never holds the old tree and the new one whole.
+struct Entries {
+    /// Per level of the old tree, the children not yet handed on.
+    stack: Vec<std::vec::IntoIter<Node>>,
+    leaf: Leaf,
+    /// The slot of `leaf` that comes next.
+    at: usize,
+}
+
+impl Entries {
+    fn new(tree: BTree) -> Self {
+        Self {
+            stack: vec![vec![tree.root].into_iter()],
+            leaf: Leaf::default(),
+            at: 0,
+        }
+    }
+
+    /// The next entry's key components, or `None` past the last entry.
+    #[inline]
+    fn peek(&mut self) -> Option<&[i64]> {
+        while self.at == self.leaf.len() {
+            // The copied leaf goes before the next one comes out.
+            drop(std::mem::take(&mut self.leaf));
+            self.at = 0;
+            self.leaf = self.next_leaf()?;
+        }
+        Some(self.leaf.keys.comps_at(self.at))
+    }
+
+    /// The next leaf in key order, lazily emptied ones too.
+    fn next_leaf(&mut self) -> Option<Leaf> {
+        loop {
+            match self.stack.last_mut()?.next() {
+                Some(Node::Leaf(leaf)) => return Some(leaf),
+                Some(Node::Internal(internal)) => self.stack.push(internal.children.into_iter()),
+                None => {
+                    self.stack.pop();
+                }
+            }
+        }
+    }
+
+    /// Copy the entry [`Self::peek`] found into `to`, and step past it.
+    #[inline]
+    fn copy_into(&mut self, to: &mut Builder) {
+        to.push(self.leaf.keys.key(self.at), self.leaf.row(self.at));
+        self.at += 1;
+    }
+
+    /// Step past the entry [`Self::peek`] found.
+    fn skip(&mut self) {
+        self.at += 1;
     }
 }
 
@@ -1725,6 +1887,184 @@ mod tests {
             trees.map(BTree::heap_bytes),
             [278_344, 247_994, 370_752, 523_879, 210_584]
         );
+    }
+
+    /// The reference the streaming [`Builder`] must match: a rebuild that
+    /// takes the entries in chunks of 48 rows per leaf, then each level in
+    /// chunks of 49 children, every vector sized to its chunk.
+    fn reference_build<'r>(entries: impl Iterator<Item = (Key, Row<'r>)>) -> BTree {
+        let per_leaf = ORDER * 3 / 4;
+        let mut entries = entries.peekable();
+        let mut chunk: Vec<(Key, Row<'r>)> = Vec::with_capacity(per_leaf);
+        let mut level: Vec<(Key, Node)> = Vec::new();
+        let mut len = 0;
+        while entries.peek().is_some() {
+            chunk.clear();
+            chunk.extend(entries.by_ref().take(per_leaf));
+            let (first, row) = chunk[0];
+            let bytes = chunk.iter().map(|(_, r)| r.bytes().len()).sum();
+            let mut leaf = Leaf::with_capacity(first.len(), chunk.len(), bytes, row.shape());
+            for &(key, row) in &chunk {
+                leaf.insert(leaf.len(), key, row);
+            }
+            len += chunk.len();
+            level.push((first, Node::Leaf(leaf)));
+        }
+        if level.is_empty() {
+            return BTree::new();
+        }
+        let mut height = 1;
+        while level.len() > 1 {
+            height += 1;
+            let per_node = (ORDER * 3 / 4).max(2);
+            let mut next = Vec::with_capacity(level.len() / (per_node + 1) + 1);
+            let mut it = level.into_iter().peekable();
+            while it.peek().is_some() {
+                let chunk: Vec<(Key, Node)> = it.by_ref().take(per_node + 1).collect();
+                let first = chunk[0].0;
+                let mut keys = KeyColumn::with_capacity(first.len(), chunk.len() - 1);
+                let mut children = Vec::with_capacity(chunk.len());
+                for (i, (k, n)) in chunk.into_iter().enumerate() {
+                    if i > 0 {
+                        keys.push(k);
+                    }
+                    children.push(n);
+                }
+                next.push((first, Node::Internal(Internal { keys, children })));
+            }
+            level = next;
+        }
+        let root = level.pop().map(|(_, n)| n).expect("one root");
+        BTree { root, len, height }
+    }
+
+    /// The reference split: the two ranges of a cursor, each rebuilt.
+    fn reference_split(t: &BTree, boundary: &Key) -> [BTree; 2] {
+        [
+            reference_build(t.range_iter(None, Some(boundary))),
+            reference_build(t.range_iter(Some(boundary), None)),
+        ]
+    }
+
+    /// The reference merge: two cursors, `b`'s row winning an equal key.
+    fn reference_merge(a: &BTree, b: &BTree) -> BTree {
+        let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+        reference_build(std::iter::from_fn(|| {
+            let order = match (a.peek(), b.peek()) {
+                (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
+                (Some(_), None) => Ordering::Less,
+                (None, _) => Ordering::Greater,
+            };
+            match order {
+                Ordering::Less => a.next(),
+                Ordering::Greater => b.next(),
+                Ordering::Equal => {
+                    a.next();
+                    b.next()
+                }
+            }
+        }))
+    }
+
+    /// Panic unless `got` is `want` node for node: the same shape digest,
+    /// heap bytes, height and length.
+    fn assert_same_tree(got: &BTree, want: &BTree, case: &str) {
+        let print = |t: &BTree| (shape_digest(t), t.heap_bytes(), t.height(), t.len());
+        assert_eq!(print(got), print(want), "{case}");
+    }
+
+    /// A tree built by inserts of `keys` in order; a row holds its key plus
+    /// `salt`, and with `text` a text cell of 0 to 60 bytes.
+    fn tree_of(keys: impl Iterator<Item = i64>, text: bool, salt: i64) -> BTree {
+        let mut t = BTree::new();
+        for k in keys {
+            let row = if text {
+                let text = "t".repeat((k * 37 + salt).rem_euclid(61) as usize);
+                Record::new(vec![Value::Int(k + salt), Value::from(text)])
+            } else {
+                rec(k + salt)
+            };
+            t.insert(Key::int(k), row);
+        }
+        t
+    }
+
+    /// Every built tree is the reference rebuild's, node for node, for
+    /// integer and text rows: bulk loads across the sizes where a level
+    /// fills or gains a node, splits at boundaries below, at and above
+    /// every key of a tree whose leaves lazy deletion emptied, and merges
+    /// that overlap, interleave, abut or take in an empty tree.
+    #[test]
+    fn built_trees_match_the_reference_rebuild() {
+        for text in [false, true] {
+            let sizes: &[i64] = if text {
+                &[0, 1, 47, 48, 49, 97, 2_352, 2_353, 2_401]
+            } else {
+                &[
+                    0, 1, 47, 48, 49, 96, 97, 2_352, 2_353, 2_400, 2_401, 115_248, 115_249,
+                ]
+            };
+            for &n in sizes {
+                let t = tree_of(0..n, text, 0);
+                let pairs: Vec<(Key, Record)> = t.iter().map(|(k, r)| (k, r.to_record())).collect();
+                let case = format!("bulk_load of {n}, text {text}");
+                assert_same_tree(&BTree::bulk_load(pairs), &reference_build(t.iter()), &case);
+            }
+
+            // Keys 0, 2, .., 598; removes empty the leaves over 100..=260.
+            let mut gappy = tree_of((0..300).map(|i| i * 2), text, 0);
+            for k in (100..=260).chain((400..500).step_by(3)) {
+                gappy.remove(&Key::int(k));
+            }
+            for b in -1..=600 {
+                let boundary = Key::int(b);
+                let mut left = gappy.clone();
+                let right = left.split_off(&boundary);
+                let [want_left, want_right] = reference_split(&gappy, &boundary);
+                assert_same_tree(&left, &want_left, &format!("left of {b}, text {text}"));
+                assert_same_tree(&right, &want_right, &format!("right of {b}, text {text}"));
+            }
+            let big = tree_of(0..5_000, text, 0);
+            for b in [-1, 0, 1, 2_352, 2_353, 2_500, 4_999, 5_000] {
+                let boundary = Key::int(b);
+                let mut left = big.clone();
+                let right = left.split_off(&boundary);
+                let [want_left, want_right] = reference_split(&big, &boundary);
+                assert_same_tree(&left, &want_left, &format!("left of {b}, text {text}"));
+                assert_same_tree(&right, &want_right, &format!("right of {b}, text {text}"));
+            }
+
+            let others = [
+                ("overlapping", tree_of((150..900).step_by(3), text, 7)),
+                (
+                    "interleaved",
+                    tree_of((0..5_000).map(|i| i * 2 + 1), text, 7),
+                ),
+                ("abutting", tree_of(600..3_000, text, 7)),
+                ("empty", BTree::new()),
+                ("equal", tree_of((0..300).map(|i| i * 2), text, 7)),
+            ];
+            for (name, other) in others {
+                for (a, b) in [(&gappy, &other), (&other, &gappy)] {
+                    let mut got = a.clone();
+                    got.merge_from(b.clone());
+                    let case = format!("{name} merge, text {text}");
+                    assert_same_tree(&got, &reference_merge(a, b), &case);
+                }
+            }
+        }
+    }
+
+    /// A bulk load checks its keys in every build: two swapped pairs would
+    /// leave a tree whose lookups miss keys it counts.
+    #[test]
+    #[should_panic(
+        expected = "a tree is built from strictly ascending keys, but (100) came after (101)"
+    )]
+    fn bulk_load_of_unsorted_keys_panics() {
+        let mut pairs: Vec<(Key, Record)> = (0..200).map(|i| (Key::int(i), rec(i))).collect();
+        pairs.swap(100, 101);
+        BTree::bulk_load(pairs);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! * The B+-tree (and its repartitioning actions `split_off` /
 //!   `merge_from`) is driven against a `std::collections::BTreeMap` under
-//!   random operation sequences that include range scans and structural
-//!   splits/merges — if the tree and the ordered map ever disagree on any
-//!   observable, the sequence shrinks to a minimal reproducer.
+//!   random operation sequences that include range scans, structural
+//!   splits/merges and merges of trees whose keys overlap — if the tree
+//!   and the ordered map ever disagree on any observable, the sequence
+//!   shrinks to a minimal reproducer.
 //! * The range cursor (`BTree::range_iter`, and `Table::range_read` over
 //!   random partition boundaries) is checked against `BTreeMap::range` for
 //!   every bound shape: open or closed on either side, in a key gap, below
@@ -71,6 +72,8 @@ fn record_for(key: i64, payload: i64) -> Record {
 /// Operations of the B+-tree model workload.  `SplitMerge` performs the
 /// physical repartitioning round-trip (split at a boundary, then merge the
 /// right half back), which must be a no-op on the logical contents.
+/// `MergeIn` merges in a tree of random keys, which may overlap the
+/// tree's: on a key both hold, the merged-in tree's value wins.
 #[derive(Debug, Clone)]
 enum TreeOp {
     Insert(i64, i64),
@@ -78,6 +81,7 @@ enum TreeOp {
     Get(i64),
     Range(i64, i64),
     SplitMerge(i64),
+    MergeIn(Vec<(i64, i64)>),
 }
 
 fn tree_op_strategy(key_range: i64) -> impl Strategy<Value = TreeOp> {
@@ -87,6 +91,10 @@ fn tree_op_strategy(key_range: i64) -> impl Strategy<Value = TreeOp> {
         2 => (0..key_range).prop_map(TreeOp::Get),
         1 => (0..key_range, 0..key_range).prop_map(|(a, b)| TreeOp::Range(a.min(b), a.max(b))),
         1 => (0..key_range).prop_map(TreeOp::SplitMerge),
+        1 => prop::collection::vec((0..key_range, any::<i64>()), 0..40).prop_map(|entries| {
+            let sorted: BTreeMap<i64, i64> = entries.into_iter().collect();
+            TreeOp::MergeIn(sorted.into_iter().collect())
+        }),
     ]
 }
 
@@ -132,6 +140,14 @@ proptest! {
                     prop_assert!(tree.iter().all(|(k, _)| k < Key::int(boundary)));
                     prop_assert!(right.iter().all(|(k, _)| k >= Key::int(boundary)));
                     tree.merge_from(right);
+                }
+                TreeOp::MergeIn(entries) => {
+                    let other = entries
+                        .iter()
+                        .map(|&(k, v)| (Key::int(k), record_for(k, v)))
+                        .collect();
+                    tree.merge_from(BTree::bulk_load(other));
+                    model.extend(entries);
                 }
             }
             prop_assert_eq!(tree.len(), model.len());
