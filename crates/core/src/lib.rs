@@ -61,8 +61,6 @@ pub use distribution::{KeyDistribution, KeySampler, ZipfianDomainTooLarge, MAX_Z
 pub use histogram::LatencyHistogram;
 pub use monitor::{AdaptiveInterval, IntervalDecision, Monitor, MONITOR_INSTRUCTIONS_PER_EVENT};
 pub use partitioning::{KeyDomain, PartitionSpec, PartitioningScheme, TablePartitioning};
-pub use repartition::{
-    apply_plan, plan_repartitioning, RepartitionAction, RepartitionPlan, RepartitionStats,
-};
+pub use repartition::{apply_plan, plan_repartitioning, RepartitionAction, RepartitionPlan};
 pub use search::{choose_partitioning, choose_placement, choose_scheme, SearchConfig};
 pub use stats::{SubPartitionId, SyncObservation, WorkloadStats};

@@ -52,13 +52,13 @@
 //!   pages asynchronously).  Lookups, scans, and inserts remain correct;
 //!   structural compaction happens when a partition is rebuilt during
 //!   repartitioning.
-//! * `split_off` / `merge_from` implement the physical part of the
-//!   ATraPos repartitioning actions (paper §V-D).  Both stream the old
-//!   trees' rows in key order into the one builder `bulk_load` uses, which
-//!   copies each row's bytes once, with no allocation per row.  The walk
-//!   drops each old leaf once its rows are copied and each internal node
-//!   once its children are handed on, so a repartitioning never holds two
-//!   copies of the partition it moves.
+//! * `recut` implements the physical part of every ATraPos repartitioning
+//!   (paper §V-D): it streams a run of old trees' rows in key order, cut on
+//!   key heads, into one builder per new key range — the builder
+//!   `bulk_load` uses, which copies each row's bytes once, with no
+//!   allocation per row.  The walk drops each old leaf once its rows are
+//!   copied and each internal node once its children are handed on, so a
+//!   repartitioning never holds two copies of the rows it moves.
 
 use crate::record::{fixed_len, prefix_width, write_cell, Key, Record, Row};
 use std::cmp::Ordering;
@@ -737,50 +737,30 @@ impl BTree {
         tree.finish()
     }
 
-    /// Split the tree at `boundary`: entries with keys `>= boundary` are
-    /// removed from `self` and returned as a new tree.  This is the physical
-    /// *split* repartitioning action: one pass over the old leaves, each
-    /// dropped once its rows are copied into the left or the right tree.
-    pub fn split_off(&mut self, boundary: &Key) -> BTree {
-        let mut old = Entries::new(std::mem::take(self));
-        let (mut left, mut right) = (Builder::new(), Builder::new());
-        while let Some(key) = old.peek() {
-            let side = if key < boundary.comps() {
-                &mut left
-            } else {
-                &mut right
-            };
-            old.copy_into(side);
-        }
-        *self = left.finish();
-        right.finish()
-    }
-
-    /// Merge all entries of `other` into `self`.  This is the physical
-    /// *merge* repartitioning action: a two-way merge over both trees'
-    /// leaves, each dropped once its rows are copied.  Keys of `other`
-    /// overwrite equal keys in `self` (the caller guarantees disjoint
-    /// ranges in normal operation).
-    pub fn merge_from(&mut self, other: BTree) {
-        let (mut a, mut b) = (Entries::new(std::mem::take(self)), Entries::new(other));
-        let mut merged = Builder::new();
-        loop {
-            let order = match (a.peek(), b.peek()) {
-                (Some(ka), Some(kb)) => ka.cmp(kb),
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-                (None, None) => break,
-            };
-            match order {
-                Ordering::Less => a.copy_into(&mut merged),
-                Ordering::Greater => b.copy_into(&mut merged),
-                Ordering::Equal => {
-                    a.skip();
-                    b.copy_into(&mut merged);
+    /// Re-cut a run of trees at `cuts`, strictly ascending key heads: part
+    /// `i` of the result holds the rows whose key head lies in
+    /// `[cuts[i - 1], cuts[i])`, the first part unbounded below and the
+    /// last above.  The trees must hold disjoint key ranges in ascending
+    /// order.  This is the physical part of every repartitioning action — a
+    /// split is one tree and one cut, a merge two trees and none: one pass
+    /// over the old leaves copies each row once into its part's builder and
+    /// drops each leaf once its rows are copied.
+    pub fn recut(trees: Vec<BTree>, cuts: &[i64]) -> Vec<BTree> {
+        let mut parts = Vec::with_capacity(cuts.len() + 1);
+        let mut part = Builder::new();
+        for tree in trees {
+            let mut rows = Entries::new(tree);
+            while let Some(key) = rows.peek() {
+                let head = key[0];
+                while cuts.get(parts.len()).is_some_and(|&cut| head >= cut) {
+                    parts.push(std::mem::replace(&mut part, Builder::new()).finish());
                 }
+                rows.copy_into(&mut part);
             }
         }
-        *self = merged.finish();
+        parts.push(part.finish());
+        parts.resize_with(cuts.len() + 1, BTree::new);
+        parts
     }
 
     /// Verify the B+-tree structural invariants (key order and width
@@ -1008,12 +988,12 @@ const BUILT: usize = ORDER * 3 / 4;
 
 /// Makes a tree from rows handed in one at a time in strictly ascending
 /// key order: the one way a tree is built whole, by [`BTree::bulk_load`]
-/// and by the repartitioning actions [`BTree::split_off`] and
-/// [`BTree::merge_from`].  Filled left to right, leaves hold `BUILT` rows
-/// and internal nodes `BUILT + 1` children; the last node of each level
-/// holds the rest.  Each row's bytes are copied once, and every node
-/// vector ends exact-size.  A node is closed as soon as it is full, so the
-/// builder holds one open node per level besides the tree it has closed.
+/// and by the repartitioning primitive [`BTree::recut`].  Filled left to
+/// right, leaves hold `BUILT` rows and internal nodes `BUILT + 1` children;
+/// the last node of each level holds the rest.  Each row's bytes are
+/// copied once, and every node vector ends exact-size.  A node is closed as
+/// soon as it is full, so the builder holds one open node per level besides
+/// the tree it has closed.
 struct Builder {
     /// The leaf being filled.  It is closed when the row after its last
     /// arrives, so it is empty only before the first row.
@@ -1043,6 +1023,13 @@ impl Level {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Rows the current thread's builders have copied in (pins what a
+    /// repartitioning copies with a deterministic count).
+    pub(crate) static ROWS_COPIED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl Builder {
     fn new() -> Self {
         Self {
@@ -1056,6 +1043,8 @@ impl Builder {
     /// it.
     #[inline]
     fn push(&mut self, key: Key, row: Row<'_>) {
+        #[cfg(test)]
+        ROWS_COPIED.with(|n| n.set(n.get() + 1));
         let n = self.leaf.len();
         if n > 0 {
             let last = self.leaf.keys.comps_at(n - 1);
@@ -1193,11 +1182,6 @@ impl Entries {
         to.push(self.leaf.keys.key(self.at), self.leaf.row(self.at));
         self.at += 1;
     }
-
-    /// Step past the entry [`Self::peek`] found.
-    fn skip(&mut self) {
-        self.at += 1;
-    }
 }
 
 /// In-order cursor over a [`BTree`]: the one ordered-access primitive every
@@ -1327,7 +1311,7 @@ impl<'a> Iterator for Rows<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::record::Value;
 
@@ -1451,40 +1435,28 @@ mod tests {
     }
 
     #[test]
-    fn split_off_partitions_by_boundary() {
-        let mut t = BTree::bulk_load((0..1000).map(|i| (Key::int(i), rec(i))).collect());
-        let right = t.split_off(&Key::int(600));
-        assert_eq!(t.len(), 600);
-        assert_eq!(right.len(), 400);
-        assert!(t.max_key().unwrap().head_int() < 600);
-        assert!(right.min_key().unwrap().head_int() >= 600);
-        t.check_invariants().unwrap();
-        right.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn merge_from_combines_trees() {
-        let mut a = BTree::bulk_load((0..500).map(|i| (Key::int(i), rec(i))).collect());
-        let b = BTree::bulk_load((500..900).map(|i| (Key::int(i), rec(i))).collect());
-        a.merge_from(b);
-        assert_eq!(a.len(), 900);
-        a.check_invariants().unwrap();
-        assert!(a.contains(&Key::int(0)));
-        assert!(a.contains(&Key::int(899)));
-    }
-
-    /// `merge_from` keeps its documented side of an overlap: `other`'s.
-    #[test]
-    fn merge_from_keeps_the_other_trees_record_on_equal_keys() {
-        let mut a = BTree::bulk_load((0..100).map(|i| (Key::int(i), rec(i))).collect());
-        let b = BTree::bulk_load((50..150).map(|i| (Key::int(i), rec(i + 1_000))).collect());
-        a.merge_from(b);
-        assert_eq!(a.len(), 150);
-        a.check_invariants().unwrap();
-        for i in 0..150 {
-            let want = if i < 50 { i } else { i + 1_000 };
-            assert_eq!(a.get(&Key::int(i)).unwrap().get(0).as_int(), want);
+    fn recut_cuts_a_tree_at_its_bounds() {
+        let t = BTree::bulk_load((0..1000).map(|i| (Key::int(i), rec(i))).collect());
+        let parts = BTree::recut(vec![t], &[600, 700, 2_000]);
+        let lens: Vec<usize> = parts.iter().map(BTree::len).collect();
+        assert_eq!(lens, [600, 100, 300, 0]);
+        assert_eq!(parts[0].max_key().unwrap().head_int(), 599);
+        assert_eq!(parts[1].min_key().unwrap().head_int(), 600);
+        assert_eq!(parts[2].min_key().unwrap().head_int(), 700);
+        for part in &parts {
+            part.check_invariants().unwrap();
         }
+    }
+
+    #[test]
+    fn recut_joins_a_run_of_trees() {
+        let a = BTree::bulk_load((0..500).map(|i| (Key::int(i), rec(i))).collect());
+        let b = BTree::bulk_load((500..900).map(|i| (Key::int(i), rec(i))).collect());
+        let [joined] = <[BTree; 1]>::try_from(BTree::recut(vec![a, BTree::new(), b], &[])).unwrap();
+        assert_eq!(joined.len(), 900);
+        joined.check_invariants().unwrap();
+        assert!(joined.contains(&Key::int(0)));
+        assert!(joined.contains(&Key::int(899)));
     }
 
     #[test]
@@ -1762,7 +1734,7 @@ mod tests {
     /// FNV-1a of a tree's shape: `len`, `height`, then every node in
     /// preorder — its separators or keys, a leaf's records, an internal
     /// node's child count.  Everything but vector capacity.
-    fn shape_digest(t: &BTree) -> u64 {
+    pub(crate) fn shape_digest(t: &BTree) -> u64 {
         use std::hash::{Hash, Hasher};
         fn walk(node: &Node, h: &mut Fnv) {
             match node {
@@ -1938,32 +1910,20 @@ mod tests {
         BTree { root, len, height }
     }
 
-    /// The reference split: the two ranges of a cursor, each rebuilt.
-    fn reference_split(t: &BTree, boundary: &Key) -> [BTree; 2] {
-        [
-            reference_build(t.range_iter(None, Some(boundary))),
-            reference_build(t.range_iter(Some(boundary), None)),
-        ]
-    }
-
-    /// The reference merge: two cursors, `b`'s row winning an equal key.
-    fn reference_merge(a: &BTree, b: &BTree) -> BTree {
-        let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
-        reference_build(std::iter::from_fn(|| {
-            let order = match (a.peek(), b.peek()) {
-                (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
-                (Some(_), None) => Ordering::Less,
-                (None, _) => Ordering::Greater,
-            };
-            match order {
-                Ordering::Less => a.next(),
-                Ordering::Greater => b.next(),
-                Ordering::Equal => {
-                    a.next();
-                    b.next()
-                }
-            }
-        }))
+    /// The reference re-cut: each part's range of every tree's cursor, in
+    /// turn, rebuilt.
+    fn reference_recut(trees: &[BTree], cuts: &[i64]) -> Vec<BTree> {
+        let bounds: Vec<Option<Key>> = std::iter::once(None)
+            .chain(cuts.iter().map(|&c| Some(Key::int(c))))
+            .chain([None])
+            .collect();
+        bounds
+            .windows(2)
+            .map(|w| {
+                let (from, to) = (w[0].as_ref(), w[1].as_ref());
+                reference_build(trees.iter().flat_map(|t| t.range_iter(from, to)))
+            })
+            .collect()
     }
 
     /// Panic unless `got` is `want` node for node: the same shape digest,
@@ -1991,9 +1951,9 @@ mod tests {
 
     /// Every built tree is the reference rebuild's, node for node, for
     /// integer and text rows: bulk loads across the sizes where a level
-    /// fills or gains a node, splits at boundaries below, at and above
-    /// every key of a tree whose leaves lazy deletion emptied, and merges
-    /// that overlap, interleave, abut or take in an empty tree.
+    /// fills or gains a node, cuts below, at and above every key of a tree
+    /// whose leaves lazy deletion emptied, and re-cuts of runs of one to
+    /// four trees, empty ones too, at zero to four cuts.
     #[test]
     fn built_trees_match_the_reference_rebuild() {
         for text in [false, true] {
@@ -2016,42 +1976,47 @@ mod tests {
             for k in (100..=260).chain((400..500).step_by(3)) {
                 gappy.remove(&Key::int(k));
             }
+            let check = |trees: &[BTree], cuts: &[i64]| {
+                let case = format!("cut of {} trees at {cuts:?}, text {text}", trees.len());
+                let got = BTree::recut(trees.to_vec(), cuts);
+                assert_same_trees(&got, &reference_recut(trees, cuts), &case);
+            };
             for b in -1..=600 {
-                let boundary = Key::int(b);
-                let mut left = gappy.clone();
-                let right = left.split_off(&boundary);
-                let [want_left, want_right] = reference_split(&gappy, &boundary);
-                assert_same_tree(&left, &want_left, &format!("left of {b}, text {text}"));
-                assert_same_tree(&right, &want_right, &format!("right of {b}, text {text}"));
+                check(std::slice::from_ref(&gappy), &[b]);
             }
             let big = tree_of(0..5_000, text, 0);
             for b in [-1, 0, 1, 2_352, 2_353, 2_500, 4_999, 5_000] {
-                let boundary = Key::int(b);
-                let mut left = big.clone();
-                let right = left.split_off(&boundary);
-                let [want_left, want_right] = reference_split(&big, &boundary);
-                assert_same_tree(&left, &want_left, &format!("left of {b}, text {text}"));
-                assert_same_tree(&right, &want_right, &format!("right of {b}, text {text}"));
+                check(std::slice::from_ref(&big), &[b]);
             }
-
-            let others = [
-                ("overlapping", tree_of((150..900).step_by(3), text, 7)),
-                (
-                    "interleaved",
-                    tree_of((0..5_000).map(|i| i * 2 + 1), text, 7),
-                ),
-                ("abutting", tree_of(600..3_000, text, 7)),
-                ("empty", BTree::new()),
-                ("equal", tree_of((0..300).map(|i| i * 2), text, 7)),
+            // Runs of one to four trees, with an empty one, at zero to four
+            // cuts below, inside, between and above them.
+            let run = [
+                gappy.clone(),
+                BTree::new(),
+                tree_of(600..3_000, text, 7),
+                tree_of((1_500..5_000).map(|i| i * 2), text, 3),
             ];
-            for (name, other) in others {
-                for (a, b) in [(&gappy, &other), (&other, &gappy)] {
-                    let mut got = a.clone();
-                    got.merge_from(b.clone());
-                    let case = format!("{name} merge, text {text}");
-                    assert_same_tree(&got, &reference_merge(a, b), &case);
+            let cuts: [&[i64]; 6] = [
+                &[],
+                &[-1],
+                &[300],
+                &[600, 3_000],
+                &[0, 301, 599, 2_999],
+                &[2_352, 5_000, 9_999, 10_000],
+            ];
+            for trees in (1..=run.len()).flat_map(|n| run.windows(n)) {
+                for cuts in cuts {
+                    check(trees, cuts);
                 }
             }
+        }
+    }
+
+    /// Panic unless the parts are the reference's, tree for tree.
+    fn assert_same_trees(got: &[BTree], want: &[BTree], case: &str) {
+        assert_eq!(got.len(), want.len(), "{case}");
+        for (i, (got, want)) in got.iter().zip(want).enumerate() {
+            assert_same_tree(got, want, &format!("{case}, part {i}"));
         }
     }
 
@@ -2081,9 +2046,9 @@ mod tests {
     #[test]
     fn split_then_merge_roundtrips() {
         let original: Vec<(Key, Record)> = (0..777).map(|i| (Key::int(i), rec(i))).collect();
-        let mut t = BTree::bulk_load(original.clone());
-        let right = t.split_off(&Key::int(300));
-        t.merge_from(right);
+        let t = BTree::bulk_load(original.clone());
+        let halves = BTree::recut(vec![t], &[300]);
+        let t = BTree::recut(halves, &[]).pop().unwrap();
         assert_eq!(t.len(), 777);
         let back: Vec<i64> = t.iter().map(|(k, _)| k.head_int()).collect();
         assert_eq!(back, (0..777).collect::<Vec<_>>());

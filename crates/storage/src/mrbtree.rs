@@ -6,10 +6,11 @@
 //! logical partition is only ever accessed by the worker thread it is
 //! assigned to, accesses to a subtree need no latching.
 //!
-//! Repartitioning (paper §V-D) manipulates this structure directly:
-//! * **split** divides an existing partition in two at a key boundary;
-//! * **merge** combines two adjacent partitions into one;
-//! * a **rearrangement** is a split followed by a merge.
+//! Repartitioning (paper §V-D) re-cuts this structure to new partition
+//! bounds in one pass ([`MrBTree::recut`]), and its actions are cases of it:
+//! * **split** adds a bound, dividing a partition in two;
+//! * **merge** removes one, combining two adjacent partitions;
+//! * a **rearrangement** moves one: a split plus a merge.
 
 use crate::btree::{BTree, RowMut};
 use crate::error::{StorageError, StorageResult};
@@ -109,7 +110,7 @@ impl MrBTree {
     /// bounds `<=` its first integer.
     ///
     /// The bounds are strictly increasing (enforced at construction and by
-    /// `split_partition` / `merge_with_next`), so routing is one binary
+    /// [`MrBTree::recut`]), so routing is one binary
     /// search over integers, as `atrapos-core` routes a key head through
     /// its sub-partitions.  `partition_for` runs twice per simulated
     /// storage operation.
@@ -123,6 +124,11 @@ impl MrBTree {
     /// Inclusive lower bound of partition `idx` (`None` = unbounded).
     pub fn lower_bound(&self, idx: usize) -> Option<i64> {
         idx.checked_sub(1).map(|i| self.lowers[i])
+    }
+
+    /// Inclusive lower bounds of partitions `1..`, strictly increasing.
+    pub fn lowers(&self) -> &[i64] {
+        &self.lowers
     }
 
     /// Exclusive upper bound of partition `idx` (`None` = unbounded).
@@ -226,15 +232,53 @@ impl MrBTree {
             .map(|(_, p)| &p.tree)
     }
 
-    /// Move the memory allocation of partition `idx` to `node` (models
-    /// `numactl`-style placement and ATraPos partition placement).
-    pub fn set_memory_node(&mut self, idx: usize, node: SocketId) {
-        self.partitions[idx].memory_node = node;
+    /// Re-cut the table to partitions whose lower bounds are `lowers`,
+    /// partition `i` allocated on `nodes[i]`.  The bounds the old and the
+    /// new partitions share cut the table into runs: a run that stays one
+    /// partition keeps its tree, and every other run's rows are streamed
+    /// once, by [`BTree::recut`], into its new partitions' trees.  Bounds
+    /// out of order, or other than one node per partition, change nothing.
+    ///
+    /// Returns the number of records whose partition's lower bound changed.
+    pub fn recut(&mut self, lowers: Vec<i64>, nodes: Vec<SocketId>) -> StorageResult<usize> {
+        if nodes.len() != lowers.len() + 1 || lowers.windows(2).any(|w| w[0] >= w[1]) {
+            let refused = format!("no re-cut to {lowers:?} on {} nodes", nodes.len());
+            return Err(StorageError::InvalidPartitionBoundary(refused));
+        }
+        // Per run, where its old and its new partitions end.
+        let ends: Vec<(usize, usize)> = (1..=lowers.len())
+            .filter_map(|j| Some((self.lowers.binary_search(&lowers[j - 1]).ok()? + 1, j)))
+            .chain([(self.partitions.len(), nodes.len())])
+            .collect();
+        let mut old = self.partitions.drain(..).map(|p| p.tree);
+        let (mut trees, mut moved, mut start) = (Vec::with_capacity(nodes.len()), 0, (0, 0));
+        for (i, j) in ends {
+            let run: Vec<BTree> = old.by_ref().take(i - start.0).collect();
+            let cuts = &lowers[start.1..j - 1];
+            if run.len() == 1 && cuts.is_empty() {
+                trees.extend(run);
+            } else {
+                // The rows that keep their lower bound lie below the run's
+                // first old and first new inner bound: the shorter of the
+                // first old and new trees, each a prefix of the run.
+                let (rows, first) = (run.iter().map(BTree::len).sum::<usize>(), run[0].len());
+                let parts = BTree::recut(run, cuts);
+                moved += rows - first.min(parts[0].len());
+                trees.extend(parts);
+            }
+            start = (i, j);
+        }
+        drop(old);
+        let partitions = trees.into_iter().zip(nodes);
+        self.partitions
+            .extend(partitions.map(|(tree, memory_node)| PartitionTree { tree, memory_node }));
+        self.lowers = lowers;
+        Ok(moved)
     }
 
-    /// Split partition `idx` at `boundary`, a one-integer key.  The upper
-    /// half becomes a new partition (inserted at `idx + 1`) allocated on
-    /// `new_node`.
+    /// Split partition `idx` at `boundary`, a one-integer key strictly
+    /// inside its range.  The upper half becomes a new partition (inserted
+    /// at `idx + 1`) allocated on `new_node`.
     ///
     /// Returns the number of records moved.
     pub fn split_partition(
@@ -243,43 +287,15 @@ impl MrBTree {
         boundary: Key,
         new_node: SocketId,
     ) -> StorageResult<usize> {
-        if idx >= self.partitions.len() {
+        if idx >= self.partitions.len() || boundary.len() != 1 {
             return Err(StorageError::InvalidPartitionBoundary(format!(
-                "partition index {idx} out of range"
+                "no split of partition {idx} at {boundary}"
             )));
         }
-        if boundary.len() != 1 {
-            return Err(StorageError::InvalidPartitionBoundary(format!(
-                "boundary {boundary} is not one integer"
-            )));
-        }
-        // The boundary must lie strictly inside the partition's range.
-        let head = boundary.head_int();
-        if let Some(lower) = self.lower_bound(idx) {
-            if head <= lower {
-                return Err(StorageError::InvalidPartitionBoundary(format!(
-                    "boundary {boundary} not above partition lower bound {lower}"
-                )));
-            }
-        }
-        if let Some(upper) = self.upper_bound(idx) {
-            if head >= upper {
-                return Err(StorageError::InvalidPartitionBoundary(format!(
-                    "boundary {boundary} not below next partition bound {upper}"
-                )));
-            }
-        }
-        let right_tree = self.partitions[idx].tree.split_off(&boundary);
-        let moved = right_tree.len();
-        self.partitions.insert(
-            idx + 1,
-            PartitionTree {
-                tree: right_tree,
-                memory_node: new_node,
-            },
-        );
-        self.lowers.insert(idx, head);
-        Ok(moved)
+        let (mut lowers, mut nodes) = (self.lowers.clone(), self.memory_nodes());
+        lowers.insert(idx, boundary.head_int());
+        nodes.insert(idx + 1, new_node);
+        self.recut(lowers, nodes)
     }
 
     /// Merge partition `idx + 1` into partition `idx`.
@@ -291,11 +307,15 @@ impl MrBTree {
                 "no partition after index {idx} to merge with"
             )));
         }
-        let right = self.partitions.remove(idx + 1);
-        self.lowers.remove(idx);
-        let moved = right.tree.len();
-        self.partitions[idx].tree.merge_from(right.tree);
-        Ok(moved)
+        let (mut lowers, mut nodes) = (self.lowers.clone(), self.memory_nodes());
+        lowers.remove(idx);
+        nodes.remove(idx + 1);
+        self.recut(lowers, nodes)
+    }
+
+    /// Where each partition is allocated, in partition order.
+    pub fn memory_nodes(&self) -> Vec<SocketId> {
+        self.partitions.iter().map(|p| p.memory_node).collect()
     }
 
     /// Check structural invariants: boundaries strictly increasing, every
@@ -337,7 +357,11 @@ impl MrBTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::btree::tests::shape_digest;
+    use crate::btree::ROWS_COPIED;
     use crate::record::Value;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn rec(v: i64) -> Record {
         Record::new(vec![Value::Int(v)])
@@ -480,10 +504,146 @@ mod tests {
         assert_eq!(keys(None, None).len(), 1000);
     }
 
+    /// A re-cut to the bounds the table has moves its partitions to the
+    /// nodes given and copies no row.
     #[test]
     fn memory_node_reassignment() {
         let mut t = loaded(100, 2);
-        t.set_memory_node(1, SocketId(5));
+        let nodes = vec![SocketId(0), SocketId(5)];
+        assert_eq!(copies(|| assert_eq!(t.recut(vec![50], nodes), Ok(0))), 0);
         assert_eq!(t.partition(1).memory_node, SocketId(5));
+    }
+
+    /// Rows the builders of the current thread copy while `f` runs.
+    fn copies(f: impl FnOnce()) -> usize {
+        let before = ROWS_COPIED.with(|n| n.get());
+        f();
+        ROWS_COPIED.with(|n| n.get()) - before
+    }
+
+    /// A re-cut of four partitions to shifted bounds — two merges and three
+    /// splits in one, as an adaptive plan's are — copies each row of the
+    /// run it changes once and leaves the partition it keeps alone.
+    #[test]
+    fn a_recut_copies_the_rows_of_the_changed_runs_once() {
+        let mut t = loaded(1000, 4);
+        let kept = shape_digest(&t.partition(0).tree);
+        let nodes = (0..5).map(SocketId).collect();
+        let mut moved = 0;
+        let copied = copies(|| moved = t.recut(vec![250, 400, 600, 700], nodes).unwrap());
+        // Keys 250.. are one run, re-cut; keys 250..400 keep their bound.
+        assert_eq!((copied, moved), (750, 600));
+        assert_eq!(t.lowers(), [250, 400, 600, 700]);
+        assert_eq!(t.memory_nodes(), (0..5).map(SocketId).collect::<Vec<_>>());
+        assert_eq!(shape_digest(&t.partition(0).tree), kept);
+        assert_eq!(t.len(), 1000);
+        t.check_invariants().unwrap();
+        // The same change one action at a time copies four times as much.
+        let mut stepwise = loaded(1000, 4);
+        let copied = copies(|| {
+            stepwise.merge_with_next(1).unwrap();
+            stepwise.merge_with_next(1).unwrap();
+            for (idx, b) in [(1, 400), (2, 600), (3, 700)] {
+                stepwise
+                    .split_partition(idx, Key::int(b), SocketId(0))
+                    .unwrap();
+            }
+        });
+        assert_eq!(copied, 3_000);
+        assert_eq!(stepwise.lowers(), t.lowers());
+    }
+
+    #[test]
+    fn recut_refuses_bounds_out_of_order_or_a_node_count_off_by_one() {
+        let mut t = loaded(100, 3);
+        assert!(t.recut(vec![50, 50], vec![SocketId(0); 3]).is_err());
+        assert!(t.recut(vec![50], vec![SocketId(0); 3]).is_err());
+        assert_eq!(t.lowers(), [33, 66]);
+        t.check_invariants().unwrap();
+    }
+
+    /// The node a split at `bound` allocates its new partition on.
+    fn node_of(bound: i64) -> SocketId {
+        SocketId(bound.rem_euclid(5) as u16)
+    }
+
+    proptest! {
+        /// A table reshaped by inserts, removes, splits and merges, then
+        /// re-cut to random bounds, is what the change's merges and then its
+        /// splits, one step each in ascending order, leave: the same bounds,
+        /// memory nodes, partition shapes, heap bytes and contents.  The
+        /// re-cut copies the rows of the runs it changes once each and
+        /// counts as moved the rows whose lower bound changed.
+        #[test]
+        fn a_recut_equals_its_merges_then_splits(
+            bounds in prop::collection::btree_set(0i64..4_000, 0..6),
+            edits in prop::collection::vec((0u8..5, 0i64..4_000), 0..40),
+            keep in any::<u64>(),
+            add in prop::collection::btree_set(0i64..4_000, 0..6),
+        ) {
+            let nodes = (0..=bounds.len()).map(|i| SocketId(i as u16)).collect();
+            let mut t = MrBTree::range_partitioned(bounds.into_iter().map(Key::int).collect(), nodes);
+            for (op, k) in edits {
+                match op {
+                    0 | 1 => (k..k + 300).for_each(|i| {
+                        let key = Key::int(i);
+                        t.insert_new_in(t.partition_for(&key), key, rec(i).row());
+                    }),
+                    2 => (k..k + 150).step_by(2).for_each(|i| {
+                        t.remove(&Key::int(i));
+                    }),
+                    3 => {
+                        let _ = t.split_partition(t.partition_for(&Key::int(k)), Key::int(k), node_of(k));
+                    }
+                    _ => {
+                        let _ = t.merge_with_next(k as usize % t.num_partitions());
+                    }
+                }
+            }
+            let old: BTreeSet<i64> = t.lowers().iter().copied().collect();
+            let new: BTreeSet<i64> = old
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| keep >> (i % 64) & 1 == 1)
+                .map(|(_, &b)| b)
+                .chain(add)
+                .collect();
+            let nodes = std::iter::once(t.partition(0).memory_node)
+                .chain(new.iter().map(|&b| match old.contains(&b) {
+                    true => t.partition(t.partition_for(&Key::int(b))).memory_node,
+                    false => node_of(b),
+                }))
+                .collect();
+            let lower_of = |set: &BTreeSet<i64>, h: i64| set.range(..=h).next_back().copied();
+            let shared: BTreeSet<i64> = old.intersection(&new).copied().collect();
+            let changed: BTreeSet<Option<i64>> =
+                old.symmetric_difference(&new).map(|&b| lower_of(&shared, b)).collect();
+            let heads: Vec<i64> = t.iter().map(|(k, _)| k.head_int()).collect();
+            let want_moved = heads.iter().filter(|&&h| lower_of(&old, h) != lower_of(&new, h)).count();
+            let want_copied = heads.iter().filter(|&&h| changed.contains(&lower_of(&shared, h))).count();
+
+            // Both sides are clones, as a clone trims the node vectors a
+            // kept tree shows in its heap bytes.
+            let (mut t, mut stepwise) = (t.clone(), t.clone());
+            let mut moved = 0;
+            let copied = copies(|| moved = t.recut(new.iter().copied().collect(), nodes).unwrap());
+            prop_assert_eq!((copied, moved), (want_copied, want_moved));
+            for &b in old.difference(&new) {
+                let idx = stepwise.partition_for(&Key::int(b));
+                stepwise.merge_with_next(idx - 1).unwrap();
+            }
+            for &b in new.difference(&old) {
+                let idx = stepwise.partition_for(&Key::int(b));
+                stepwise.split_partition(idx, Key::int(b), node_of(b)).unwrap();
+            }
+            t.check_invariants().map_err(TestCaseError::fail)?;
+            prop_assert_eq!(t.lowers(), stepwise.lowers());
+            prop_assert_eq!(t.memory_nodes(), stepwise.memory_nodes());
+            for (got, want) in t.partitions().iter().zip(stepwise.partitions()) {
+                let print = |p: &PartitionTree| (shape_digest(&p.tree), p.tree.heap_bytes());
+                prop_assert_eq!(print(got), print(want));
+            }
+            prop_assert!(t.iter().map(|(k, r)| (k, r.to_record())).eq(stepwise.iter().map(|(k, r)| (k, r.to_record()))));
+        }
     }
 }

@@ -1,12 +1,10 @@
 //! Model-based property tests: the storage structures against naive
 //! oracles.
 //!
-//! * The B+-tree (and its repartitioning actions `split_off` /
-//!   `merge_from`) is driven against a `std::collections::BTreeMap` under
-//!   random operation sequences that include range scans, structural
-//!   splits/merges and merges of trees whose keys overlap — if the tree
-//!   and the ordered map ever disagree on any observable, the sequence
-//!   shrinks to a minimal reproducer.
+//! * The B+-tree (and its repartitioning primitive `recut`) is driven
+//!   against a `std::collections::BTreeMap` under random operation
+//!   sequences that include range scans and re-cuts at random bounds and
+//!   back: the tree and the ordered map must agree on every observable.
 //! * The range cursor (`BTree::range_iter`, and `Table::range_read` over
 //!   random partition boundaries) is checked against `BTreeMap::range` for
 //!   every bound shape: open or closed on either side, in a key gap, below
@@ -18,7 +16,7 @@
 //! * The packed leaves — keys stored flat at one width, rows in one byte
 //!   block per leaf — of a `BTree` and of a `Table` are driven against a
 //!   `BTreeMap<Key, Record>` through inserts, rejected duplicates, removes,
-//!   in-place integer writes beside text columns, splits, merges, bulk loads, repartitionings at one-integer bounds, scans with
+//!   in-place integer writes beside text columns, re-cuts, bulk loads, repartitionings at one-integer bounds, scans with
 //!   bounds shorter than the keys, and runs of appends above the maximum interleaved with
 //!   inserts and removes of it; after every step the contents equal the
 //!   model's byte for byte and every invariant holds.
@@ -69,19 +67,17 @@ fn record_for(key: i64, payload: i64) -> Record {
     Record::new(vec![Value::Int(key), Value::Int(payload)])
 }
 
-/// Operations of the B+-tree model workload.  `SplitMerge` performs the
-/// physical repartitioning round-trip (split at a boundary, then merge the
-/// right half back), which must be a no-op on the logical contents.
-/// `MergeIn` merges in a tree of random keys, which may overlap the
-/// tree's: on a key both hold, the merged-in tree's value wins.
+/// Operations of the B+-tree model workload.  `Recut` performs the
+/// physical repartitioning round-trip (re-cut at ascending bounds, then
+/// re-cut the parts back into one tree), which must be a no-op on the
+/// logical contents.
 #[derive(Debug, Clone)]
 enum TreeOp {
     Insert(i64, i64),
     Remove(i64),
     Get(i64),
     Range(i64, i64),
-    SplitMerge(i64),
-    MergeIn(Vec<(i64, i64)>),
+    Recut(Vec<i64>),
 }
 
 fn tree_op_strategy(key_range: i64) -> impl Strategy<Value = TreeOp> {
@@ -90,11 +86,8 @@ fn tree_op_strategy(key_range: i64) -> impl Strategy<Value = TreeOp> {
         2 => (0..key_range).prop_map(TreeOp::Remove),
         2 => (0..key_range).prop_map(TreeOp::Get),
         1 => (0..key_range, 0..key_range).prop_map(|(a, b)| TreeOp::Range(a.min(b), a.max(b))),
-        1 => (0..key_range).prop_map(TreeOp::SplitMerge),
-        1 => prop::collection::vec((0..key_range, any::<i64>()), 0..40).prop_map(|entries| {
-            let sorted: BTreeMap<i64, i64> = entries.into_iter().collect();
-            TreeOp::MergeIn(sorted.into_iter().collect())
-        }),
+        2 => prop::collection::btree_set(0..key_range, 0..5)
+            .prop_map(|cuts| TreeOp::Recut(cuts.into_iter().collect())),
     ]
 }
 
@@ -134,20 +127,17 @@ proptest! {
                         model.range(lo..hi).map(|(&k, &v)| (k, v)).collect();
                     prop_assert_eq!(a, b);
                 }
-                TreeOp::SplitMerge(boundary) => {
-                    let right = tree.split_off(&Key::int(boundary));
-                    // Both halves are well-formed and partition the keys.
-                    prop_assert!(tree.iter().all(|(k, _)| k < Key::int(boundary)));
-                    prop_assert!(right.iter().all(|(k, _)| k >= Key::int(boundary)));
-                    tree.merge_from(right);
-                }
-                TreeOp::MergeIn(entries) => {
-                    let other = entries
-                        .iter()
-                        .map(|&(k, v)| (Key::int(k), record_for(k, v)))
-                        .collect();
-                    tree.merge_from(BTree::bulk_load(other));
-                    model.extend(entries);
+                TreeOp::Recut(cuts) => {
+                    let parts = BTree::recut(vec![std::mem::take(&mut tree)], &cuts);
+                    // Each part is well-formed and holds the keys of its range.
+                    let bounds: Vec<i64> =
+                        std::iter::once(i64::MIN).chain(cuts).chain([i64::MAX]).collect();
+                    for (part, range) in parts.iter().zip(bounds.windows(2)) {
+                        part.check_invariants().map_err(TestCaseError::fail)?;
+                        let want = model.range(range[0]..range[1]).map(|(&k, _)| k);
+                        prop_assert!(part.iter().map(|(k, _)| k.head_int()).eq(want));
+                    }
+                    tree = BTree::recut(parts, &[]).pop().unwrap();
                 }
             }
             prop_assert_eq!(tree.len(), model.len());
@@ -407,8 +397,8 @@ proptest! {
     }
 
     /// Trees over keys of every width keep their invariants through any sequence
-    /// of inserts, removes, splits and merges at boundaries of any width,
-    /// and agree with an ordered map on lookups and scans.
+    /// of inserts, removes, re-cuts at the heads of bounds of any width and
+    /// back, and agree with an ordered map on lookups and scans.
     #[test]
     fn btree_over_any_key_shape_matches_ordered_map(
         width in 1usize..=MAX_KEY_COMPONENTS,
@@ -436,12 +426,13 @@ proptest! {
                     prop_assert_eq!(a, b);
                 }
                 _ => {
-                    let right = tree.split_off(&bound);
-                    tree.check_invariants().map_err(TestCaseError::fail)?;
-                    right.check_invariants().map_err(TestCaseError::fail)?;
-                    prop_assert!(tree.iter().all(|(k, _)| k < bound));
-                    prop_assert!(right.iter().all(|(k, _)| k >= bound));
-                    tree.merge_from(right);
+                    let head = bound.head_int();
+                    let parts = BTree::recut(vec![std::mem::take(&mut tree)], &[head]);
+                    parts[0].check_invariants().map_err(TestCaseError::fail)?;
+                    parts[1].check_invariants().map_err(TestCaseError::fail)?;
+                    prop_assert!(parts[0].iter().all(|(k, _)| k.head_int() < head));
+                    prop_assert!(parts[1].iter().all(|(k, _)| k.head_int() >= head));
+                    tree = BTree::recut(parts, &[]).pop().unwrap();
                 }
             }
             prop_assert_eq!(tree.len(), model.len());
@@ -470,11 +461,8 @@ enum LeafOp {
     /// Write an integer into the first (`false`) or second integer column;
     /// the table increments the second one.
     SetInt([i64; 4], bool, i64),
-    /// `split_off` at a bound, then `merge_from` the right half back.
-    SplitMerge([i64; 4], usize),
-    /// `merge_from` a bulk-loaded tree that overlaps every key `>=` the
-    /// bound with changed rows: they win.
-    MergeOverlap([i64; 4], usize, i64),
+    /// `recut` at the bound's first integer, then the halves back into one.
+    Recut([i64; 4], usize),
     /// Rebuild the tree with `bulk_load` from its own entries.
     Rebuild,
     /// Split the table's partition at the bound's first integer (even) or
@@ -508,8 +496,7 @@ fn leaf_op_strategy() -> impl Strategy<Value = LeafOp> {
         3 => raw_key_strategy().prop_map(LeafOp::Remove),
         3 => (raw_key_strategy(), any::<bool>(), small())
             .prop_map(|(k, second, v)| LeafOp::SetInt(k, second, v)),
-        1 => bound().prop_map(|(k, w)| LeafOp::SplitMerge(k, w)),
-        1 => (bound(), small()).prop_map(|((k, w), d)| LeafOp::MergeOverlap(k, w, d)),
+        2 => bound().prop_map(|(k, w)| LeafOp::Recut(k, w)),
         1 => Just(LeafOp::Rebuild),
         1 => (bound(), any::<u64>()).prop_map(|((k, w), u)| LeafOp::Repartition(k, w, u)),
         2 => (bound(), bound(), 0usize..40)
@@ -574,10 +561,9 @@ proptest! {
     /// A tree and a table of packed leaves — keys at one width from one to
     /// four, rows with two text columns — agree with an ordered map of
     /// records after every insert, rejected duplicate, remove, integer
-    /// write, split, merge (overlapping ones too), bulk load,
-    /// repartitioning at one-integer bounds and scan, with scan and split
-    /// bounds of every width, and through ascending runs that re-insert or
-    /// remove their maximum.
+    /// write, re-cut, bulk load, repartitioning at one-integer bounds and
+    /// scan, with scan bounds of every width, and through ascending runs
+    /// that re-insert or remove their maximum.
     #[test]
     fn packed_leaves_match_the_ordered_map_model(
         width in 1usize..=MAX_KEY_COMPONENTS,
@@ -653,28 +639,16 @@ proptest! {
                     let new = with_value(old, col, Value::Int(new));
                     model.insert(key, new);
                 }
-                LeafOp::SplitMerge(raw, w) => {
+                LeafOp::Recut(raw, w) => {
                     let Some(bound) = cut(&raw, w) else { continue };
-                    let right = tree.split_off(&bound);
-                    tree.check_invariants().map_err(TestCaseError::fail)?;
-                    right.check_invariants().map_err(TestCaseError::fail)?;
-                    prop_assert!(tree.iter().map(|(k, _)| k).eq(model.range(..bound).map(|(k, _)| *k)));
-                    prop_assert!(right.iter().map(|(k, _)| k).eq(model.range(bound..).map(|(k, _)| *k)));
-                    tree.merge_from(right);
-                }
-                LeafOp::MergeOverlap(raw, w, d) => {
-                    let Some(bound) = cut(&raw, w) else { continue };
-                    let changed: Vec<(Key, Record)> = model
-                        .range(bound..)
-                        .map(|(k, r)| (*k, with_value(r, a, Value::Int(r.int(a).unwrap() ^ d))))
-                        .collect();
-                    for (key, row) in &changed {
-                        table
-                            .update(&mut ctx, key, a, row.int(a).unwrap())
-                            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-                    }
-                    model.extend(changed.iter().cloned());
-                    tree.merge_from(BTree::bulk_load(changed));
+                    let head = bound.head_int();
+                    let parts = BTree::recut(vec![std::mem::take(&mut tree)], &[head]);
+                    let (below, rest) = (model.range(..Key::int(head)), model.range(Key::int(head)..));
+                    parts[0].check_invariants().map_err(TestCaseError::fail)?;
+                    parts[1].check_invariants().map_err(TestCaseError::fail)?;
+                    prop_assert!(parts[0].iter().map(|(k, _)| k).eq(below.map(|(k, _)| *k)));
+                    prop_assert!(parts[1].iter().map(|(k, _)| k).eq(rest.map(|(k, _)| *k)));
+                    tree = BTree::recut(parts, &[]).pop().unwrap();
                 }
                 LeafOp::Rebuild => {
                     tree = BTree::bulk_load(tree.iter().map(|(k, r)| (k, r.to_record())).collect());
@@ -1494,14 +1468,15 @@ fn whole_key_partition_for(tree: &MrBTree, key: &Key) -> usize {
 proptest! {
     /// Routing equals the whole-key search for probes of every shape —
     /// composite keys sharing a prefix, probes equal to a boundary — over
-    /// random one-integer boundaries reshaped by splits and merges, and the
+    /// random one-integer boundaries reshaped by splits, merges and
+    /// whole-table re-cuts that keep some bounds and add one, and the
     /// bounds stay where `lower_bound`/`upper_bound` say.  A split at a
     /// wider key is refused.
     #[test]
     fn partition_routing_matches_the_whole_key_search(
         bounds in prop::collection::btree_set(component_strategy(), 0..100),
         edits in prop::collection::vec(
-            (any::<bool>(), any::<u64>(), prop_oneof![
+            (0u8..3, any::<u64>(), prop_oneof![
                 3 => component_strategy().prop_map(Key::int),
                 1 => key_strategy(),
             ]),
@@ -1511,15 +1486,23 @@ proptest! {
     ) {
         let nodes = vec![SocketId(0); bounds.len() + 1];
         let mut tree = MrBTree::range_partitioned(bounds.into_iter().map(Key::int).collect(), nodes);
-        for (split, at, key) in edits {
-            if split {
+        for (edit, at, key) in edits {
+            if edit == 0 {
                 let idx = tree.partition_for(&key);
                 let refused = key.len() > 1 || tree.lower_bound(idx) == Some(key.head_int());
                 let split = tree.split_partition(idx, key, SocketId(1));
                 prop_assert_eq!(split.is_err(), refused, "split at {}", key);
-            } else if tree.num_partitions() > 1 {
+            } else if edit == 1 && tree.num_partitions() > 1 {
                 let idx = at as usize % (tree.num_partitions() - 1);
                 tree.merge_with_next(idx).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            } else if edit == 2 {
+                // Keep the bounds `at`'s bits pick, and add the key's head.
+                let kept = tree.lowers().iter().enumerate().filter(|&(i, _)| at >> (i % 64) & 1 == 1);
+                let mut lowers: Vec<i64> = kept.map(|(_, &b)| b).chain([key.head_int()]).collect();
+                lowers.sort_unstable();
+                lowers.dedup();
+                let nodes = vec![SocketId(0); lowers.len() + 1];
+                tree.recut(lowers, nodes).map_err(|e| TestCaseError::fail(e.to_string()))?;
             }
         }
         tree.check_invariants().map_err(TestCaseError::fail)?;

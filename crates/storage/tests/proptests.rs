@@ -130,9 +130,9 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// `split_off` then `merge_from` is the identity on the set of entries,
-    /// and both halves are valid trees that partition the key space at the
-    /// boundary.
+    /// A re-cut at a boundary and back is the identity on the set of
+    /// entries, and both halves are valid trees that partition the key
+    /// space at the boundary.
     #[test]
     fn btree_split_then_merge_roundtrips(
         keys in prop::collection::btree_set(0i64..5_000, 1..300),
@@ -143,13 +143,14 @@ proptest! {
             tree.insert(Key::int(k), record_for(k, k + 7));
         }
         let original: Vec<i64> = tree.iter().map(|(k, _)| k.head_int()).collect();
-        let right = tree.split_off(&Key::int(boundary));
-        prop_assert!(tree.iter().all(|(k, _)| k.head_int() < boundary));
+        let halves = BTree::recut(vec![tree], &[boundary]);
+        let [left, right] = [&halves[0], &halves[1]];
+        prop_assert!(left.iter().all(|(k, _)| k.head_int() < boundary));
         prop_assert!(right.iter().all(|(k, _)| k.head_int() >= boundary));
-        prop_assert_eq!(tree.len() + right.len(), original.len());
-        tree.check_invariants().map_err(TestCaseError::fail)?;
+        prop_assert_eq!(left.len() + right.len(), original.len());
+        left.check_invariants().map_err(TestCaseError::fail)?;
         right.check_invariants().map_err(TestCaseError::fail)?;
-        tree.merge_from(right);
+        let tree = BTree::recut(halves, &[]).pop().unwrap();
         let merged: Vec<i64> = tree.iter().map(|(k, _)| k.head_int()).collect();
         prop_assert_eq!(merged, original);
         tree.check_invariants().map_err(TestCaseError::fail)?;
