@@ -265,7 +265,7 @@ impl Workload for ShiftedAb {
             for i in 0..self.rows {
                 let key = Key::int(i);
                 if filter(TableId(t), &key) {
-                    table.load_ints(&[i, 0]).expect("unique keys");
+                    table.load_cells(&[i, 0]).expect("unique keys");
                 }
             }
         }

@@ -281,13 +281,21 @@ impl AtraposDesign {
 
     /// If `core`'s socket failed, reroute its work to the corresponding core
     /// of the first active socket (the paper's static baseline overloads one
-    /// remaining processor after a failure, Figure 12).
+    /// remaining processor after a failure, Figure 12).  Runs once per
+    /// action routed to a failed socket, so it finds that socket without
+    /// collecting the active ones.
+    // lint: hot-path
     fn effective_core(topo: &Topology, core: CoreId) -> CoreId {
         let socket = topo.socket_of(core);
         if topo.is_active(socket) {
             return core;
         }
-        let fallback_socket = topo.active_sockets()[0];
+        let fallback_socket = topo
+            .sockets()
+            .iter()
+            .find(|s| s.active)
+            .expect("a machine keeps one socket active")
+            .id;
         let within = topo
             .cores_of(socket)
             .iter()

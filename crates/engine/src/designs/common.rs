@@ -144,11 +144,9 @@ pub fn storage_op(ctx: &mut SimCtx<'_>, db: &mut Database, action: &Action) -> S
             delta,
         } => db.table_mut(*table)?.increment(ctx, key, *column, *delta),
         ActionOp::Insert { table, record } => {
-            let t = db.table_mut(*table)?;
-            // lint: allow(hot-path-alloc) — the table must own the inserted record (one block copied); the spec keeps its copy for replay
-            t.insert(ctx, record.clone()).map(drop)
+            db.table_mut(*table)?.insert(ctx, record.row()).map(drop)
         }
-        ActionOp::Delete { table, key } => db.table_mut(*table)?.delete(ctx, key).map(drop),
+        ActionOp::Delete { table, key } => db.table_mut(*table)?.delete(ctx, key),
     }
 }
 

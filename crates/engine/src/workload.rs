@@ -289,7 +289,7 @@ pub mod testing {
             for i in 0..self.rows {
                 let key = Key::int(i);
                 if filter(TableId(0), &key) {
-                    table.load_ints(&[i, i * 2]).expect("unique keys");
+                    table.load_cells(&[i, i * 2]).expect("unique keys");
                 }
             }
         }
@@ -349,7 +349,7 @@ pub mod testing {
                 for i in 0..self.rows {
                     let key = Key::int(i);
                     if filter(TableId(t), &key) {
-                        table.load_ints(&[i, 0]).expect("unique keys");
+                        table.load_cells(&[i, 0]).expect("unique keys");
                     }
                 }
             }

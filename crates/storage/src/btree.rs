@@ -502,17 +502,15 @@ impl Leaf {
         true
     }
 
-    /// Remove slot `i`, returning its key's row.
-    fn remove(&mut self, i: usize) -> Record {
+    /// Remove slot `i` and its row.
+    fn remove(&mut self, i: usize) {
         let span = self.span(i);
-        let old = self.row(i).to_record();
         self.keys.remove(i);
         self.rows.drain(span.clone());
         if fixed_len(self.shape).is_none() {
             self.ends.remove(i);
             self.shift_ends(i, -(span.len() as isize));
         }
-        old
     }
 
     /// Overwrite integer column `col` of the row in slot `i` in place; a
@@ -647,12 +645,14 @@ impl BTree {
     }
 
     /// Insert a key/record pair.  Returns the previous record if the key was
-    /// already present: it is removed and the pair inserted in its place.
+    /// already present: it is read out, removed, and the pair inserted in
+    /// its place.
     pub fn insert(&mut self, key: Key, record: Record) -> Option<Record> {
         if self.insert_new_row(key, record.row()) {
             return None;
         }
-        let old = self.remove(&key);
+        let old = self.get(&key).map(|row| row.to_record());
+        self.remove(&key);
         self.insert_new_row(key, record.row());
         old
     }
@@ -694,10 +694,11 @@ impl BTree {
         true
     }
 
-    /// Remove a key.  Returns the removed record, if any.
-    pub fn remove(&mut self, key: &Key) -> Option<Record> {
+    /// Remove a key and its row, which is dropped where it lies: nothing
+    /// is copied out.  Whether the key was there.
+    pub fn remove(&mut self, key: &Key) -> bool {
         let removed = self.root.remove(key);
-        if removed.is_some() {
+        if removed {
             self.len -= 1;
         }
         removed
@@ -901,10 +902,11 @@ impl Node {
         }
     }
 
-    /// Lazy removal: delete from the leaf without rebalancing.
-    fn remove(&mut self, key: &Key) -> Option<Record> {
+    /// Lazy removal: delete from the leaf without rebalancing.  Whether
+    /// the key was there.
+    fn remove(&mut self, key: &Key) -> bool {
         match self {
-            Node::Leaf(leaf) => leaf.keys.search(key).ok().map(|i| leaf.remove(i)),
+            Node::Leaf(leaf) => leaf.keys.search(key).map(|i| leaf.remove(i)).is_ok(),
             Node::Internal(internal) => {
                 let idx = internal.keys.child_index(key);
                 internal.children[idx].remove(key)
@@ -1370,13 +1372,13 @@ pub(crate) mod tests {
             t.insert(Key::int(i), rec(i));
         }
         for i in (0..200).step_by(2) {
-            assert!(t.remove(&Key::int(i)).is_some());
+            assert!(t.remove(&Key::int(i)));
         }
         assert_eq!(t.len(), 100);
         for i in 0..200 {
             assert_eq!(t.contains(&Key::int(i)), i % 2 == 1);
         }
-        assert!(t.remove(&Key::int(0)).is_none());
+        assert!(!t.remove(&Key::int(0)));
         t.check_invariants().unwrap();
     }
 

@@ -59,7 +59,7 @@ pub use log::{LogManager, LogRecordKind};
 pub use memory::MemoryPolicy;
 pub use mrbtree::MrBTree;
 pub use per_socket::PerSocket;
-pub use record::{Key, Record, Row, Value};
+pub use record::{AsCell, Cell, Key, Record, Row, Value};
 pub use schema::{Column, ColumnType, Schema, TableId};
 pub use srwlock::StateRwLock;
 pub use table::Table;

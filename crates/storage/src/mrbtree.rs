@@ -14,7 +14,7 @@
 
 use crate::btree::{BTree, RowMut};
 use crate::error::{StorageError, StorageResult};
-use crate::record::{Key, Record, Row};
+use crate::record::{Key, Row};
 use atrapos_numa::SocketId;
 
 /// One physical partition: a B+-tree root and where its data lives.  Its
@@ -175,14 +175,15 @@ impl MrBTree {
     }
 
     /// Remove within a known partition (must be `partition_for(key)`).
+    /// Whether the key was there.
     #[inline]
-    pub fn remove_in(&mut self, idx: usize, key: &Key) -> Option<Record> {
+    pub fn remove_in(&mut self, idx: usize, key: &Key) -> bool {
         debug_assert_eq!(idx, self.partition_for(key));
         self.partitions[idx].tree.remove(key)
     }
 
-    /// Remove a key, returning the removed record if any.
-    pub fn remove(&mut self, key: &Key) -> Option<Record> {
+    /// Remove a key.  Whether it was there.
+    pub fn remove(&mut self, key: &Key) -> bool {
         let idx = self.partition_for(key);
         self.partitions[idx].tree.remove(key)
     }
@@ -359,7 +360,7 @@ mod tests {
     use super::*;
     use crate::btree::tests::shape_digest;
     use crate::btree::ROWS_COPIED;
-    use crate::record::Value;
+    use crate::record::{Record, Value};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -479,8 +480,8 @@ mod tests {
     #[test]
     fn removal_and_iteration() {
         let mut t = loaded(100, 3);
-        assert!(t.remove(&Key::int(42)).is_some());
-        assert!(t.remove(&Key::int(42)).is_none());
+        assert!(t.remove(&Key::int(42)));
+        assert!(!t.remove(&Key::int(42)));
         assert_eq!(t.len(), 99);
         let keys: Vec<i64> = t.iter().map(|(k, _)| k.head_int()).collect();
         assert_eq!(keys.len(), 99);

@@ -4,9 +4,10 @@
 //! of its text columns.  An integer cell is the value; a text cell is the
 //! `offset << 32 | len` of its bytes in that tail.  A [`Record`] owns one
 //! row in a single exact-size heap block; a [`Row`] borrows one, wherever
-//! its bytes live — a record, or a slot of a B+-tree leaf, which keeps all
-//! of its rows back to back in one block and their key cells only in its
-//! key column.  A packed row never changes length: `write_cell`, the one
+//! its bytes live — a record, a stack buffer `with_row` packed from
+//! borrowed [`Cell`]s, or a slot of a B+-tree leaf, which keeps all of its
+//! rows back to back in one block and their key cells only in its key
+//! column.  A packed row never changes length: `write_cell`, the one
 //! path that writes into packed rows, overwrites one integer cell in place.
 //! A [`Key`] is up to four inline integers with no heap part at all.
 
@@ -81,6 +82,49 @@ impl fmt::Display for Value {
         match self {
             Value::Int(v) => write!(f, "{v}"),
             Value::Text(v) => write!(f, "'{v}'"),
+        }
+    }
+}
+
+/// A borrowed column value: what a row is packed from without owning its
+/// text first (see [`Record::from_cells`] and [`Table::load_cells`]).
+///
+/// [`Table::load_cells`]: crate::Table::load_cells
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cell<'a> {
+    /// 64-bit signed integer.
+    Int(i64),
+    /// Text, borrowed.
+    Text(&'a str),
+}
+
+/// A column value a row can be packed from: a [`Cell`], an integer, or an
+/// owned [`Value`].
+pub trait AsCell {
+    /// The value, borrowed.
+    fn as_cell(&self) -> Cell<'_>;
+}
+
+impl AsCell for Cell<'_> {
+    #[inline]
+    fn as_cell(&self) -> Cell<'_> {
+        *self
+    }
+}
+
+impl AsCell for i64 {
+    #[inline]
+    fn as_cell(&self) -> Cell<'_> {
+        Cell::Int(*self)
+    }
+}
+
+impl AsCell for Value {
+    #[inline]
+    fn as_cell(&self) -> Cell<'_> {
+        match self {
+            Value::Int(v) => Cell::Int(*v),
+            Value::Text(s) => Cell::Text(s),
         }
     }
 }
@@ -256,14 +300,18 @@ pub(crate) fn fixed_len(shape: u64) -> Option<usize> {
 /// its low 32.  So an all-integer row owns exactly `8 × arity` heap bytes,
 /// there is no per-column heap block, and the record is 24 bytes inline.
 ///
-/// A `Record` is the owned row at the API edge — what inserts take, what
-/// a delete hands back, what transaction specs carry.  The B+-tree stores
-/// no `Record`: a leaf copies the row's bytes into its one row block and
-/// lends them out as a [`Row`].  A table's leaf stores each key once: its
-/// rows drop their first `w` cells, the primary key, which the leaf's key
-/// column already holds.  What is left, `bytes[8w..]`, is itself a row in
-/// this layout — `arity − w` cells, the text mask shifted down by `w` —
-/// since text cells locate their bytes from the start of the text tail.
+/// A `Record` is the owned row: what transaction specs carry, and what
+/// `Table::load` and a bare `BTree` take.  A table insert takes a borrowed
+/// [`Row`] (a spec's record lends its own), a load of cells packs its row
+/// on the stack, and a delete hands nothing back.  Every row, owned or
+/// borrowed, is laid out by one packer, so a row has the same bytes
+/// however it was built.  The B+-tree stores no `Record`: a leaf copies
+/// the row's bytes into its one row block and lends them out as a
+/// [`Row`].  A table's leaf stores each key once: its rows drop their
+/// first `w` cells, the primary key, which the leaf's key column already
+/// holds.  What is left, `bytes[8w..]`, is itself a row in this layout —
+/// `arity − w` cells, the text mask shifted down by `w` — since text cells
+/// locate their bytes from the start of the text tail.
 ///
 /// The layout is canonical — a row's values decide every byte — so
 /// equality is byte equality.  The `Debug` form is that of the `Vec<Value>`
@@ -303,50 +351,19 @@ impl Record {
     /// never shrunk and reused: its 32-byte slots would stay behind as
     /// heap holes.
     pub fn new(values: Vec<Value>) -> Self {
-        Self::pack(&values)
+        Self::from_cells(&values)
     }
 
     /// An all-integer row, built straight into its block.
     pub fn ints(values: &[i64]) -> Self {
-        with_int_row(values, |row| row.to_record())
+        Self::from_cells(values)
     }
 
-    fn pack(values: &[Value]) -> Self {
-        check_arity(values.len());
-        let text_bytes: usize = values
-            .iter()
-            .map(|v| match v {
-                Value::Int(_) => 0,
-                Value::Text(s) => s.len(),
-            })
-            .sum();
-        assert!(
-            u32::try_from(text_bytes).is_ok(),
-            "a record holds under 4 GiB of text"
-        );
-        let mut bytes = Vec::with_capacity(CELL * values.len() + text_bytes);
-        let (mut mask, mut offset) = (0u64, 0u64);
-        for (i, v) in values.iter().enumerate() {
-            let cell = match v {
-                Value::Int(x) => *x as u64,
-                Value::Text(s) => {
-                    mask |= 1 << i;
-                    let cell = offset << 32 | s.len() as u64;
-                    offset += s.len() as u64;
-                    cell
-                }
-            };
-            bytes.extend_from_slice(&cell.to_le_bytes());
-        }
-        for v in values {
-            if let Value::Text(s) = v {
-                bytes.extend_from_slice(s.as_bytes());
-            }
-        }
-        Self {
-            bytes: bytes.into_boxed_slice(),
-            shape: (values.len() as u64) << 32 | mask,
-        }
+    /// The row of `cells`, packed straight into its one exact-size block.
+    pub fn from_cells<C: AsCell>(cells: &[C]) -> Self {
+        let mut bytes = vec![0; packed_len(cells)].into_boxed_slice();
+        let shape = pack_into(cells, &mut bytes);
+        Self { bytes, shape }
     }
 
     /// The row this record holds, borrowed.
@@ -588,20 +605,75 @@ pub(crate) fn shape_of(schema: &Schema) -> u64 {
     (schema.columns.len() as u64) << 32 | mask
 }
 
-/// Hand `f` the all-integer row of `values`, packed on the stack — for
-/// loaders that copy rows straight into leaves.
+/// Bytes of the stack buffer [`with_row`] packs into: every all-integer
+/// row fits, and so does a row of a few columns and a short text or two.
+const STACK_ROW: usize = CELL * MAX_COLUMNS;
+
+/// Hand `f` the row of `cells`, packed on the stack when it fits 256
+/// bytes (on the heap otherwise) — for loaders that copy rows straight
+/// into leaves, with no block per row.  An all-integer row always fits,
+/// and packs at the cost of copying its integers.
 #[inline]
-pub(crate) fn with_int_row<R>(values: &[i64], f: impl FnOnce(Row<'_>) -> R) -> R {
-    check_arity(values.len());
-    let mut bytes = [0; CELL * MAX_COLUMNS];
-    for (cell, v) in bytes.chunks_exact_mut(CELL).zip(values) {
-        cell.copy_from_slice(&v.to_le_bytes());
+pub(crate) fn with_row<C: AsCell, R>(cells: &[C], f: impl FnOnce(Row<'_>) -> R) -> R {
+    let len = packed_len(cells);
+    let mut stack = [0; STACK_ROW];
+    let mut heap = Vec::new();
+    // One call of `f`, so a loader's body is inlined once.  An all-integer
+    // row has at most `STACK_ROW` bytes, so it never takes the heap arm.
+    let bytes = match stack.get_mut(..len) {
+        Some(bytes) => bytes,
+        None => {
+            heap.resize(len, 0);
+            &mut heap[..]
+        }
+    };
+    let shape = pack_into(cells, bytes);
+    f(Row::from_parts(&[], bytes, shape))
+}
+
+/// The byte length of the row of `cells`.  Panics past [`MAX_COLUMNS`]
+/// cells or 4 GiB of text.
+#[inline]
+fn packed_len<C: AsCell>(cells: &[C]) -> usize {
+    check_arity(cells.len());
+    let text_bytes: usize = cells
+        .iter()
+        .map(|c| match c.as_cell() {
+            Cell::Int(_) => 0,
+            Cell::Text(s) => s.len(),
+        })
+        .sum();
+    assert!(
+        u32::try_from(text_bytes).is_ok(),
+        "a record holds under 4 GiB of text"
+    );
+    CELL * cells.len() + text_bytes
+}
+
+/// Lay the row of `cells` out in `out`, exactly [`packed_len`] bytes, and
+/// return its shape word.  This is the one packer: every row, owned or
+/// borrowed, gets its bytes here.
+#[inline]
+fn pack_into<C: AsCell>(cells: &[C], out: &mut [u8]) -> u64 {
+    let (head, mut tail) = out.split_at_mut(CELL * cells.len());
+    let (mut mask, mut offset) = (0u64, 0u64);
+    for (i, (slot, c)) in head.chunks_exact_mut(CELL).zip(cells).enumerate() {
+        let cell = match c.as_cell() {
+            Cell::Int(x) => x as u64,
+            Cell::Text(s) => {
+                mask |= 1 << i;
+                let (bytes, rest) = std::mem::take(&mut tail).split_at_mut(s.len());
+                bytes.copy_from_slice(s.as_bytes());
+                tail = rest;
+                let cell = offset << 32 | s.len() as u64;
+                offset += s.len() as u64;
+                cell
+            }
+        };
+        slot.copy_from_slice(&cell.to_le_bytes());
     }
-    f(Row::from_parts(
-        &[],
-        &bytes[..CELL * values.len()],
-        (values.len() as u64) << 32,
-    ))
+    debug_assert!(tail.is_empty(), "a row packs to its packed length");
+    (cells.len() as u64) << 32 | mask
 }
 
 /// The cell of column `i` of a row laid out from `bytes[0]`.
@@ -660,6 +732,7 @@ impl fmt::Debug for Row<'_> {
 mod tests {
     use super::*;
     use crate::schema::{Column, ColumnType};
+    use proptest::prelude::*;
 
     #[test]
     fn integer_keys_order_numerically() {
@@ -836,6 +909,60 @@ mod tests {
         let mut spare = Vec::with_capacity(64);
         spare.extend([Value::Int(1), Value::Int(2), Value::Int(3)]);
         assert_eq!(Record::new(spare).heap_bytes(), 24);
+    }
+
+    /// Text of `len` characters, some of them multi-byte, from `seed`.
+    fn text(seed: i64, len: usize) -> String {
+        "aü🦀 z"
+            .chars()
+            .cycle()
+            .skip(seed.rem_euclid(5) as usize)
+            .take(len)
+            .collect()
+    }
+
+    proptest! {
+        /// Every way to build a row packs it to the bytes and shape of
+        /// `Record::new`: `Record::from_cells` and `with_row` of borrowed
+        /// cells, and `with_row` of the owned values — over rows of 1–32
+        /// cells mixing integers with empty texts, short ones and ones that
+        /// push the row past the stack buffer `with_row` packs into.
+        #[test]
+        fn every_packing_path_lays_a_row_out_as_record_new(
+            raw in prop::collection::vec((0u8..4, any::<i64>(), 0usize..12), 1..=32),
+        ) {
+            let values: Vec<Value> = raw
+                .iter()
+                .map(|&(kind, v, len)| match kind {
+                    0 | 1 => Value::Int(v),
+                    2 => Value::Text(text(v, len)),
+                    _ => Value::Text(text(v, STACK_ROW + 16 * len)),
+                })
+                .collect();
+            let cells: Vec<Cell<'_>> = values.iter().map(AsCell::as_cell).collect();
+            let want = Record::new(values.clone());
+            let owned = Record::from_cells(&cells);
+            prop_assert_eq!((&owned.bytes, owned.shape), (&want.bytes, want.shape));
+            for row in [
+                with_row(&cells, |row| (row.bytes().to_vec(), row.shape())),
+                with_row(&values, |row| (row.bytes().to_vec(), row.shape())),
+            ] {
+                prop_assert_eq!((&row.0[..], row.1), (&want.bytes[..], want.shape));
+            }
+            prop_assert_eq!(format!("{owned:?}"), format!("{want:?}"));
+        }
+    }
+
+    /// An all-integer row packs from plain integers exactly as from the
+    /// values it stands for.
+    #[test]
+    fn integers_pack_as_their_values() {
+        let ints = [i64::MIN, -1, 0, 7, i64::MAX];
+        let values: Vec<Value> = ints.iter().map(|&v| Value::Int(v)).collect();
+        assert_eq!(Record::ints(&ints), Record::new(values));
+        with_row(&ints, |row| {
+            assert_eq!(row.to_record(), Record::ints(&ints))
+        });
     }
 
     #[test]

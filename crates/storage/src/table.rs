@@ -14,7 +14,7 @@
 
 use crate::error::{StorageError, StorageResult};
 use crate::mrbtree::MrBTree;
-use crate::record::{shape_of, with_int_row, Key, Record, Row};
+use crate::record::{shape_of, with_row, AsCell, Key, Record, Row};
 use crate::schema::{Schema, TableId};
 use atrapos_numa::{Component, SimCtx, SocketId};
 
@@ -98,16 +98,20 @@ impl Table {
         &mut self.index
     }
 
-    /// Populate the table outside of simulation (initial load).  Returns an
-    /// error on schema mismatch or duplicate key.
+    /// Populate the table outside of simulation (initial load) with an
+    /// owned record.  Returns an error on schema mismatch or duplicate key.
     pub fn load(&mut self, record: Record) -> StorageResult<()> {
         self.load_row(record.row())
     }
 
-    /// [`Table::load`] of an all-integer row, packed on the stack and
-    /// copied straight into its leaf: no heap block per row.
-    pub fn load_ints(&mut self, values: &[i64]) -> StorageResult<()> {
-        with_int_row(values, |row| self.load_row(row))
+    /// [`Table::load`] of the row of `cells` — integers, [`Cell`]s or
+    /// [`Value`]s — packed on the stack and copied straight into its leaf:
+    /// no heap block per row.
+    ///
+    /// [`Cell`]: crate::Cell
+    /// [`Value`]: crate::Value
+    pub fn load_cells<C: AsCell>(&mut self, cells: &[C]) -> StorageResult<()> {
+        with_row(cells, |row| self.load_row(row))
     }
 
     /// [`Table::load`] of a borrowed row.
@@ -259,9 +263,12 @@ impl Table {
         Ok(())
     }
 
-    /// Insert a new record.
-    pub fn insert(&mut self, ctx: &mut SimCtx<'_>, record: Record) -> StorageResult<Key> {
-        let row = record.row();
+    /// Insert a new row, copied from `row` straight into its leaf: the
+    /// caller keeps what it lent (a spec's record).  Returns the row's
+    /// key; a present key is an error and keeps the row it has.
+    // One per simulated insert action.
+    // lint: hot-path
+    pub fn insert(&mut self, ctx: &mut SimCtx<'_>, row: Row<'_>) -> StorageResult<Key> {
         self.check_schema(row)?;
         let key = row.key(&self.schema);
         let partition = self.index.partition_for(&key);
@@ -273,20 +280,26 @@ impl Table {
         self.insert_new(partition, key, row)
     }
 
-    /// Delete a record by primary key.
-    pub fn delete(&mut self, ctx: &mut SimCtx<'_>, key: &Key) -> StorageResult<Record> {
+    /// Delete a record by primary key.  The row is dropped where it lies:
+    /// nothing is handed back, so a delete copies nothing out; a caller
+    /// that wants the row reads it first ([`Table::peek`]).
+    // One per simulated delete action.
+    // lint: hot-path
+    pub fn delete(&mut self, ctx: &mut SimCtx<'_>, key: &Key) -> StorageResult<()> {
         let partition = self.index.partition_for(key);
         self.charge_probe(ctx, partition);
         ctx.work(
             Component::XctExecution,
             TUPLE_WORK_INSTRUCTIONS + STRUCTURE_CHANGE_INSTRUCTIONS,
         );
-        self.index
-            .remove_in(partition, key)
-            .ok_or(StorageError::KeyNotFound {
-                table: self.id,
-                key: *key,
-            })
+        if self.index.remove_in(partition, key) {
+            return Ok(());
+        }
+        Err(StorageError::KeyNotFound {
+            table: self.id,
+            // lint: allow(hot-path-alloc) — error path only, and Key stores up to four ints inline
+            key: *key,
+        })
     }
 
     /// Read up to `limit` records with keys in `[from, to)`.  Returns
@@ -340,9 +353,11 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Value;
+    use crate::btree::tests::shape_digest;
+    use crate::record::{Cell, Value};
     use crate::schema::{Column, ColumnType};
     use atrapos_numa::{CoreId, CostModel, Topology};
+    use proptest::prelude::*;
 
     fn schema() -> Schema {
         Schema::new(
@@ -448,17 +463,17 @@ mod tests {
         let (t, c) = env();
         let mut table = Table::new(TableId(0), schema(), SocketId(0));
         let mut ctx = SimCtx::new(&t, &c, CoreId(0), 0);
-        let key = table.insert(&mut ctx, rec(1, 100)).unwrap();
+        let key = table.insert(&mut ctx, rec(1, 100).row()).unwrap();
         assert_eq!(key, Key::int(1));
         // A rejected insert leaves the table untouched.
         assert!(matches!(
-            table.insert(&mut ctx, rec(1, 999)),
+            table.insert(&mut ctx, rec(1, 999).row()),
             Err(StorageError::DuplicateKey { .. })
         ));
         assert_eq!(table.peek(&Key::int(1)).unwrap().get(1).as_int(), 100);
         assert_eq!(table.len(), 1);
-        let removed = table.delete(&mut ctx, &Key::int(1)).unwrap();
-        assert_eq!(removed.get(1).as_int(), 100);
+        table.delete(&mut ctx, &Key::int(1)).unwrap();
+        assert!(table.peek(&Key::int(1)).is_none());
         assert!(table.delete(&mut ctx, &Key::int(1)).is_err());
     }
 
@@ -645,7 +660,7 @@ mod tests {
             for d in 1..=10 {
                 for o in 1..=300 {
                     for ol in 1..=(5 + o % 11) {
-                        table.load_ints(&[w, d, o, ol, o * ol, 7]).unwrap();
+                        table.load_cells(&[w, d, o, ol, o * ol, 7]).unwrap();
                         rows += 1;
                     }
                 }
@@ -673,10 +688,37 @@ mod tests {
         );
         let mut table = Table::new(TableId(0), schema, SocketId(0));
         for i in 0..ROWS {
-            table.load_ints(&[i, i, i, i, i]).unwrap();
+            table.load_cells(&[i, i, i, i, i]).unwrap();
         }
         let per_row = table.index().partition(0).tree.heap_bytes() as f64 / ROWS as f64;
         assert!(per_row <= 46.0, "{per_row:.2} B per row");
+    }
+
+    proptest! {
+        /// A table loaded through borrowed cells equals one loaded through
+        /// records: the same outcome for every load, duplicates included,
+        /// then the same rows in trees of the same shape and heap size —
+        /// rows whose text pushes them past the packer's stack buffer too.
+        #[test]
+        fn loading_cells_equals_loading_records(
+            rows in prop::collection::vec((0i64..500, any::<i64>(), 0usize..160), 1..300),
+        ) {
+            let mut by_record = Table::new(TableId(0), schema(), SocketId(0));
+            let mut by_cells = by_record.clone();
+            for (id, balance, len) in rows {
+                let owner: String = "oö".chars().cycle().take(len).collect();
+                let a = by_record.load(Record::new(vec![
+                    Value::Int(id),
+                    Value::Int(balance),
+                    Value::Text(owner.clone()),
+                ]));
+                let b = by_cells.load_cells(&[Cell::Int(id), Cell::Int(balance), Cell::Text(&owner)]);
+                prop_assert_eq!(a, b);
+            }
+            let (a, b) = (&by_record.index().partition(0).tree, &by_cells.index().partition(0).tree);
+            prop_assert_eq!(shape_digest(a), shape_digest(b));
+            prop_assert_eq!(a.heap_bytes(), b.heap_bytes());
+        }
     }
 
     #[test]

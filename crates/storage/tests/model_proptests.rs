@@ -109,7 +109,7 @@ proptest! {
                     prop_assert_eq!(a, b);
                 }
                 TreeOp::Remove(k) => {
-                    let a = tree.remove(&Key::int(k)).is_some();
+                    let a = tree.remove(&Key::int(k));
                     let b = model.remove(&k).is_some();
                     prop_assert_eq!(a, b);
                 }
@@ -196,7 +196,7 @@ fn range_iter_starts_inside_leaves_emptied_by_remove() {
     );
     let mut model: BTreeMap<i64, i64> = (0..1_000).map(|k| (k, k)).collect();
     for k in 0..300 {
-        assert!(tree.remove(&Key::int(k)).is_some());
+        assert!(tree.remove(&Key::int(k)));
         model.remove(&k);
     }
     for from in [
@@ -252,7 +252,7 @@ proptest! {
             model.insert(k, k * 3);
         }
         for k in 0..cut {
-            prop_assert_eq!(tree.remove(&Key::int(k)).is_some(), model.remove(&k).is_some());
+            prop_assert_eq!(tree.remove(&Key::int(k)), model.remove(&k).is_some());
         }
         prop_assert_eq!(tree_range(&tree, from, to), model_range(&model, from, to));
         prop_assert_eq!(tree.min_key().as_ref().map(Key::head_int), model.keys().next().copied());
@@ -415,7 +415,7 @@ proptest! {
                     let a = tree.insert(key, record_for(0, v)).is_some();
                     prop_assert_eq!(a, model.insert(key, v).is_some());
                 }
-                4 => prop_assert_eq!(tree.remove(&key).is_some(), model.remove(&key).is_some()),
+                4 => prop_assert_eq!(tree.remove(&key), model.remove(&key).is_some()),
                 5 => {
                     let a = tree.get(&key).map(|r| r.get(1).as_int());
                     prop_assert_eq!(a, model.get(&key).copied());
@@ -601,7 +601,7 @@ proptest! {
                     if model.contains_key(&key) {
                         table.delete(&mut ctx, &key).map_err(|e| TestCaseError::fail(e.to_string()))?;
                     }
-                    prop_assert_eq!(table.insert(&mut ctx, row.clone()).ok(), Some(key));
+                    prop_assert_eq!(table.insert(&mut ctx, row.row()).ok(), Some(key));
                     model.insert(key, row);
                 }
                 LeafOp::InsertNew(raw, v) => {
@@ -614,9 +614,15 @@ proptest! {
                 }
                 LeafOp::Remove(raw) => {
                     let key = Key::ints(&raw[..width]);
+                    // A delete hands nothing back: the row is read before
+                    // and is gone after.
                     let want = model.remove(&key);
-                    prop_assert_eq!(tree.remove(&key), want.clone());
-                    prop_assert_eq!(table.delete(&mut ctx, &key).ok(), want);
+                    prop_assert_eq!(tree.get(&key).map(|r| r.to_record()), want.clone());
+                    prop_assert_eq!(tree.remove(&key), want.is_some());
+                    prop_assert!(tree.get(&key).is_none());
+                    prop_assert_eq!(table.peek(&key).map(|r| r.to_record()), want.clone());
+                    prop_assert_eq!(table.delete(&mut ctx, &key).is_ok(), want.is_some());
+                    prop_assert!(table.peek(&key).is_none());
                 }
                 LeafOp::SetInt(raw, second, v) => {
                     let key = Key::ints(&raw[..width]);
@@ -712,7 +718,7 @@ proptest! {
                         if i % 2 == 0 {
                             table.load(row.clone()).map_err(|e| TestCaseError::fail(e.to_string()))?;
                         } else {
-                            prop_assert_eq!(table.insert(&mut ctx, row.clone()).ok(), Some(key));
+                            prop_assert_eq!(table.insert(&mut ctx, row.row()).ok(), Some(key));
                         }
                         model.insert(key, row.clone());
                         match then {
@@ -725,12 +731,16 @@ proptest! {
                                 let new = leaf_row(&comps[..width], -v, "replaced", i, "");
                                 prop_assert_eq!(tree.insert(key, new.clone()), Some(row.clone()));
                                 table.delete(&mut ctx, &key).map_err(|e| TestCaseError::fail(e.to_string()))?;
-                                prop_assert_eq!(table.insert(&mut ctx, new.clone()).ok(), Some(key));
+                                prop_assert_eq!(table.insert(&mut ctx, new.row()).ok(), Some(key));
                                 model.insert(key, new);
                             }
                             3 => {
-                                prop_assert_eq!(tree.remove(&key), Some(row.clone()));
-                                prop_assert_eq!(table.delete(&mut ctx, &key).ok(), Some(row));
+                                prop_assert_eq!(tree.get(&key).map(|r| r.to_record()), Some(row.clone()));
+                                prop_assert!(tree.remove(&key));
+                                prop_assert!(tree.get(&key).is_none());
+                                prop_assert_eq!(table.peek(&key).map(|r| r.to_record()), Some(row));
+                                prop_assert_eq!(table.delete(&mut ctx, &key), Ok(()));
+                                prop_assert!(table.peek(&key).is_none());
                                 model.remove(&key);
                             }
                             _ => {}
@@ -855,7 +865,7 @@ proptest! {
                     let got = if load {
                         table.load(row.clone()).map(|()| key)
                     } else {
-                        table.insert(&mut ctx, row.clone())
+                        table.insert(&mut ctx, row.row())
                     };
                     match got {
                         Ok(k) => prop_assert!(!present && k == key),
@@ -884,7 +894,10 @@ proptest! {
                 }
                 TableOp::Delete(raw) => {
                     let key = Key::ints(&raw[..width]);
-                    prop_assert_eq!(table.delete(&mut ctx, &key).ok(), model.remove(&key));
+                    let want = model.remove(&key);
+                    prop_assert_eq!(table.peek(&key).map(|r| r.to_record()), want.clone());
+                    prop_assert_eq!(table.delete(&mut ctx, &key).is_ok(), want.is_some());
+                    prop_assert!(table.peek(&key).is_none());
                 }
                 TableOp::Split(head) => {
                     let index = table.index_mut();

@@ -57,7 +57,7 @@ proptest! {
                 MapOp::Remove(k) => {
                     let removed_tree = tree.remove(&Key::int(k));
                     let removed_model = model.remove(&k);
-                    prop_assert_eq!(removed_tree.is_some(), removed_model.is_some());
+                    prop_assert_eq!(removed_tree, removed_model.is_some());
                 }
                 MapOp::Get(k) => {
                     let got = tree.get(&Key::int(k)).map(|r| r.get(1).as_int());

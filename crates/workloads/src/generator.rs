@@ -1,4 +1,5 @@
-//! Key-distribution and transaction-mix helpers shared by the workloads.
+//! Key-distribution and transaction-mix helpers shared by the workloads,
+//! and the stack-text helper their loaders pack text cells with.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -61,10 +62,68 @@ impl<T: Clone> Mix<T> {
     }
 }
 
+/// Room for one loader text cell: a short prefix and the digits of an
+/// `i64`, padded.
+pub(crate) type TextBuf = [u8; 32];
+
+/// `prefix`, then `v` in decimal zero-padded to `width` (at most 20)
+/// digits, written into `buf` and borrowed from it — the text
+/// `format!("{prefix}{v:0w$}")` makes for a non-negative `v`, with no heap
+/// block.  Loaders pack it into a row cell on the stack.
+pub(crate) fn decimal<'b>(buf: &'b mut TextBuf, prefix: &str, v: i64, width: usize) -> &'b str {
+    let mut x = u64::try_from(v).expect("a loader's decimal text is non-negative");
+    // The digits, right-aligned over a field of zeros that pad them.
+    let mut field = [b'0'; 20];
+    assert!(width <= field.len(), "a loader pads to at most 20 digits");
+    let mut first = field.len();
+    loop {
+        first -= 1;
+        field[first] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    let digits = &field[first.min(field.len() - width)..];
+    let len = prefix.len() + digits.len();
+    assert!(
+        len <= buf.len(),
+        "a loader's text cell fits {} bytes",
+        buf.len()
+    );
+    buf[..prefix.len()].copy_from_slice(prefix.as_bytes());
+    buf[prefix.len()..len].copy_from_slice(digits);
+    std::str::from_utf8(&buf[..len]).expect("a str prefix and ASCII digits")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// Every loader text is the `format!` it replaced, byte for byte.
+    #[test]
+    fn decimal_text_matches_format() {
+        let mut buf = TextBuf::default();
+        for v in [
+            0,
+            1,
+            9,
+            10,
+            42,
+            99_999,
+            1_000_000,
+            123_456_789_012_345,
+            i64::MAX,
+        ] {
+            assert_eq!(decimal(&mut buf, "", v, 15), format!("{v:015}"));
+            assert_eq!(decimal(&mut buf, "item-", v, 0), format!("item-{v}"));
+            assert_eq!(
+                decimal(&mut buf, "warehouse-", v, 0),
+                format!("warehouse-{v}")
+            );
+        }
+    }
 
     #[test]
     fn mix_respects_weights() {

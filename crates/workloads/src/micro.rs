@@ -42,7 +42,7 @@ fn populate_probe(
     for i in 0..rows {
         let key = Key::int(i);
         if filter(TableId(0), &key) {
-            table.load_ints(&probe_row(i)).expect("unique keys");
+            table.load_cells(&probe_row(i)).expect("unique keys");
         }
     }
 }

@@ -1124,7 +1124,7 @@ impl Workload for CompiledWorkload {
                     for j in 0..t.sub_rows {
                         let key = Key::ints(&[k, j]);
                         if filter(id, &key) {
-                            with_composite_row(k, j, t.payload_fields, |row| table.load_ints(row))
+                            with_composite_row(k, j, t.payload_fields, |row| table.load_cells(row))
                                 .expect("unique keys");
                         }
                     }
@@ -1133,7 +1133,7 @@ impl Workload for CompiledWorkload {
                 for k in 0..t.keys {
                     let key = Key::int(k);
                     if filter(id, &key) {
-                        with_plain_row(k, t.payload_fields, |row| table.load_ints(row))
+                        with_plain_row(k, t.payload_fields, |row| table.load_cells(row))
                             .expect("unique keys");
                     }
                 }

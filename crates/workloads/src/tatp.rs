@@ -13,12 +13,12 @@
 //! to a single transaction type (Figures 10 and 13, Table II) and
 //! introducing access skew at runtime (Figure 11).
 
-use crate::generator::{KeyDistribution, Mix};
+use crate::generator::{decimal, KeyDistribution, Mix, TextBuf};
 use atrapos_core::{KeyDomain, KeySampler};
 use atrapos_engine::workload::{ensure_tables, ReconfigureError, WorkloadChange};
 use atrapos_engine::{Action, ActionOp, TableSpec, TransactionSpec, Workload};
 use atrapos_numa::CoreId;
-use atrapos_storage::{Column, ColumnType, Database, Key, Record, Schema, TableId, Value};
+use atrapos_storage::{Cell, Column, ColumnType, Database, Key, Record, Schema, TableId};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -259,12 +259,12 @@ impl Tatp {
                 }));
                 w.phase().push(Action::new(ActionOp::Insert {
                     table: CALL_FORWARDING,
-                    record: Record::new(vec![
-                        Value::Int(s),
-                        Value::Int(1),
-                        Value::Int(8 * rng.gen_range(1i64..3)),
-                        Value::Int(24),
-                        Value::from("5551234"),
+                    record: Record::from_cells(&[
+                        Cell::Int(s),
+                        Cell::Int(1),
+                        Cell::Int(8 * rng.gen_range(1i64..3)),
+                        Cell::Int(24),
+                        Cell::Text("5551234"),
                     ]),
                 }));
                 w.finish();
@@ -367,18 +367,21 @@ impl Workload for Tatp {
         ensure_tables(self, db);
         let n = self.config.subscribers;
         let per_sub = self.config.records_per_subscriber;
+        // Rows go in packed on the stack, text cells included: no heap
+        // block per row.
         {
             let t = db.table_mut(SUBSCRIBER).expect("subscriber table");
+            let mut text = TextBuf::default();
             for s in 1..=n {
                 let key = Key::int(s);
                 if filter(SUBSCRIBER, &key) {
-                    t.load(Record::new(vec![
-                        Value::Int(s),
-                        Value::Text(format!("{s:015}")),
-                        Value::Int(s % 2),
-                        Value::Int(s % 1000),
-                        Value::Int(s % 10_000),
-                    ]))
+                    t.load_cells(&[
+                        Cell::Int(s),
+                        Cell::Text(decimal(&mut text, "", s, 15)),
+                        Cell::Int(s % 2),
+                        Cell::Int(s % 1000),
+                        Cell::Int(s % 10_000),
+                    ])
                     .expect("unique subscriber");
                 }
             }
@@ -389,7 +392,7 @@ impl Workload for Tatp {
                 for ai in 1..=per_sub {
                     let key = Key::ints(&[s, ai]);
                     if filter(ACCESS_INFO, &key) {
-                        t.load_ints(&[s, ai, s % 256, ai % 256])
+                        t.load_cells(&[s, ai, s % 256, ai % 256])
                             .expect("unique access info");
                     }
                 }
@@ -403,7 +406,7 @@ impl Workload for Tatp {
                 for sf in 1..=per_sub {
                     let key = Key::ints(&[s, sf]);
                     if filter(SPECIAL_FACILITY, &key) {
-                        t.load_ints(&[s, sf, 1, (s + sf) % 256])
+                        t.load_cells(&[s, sf, 1, (s + sf) % 256])
                             .expect("unique special facility");
                     }
                 }
@@ -416,13 +419,13 @@ impl Workload for Tatp {
             for s in 1..=n {
                 let key = Key::ints(&[s, 1, 0]);
                 if filter(CALL_FORWARDING, &key) {
-                    t.load(Record::new(vec![
-                        Value::Int(s),
-                        Value::Int(1),
-                        Value::Int(0),
-                        Value::Int(8),
-                        Value::from("5550000"),
-                    ]))
+                    t.load_cells(&[
+                        Cell::Int(s),
+                        Cell::Int(1),
+                        Cell::Int(0),
+                        Cell::Int(8),
+                        Cell::Text("5550000"),
+                    ])
                     .expect("unique call forwarding");
                 }
             }

@@ -18,12 +18,12 @@ use atrapos_core::KeyDomain;
 use atrapos_engine::workload::{ensure_tables, ReconfigureError, WorkloadChange};
 use atrapos_engine::{Action, ActionOp, TableSpec, TransactionSpec, Workload};
 use atrapos_numa::CoreId;
-use atrapos_storage::{Column, ColumnType, Database, Key, Record, Schema, TableId, Value};
+use atrapos_storage::{Cell, Column, ColumnType, Database, Key, Record, Schema, TableId};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::BTreeMap;
 
-use crate::generator::Mix;
+use crate::generator::{decimal, Mix, TextBuf};
 
 /// Table id of WAREHOUSE.
 pub const WAREHOUSE: TableId = TableId(0);
@@ -618,17 +618,19 @@ impl Workload for Tpcc {
     fn populate(&self, db: &mut Database, filter: &dyn Fn(TableId, &Key) -> bool) {
         ensure_tables(self, db);
         let c = &self.config;
+        // Rows go in packed on the stack, text cells included.
+        let mut text = TextBuf::default();
         // ITEM (shared catalogue).
         {
             let t = db.table_mut(ITEM).expect("item table");
             for i in 1..=c.items {
                 let key = Key::int(i);
                 if filter(ITEM, &key) {
-                    t.load(Record::new(vec![
-                        Value::Int(i),
-                        Value::Text(format!("item-{i}")),
-                        Value::Int((i % 100) + 1),
-                    ]))
+                    t.load_cells(&[
+                        Cell::Int(i),
+                        Cell::Text(decimal(&mut text, "item-", i, 0)),
+                        Cell::Int((i % 100) + 1),
+                    ])
                     .expect("unique item");
                 }
             }
@@ -637,11 +639,11 @@ impl Workload for Tpcc {
             if filter(WAREHOUSE, &Key::int(w)) {
                 db.table_mut(WAREHOUSE)
                     .expect("warehouse table")
-                    .load(Record::new(vec![
-                        Value::Int(w),
-                        Value::Text(format!("warehouse-{w}")),
-                        Value::Int(0),
-                    ]))
+                    .load_cells(&[
+                        Cell::Int(w),
+                        Cell::Text(decimal(&mut text, "warehouse-", w, 0)),
+                        Cell::Int(0),
+                    ])
                     .expect("unique warehouse");
             }
             // STOCK.
@@ -650,7 +652,7 @@ impl Workload for Tpcc {
                 for i in 1..=c.items {
                     let key = Key::ints(&[w, i]);
                     if filter(STOCK, &key) {
-                        t.load_ints(&[w, i, 50 + (i % 50), 0])
+                        t.load_cells(&[w, i, 50 + (i % 50), 0])
                             .expect("unique stock");
                     }
                 }
@@ -659,7 +661,7 @@ impl Workload for Tpcc {
                 if filter(DISTRICT, &Key::ints(&[w, d])) {
                     db.table_mut(DISTRICT)
                         .expect("district table")
-                        .load_ints(&[w, d, 0, c.initial_orders_per_district + 1])
+                        .load_cells(&[w, d, 0, c.initial_orders_per_district + 1])
                         .expect("unique district");
                 }
                 {
@@ -667,7 +669,7 @@ impl Workload for Tpcc {
                     for cu in 1..=c.customers_per_district {
                         let key = Key::ints(&[w, d, cu]);
                         if filter(CUSTOMER, &key) {
-                            t.load_ints(&[w, d, cu, -10, 1, 0])
+                            t.load_cells(&[w, d, cu, -10, 1, 0])
                                 .expect("unique customer");
                         }
                     }
@@ -678,20 +680,20 @@ impl Workload for Tpcc {
                     if filter(ORDER, &Key::ints(&[w, d, o])) {
                         db.table_mut(ORDER)
                             .expect("order table")
-                            .load_ints(&[w, d, o, cu, if o < undelivered_from { 1 } else { 0 }, 5])
+                            .load_cells(&[w, d, o, cu, if o < undelivered_from { 1 } else { 0 }, 5])
                             .expect("unique order");
                     }
                     if o >= undelivered_from && filter(NEW_ORDER, &Key::ints(&[w, d, o])) {
                         db.table_mut(NEW_ORDER)
                             .expect("new_order table")
-                            .load_ints(&[w, d, o])
+                            .load_cells(&[w, d, o])
                             .expect("unique new order");
                     }
                     let t = db.table_mut(ORDER_LINE).expect("order_line table");
                     for ol in 1..=5 {
                         let key = Key::ints(&[w, d, o, ol]);
                         if filter(ORDER_LINE, &key) {
-                            t.load_ints(&[w, d, o, ol, ((o * 7 + ol) % c.items) + 1, 5, 100])
+                            t.load_cells(&[w, d, o, ol, ((o * 7 + ol) % c.items) + 1, 5, 100])
                                 .expect("unique order line");
                         }
                     }

@@ -8,8 +8,8 @@
 //! exact-size key column and row block a split leaves behind; a leaf of
 //! all-integer rows keeps no end offsets), and never per row.
 //! A generator refills the executor's reused `TransactionSpec`, so once
-//! its buffers have grown it allocates nothing beyond what its actions own
-//! (an insert's record): an update carries its one cell inline.  The pins
+//! its buffers have grown it allocates little beyond what its actions own
+//! (an insert's record, one block): an update carries its one cell inline.  The pins
 //! are upper bounds: a change may lower a count (and then the pin), never
 //! raise it.
 
@@ -76,7 +76,7 @@ fn allocations(f: impl FnOnce()) -> usize {
     COUNT.with(|c| c.take()).expect("the count was open")
 }
 
-/// `Table::load_ints` of 100 k ascending five-integer rows under one-int
+/// `Table::load_cells` of 100 k ascending five-integer rows under one-int
 /// keys: the leaves and internal nodes, nothing per row.
 #[test]
 fn an_ascending_load_allocates_per_split_not_per_row() {
@@ -91,7 +91,7 @@ fn an_ascending_load_allocates_per_split_not_per_row() {
     let mut table = Table::new(TableId(0), schema, SocketId(0));
     let count = allocations(|| {
         for i in 0..ROWS {
-            table.load_ints(&[i, i, i, i, i]).unwrap();
+            table.load_cells(&[i, i, i, i, i]).unwrap();
         }
     });
     assert_eq!(table.len(), ROWS as usize);
@@ -147,13 +147,15 @@ fn the_micro_generators_allocate_nothing_per_transaction() {
     }
 }
 
-/// The standard mixes allocate only what their actions own: the record of
-/// an insert (TATP's call-forwarding insert, TPC-C's inserts).  An update
-/// carries its one cell inline, so YCSB-A, reads and updates only,
-/// allocates nothing.
+/// The standard mixes allocate what their actions own: the record of an
+/// insert, one block (TATP's call-forwarding insert, TPC-C's inserts).
+/// TATP also regrows the action buffer of a second phase, which the
+/// refill drops after a one-phase transaction: of its 133, 18 are records
+/// and 115 such buffers.  An update carries its one cell inline, so
+/// YCSB-A, reads and updates only, allocates nothing.
 #[test]
 fn the_standard_mixes_allocate_only_what_their_actions_own() {
-    const TATP_PIN: usize = 169;
+    const TATP_PIN: usize = 133;
     const TPCC_PIN: usize = 7_409;
     let mut tatp = Tatp::new(TatpConfig::scaled(1_000));
     let mut tpcc = Tpcc::new(TpccConfig::scaled(2));

@@ -493,36 +493,75 @@ macro_rules! __proptest_impl {
     )*};
 }
 
-/// Assert inside a property (panics with the formatted message).
+/// Assert inside a property: a false condition fails the case with
+/// `Err(TestCaseError)`, so the runner reports the property and the case
+/// along with the expression (and the message, when one is given).  Use
+/// it where the enclosing function returns `Result<_, TestCaseError>`.
 #[macro_export]
 macro_rules! prop_assert {
     ($cond:expr) => {
-        assert!($cond);
+        if !$cond {
+            return ::std::result::Result::Err($crate::TestCaseError::fail(concat!(
+                "assertion failed: ",
+                stringify!($cond)
+            )));
+        }
     };
     ($cond:expr, $($fmt:tt)+) => {
-        assert!($cond, $($fmt)+);
+        if !$cond {
+            return ::std::result::Result::Err($crate::TestCaseError::fail(format!(
+                "assertion failed: {}: {}",
+                stringify!($cond),
+                format_args!($($fmt)+)
+            )));
+        }
     };
 }
 
-/// Assert equality inside a property.
+/// Assert two values compare `$op` inside a property, failing the case
+/// with both expressions and both values; the body of
+/// [`prop_assert_eq!`] and [`prop_assert_ne!`].
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __prop_assert_cmp {
+    ($op:tt, $a:expr, $b:expr, $($fmt:tt)*) => {
+        match (&$a, &$b) {
+            (left, right) => {
+                if !(*left $op *right) {
+                    return ::std::result::Result::Err($crate::TestCaseError::fail(format!(
+                        "assertion failed: `{} {} {}`\n  left: `{:?}`\n right: `{:?}`{}",
+                        stringify!($a),
+                        stringify!($op),
+                        stringify!($b),
+                        left,
+                        right,
+                        format_args!($($fmt)*)
+                    )));
+                }
+            }
+        }
+    };
+}
+
+/// Assert equality inside a property (see [`prop_assert!`]).
 #[macro_export]
 macro_rules! prop_assert_eq {
-    ($a:expr, $b:expr) => {
-        assert_eq!($a, $b);
+    ($a:expr, $b:expr $(,)?) => {
+        $crate::__prop_assert_cmp!(==, $a, $b, "")
     };
     ($a:expr, $b:expr, $($fmt:tt)+) => {
-        assert_eq!($a, $b, $($fmt)+);
+        $crate::__prop_assert_cmp!(==, $a, $b, ": {}", format_args!($($fmt)+))
     };
 }
 
-/// Assert inequality inside a property.
+/// Assert inequality inside a property (see [`prop_assert!`]).
 #[macro_export]
 macro_rules! prop_assert_ne {
-    ($a:expr, $b:expr) => {
-        assert_ne!($a, $b);
+    ($a:expr, $b:expr $(,)?) => {
+        $crate::__prop_assert_cmp!(!=, $a, $b, "")
     };
     ($a:expr, $b:expr, $($fmt:tt)+) => {
-        assert_ne!($a, $b, $($fmt)+);
+        $crate::__prop_assert_cmp!(!=, $a, $b, ": {}", format_args!($($fmt)+))
     };
 }
 
