@@ -616,7 +616,8 @@ proptest! {
     /// `i128` otherwise; either way every result equals the all-`i128`
     /// formula it replaced, over domains from one key to `i64::MAX` keys
     /// wide and keys inside, on the edges of and outside them.
-    /// Shared-nothing's `instance_for` is `sub_partition_of`.
+    /// Shared-nothing's default range plan routes a key to
+    /// `sub_partition_of` over its instances.
     #[test]
     fn i64_routing_matches_the_i128_formula(
         width in prop_oneof![

@@ -14,6 +14,7 @@
 
 use atrapos_numa::Cycles;
 use atrapos_storage::{Key, Record, TableId};
+use std::fmt;
 
 /// What an action does to its table.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,22 +172,40 @@ impl Phase {
 }
 
 /// A fully instantiated transaction: its class and its flow graph.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `Debug` and `PartialEq` see the class and the phases only, not the
+/// spare phases a refill keeps for later transactions.
+#[derive(Clone)]
 pub struct TransactionSpec {
     /// Transaction class (e.g. "GetSubData", "NewOrder").
     pub class: &'static str,
     /// Phases in execution order.
     pub phases: Vec<Phase>,
+    /// Phases a refill did not use, kept with their action buffers for the
+    /// next refill that needs more phases.
+    spare: Vec<Phase>,
+}
+
+impl fmt::Debug for TransactionSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TransactionSpec")
+            .field("class", &self.class)
+            .field("phases", &self.phases)
+            .finish()
+    }
+}
+
+impl PartialEq for TransactionSpec {
+    fn eq(&self, other: &Self) -> bool {
+        self.class == other.class && self.phases == other.phases
+    }
 }
 
 impl TransactionSpec {
     /// An empty spec, for use as a reusable generation buffer (see
     /// [`TransactionSpec::refill`]).
     pub fn empty() -> Self {
-        Self {
-            class: "",
-            phases: Vec::new(),
-        }
+        Self::new("", Vec::new())
     }
 
     /// Begin refilling this spec in place for a new transaction.
@@ -195,8 +214,9 @@ impl TransactionSpec {
     /// their nested `Vec<Phase>` / `Vec<Action>` construction one of the
     /// executor's main allocation sources.  Refilling reuses the buffers
     /// of the previous transaction: phases are overwritten slot by slot
-    /// (their action vectors keep their capacity) and unused trailing
-    /// phases are dropped by [`SpecRefill::finish`].
+    /// (their action vectors keep their capacity), and
+    /// [`SpecRefill::finish`] sets unused trailing phases aside, buffers
+    /// and all, for a later transaction with more phases.
     pub fn refill(&mut self, class: &'static str) -> SpecRefill<'_> {
         self.class = class;
         SpecRefill {
@@ -208,7 +228,11 @@ impl TransactionSpec {
     /// A transaction with explicit phases (for hand-made test
     /// transactions; generators refill through [`TransactionSpec::refill`]).
     pub fn new(class: &'static str, phases: Vec<Phase>) -> Self {
-        Self { class, phases }
+        Self {
+            class,
+            phases,
+            spare: Vec::new(),
+        }
     }
 
     /// Total number of actions.
@@ -243,10 +267,10 @@ impl SpecRefill<'_> {
     /// capacity preserved.
     pub fn phase(&mut self) -> &mut Vec<Action> {
         if self.used == self.spec.phases.len() {
-            self.spec.phases.push(Phase {
-                actions: Vec::new(),
-                sync_bytes: 0,
-            });
+            let spare = self.spec.spare.pop();
+            self.spec
+                .phases
+                .push(spare.unwrap_or_else(|| Phase::new(Vec::new())));
         }
         let p = &mut self.spec.phases[self.used];
         self.used += 1;
@@ -254,11 +278,13 @@ impl SpecRefill<'_> {
         &mut p.actions
     }
 
-    /// Finish the refill: drop unused trailing phases and give every phase
-    /// the default synchronization payload of one cache line per action.
+    /// Finish the refill: set unused trailing phases aside and give every
+    /// phase the default synchronization payload of one cache line per
+    /// action.
     pub fn finish(self) {
-        self.spec.phases.truncate(self.used);
-        for p in &mut self.spec.phases {
+        let spec = self.spec;
+        spec.spare.extend(spec.phases.drain(self.used..).rev());
+        for p in &mut spec.phases {
             p.sync_bytes = default_sync_bytes(&p.actions);
         }
     }

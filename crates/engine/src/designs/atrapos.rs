@@ -656,7 +656,11 @@ mod tests {
             let mut m = machine();
             let mut d = AtraposDesign::new(&m, &TinyUpdateWorkload { rows: ROWS }, config);
             run_mixed_stream(&mut d, &mut m);
-            assert_quiescent([&d.protocol], d.partition_locks.iter().flatten());
+            assert_quiescent(
+                [&d.protocol],
+                [&d.action_txn],
+                d.partition_locks.iter().flatten(),
+            );
         }
     }
 

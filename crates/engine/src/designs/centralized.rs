@@ -195,7 +195,7 @@ mod tests {
         );
         let mut design = CentralizedDesign::new(&machine, &TinyUpdateWorkload { rows: ROWS });
         run_mixed_stream(&mut design, &mut machine);
-        assert_quiescent([&design.protocol], [&design.lock_manager]);
+        assert_quiescent([&design.protocol], [&design.txn], [&design.lock_manager]);
     }
 
     /// The scaleup-micro shape: 80 clients each read one of 160 000 rows.

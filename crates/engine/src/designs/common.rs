@@ -451,14 +451,19 @@ pub(super) mod protocol_check {
         }
     }
 
-    /// After the stream no transaction is registered as active and no
-    /// lock the stream could have taken has a holder.
+    /// After the stream no transaction is registered as active, no
+    /// reused transaction descriptor still lists a lock, and no lock the
+    /// stream could have taken has a holder.
     pub fn assert_quiescent<'a>(
         protocols: impl IntoIterator<Item = &'a TxnProtocol>,
+        branches: impl IntoIterator<Item = &'a Txn>,
         lock_tables: impl IntoIterator<Item = &'a LockManager>,
     ) {
         for p in protocols {
             assert_eq!(p.txn_list.active_count(), 0, "active transactions leaked");
+        }
+        for txn in branches {
+            assert!(txn.held_locks.is_empty(), "{:?} still holds locks", txn.id);
         }
         let stream = mixed_stream();
         for lm in lock_tables {

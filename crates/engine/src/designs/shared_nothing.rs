@@ -8,20 +8,21 @@
 //! coordinating instance ships requests to the participants over
 //! shared-memory channels and runs two-phase commit, holding locks until
 //! the decision and writing the additional prepare/decision log records
-//! (paper §III-C, Figures 3 and 4).
+//! (paper §III-C, Figures 3 and 4).  One routing rule, a [`ShardingPlan`],
+//! places every key at load time and per action, and each instance keeps
+//! one reused descriptor of its branch of the transaction in flight.
 
-use crate::action::{TransactionSpec, TxnOutcome};
+use crate::action::{Action, TransactionSpec, TxnOutcome};
 use crate::designs::common::{
     acquire_action_locks, TxnProtocol, BEGIN_INSTRUCTIONS, COMMIT_INSTRUCTIONS,
 };
 use crate::designs::{DesignStats, SystemDesign};
 use crate::workload::Workload;
-use atrapos_core::{KeyDomain, ShardingPlan};
-use atrapos_numa::{Component, CoreId, Cycles, Machine, SocketId, Tally, Topology};
+use atrapos_core::ShardingPlan;
+use atrapos_numa::{Component, CoreId, Cycles, Machine, SimCtx, SocketId, Tally};
 use atrapos_storage::{
     Database, LockManager, MemoryPolicy, Table, TableId, TwoPhaseCommit, Txn, TxnId,
 };
-use std::collections::BTreeMap;
 
 /// Granularity of the shared-nothing deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -38,25 +39,41 @@ struct Instance {
     db: Database,
     lock_manager: LockManager,
     protocol: TxnProtocol,
+    /// This instance's branch of the transaction in flight, reset when the
+    /// transaction first touches the instance.
+    branch: Txn,
+}
+
+impl Instance {
+    /// Lock `action` for this instance's branch (when `locking`) and run
+    /// it on the instance; false if it failed.
+    fn run(&mut self, ctx: &mut SimCtx<'_>, locking: bool, txn: TxnId, action: &Action) -> bool {
+        if locking {
+            acquire_action_locks(ctx, &mut self.lock_manager, &mut self.branch, action);
+        }
+        self.protocol.run_action(ctx, &mut self.db, txn, action)
+    }
 }
 
 /// A shared-nothing deployment.
 pub struct SharedNothingDesign {
     granularity: SharedNothingGranularity,
     instances: Vec<Instance>,
-    domains: Vec<(TableId, KeyDomain)>,
-    /// Optional custom sharding produced by the `atrapos_core::advisor`
-    /// (paper §VII); when absent, keys are range-sharded over the instances.
-    plan: Option<ShardingPlan>,
+    /// The owner of every key: an advisor-produced sharding (paper §VII)
+    /// or, by default, the range sharding over the instances.
+    plan: ShardingPlan,
+    /// The instance each core's client submits to, indexed by core.
+    client_instance: Vec<usize>,
     locking: bool,
     two_pc: TwoPhaseCommit,
     next_txn: u64,
     aborted: u64,
     /// Number of distributed (multi-site) transactions executed.
     pub distributed_txns: u64,
-    /// Reusable descriptor of the transaction's branch on its home
-    /// instance, so single-site transactions allocate nothing.
-    home_txn: Txn,
+    /// The remote participants of the transaction in flight, and their
+    /// sockets (reused buffers).
+    participants: Vec<usize>,
+    participant_sockets: Vec<SocketId>,
 }
 
 impl SharedNothingDesign {
@@ -83,15 +100,18 @@ impl SharedNothingDesign {
                 .map(|s| topo.cores_of(*s)[0])
                 .collect(),
         };
-        let domains = workload.table_domains();
-        let n_instances = homes.len();
-        if let Some(p) = &plan {
-            assert_eq!(
-                p.n_instances, n_instances,
-                "the sharding plan must have one instance per deployment instance"
-            );
-        }
-        let mut instances = Vec::with_capacity(n_instances);
+        let n = homes.len();
+        // One sub-partition per instance makes the range plan's owners the
+        // identity: key `k` goes to the domain's slice `sub_partition_of(k, n)`.
+        let plan = plan.unwrap_or_else(|| ShardingPlan::range(&workload.table_domains(), n, n, n));
+        assert_eq!(
+            plan.n_instances, n,
+            "the sharding plan must have one instance per deployment instance"
+        );
+        // A client submits to the instance of its core (extreme) or socket
+        // (coarse), or to instance 0 if that is down.
+        let mut client_instance = vec![0; topo.num_cores()];
+        let mut instances = Vec::with_capacity(n);
         for (idx, &home_core) in homes.iter().enumerate() {
             let socket = topo.socket_of(home_core);
             let memory_node = policy.node_for(socket, topo);
@@ -99,34 +119,37 @@ impl SharedNothingDesign {
             for spec in workload.tables() {
                 db.add_table(Table::new(spec.id, spec.schema.clone(), memory_node));
             }
-            let route = |table: TableId, key: &atrapos_storage::Key| match &plan {
-                Some(p) => {
-                    p.instance_of_key(table, key.head_int())
-                        .min(n_instances - 1)
-                        == idx
-                }
-                None => instance_for(&domains, n_instances, table, key.head_int()) == idx,
+            workload.populate(&mut db, &|table, key| {
+                route(&plan, table, key.head_int()) == idx
+            });
+            let clients = match granularity {
+                SharedNothingGranularity::PerCore => std::slice::from_ref(&home_core),
+                SharedNothingGranularity::PerSocket => topo.cores_of(socket),
             };
-            workload.populate(&mut db, &route);
+            for c in clients {
+                client_instance[c.index()] = idx;
+            }
             instances.push(Instance {
                 home_core,
                 socket,
                 db,
                 lock_manager: LockManager::partition_local(socket),
                 protocol: TxnProtocol::per_socket(n_sockets),
+                branch: Txn::begin(TxnId(0)),
             });
         }
         Self {
             granularity,
             instances,
-            domains,
             plan,
+            client_instance,
             locking: true,
             two_pc: TwoPhaseCommit::default(),
             next_txn: 1,
             aborted: 0,
             distributed_txns: 0,
-            home_txn: Txn::begin(TxnId(0)),
+            participants: Vec::new(),
+            participant_sockets: Vec::new(),
         }
     }
 
@@ -152,46 +175,13 @@ impl SharedNothingDesign {
     pub fn aborted(&self) -> u64 {
         self.aborted
     }
-
-    fn instance_of_client(&self, topo: &Topology, client: CoreId) -> usize {
-        match self.granularity {
-            SharedNothingGranularity::PerCore => self
-                .instances
-                .iter()
-                .position(|i| i.home_core == client)
-                .unwrap_or(0),
-            SharedNothingGranularity::PerSocket => {
-                let socket = topo.socket_of(client);
-                self.instances
-                    .iter()
-                    .position(|i| i.socket == socket)
-                    .unwrap_or(0)
-            }
-        }
-    }
-
-    fn route_action(&self, table: TableId, key_head: i64) -> usize {
-        match &self.plan {
-            Some(p) => p
-                .instance_of_key(table, key_head)
-                .min(self.instances.len() - 1),
-            None => instance_for(&self.domains, self.instances.len(), table, key_head),
-        }
-    }
 }
 
-/// Range-partition a table's key domain over `n` instances.
-fn instance_for(
-    domains: &[(TableId, KeyDomain)],
-    n: usize,
-    table: TableId,
-    key_head: i64,
-) -> usize {
-    domains
-        .iter()
-        .find(|(t, _)| *t == table)
-        .map_or(KeyDomain::new(0, 1), |(_, d)| *d)
-        .sub_partition_of(key_head, n)
+/// The instance owning `key_head` of `table` under `plan`: the one routing
+/// rule of the deployment, for the rows it loads and the actions it runs.
+fn route(plan: &ShardingPlan, table: TableId, key_head: i64) -> usize {
+    plan.instance_of_key(table, key_head)
+        .min(plan.n_instances - 1)
 }
 
 impl SystemDesign for SharedNothingDesign {
@@ -212,9 +202,8 @@ impl SystemDesign for SharedNothingDesign {
         }
     }
 
-    // Per-transaction path.  The single-site fast path is allocation-free;
-    // the waived allocations below only run for distributed transactions
-    // (the 2PC slow path, a few percent of any sane workload).
+    // Per-transaction path, distributed transactions included: every
+    // branch descriptor and participant list is reused.
     // lint: hot-path
     fn execute(
         &mut self,
@@ -228,35 +217,22 @@ impl SystemDesign for SharedNothingDesign {
         // forwarded to that instance and executed there as a local,
         // single-site transaction; only transactions whose data genuinely
         // spans instances become distributed transactions (paper §III-C).
-        let client_instance = self.instance_of_client(&machine.topology, client);
-        let mut single_target: Option<usize> = None;
-        let mut spans_instances = false;
-        for action in spec.phases.iter().flat_map(|p| &p.actions) {
-            let target = self.route_action(action.op.table(), action.op.routing_key_head());
-            match single_target {
-                None => single_target = Some(target),
-                Some(t) if t != target => {
-                    spans_instances = true;
-                    break;
-                }
-                Some(_) => {}
-            }
-        }
-        let home = match single_target {
-            Some(t) if !spans_instances => t,
+        let client_instance = self.client_instance[client.index()];
+        let mut targets = spec
+            .phases
+            .iter()
+            .flat_map(|p| &p.actions)
+            .map(|a| route(&self.plan, a.op.table(), a.op.routing_key_head()));
+        let home = match targets.next() {
+            Some(t) if targets.all(|u| u == t) => t,
             _ => client_instance,
         };
         let txn_id = TxnId(self.next_txn);
         self.next_txn += 1;
-        // One transaction branch per participating instance (the coordinator
-        // keeps a descriptor in each so locks can be released there): the
-        // reused home descriptor, plus a map of the remote participants.  A
-        // BTreeMap so that participant iteration order — and therefore the
-        // simulated two-phase-commit message sequence — is deterministic
-        // across process runs (a HashMap here made distributed-transaction
-        // timings depend on the process's hash seed).
-        self.home_txn.reset(txn_id);
-        let mut remote_branches: BTreeMap<usize, Txn> = BTreeMap::new();
+        // One branch per participating instance, so locks can be released
+        // there: each instance's own, reset when the transaction reaches it.
+        self.instances[home].branch.reset(txn_id);
+        self.participants.clear();
 
         let mut ctx = machine.ctx(client, start);
         // What the remote participants accrue; committed once `ctx` no
@@ -279,17 +255,11 @@ impl SystemDesign for SharedNothingDesign {
 
         let mut failed = false;
         for action in spec.phases.iter().flat_map(|p| &p.actions) {
-            let target = self.route_action(action.op.table(), action.op.routing_key_head());
+            let target = route(&self.plan, action.op.table(), action.op.routing_key_head());
             let inst = &mut self.instances[target];
             if target == home {
                 // Home actions run on the coordinator's own thread.
-                if self.locking {
-                    let txn = &mut self.home_txn;
-                    acquire_action_locks(&mut ctx, &mut inst.lock_manager, txn, action);
-                }
-                failed = !inst
-                    .protocol
-                    .run_action(&mut ctx, &mut inst.db, txn_id, action);
+                failed = !inst.run(&mut ctx, self.locking, txn_id, action);
             } else {
                 // Ship the request to the participant over a
                 // shared-memory channel and execute it there, on the
@@ -300,18 +270,14 @@ impl SystemDesign for SharedNothingDesign {
                     participant_socket,
                     self.two_pc.message_bytes,
                 );
-                let txn = remote_branches
-                    .entry(target)
-                    .or_insert_with(|| Txn::begin(txn_id));
-                txn.distributed = true;
+                if inst.branch.id != txn_id {
+                    inst.branch.reset(txn_id);
+                    inst.branch.distributed = true;
+                    self.participants.push(target);
+                }
                 let mut rctx = machine.ctx(inst.home_core, ctx.now());
                 rctx.work(Component::XctManagement, BEGIN_INSTRUCTIONS / 2);
-                if self.locking {
-                    acquire_action_locks(&mut rctx, &mut inst.lock_manager, txn, action);
-                }
-                failed = !inst
-                    .protocol
-                    .run_action(&mut rctx, &mut inst.db, txn_id, action);
+                failed = !inst.run(&mut rctx, self.locking, txn_id, action);
                 let remote_done = rctx.now();
                 remote.absorb(&rctx.finish());
                 // The coordinator waits for the participant's reply.
@@ -334,36 +300,38 @@ impl SystemDesign for SharedNothingDesign {
         // Commit: local transactions use the local log; multi-site
         // transactions run two-phase commit.
         ctx.work(Component::XctManagement, COMMIT_INSTRUCTIONS);
-        if remote_branches.is_empty() {
+        if self.participants.is_empty() {
             self.instances[home]
                 .protocol
                 .log_outcome(&mut ctx, txn_id, failed, spec.is_update());
         } else {
             self.distributed_txns += 1;
-            let participant_sockets: Vec<SocketId> = remote_branches
-                .keys()
-                .map(|&i| self.instances[i].socket)
-                // lint: allow(hot-path-alloc) — 2PC slow path only, reached by genuinely distributed transactions
-                .collect();
+            // Ascending instance order fixes the simulated 2PC message
+            // sequence and the order of the lock releases.
+            self.participants.sort_unstable();
+            self.participant_sockets.clear();
+            self.participant_sockets
+                .extend(self.participants.iter().map(|&i| self.instances[i].socket));
             let abort_vote = if failed { Some(0) } else { None };
             self.two_pc.coordinate(
                 &mut ctx,
                 txn_id,
-                &participant_sockets,
+                &self.participant_sockets,
                 &mut self.instances[home].protocol.log,
                 abort_vote,
             );
             // Release participant-side locks (the decision message releases
             // them on each participant).
             if self.locking {
-                for (&p, txn) in &mut remote_branches {
-                    self.instances[p].lock_manager.release_all(&mut ctx, txn);
+                for &p in &self.participants {
+                    let inst = &mut self.instances[p];
+                    inst.lock_manager.release_all(&mut ctx, &mut inst.branch);
                 }
             }
         }
         let inst = &mut self.instances[home];
         if self.locking {
-            inst.lock_manager.release_all(&mut ctx, &mut self.home_txn);
+            inst.lock_manager.release_all(&mut ctx, &mut inst.branch);
         }
         inst.protocol.end(&mut ctx, txn_id, self.locking);
         if failed {
@@ -386,8 +354,11 @@ mod tests {
     use super::*;
     use crate::action::{Action, ActionOp, Phase};
     use crate::workload::testing::{TinyUpdateWorkload, TinyWorkload};
-    use atrapos_numa::CostModel;
+    use crate::workload::TableSpec;
+    use atrapos_core::KeyDomain;
+    use atrapos_numa::{CostModel, Topology};
     use atrapos_storage::Key;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -543,6 +514,7 @@ mod tests {
             assert!(d.distributed_txns > 0);
             assert_quiescent(
                 d.instances.iter().map(|i| &i.protocol),
+                d.instances.iter().map(|i| &i.branch),
                 d.instances.iter().map(|i| &i.lock_manager),
             );
         }
@@ -583,8 +555,92 @@ mod tests {
             .unwrap()
             .peek(&Key::int(0))
             .is_some());
-        assert_eq!(d.route_action(TableId(0), 0), 1);
-        assert_eq!(d.route_action(TableId(0), 399), 0);
+        assert_eq!(route(&d.plan, TableId(0), 0), 1);
+        assert_eq!(route(&d.plan, TableId(0), 399), 0);
+    }
+
+    /// Tables over given key domains, each loaded with given keys.
+    struct DomainsWorkload(Vec<(KeyDomain, Vec<i64>)>);
+
+    impl Workload for DomainsWorkload {
+        fn name(&self) -> &str {
+            "domains"
+        }
+
+        fn tables(&self) -> Vec<TableSpec> {
+            let schema = TinyWorkload { rows: 1 }.tables().remove(0).schema;
+            (0..self.0.len() as u32)
+                .map(|t| TableSpec {
+                    id: TableId(t),
+                    schema: schema.clone(),
+                    domain: self.0[t as usize].0,
+                    rows: self.0[t as usize].1.len() as u64,
+                })
+                .collect()
+        }
+
+        fn populate(&self, db: &mut Database, filter: &dyn Fn(TableId, &Key) -> bool) {
+            for (t, (_, keys)) in self.0.iter().enumerate() {
+                let id = TableId(t as u32);
+                let table = db.table_mut(id).unwrap();
+                for &k in keys {
+                    if filter(id, &Key::int(k)) {
+                        table.load_cells(&[k, 0]).unwrap();
+                    }
+                }
+            }
+        }
+
+        fn next_transaction_into(&mut self, _: &mut SmallRng, _: CoreId, _: &mut TransactionSpec) {
+            unreachable!("only built, never run")
+        }
+    }
+
+    proptest! {
+        /// Without a plan, both granularities load and route every key,
+        /// inside its table's domain or past either end, to the domain's
+        /// `n`-way range slice.
+        #[test]
+        fn default_routing_is_the_range_slice_of_the_domain(
+            sockets in 1usize..5,
+            cores in 1usize..4,
+            tables in prop::collection::vec(
+                (-1_000i64..1_000, 1i64..5_000, prop::collection::btree_set(0i64..5_000, 1..20)),
+                1..4,
+            ),
+        ) {
+            let w = DomainsWorkload(
+                tables
+                    .iter()
+                    .map(|(lo, width, offsets)| {
+                        let keys = offsets.iter().filter(|&&o| o < *width).map(|o| lo + o);
+                        (KeyDomain::new(*lo, lo + width), keys.collect())
+                    })
+                    .collect(),
+            );
+            let m = machine(sockets, cores);
+            for (g, n) in [
+                (SharedNothingGranularity::PerCore, sockets * cores),
+                (SharedNothingGranularity::PerSocket, sockets),
+            ] {
+                let d = deploy(&m, &w, g);
+                prop_assert_eq!(d.num_instances(), n);
+                for (t, (domain, keys)) in w.0.iter().enumerate() {
+                    let table = TableId(t as u32);
+                    for &k in keys {
+                        let owner = domain.sub_partition_of(k, n);
+                        prop_assert_eq!(route(&d.plan, table, k), owner);
+                        let stored = d.instance_db(owner).table(table).unwrap().peek(&Key::int(k));
+                        prop_assert!(stored.is_some(), "key {} of table {} not on {}", k, t, owner);
+                    }
+                    for k in [domain.lo - 1_000, domain.hi, domain.hi + 1_000] {
+                        prop_assert_eq!(route(&d.plan, table, k), domain.sub_partition_of(k, n));
+                    }
+                }
+                let loaded: usize = (0..n).map(|i| d.instance_db(i).total_records()).sum();
+                prop_assert_eq!(loaded, w.0.iter().map(|(_, keys)| keys.len()).sum::<usize>());
+            }
+        }
     }
 
     #[test]

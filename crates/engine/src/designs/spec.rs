@@ -31,9 +31,11 @@ pub enum DesignSpec {
         locking: bool,
         /// Memory-placement policy of the instances (Table I).
         memory_policy: MemoryPolicy,
-        /// Optional advisor-produced sharding (§VII); `None` uses classic
-        /// range sharding.  Serializable like everything else in the spec,
-        /// so an advised deployment can sit in a replay file too.
+        /// Optional advisor-produced sharding (§VII); `None` means the
+        /// range plan over the instances (`ShardingPlan::range` with one
+        /// sub-partition per instance).  Serializable like everything else
+        /// in the spec, so an advised deployment can sit in a replay file
+        /// too.
         plan: Option<ShardingPlan>,
     },
     /// PLP (physiological partitioning), the state-of-the-art baseline.

@@ -149,14 +149,14 @@ fn the_micro_generators_allocate_nothing_per_transaction() {
 
 /// The standard mixes allocate what their actions own: the record of an
 /// insert, one block (TATP's call-forwarding insert, TPC-C's inserts).
-/// TATP also regrows the action buffer of a second phase, which the
-/// refill drops after a one-phase transaction: of its 133, 18 are records
-/// and 115 such buffers.  An update carries its one cell inline, so
-/// YCSB-A, reads and updates only, allocates nothing.
+/// A refill sets the phases a shorter transaction leaves unused aside,
+/// action buffers and all, so no buffer is regrown: TATP's 18 are its
+/// records.  An update carries its one cell inline, so YCSB-A, reads and
+/// updates only, allocates nothing.
 #[test]
 fn the_standard_mixes_allocate_only_what_their_actions_own() {
-    const TATP_PIN: usize = 133;
-    const TPCC_PIN: usize = 7_409;
+    const TATP_PIN: usize = 18;
+    const TPCC_PIN: usize = 5_791;
     let mut tatp = Tatp::new(TatpConfig::scaled(1_000));
     let mut tpcc = Tpcc::new(TpccConfig::scaled(2));
     let mut ycsb = Ycsb::new(YcsbConfig::workload_a(10_000)).unwrap();
