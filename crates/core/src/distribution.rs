@@ -11,11 +11,11 @@
 //!   hotspot, Zipfian, drifting hotspot).  This is what scenario files and
 //!   `WorkloadChange` events carry.
 //! * [`KeySampler`] — the *instantiation* of a description over a fixed
-//!   key domain.  Building a sampler does any precomputation up front
-//!   (the Zipfian variant quantises its cumulative distribution to one
-//!   32-bit threshold per key, once), so drawing a key is allocation-free:
-//!   the simulator's per-transaction hot path stays flat no matter the
-//!   distribution.
+//!   key domain, and the only way a key is drawn.  Building a sampler does
+//!   any precomputation up front (the hot window's width; the Zipfian
+//!   variant quantises its cumulative distribution to one 32-bit threshold
+//!   per key, once), so drawing a key is allocation-free: the simulator's
+//!   per-transaction hot path stays flat no matter the distribution.
 //!
 //! The hottest Zipfian ranks map to the *lowest* keys of the domain
 //! (rank 0 → `lo`), deliberately un-scrambled: contiguous hot keys stress
@@ -107,38 +107,6 @@ impl fmt::Display for ZipfianDomainTooLarge {
 impl std::error::Error for ZipfianDomainTooLarge {}
 
 impl KeyDistribution {
-    /// Draw a key head from `[lo, hi)`.
-    ///
-    /// Exact and allocation-free for `Uniform` and `Hotspot`.  For
-    /// `Zipfian` this is a *convenience* path that rebuilds the sampler table
-    /// on every call — per-transaction hot paths must hold a
-    /// [`KeySampler`] instead (see [`KeyDistribution::sampler`]).  For
-    /// `Drift`, which is inherently stateful, this samples the window at
-    /// its initial position (draw 0).
-    pub fn sample(&self, rng: &mut SmallRng, lo: i64, hi: i64) -> i64 {
-        debug_assert!(hi > lo);
-        match *self {
-            KeyDistribution::Uniform => rng.gen_range(lo..hi),
-            KeyDistribution::Hotspot {
-                data_fraction,
-                access_fraction,
-            } => {
-                let width = hi - lo;
-                let hot_width = hot_width(width, data_fraction);
-                if rng.gen_bool(access_fraction.clamp(0.0, 1.0)) {
-                    rng.gen_range(lo..lo + hot_width)
-                } else if hot_width < width {
-                    rng.gen_range(lo + hot_width..hi)
-                } else {
-                    rng.gen_range(lo..hi)
-                }
-            }
-            KeyDistribution::Zipfian { .. } | KeyDistribution::Drift { .. } => {
-                self.sampler(lo, hi).sample(rng)
-            }
-        }
-    }
-
     /// Instantiate the distribution over `[lo, hi)` as a ready-to-draw
     /// [`KeySampler`], performing any precomputation now so that
     /// [`KeySampler::sample`] never allocates.
@@ -160,10 +128,20 @@ impl KeyDistribution {
     /// On an empty domain.
     pub fn try_sampler(&self, lo: i64, hi: i64) -> Result<KeySampler, ZipfianDomainTooLarge> {
         assert!(hi > lo, "empty key domain [{lo}, {hi})");
-        let kind = match *self {
-            KeyDistribution::Uniform | KeyDistribution::Hotspot { .. } => {
-                SamplerKind::Closed(*self)
+        let window = |data_fraction: f64, access_fraction: f64| {
+            let width = hi - lo;
+            HotWindow {
+                width,
+                hot: ((width as f64 * data_fraction).ceil() as i64).clamp(1, width),
+                access_fraction: access_fraction.clamp(0.0, 1.0),
             }
+        };
+        let kind = match *self {
+            KeyDistribution::Uniform => SamplerKind::Uniform,
+            KeyDistribution::Hotspot {
+                data_fraction,
+                access_fraction,
+            } => SamplerKind::Hotspot(window(data_fraction, access_fraction)),
             KeyDistribution::Zipfian { theta } => {
                 let keys = hi - lo;
                 if keys > MAX_ZIPFIAN_DOMAIN {
@@ -176,19 +154,18 @@ impl KeyDistribution {
                 access_fraction,
                 period_txns,
             } => SamplerKind::Drift {
-                data_fraction,
-                access_fraction,
+                window: window(data_fraction, access_fraction),
                 period_txns: period_txns.max(1),
                 drawn: 0,
             },
         };
-        Ok(KeySampler { lo, hi, kind })
+        Ok(KeySampler {
+            lo,
+            hi,
+            distribution: *self,
+            kind,
+        })
     }
-}
-
-/// The hot-window width in keys for a hotspot-style distribution.
-fn hot_width(width: i64, data_fraction: f64) -> i64 {
-    ((width as f64 * data_fraction).ceil() as i64).clamp(1, width)
 }
 
 /// A Zipfian exponent as the tables use it: negative or non-finite
@@ -322,36 +299,65 @@ impl ZipfianTable {
 }
 
 /// A [`KeyDistribution`] instantiated over a fixed domain `[lo, hi)`,
-/// ready to draw keys without allocating.
+/// ready to draw keys without allocating: the only way keys are drawn.
 ///
-/// Cheap to build for the closed-form distributions; the Zipfian variant
-/// precomputes a table of one 32-bit CDF threshold per key, an exact
-/// running sum every 64 keys and a 1024-bucket first-level index once
-/// (O(domain) build, about 4 bytes per key; each draw binary-searches only
-/// the thresholds its bucket brackets, usually zero or one entry under
-/// heavy skew), and the drifting variant carries the draw counter that
-/// moves its hot window.  Workloads hold one sampler per
-/// distribution and rebuild it only on reconfiguration, never per
-/// transaction.
+/// Building one does the distribution's precomputation once: the hot
+/// window's width for the hotspot and drifting variants, and for the
+/// Zipfian variant a table of one 32-bit CDF threshold per key, an exact
+/// running sum every 64 keys and a 1024-bucket first-level index (O(domain)
+/// build, about 4 bytes per key; each draw binary-searches only the
+/// thresholds its bucket brackets, usually zero or one entry under heavy
+/// skew).  The drifting variant carries the draw counter that moves its
+/// hot window.  Workloads hold one sampler per distribution and rebuild it
+/// only on reconfiguration, never per transaction; the sampler reports the
+/// distribution it was built from ([`KeySampler::distribution`]).
 #[derive(Debug, Clone)]
 pub struct KeySampler {
     lo: i64,
     hi: i64,
+    distribution: KeyDistribution,
     kind: SamplerKind,
+}
+
+/// A hot window of `hot` of the domain's `width` keys that receives
+/// `access_fraction` of the draws; the rest of the domain receives the
+/// others.
+#[derive(Debug, Clone, Copy)]
+struct HotWindow {
+    /// Keys in the domain.
+    width: i64,
+    /// Keys in the window, in `1..=width`.
+    hot: i64,
+    /// Share of the draws in the window, clamped to `[0, 1]`.
+    access_fraction: f64,
+}
+
+impl HotWindow {
+    /// An offset in `[0, width)` from the window's start: inside the
+    /// window with probability `access_fraction`, else in the remainder
+    /// (or anywhere, when the window is the whole domain).
+    fn offset(self, rng: &mut SmallRng) -> i64 {
+        if rng.gen_bool(self.access_fraction) {
+            rng.gen_range(0..self.hot)
+        } else if self.hot < self.width {
+            rng.gen_range(self.hot..self.width)
+        } else {
+            rng.gen_range(0..self.width)
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
 enum SamplerKind {
-    /// Uniform / hotspot: delegate to the exact closed form (same rng
-    /// draw order as [`KeyDistribution::sample`], bit for bit).
-    Closed(KeyDistribution),
+    Uniform,
+    /// Hot window fixed at the start of the domain.
+    Hotspot(HotWindow),
     /// Quantised cumulative distribution over ranks (rank `i` maps to key
     /// `lo + i`).
     Zipfian(ZipfianTable),
     /// Rotating hot window, advanced one step per draw.
     Drift {
-        data_fraction: f64,
-        access_fraction: f64,
+        window: HotWindow,
         period_txns: u64,
         drawn: u64,
     },
@@ -363,38 +369,35 @@ impl KeySampler {
         (self.lo, self.hi)
     }
 
+    /// The distribution this sampler was built from.
+    pub fn distribution(&self) -> KeyDistribution {
+        self.distribution
+    }
+
     /// Draw one key head from the domain.  Never allocates.
     // Called several times per generated action by every workload.
     // lint: hot-path
     pub fn sample(&mut self, rng: &mut SmallRng) -> i64 {
         match &mut self.kind {
-            SamplerKind::Closed(d) => d.sample(rng, self.lo, self.hi),
+            SamplerKind::Uniform => rng.gen_range(self.lo..self.hi),
+            SamplerKind::Hotspot(window) => self.lo + window.offset(rng),
             SamplerKind::Zipfian(table) => {
                 let u = rng.gen_range(0.0f64..1.0);
                 self.lo + table.rank(u) as i64
             }
             SamplerKind::Drift {
-                data_fraction,
-                access_fraction,
+                window,
                 period_txns,
                 drawn,
             } => {
-                let width = self.hi - self.lo;
-                let hot = hot_width(width, *data_fraction);
                 // The window's lower edge sweeps the domain once per
                 // period; offsets are taken modulo the width so both the
                 // hot window and the cold remainder wrap around.
+                let width = window.width;
                 let start =
                     ((*drawn % *period_txns) as f64 / *period_txns as f64 * width as f64) as i64;
                 *drawn += 1;
-                let offset = if rng.gen_bool(access_fraction.clamp(0.0, 1.0)) {
-                    rng.gen_range(0..hot)
-                } else if hot < width {
-                    rng.gen_range(hot..width)
-                } else {
-                    rng.gen_range(0..width)
-                };
-                self.lo + (start + offset) % width
+                self.lo + (start + window.offset(rng)) % width
             }
         }
     }
@@ -497,7 +500,7 @@ mod tests {
                 keys: MAX_ZIPFIAN_DOMAIN + 1
             }
         );
-        // The closed forms have no table and no cap.
+        // The other distributions have no table and no cap.
         assert!(KeyDistribution::Uniform
             .try_sampler(0, MAX_ZIPFIAN_DOMAIN + 1)
             .is_ok());
@@ -506,11 +509,11 @@ mod tests {
     #[test]
     fn uniform_covers_the_domain() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let d = KeyDistribution::Uniform;
+        let mut s = KeyDistribution::Uniform.sampler(0, 100);
         let mut seen_low = false;
         let mut seen_high = false;
         for _ in 0..2000 {
-            let k = d.sample(&mut rng, 0, 100);
+            let k = s.sample(&mut rng);
             assert!((0..100).contains(&k));
             if k < 10 {
                 seen_low = true;
@@ -525,33 +528,59 @@ mod tests {
     #[test]
     fn hotspot_concentrates_accesses() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let d = KeyDistribution::Hotspot {
+        let mut s = KeyDistribution::Hotspot {
             data_fraction: 0.2,
             access_fraction: 0.5,
-        };
+        }
+        .sampler(0, 1000);
         let n = 10_000;
-        let hot = (0..n).filter(|_| d.sample(&mut rng, 0, 1000) < 200).count() as f64;
+        let hot = (0..n).filter(|_| s.sample(&mut rng) < 200).count() as f64;
         let frac = hot / n as f64;
         assert!((0.45..0.55).contains(&frac), "hot fraction {frac}");
     }
 
+    /// The closed forms the uniform and hotspot samplers reproduce: every
+    /// committed key stream was drawn with exactly these rng calls.
+    fn closed_form(d: KeyDistribution, rng: &mut SmallRng, lo: i64, hi: i64) -> i64 {
+        match d {
+            KeyDistribution::Uniform => rng.gen_range(lo..hi),
+            KeyDistribution::Hotspot {
+                data_fraction,
+                access_fraction,
+            } => {
+                let width = hi - lo;
+                let hot_width = ((width as f64 * data_fraction).ceil() as i64).clamp(1, width);
+                if rng.gen_bool(access_fraction.clamp(0.0, 1.0)) {
+                    rng.gen_range(lo..lo + hot_width)
+                } else if hot_width < width {
+                    rng.gen_range(lo + hot_width..hi)
+                } else {
+                    rng.gen_range(lo..hi)
+                }
+            }
+            other => unreachable!("{other:?} has no closed form"),
+        }
+    }
+
     #[test]
     fn sampler_matches_closed_form_for_uniform_and_hotspot() {
-        // The sampler must draw from the rng in exactly the same order as
-        // the closed-form path — workloads switching to samplers must not
-        // move a single golden number.
-        for d in [
-            KeyDistribution::Uniform,
-            KeyDistribution::Hotspot {
-                data_fraction: 0.25,
-                access_fraction: 0.7,
+        // Draw for draw, the sampler must consume the rng exactly as the
+        // closed form does — switching a workload's key draw must not
+        // move a single golden number.  Hot windows as wide as the
+        // domain reach the `hot == width` arm, and access fractions outside
+        // [0, 1] the clamp.
+        let hotspots = [(0.25, 0.7), (1.0, 1.5), (1.0, 0.4), (0.1, -0.5)].map(
+            |(data_fraction, access_fraction)| KeyDistribution::Hotspot {
+                data_fraction,
+                access_fraction,
             },
-        ] {
+        );
+        for d in std::iter::once(KeyDistribution::Uniform).chain(hotspots) {
             let mut a = SmallRng::seed_from_u64(11);
             let mut b = SmallRng::seed_from_u64(11);
             let mut s = d.sampler(5, 505);
             for _ in 0..500 {
-                assert_eq!(d.sample(&mut a, 5, 505), s.sample(&mut b));
+                assert_eq!(closed_form(d, &mut a, 5, 505), s.sample(&mut b), "{d:?}");
             }
         }
     }

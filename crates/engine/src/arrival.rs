@@ -7,12 +7,14 @@
 //! overload: queueing delay, admission rejections, and goodput past
 //! saturation (the regime the paper's coordination-free design targets).
 //!
-//! An [`ArrivalProcess`] is a deterministic description of offered load as
-//! a (possibly time-varying) rate in transactions per virtual second.
-//! Arrival timestamps are drawn by *thinning* (rejection sampling against
-//! the peak rate) from the executor's dedicated arrival RNG, so a run's
-//! arrival sequence depends only on the seed and the process — never on
-//! how fast the engine happens to serve — and stays bit-reproducible.
+//! An [`ArrivalProcess`] is a deterministic description of offered load:
+//! Poisson arrivals at a constant rate in transactions per virtual second.
+//! Load that varies over a run is a sequence of `SetArrivalRate` /
+//! `SetArrivalProcess` scenario events, each installing a new rate.  Each
+//! arrival is one exponential step drawn from the executor's dedicated
+//! arrival RNG, so a run's arrival sequence depends only on the seed and
+//! the rates — never on how fast the engine happens to serve — and stays
+//! bit-reproducible.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -28,171 +30,46 @@ pub enum ArrivalProcess {
         /// Mean arrival rate in transactions per virtual second.
         rate_tps: f64,
     },
-    /// A periodic on/off burst pattern: each period opens with a burst at
-    /// `burst_tps` lasting `burst_fraction` of the period, then falls back
-    /// to `base_tps`.  Arrivals within each regime are Poisson.
-    Burst {
-        /// Rate outside the burst window, in transactions per second.
-        base_tps: f64,
-        /// Rate inside the burst window, in transactions per second.
-        burst_tps: f64,
-        /// Length of one base+burst cycle, in virtual seconds.
-        period_secs: f64,
-        /// Fraction of each period spent bursting, in `(0, 1)`.
-        burst_fraction: f64,
-    },
-    /// A sinusoidally modulated ("diurnal") rate:
-    /// `base_tps × (1 + amplitude · sin(2πt / period_secs))`.
-    Diurnal {
-        /// Mean arrival rate in transactions per second.
-        base_tps: f64,
-        /// Relative swing around the mean, in `[0, 1)` so the rate stays
-        /// positive.
-        amplitude: f64,
-        /// Length of one full cycle, in virtual seconds.
-        period_secs: f64,
-    },
 }
 
 impl ArrivalProcess {
     /// Check the parameters describe a well-formed process.
     pub fn validate(&self) -> Result<(), String> {
-        let positive = |name: &str, v: f64| {
-            if v.is_finite() && v > 0.0 {
-                Ok(())
-            } else {
-                Err(format!("{name} must be a positive finite number, got {v}"))
-            }
-        };
-        match *self {
-            ArrivalProcess::Poisson { rate_tps } => positive("rate_tps", rate_tps),
-            ArrivalProcess::Burst {
-                base_tps,
-                burst_tps,
-                period_secs,
-                burst_fraction,
-            } => {
-                positive("base_tps", base_tps)?;
-                positive("burst_tps", burst_tps)?;
-                positive("period_secs", period_secs)?;
-                if !burst_fraction.is_finite() || burst_fraction <= 0.0 || burst_fraction >= 1.0 {
-                    return Err(format!(
-                        "burst_fraction must lie strictly inside (0, 1), got {burst_fraction}"
-                    ));
-                }
-                Ok(())
-            }
-            ArrivalProcess::Diurnal {
-                base_tps,
-                amplitude,
-                period_secs,
-            } => {
-                positive("base_tps", base_tps)?;
-                positive("period_secs", period_secs)?;
-                if !amplitude.is_finite() || !(0.0..1.0).contains(&amplitude) {
-                    return Err(format!(
-                        "amplitude must lie in [0, 1) so the rate stays positive, got {amplitude}"
-                    ));
-                }
-                Ok(())
-            }
+        let ArrivalProcess::Poisson { rate_tps } = *self;
+        if rate_tps.is_finite() && rate_tps > 0.0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "rate_tps must be a positive finite number, got {rate_tps}"
+            ))
         }
     }
 
-    /// The instantaneous arrival rate at virtual time `t_secs`, in
-    /// transactions per second.
-    pub fn rate_at(&self, t_secs: f64) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate_tps } => rate_tps,
-            ArrivalProcess::Burst {
-                base_tps,
-                burst_tps,
-                period_secs,
-                burst_fraction,
-            } => {
-                let phase = (t_secs / period_secs).rem_euclid(1.0);
-                if phase < burst_fraction {
-                    burst_tps
-                } else {
-                    base_tps
-                }
-            }
-            ArrivalProcess::Diurnal {
-                base_tps,
-                amplitude,
-                period_secs,
-            } => {
-                base_tps * (1.0 + amplitude * (std::f64::consts::TAU * t_secs / period_secs).sin())
-            }
-        }
-    }
-
-    /// The maximum instantaneous rate the process can reach — the thinning
-    /// envelope.
-    pub fn peak_rate(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate_tps } => rate_tps,
-            ArrivalProcess::Burst {
-                base_tps,
-                burst_tps,
-                ..
-            } => base_tps.max(burst_tps),
-            ArrivalProcess::Diurnal {
-                base_tps,
-                amplitude,
-                ..
-            } => base_tps * (1.0 + amplitude),
-        }
-    }
-
-    /// The mean arrival rate over one full cycle, in transactions per
-    /// second (for a homogeneous process, the rate itself).
-    pub fn mean_rate(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate_tps } => rate_tps,
-            ArrivalProcess::Burst {
-                base_tps,
-                burst_tps,
-                burst_fraction,
-                ..
-            } => burst_tps * burst_fraction + base_tps * (1.0 - burst_fraction),
-            // The sine integrates to zero over a full period.
-            ArrivalProcess::Diurnal { base_tps, .. } => base_tps,
-        }
-    }
-
-    /// Draw the next arrival strictly after `after_secs` by thinning: step
-    /// forward with exponential gaps at the peak rate and accept each
-    /// candidate with probability `rate_at(t) / peak`.  Deterministic given
-    /// the RNG state; consumes RNG draws independently of engine speed.
+    /// Draw the next arrival strictly after `after_secs`: one exponential
+    /// gap at the process's rate, from one uniform draw of `rng`.
+    /// Deterministic given the RNG state; consumes RNG draws independently
+    /// of engine speed.
     ///
     /// The returned time is *strictly* greater than `after_secs`: the gap
     /// mapping never yields zero (see `exponential_gap`), and adding a
     /// sub-ulp gap that would vanish in the `f64` addition instead advances
     /// to the next representable instant.
     pub fn next_arrival_secs(&self, after_secs: f64, rng: &mut SmallRng) -> f64 {
-        let peak = self.peak_rate();
-        let homogeneous = matches!(self, ArrivalProcess::Poisson { .. });
-        let mut t = after_secs;
-        loop {
-            let u: f64 = rng.gen_range(0.0..1.0);
-            let candidate = t + exponential_gap(u, peak);
-            t = if candidate > t { candidate } else { next_up(t) };
-            if homogeneous {
-                return t;
-            }
-            let accept: f64 = rng.gen_range(0.0..1.0);
-            if accept * peak <= self.rate_at(t) {
-                return t;
-            }
+        let ArrivalProcess::Poisson { rate_tps } = *self;
+        let u: f64 = rng.gen_range(0.0..1.0);
+        let t = after_secs + exponential_gap(u, rate_tps);
+        if t > after_secs {
+            t
+        } else {
+            after_secs.next_up()
         }
     }
 }
 
 /// Map a uniform draw `u ∈ [0, 1)` to a strictly positive exponential
-/// inter-arrival gap with mean `1/peak` seconds.
+/// inter-arrival gap with mean `1/rate` seconds.
 ///
-/// The natural inversion `-ln(1 - u) / peak` is finite for every `u` the
+/// The natural inversion `-ln(1 - u) / rate` is finite for every `u` the
 /// generator can produce (flipping to `1 - u ∈ (0, 1]` keeps `ln` off the
 /// `ln(0)` pole) — but at `u = 0.0` exactly it returns a *zero* gap,
 /// which broke `next_arrival_secs`'s strictly-after contract.  That one
@@ -200,19 +77,11 @@ impl ArrivalProcess {
 /// 53-bit generator can produce (`2⁻⁵³`), so the gap distribution is
 /// unchanged everywhere else and every committed experiment reproduces
 /// bit-identically.
-fn exponential_gap(u: f64, peak: f64) -> f64 {
+fn exponential_gap(u: f64, rate: f64) -> f64 {
     // The smallest nonzero value of a 53-bit uniform draw.
     const MIN_UNIFORM: f64 = 1.0 / (1u64 << 53) as f64;
     let u = if u > 0.0 { u } else { MIN_UNIFORM };
-    -(1.0 - u).ln() / peak
-}
-
-/// The next representable `f64` above a non-negative finite `t` (virtual
-/// times are non-negative, so incrementing the bit pattern suffices;
-/// `next_up(0.0)` is the smallest positive subnormal).
-fn next_up(t: f64) -> f64 {
-    debug_assert!(t >= 0.0 && t.is_finite());
-    f64::from_bits(t.to_bits() + 1)
+    -(1.0 - u).ln() / rate
 }
 
 #[cfg(test)]
@@ -244,36 +113,8 @@ mod tests {
     }
 
     #[test]
-    fn modulated_processes_hit_their_cycle_mean() {
-        let burst = ArrivalProcess::Burst {
-            base_tps: 2_000.0,
-            burst_tps: 20_000.0,
-            period_secs: 0.1,
-            burst_fraction: 0.25,
-        };
-        let diurnal = ArrivalProcess::Diurnal {
-            base_tps: 8_000.0,
-            amplitude: 0.9,
-            period_secs: 0.2,
-        };
-        for p in [burst, diurnal] {
-            let n = sample_count(&p, 1.0, 11) as f64;
-            let mean = p.mean_rate();
-            assert!(
-                (n - mean).abs() < 0.1 * mean,
-                "{p:?}: {n} arrivals over 1s, cycle mean is {mean}"
-            );
-        }
-    }
-
-    #[test]
     fn arrivals_are_deterministic_and_strictly_increasing() {
-        let p = ArrivalProcess::Burst {
-            base_tps: 1_000.0,
-            burst_tps: 5_000.0,
-            period_secs: 0.05,
-            burst_fraction: 0.2,
-        };
+        let p = ArrivalProcess::Poisson { rate_tps: 5_000.0 };
         let draw = || {
             let mut rng = SmallRng::seed_from_u64(3);
             let mut t = 0.0;
@@ -293,19 +134,19 @@ mod tests {
     #[test]
     fn gap_is_strictly_positive_even_for_a_zero_draw() {
         // Regression: `gen_range(0.0..1.0)` *can* yield exactly 0.0 (one
-        // u64 pattern in 2⁵³), and the raw inversion -ln(1 - 0)/peak gave
+        // u64 pattern in 2⁵³), and the raw inversion -ln(1 - 0)/rate gave
         // a zero-length gap, violating the strictly-after contract the
         // strictly-increasing test above asserts.
-        for peak in [1.0, 1e3, 1e6] {
+        for rate in [1.0, 1e3, 1e6] {
             assert!(
-                exponential_gap(0.0, peak) > 0.0,
-                "zero draw must still give a positive gap at peak {peak}"
+                exponential_gap(0.0, rate) > 0.0,
+                "zero draw must still give a positive gap at rate {rate}"
             );
             // And the remap only touches u == 0.0: the smallest real draw
             // maps exactly where it always did.
             let min_u = 1.0 / (1u64 << 53) as f64;
-            assert_eq!(exponential_gap(0.0, peak), exponential_gap(min_u, peak));
-            assert!(exponential_gap(0.5, peak) > exponential_gap(min_u, peak));
+            assert_eq!(exponential_gap(0.0, rate), exponential_gap(min_u, rate));
+            assert!(exponential_gap(0.5, rate) > exponential_gap(min_u, rate));
         }
     }
 
@@ -321,44 +162,6 @@ mod tests {
             let t = p.next_arrival_secs(after, &mut rng);
             assert!(t > after, "arrival {t} not strictly after {after}");
         }
-        // The inhomogeneous (thinning) path takes the same guard.
-        let b = ArrivalProcess::Burst {
-            base_tps: 1_000.0,
-            burst_tps: 5_000.0,
-            period_secs: 0.05,
-            burst_fraction: 0.2,
-        };
-        let t = b.next_arrival_secs(after, &mut rng);
-        assert!(t > after);
-    }
-
-    #[test]
-    fn burst_rate_switches_within_each_period() {
-        let p = ArrivalProcess::Burst {
-            base_tps: 100.0,
-            burst_tps: 900.0,
-            period_secs: 1.0,
-            burst_fraction: 0.3,
-        };
-        assert_eq!(p.rate_at(0.0), 900.0);
-        assert_eq!(p.rate_at(0.29), 900.0);
-        assert_eq!(p.rate_at(0.31), 100.0);
-        assert_eq!(p.rate_at(1.05), 900.0);
-        assert_eq!(p.peak_rate(), 900.0);
-    }
-
-    #[test]
-    fn diurnal_rate_stays_positive_and_peaks_correctly() {
-        let p = ArrivalProcess::Diurnal {
-            base_tps: 1_000.0,
-            amplitude: 0.8,
-            period_secs: 1.0,
-        };
-        for i in 0..100 {
-            let r = p.rate_at(i as f64 * 0.01);
-            assert!(r > 0.0 && r <= p.peak_rate() + 1e-9);
-        }
-        assert!((p.peak_rate() - 1_800.0).abs() < 1e-9);
     }
 
     #[test]
@@ -366,68 +169,19 @@ mod tests {
         assert!(ArrivalProcess::Poisson { rate_tps: 100.0 }
             .validate()
             .is_ok());
-        assert!(ArrivalProcess::Poisson { rate_tps: 0.0 }
-            .validate()
-            .is_err());
-        assert!(ArrivalProcess::Poisson { rate_tps: f64::NAN }
-            .validate()
-            .is_err());
-        assert!(ArrivalProcess::Poisson {
-            rate_tps: f64::INFINITY
+        for rate_tps in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                ArrivalProcess::Poisson { rate_tps }.validate().is_err(),
+                "rate {rate_tps} accepted"
+            );
         }
-        .validate()
-        .is_err());
-        assert!(ArrivalProcess::Burst {
-            base_tps: 10.0,
-            burst_tps: 100.0,
-            period_secs: 1.0,
-            burst_fraction: 1.0,
-        }
-        .validate()
-        .is_err());
-        assert!(ArrivalProcess::Burst {
-            base_tps: 10.0,
-            burst_tps: -5.0,
-            period_secs: 1.0,
-            burst_fraction: 0.5,
-        }
-        .validate()
-        .is_err());
-        assert!(ArrivalProcess::Diurnal {
-            base_tps: 10.0,
-            amplitude: 1.0,
-            period_secs: 1.0,
-        }
-        .validate()
-        .is_err());
-        assert!(ArrivalProcess::Diurnal {
-            base_tps: 10.0,
-            amplitude: 0.0,
-            period_secs: 1.0,
-        }
-        .validate()
-        .is_ok());
     }
 
     #[test]
     fn processes_round_trip_through_json() {
-        for p in [
-            ArrivalProcess::Poisson { rate_tps: 1_234.5 },
-            ArrivalProcess::Burst {
-                base_tps: 10.0,
-                burst_tps: 100.0,
-                period_secs: 0.5,
-                burst_fraction: 0.125,
-            },
-            ArrivalProcess::Diurnal {
-                base_tps: 42.0,
-                amplitude: 0.5,
-                period_secs: 2.0,
-            },
-        ] {
-            let text = serde::json::to_string(&p);
-            let back: ArrivalProcess = serde::json::from_str(&text).unwrap();
-            assert_eq!(back, p);
-        }
+        let p = ArrivalProcess::Poisson { rate_tps: 1_234.5 };
+        let text = serde::json::to_string(&p);
+        let back: ArrivalProcess = serde::json::from_str(&text).unwrap();
+        assert_eq!(back, p);
     }
 }

@@ -957,13 +957,11 @@ mod tests {
         let run = || {
             let mut ex = executor_with("atrapos", 2, 2);
             ex.set_admission_bound(64);
-            ex.set_arrival_process(ArrivalProcess::Burst {
-                base_tps: 20_000.0,
-                burst_tps: 200_000.0,
-                period_secs: 0.005,
-                burst_fraction: 0.3,
-            });
+            ex.set_arrival_process(ArrivalProcess::Poisson { rate_tps: 20_000.0 });
             let s1 = ex.run_for(0.01);
+            ex.set_arrival_process(ArrivalProcess::Poisson {
+                rate_tps: 200_000.0,
+            });
             let s2 = ex.run_for(0.01);
             serde::json::to_string(&vec![s1, s2])
         };

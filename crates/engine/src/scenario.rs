@@ -97,8 +97,9 @@ pub enum ScenarioEvent {
         /// Maximum queued arrivals before new ones are rejected.
         bound: u64,
     },
-    /// Install an arbitrary arrival process — the escape hatch covering
-    /// the full [`ArrivalProcess`] vocabulary (bursts, diurnal cycles).
+    /// Install an [`ArrivalProcess`] (Poisson arrivals at its rate); the
+    /// process form of [`ScenarioEvent::SetArrivalRate`].  Load that varies
+    /// over a run is a sequence of these events.
     SetArrivalProcess {
         /// The process.
         process: ArrivalProcess,
@@ -731,11 +732,7 @@ mod tests {
             0.5,
             "x",
             ScenarioEvent::SetArrivalProcess {
-                process: ArrivalProcess::Diurnal {
-                    base_tps: 100.0,
-                    amplitude: 1.5,
-                    period_secs: 1.0,
-                },
+                process: ArrivalProcess::Poisson { rate_tps: -100.0 },
             },
         );
         assert!(bad_process.validate().is_err());
@@ -805,6 +802,26 @@ mod tests {
             "events": [{"at_secs": 2.0, "event": "Measure"}]
         }"#;
         assert!(Scenario::from_json(out_of_range).is_err());
+        // Poisson is the only arrival process: a file naming another is
+        // refused at load, not run.
+        for process in [
+            r#"{"Burst": {"base_tps": 10.0, "burst_tps": 100.0,
+                          "period_secs": 0.5, "burst_fraction": 0.5}}"#,
+            r#"{"Diurnal": {"base_tps": 10.0, "amplitude": 0.5, "period_secs": 0.5}}"#,
+        ] {
+            let json = format!(
+                r#"{{"name": "gone", "initial_label": "start", "duration_secs": 1.0,
+                    "events": [{{"at_secs": 0.1,
+                                 "event": {{"SetArrivalProcess": {{"process": {process}}}}}}}]}}"#
+            );
+            assert!(
+                matches!(
+                    Scenario::from_json(&json),
+                    Err(ScenarioError::BadTimeline { .. })
+                ),
+                "{process}"
+            );
+        }
     }
 
     #[test]

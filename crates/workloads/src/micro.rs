@@ -76,11 +76,10 @@ pub struct ReadOneRow {
     pub sites: usize,
     /// Cores per site (maps a submitting core to its site).
     pub cores_per_site: usize,
-    /// Key distribution (uniform by default; the skew experiments switch
-    /// to a hotspot — or Zipfian / drifting skew — at runtime via
-    /// [`ReadOneRow::set_distribution`]).
-    distribution: KeyDistribution,
-    /// One precomputed sampler per site, rebuilt on reconfiguration so
+    /// One precomputed sampler per site, all of one key distribution
+    /// (uniform by default; the skew experiments switch to a hotspot — or
+    /// Zipfian / drifting skew — at runtime via
+    /// [`ReadOneRow::set_distribution`]), rebuilt on reconfiguration so
     /// per-transaction draws never allocate (see
     /// `atrapos_core::distribution`).
     samplers: Vec<KeySampler>,
@@ -106,7 +105,6 @@ impl ReadOneRow {
             rows,
             sites,
             cores_per_site,
-            distribution: KeyDistribution::Uniform,
             samplers: Vec::new(),
         };
         w.set_distribution(KeyDistribution::Uniform)
@@ -128,13 +126,12 @@ impl ReadOneRow {
                 workload: self.name().to_string(),
                 source,
             })?;
-        self.distribution = d;
         Ok(())
     }
 
     /// The current key distribution.
     pub fn distribution(&self) -> KeyDistribution {
-        self.distribution
+        self.samplers[0].distribution()
     }
 }
 

@@ -747,7 +747,6 @@ enum CompiledArg {
 #[derive(Debug, Clone)]
 struct SharedSampler {
     table: usize,
-    distribution: KeyDistribution,
     sampler: KeySampler,
 }
 
@@ -761,13 +760,12 @@ fn sampler_slot(
 ) -> Result<usize, ZipfianDomainTooLarge> {
     if let Some(shared) = samplers
         .iter()
-        .position(|s| s.table == table && s.distribution == distribution)
+        .position(|s| s.table == table && s.sampler.distribution() == distribution)
     {
         return Ok(shared);
     }
     samplers.push(SharedSampler {
         table,
-        distribution,
         sampler: distribution.try_sampler(0, keys)?,
     });
     Ok(samplers.len() - 1)

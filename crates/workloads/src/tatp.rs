@@ -114,9 +114,8 @@ impl TatpConfig {
 pub struct Tatp {
     config: TatpConfig,
     mix: Mix<TatpTxn>,
-    distribution: KeyDistribution,
-    /// Derived from `distribution` over the subscriber domain; rebuilt on
-    /// reconfiguration so per-transaction draws never allocate (the
+    /// The subscriber-id distribution over the subscriber domain; rebuilt
+    /// on reconfiguration so per-transaction draws never allocate (the
     /// Zipfian variant precomputes its table here).
     sampler: KeySampler,
 }
@@ -124,12 +123,10 @@ pub struct Tatp {
 impl Tatp {
     /// Build the workload with the standard transaction mix.
     pub fn new(config: TatpConfig) -> Self {
-        let distribution = KeyDistribution::Uniform;
-        let sampler = distribution.sampler(1, config.subscribers + 1);
+        let sampler = KeyDistribution::Uniform.sampler(1, config.subscribers + 1);
         Self {
             config,
             mix: Self::standard_mix(),
-            distribution,
             sampler,
         }
     }
@@ -169,7 +166,6 @@ impl Tatp {
                 workload: self.name().to_string(),
                 source,
             })?;
-        self.distribution = d;
         Ok(())
     }
 
@@ -180,7 +176,7 @@ impl Tatp {
 
     /// The current subscriber-id distribution.
     pub fn distribution(&self) -> KeyDistribution {
-        self.distribution
+        self.sampler.distribution()
     }
 
     fn subscriber_id(&mut self, rng: &mut SmallRng) -> i64 {

@@ -96,12 +96,12 @@ proptest! {
     ) {
         let hi = lo + width;
         let mut rng = SmallRng::seed_from_u64(seed);
-        let uniform = KeyDistribution::Uniform;
-        let hotspot = KeyDistribution::Hotspot { data_fraction, access_fraction };
+        let mut uniform = KeyDistribution::Uniform.sampler(lo, hi);
+        let mut hotspot = KeyDistribution::Hotspot { data_fraction, access_fraction }.sampler(lo, hi);
         for _ in 0..200 {
-            let u = uniform.sample(&mut rng, lo, hi);
+            let u = uniform.sample(&mut rng);
             prop_assert!(u >= lo && u < hi);
-            let h = hotspot.sample(&mut rng, lo, hi);
+            let h = hotspot.sample(&mut rng);
             prop_assert!(h >= lo && h < hi);
         }
     }
@@ -112,12 +112,12 @@ proptest! {
     #[test]
     fn hotspot_distribution_concentrates_accesses(seed in any::<u64>()) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let d = KeyDistribution::Hotspot { data_fraction: 0.2, access_fraction: 0.8 };
         let (lo, hi) = (0i64, 10_000i64);
+        let mut s = KeyDistribution::Hotspot { data_fraction: 0.2, access_fraction: 0.8 }.sampler(lo, hi);
         let hot_cutoff = lo + ((hi - lo) as f64 * 0.2).ceil() as i64;
         let samples = 2_000;
         let hot_hits = (0..samples)
-            .filter(|_| d.sample(&mut rng, lo, hi) < hot_cutoff)
+            .filter(|_| s.sample(&mut rng) < hot_cutoff)
             .count();
         // 80% of accesses should land in the first 20% of the domain; leave
         // a generous margin for sampling noise.
