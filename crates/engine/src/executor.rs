@@ -12,7 +12,13 @@
 //!
 //! [`VirtualExecutor::run_for`] is the single event loop: pick the client
 //! that frees up first, ask the arrival source what it serves and when,
-//! generate, execute, account.  By default the loop is *closed*: the next
+//! generate, execute, account.  The pick reads the root of a min-tree over
+//! every client's `(next_free, index)`, with inactive clients at a
+//! `Cycles::MAX` sentinel, so ties go to the lowest index and a failed
+//! socket's clients never win.  After each transaction the client it ran
+//! walks one leaf-to-root path (7 levels for 80 clients); the rare bulk
+//! edits — a socket failing or coming back, an interval's pause, the
+//! segment-end coast — rebuild the tree from the clients in O(n).  By default the loop is *closed*: the next
 //! arrival is the instant the chosen client frees up, so every client
 //! resubmits back-to-back and latency is service time.  Installing an
 //! [`ArrivalProcess`] (see [`VirtualExecutor::set_arrival_process`]) makes
@@ -27,6 +33,7 @@
 use crate::action::{TransactionSpec, TxnOutcome};
 use crate::arrival::ArrivalProcess;
 use crate::designs::{DesignStats, SystemDesign};
+use crate::ready::{ReadyTree, IDLE};
 use crate::workload::{ReconfigureError, Workload, WorkloadChange};
 use atrapos_core::LatencyHistogram;
 use atrapos_numa::interconnect::{bandwidth_gbps, qpi_imc_ratio};
@@ -143,6 +150,17 @@ struct Client {
     active: bool,
 }
 
+impl Client {
+    /// The client's key in the ready index.
+    fn ready_key(&self) -> Cycles {
+        if self.active {
+            self.next_free
+        } else {
+            IDLE
+        }
+    }
+}
+
 /// Open-loop serving state: the arrival process, the sampled-but-not-yet-
 /// offered next arrival, and the bounded admission queue of arrival
 /// timestamps waiting for a free client.
@@ -239,6 +257,8 @@ pub struct VirtualExecutor {
     config: ExecutorConfig,
     rng: SmallRng,
     clients: Vec<Client>,
+    /// Index over `clients`' ready keys: which client frees up first.
+    ready: ReadyTree,
     clock: Cycles,
     next_interval_at: Cycles,
     interval_len: Cycles,
@@ -263,7 +283,7 @@ impl VirtualExecutor {
         workload: Box<dyn Workload>,
         config: ExecutorConfig,
     ) -> Self {
-        let clients = machine
+        let clients: Vec<Client> = machine
             .topology
             .active_cores()
             .into_iter()
@@ -273,6 +293,7 @@ impl VirtualExecutor {
                 active: true,
             })
             .collect();
+        let ready = ReadyTree::new(clients.iter().map(Client::ready_key));
         let interval_len = secs_to_cycles(
             config.default_interval_secs,
             machine.topology.frequency_ghz(),
@@ -285,6 +306,7 @@ impl VirtualExecutor {
             config,
             rng,
             clients,
+            ready,
             clock: 0,
             next_interval_at: interval_len,
             interval_len,
@@ -403,6 +425,7 @@ impl VirtualExecutor {
                 c.active = false;
             }
         }
+        self.rebuild_ready();
         self.design.on_topology_change(&self.machine);
         Ok(())
     }
@@ -417,6 +440,7 @@ impl VirtualExecutor {
                 c.next_free = c.next_free.max(self.clock);
             }
         }
+        self.rebuild_ready();
         self.design.on_topology_change(&self.machine);
         Ok(())
     }
@@ -450,19 +474,13 @@ impl VirtualExecutor {
             ol.begin_segment();
         }
 
-        // Keep picking the next client ready to serve until no client is
-        // active or the segment ends.  The loop body is the per-transaction
-        // path: it allocates nothing (spec buffers are reused), and the
-        // marker makes the lint keep it that way.
+        // Keep picking the next client ready to serve (the ready index's
+        // root) until no client is active or the segment ends.  The loop
+        // body is the per-transaction path: it allocates nothing (spec
+        // buffers are reused) and re-indexes only the client it ran, and
+        // the marker makes the lint keep it that way.
         // lint: hot-path
-        while let Some((ci, t)) = self
-            .clients
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.active)
-            .map(|(i, c)| (i, c.next_free))
-            .min_by_key(|&(_, t)| t)
-        {
+        while let Some((ci, t)) = self.ready.first() {
             let t_ready = t.max(seg_start);
             if t_ready >= end_at {
                 break;
@@ -511,6 +529,7 @@ impl VirtualExecutor {
                 self.design
                     .execute(&mut self.machine, &self.spec_buf, client_core, submit_at);
             self.clients[ci].next_free = out.end;
+            self.ready.set(ci, out.end);
             self.clock = self.clock.max(out.end.min(end_at));
             let latency = out.end.saturating_sub(arrival);
             counters.latency_sum += u128::from(latency);
@@ -542,6 +561,7 @@ impl VirtualExecutor {
                 c.next_free = c.next_free.max(end_at);
             }
         }
+        self.rebuild_ready();
         self.clock = end_at;
         self.finish_stats(virtual_secs, &frame, &snap, counters)
     }
@@ -562,6 +582,12 @@ impl VirtualExecutor {
         }
     }
 
+    /// Re-index every client after a bulk change to `clients`.
+    fn rebuild_ready(&mut self) {
+        self.ready
+            .rebuild(self.clients.iter().map(Client::ready_key));
+    }
+
     /// Cross every monitoring-interval boundary that elapsed before `t`,
     /// handing control to the design at each one.
     fn cross_interval_boundaries(&mut self, t: Cycles, ghz: f64, repartitions: &mut u64) {
@@ -575,6 +601,7 @@ impl VirtualExecutor {
                 for c in &mut self.clients {
                     c.next_free = c.next_free.max(boundary + out.pause_cycles);
                 }
+                self.rebuild_ready();
             }
             if out.repartitioned {
                 *repartitions += 1;

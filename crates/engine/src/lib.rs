@@ -58,6 +58,7 @@ pub mod arrival;
 pub mod designs;
 pub mod executor;
 pub mod meta;
+mod ready;
 pub mod scenario;
 pub mod sweep;
 pub mod workers;

@@ -236,17 +236,6 @@ impl Scenario {
                     });
                 }
             }
-            if let ScenarioEvent::SetArrivalRate { rate_tps } = &e.event {
-                if !rate_tps.is_finite() || *rate_tps <= 0.0 {
-                    return Err(ScenarioError::BadTimeline {
-                        scenario: self.name.clone(),
-                        reason: format!(
-                            "event {i}: SetArrivalRate needs a positive finite rate, \
-                             got {rate_tps}"
-                        ),
-                    });
-                }
-            }
             if let ScenarioEvent::SetAdmissionBound { bound } = &e.event {
                 if *bound < 1 {
                     return Err(ScenarioError::BadTimeline {
@@ -255,13 +244,19 @@ impl Scenario {
                     });
                 }
             }
-            if let ScenarioEvent::SetArrivalProcess { process } = &e.event {
-                if let Err(reason) = process.validate() {
-                    return Err(ScenarioError::BadTimeline {
-                        scenario: self.name.clone(),
-                        reason: format!("event {i}: {reason}"),
-                    });
+            // A rate step is a Poisson process: one rule, one message.
+            let process = match e.event {
+                ScenarioEvent::SetArrivalRate { rate_tps } => {
+                    Some(ArrivalProcess::Poisson { rate_tps })
                 }
+                ScenarioEvent::SetArrivalProcess { process } => Some(process),
+                _ => None,
+            };
+            if let Some(Err(reason)) = process.map(|p| p.validate()) {
+                return Err(ScenarioError::BadTimeline {
+                    scenario: self.name.clone(),
+                    reason: format!("event {i}: {reason}"),
+                });
             }
             if let ScenarioEvent::SetZipfTheta { theta } = &e.event {
                 if !theta.is_finite() || *theta < 0.0 {
@@ -736,6 +731,20 @@ mod tests {
             },
         );
         assert!(bad_process.validate().is_err());
+        // One rule for one Poisson rate: a rate step and a process at the
+        // same rate fail with the same message.
+        let zero_process = Scenario::new("br", 1.0).at(
+            0.5,
+            "x",
+            ScenarioEvent::SetArrivalProcess {
+                process: ArrivalProcess::Poisson { rate_tps: 0.0 },
+            },
+        );
+        let (step, process) = (bad_rate.validate(), zero_process.validate());
+        assert_eq!(
+            step.unwrap_err().to_string(),
+            process.unwrap_err().to_string()
+        );
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! A dependency-free, comment- and string-literal-aware scanner (a small
 //! hand-rolled lexer, no `syn`) walks every `.rs` file in the workspace.
-//! It enforces the rule set in [`rules`] — no allocation inside a
-//! `// lint: hot-path` block, and well-formed `// lint:` directives — and
+//! It enforces the rule set in [`rules`] — no allocation and no libm
+//! rounding call inside a `// lint: hot-path` block, and well-formed
+//! `// lint:` directives — and
 //! counts each package's lines outside `#[cfg(test)]` items.  Run it as
 //! `atrapos lint`; findings print as `file:line: rule — message` and any
 //! finding makes the exit nonzero.

@@ -1,8 +1,9 @@
 //! The rule set: names, summaries, and scopes.
 //!
-//! The rules guard explicitly annotated regions: `hot-path-alloc` fires
-//! only inside `// lint: hot-path` blocks, pinning the allocation-free
-//! per-transaction paths so they cannot regress.  Determinism (no std hash
+//! The rules guard explicitly annotated regions: `hot-path-alloc` and
+//! `hot-path-libm` fire only inside `// lint: hot-path` blocks, pinning the
+//! per-transaction paths allocation-free and free of out-of-line float
+//! rounding calls so they cannot regress.  Determinism (no std hash
 //! collections, no wall clock in the simulation crates) is clippy's job:
 //! `clippy.toml`'s `disallowed-types` and `disallowed-methods`, which CI
 //! runs with `-D warnings`.
@@ -13,6 +14,10 @@
 
 /// Allocation-shaped call inside a `// lint: hot-path` region.
 pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
+/// Float rounding method (`.ceil()`, `.round()`, `.floor()`, `.trunc()`)
+/// inside a `// lint: hot-path` region: on baseline x86-64 each is an
+/// out-of-line libm call.
+pub const HOT_PATH_LIBM: &str = "hot-path-libm";
 /// Malformed `// lint:` directive (unknown rule, missing waiver reason,
 /// marker with no block).
 pub const LINT_DIRECTIVE: &str = "lint-directive";
@@ -35,6 +40,13 @@ pub const RULES: &[Rule] = &[
         summary: "allocation-shaped call (Vec::new, vec!, Box::new, String::from, format!, \
                   .clone(), .to_vec(), .to_string(), .to_owned(), with_capacity, .collect()) \
                   inside a `// lint: hot-path` region",
+        scope: "blocks annotated `// lint: hot-path`, any crate",
+    },
+    Rule {
+        name: HOT_PATH_LIBM,
+        summary: "float rounding call (.ceil(), .round(), .floor(), .trunc()) inside a \
+                  `// lint: hot-path` region: an out-of-line libm call on baseline x86-64; \
+                  use `atrapos_numa::{ceil_u64, round_u64}`",
         scope: "blocks annotated `// lint: hot-path`, any crate",
     },
     Rule {

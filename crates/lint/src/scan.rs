@@ -5,7 +5,7 @@
 //! `file:line: rule` output without touching the filesystem.
 
 use crate::lexer::{is_ident_byte, lex, Lexed};
-use crate::rules::{rule_by_name, HOT_PATH_ALLOC, LINT_DIRECTIVE};
+use crate::rules::{rule_by_name, HOT_PATH_ALLOC, HOT_PATH_LIBM, LINT_DIRECTIVE};
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,6 +82,20 @@ pub fn scan_source(rel_path: &str, src: &str) -> Vec<Finding> {
                 line: lexed.line_of(start),
                 rule: HOT_PATH_ALLOC,
                 message: format!("`{what}` allocates inside a `// lint: hot-path` region"),
+            });
+        }
+        if matches!(ident, "ceil" | "round" | "floor" | "trunc")
+            && prev_nonspace(&lexed.code, start) == Some(b'.')
+            && matches!(next_nonspace(&lexed.code, i), Some((_, b'(')))
+        {
+            findings.push(Finding {
+                file: rel_path.to_string(),
+                line: lexed.line_of(start),
+                rule: HOT_PATH_LIBM,
+                message: format!(
+                    "`.{ident}()` calls libm inside a `// lint: hot-path` region; \
+                     use `atrapos_numa::{{ceil_u64, round_u64}}`"
+                ),
             });
         }
     }

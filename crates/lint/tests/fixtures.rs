@@ -199,3 +199,41 @@ fn findings_render_as_file_line_rule() {
         "{s}"
     );
 }
+
+#[test]
+fn hot_path_regions_flag_libm_rounding_calls() {
+    let src = "// lint: hot-path\n\
+               fn cycles(x: f64, y: f64) -> u64 {\n\
+               \x20   let a = x.ceil() as u64;\n\
+               \x20   let b = (x * y).round() as u64;\n\
+               \x20   let c = y.floor() + y . trunc ();\n\
+               \x20   let round = 2; // a name, not a call\n\
+               \x20   let d = round_u64(x) + ceil_u64(y) + round;\n\
+               \x20   a + b + c as u64 + d\n\
+               }\n\
+               fn cold(x: f64) -> f64 { x.round() }\n";
+    let got = hits(ENGINE, src);
+    assert_eq!(
+        got,
+        vec![
+            (3, "hot-path-libm".into()),
+            (4, "hot-path-libm".into()),
+            (5, "hot-path-libm".into()),
+            (5, "hot-path-libm".into()),
+        ],
+        "{got:?}"
+    );
+}
+
+#[test]
+fn hot_path_libm_waiver_needs_its_own_rule_name() {
+    let src = "// lint: hot-path\n\
+               fn f(x: f64) -> u64 {\n\
+               \x20   // lint: allow(hot-path-libm) — once per run, not per transaction\n\
+               \x20   let a = x.ceil() as u64;\n\
+               \x20   let b = x.round() as u64; // lint: allow(hot-path-alloc) — wrong rule\n\
+               \x20   a + b\n\
+               }\n";
+    let got = hits(ENGINE, src);
+    assert_eq!(got, vec![(5, "hot-path-libm".into())], "{got:?}");
+}

@@ -11,7 +11,7 @@
 //! operations, which is what makes centralized data structures collapse on
 //! multisockets (paper §III-B).
 
-use crate::clock::Cycles;
+use crate::clock::{ceil_u64, round_u64, Cycles};
 
 /// Cycle costs of primitive machine operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,26 +103,28 @@ impl CostModel {
 
     /// Cost of exchanging a `bytes`-sized message between threads whose
     /// sockets are `hops` apart (0 = same socket).
+    // lint: hot-path
     #[inline]
     pub fn message(&self, hops: u32, bytes: u64) -> Cycles {
         if hops == 0 {
-            (bytes as f64 * self.msg_local_per_byte).round() as Cycles
+            round_u64(bytes as f64 * self.msg_local_per_byte)
         } else {
-            self.msg_base
-                + (bytes as f64 * self.msg_per_byte_per_hop * f64::from(hops)).round() as Cycles
+            self.msg_base + round_u64(bytes as f64 * self.msg_per_byte_per_hop * f64::from(hops))
         }
     }
 
     /// Cycles needed to execute `instructions` instructions of useful work.
+    // lint: hot-path
     #[inline]
     pub fn work_cycles(&self, instructions: u64) -> Cycles {
-        (instructions as f64 / self.base_ipc).ceil() as Cycles
+        ceil_u64(instructions as f64 / self.base_ipc)
     }
 
     /// Instructions retired while spin-waiting for `cycles` cycles.
+    // lint: hot-path
     #[inline]
     pub fn spin_instructions(&self, cycles: Cycles) -> u64 {
-        (cycles as f64 * self.spin_ipc).round() as u64
+        round_u64(cycles as f64 * self.spin_ipc)
     }
 }
 

@@ -48,8 +48,8 @@ pub mod machine;
 pub mod topology;
 
 pub use clock::{
-    cycles_to_micros, cycles_to_secs, frac_cycles_to_micros, micros_to_cycles, secs_to_cycles,
-    Cycles,
+    ceil_u64, cycles_to_micros, cycles_to_secs, frac_cycles_to_micros, micros_to_cycles, round_u64,
+    secs_to_cycles, Cycles,
 };
 pub use contention::{AccessKind, ContendedLine, WaitMode};
 pub use cost::CostModel;

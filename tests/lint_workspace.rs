@@ -169,3 +169,37 @@ fn point_probe_hot_path_regions_are_live() {
         );
     }
 }
+
+/// The cycle arithmetic under every simulated step is marked: a libm
+/// rounding call planted in `work_cycles`, `message`, `spin_instructions`
+/// or `secs_to_cycles` is flagged.
+#[test]
+fn cycle_rounding_hot_path_regions_are_live() {
+    let regions = [
+        (
+            "crates/numa/src/cost.rs",
+            "ceil_u64(instructions as f64 / self.base_ipc)",
+        ),
+        (
+            "crates/numa/src/cost.rs",
+            "round_u64(bytes as f64 * self.msg_local_per_byte)",
+        ),
+        (
+            "crates/numa/src/cost.rs",
+            "round_u64(cycles as f64 * self.spin_ipc)",
+        ),
+        ("crates/numa/src/clock.rs", "round_u64(secs * ghz * 1e9)"),
+    ];
+    for (file, anchor) in regions {
+        let src = std::fs::read_to_string(workspace_root().join(file)).expect("source readable");
+        assert!(scan_source(file, &src).is_empty(), "{file} scans clean");
+        let sabotaged = src.replacen(anchor, &format!("{{ let _ = 0.5f64.ceil(); {anchor} }}"), 1);
+        assert_ne!(src, sabotaged, "{file}: anchor `{anchor}` present");
+        assert!(
+            scan_source(file, &sabotaged)
+                .iter()
+                .any(|f| f.rule == "hot-path-libm"),
+            "{file}: a `.ceil()` beside `{anchor}` must flag hot-path-libm"
+        );
+    }
+}
