@@ -12,13 +12,7 @@
 //!
 //! [`VirtualExecutor::run_for`] is the single event loop: pick the client
 //! that frees up first, ask the arrival source what it serves and when,
-//! generate, execute, account.  The pick reads the root of a min-tree over
-//! every client's `(next_free, index)`, with inactive clients at a
-//! `Cycles::MAX` sentinel, so ties go to the lowest index and a failed
-//! socket's clients never win.  After each transaction the client it ran
-//! walks one leaf-to-root path (7 levels for 80 clients); the rare bulk
-//! edits — a socket failing or coming back, an interval's pause, the
-//! segment-end coast — rebuild the tree from the clients in O(n).  By default the loop is *closed*: the next
+//! generate, execute, account.  By default the loop is *closed*: the next
 //! arrival is the instant the chosen client frees up, so every client
 //! resubmits back-to-back and latency is service time.  Installing an
 //! [`ArrivalProcess`] (see [`VirtualExecutor::set_arrival_process`]) makes
@@ -29,6 +23,18 @@
 //! queueing delay.  The closed source draws nothing and queues nothing, so
 //! fixed seeds produce the same results whether or not the open-loop
 //! machinery exists.
+//!
+//! ## The pick
+//!
+//! The client that frees up first is the root of a min-tree over every
+//! client's `(next_free, index)`, with inactive clients at a `Cycles::MAX`
+//! sentinel, so ties go to the lowest index and a failed socket's clients
+//! never win.  After each transaction the client it ran walks one
+//! leaf-to-root path (7 levels for 80 clients).  The rare bulk edits — a
+//! socket failing or coming back, an interval's pause, the segment-end
+//! coast — rebuild the tree from the clients in O(n).  `Client::next_free`
+//! stays the only record of when a client is free; the tree is an index
+//! built from it.
 
 use crate::action::{TransactionSpec, TxnOutcome};
 use crate::arrival::ArrivalProcess;

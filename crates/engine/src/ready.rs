@@ -6,9 +6,7 @@
 //! Inactive clients sit at the [`IDLE`] sentinel, so they never win while
 //! an active client is left.  Changing one client's key walks one
 //! leaf-to-root path (⌈log₂ n⌉ levels); a bulk change rebuilds every inner
-//! node in O(n).  The tree is an index over the executor's clients, never
-//! a second record of them: the executor writes a client's `next_free`
-//! and then the tree.
+//! node in O(n).
 
 use atrapos_numa::Cycles;
 
@@ -97,7 +95,7 @@ mod tests {
     }
 
     proptest! {
-        /// Random single-key updates and bulk rebuilds over 1–100 clients,
+        /// Random single-key updates and bulk rebuilds over 1–99 clients,
         /// with keys drawn from a narrow range so ties are common: the root
         /// is the scan's pick after every step.
         #[test]
