@@ -107,6 +107,19 @@ impl fmt::Display for ZipfianDomainTooLarge {
 impl std::error::Error for ZipfianDomainTooLarge {}
 
 impl KeyDistribution {
+    /// Check the parameters a caller supplies: a Zipfian exponent must be
+    /// finite and non-negative.  Samplers still clamp one that is not to
+    /// uniform, so this is where input (a scenario file) is refused rather
+    /// than silently run as something else.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            KeyDistribution::Zipfian { theta } if !(theta.is_finite() && theta >= 0.0) => Err(
+                format!("a Zipfian exponent must be finite and non-negative, got {theta}"),
+            ),
+            _ => Ok(()),
+        }
+    }
+
     /// Instantiate the distribution over `[lo, hi)` as a ready-to-draw
     /// [`KeySampler`], performing any precomputation now so that
     /// [`KeySampler::sample`] never allocates.

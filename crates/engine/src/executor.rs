@@ -349,13 +349,6 @@ impl VirtualExecutor {
         self.design.stats()
     }
 
-    /// Change the default monitoring-interval length used from the next
-    /// boundary on (adaptive designs may still override it per interval).
-    pub fn set_default_interval_secs(&mut self, secs: f64) {
-        assert!(secs > 0.0, "interval must be positive");
-        self.config.default_interval_secs = secs;
-    }
-
     /// Install (or replace) an arrival process, switching the executor to
     /// open-loop serving from the current virtual time on.  A pending
     /// unconsumed arrival of a previous process is discarded and sampling

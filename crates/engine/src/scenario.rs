@@ -44,28 +44,10 @@ pub enum ScenarioEvent {
     /// Restore the workload's standard transaction mix.
     SetMix,
     /// Change the key-access distribution — Figure 11's sudden hotspot.
+    /// A sequence of Zipfian steps at increasing offsets is a θ ramp.
     SetSkew {
         /// The new distribution.
         distribution: KeyDistribution,
-    },
-    /// Set the key-access distribution to a Zipfian with the given
-    /// exponent.  A sequence of these events at increasing offsets is a
-    /// *theta ramp* — skew that tightens (or relaxes) over the timeline.
-    SetZipfTheta {
-        /// Zipfian exponent (0 = uniform; YCSB's standard is 0.99).
-        theta: f64,
-    },
-    /// Switch to a named operation mix the workload defines (the YCSB
-    /// core mixes "A"–"F").
-    SetNamedMix {
-        /// Mix name.
-        name: String,
-    },
-    /// Apply any other typed workload change (escape hatch covering the
-    /// full [`WorkloadChange`] vocabulary).
-    ChangeWorkload {
-        /// The change.
-        change: WorkloadChange,
     },
     /// Fail a processor socket — the hardware change of Figure 12.
     FailSocket {
@@ -76,12 +58,6 @@ pub enum ScenarioEvent {
     RestoreSocket {
         /// Socket index.
         socket: u16,
-    },
-    /// Override the executor's default monitoring interval from this point
-    /// on.
-    SetInterval {
-        /// New default interval in virtual seconds.
-        secs: f64,
     },
     /// Switch the executor to open-loop serving with Poisson arrivals at
     /// the given mean rate (or retune the rate of an already-installed
@@ -120,13 +96,6 @@ impl ScenarioEvent {
             ScenarioEvent::SetSkew { distribution } => Some(WorkloadChange::Distribution {
                 distribution: *distribution,
             }),
-            ScenarioEvent::SetZipfTheta { theta } => {
-                Some(WorkloadChange::ZipfianTheta { theta: *theta })
-            }
-            ScenarioEvent::SetNamedMix { name } => {
-                Some(WorkloadChange::NamedMix { name: name.clone() })
-            }
-            ScenarioEvent::ChangeWorkload { change } => Some(change.clone()),
             _ => None,
         }
     }
@@ -226,16 +195,6 @@ impl Scenario {
                     ),
                 });
             }
-            if let ScenarioEvent::SetInterval { secs } = &e.event {
-                if !secs.is_finite() || *secs <= 0.0 {
-                    return Err(ScenarioError::BadTimeline {
-                        scenario: self.name.clone(),
-                        reason: format!(
-                            "event {i}: SetInterval needs a positive interval, got {secs}"
-                        ),
-                    });
-                }
-            }
             if let ScenarioEvent::SetAdmissionBound { bound } = &e.event {
                 if *bound < 1 {
                     return Err(ScenarioError::BadTimeline {
@@ -258,14 +217,11 @@ impl Scenario {
                     reason: format!("event {i}: {reason}"),
                 });
             }
-            if let ScenarioEvent::SetZipfTheta { theta } = &e.event {
-                if !theta.is_finite() || *theta < 0.0 {
+            if let ScenarioEvent::SetSkew { distribution } = &e.event {
+                if let Err(reason) = distribution.validate() {
                     return Err(ScenarioError::BadTimeline {
                         scenario: self.name.clone(),
-                        reason: format!(
-                            "event {i}: SetZipfTheta needs a finite non-negative exponent, \
-                             got {theta}"
-                        ),
+                        reason: format!("event {i}: {reason}"),
                     });
                 }
             }
@@ -467,7 +423,6 @@ impl VirtualExecutor {
                     ScenarioEvent::RestoreSocket { socket } => self
                         .restore_socket(SocketId(*socket))
                         .expect("socket events were checked against this machine"),
-                    ScenarioEvent::SetInterval { secs } => self.set_default_interval_secs(*secs),
                     ScenarioEvent::SetArrivalRate { rate_tps } => {
                         self.set_arrival_process(ArrivalProcess::Poisson {
                             rate_tps: *rate_tps,
@@ -697,19 +652,23 @@ mod tests {
             .at(0.5, "a", ScenarioEvent::Measure)
             .at(0.25, "b", ScenarioEvent::Measure);
         assert!(unordered.validate().is_err());
-        // A non-positive interval must be caught at validation time, not by
-        // the executor's assert mid-run.
-        let bad_interval =
-            Scenario::new("bi", 1.0).at(0.5, "x", ScenarioEvent::SetInterval { secs: 0.0 });
-        assert!(bad_interval.validate().is_err());
-        assert!(executor().run_scenario(&bad_interval).is_err());
-        // Zipfian exponents must be finite and non-negative.
-        let bad_theta =
-            Scenario::new("bt", 1.0).at(0.5, "x", ScenarioEvent::SetZipfTheta { theta: -0.5 });
-        assert!(bad_theta.validate().is_err());
-        let nan_theta =
-            Scenario::new("nt", 1.0).at(0.5, "x", ScenarioEvent::SetZipfTheta { theta: f64::NAN });
+        // Zipfian exponents must be finite and non-negative: a skew step
+        // that names one is refused, not run as uniform.
+        let skew = |theta| ScenarioEvent::SetSkew {
+            distribution: KeyDistribution::Zipfian { theta },
+        };
+        let bad_theta = Scenario::new("bt", 1.0).at(0.5, "x", skew(-0.5));
+        let err = bad_theta.validate().unwrap_err().to_string();
+        assert!(err.starts_with("scenario 'bt': event 0: "), "{err}");
+        assert!(executor().run_scenario(&bad_theta).is_err());
+        let nan_theta = Scenario::new("nt", 1.0).at(0.5, "x", skew(f64::NAN));
         assert!(nan_theta.validate().is_err());
+        let inf_theta = Scenario::new("it", 1.0).at(0.5, "x", skew(f64::INFINITY));
+        assert!(inf_theta.validate().is_err());
+        Scenario::new("ok", 1.0)
+            .at(0.5, "x", skew(0.0))
+            .validate()
+            .unwrap();
         // Open-loop events are validated up front too.
         let bad_rate =
             Scenario::new("br", 1.0).at(0.5, "x", ScenarioEvent::SetArrivalRate { rate_tps: 0.0 });
@@ -811,24 +770,29 @@ mod tests {
             "events": [{"at_secs": 2.0, "event": "Measure"}]
         }"#;
         assert!(Scenario::from_json(out_of_range).is_err());
-        // Poisson is the only arrival process: a file naming another is
-        // refused at load, not run.
-        for process in [
-            r#"{"Burst": {"base_tps": 10.0, "burst_tps": 100.0,
-                          "period_secs": 0.5, "burst_fraction": 0.5}}"#,
-            r#"{"Diurnal": {"base_tps": 10.0, "amplitude": 0.5, "period_secs": 0.5}}"#,
+        // Poisson is the only arrival process, and the timeline language
+        // has no events beyond the ones above: a file naming a removed
+        // process or event is refused at load, not run or mis-parsed.
+        for event in [
+            r#"{"SetArrivalProcess": {"process": {"Burst": {"base_tps": 10.0,
+                "burst_tps": 100.0, "period_secs": 0.5, "burst_fraction": 0.5}}}}"#,
+            r#"{"SetArrivalProcess": {"process": {"Diurnal": {"base_tps": 10.0,
+                "amplitude": 0.5, "period_secs": 0.5}}}}"#,
+            r#"{"SetZipfTheta": {"theta": 0.99}}"#,
+            r#"{"SetNamedMix": {"name": "B"}}"#,
+            r#"{"ChangeWorkload": {"change": "StandardMix"}}"#,
+            r#"{"SetInterval": {"secs": 0.1}}"#,
         ] {
             let json = format!(
                 r#"{{"name": "gone", "initial_label": "start", "duration_secs": 1.0,
-                    "events": [{{"at_secs": 0.1,
-                                 "event": {{"SetArrivalProcess": {{"process": {process}}}}}}}]}}"#
+                    "events": [{{"at_secs": 0.1, "event": {event}}}]}}"#
             );
             assert!(
                 matches!(
                     Scenario::from_json(&json),
                     Err(ScenarioError::BadTimeline { .. })
                 ),
-                "{process}"
+                "{event}"
             );
         }
     }
@@ -847,14 +811,12 @@ mod tests {
                     },
                 },
             )
-            .at_unlabelled(0.5, ScenarioEvent::SetInterval { secs: 0.1 })
             .at(0.5, "mix", ScenarioEvent::SetMix)
-            .at(0.55, "theta", ScenarioEvent::SetZipfTheta { theta: 0.99 })
             .at(
                 0.55,
-                "ycsb-b",
-                ScenarioEvent::SetNamedMix {
-                    name: "B".to_string(),
+                "theta",
+                ScenarioEvent::SetSkew {
+                    distribution: KeyDistribution::Zipfian { theta: 0.99 },
                 },
             )
             .at(0.6, "failed", ScenarioEvent::FailSocket { socket: 3 });

@@ -29,7 +29,10 @@ pub struct TableSpec {
 /// skew, or both.  `WorkloadChange` is the serializable vocabulary of those
 /// changes — scenario timelines carry values of this type instead of
 /// downcasting to concrete workload structs, so an experiment is plain
-/// data that can be stored, replayed, and swept.
+/// data that can be stored, replayed, and swept.  There is one variant per
+/// scenario event that reconfigures a workload
+/// ([`crate::scenario::ScenarioEvent`]'s `SetWorkloadPhase`, `SetMix` and
+/// `SetSkew`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WorkloadChange {
     /// Run only the named transaction type (e.g. `"GetNewDest"` for TATP,
@@ -47,26 +50,6 @@ pub enum WorkloadChange {
         /// The new distribution.
         distribution: KeyDistribution,
     },
-    /// Change the percentage of multi-site transactions (the knob of the
-    /// §III-C microbenchmark).
-    MultiSitePercent {
-        /// Percentage (0–100) of transactions that touch remote sites.
-        percent: u32,
-    },
-    /// Set the key-access distribution to a Zipfian with the given
-    /// exponent — the theta-ramp knob of the YCSB skew experiments.
-    /// Shorthand for `Distribution { Zipfian { theta } }` that scenario
-    /// timelines can step through to ramp skew up or down.
-    ZipfianTheta {
-        /// Zipfian exponent (0 = uniform; YCSB's standard is 0.99).
-        theta: f64,
-    },
-    /// Switch to a named operation mix the workload defines (the YCSB
-    /// core mixes are named "A" through "F").
-    NamedMix {
-        /// Mix name as the workload publishes it.
-        name: String,
-    },
 }
 
 impl fmt::Display for WorkloadChange {
@@ -77,11 +60,6 @@ impl fmt::Display for WorkloadChange {
             WorkloadChange::Distribution { distribution } => {
                 write!(f, "distribution {distribution:?}")
             }
-            WorkloadChange::MultiSitePercent { percent } => {
-                write!(f, "{percent}% multi-site")
-            }
-            WorkloadChange::ZipfianTheta { theta } => write!(f, "Zipfian theta {theta}"),
-            WorkloadChange::NamedMix { name } => write!(f, "named mix '{name}'"),
         }
     }
 }
@@ -104,15 +82,6 @@ pub enum ReconfigureError {
         /// The unrecognized label.
         txn: String,
         /// The labels the workload accepts.
-        known: Vec<&'static str>,
-    },
-    /// A `NamedMix` change named a mix the workload does not define.
-    UnknownMix {
-        /// Name of the workload.
-        workload: String,
-        /// The unrecognized mix name.
-        name: String,
-        /// The mix names the workload accepts.
         known: Vec<&'static str>,
     },
     /// A Zipfian distribution was asked for over a key domain the sampler
@@ -139,15 +108,6 @@ impl fmt::Display for ReconfigureError {
             } => write!(
                 f,
                 "workload '{workload}' has no transaction type '{txn}' (known: {})",
-                known.join(", ")
-            ),
-            ReconfigureError::UnknownMix {
-                workload,
-                name,
-                known,
-            } => write!(
-                f,
-                "workload '{workload}' has no mix named '{name}' (known: {})",
                 known.join(", ")
             ),
             ReconfigureError::ZipfianDomain { workload, source } => {

@@ -167,9 +167,6 @@ impl Workload for ReadOneRow {
     fn reconfigure(&mut self, change: &WorkloadChange) -> Result<(), ReconfigureError> {
         match change {
             WorkloadChange::Distribution { distribution } => self.set_distribution(*distribution),
-            WorkloadChange::ZipfianTheta { theta } => {
-                self.set_distribution(KeyDistribution::Zipfian { theta: *theta })
-            }
             other => Err(ReconfigureError::Unsupported {
                 workload: self.name().to_string(),
                 change: other.clone(),
@@ -263,19 +260,6 @@ impl Workload for MultiSiteUpdate {
             })
         }));
         w.finish();
-    }
-
-    fn reconfigure(&mut self, change: &WorkloadChange) -> Result<(), ReconfigureError> {
-        match change {
-            WorkloadChange::MultiSitePercent { percent } => {
-                self.multi_site_percent = (*percent).min(100);
-                Ok(())
-            }
-            other => Err(ReconfigureError::Unsupported {
-                workload: self.name().to_string(),
-                change: other.clone(),
-            }),
-        }
     }
 }
 
@@ -389,7 +373,9 @@ mod tests {
     fn a_zipfian_reconfiguration_past_the_cap_is_refused_and_changes_nothing() {
         let mut w = ReadOneRow::with_rows(9_000_000);
         let err = w
-            .reconfigure(&WorkloadChange::ZipfianTheta { theta: 0.99 })
+            .reconfigure(&WorkloadChange::Distribution {
+                distribution: KeyDistribution::Zipfian { theta: 0.99 },
+            })
             .unwrap_err();
         assert!(
             matches!(&err, ReconfigureError::ZipfianDomain { source, .. } if source.keys == 9_000_000),

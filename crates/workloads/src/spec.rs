@@ -14,7 +14,11 @@
 //!   once at compile time, so per-transaction draws never allocate;
 //! * transactions are built through the [`TransactionSpec::refill`]
 //!   buffer-reuse path;
-//! * the template mix is a [`Mix`] over template indices.
+//! * the template mix is a [`Mix`] over template indices;
+//! * a compiled workload takes every `WorkloadChange` a scenario sends —
+//!   one template alone, the declared mix back, or one distribution for
+//!   every key argument — and writes it through to the retained spec, so
+//!   [`CompiledWorkload::spec`] describes the workload as it runs.
 //!
 //! Arguments draw from the rng in declaration order, one draw each, so a
 //! spec fixes its transaction stream bit for bit: same seed, same
@@ -719,7 +723,7 @@ impl WorkloadSpec {
     /// Validate and compile the spec onto the precomputed-sampler +
     /// buffer-reuse hot path.
     pub fn compile(&self) -> Result<CompiledWorkload, SpecError> {
-        CompiledWorkload::compile(self.clone(), None)
+        CompiledWorkload::compile(self.clone())
     }
 }
 
@@ -841,12 +845,8 @@ pub struct CompiledWorkload {
 }
 
 impl CompiledWorkload {
-    /// Validate `spec` and compile it — given `previous`, to take over
-    /// from it mid-run (YCSB's `NamedMix` swaps in a new spec over the same
-    /// tables): tail inserts continue from `previous`'s insert cursors, and
-    /// a template that `previous` already named keeps that class name
-    /// instead of leaking it again.
-    pub(crate) fn compile(spec: WorkloadSpec, previous: Option<&Self>) -> Result<Self, SpecError> {
+    /// Validate `spec` and compile it.
+    fn compile(spec: WorkloadSpec) -> Result<Self, SpecError> {
         spec.validate()?;
         let tables: Vec<CompiledTable> = spec
             .tables
@@ -862,17 +862,10 @@ impl CompiledWorkload {
         let templates: Vec<CompiledTemplate> = spec
             .templates
             .iter()
-            .map(|tpl| Self::compile_template(&spec, tpl, &mut samplers, previous))
+            .map(|tpl| Self::compile_template(&spec, tpl, &mut samplers))
             .collect();
         let mix = standard_mix(&spec);
-        let mut insert_cursors: Vec<i64> = tables.iter().map(|t| t.keys).collect();
-        if let Some(previous) = previous {
-            assert_eq!(
-                spec.tables, previous.spec.tables,
-                "insert cursors only carry over between specs over the same tables"
-            );
-            insert_cursors.clone_from(&previous.insert_cursors);
-        }
+        let insert_cursors = tables.iter().map(|t| t.keys).collect();
         Ok(Self {
             spec,
             tables,
@@ -889,16 +882,11 @@ impl CompiledWorkload {
         spec: &WorkloadSpec,
         tpl: &TemplateDef,
         samplers: &mut Vec<SharedSampler>,
-        previous: Option<&Self>,
     ) -> CompiledTemplate {
         // The transaction class is a `&'static str` throughout the
-        // engine: a template name is leaked here once — never per
-        // transaction, and not again when a successor spec reuses it.
-        let named = previous.and_then(|p| p.templates.iter().find(|t| t.class == tpl.name));
-        let class: &'static str = match named {
-            Some(template) => template.class,
-            None => Box::leak(tpl.name.clone().into_boxed_str()),
-        };
+        // engine: a template name is leaked here once, never per
+        // transaction.
+        let class: &'static str = Box::leak(tpl.name.clone().into_boxed_str());
         let arg_index = |a: &str| {
             tpl.args
                 .iter()
@@ -1251,13 +1239,6 @@ impl Workload for CompiledWorkload {
                 Ok(())
             }
             WorkloadChange::Distribution { distribution } => self.set_distribution(*distribution),
-            WorkloadChange::ZipfianTheta { theta } => {
-                self.set_distribution(KeyDistribution::Zipfian { theta: *theta })
-            }
-            other => Err(ReconfigureError::Unsupported {
-                workload: self.spec.name.clone(),
-                change: other.clone(),
-            }),
         }
     }
 }
@@ -1481,7 +1462,9 @@ mod tests {
                 0xb2cb_c217_5223_0d9cu64,
             ),
             (
-                WorkloadChange::ZipfianTheta { theta: 0.4 },
+                WorkloadChange::Distribution {
+                    distribution: KeyDistribution::Zipfian { theta: 0.4 },
+                },
                 0xa5cb_c40a_58f6_816f,
             ),
             (WorkloadChange::StandardMix, 0xf2c3_2003_e549_f6f9),
@@ -1524,7 +1507,7 @@ mod tests {
     }
 
     #[test]
-    fn reconfigure_rejects_unknown_transactions_and_unsupported_changes() {
+    fn reconfigure_rejects_unknown_transactions() {
         let mut w = ycsb_a(500).compile().unwrap();
         let err = w
             .reconfigure(&WorkloadChange::SingleTransaction {
@@ -1537,10 +1520,6 @@ mod tests {
             }
             other => panic!("expected UnknownTransaction, got {other}"),
         }
-        assert!(matches!(
-            w.reconfigure(&WorkloadChange::MultiSitePercent { percent: 10 }),
-            Err(ReconfigureError::Unsupported { .. })
-        ));
     }
 
     #[test]
@@ -1548,7 +1527,9 @@ mod tests {
         let spec = simple_ab(10_000_000);
         let mut w = spec.clone().compile().unwrap();
         let err = w
-            .reconfigure(&WorkloadChange::ZipfianTheta { theta: 0.99 })
+            .reconfigure(&WorkloadChange::Distribution {
+                distribution: KeyDistribution::Zipfian { theta: 0.99 },
+            })
             .unwrap_err();
         assert!(
             matches!(&err, ReconfigureError::ZipfianDomain { source, .. } if source.keys == 10_000_000),

@@ -456,13 +456,6 @@ impl Workload for Tatp {
                 Ok(())
             }
             WorkloadChange::Distribution { distribution } => self.set_distribution(*distribution),
-            WorkloadChange::ZipfianTheta { theta } => {
-                self.set_distribution(KeyDistribution::Zipfian { theta: *theta })
-            }
-            other => Err(ReconfigureError::Unsupported {
-                workload: self.name().to_string(),
-                change: other.clone(),
-            }),
         }
     }
 }
@@ -577,8 +570,10 @@ mod tests {
     #[test]
     fn zipfian_theta_reconfigure_concentrates_on_low_ids() {
         let mut w = small();
-        w.reconfigure(&WorkloadChange::ZipfianTheta { theta: 0.99 })
-            .unwrap();
+        w.reconfigure(&WorkloadChange::Distribution {
+            distribution: KeyDistribution::Zipfian { theta: 0.99 },
+        })
+        .unwrap();
         assert_eq!(w.distribution(), KeyDistribution::Zipfian { theta: 0.99 });
         w.set_single(TatpTxn::GetSubscriberData);
         let mut rng = SmallRng::seed_from_u64(12);

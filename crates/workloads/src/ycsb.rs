@@ -14,10 +14,10 @@
 //! constructors [`YcsbConfig::named`] for the core mixes) fully describes
 //! the workload, and [`YcsbConfig::spec`] maps it onto five
 //! [`WorkloadSpec`] templates that the spec engine runs — there is no
-//! YCSB generator besides [`CompiledWorkload`].  [`Ycsb`] accepts the
-//! typed `WorkloadChange::{NamedMix, ZipfianTheta, Distribution,
-//! SingleTransaction, StandardMix}` reconfigurations, so scenario
-//! timelines can switch mixes and ramp θ mid-run.
+//! YCSB generator besides [`CompiledWorkload`], and [`Ycsb::new`] returns
+//! one.  It takes every typed `WorkloadChange`, so a scenario timeline
+//! can pin one operation, restore the mix, or step θ mid-run (a sequence
+//! of `SetSkew` events at increasing offsets is a θ ramp).
 //!
 //! Modelling notes:
 //!
@@ -36,11 +36,6 @@ use crate::generator::KeyDistribution;
 use crate::spec::{
     ArgDef, CompiledWorkload, OpDef, PhaseDef, SpecError, TableDef, TemplateDef, WorkloadSpec,
 };
-use atrapos_engine::workload::{ReconfigureError, WorkloadChange};
-use atrapos_engine::{TableSpec, TransactionSpec, Workload};
-use atrapos_numa::CoreId;
-use atrapos_storage::{Database, Key, TableId};
-use rand::rngs::SmallRng;
 
 /// Payload fields per record (YCSB's default schema has ten 100-byte
 /// fields; the simulator charges per-row costs, so a compact fixed set
@@ -276,82 +271,37 @@ impl YcsbConfig {
 }
 
 /// The YCSB workload: [`YcsbConfig::spec`] run by the spec engine.
-///
-/// The handle exists for the one reconfiguration the spec language has no
-/// word for: `NamedMix` swaps in the named core mix's whole spec (weights,
-/// scan length, distribution, latest flag) over the same dataset, and the
-/// insert cursor carries over so tail inserts stay dense.  Everything else
-/// delegates.
-#[derive(Debug, Clone)]
-pub struct Ycsb(CompiledWorkload);
+pub struct Ycsb;
 
 impl Ycsb {
     /// Compile the workload a config describes; a config that describes
     /// none (no records, no positive weight, an empty scan range, a
     /// Zipfian domain past the sampler cap) is a typed error.
-    pub fn new(config: YcsbConfig) -> Result<Self, SpecError> {
-        config.spec().compile().map(Self)
-    }
-}
-
-impl Workload for Ycsb {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn tables(&self) -> Vec<TableSpec> {
-        self.0.tables()
-    }
-
-    fn populate(&self, db: &mut Database, filter: &dyn Fn(TableId, &Key) -> bool) {
-        self.0.populate(db, filter)
-    }
-
-    fn next_transaction_into(
-        &mut self,
-        rng: &mut SmallRng,
-        client: CoreId,
-        spec: &mut TransactionSpec,
-    ) {
-        self.0.next_transaction_into(rng, client, spec)
-    }
-
-    fn reconfigure(&mut self, change: &WorkloadChange) -> Result<(), ReconfigureError> {
-        let WorkloadChange::NamedMix { name } = change else {
-            return self.0.reconfigure(change);
-        };
-        let records = self.0.spec().tables[0].keys;
-        let config =
-            YcsbConfig::named(name, records).ok_or_else(|| ReconfigureError::UnknownMix {
-                workload: self.name().to_string(),
-                name: name.clone(),
-                known: MIX_NAMES.to_vec(),
-            })?;
-        // The core mixes are Zipfian, so a dataset past the sampler cap
-        // (loaded under another distribution) cannot switch to one.
-        self.0 = CompiledWorkload::compile(config.spec(), Some(&self.0)).map_err(|_| {
-            ReconfigureError::Unsupported {
-                workload: self.name().to_string(),
-                change: change.clone(),
-            }
-        })?;
-        Ok(())
+    // The workload is the compiled spec itself; a `Self` around it would
+    // only delegate.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(config: YcsbConfig) -> Result<CompiledWorkload, SpecError> {
+        config.spec().compile()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atrapos_engine::ActionOp;
+    use atrapos_engine::workload::WorkloadChange;
+    use atrapos_engine::{ActionOp, TransactionSpec, Workload};
+    use atrapos_numa::CoreId;
+    use atrapos_storage::{Database, TableId};
+    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     const USERTABLE: TableId = TableId(0);
 
-    fn core(name: &str, record_count: i64) -> Ycsb {
+    fn core(name: &str, record_count: i64) -> CompiledWorkload {
         Ycsb::new(YcsbConfig::named(name, record_count).unwrap()).unwrap()
     }
 
-    fn ops_of(w: &mut Ycsb, n: usize, seed: u64) -> Vec<&'static str> {
+    fn ops_of(w: &mut CompiledWorkload, n: usize, seed: u64) -> Vec<&'static str> {
         let mut rng = SmallRng::seed_from_u64(seed);
         (0..n)
             .map(|_| w.next_transaction(&mut rng, CoreId(0)).class)
@@ -464,36 +414,18 @@ mod tests {
     }
 
     #[test]
-    fn named_mix_and_theta_reconfigure() {
-        let mut w = core("C", 500);
-        w.reconfigure(&WorkloadChange::NamedMix { name: "A".into() })
-            .unwrap();
-        assert_eq!(w.0.spec(), &YcsbConfig::workload_a(500).spec());
-        w.reconfigure(&WorkloadChange::ZipfianTheta { theta: 0.0 })
-            .unwrap();
+    fn theta_reconfiguration_writes_through_to_the_spec() {
+        let mut w = core("A", 500);
+        w.reconfigure(&WorkloadChange::Distribution {
+            distribution: KeyDistribution::Zipfian { theta: 0.0 },
+        })
+        .unwrap();
         // The spec writes through: serializing it reproduces the
         // workload as it currently runs, not as it started.
         assert_eq!(
-            w.0.spec(),
+            w.spec(),
             &YcsbConfig::workload_a(500).with_theta(0.0).spec()
         );
-        let err = w
-            .reconfigure(&WorkloadChange::NamedMix { name: "Z".into() })
-            .unwrap_err();
-        assert!(matches!(err, ReconfigureError::UnknownMix { .. }));
-    }
-
-    #[test]
-    fn named_mix_swaps_reuse_the_leaked_class_names() {
-        let mut w = core("A", 500);
-        let first: Vec<*const u8> = w.0.classes().iter().map(|c| c.as_ptr()).collect();
-        assert_eq!(first.len(), 5);
-        for mix in ["B", "A"] {
-            w.reconfigure(&WorkloadChange::NamedMix { name: mix.into() })
-                .unwrap();
-        }
-        let again: Vec<*const u8> = w.0.classes().iter().map(|c| c.as_ptr()).collect();
-        assert_eq!(again, first, "a swap leaked a class name a second time");
     }
 
     #[test]
@@ -508,24 +440,6 @@ mod tests {
             b.next_transaction_into(&mut rng_b, CoreId(0), &mut buf);
             assert_eq!(by_value, buf);
         }
-    }
-
-    #[test]
-    fn named_mix_carries_the_insert_cursor_over() {
-        let insert = WorkloadChange::SingleTransaction {
-            txn: "Insert".into(),
-        };
-        let mut w = core("D", 100);
-        let mut rng = SmallRng::seed_from_u64(10);
-        w.reconfigure(&insert).unwrap();
-        for _ in 0..7 {
-            w.next_transaction(&mut rng, CoreId(0));
-        }
-        w.reconfigure(&WorkloadChange::NamedMix { name: "E".into() })
-            .unwrap();
-        w.reconfigure(&insert).unwrap();
-        let spec = w.next_transaction(&mut rng, CoreId(0));
-        assert_eq!(spec.phases[0].actions[0].op.routing_key_head(), 107);
     }
 
     #[test]

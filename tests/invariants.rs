@@ -91,11 +91,8 @@ struct Case {
 
 fn change_strategy() -> impl Strategy<Value = WorkloadChange> {
     prop_oneof![
-        (0.0f64..1.2).prop_map(|theta| WorkloadChange::ZipfianTheta { theta }),
-        prop::sample::select(vec!["A", "B", "C", "D", "E", "F"]).prop_map(|n| {
-            WorkloadChange::NamedMix {
-                name: n.to_string(),
-            }
+        (0.0f64..1.2).prop_map(|theta| WorkloadChange::Distribution {
+            distribution: KeyDistribution::Zipfian { theta },
         }),
         prop::sample::select(vec!["Read", "Update", "RMW"])
             .prop_map(|t| WorkloadChange::SingleTransaction { txn: t.to_string() }),
@@ -576,7 +573,9 @@ fn spec_case_strategy() -> impl Strategy<Value = SpecCase> {
                 .into_iter()
                 .map(|(change, secs)| {
                     let change = change.map(|c| match c {
-                        RawSpecChange::Theta(theta) => WorkloadChange::ZipfianTheta { theta },
+                        RawSpecChange::Theta(theta) => WorkloadChange::Distribution {
+                            distribution: KeyDistribution::Zipfian { theta },
+                        },
                         RawSpecChange::Dist(distribution) => {
                             WorkloadChange::Distribution { distribution }
                         }

@@ -46,10 +46,6 @@ fn change_strategy() -> impl Strategy<Value = WorkloadChange> {
         1 => (0u32..1).prop_map(|_| WorkloadChange::StandardMix),
         2 => distribution_strategy()
             .prop_map(|distribution| WorkloadChange::Distribution { distribution }),
-        1 => (0u32..=100).prop_map(|percent| WorkloadChange::MultiSitePercent { percent }),
-        1 => (0.0f64..1.2).prop_map(|theta| WorkloadChange::ZipfianTheta { theta }),
-        1 => prop::sample::select(vec!["A", "B", "C", "D", "E", "F"])
-            .prop_map(|name| WorkloadChange::NamedMix { name: name.to_string() }),
     ]
 }
 
@@ -59,18 +55,13 @@ fn arrival_process_strategy() -> impl Strategy<Value = ArrivalProcess> {
 
 fn event_strategy() -> impl Strategy<Value = ScenarioEvent> {
     prop_oneof![
-        2 => change_strategy().prop_map(|change| ScenarioEvent::ChangeWorkload { change }),
         2 => prop::sample::select(vec!["GetNewDest".to_string(), "UpdSubData".to_string()])
             .prop_map(|txn| ScenarioEvent::SetWorkloadPhase { txn }),
         1 => (0u32..1).prop_map(|_| ScenarioEvent::SetMix),
         2 => distribution_strategy()
             .prop_map(|distribution| ScenarioEvent::SetSkew { distribution }),
-        1 => (0.0f64..1.2).prop_map(|theta| ScenarioEvent::SetZipfTheta { theta }),
-        1 => prop::sample::select(vec!["A", "B", "C", "D", "E", "F"])
-            .prop_map(|name| ScenarioEvent::SetNamedMix { name: name.to_string() }),
         1 => (0u16..8).prop_map(|socket| ScenarioEvent::FailSocket { socket }),
         1 => (0u16..8).prop_map(|socket| ScenarioEvent::RestoreSocket { socket }),
-        1 => (0.001f64..0.5).prop_map(|secs| ScenarioEvent::SetInterval { secs }),
         1 => (0u32..1).prop_map(|_| ScenarioEvent::Measure),
         1 => (100.0f64..200_000.0).prop_map(|rate_tps| ScenarioEvent::SetArrivalRate { rate_tps }),
         1 => (1u64..10_000).prop_map(|bound| ScenarioEvent::SetAdmissionBound { bound }),

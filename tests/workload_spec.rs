@@ -11,9 +11,9 @@
 //!   transactions (the PR-8 technique): any drift in mix selection, rng
 //!   draw order, keys, classes, phase structure, or sync payloads changes
 //!   the digest.  Pinned for all six YCSB core mixes and SimpleAb at two
-//!   seeds, for one reconfiguration sequence that crosses two `NamedMix`
-//!   swaps (the insert cursor must carry over), and for the two shipped
-//!   files `examples/specs/{ycsb_a,simple_ab}.json`.  A stream holding
+//!   seeds, for one reconfiguration sequence (θ step, single-operation
+//!   inserts, mix restore), and for the two shipped files
+//!   `examples/specs/{ycsb_a,simple_ab}.json`.  A stream holding
 //!   an update was re-pinned when `ActionOp::Update` came to print its one
 //!   cell as `column: c, value: v` instead of `changes: [(c, Int(v))]`:
 //!   the recorded streams, hashed with that one rewrite, give exactly the
@@ -27,12 +27,13 @@
 use atrapos_bench::figures::ycsb_designs;
 use atrapos_bench::harness::timeline_job;
 use atrapos_bench::Scale;
+use atrapos_core::KeyDistribution;
 use atrapos_engine::scenario::Scenario;
 use atrapos_engine::workload::WorkloadChange;
 use atrapos_engine::Workload;
 use atrapos_numa::CoreId;
 use atrapos_workloads::spec::WorkloadSpec;
-use atrapos_workloads::{SimpleAb, Ycsb, YcsbConfig};
+use atrapos_workloads::{CompiledWorkload, SimpleAb, Ycsb, YcsbConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -45,7 +46,7 @@ fn shipped(file: &str) -> WorkloadSpec {
     WorkloadSpec::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-fn ycsb(mix: &str, records: i64) -> Ycsb {
+fn ycsb(mix: &str, records: i64) -> CompiledWorkload {
     Ycsb::new(YcsbConfig::named(mix, records).unwrap()).unwrap()
 }
 
@@ -106,9 +107,11 @@ fn ycsb_core_mixes_and_simple_ab_match_the_hand_rolled_digests() {
 }
 
 /// One rng, one running digest, through every kind of reconfiguration
-/// YCSB accepts — including two `NamedMix` swaps with inserts before,
-/// between and after them, so a cursor that did not carry over (or a
-/// swap that kept a stale mix or sampler) changes the digest.
+/// YCSB accepts: a θ step, a single-operation phase of tail inserts and
+/// the mix restored, so a step that kept a stale mix or sampler (or an
+/// insert cursor that did not advance) changes the digest.  The constant
+/// was recorded at commit 818ced4, where the θ step could still also be
+/// spelled as the `ZipfianTheta` shorthand; both spellings gave it.
 #[test]
 fn a_reconfiguration_sequence_matches_the_hand_rolled_digest() {
     let mut w = ycsb("A", 2_000);
@@ -116,8 +119,12 @@ fn a_reconfiguration_sequence_matches_the_hand_rolled_digest() {
     let (mut i, mut hash) = (0, FNV_OFFSET);
     fold_stream(&mut w, &mut rng, 100, &mut i, &mut hash);
     for (change, n) in [
-        (WorkloadChange::NamedMix { name: "D".into() }, 200),
-        (WorkloadChange::ZipfianTheta { theta: 0.6 }, 200),
+        (
+            WorkloadChange::Distribution {
+                distribution: KeyDistribution::Zipfian { theta: 0.6 },
+            },
+            200,
+        ),
         (
             WorkloadChange::SingleTransaction {
                 txn: "Insert".into(),
@@ -125,13 +132,12 @@ fn a_reconfiguration_sequence_matches_the_hand_rolled_digest() {
             20,
         ),
         (WorkloadChange::StandardMix, 200),
-        (WorkloadChange::NamedMix { name: "E".into() }, 200),
     ] {
         w.reconfigure(&change).unwrap();
         fold_stream(&mut w, &mut rng, n, &mut i, &mut hash);
     }
-    assert_eq!(i, 920);
-    assert_eq!(hash, 0xb2ac_62e2_c067_ad7e);
+    assert_eq!(i, 520);
+    assert_eq!(hash, 0xbca8_2f7b_55e6_3b4b);
 }
 
 /// The shipped file at its own size, against the hand-rolled generator's
@@ -246,15 +252,18 @@ fn simple_ab_full_run_outcomes_match_on_all_four_designs() {
 }
 
 /// Reconfiguration events reach the compiled engine through the bare
-/// file and through the `Ycsb` handle alike: after the same theta change
-/// both produce the stream the hand-rolled generator did.
+/// file and through `Ycsb::new` alike: after the same theta change both
+/// produce the stream the hand-rolled generator did (recorded after the
+/// `ZipfianTheta` shorthand, which drew the same stream).
 #[test]
 fn shipped_spec_reconfigures_in_lockstep_with_hand_rolled() {
     let spec = shipped("ycsb_a.json");
     let records = spec.tables[0].keys;
     let mut compiled = spec.compile().unwrap();
     let mut handle = ycsb("A", records);
-    let change = WorkloadChange::ZipfianTheta { theta: 0.6 };
+    let change = WorkloadChange::Distribution {
+        distribution: KeyDistribution::Zipfian { theta: 0.6 },
+    };
     compiled.reconfigure(&change).unwrap();
     handle.reconfigure(&change).unwrap();
     let hand = 0x3d3b_8d07_26a6_47ee;
