@@ -21,8 +21,8 @@ use crate::harness::{
 };
 use crate::report::{fmt, FigureResult};
 use atrapos_core::{
-    advise_sharding, evaluate_sharding, KeyDistribution, KeyDomain, ShardingConfig, ShardingPlan,
-    SubPartitionId, WorkloadStats,
+    advise_sharding, evaluate_sharding, KeyDistribution, KeyDomain, ShardingPlan, SubPartitionId,
+    WorkloadStats,
 };
 use atrapos_engine::scenario::{Scenario, ScenarioEvent};
 use atrapos_engine::workload::ensure_tables;
@@ -351,19 +351,12 @@ pub fn abl04_sharding_advisor(scale: &Scale) -> FigureResult {
         (TableId(0), KeyDomain::new(0, rows)),
         (TableId(1), KeyDomain::new(0, rows)),
     ];
-    let range_plan = ShardingPlan::range(&domains, n_sub, sockets, sockets);
-    let advised_plan = advise_sharding(
-        &domains,
-        n_sub,
-        sockets,
-        sockets,
-        &trace,
-        &ShardingConfig::default(),
-    );
+    let range_plan = ShardingPlan::range(&domains, n_sub, sockets);
+    let advised_plan = advise_sharding(&domains, n_sub, sockets, &trace);
     let cases = [("range", range_plan), ("advisor", advised_plan)];
     let estimates: Vec<f64> = cases
         .iter()
-        .map(|(_, plan)| evaluate_sharding(plan, &trace).total_distributed())
+        .map(|(_, plan)| evaluate_sharding(plan, &trace).distributed)
         .collect();
     let jobs = cases
         .iter()

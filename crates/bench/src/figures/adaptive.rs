@@ -9,8 +9,8 @@
 //!
 //! Each experiment is a declarative [`Scenario`] run against two
 //! [`DesignSpec`]s (the static baseline and full ATraPos) — the timeline is
-//! data, so the same scenario could be loaded from a file (see the
-//! `scenario_replay` example) or swept over other designs.
+//! data, so the same scenario could be loaded from a file (see
+//! `atrapos replay [--emit-sample]`) or swept over other designs.
 
 use crate::harness::{adaptive_atrapos, run_meta, time_series_figure, timeline_job, Scale};
 use crate::report::{fmt, FigureResult};

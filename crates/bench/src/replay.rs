@@ -327,19 +327,14 @@ mod tests {
         use atrapos_core::ShardingPlan;
         use atrapos_engine::Workload;
         let domains = Tatp::new(TatpConfig::scaled(2_000)).table_domains();
-        let plan = |instances| ShardingPlan::range(&domains, 8, instances, instances);
+        let plan = |instances| ShardingPlan::range(&domains, 8, instances);
         rejects("design.plan.n_instances", |r| {
             r.design = DesignSpec::shared_nothing_with_plan(plan(3))
-        });
-        let mut broken = plan(4);
-        broken.instance_machine.pop();
-        rejects("design.plan", |r| {
-            r.design = DesignSpec::shared_nothing_with_plan(broken)
         });
         let mut empty = domains.clone();
         empty[0].1 = KeyDomain { lo: 1, hi: 1 };
         rejects("design.plan: table T0: key domain [1, 1) is empty", |r| {
-            r.design = DesignSpec::shared_nothing_with_plan(ShardingPlan::range(&empty, 8, 4, 4))
+            r.design = DesignSpec::shared_nothing_with_plan(ShardingPlan::range(&empty, 8, 4))
         });
         let mut fine = sample();
         fine.design = DesignSpec::shared_nothing_with_plan(plan(4));

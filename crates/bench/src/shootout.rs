@@ -2,10 +2,9 @@
 //! on a chosen workload and machine size, through the parallel experiment
 //! lab.
 //!
-//! This is the generalization of the old `design_shootout` example: the
-//! (socket count × design) measurements are independent jobs, fan out over
-//! the lab, and come back in submission order as one [`FigureResult`]
-//! table per socket count.
+//! The (socket count × design) measurements are independent jobs: they fan
+//! out over the lab and come back in submission order as one
+//! [`FigureResult`] table per socket count.
 //!
 //! With `--arrival <tps>` the sweep serves the workload *open loop* —
 //! Poisson arrivals through a bounded admission queue (`--bound`) — and
@@ -23,7 +22,7 @@ use atrapos_workloads::{ReadOneRow, Tatp, TatpConfig, Tpcc, TpccConfig, Ycsb, Yc
 pub const SWEEP_WORKLOADS: &[&str] = &["micro", "tatp", "tpcc", "ycsb"];
 
 /// The five designs of the shootout, in presentation order.
-pub fn shootout_designs() -> Vec<DesignSpec> {
+fn shootout_designs() -> Vec<DesignSpec> {
     vec![
         DesignSpec::extreme_shared_nothing(false),
         DesignSpec::coarse_shared_nothing(),

@@ -50,8 +50,9 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
                         .join(", ")
                 );
             }
+            // The error names the file already.
             Err(e) => {
-                eprintln!("FAIL {path}: {e}");
+                eprintln!("FAIL {e}");
                 failures += 1;
             }
         }
@@ -62,7 +63,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Load and validate one spec file.
+/// Load and validate one spec file; an error starts with the path.
 fn checked_spec(path: &Path) -> Result<WorkloadSpec, String> {
     let spec = load_spec(path)?;
     spec.validate()

@@ -28,9 +28,8 @@
 //! * [`controller`] — the adaptive loop that glues monitoring, the cost
 //!   model, the search, and repartitioning together.
 //! * [`advisor`] — the §VII future-work extension: the same cost model
-//!   applied to coarse- and fine-grained shared-nothing deployments, where
-//!   the dominant costs are distributed transactions and physical data
-//!   movement.
+//!   applied to coarse-grained shared-nothing deployments (one instance per
+//!   socket), where the dominant cost is the distributed transaction.
 //! * [`distribution`] — key-access distributions (uniform, hotspot,
 //!   Zipfian, drifting hotspot) and their precomputed samplers;
 //!   shared data for the engine's typed workload-reconfiguration channel.
@@ -51,10 +50,7 @@ pub mod repartition;
 pub mod search;
 pub mod stats;
 
-pub use advisor::{
-    advise_sharding, estimate_migration_bytes, evaluate_sharding, ShardingConfig, ShardingCost,
-    ShardingPlan,
-};
+pub use advisor::{advise_sharding, evaluate_sharding, ShardingCost, ShardingPlan};
 pub use controller::{AdaptationOutcome, AdaptiveController, ControllerConfig};
 pub use cost_model::{resource_utilization, sync_overhead, CostBreakdown};
 pub use distribution::{KeyDistribution, KeySampler, ZipfianDomainTooLarge, MAX_ZIPFIAN_DOMAIN};

@@ -421,7 +421,7 @@ proptest! {
 // Shared-nothing sharding advisor (§VII future-work extension)
 // ----------------------------------------------------------------------
 
-use atrapos_core::{advise_sharding, evaluate_sharding, ShardingConfig, ShardingPlan};
+use atrapos_core::{advise_sharding, evaluate_sharding, ShardingPlan};
 
 proptest! {
     /// Range sharding plans are always structurally valid, spread the
@@ -431,12 +431,11 @@ proptest! {
     fn range_sharding_plans_are_valid_and_balanced(
         n_sub in 1usize..64,
         n_instances in 1usize..9,
-        n_machines in 1usize..5,
         width in 10i64..1_000_000,
         key in 0i64..1_000_000,
     ) {
         let tables = [(TableId(0), KeyDomain::new(0, width)), (TableId(1), KeyDomain::new(0, width))];
-        let plan = ShardingPlan::range(&tables, n_sub, n_instances, n_machines);
+        let plan = ShardingPlan::range(&tables, n_sub, n_instances);
         plan.check_invariants().map_err(TestCaseError::fail)?;
         let mut counts = vec![0usize; n_instances];
         for table in plan.tables() {
@@ -450,7 +449,6 @@ proptest! {
         prop_assert!(max - min <= 2, "unbalanced range sharding: {counts:?}");
         let instance = plan.instance_of_key(TableId(0), key.min(width - 1));
         prop_assert!(instance < n_instances);
-        prop_assert!(plan.instance_machine[instance] < n_machines);
     }
 
     /// Whatever the trace, the advisor returns a valid plan whose combined
@@ -479,15 +477,14 @@ proptest! {
                 );
             }
         }
-        let cfg = ShardingConfig::default();
-        let range = ShardingPlan::range(&tables, n_sub, n_instances, n_instances);
-        let advised = advise_sharding(&tables, n_sub, n_instances, n_instances, &stats, &cfg);
+        let range = ShardingPlan::range(&tables, n_sub, n_instances);
+        let advised = advise_sharding(&tables, n_sub, n_instances, &stats);
         advised.check_invariants().map_err(TestCaseError::fail)?;
-        let before = evaluate_sharding(&range, &stats).combined(&cfg);
-        let after = evaluate_sharding(&advised, &stats).combined(&cfg);
+        let before = evaluate_sharding(&range, &stats).combined();
+        let after = evaluate_sharding(&advised, &stats).combined();
         prop_assert!(after <= before + 1e-9, "advisor made things worse: {before} -> {after}");
         if n_instances == 1 {
-            prop_assert_eq!(evaluate_sharding(&advised, &stats).total_distributed(), 0.0);
+            prop_assert_eq!(evaluate_sharding(&advised, &stats).distributed, 0.0);
         }
     }
 }

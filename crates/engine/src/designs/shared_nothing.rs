@@ -20,9 +20,8 @@ use crate::designs::{DesignStats, SystemDesign};
 use crate::workload::Workload;
 use atrapos_core::ShardingPlan;
 use atrapos_numa::{Component, CoreId, Cycles, Machine, SimCtx, SocketId, Tally};
-use atrapos_storage::{
-    Database, LockManager, MemoryPolicy, Table, TableId, TwoPhaseCommit, Txn, TxnId,
-};
+use atrapos_storage::two_phase_commit::{self, MESSAGE_BYTES};
+use atrapos_storage::{Database, LockManager, MemoryPolicy, Table, TableId, Txn, TxnId};
 
 /// Granularity of the shared-nothing deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -65,7 +64,6 @@ pub struct SharedNothingDesign {
     /// The instance each core's client submits to, indexed by core.
     client_instance: Vec<usize>,
     locking: bool,
-    two_pc: TwoPhaseCommit,
     next_txn: u64,
     aborted: u64,
     /// Number of distributed (multi-site) transactions executed.
@@ -103,7 +101,7 @@ impl SharedNothingDesign {
         let n = homes.len();
         // One sub-partition per instance makes the range plan's owners the
         // identity: key `k` goes to the domain's slice `sub_partition_of(k, n)`.
-        let plan = plan.unwrap_or_else(|| ShardingPlan::range(&workload.table_domains(), n, n, n));
+        let plan = plan.unwrap_or_else(|| ShardingPlan::range(&workload.table_domains(), n, n));
         assert_eq!(
             plan.n_instances, n,
             "the sharding plan must have one instance per deployment instance"
@@ -144,7 +142,6 @@ impl SharedNothingDesign {
             plan,
             client_instance,
             locking: true,
-            two_pc: TwoPhaseCommit::default(),
             next_txn: 1,
             aborted: 0,
             distributed_txns: 0,
@@ -243,11 +240,7 @@ impl SystemDesign for SharedNothingDesign {
             // Ship the request to the owning instance over a shared-memory
             // channel (the forwarding cost of single-site remote execution).
             let target_socket = self.instances[home].socket;
-            ctx.send_message(
-                Component::Communication,
-                target_socket,
-                self.two_pc.message_bytes,
-            );
+            ctx.send_message(Component::Communication, target_socket, MESSAGE_BYTES);
         }
         self.instances[home]
             .protocol
@@ -265,11 +258,7 @@ impl SystemDesign for SharedNothingDesign {
                 // shared-memory channel and execute it there, on the
                 // participant's own core and clock.
                 let participant_socket = inst.socket;
-                ctx.send_message(
-                    Component::Communication,
-                    participant_socket,
-                    self.two_pc.message_bytes,
-                );
+                ctx.send_message(Component::Communication, participant_socket, MESSAGE_BYTES);
                 if inst.branch.id != txn_id {
                     inst.branch.reset(txn_id);
                     inst.branch.distributed = true;
@@ -286,11 +275,7 @@ impl SystemDesign for SharedNothingDesign {
                     remote_done,
                     atrapos_numa::WaitMode::Stall,
                 );
-                ctx.send_message(
-                    Component::Communication,
-                    participant_socket,
-                    self.two_pc.message_bytes,
-                );
+                ctx.send_message(Component::Communication, participant_socket, MESSAGE_BYTES);
             }
             if failed {
                 break;
@@ -312,13 +297,12 @@ impl SystemDesign for SharedNothingDesign {
             self.participant_sockets.clear();
             self.participant_sockets
                 .extend(self.participants.iter().map(|&i| self.instances[i].socket));
-            let abort_vote = if failed { Some(0) } else { None };
-            self.two_pc.coordinate(
+            two_phase_commit::coordinate(
                 &mut ctx,
                 txn_id,
                 &self.participant_sockets,
                 &mut self.instances[home].protocol.log,
-                abort_vote,
+                !failed,
             );
             // Release participant-side locks (the decision message releases
             // them on each participant).
@@ -527,7 +511,7 @@ mod tests {
         let w = TinyWorkload { rows: 400 };
         // A plan that inverts the default ownership: the upper half of the
         // key space goes to instance 0 and the lower half to instance 1.
-        let mut plan = ShardingPlan::range(&w.table_domains(), 4, 2, 2);
+        let mut plan = ShardingPlan::range(&w.table_domains(), 4, 2);
         plan.assign(TableId(0), 0, 1);
         plan.assign(TableId(0), 1, 1);
         plan.assign(TableId(0), 2, 0);

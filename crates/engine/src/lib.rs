@@ -37,8 +37,8 @@
 //! [`VirtualExecutor::run_scenario`] interprets a timeline and returns a
 //! [`scenario::ScenarioOutcome`] with per-segment [`RunStats`] keyed by the
 //! labels on the timeline — the paper's Figures 10–13 are each a `Scenario`
-//! plus two `DesignSpec`s.  Scenarios round-trip through JSON (see the
-//! `scenario_replay` example).
+//! plus two `DesignSpec`s.  Scenarios round-trip through JSON (see
+//! `atrapos replay [--emit-sample]`).
 //!
 //! ## The parallel experiment lab
 //!

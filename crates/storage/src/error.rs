@@ -28,8 +28,6 @@ pub enum StorageError {
     LockConflict { requested: String, held: String },
     /// The transaction was aborted.
     TxnAborted(u64),
-    /// A two-phase-commit participant voted to abort.
-    TwoPcAborted { participant: usize },
     /// A repartitioning operation referenced an invalid partition boundary.
     InvalidPartitionBoundary(String),
 }
@@ -62,9 +60,6 @@ impl fmt::Display for StorageError {
                 write!(f, "lock conflict: requested {requested}, held {held}")
             }
             StorageError::TxnAborted(id) => write!(f, "transaction {id} aborted"),
-            StorageError::TwoPcAborted { participant } => {
-                write!(f, "two-phase commit aborted by participant {participant}")
-            }
             StorageError::InvalidPartitionBoundary(msg) => {
                 write!(f, "invalid partition boundary: {msg}")
             }

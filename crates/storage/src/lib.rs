@@ -21,8 +21,8 @@
 //!   log ([`log`]), the list of active transactions ([`txn`],
 //!   [`txn_list`]) and the state read/write lock ([`srwlock`]) — each one
 //!   instance or one per socket, a rule [`PerSocket`] holds once;
-//! * a two-phase-commit implementation for the shared-nothing
-//!   configurations ([`two_phase_commit`]);
+//! * the two-phase-commit round of the shared-nothing configurations
+//!   ([`two_phase_commit::coordinate`]);
 //! * memory-placement policies for the remote-memory experiment
 //!   ([`memory`]).
 //!
@@ -63,6 +63,5 @@ pub use record::{AsCell, Cell, Key, Record, Row, Value};
 pub use schema::{Column, ColumnType, Schema, TableId};
 pub use srwlock::StateRwLock;
 pub use table::Table;
-pub use two_phase_commit::{TwoPcOutcome, TwoPhaseCommit};
 pub use txn::{HeldLock, Txn, TxnId, TxnState};
 pub use txn_list::TxnList;

@@ -290,6 +290,16 @@ pub enum SpecError {
         /// The oversized table.
         table: String,
     },
+    /// A `Key` or `LatestKey` argument's distribution breaks
+    /// [`KeyDistribution::validate`] (a negative or non-finite Zipfian θ).
+    BadDistribution {
+        /// The template declaring the argument.
+        template: String,
+        /// The offending argument.
+        arg: String,
+        /// What [`KeyDistribution::validate`] refused.
+        message: String,
+    },
     /// Two templates share a name.
     DuplicateTemplate {
         /// The repeated name.
@@ -407,6 +417,11 @@ impl fmt::Display for SpecError {
                 "template '{template}': Zipfian argument over table '{table}' \
                  exceeds the {MAX_ZIPFIAN_DOMAIN}-key cap"
             ),
+            SpecError::BadDistribution {
+                template,
+                arg,
+                message,
+            } => write!(f, "template '{template}': argument '{arg}': {message}"),
             SpecError::DuplicateTemplate { template } => {
                 write!(f, "template '{template}' is declared twice")
             }
@@ -597,20 +612,27 @@ impl WorkloadSpec {
             }
             match arg {
                 ArgDef::Key {
+                    name: arg,
                     table,
                     distribution,
-                    ..
                 }
                 | ArgDef::LatestKey {
+                    name: arg,
                     table,
                     distribution,
-                    ..
                 } => {
                     let t = self
                         .table_index(table)
                         .ok_or_else(|| SpecError::UnknownTable {
                             context: name(),
                             table: table.clone(),
+                        })?;
+                    distribution
+                        .validate()
+                        .map_err(|message| SpecError::BadDistribution {
+                            template: name(),
+                            arg: arg.clone(),
+                            message,
                         })?;
                     if matches!(distribution, KeyDistribution::Zipfian { .. })
                         && self.tables[t].keys > MAX_ZIPFIAN_DOMAIN
@@ -1799,6 +1821,30 @@ mod tests {
             templates: ycsb_a(100).templates,
         };
         assert_eq!(spec.compile().unwrap_err(), SpecError::NoTables);
+        // A `Key` argument's Zipfian θ must be finite and non-negative, as
+        // a scenario's `SetSkew` step's must; θ = 0 (uniform) is fine.
+        let with_theta = |theta: f64| {
+            let mut spec = ycsb_a(100);
+            match &mut spec.templates[1].args[0] {
+                ArgDef::Key { distribution, .. } => {
+                    *distribution = KeyDistribution::Zipfian { theta }
+                }
+                other => panic!("expected the Update template's key, got {other:?}"),
+            }
+            spec
+        };
+        for theta in [-3.0, f64::INFINITY, f64::NAN] {
+            let spec = with_theta(theta);
+            let err = SpecError::BadDistribution {
+                template: "Update".to_string(),
+                arg: "k".to_string(),
+                message: format!("a Zipfian exponent must be finite and non-negative, got {theta}"),
+            };
+            assert_eq!(spec.validate(), Err(err.clone()), "θ {theta}");
+            assert_eq!(spec.compile().unwrap_err(), err, "θ {theta}");
+        }
+        assert_eq!(with_theta(0.0).validate(), Ok(()));
+        assert!(with_theta(0.0).compile().is_ok());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! (the paper's Figure 10 in miniature).
 //!
 //! The experiment is a declarative [`Scenario`]: a timeline of typed
-//! events.  The same timeline could be loaded from a JSON file — see the
-//! `scenario_replay` example.
+//! events.  The same timeline could be loaded from a JSON file — see
+//! `atrapos replay [--emit-sample]`.
 //!
 //! ```text
 //! cargo run --release -p atrapos-bench --example adaptive_tatp

@@ -6,14 +6,15 @@
 //! case for classic range sharding: almost every transaction spans two
 //! instances and must run two-phase commit.  This example collects an
 //! offline workload trace, asks the advisor for a better sharding plan, and
-//! measures both plans end-to-end on the simulated 4-socket machine.
+//! scores both plans with the advisor's cost model (`atrapos figures abl04`
+//! measures them end-to-end on the simulated 4-socket machine).
 //!
 //! ```text
 //! cargo run --release -p atrapos-bench --example sharding_advisor
 //! ```
 
 use atrapos_bench::figures::ablation::sample_shifted_trace;
-use atrapos_core::{advise_sharding, evaluate_sharding, KeyDomain, ShardingConfig, ShardingPlan};
+use atrapos_core::{advise_sharding, evaluate_sharding, KeyDomain, ShardingPlan};
 use atrapos_storage::TableId;
 
 fn main() {
@@ -36,32 +37,18 @@ fn main() {
 
     // 2. Score the classic range sharding (what the coarse shared-nothing
     //    deployment of §III uses) against the advisor's plan.
-    let cfg = ShardingConfig::default();
-    let range = ShardingPlan::range(&domains, sub_per_table, instances, instances);
-    let advised = advise_sharding(&domains, sub_per_table, instances, instances, &trace, &cfg);
+    let range = ShardingPlan::range(&domains, sub_per_table, instances);
+    let advised = advise_sharding(&domains, sub_per_table, instances, &trace);
 
     for (label, plan) in [("range sharding", &range), ("advisor sharding", &advised)] {
         let cost = evaluate_sharding(plan, &trace);
         println!(
-            "{label:18}: {:6.0} distributed co-accesses ({:.0} cross-machine), load imbalance {:.0}, combined cost {:.0}",
-            cost.total_distributed(),
-            cost.remote_distributed,
+            "{label:18}: {:6.0} distributed co-accesses, load imbalance {:.0}, combined cost {:.0}",
+            cost.distributed,
             cost.load_imbalance,
-            cost.combined(&cfg),
+            cost.combined(),
         );
     }
-
-    // 3. How much data would the migration move?  Physical movement is the
-    //    dominant repartitioning cost in shared-nothing systems (§VII).
-    let bytes_per_sub: std::collections::BTreeMap<TableId, u64> = domains
-        .iter()
-        .map(|&(t, d)| (t, (d.width() as u64 / sub_per_table as u64) * 16))
-        .collect();
-    let moved = atrapos_core::estimate_migration_bytes(&range, &advised, &bytes_per_sub);
-    println!(
-        "migrating range → advisor moves ≈ {:.1} MB of records",
-        moved as f64 / 1e6
-    );
 
     println!();
     println!(
