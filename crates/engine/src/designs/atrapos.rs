@@ -356,14 +356,12 @@ impl SystemDesign for AtraposDesign {
                 let head = action.op.routing_key_head();
                 let slot = self.table_slot(table);
                 let tpart = &self.scheme.tables()[slot];
-                let pidx = tpart.partition_of_key(head);
+                let sub_idx = tpart
+                    .domain
+                    .sub_partition_of(head, tpart.num_sub_partitions);
+                let pidx = tpart.partition_of_sub(sub_idx);
                 let core = Self::effective_core(&machine.topology, tpart.partitions[pidx].core);
-                let sub = SubPartitionId::new(
-                    table,
-                    tpart
-                        .domain
-                        .sub_partition_of(head, tpart.num_sub_partitions),
-                );
+                let sub = SubPartitionId::new(table, sub_idx);
                 let avail = self.workers.available_at(core, phase_start);
                 let mut actx = machine.ctx(core, avail);
                 // The first action of the transaction performs the begin

@@ -113,10 +113,20 @@ impl CostModel {
         }
     }
 
-    /// Cycles needed to execute `instructions` instructions of useful work.
+    /// Cycles needed to execute `instructions` instructions of useful work:
+    /// `⌈instructions / base_ipc⌉`.
+    ///
+    /// At IPC 1 — every shipped model's — that is the count itself while
+    /// it is at most 2⁵³: such a count converts to `f64` exactly, dividing
+    /// by 1 is exact, and so is the ceiling of an integer.  That case
+    /// returns the count with no float work.  Any other IPC (a custom or
+    /// calibrated model), or a larger count, takes the float division.
     // lint: hot-path
     #[inline]
     pub fn work_cycles(&self, instructions: u64) -> Cycles {
+        if self.base_ipc == 1.0 && instructions <= 1 << f64::MANTISSA_DIGITS {
+            return instructions;
+        }
         ceil_u64(instructions as f64 / self.base_ipc)
     }
 

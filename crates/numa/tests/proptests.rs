@@ -91,7 +91,8 @@ proptest! {
         hops_b in 0u32..4,
         bytes_a in 1u64..8_192,
         bytes_b in 1u64..8_192,
-        instructions in 0u64..100_000,
+        instructions in prop_oneof![0u64..100_000, (1u64 << 53) - 2..(1u64 << 53) + 3, any::<u64>()],
+        ipc in 0.25f64..4.0,
     ) {
         let c = CostModel::westmere();
         let (lo_hops, hi_hops) = (hops_a.min(hops_b), hops_a.max(hops_b));
@@ -99,8 +100,12 @@ proptest! {
         prop_assert!(c.cache_transfer(lo_hops) <= c.cache_transfer(hi_hops));
         prop_assert!(c.memory_access(lo_hops) <= c.memory_access(hi_hops));
         prop_assert!(c.message(lo_hops, lo_bytes) <= c.message(hi_hops, hi_bytes));
-        // Work cycles follow the base IPC exactly.
+        // Work cycles follow the base IPC exactly: at the shipped IPC 1
+        // (counts up to 2⁵³ take the integer path, larger ones the float
+        // one) and at any other.
         prop_assert_eq!(c.work_cycles(instructions), (instructions as f64 / c.base_ipc).ceil() as Cycles);
+        let custom = CostModel { base_ipc: ipc, ..CostModel::westmere() };
+        prop_assert_eq!(custom.work_cycles(instructions), (instructions as f64 / ipc).ceil() as Cycles);
         // The uniform machine has no remote penalty at all.
         let u = CostModel::uniform();
         prop_assert_eq!(u.cache_transfer(0), u.cache_transfer(hi_hops));

@@ -27,9 +27,10 @@
 //!   apart is stored whole.
 //! * Keys order by their integers, and nothing else is stored to order
 //!   them: a column of one-integer keys is binary-searched over its
-//!   `i64`s and never compares whole keys; a wider column is searched by
-//!   one branch-free binary search over its components, which compares
-//!   whole keys `⌈log₂ n⌉ + 1` times in a node of `n`.
+//!   `i64`s and never compares whole keys; a column of W = 2, 3 or 4
+//!   components is searched by one branch-free binary search compiled
+//!   for W, which compares whole keys `⌈log₂ n⌉ + 1` times in a node of
+//!   `n`, each compare unrolled over the W components.
 //! * An insert above the last key of the rightmost leaf — every row of an
 //!   ascending load — walks the right spine by last child and appends to
 //!   that leaf with one compare, as PostgreSQL's nbtree "fastpath" for
@@ -60,7 +61,7 @@
 //!   copied and each internal node once its children are handed on, so a
 //!   repartitioning never holds two copies of the rows it moves.
 
-use crate::record::{fixed_len, prefix_width, write_cell, Key, Record, Row};
+use crate::record::{cmp_prefix, fixed_len, prefix_width, write_cell, Key, Record, Row};
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -117,11 +118,11 @@ struct Internal {
 ///
 /// A node's 64 one-integer keys span 8 cache lines, and their integers
 /// order them exactly: the search is a binary search over the `i64`s.
-/// Wider keys are searched by one binary search over their components
-/// that halves to the end with no early exit, as
-/// `slice::binary_search_by` does: its loop count depends only on the
-/// node's size, and each step picks a half with a conditional move, not
-/// a branch.
+/// Wider keys are searched by one branch-free binary search over their
+/// components, compiled for each width, that halves to the end with no
+/// early exit, as `slice::binary_search_by` does: its loop count depends
+/// only on the node's size, each step picks a half with a conditional
+/// move, not a branch, and each compare is unrolled over the width.
 ///
 /// Probes may have any width: a range bound shorter than the stored keys
 /// orders before every key it is a prefix of.
@@ -140,11 +141,9 @@ thread_local! {
     pub(crate) static FULL_COMPARES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// The one place a node search compares whole keys, given as their
-/// components.
-#[inline]
+/// [`KeyColumn::halving_search`]'s whole-key compare: slice order.
+#[cfg(test)]
 fn full_cmp(a: &[i64], b: &[i64]) -> Ordering {
-    #[cfg(test)]
     FULL_COMPARES.with(|n| n.set(n.get() + 1));
     a.cmp(b)
 }
@@ -275,25 +274,69 @@ impl KeyColumn {
                 Ordering::Greater => Err(i),
             };
         }
-        self.halving_search(probe.comps(), on_equal)
+        match self.width {
+            2 => self.halving::<2>(probe, on_equal),
+            3 => self.halving::<3>(probe, on_equal),
+            4 => self.halving::<4>(probe, on_equal),
+            // Width 0: a column that has no key yet.
+            _ => Err(0),
+        }
     }
 
-    /// [`Self::find`] on a column two or more components wide:
+    /// [`Self::find`] on a column of `W`-component keys, `W` from 2:
     /// `slice::binary_search_by` over the keys, stepping through `comps`
     /// in components so that no multiply sits between one compare and the
     /// next load.  It halves until one key is left and then compares that
     /// one: `⌈log₂ n⌉ + 1` whole-key compares over `n` keys, whatever
-    /// prefix they share.
+    /// prefix they share.  A compare is [`cmp_prefix`] unrolled over `W`
+    /// components, ordering a probe of any width as slice order does.
     // Once per node of two-or-more-integer keys on every descent.
     // lint: hot-path
     #[inline]
+    fn halving<const W: usize>(&self, probe: &Key, on_equal: Ordering) -> Result<usize, usize> {
+        let n = self.comps.len() / W;
+        if n == 0 {
+            return Err(0);
+        }
+        // Slice order of a stored key and the probe: their first
+        // `shared` components, then the widths, then `on_equal`.
+        let shared = probe.len().min(W);
+        let tie = W.cmp(&probe.len()).then(on_equal);
+        let p = probe
+            .slots()
+            .first_chunk::<W>()
+            .expect("a key has at most 4 components");
+        let cmp = |at: usize| {
+            #[cfg(test)]
+            FULL_COMPARES.with(|n| n.set(n.get() + 1));
+            let key: &[i64; W] = self.comps[at..at + W].try_into().expect("W components");
+            cmp_prefix(key, p, shared, tie)
+        };
+        // `base` is the first component of key `slot`.
+        let (mut slot, mut base, mut size) = (0, 0, n);
+        while size > 1 {
+            let half = size / 2;
+            let greater = cmp(base + half * W) == Ordering::Greater;
+            slot = std::hint::select_unpredictable(greater, slot, slot + half);
+            base = std::hint::select_unpredictable(greater, base, base + half * W);
+            size -= half;
+        }
+        match cmp(base) {
+            Ordering::Equal => Ok(slot),
+            Ordering::Less => Err(slot + 1),
+            Ordering::Greater => Err(slot),
+        }
+    }
+
+    /// The search [`Self::halving`] replaced, kept as its reference: the
+    /// same halving over any width, comparing keys as slices.
+    #[cfg(test)]
     fn halving_search(&self, probe: &[i64], on_equal: Ordering) -> Result<usize, usize> {
         let (w, n) = (self.width, self.len());
         if n == 0 {
             return Err(0);
         }
         let cmp = |at: usize| full_cmp(&self.comps[at..at + w], probe).then(on_equal);
-        // `base` is the first component of key `slot`.
         let (mut slot, mut base, mut size) = (0, 0, n);
         while size > 1 {
             let half = size / 2;
@@ -307,6 +350,13 @@ impl KeyColumn {
             Ordering::Less => Err(slot + 1),
             Ordering::Greater => Err(slot),
         }
+    }
+
+    /// Whether `probe` sorts after the last key (`false` for an empty
+    /// column).
+    #[inline]
+    fn sorts_after_last(&self, probe: &Key) -> bool {
+        self.last().is_some_and(|last| *probe > last)
     }
 
     /// `<[Key]>::binary_search`: the slot holding `probe`, or the slot it
@@ -359,9 +409,8 @@ impl KeyColumn {
     /// without a search.
     #[inline]
     fn insert_slot(&self, probe: &Key) -> Result<usize, usize> {
-        let n = self.len();
-        if n > 0 && probe.comps() > self.comps_at(n - 1) {
-            return Err(n);
+        if self.sorts_after_last(probe) {
+            return Err(self.len());
         }
         self.search(probe)
     }
@@ -495,7 +544,7 @@ impl Leaf {
     #[inline]
     fn try_append(&mut self, key: Key, row: Row<'_>) -> bool {
         let n = self.len();
-        if n == 0 || n >= ORDER || key.comps() <= self.keys.comps_at(n - 1) {
+        if n >= ORDER || !self.keys.sorts_after_last(&key) {
             return false;
         }
         self.insert(n, key, row);
@@ -1316,6 +1365,7 @@ impl<'a> Iterator for Rows<'a> {
 pub(crate) mod tests {
     use super::*;
     use crate::record::Value;
+    use proptest::prelude::*;
 
     fn rec(v: i64) -> Record {
         Record::new(vec![Value::Int(v), Value::Int(v * 10)])
@@ -2054,5 +2104,39 @@ pub(crate) mod tests {
         assert_eq!(t.len(), 777);
         let back: Vec<i64> = t.iter().map(|(k, _)| k.head_int()).collect();
         assert_eq!(back, (0..777).collect::<Vec<_>>());
+    }
+
+    /// A key component: mostly from a narrow range, so that keys share
+    /// prefixes and probes hit stored keys, sometimes an extreme.
+    fn comp() -> impl Strategy<Value = i64> {
+        prop_oneof![8 => -3i64..=3, 1 => Just(i64::MIN), 1 => Just(i64::MAX)]
+    }
+
+    proptest! {
+        /// The per-width search finds what the slice-order reference finds:
+        /// columns of 2–4 components and 0–70 keys, probes of 1–4
+        /// components (range bounds shorter than the keys and probes longer
+        /// than them), under each `on_equal`.
+        #[test]
+        fn the_per_width_search_matches_the_slice_order_reference(
+            width in 2usize..=4,
+            raw in prop::collection::vec(prop::collection::vec(comp(), 4..=4), 0..=70),
+            probes in prop::collection::vec(prop::collection::vec(comp(), 1..=4), 1..16),
+        ) {
+            let mut keys: Vec<Vec<i64>> = raw.into_iter().map(|k| k[..width].to_vec()).collect();
+            keys.sort();
+            keys.dedup();
+            let column = KeyColumn { width, comps: keys.concat() };
+            column.check_invariants().unwrap();
+            for probe in probes.iter().map(|p| Key::ints(p)) {
+                for on_equal in [Ordering::Less, Ordering::Equal, Ordering::Greater] {
+                    prop_assert_eq!(
+                        column.find(&probe, on_equal),
+                        column.halving_search(probe.comps(), on_equal),
+                        "width {}, probe {}, on_equal {:?}", width, probe, on_equal
+                    );
+                }
+            }
+        }
     }
 }

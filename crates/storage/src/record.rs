@@ -188,6 +188,12 @@ impl Key {
         &self.vals[..self.len as usize]
     }
 
+    /// All [`MAX_KEY_COMPONENTS`] slots: the components, then zeros.
+    #[inline]
+    pub(crate) fn slots(&self) -> &[i64; MAX_KEY_COMPONENTS] {
+        &self.vals
+    }
+
     /// First component.
     #[inline]
     pub fn head_int(&self) -> i64 {
@@ -206,10 +212,35 @@ impl Key {
     }
 }
 
+/// Slice order of `a[..m]` and `b[..m]`, then `tie` where they agree:
+/// `a[..n].cmp(&b[..p])` is `cmp_prefix(a, b, min(n, p), n.cmp(&p))`.
+/// Unrolled over the `W` components with no early exit: one step per
+/// component, the last difference before `m` deciding.
+#[inline(always)]
+pub(crate) fn cmp_prefix<const W: usize>(
+    a: &[i64; W],
+    b: &[i64; W],
+    m: usize,
+    tie: Ordering,
+) -> Ordering {
+    let mut ord = tie;
+    for i in (0..W).rev() {
+        let here = if i < m {
+            a[i].cmp(&b[i])
+        } else {
+            Ordering::Equal
+        };
+        ord = here.then(ord);
+    }
+    ord
+}
+
 impl PartialEq for Key {
+    /// The lengths and the zero-padded slots: unused slots are always
+    /// zero, so equal slots mean equal components.
     #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.comps() == other.comps()
+        self.len == other.len && self.vals == other.vals
     }
 }
 
@@ -224,9 +255,11 @@ impl PartialOrd for Key {
 
 impl Ord for Key {
     /// Lexicographic over components; a proper prefix sorts first.
+    // lint: hot-path
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        self.comps().cmp(other.comps())
+        let shared = self.len.min(other.len) as usize;
+        cmp_prefix(&self.vals, &other.vals, shared, self.len.cmp(&other.len))
     }
 }
 
@@ -921,6 +954,13 @@ mod tests {
             .collect()
     }
 
+    /// The components of a key of 1–4 components: mostly from a narrow
+    /// range, so that keys share prefixes, sometimes an extreme.
+    fn key_comps() -> impl Strategy<Value = Vec<i64>> {
+        let comp = prop_oneof![8 => -2i64..=2, 1 => Just(i64::MIN), 1 => Just(i64::MAX)];
+        prop::collection::vec(comp, 1..=MAX_KEY_COMPONENTS)
+    }
+
     proptest! {
         /// Every way to build a row packs it to the bytes and shape of
         /// `Record::new`: `Record::from_cells` and `with_row` of borrowed
@@ -950,6 +990,20 @@ mod tests {
                 prop_assert_eq!((&row.0[..], row.1), (&want.bytes[..], want.shape));
             }
             prop_assert_eq!(format!("{owned:?}"), format!("{want:?}"));
+        }
+
+        /// `Key`'s `==` and `cmp` are slice order of the components, over
+        /// keys of mixed widths: a proper prefix sorts first, and a zero
+        /// component is not an unused slot.
+        #[test]
+        fn keys_compare_as_their_component_slices(
+            a in key_comps(),
+            b in key_comps(),
+        ) {
+            let (ka, kb) = (Key::ints(&a), Key::ints(&b));
+            prop_assert_eq!(ka.cmp(&kb), a.cmp(&b));
+            prop_assert_eq!(ka == kb, a == b);
+            prop_assert_eq!(ka.partial_cmp(&kb), Some(a.cmp(&b)));
         }
     }
 

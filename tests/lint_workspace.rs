@@ -136,6 +136,10 @@ fn point_probe_hot_path_regions_are_live() {
             "let (mut slot, mut base, mut size) = (0, 0, n);",
         ),
         (
+            "crates/storage/src/record.rs",
+            "let shared = self.len.min(other.len) as usize;",
+        ),
+        (
             "crates/storage/src/mrbtree.rs",
             "let head = key.head_int();",
         ),
