@@ -298,19 +298,20 @@ impl KeyColumn {
         if n == 0 {
             return Err(0);
         }
-        // Slice order of a stored key and the probe: their first
-        // `shared` components, then the widths, then `on_equal`.
-        let shared = probe.len().min(W);
-        let tie = W.cmp(&probe.len()).then(on_equal);
-        let p = probe
-            .slots()
-            .first_chunk::<W>()
-            .expect("a key has at most 4 components");
+        // Slice order of a stored key and the probe: their shared
+        // components, then the widths, then `on_equal`.  A shorter probe
+        // is padded with `i64::MIN`, which no key component is below, so
+        // all `W` components are compared and a key it is a prefix of
+        // still orders by the widths, `Greater`.
+        let plen = probe.len();
+        let p: [i64; W] =
+            std::array::from_fn(|i| if i < plen { probe.slots()[i] } else { i64::MIN });
+        let tie = W.cmp(&plen).then(on_equal);
         let cmp = |at: usize| {
             #[cfg(test)]
             FULL_COMPARES.with(|n| n.set(n.get() + 1));
             let key: &[i64; W] = self.comps[at..at + W].try_into().expect("W components");
-            cmp_prefix(key, p, shared, tie)
+            cmp_prefix(key, &p, W, tie)
         };
         // `base` is the first component of key `slot`.
         let (mut slot, mut base, mut size) = (0, 0, n);
