@@ -338,6 +338,7 @@ impl KeyColumn {
             return Err(0);
         }
         let cmp = |at: usize| full_cmp(&self.comps[at..at + w], probe).then(on_equal);
+        // `base` is the first component of key `slot`.
         let (mut slot, mut base, mut size) = (0, 0, n);
         while size > 1 {
             let half = size / 2;

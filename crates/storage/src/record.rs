@@ -215,7 +215,7 @@ impl Key {
 /// Slice order of `a[..m]` and `b[..m]`, then `tie` where they agree:
 /// `a[..n].cmp(&b[..p])` is `cmp_prefix(a, b, min(n, p), n.cmp(&p))`.
 /// Unrolled over the `W` components with no early exit: one step per
-/// component, the last difference before `m` deciding.
+/// component, the first difference before `m` deciding.
 #[inline(always)]
 pub(crate) fn cmp_prefix<const W: usize>(
     a: &[i64; W],
