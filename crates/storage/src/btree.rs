@@ -288,8 +288,7 @@ impl KeyColumn {
     /// in components so that no multiply sits between one compare and the
     /// next load.  It halves until one key is left and then compares that
     /// one: `⌈log₂ n⌉ + 1` whole-key compares over `n` keys, whatever
-    /// prefix they share.  A compare is [`cmp_prefix`] unrolled over `W`
-    /// components, ordering a probe of any width as slice order does.
+    /// prefix they share.
     // Once per node of two-or-more-integer keys on every descent.
     // lint: hot-path
     #[inline]
@@ -298,21 +297,7 @@ impl KeyColumn {
         if n == 0 {
             return Err(0);
         }
-        // Slice order of a stored key and the probe: their shared
-        // components, then the widths, then `on_equal`.  A shorter probe
-        // is padded with `i64::MIN`, which no key component is below, so
-        // all `W` components are compared and a key it is a prefix of
-        // still orders by the widths, `Greater`.
-        let plen = probe.len();
-        let p: [i64; W] =
-            std::array::from_fn(|i| if i < plen { probe.slots()[i] } else { i64::MIN });
-        let tie = W.cmp(&plen).then(on_equal);
-        let cmp = |at: usize| {
-            #[cfg(test)]
-            FULL_COMPARES.with(|n| n.set(n.get() + 1));
-            let key: &[i64; W] = self.comps[at..at + W].try_into().expect("W components");
-            cmp_prefix(key, &p, W, tie)
-        };
+        let cmp = self.cmp_with::<W>(probe, on_equal);
         // `base` is the first component of key `slot`.
         let (mut slot, mut base, mut size) = (0, 0, n);
         while size > 1 {
@@ -354,11 +339,53 @@ impl KeyColumn {
         }
     }
 
+    /// The whole-key compare of a column of `W`-component keys, `W` from
+    /// 2: the key whose first component is `at` against `probe`, in slice
+    /// order, `on_equal` for an equal key.  It is [`cmp_prefix`] unrolled
+    /// over `W` components.  A shorter probe is padded with `i64::MIN`,
+    /// which no component is below, so every compare takes all `W`, and a
+    /// key the probe is a prefix of still orders by the widths: `Greater`.
+    // Once per whole-key compare of a node search.
+    // lint: hot-path
+    #[inline(always)]
+    fn cmp_with<const W: usize>(
+        &self,
+        probe: &Key,
+        on_equal: Ordering,
+    ) -> impl Fn(usize) -> Ordering + '_ {
+        let plen = probe.len();
+        let p: [i64; W] =
+            std::array::from_fn(|i| if i < plen { probe.slots()[i] } else { i64::MIN });
+        let tie = W.cmp(&plen).then(on_equal);
+        move |at| {
+            #[cfg(test)]
+            FULL_COMPARES.with(|n| n.set(n.get() + 1));
+            let key: &[i64; W] = self.comps[at..at + W].try_into().expect("W components");
+            cmp_prefix(key, &p, W, tie)
+        }
+    }
+
     /// Whether `probe` sorts after the last key (`false` for an empty
-    /// column).
+    /// column): one compare at the column's width.
     #[inline]
     fn sorts_after_last(&self, probe: &Key) -> bool {
-        self.last().is_some_and(|last| *probe > last)
+        match self.width {
+            // A longer probe with the same head orders after the key.
+            1 => {
+                (self.comps.last()).is_some_and(|&last| (probe.head_int(), probe.len()) > (last, 1))
+            }
+            2 => self.last_is_below::<2>(probe),
+            3 => self.last_is_below::<3>(probe),
+            4 => self.last_is_below::<4>(probe),
+            _ => false,
+        }
+    }
+
+    /// [`Self::sorts_after_last`] on a column of `W`-component keys.
+    #[inline]
+    fn last_is_below<const W: usize>(&self, probe: &Key) -> bool {
+        (self.comps.len().checked_sub(W))
+            .is_some_and(|at| self.cmp_with::<W>(probe, Ordering::Greater)(at) == Ordering::Less)
     }
 
     /// `<[Key]>::binary_search`: the slot holding `probe`, or the slot it
@@ -2115,13 +2142,16 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        /// The per-width search finds what the slice-order reference finds:
-        /// columns of 2–4 components and 0–70 keys, probes of 1–4
-        /// components (range bounds shorter than the keys and probes longer
-        /// than them), under each `on_equal`.
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The per-width search finds what the slice-order reference finds,
+        /// and the append check agrees with slice order: columns of 1–4
+        /// components and 0–70 keys, probes of 1–4 components (range bounds
+        /// shorter than the keys and probes longer than them), under each
+        /// `on_equal`.
         #[test]
         fn the_per_width_search_matches_the_slice_order_reference(
-            width in 2usize..=4,
+            width in 1usize..=4,
             raw in prop::collection::vec(prop::collection::vec(comp(), 4..=4), 0..=70),
             probes in prop::collection::vec(prop::collection::vec(comp(), 1..=4), 1..16),
         ) {
@@ -2131,6 +2161,11 @@ pub(crate) mod tests {
             let column = KeyColumn { width, comps: keys.concat() };
             column.check_invariants().unwrap();
             for probe in probes.iter().map(|p| Key::ints(p)) {
+                prop_assert_eq!(
+                    column.sorts_after_last(&probe),
+                    keys.last().is_some_and(|last| probe.comps() > &last[..]),
+                    "width {}, probe {}", width, probe
+                );
                 for on_equal in [Ordering::Less, Ordering::Equal, Ordering::Greater] {
                     prop_assert_eq!(
                         column.find(&probe, on_equal),
