@@ -68,6 +68,9 @@ use std::ops::Range;
 /// Maximum number of keys in a node.
 const ORDER: usize = 64;
 
+/// Key components in a 64-byte cache line.
+const LINE_COMPS: usize = 64 / std::mem::size_of::<i64>();
+
 /// Slots a node's key and value vectors grow to: `ORDER` keys plus the one
 /// whose insert triggers the split.
 const NODE_SLOTS: usize = ORDER + 1;
@@ -256,6 +259,11 @@ impl KeyColumn {
     // lint: hot-path
     #[inline]
     fn find(&self, probe: &Key, on_equal: Ordering) -> Result<usize, usize> {
+        // Each load of a binary search decides the next, so a node whose
+        // keys are not cached pays one miss after another.  One load per
+        // cache line first, none depending on another, lets those misses
+        // overlap; the search then finds its lines cached.
+        std::hint::black_box(self.comps.iter().step_by(LINE_COMPS).fold(0, |a, &k| a ^ k));
         if self.width == 1 {
             // One-integer keys order exactly by their integer.  A longer
             // probe with the same head orders after the key it extends.
@@ -340,7 +348,7 @@ impl KeyColumn {
     }
 
     /// The whole-key compare of a column of `W`-component keys, `W` from
-    /// 2: the key whose first component is `at` against `probe`, in slice
+    /// 2: the key starting at component `at` against `probe`, in slice
     /// order, `on_equal` for an equal key.  It is [`cmp_prefix`] unrolled
     /// over `W` components.  A shorter probe is padded with `i64::MIN`,
     /// which no component is below, so every compare takes all `W`, and a
@@ -371,9 +379,10 @@ impl KeyColumn {
     fn sorts_after_last(&self, probe: &Key) -> bool {
         match self.width {
             // A longer probe with the same head orders after the key.
-            1 => {
-                (self.comps.last()).is_some_and(|&last| (probe.head_int(), probe.len()) > (last, 1))
-            }
+            1 => self
+                .comps
+                .last()
+                .is_some_and(|&last| (probe.head_int(), probe.len()) > (last, 1)),
             2 => self.last_is_below::<2>(probe),
             3 => self.last_is_below::<3>(probe),
             4 => self.last_is_below::<4>(probe),
@@ -384,7 +393,9 @@ impl KeyColumn {
     /// [`Self::sorts_after_last`] on a column of `W`-component keys.
     #[inline]
     fn last_is_below<const W: usize>(&self, probe: &Key) -> bool {
-        (self.comps.len().checked_sub(W))
+        self.comps
+            .len()
+            .checked_sub(W)
             .is_some_and(|at| self.cmp_with::<W>(probe, Ordering::Greater)(at) == Ordering::Less)
     }
 
