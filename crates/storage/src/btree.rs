@@ -30,7 +30,9 @@
 //!   `i64`s and never compares whole keys; a column of W = 2, 3 or 4
 //!   components is searched by one branch-free binary search compiled
 //!   for W, which compares whole keys `⌈log₂ n⌉ + 1` times in a node of
-//!   `n`, each compare unrolled over the W components.
+//!   `n`, each compare unrolled over the W components.  Every search first
+//!   loads one component per cache line of the node's keys, so that a
+//!   node out of cache pays its misses at once, not one per halving step.
 //! * An insert above the last key of the rightmost leaf — every row of an
 //!   ascending load — walks the right spine by last child and appends to
 //!   that leaf with one compare, as PostgreSQL's nbtree "fastpath" for
